@@ -1,10 +1,10 @@
-//! Nonblocking readiness event loop: the scalable TCP front-end.
+//! Nonblocking readiness event loop: the TCP front-end.
 //!
-//! The thread-per-connection transport burns one OS thread (stack, wakeup
-//! churn, scheduler pressure) per tuning client, which caps a server at a
-//! few dozen clients — nowhere near the paper's premise of one Harmony
-//! server steering thousands of concurrently reporting workers. This
-//! module multiplexes instead: a small pool of loop threads, each owning
+//! A thread per connection burns one OS thread (stack, wakeup churn,
+//! scheduler pressure) per tuning client, which caps a server at a few
+//! dozen clients — nowhere near the paper's premise of one Harmony server
+//! steering thousands of concurrently reporting workers. This module
+//! multiplexes instead: a small pool of loop threads, each owning
 //! thousands of nonblocking connections and a [`ReadinessPoller`]
 //! (`poll(2)` on unix; see [`super::poll`] for why that is the portable
 //! floor and how `epoll` slots in behind the same trait).
@@ -15,13 +15,12 @@
 //! are buffered until a full newline-terminated frame is present; a frame
 //! that outgrows the cap is a clean protocol error, not a hang) and a
 //! bounded write buffer. Exactly one request per connection is in flight
-//! toward the shard pool at a time — the same serialization the blocking
-//! transport got for free from its one-thread-one-loop shape — which is
-//! what keeps event-loop tuning trajectories bit-identical to
-//! thread-per-connection runs. Replies come back through a
-//! [`CompletionSink`]: the shard worker enqueues the reply on the owning
-//! loop's completion queue and pops its poller with a [`Waker`] instead of
-//! the loop parking in a blocking `recv`.
+//! toward the shard pool at a time — the serialization a blocking
+//! in-process client gets for free — which is what keeps event-loop
+//! tuning trajectories bit-identical to serial in-process runs. Replies
+//! come back through a [`CompletionSink`]: the shard worker enqueues the
+//! reply on the owning loop's completion queue and pops its poller with a
+//! [`Waker`] instead of the loop parking in a blocking `recv`.
 //!
 //! # Backpressure and eviction
 //!
@@ -531,9 +530,11 @@ impl LoopWorker {
             let Some(frame) = frame else { break };
             if conn.phase == Phase::Refusing {
                 // The refusal answers the peer's *first* request — writing
-                // before reading would race the peer's in-flight send and
-                // turn the error into a bare RST (see the blocking
-                // transport's regression test).
+                // before reading would race the peer's in-flight send: its
+                // data would hit a closed socket, the kernel would answer
+                // with RST and discard the buffered error frame, and the
+                // peer would see a bare EOF instead of the reason (pinned by
+                // `refused_connect_surfaces_server_busy_not_eof`).
                 self.telemetry.inc(Counter::ConnectionsRefused);
                 queue_reply(
                     &mut conn.out,

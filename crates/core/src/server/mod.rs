@@ -29,6 +29,22 @@
 //! configuration alone, requeue + re-measure cannot perturb the search
 //! trajectory: the history stays bit-identical to a fault-free serial run.
 //!
+//! # One fetch path, one report path
+//!
+//! The on-line conversation — fetch a configuration, run it, report the
+//! time — has two request shapes and one implementation. `FetchBatch`
+//! serves the caller's own unreported trials first (so a re-fetch after a
+//! lost reply converges), then claims requeued trials, then tops up with
+//! fresh proposals under the tenant's in-flight quota, answering
+//! store-known proposals server-side on the way; `ReportBatch` matches
+//! results to trials by iteration token, sanitises non-finite
+//! measurements, applies them, and appends them to the store in one write.
+//! A serial `Fetch` is a `FetchBatch` of one and a serial `Report` is a
+//! one-entry `ReportBatch` for the caller's oldest outstanding trial; only
+//! the reply is reshaped (`Config` instead of `Configs`, the best
+//! configuration once finished, a retryable busy error while another
+//! member holds the round).
+//!
 //! # Tenancy and federation
 //!
 //! Every `Register`/`Attach` may carry a *tenant* label (empty means the
@@ -73,7 +89,9 @@ use crate::telemetry::timeseries::TimeSeries;
 use crate::telemetry::{Counter, Latency, SpanKind, Telemetry, TenantMetric, TrialStage};
 use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
 use parking_lot::Mutex;
-use protocol::{sanitize_measurement, Envelope, FetchedTrial, Reply, ReplySink, Request};
+use protocol::{
+    sanitize_measurement, Envelope, FetchedTrial, Reply, ReplySink, Request, TrialReport,
+};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -181,9 +199,9 @@ pub struct ServerConfig {
     /// leaves founding unbounded.
     pub tenant_max_sessions: Option<usize>,
     /// Most fetched-but-unreported trials one tenant may hold across its
-    /// sessions. A `Fetch` that would issue a fresh trial past the cap is
-    /// refused with [`Reply::QuotaExceeded`]; a `FetchBatch` has its fresh
-    /// top-up clamped and is refused only when it gathered nothing at all.
+    /// sessions. A fetch has its fresh top-up clamped to the cap and is
+    /// refused with [`Reply::QuotaExceeded`] only when it gathered nothing
+    /// at all — for a serial `Fetch`, whenever it would need a fresh trial.
     /// Re-fetches and requeue claims are always exempt — they never grow
     /// the tenant's holdings. `None` (default) leaves issuance unbounded.
     pub tenant_max_inflight: Option<usize>,
@@ -214,11 +232,13 @@ pub struct ServerConfig {
     pub slo_rules: Vec<SloRule>,
 }
 
-/// Upper bound on store-served trials resolved inside one fetch request.
-/// A warm store plus a generous evaluation budget could otherwise keep one
-/// request serving cached costs for the session's whole remaining budget
-/// while the client waits; past the cap the trial is handed to the client
-/// even on a hit, which is always correct (merely slower).
+/// Upper bound on the work of one fetch request: on the trials it may
+/// return (a `FetchBatch.max` off the wire is clamped to it) and on the
+/// store-served trials it may resolve. A warm store plus a generous
+/// evaluation budget could otherwise keep one request serving cached costs
+/// for the session's whole remaining budget while the client waits; past
+/// the cap the trial is handed to the client even on a hit, which is
+/// always correct (merely slower).
 const MAX_SERVED_PER_REQUEST: usize = 1024;
 
 /// One member of a session.
@@ -771,8 +791,30 @@ impl HarmonyServer {
         }
     }
 
-    /// Reply for a fetch against a finished session: the best found.
-    fn finished_reply(session: &TuningSession) -> Reply {
+    /// Shape the outcome of the fetch arm for the request that asked. A
+    /// `FetchBatch` gets the `Configs` frame as is; a serial `Fetch` gets
+    /// its one trial as a `Config`, the best configuration found once the
+    /// session has finished, and a retryable busy error while the strategy
+    /// waits on another member's report.
+    fn fetch_reply(
+        serial: bool,
+        mut trials: Vec<FetchedTrial>,
+        finished: bool,
+        session: &TuningSession,
+    ) -> Reply {
+        if !serial {
+            return Reply::Configs { trials, finished };
+        }
+        if let Some(t) = trials.pop() {
+            return Reply::Config {
+                config: t.config,
+                iteration: t.iteration,
+                finished: false,
+            };
+        }
+        if !finished {
+            return Reply::busy("no trial available until outstanding reports arrive");
+        }
         match session.best() {
             Some((cfg, _)) => Reply::Config {
                 config: cfg.clone(),
@@ -938,13 +980,6 @@ impl HarmonyServer {
         outstanding.clear();
     }
 
-    /// True when issuing one more fresh trial would put the tenant past
-    /// its in-flight cap.
-    fn tenant_inflight_full(cfg: &ServerConfig, stats: &TenantStats) -> bool {
-        cfg.tenant_max_inflight
-            .is_some_and(|max| stats.inflight.load(Ordering::Relaxed) >= max as u64)
-    }
-
     fn handle_for_session(
         state: &mut SessionState,
         cfg: &ServerConfig,
@@ -957,6 +992,27 @@ impl HarmonyServer {
         if matches!(req, Request::Heartbeat) {
             return Reply::Ok; // last_seen already refreshed by the caller
         }
+        // One fetch arm and one report arm serve both request shapes: a
+        // serial `Fetch` is a `FetchBatch` of one, and a serial `Report` is
+        // a one-entry `ReportBatch` for the caller's oldest outstanding
+        // trial. `serial` only selects the reply shape.
+        let serial = matches!(req, Request::Fetch);
+        let req = match (req, &state.phase) {
+            (Request::Fetch, _) => Request::FetchBatch { max: 1 },
+            (Request::Report { cost, wall_time }, SessionPhase::Tuning { outstanding, .. }) => {
+                let Some(t) = outstanding.iter().find(|t| t.owner == client) else {
+                    return Reply::err("report without an outstanding fetch");
+                };
+                Request::ReportBatch {
+                    reports: vec![TrialReport {
+                        iteration: t.trial.iteration,
+                        cost,
+                        wall_time,
+                    }],
+                }
+            }
+            (req, _) => req,
+        };
         // Disjoint borrows: the store key (`app`) and tenant accounting are
         // read while `phase` is borrowed mutably by the match below.
         let SessionState {
@@ -1005,166 +1061,17 @@ impl HarmonyServer {
                     issued_high,
                     fingerprint,
                 },
-                Request::Fetch,
+                Request::FetchBatch { max },
             ) => {
                 if session.stop_reason().is_some() {
                     // Trials fetched before the stop were dropped by the
                     // session; forget them here too.
                     Self::drain_outstanding(outstanding, tenant_stats);
-                    return Self::finished_reply(session);
+                    return Self::fetch_reply(serial, Vec::new(), true, session);
                 }
-                // Re-fetch without report: hand out this client's oldest
-                // unreported trial again.
-                if let Some(t) = outstanding.iter().find(|t| t.owner == client) {
-                    telemetry.inc(Counter::TrialsFetched);
-                    telemetry.event(
-                        TrialStage::Fetched,
-                        t.trial.iteration,
-                        client,
-                        Some("refetch"),
-                    );
-                    return Reply::Config {
-                        config: t.trial.config.clone(),
-                        iteration: t.trial.iteration,
-                        finished: false,
-                    };
-                }
-                // Claim the oldest requeued trial of a departed/expired
-                // owner before asking the strategy for anything new.
-                if let Some(t) = outstanding.iter_mut().find(|t| t.owner == 0) {
-                    t.owner = client;
-                    t.issued = now;
-                    telemetry.inc(Counter::TrialsFetched);
-                    telemetry.event(
-                        TrialStage::Fetched,
-                        t.trial.iteration,
-                        client,
-                        Some("requeue_claim"),
-                    );
-                    return Reply::Config {
-                        config: t.trial.config.clone(),
-                        iteration: t.trial.iteration,
-                        finished: false,
-                    };
-                }
-                // Issuing a fresh trial grows the tenant's in-flight
-                // holdings; past the cap the fetch is refused with the
-                // typed retryable frame. (Re-fetch and requeue claims
-                // above never grow holdings and stay exempt.)
-                if Self::tenant_inflight_full(cfg, tenant_stats) {
-                    telemetry.inc(Counter::QuotaRefusals);
-                    telemetry.tenant_add(tenant, TenantMetric::QuotaRefusals, 1);
-                    return Reply::QuotaExceeded {
-                        tenant: tenant.clone(),
-                    };
-                }
-                // Proposals whose cost is already on record are answered
-                // from the store without leaving the server; the loop runs
-                // until a proposal actually needs measuring (or the budget
-                // runs out under the served costs).
-                let mut served = 0usize;
-                loop {
-                    match session.suggest_batch(1).pop() {
-                        Some(trial) => {
-                            *issued_high = (*issued_high).max(trial.iteration);
-                            if served < MAX_SERVED_PER_REQUEST {
-                                if let Some(hit) = cfg.store.as_ref().and_then(|s| {
-                                    s.lookup(app, *fingerprint, &trial.config.cache_key())
-                                }) {
-                                    served += 1;
-                                    let _ = session.report_stored(trial, hit.cost);
-                                    continue;
-                                }
-                            }
-                            telemetry.inc(Counter::TrialsFetched);
-                            telemetry.event(TrialStage::Fetched, trial.iteration, client, None);
-                            let reply = Reply::Config {
-                                config: trial.config.clone(),
-                                iteration: trial.iteration,
-                                finished: false,
-                            };
-                            tenant_stats.inflight.fetch_add(1, Ordering::Relaxed);
-                            outstanding.push_back(OutstandingTrial {
-                                trial,
-                                owner: client,
-                                issued: now,
-                                requeued: false,
-                            });
-                            break reply;
-                        }
-                        None if session.stop_reason().is_some() => {
-                            Self::drain_outstanding(outstanding, tenant_stats);
-                            break Self::finished_reply(session);
-                        }
-                        // The strategy is waiting on another member's report.
-                        None => {
-                            break Reply::busy(
-                                "no trial available until outstanding reports arrive",
-                            )
-                        }
-                    }
-                }
-            }
-            (
-                SessionPhase::Tuning {
-                    session,
-                    outstanding,
-                    fingerprint,
-                    ..
-                },
-                Request::Report { cost, wall_time },
-            ) => {
-                let Some(pos) = outstanding.iter().position(|t| t.owner == client) else {
-                    return Reply::err("report without an outstanding fetch");
-                };
-                let t = outstanding.remove(pos).expect("position found above");
-                tenant_stats.inflight.fetch_sub(1, Ordering::Relaxed);
-                let (cost, wall_time, clamped) = sanitize_measurement(cost, wall_time);
-                if clamped {
-                    telemetry.inc(Counter::NonFiniteCostsSanitized);
-                }
-                let config = cfg.store.as_ref().map(|_| t.trial.config.clone());
-                let iteration = t.trial.iteration;
-                telemetry.tenant_add(tenant, TenantMetric::Reports, 1);
-                match session.report_timed(t.trial, cost, wall_time) {
-                    Ok(()) => {
-                        telemetry.tenant_add(tenant, TenantMetric::Evaluations, 1);
-                        // Advisory write: a full disk must not fail the
-                        // report the session already accepted.
-                        if let (Some(store), Some(config)) = (&cfg.store, config) {
-                            let _ = store.insert(
-                                StoreRecord::new(
-                                    app.clone(),
-                                    *fingerprint,
-                                    config,
-                                    cost,
-                                    wall_time,
-                                )
-                                .with_provenance(session_id, iteration)
-                                .with_flags(t.requeued, false),
-                            );
-                        }
-                        Reply::Ok
-                    }
-                    Err(e) => Reply::err(e.to_string()),
-                }
-            }
-            (
-                SessionPhase::Tuning {
-                    session,
-                    outstanding,
-                    issued_high,
-                    fingerprint,
-                },
-                Request::FetchBatch { max },
-            ) => {
-                if session.stop_reason().is_some() {
-                    Self::drain_outstanding(outstanding, tenant_stats);
-                    return Reply::Configs {
-                        trials: Vec::new(),
-                        finished: true,
-                    };
-                }
+                // `max` comes straight off the wire: bound what one request
+                // can make the session propose and the reply carry.
+                let max = max.min(MAX_SERVED_PER_REQUEST);
                 // This client's unreported trials first (so a re-fetch after
                 // a lost reply converges), then requeued trials of departed
                 // owners, then top up with fresh proposals.
@@ -1204,7 +1111,7 @@ impl HarmonyServer {
                 // server-side. Each served cost may unlock further
                 // proposals, so keep asking while the store keeps
                 // progressing the search; without a store this degenerates
-                // to the old single `suggest_batch` pass. The tenant's
+                // to a single `suggest_batch` pass. The tenant's
                 // in-flight cap clamps how many fresh trials may be issued
                 // (store-served hits complete immediately and don't count);
                 // suggestions are requested only up to the clamp so no
@@ -1267,7 +1174,7 @@ impl HarmonyServer {
                         tenant: tenant.clone(),
                     };
                 }
-                Reply::Configs { trials, finished }
+                Self::fetch_reply(serial, trials, finished, session)
             }
             (
                 SessionPhase::Tuning {
@@ -1342,8 +1249,8 @@ impl HarmonyServer {
                     }
                 }
                 if let (Some(store), false) = (&cfg.store, recorded.is_empty()) {
-                    // Advisory, like the serial path: a full disk must not
-                    // fail reports the session already accepted.
+                    // Advisory write: a full disk must not fail reports the
+                    // session already accepted.
                     let _ = store.insert_batch(recorded);
                 }
                 if session.stop_reason().is_some() {
@@ -1361,8 +1268,7 @@ impl HarmonyServer {
             },
             (
                 SessionPhase::Building { .. },
-                Request::Fetch
-                | Request::Report { .. }
+                Request::Report { .. }
                 | Request::FetchBatch { .. }
                 | Request::ReportBatch { .. }
                 | Request::QueryHistory,
@@ -1511,6 +1417,82 @@ mod tests {
         assert_eq!(a.config, b.config);
         assert_eq!(a.iteration, b.iteration);
         client.report(1.0).unwrap();
+        server.shutdown();
+    }
+
+    #[test]
+    fn serial_replies_keep_their_shape_through_the_batch_arms() {
+        let server = HarmonyServer::start_with(1);
+        let founder = server.connect("shapes").unwrap();
+        founder.add_param(Param::int("n", 0, 100, 1)).unwrap();
+        founder
+            .seal(
+                SessionOptions {
+                    max_evaluations: 12,
+                    seed: 3,
+                    ..Default::default()
+                },
+                StrategyKind::NelderMead,
+            )
+            .unwrap();
+        let worker = server.attach(founder.session_id()).unwrap();
+        // Nelder–Mead proposes one point at a time: while the founder holds
+        // it, the worker's empty batch of one is the retryable busy error.
+        let held = founder.fetch().unwrap();
+        assert!(!held.finished);
+        assert!(matches!(worker.fetch(), Err(HarmonyError::ServerBusy(_))));
+        founder
+            .report(held.config.int("n").unwrap() as f64)
+            .unwrap();
+        loop {
+            let f = founder.fetch().unwrap();
+            if f.finished {
+                // A finished fetch carries the best configuration, stamped
+                // with the history length.
+                let (best, _) = founder.best().unwrap().unwrap();
+                let (h, _) = founder.history().unwrap();
+                assert_eq!(f.config, best);
+                assert_eq!(f.iteration, h.len());
+                break;
+            }
+            founder.report(f.config.int("n").unwrap() as f64).unwrap();
+        }
+        assert!(worker.fetch().unwrap().finished);
+        server.shutdown();
+    }
+
+    #[test]
+    fn serial_report_after_the_session_stopped_has_no_outstanding_fetch() {
+        // At the parent of the fold the answer depended on who noticed the
+        // stop first: "tuning session already finished" when the stopping
+        // report came through the serial arm (which left the queue alone),
+        // "report without an outstanding fetch" once a batch report or any
+        // fetch had drained it. The one report arm drains on every stop, so
+        // the second answer is the one kept: a stopped session holds no
+        // fetch of anybody's.
+        let server = HarmonyServer::start_with(1);
+        let founder = server.connect("late").unwrap();
+        founder.add_param(Param::int("n", 0, 100, 1)).unwrap();
+        founder
+            .seal(
+                SessionOptions {
+                    target_cost: Some(0.5),
+                    seed: 9,
+                    ..Default::default()
+                },
+                StrategyKind::Random,
+            )
+            .unwrap();
+        let worker = server.attach(founder.session_id()).unwrap();
+        assert!(!founder.fetch().unwrap().finished);
+        assert!(!worker.fetch().unwrap().finished);
+        founder.report(0.0).unwrap(); // reaches the target: the session stops
+        let err = worker.report(1.0).unwrap_err();
+        assert_eq!(
+            err,
+            HarmonyError::Protocol("report without an outstanding fetch".into())
+        );
+        assert!(worker.fetch().unwrap().finished);
         server.shutdown();
     }
 

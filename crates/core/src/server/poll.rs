@@ -378,6 +378,9 @@ mod tests {
             .unwrap();
         assert!(n >= 1);
         assert!(out[0].readable);
+        // Both wakes must be in the pipe before the drain, or the second
+        // lands after it and the re-poll below sees it.
+        h.join().unwrap();
         receiver.drain();
         // Drained: an immediate re-poll finds nothing (unix only; the
         // degraded poller always reports).
@@ -391,7 +394,6 @@ mod tests {
                 .unwrap();
             assert_eq!(n, 0);
         }
-        h.join().unwrap();
     }
 
     #[test]

@@ -107,9 +107,12 @@ pub enum Request {
         /// Tuning algorithm to use.
         strategy: StrategyKind,
     },
-    /// Ask for the next configuration to run.
+    /// Ask for the next configuration to run: a [`FetchBatch`]
+    /// (Self::FetchBatch) of one, answered in the [`Reply::Config`] shape.
     Fetch,
-    /// Report the measured cost of the last fetched configuration.
+    /// Report the measured cost of the last fetched configuration: a
+    /// one-entry [`ReportBatch`](Self::ReportBatch) for the caller's oldest
+    /// outstanding trial.
     Report {
         /// Measured objective (e.g. execution time in seconds).
         cost: f64,
@@ -121,7 +124,8 @@ pub enum Request {
     /// the session tops the batch up with fresh proposals — for PRO this
     /// surfaces a whole round of independent candidates in one message.
     FetchBatch {
-        /// Upper bound on the number of trials returned.
+        /// Upper bound on the number of trials returned; the server clamps
+        /// it to 1024.
         max: usize,
     },
     /// Report measured costs for any subset of outstanding trials, in one
@@ -266,11 +270,10 @@ impl Reply {
     }
 }
 
-/// Where a shard worker delivers its reply. Blocking callers (the
-/// in-process client, the thread-per-connection transport) hand over a
-/// channel and park on its receiving end; the event loop cannot park, so
-/// it hands over a [`CompletionSink`] that enqueues the reply and wakes the
-/// owning loop thread instead.
+/// Where a shard worker delivers its reply. A blocking caller (the
+/// in-process client) hands over a channel and parks on its receiving
+/// end; the event loop cannot park, so it hands over a [`CompletionSink`]
+/// that enqueues the reply and wakes the owning loop thread instead.
 pub enum ReplySink {
     /// Deliver into a bounded channel a blocked caller is `recv()`ing on.
     Channel(Sender<Reply>),

@@ -356,7 +356,7 @@ impl TuningSession {
             }
             // Bound the queue: a strategy circling already-known points
             // could otherwise grow it without limit inside one request.
-            if self.pending.len() >= max + self.opts.max_cached_replays {
+            if self.pending.len() >= max.saturating_add(self.opts.max_cached_replays) {
                 break;
             }
             if !self.strategy.can_propose_unanswered(self.pending.len()) {

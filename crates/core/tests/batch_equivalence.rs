@@ -3,10 +3,17 @@
 //! `suggest`/`report` loop, for any seed and batch size. This is the
 //! contract that lets the server hand a whole round of candidates to a
 //! client in one `FetchBatch` frame without changing what gets explored.
+//!
+//! The same holds one layer up: the server answers a serial `Fetch`/`Report`
+//! through its batch arms, so a session driven by `fetch`/`report`, by
+//! `fetch_batch(1)`/`report_batch` and a bare [`TuningSession`] must agree
+//! row for row, with or without a performance store answering some trials.
 
 use ah_core::prelude::*;
+use ah_core::server::protocol::TrialReport;
 use ah_core::strategy::SearchStrategy;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn space() -> SearchSpace {
     SearchSpace::builder()
@@ -95,6 +102,126 @@ fn assert_identical(serial: &TuningResult, batched: &TuningResult, label: &str) 
         batched.best_config.cache_key(),
         "{label}: best config"
     );
+}
+
+/// Store label of the server-driven sessions below.
+const APP: &str = "fold";
+
+/// `(iteration, configuration, cost bits)` per history row: what a store may
+/// not change (the `cached` flag and the charged wall time it may).
+type Rows = Vec<(usize, Vec<i64>, u64)>;
+
+fn rows(history: &History) -> Rows {
+    history
+        .evaluations()
+        .iter()
+        .map(|e| (e.iteration, e.config.cache_key(), e.cost.to_bits()))
+        .collect()
+}
+
+/// A fresh store holding the first `known` measurements of `reference`.
+fn prefilled_store(reference: &History, known: usize) -> (SharedStore, std::path::PathBuf) {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "ah-fold-{}-{}.store",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_file(&path);
+    let store = SharedStore::open(&path).expect("open store");
+    let fingerprint = space_fingerprint(&space());
+    let records = reference.evaluations()[..known]
+        .iter()
+        .map(|e| StoreRecord::new(APP, fingerprint, e.config.clone(), e.cost, 0.0))
+        .collect();
+    store.insert_batch(records).expect("prefill");
+    (store, path)
+}
+
+/// One session on a one-shard server, driven either by the serial requests
+/// or by batches of one. Returns its history and how many trials the client
+/// measured.
+fn run_server(
+    strategy: StrategyKind,
+    seed: u64,
+    store: Option<SharedStore>,
+    serial: bool,
+) -> (History, usize) {
+    let server = HarmonyServer::start_with_config(ServerConfig {
+        shards: 1,
+        store,
+        ..Default::default()
+    });
+    let c = server.connect(APP).unwrap();
+    c.add_param(Param::int("x", 0, 120, 1)).unwrap();
+    c.add_param(Param::int("y", -20, 20, 1)).unwrap();
+    c.seal(
+        SessionOptions {
+            max_evaluations: 60,
+            seed,
+            ..Default::default()
+        },
+        strategy,
+    )
+    .unwrap();
+    let mut measured = 0;
+    loop {
+        if serial {
+            let f = c.fetch().unwrap();
+            if f.finished {
+                break;
+            }
+            c.report(objective(&f.config)).unwrap();
+        } else {
+            let (trials, finished) = c.fetch_batch(1).unwrap();
+            if finished {
+                break;
+            }
+            assert_eq!(trials.len(), 1, "a lone member is never kept waiting");
+            let cost = objective(&trials[0].config);
+            c.report_batch(vec![TrialReport {
+                iteration: trials[0].iteration,
+                cost,
+                wall_time: cost,
+            }])
+            .unwrap();
+        }
+        measured += 1;
+    }
+    let (history, finished) = c.history().unwrap();
+    assert!(finished);
+    server.shutdown();
+    (history, measured)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Serial requests, batches of one and a bare session walk the same
+    /// trajectory; a store that already knows the first rows only moves
+    /// them from the client to the server.
+    #[test]
+    fn server_serial_and_batch_of_one_equal_a_bare_session(
+        seed in 0u64..1_000_000,
+        kind in 0usize..3,
+    ) {
+        let strategy =
+            [StrategyKind::Random, StrategyKind::NelderMead, StrategyKind::Pro][kind].clone();
+        let bare = run_serial(session(strategy.build(), seed)).history;
+        let want = rows(&bare);
+        let fresh = bare.evaluations().iter().filter(|e| !e.cached).count();
+        for serial in [true, false] {
+            let (history, measured) = run_server(strategy.clone(), seed, None, serial);
+            assert_eq!(rows(&history), want, "{strategy:?} serial={serial} without a store");
+            assert_eq!(measured, fresh);
+
+            let (store, path) = prefilled_store(&bare, bare.len() / 2);
+            let (history, measured) = run_server(strategy.clone(), seed, Some(store), serial);
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(rows(&history), want, "{strategy:?} serial={serial} on a filled store");
+            assert!(measured < fresh, "the store answered nothing ({measured} measured)");
+        }
+    }
 }
 
 proptest! {

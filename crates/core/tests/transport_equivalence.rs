@@ -1,18 +1,14 @@
-//! Property tests: the nonblocking readiness event loop and the legacy
-//! thread-per-connection front-end are *semantically interchangeable* —
-//! the same seeded campaign, driven through either transport under the
-//! same fault schedule (worker sockets dying mid-iteration, replacements
-//! attaching back in), produces the bit-identical tuning trajectory, and
-//! both match a fault-free serial in-process run.
-//!
-//! This is the contract that let the event loop replace the threaded
-//! transport as the default: multiplexing is a throughput optimisation,
-//! never a behavioural change.
+//! Property tests: the TCP front-end is *semantically invisible* — a
+//! seeded campaign driven through the readiness event loop under a fault
+//! schedule (worker sockets dying mid-iteration, replacements attaching
+//! back in) produces the bit-identical tuning trajectory of a fault-free
+//! serial in-process run. Multiplexing is a throughput optimisation, never
+//! a behavioural change.
 
 use ah_clustersim::{FaultKind, FaultPlan};
 use ah_core::prelude::*;
 use ah_core::server::protocol::TrialReport;
-use ah_core::server::{ServerConfig, TcpHarmonyClient, TcpHarmonyServer, TcpTransport};
+use ah_core::server::{TcpHarmonyClient, TcpHarmonyServer};
 use proptest::prelude::*;
 
 fn objective(cfg: &Configuration) -> f64 {
@@ -54,19 +50,8 @@ fn serial_history(strategy: StrategyKind, seed: u64) -> String {
 /// — the socket is dropped with no goodbye, the server front-end notices
 /// the dead connection and synthesises the `Leave` that requeues the held
 /// trial, and a replacement worker attaches to the session.
-fn tcp_history(
-    transport: TcpTransport,
-    strategy: StrategyKind,
-    seed: u64,
-    plan: &FaultPlan,
-) -> String {
-    let server = TcpHarmonyServer::bind_with_transport(
-        "127.0.0.1:0",
-        64,
-        ServerConfig::default(),
-        transport,
-    )
-    .expect("bind");
+fn tcp_history(strategy: StrategyKind, seed: u64, plan: &FaultPlan) -> String {
+    let server = TcpHarmonyServer::bind_with_limit("127.0.0.1:0", 64).expect("bind");
     let addr = server.local_addr();
     let mut founder = TcpHarmonyClient::connect(addr, "equiv").unwrap();
     founder.add_param(Param::int("x", 0, 80, 1)).unwrap();
@@ -126,12 +111,7 @@ fn tcp_history(
 fn check(strategy: StrategyKind, seed: u64, fault_seed: u64) {
     let plan = FaultPlan::new(fault_seed, 0.2, 0.0, 0.0);
     let want = serial_history(strategy.clone(), seed);
-    let event_loop = tcp_history(TcpTransport::default(), strategy.clone(), seed, &plan);
-    let threaded = tcp_history(TcpTransport::Threaded, strategy.clone(), seed, &plan);
-    assert_eq!(
-        event_loop, threaded,
-        "{strategy:?} trajectory differs between transports"
-    );
+    let event_loop = tcp_history(strategy.clone(), seed, &plan);
     assert_eq!(
         event_loop, want,
         "{strategy:?} TCP trajectory diverged from the serial run"
@@ -176,8 +156,6 @@ fn pro_batches_are_transport_invariant() {
     // the event loop's write buffering.
     let want = serial_history(StrategyKind::Pro, 4242);
     let plan = FaultPlan::new(99, 0.2, 0.0, 0.0);
-    let event_loop = tcp_history(TcpTransport::default(), StrategyKind::Pro, 4242, &plan);
-    let threaded = tcp_history(TcpTransport::Threaded, StrategyKind::Pro, 4242, &plan);
-    assert_eq!(event_loop, threaded);
+    let event_loop = tcp_history(StrategyKind::Pro, 4242, &plan);
     assert_eq!(event_loop, want);
 }

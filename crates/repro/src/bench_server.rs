@@ -119,11 +119,6 @@ impl BenchConfig {
     }
 
     fn event_loop_transport(&self) -> TcpTransport {
-        // Escape hatch for A/B measurements: rerun the TCP scenarios over
-        // the legacy thread-per-connection front-end.
-        if std::env::var_os("AH_BENCH_THREADED").is_some() {
-            return TcpTransport::Threaded;
-        }
         TcpTransport::EventLoop(EventLoopConfig {
             loop_threads: self.loop_threads,
             ..Default::default()
@@ -424,8 +419,8 @@ fn run_tcp(cfg: &BenchConfig, batched: bool, store: Option<&SharedStore>) -> Sce
 
 /// High-concurrency scenario: `swarm_clients` simultaneous nonblocking
 /// clients, each tuning its own session, multiplexed over the readiness
-/// event loop. This is the scale the thread-per-connection front-end could
-/// not reach — the point is sustaining the concurrency at all; throughput
+/// event loop. This is the scale a thread per connection cannot
+/// reach — the point is sustaining the concurrency at all; throughput
 /// is reported but (being client-count-dependent) excluded from the
 /// relative regression gate.
 fn run_swarm(cfg: &BenchConfig, store: Option<&SharedStore>) -> Scenario {
