@@ -101,9 +101,12 @@ impl HarmonyClient {
 
     fn call_raw(bus: &ServerBus, client: u64, req: Request) -> Result<Reply> {
         let (tx, rx) = bounded(1);
-        bus.send(Envelope::new(client, req, tx))
-            .map_err(|_| HarmonyError::Disconnected)?;
-        rx.recv().map_err(|_| HarmonyError::Disconnected)
+        match bus.dispatch(Envelope::new(client, req, tx)) {
+            // The shard was idle: this thread served the request itself.
+            Ok(Some(reply)) => Ok(reply),
+            Ok(None) => rx.recv().map_err(|_| HarmonyError::Disconnected),
+            Err(_) => Err(HarmonyError::Disconnected),
+        }
     }
 
     fn call(&self, req: Request) -> Result<Reply> {

@@ -14,20 +14,38 @@
 //! Every connection carries an incremental [`FrameDecoder`] (partial reads
 //! are buffered until a full newline-terminated frame is present; a frame
 //! that outgrows the cap is a clean protocol error, not a hang) and a
-//! bounded write buffer. Exactly one request per connection is in flight
-//! toward the shard pool at a time — the serialization a blocking
-//! in-process client gets for free — which is what keeps event-loop
-//! tuning trajectories bit-identical to serial in-process runs. Replies
-//! come back through a [`CompletionSink`]: the shard worker enqueues the
-//! reply on the owning loop's completion queue and pops its poller with a
-//! [`Waker`] instead of the loop parking in a blocking `recv`.
+//! bounded write buffer. A connection's requests are served strictly one
+//! after another — the serialization a blocking in-process client gets for
+//! free — which is what keeps event-loop tuning trajectories bit-identical
+//! to serial in-process runs.
+//!
+//! # Who serves a request
+//!
+//! The loop thread hands each decoded request to `ServerBus::dispatch`.
+//! When the request's shard is idle the loop thread serves it right there
+//! and has the reply in hand: it is serialized onto the connection's
+//! write buffer and written in the same pass, with no other thread
+//! involved. When the shard is busy the request is queued for the shard's
+//! worker and marked in flight on the connection, which stops decoding
+//! until the reply arrives; the reply comes back through a
+//! [`CompletionSink`], the worker pushing it onto the owning loop's
+//! completion queue and popping the loop's poller with a [`Waker`]. Only
+//! those queued requests touch the completion queue and the wake pipe: a
+//! closed-loop client on an uncontended server never causes a wake.
+//!
+//! A loop pass serves at most one request per connection. A peer that
+//! pipelines (writes many requests without waiting) has the rest left in
+//! its decoder; the loop comes back to the connection with a zero poll
+//! timeout, after every other ready connection has had its turn, and
+//! reads no more from the socket until the buffered frames are used up.
 //!
 //! # Backpressure and eviction
 //!
-//! A connection whose write buffer is past its cap stops being polled for
-//! read — a peer that will not drain its replies cannot force the server
-//! to buffer unboundedly, and the kernel's socket buffers push back on the
-//! peer's sends. Connections silent past the configured idle timeout are
+//! A connection whose unsent reply bytes have reached its cap is neither
+//! polled for read nor has further buffered requests decoded — a peer that
+//! will not drain its replies cannot force the server to buffer more than
+//! the cap plus one reply, and the kernel's socket buffers push back on
+//! the peer's sends. Connections silent past the configured idle timeout are
 //! reaped exactly like a dead socket: a `Leave` is synthesised so the
 //! session requeues their outstanding trials through the existing eviction
 //! path. Over-capacity connections get the protocol's retryable
@@ -198,7 +216,8 @@ impl EventLoopPool {
 }
 
 /// The completion queue one loop thread drains, handed to shard workers
-/// inside [`ReplySink::Completion`].
+/// inside [`ReplySink::Completion`]. Only requests that were queued for a
+/// worker complete through it.
 struct LoopShared {
     completions: Mutex<Vec<(u64, Reply)>>,
     waker: Waker,
@@ -251,9 +270,12 @@ struct Conn {
     out_pos: usize,
     client_id: u64,
     departed: bool,
-    /// `Some(is_leave)` while a request is at the shard pool; the protocol
-    /// is strictly request-reply per connection, so one is enough.
+    /// `Some(is_leave)` while a request is queued for a shard worker; the
+    /// protocol is strictly request-reply per connection, so one is enough.
     in_flight: Option<bool>,
+    /// The last pass served a request and left input buffered: service the
+    /// connection again next pass without waiting for its socket.
+    resume: bool,
     /// Read side saw EOF; drain buffered frames, then close.
     eof: bool,
     /// The EOF remainder (a final frame with no newline) was processed.
@@ -287,6 +309,7 @@ impl LoopWorker {
         let mut tokens: Vec<u64> = Vec::new();
         let mut ready: Vec<Readiness> = Vec::new();
         let mut closed: Vec<(u64, Close)> = Vec::new();
+        let mut read_buf = vec![0u8; 16 * 1024];
         // Iteration latency measures the work between polls, not the wait.
         let mut work_started = Instant::now();
 
@@ -315,16 +338,8 @@ impl LoopWorker {
                 let Some(conn) = conns.get_mut(&token) else {
                     continue; // connection closed while the shard worked
                 };
-                conn.last_activity = Instant::now();
                 let is_leave = conn.in_flight.take().unwrap_or(false);
-                if is_leave && matches!(reply, Reply::Ok) {
-                    conn.departed = true;
-                }
-                if let Reply::Registered { client_id, .. } = reply {
-                    conn.client_id = client_id;
-                    conn.departed = false;
-                }
-                queue_reply(&mut conn.out, &reply);
+                complete(conn, is_leave, &reply);
                 // The reply may unblock the next buffered frame.
                 if let Err(cause) = self.advance(conn) {
                     closed.push((token, cause));
@@ -376,17 +391,17 @@ impl LoopWorker {
             if ready.first().is_some_and(|r| r.readable) {
                 self.wake_rx.drain();
             }
-            if n == 0 {
+            if n == 0 && !timeout.is_zero() {
                 continue; // timeout tick: deadlines re-checked above
             }
 
             for (idx, &token) in tokens.iter().enumerate() {
                 let readiness = ready[idx + 1];
-                if !readiness.any() {
+                let conn = conns.get_mut(&token).expect("token registered");
+                if !readiness.any() && !conn.resume {
                     continue;
                 }
-                let conn = conns.get_mut(&token).expect("token registered");
-                match self.service(conn, readiness) {
+                match self.service(conn, readiness, &mut read_buf) {
                     Ok(()) => {}
                     Err(cause) => closed.push((token, cause)),
                 }
@@ -427,6 +442,7 @@ impl LoopWorker {
             client_id: 0,
             departed: false,
             in_flight: None,
+            resume: false,
             eof: false,
             finished_tail: false,
             last_activity: Instant::now(),
@@ -437,23 +453,24 @@ impl LoopWorker {
 
     /// What this connection should be polled for right now.
     fn interest_of(&self, conn: &Conn) -> Interest {
-        let backlog = conn.out.len() - conn.out_pos;
         Interest {
-            // Stop reading while a request is in flight (the protocol is
-            // request-reply serial), after EOF, once closing, and while
-            // the peer is not draining its replies (backpressure).
-            read: !conn.eof
-                && conn.phase != Phase::Closing
-                && conn.in_flight.is_none()
-                && backlog < self.cfg.write_buffer_cap,
-            write: backlog > 0,
+            // Read only what could be decoded: not while a request is in
+            // flight or the peer is not draining its replies
+            // (backpressure), nor while requests are already buffered (the
+            // protocol is request-reply serial), nor after EOF.
+            read: self.may_decode(conn) && !conn.resume && !conn.eof,
+            write: conn.out.len() > conn.out_pos,
         }
     }
 
-    /// The nearest deadline any connection is waiting on.
+    /// The nearest deadline any connection is waiting on; zero when a
+    /// connection has buffered requests to resume.
     fn poll_timeout(&self, conns: &HashMap<u64, Conn>, now: Instant) -> Duration {
         let mut timeout = IDLE_TICK;
         for conn in conns.values() {
+            if conn.resume {
+                return Duration::ZERO;
+            }
             let deadline = match conn.phase {
                 Phase::Refusing => Some(REFUSE_DEADLINE),
                 Phase::Active if conn.in_flight.is_none() => self.cfg.idle_timeout,
@@ -469,18 +486,23 @@ impl LoopWorker {
     }
 
     /// React to readiness on one connection.
-    fn service(&self, conn: &mut Conn, readiness: Readiness) -> Result<(), Close> {
-        if readiness.readable {
-            self.read_some(conn)?;
+    fn service(
+        &self,
+        conn: &mut Conn,
+        readiness: Readiness,
+        read_buf: &mut [u8],
+    ) -> Result<(), Close> {
+        if readiness.readable && !conn.resume {
+            self.read_some(conn, read_buf)?;
         }
         self.advance(conn)
     }
 
-    /// Drain the kernel's receive buffer into the frame decoder.
-    fn read_some(&self, conn: &mut Conn) -> Result<(), Close> {
-        let mut buf = [0u8; 16 * 1024];
+    /// Drain the kernel's receive buffer into the frame decoder, through
+    /// the loop thread's one read buffer.
+    fn read_some(&self, conn: &mut Conn, buf: &mut [u8]) -> Result<(), Close> {
         loop {
-            match conn.stream.read(&mut buf) {
+            match conn.stream.read(buf) {
                 Ok(0) => {
                     conn.eof = true;
                     return Ok(());
@@ -488,7 +510,7 @@ impl LoopWorker {
                 Ok(n) => {
                     conn.last_activity = Instant::now();
                     conn.decoder.extend(&buf[..n]);
-                    // One request is in flight at a time; bytes beyond it
+                    // One request is served at a time; bytes beyond it
                     // stay buffered in the decoder, so stop pulling more
                     // once a frame boundary is plausible and let advance()
                     // decide. Keep reading only while the socket has data.
@@ -503,11 +525,24 @@ impl LoopWorker {
         }
     }
 
-    /// Push the state machine as far as it can go without blocking: flush
-    /// queued reply bytes, decode and act on buffered frames, flush again.
+    /// Whether the next buffered frame may be decoded now: nothing of this
+    /// connection's is at a shard worker, it is not closing, and its
+    /// unsent replies are under the cap.
+    fn may_decode(&self, conn: &Conn) -> bool {
+        conn.in_flight.is_none()
+            && conn.phase != Phase::Closing
+            && conn.out.len() - conn.out_pos < self.cfg.write_buffer_cap
+    }
+
+    /// Push the state machine one step: flush queued reply bytes, decode
+    /// buffered frames up to and including the first request this thread
+    /// serves (or queues), flush again. Stopping at one served request
+    /// keeps a pipelining peer from monopolising the pass; stopping at the
+    /// cap keeps a non-draining one from growing `out`.
     fn advance(&self, conn: &mut Conn) -> Result<(), Close> {
         flush_out(conn)?;
-        while conn.in_flight.is_none() && conn.phase != Phase::Closing {
+        let mut served = false;
+        while !served && self.may_decode(conn) {
             let frame = match conn.decoder.next_frame() {
                 Ok(Some(frame)) => Some(frame),
                 Ok(None) => {
@@ -566,10 +601,14 @@ impl LoopWorker {
                             token: conn.token,
                         },
                     );
-                    if self.bus.send(env).is_err() {
-                        return Err(Close::Server);
+                    match self.bus.dispatch(env) {
+                        Ok(Some(reply)) => {
+                            complete(conn, is_leave, &reply);
+                            served = true;
+                        }
+                        Ok(None) => conn.in_flight = Some(is_leave),
+                        Err(_) => return Err(Close::Server),
                     }
-                    conn.in_flight = Some(is_leave);
                 }
                 Err(e) => {
                     queue_reply(
@@ -580,6 +619,9 @@ impl LoopWorker {
             }
         }
         flush_out(conn)?;
+        conn.resume = served
+            && self.may_decode(conn)
+            && (conn.decoder.buffered() > 0 || (conn.eof && !conn.finished_tail));
         if conn.phase == Phase::Closing && conn.out_pos == conn.out.len() {
             // Goodbye/refusal fully flushed.
             return Err(if conn.counted {
@@ -616,7 +658,7 @@ impl LoopWorker {
                 // The connection died with its client still a member:
                 // requeue outstanding trials for the survivors. Nobody
                 // waits for this reply.
-                let _ = self.bus.send(Envelope::with_sink(
+                let _ = self.bus.dispatch(Envelope::with_sink(
                     conn.client_id,
                     Request::Leave,
                     ReplySink::Discard,
@@ -624,6 +666,20 @@ impl LoopWorker {
             }
         }
     }
+}
+
+/// Apply a request's reply to its connection: note a completed `Leave` or
+/// a granted client id, and queue the reply frame for writing.
+fn complete(conn: &mut Conn, is_leave: bool, reply: &Reply) {
+    conn.last_activity = Instant::now();
+    if is_leave && matches!(reply, Reply::Ok) {
+        conn.departed = true;
+    }
+    if let Reply::Registered { client_id, .. } = reply {
+        conn.client_id = *client_id;
+        conn.departed = false;
+    }
+    queue_reply(&mut conn.out, reply);
 }
 
 /// Serialize one reply frame onto a connection's write buffer.
@@ -652,4 +708,241 @@ fn flush_out(conn: &mut Conn) -> Result<(), Close> {
         conn.out_pos = 0;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::HarmonyServer;
+    use std::io::{BufRead, BufReader};
+    use std::net::TcpListener;
+
+    /// A loop worker driven by hand, one connection and one pass at a
+    /// time, so a test can look at the connection between passes.
+    struct Rig {
+        server: HarmonyServer,
+        worker: LoopWorker,
+        poller: PollPoller,
+        read_buf: Vec<u8>,
+    }
+
+    impl Rig {
+        fn new(cfg: EventLoopConfig) -> Rig {
+            let server = HarmonyServer::start_with(1);
+            let (waker, wake_rx) = waker_pair().unwrap();
+            let worker = LoopWorker {
+                bus: server.bus(),
+                cfg,
+                max_connections: 8,
+                telemetry: Telemetry::disabled(),
+                active: Arc::new(AtomicUsize::new(0)),
+                incoming: unbounded().1,
+                shared: Arc::new(LoopShared {
+                    completions: Mutex::new(Vec::new()),
+                    waker,
+                }),
+                wake_rx,
+                stop: Arc::new(AtomicBool::new(false)),
+            };
+            Rig {
+                server,
+                worker,
+                poller: PollPoller::new(),
+                read_buf: vec![0u8; 16 * 1024],
+            }
+        }
+
+        /// A server-side connection and the peer's end of it.
+        fn connect(&self, token: u64) -> (Conn, TcpStream) {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (stream, _) = listener.accept().unwrap();
+            (self.worker.adopt(stream, token).unwrap(), peer)
+        }
+
+        /// What `run` does for one connection in one pass: poll it for
+        /// what it wants (not at all when it has requests to resume), then
+        /// service it. Returns whether it was serviced.
+        fn pass(&mut self, conn: &mut Conn, wait: Duration) -> bool {
+            let wait = if conn.resume { Duration::ZERO } else { wait };
+            let source = (poll_fd(&conn.stream), self.worker.interest_of(conn));
+            let mut ready = Vec::new();
+            self.poller.wait(&[source], &mut ready, wait).unwrap();
+            let due = ready[0].any() || conn.resume;
+            if due {
+                self.worker
+                    .service(conn, ready[0], &mut self.read_buf)
+                    .unwrap();
+            }
+            due
+        }
+
+        /// Whether the loop's wake pipe has been written, waiting up to
+        /// `wait` for it.
+        fn woken(&mut self, wait: Duration) -> bool {
+            let source = (self.worker.wake_rx.fd(), Interest::READ);
+            let mut ready = Vec::new();
+            self.poller.wait(&[source], &mut ready, wait).unwrap();
+            ready[0].readable
+        }
+    }
+
+    fn frame(req: &Request) -> Vec<u8> {
+        let mut blob = serde_json::to_string(req).unwrap();
+        blob.push('\n');
+        blob.into_bytes()
+    }
+
+    #[test]
+    fn serial_client_on_an_idle_server_never_touches_the_wake_pipe() {
+        let mut rig = Rig::new(EventLoopConfig::default());
+        let (mut conn, mut peer) = rig.connect(1);
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut replies = BufReader::new(peer.try_clone().unwrap());
+        // Closed loop: the next request is written only after the reply.
+        let mut requests = vec![Request::Register {
+            app: "serial".into(),
+            tenant: String::new(),
+        }];
+        requests.extend((0..200).map(|_| Request::Heartbeat));
+        for req in &requests {
+            peer.write_all(&frame(req)).unwrap();
+            // A small frame arrives whole, and the pass that reads it
+            // serves it and writes the reply.
+            assert!(rig.pass(&mut conn, Duration::from_secs(10)));
+            assert!(conn.in_flight.is_none() && !conn.resume);
+            let mut line = String::new();
+            replies.read_line(&mut line).unwrap();
+            assert!(line.ends_with('\n'), "{line:?}");
+        }
+        assert_ne!(conn.client_id, 0, "the Register reply was applied");
+        assert!(
+            !rig.woken(Duration::ZERO),
+            "no request was queued, none may wake"
+        );
+        assert!(rig.worker.shared.completions.lock().is_empty());
+
+        // The same probe does see a request that has to queue: with the
+        // shard's table held, the request goes to the worker and comes
+        // back through the completion queue and the wake pipe.
+        let bus = rig.server.bus();
+        let table = bus.shards[0].table.lock();
+        peer.write_all(&frame(&Request::Heartbeat)).unwrap();
+        assert!(rig.pass(&mut conn, Duration::from_secs(10)));
+        assert_eq!(conn.in_flight, Some(false));
+        drop(table);
+        assert!(
+            rig.woken(Duration::from_secs(10)),
+            "a queued request's reply wakes the loop"
+        );
+        assert_eq!(rig.worker.shared.completions.lock().len(), 1);
+    }
+
+    /// Shrink a socket buffer to 8 KiB, so that a peer that does not read
+    /// stalls the writer after kilobytes instead of megabytes (and, unlike
+    /// the kernel's minimum, reopens its window promptly once it does).
+    #[cfg(target_os = "linux")]
+    fn shrink(stream: &TcpStream, option: std::ffi::c_int) {
+        use std::os::fd::AsRawFd;
+        extern "C" {
+            fn setsockopt(
+                fd: std::ffi::c_int,
+                level: std::ffi::c_int,
+                name: std::ffi::c_int,
+                value: *const std::ffi::c_void,
+                len: u32,
+            ) -> std::ffi::c_int;
+        }
+        const SOL_SOCKET: std::ffi::c_int = 1;
+        let size: std::ffi::c_int = 8 * 1024;
+        // SAFETY: `fd` is an open socket owned by `stream` for the whole
+        // call, and `value`/`len` describe one live `c_int`, which is what
+        // SO_SNDBUF and SO_RCVBUF take.
+        let rc = unsafe {
+            setsockopt(
+                stream.as_raw_fd(),
+                SOL_SOCKET,
+                option,
+                (&size as *const std::ffi::c_int).cast(),
+                std::mem::size_of::<std::ffi::c_int>() as u32,
+            )
+        };
+        assert_eq!(rc, 0, "setsockopt({option})");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn pipelined_burst_is_served_one_request_a_pass_within_the_write_cap() {
+        const SO_SNDBUF: std::ffi::c_int = 7;
+        const SO_RCVBUF: std::ffi::c_int = 8;
+        const FRAMES: usize = 10_000;
+        let cap = 512;
+        let mut rig = Rig::new(EventLoopConfig {
+            write_buffer_cap: cap,
+            ..Default::default()
+        });
+        let (mut conn, peer) = rig.connect(1);
+        shrink(&conn.stream, SO_SNDBUF);
+        shrink(&peer, SO_RCVBUF);
+
+        // The peer writes the whole burst without reading a byte.
+        let request = frame(&Request::Heartbeat);
+        let burst = request.repeat(FRAMES);
+        let mut writing = peer.try_clone().unwrap();
+        let writer = std::thread::spawn(move || writing.write_all(&burst).unwrap());
+
+        // The connection never registered, so every heartbeat is answered
+        // with the same "unknown client" error frame.
+        let reply = {
+            let mut out = Vec::new();
+            let unknown = crate::error::HarmonyError::UnknownClient(0);
+            queue_reply(&mut out, &Reply::err(unknown.to_string()));
+            out
+        };
+        let backlog = |conn: &Conn| conn.out.len() - conn.out_pos;
+        let check = |rig: &mut Rig, conn: &mut Conn, wait: Duration| -> bool {
+            let (resumed, buffered) = (conn.resume, conn.decoder.buffered());
+            let serviced = rig.pass(conn, wait);
+            if resumed {
+                // A resumed pass reads nothing and decodes one request.
+                assert!(buffered - conn.decoder.buffered() <= request.len());
+            }
+            assert!(
+                backlog(conn) < cap + reply.len(),
+                "unsent replies {} past cap {cap} plus one reply",
+                backlog(conn)
+            );
+            serviced
+        };
+
+        // Drive passes until the connection stalls: replies at the cap,
+        // the kernel taking no more, requests still waiting.
+        let mut reached_cap = false;
+        while check(&mut rig, &mut conn, Duration::from_millis(200)) {
+            reached_cap |= backlog(&conn) >= cap;
+        }
+        assert!(reached_cap, "the peer never pushed back; the test is void");
+        assert!(backlog(&conn) >= cap && conn.decoder.buffered() > 0);
+
+        // Once the peer reads, every request is answered.
+        let reading = peer.try_clone().unwrap();
+        let expected = String::from_utf8(reply.clone()).unwrap();
+        let reader = std::thread::spawn(move || {
+            let mut lines = BufReader::new(reading).lines();
+            for i in 0..FRAMES {
+                let line = lines.next().expect("a reply per request").unwrap();
+                assert_eq!(line, expected.trim_end(), "reply {i}");
+            }
+        });
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !reader.is_finished() {
+            assert!(Instant::now() < deadline, "replies stopped coming");
+            check(&mut rig, &mut conn, Duration::from_millis(50));
+        }
+        reader.join().unwrap();
+        writer.join().unwrap();
+        assert_eq!(backlog(&conn), 0);
+        assert_eq!(conn.decoder.buffered(), 0);
+    }
 }

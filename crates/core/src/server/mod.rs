@@ -3,16 +3,40 @@
 //! The server hosts the *adaptation controller*: it manages the tunable
 //! parameters registered by one or more client applications and steers their
 //! values with a search strategy. Applications talk to the server through
-//! the small message [`protocol`]; in this in-process implementation the
-//! transport is a crossbeam channel, and every message type is
-//! serde-serializable so the same protocol could run over a socket.
+//! the small message [`protocol`]; every message type is serde-serializable,
+//! so the in-process client and the TCP front-end carry the same requests.
 //!
 //! Multiple clients may tune concurrently and independently — the paper's
 //! Active Harmony "tries to coordinate the use of resources by multiple
-//! libraries and applications". Client sessions are partitioned across a
-//! pool of shard worker threads keyed by client id, so independent clients
-//! never serialize behind one dispatcher: each shard owns its slice of the
-//! session table and drains its own request channel.
+//! libraries and applications". Client sessions are partitioned by client
+//! id across shards, each a mutex-guarded slice of the session table, so
+//! independent clients never serialize behind one dispatcher.
+//!
+//! # Who executes a request
+//!
+//! Every request enters through one function, `ServerBus::dispatch`, and is
+//! executed under its shard's table lock by one per-envelope body
+//! (`HarmonyServer::serve`: tenant accounting, the queue-wait sample, the
+//! `shard_handle` span, `handle`). Which thread runs that body is decided
+//! from what `dispatch` observes:
+//!
+//! - **The shard is idle** — no envelope is queued for or being served by
+//!   the shard's worker, and the table lock is free: the *calling* thread
+//!   (an event-loop thread, or the application thread of an in-process
+//!   client) serves the request and gets the reply back as the return
+//!   value. No channel, no worker wake-up, no completion queue.
+//! - **Otherwise** the envelope is queued on the shard's channel and the
+//!   shard's worker thread serves it, delivering the reply through the
+//!   envelope's [`protocol::ReplySink`].
+//!
+//! A shard's "busy" count is raised before an envelope is queued and
+//! lowered only after the worker has handled it, so a request served by
+//! its caller can never overtake one the worker already holds, and every
+//! request that arrives while anything is queued joins the queue behind it.
+//! That count is what `ah_shard_queue_depth` and `/status` report:
+//! envelopes waiting for or being served by a shard worker. Requests served
+//! by their caller never appear in it, so on an uncontended server it
+//! reads zero however high the request rate.
 //!
 //! # Sessions, members, and fault tolerance
 //!
@@ -47,11 +71,18 @@
 //!
 //! # Tenancy and federation
 //!
-//! Every `Register`/`Attach` may carry a *tenant* label (empty means the
-//! `"default"` tenant). Shard workers dispatch envelopes with deficit
-//! round-robin across tenants ([`DRR_QUANTUM`] messages per turn), so a
-//! thousand-client swarm from one team cannot starve another team's
-//! two-client session, and [`ServerConfig::tenant_max_sessions`] /
+//! A `Register` may carry a *tenant* label (empty means the `"default"`
+//! tenant); the session it founds, and every member that later attaches to
+//! it, belongs to that tenant for dispatch and for quotas alike — the
+//! session table is the only record of who belongs where. Shard workers
+//! serve *queued* envelopes with deficit round-robin across tenants
+//! ([`DRR_QUANTUM`] messages per turn), so a thousand-client swarm from one
+//! team cannot starve another team's two-client session. Serving an idle
+//! shard's request on its caller does not touch that: DRR arbitrates among
+//! queued envelopes, an empty queue has nothing to arbitrate, and the first
+//! envelope that does queue sends everything after it through the queue
+//! until the worker has drained it.
+//! [`ServerConfig::tenant_max_sessions`] /
 //! [`ServerConfig::tenant_max_inflight`] bound what any one tenant can hold
 //! open — refusals are the typed [`Reply::QuotaExceeded`], which clients
 //! treat as retryable backpressure. Per-tenant accounting lives in the
@@ -292,127 +323,125 @@ struct SessionState {
     tenant_stats: Arc<TenantStats>,
 }
 
+/// One tenant's queued envelopes on a shard, with the accounting cell
+/// their `queued` count lives in.
+struct TenantQueue {
+    envelopes: VecDeque<Envelope>,
+    stats: Arc<TenantStats>,
+}
+
 /// Per-tenant FIFO queues a shard worker serves in deficit-round-robin
 /// order: each tenant with queued work gets [`DRR_QUANTUM`] credits per
 /// turn (plus any carried deficit), so one tenant's flood waits behind at
 /// most a quantum of every other tenant's traffic instead of the whole
-/// backlog. Invariant: a tenant is in `ring` iff its queue is nonempty.
+/// backlog. Invariant: a tenant is in `ring` iff it has a queue, and a
+/// queue is never empty.
 #[derive(Default)]
 struct DrrQueues {
-    queues: HashMap<String, VecDeque<Envelope>>,
+    queues: HashMap<String, TenantQueue>,
     ring: VecDeque<String>,
     deficit: HashMap<String, u64>,
     pending: usize,
 }
 
 impl DrrQueues {
-    fn enqueue(&mut self, tenant: String, env: Envelope) {
-        let q = self.queues.entry(tenant.clone()).or_default();
-        if q.is_empty() {
-            self.ring.push_back(tenant);
+    fn enqueue(&mut self, tenant: String, stats: Arc<TenantStats>, env: Envelope) {
+        stats.queued.fetch_add(1, Ordering::Relaxed);
+        match self.queues.get_mut(&tenant) {
+            Some(q) => q.envelopes.push_back(env),
+            None => {
+                self.ring.push_back(tenant.clone());
+                let envelopes = VecDeque::from([env]);
+                self.queues.insert(tenant, TenantQueue { envelopes, stats });
+            }
         }
-        q.push_back(env);
         self.pending += 1;
     }
 
     /// Take the next tenant's turn: up to quantum-plus-deficit envelopes
     /// from the head of the ring. `None` when nothing is queued.
-    fn take_turn(&mut self) -> Option<(String, Vec<Envelope>)> {
+    fn take_turn(&mut self) -> Option<(String, Arc<TenantStats>, Vec<Envelope>)> {
         let tenant = self.ring.pop_front()?;
         let credit = self.deficit.remove(&tenant).unwrap_or(0) + DRR_QUANTUM;
         let q = self
             .queues
             .get_mut(&tenant)
             .expect("ring tenants have a queue");
-        let take = (credit as usize).min(q.len());
-        let batch: Vec<Envelope> = q.drain(..take).collect();
-        self.pending -= batch.len();
-        if q.is_empty() {
+        let take = (credit as usize).min(q.envelopes.len());
+        let batch: Vec<Envelope> = q.envelopes.drain(..take).collect();
+        let stats = Arc::clone(&q.stats);
+        stats.queued.fetch_sub(take as u64, Ordering::Relaxed);
+        self.pending -= take;
+        if q.envelopes.is_empty() {
             // Classic DRR: an emptied queue forfeits unused credit.
             self.queues.remove(&tenant);
         } else {
             self.deficit.insert(tenant.clone(), credit - take as u64);
             self.ring.push_back(tenant.clone());
         }
-        Some((tenant, batch))
+        Some((tenant, stats, batch))
     }
 }
 
-/// Worker-local dispatch state: the DRR queues plus the client→tenant map
-/// used to classify envelopes that don't carry a tenant label themselves.
-#[derive(Default)]
-struct ShardDispatch {
-    drr: DrrQueues,
-    client_tenants: HashMap<u64, String>,
-    stats: HashMap<String, Arc<TenantStats>>,
-}
-
-impl ShardDispatch {
-    /// Classify and enqueue one envelope; a `Shutdown` is intercepted and
-    /// its reply sink returned instead.
-    fn intake(&mut self, env: Envelope, registry: &TenantRegistry) -> Option<ReplySink> {
-        if matches!(env.req, Request::Shutdown) {
-            return Some(env.reply);
-        }
-        let tenant = match &env.req {
-            Request::Register { tenant, .. } | Request::Attach { tenant, .. } => {
-                let t = canonical_tenant(tenant).to_string();
-                self.client_tenants.insert(env.client, t.clone());
-                t
-            }
-            Request::Leave => self
-                .client_tenants
-                .remove(&env.client)
-                .unwrap_or_else(|| DEFAULT_TENANT.to_string()),
-            _ => self
-                .client_tenants
-                .get(&env.client)
-                .cloned()
-                .unwrap_or_else(|| DEFAULT_TENANT.to_string()),
-        };
-        self.tenant_stats(&tenant, registry)
-            .queued
-            .fetch_add(1, Ordering::Relaxed);
-        self.drr.enqueue(tenant, env);
-        None
-    }
-
-    fn tenant_stats(&mut self, tenant: &str, registry: &TenantRegistry) -> Arc<TenantStats> {
-        Arc::clone(
-            self.stats
-                .entry(tenant.to_string())
-                .or_insert_with(|| registry.stats(tenant)),
-        )
-    }
-}
-
-/// The slice of server state one shard worker owns.
+/// One shard's slice of server state, behind the shard's mutex.
 #[derive(Default)]
 struct ShardTable {
     /// Sessions keyed by founder client id.
     sessions: HashMap<u64, SessionState>,
     /// Client id → session id, for every live member on this shard.
     clients: HashMap<u64, u64>,
+    /// Set by the shard's worker as it stops: from then on the shard
+    /// serves nothing, on any thread.
+    closed: bool,
 }
 
-/// One shard of the session table: the worker thread that owns it drains
-/// `tx`'s receiving end; the mutex makes the table observable from the
-/// outside (diagnostics) without funnelling through the worker.
+impl ShardTable {
+    /// The tenant an envelope is queued under and accounted to, read off
+    /// the table so dispatch and quotas can never disagree: a member's is
+    /// its session's, an `Attach` takes its target session's, a `Register`
+    /// names its own, and a client the table does not know (never
+    /// registered, left, evicted) falls to [`DEFAULT_TENANT`].
+    fn tenant_of(&self, env: &Envelope, registry: &TenantRegistry) -> (String, Arc<TenantStats>) {
+        let session = match &env.req {
+            Request::Register { tenant, .. } => {
+                let tenant = canonical_tenant(tenant);
+                return (tenant.to_string(), registry.stats(tenant));
+            }
+            Request::Attach { session, .. } => self.sessions.get(session),
+            _ => self
+                .clients
+                .get(&env.client)
+                .and_then(|id| self.sessions.get(id)),
+        };
+        match session {
+            Some(s) => (s.tenant.clone(), Arc::clone(&s.tenant_stats)),
+            None => (DEFAULT_TENANT.to_string(), registry.stats(DEFAULT_TENANT)),
+        }
+    }
+}
+
+/// One shard: its table, and the channel its worker thread drains when a
+/// request cannot be served by its caller.
 struct Shard {
     tx: Sender<Envelope>,
     table: Arc<Mutex<ShardTable>>,
-    /// Envelopes sent but not yet picked up by the worker — the live queue
-    /// depth the observability plane reports per shard. (The vendored
-    /// channel has no `len()`; one relaxed counter is cheaper anyway.)
+    /// Envelopes queued for, or being served by, the shard's worker:
+    /// raised before an envelope is sent, lowered once the worker has
+    /// handled it. Zero means nothing stands between a new request and
+    /// the table, which is what lets [`ServerBus::dispatch`] serve it on
+    /// the caller. `SeqCst` throughout: the count orders a caller's
+    /// decision against the worker's progress, and on x86-64 costs the
+    /// same as the relaxed counter it was when only the gauge read it.
     depth: Arc<AtomicU64>,
 }
 
-/// Cheap, cloneable route to the shard workers (used by every client
-/// handle and by the TCP front-end).
+/// Cheap, cloneable entry to the shards (held by every client handle and
+/// by the TCP front-end).
 #[derive(Clone)]
 pub(crate) struct ServerBus {
     shards: Arc<Vec<Shard>>,
     next_seq: Arc<AtomicU64>,
+    cfg: Arc<ServerConfig>,
 }
 
 impl ServerBus {
@@ -430,12 +459,20 @@ impl ServerBus {
         n * (seq + 1) + shard
     }
 
-    /// Deliver an envelope to the shard owning its client. `Register` and
-    /// `Attach` allocate the client id here so the id and the routing
-    /// decision always agree; the addressed shard then creates the state
-    /// under that id. Registers spread round-robin; attaches must land on
-    /// the shard owning their session.
-    pub(crate) fn send(&self, mut env: Envelope) -> std::result::Result<(), SendError<Envelope>> {
+    /// The one way into the server. `Register` and `Attach` get their
+    /// client id here so the id and the routing decision always agree
+    /// (registers spread round-robin; attaches land on the shard owning
+    /// their session). Then, if the envelope's shard is idle — nothing
+    /// queued for or in the hands of its worker, table lock free — the
+    /// calling thread serves the envelope itself and the reply is the
+    /// return value; the envelope's sink is dropped unused. Otherwise the
+    /// envelope is queued, `Ok(None)` is returned, and the worker delivers
+    /// the reply through the sink. `Err` hands the envelope back when the
+    /// shard has shut down.
+    pub(crate) fn dispatch(
+        &self,
+        mut env: Envelope,
+    ) -> std::result::Result<Option<Reply>, SendError<Envelope>> {
         let n = self.shards.len() as u64;
         match env.req {
             Request::Register { .. } => {
@@ -447,16 +484,31 @@ impl ServerBus {
             }
             _ => {}
         }
-        let shard = self.shard_of(env.client);
-        self.shards[shard].depth.fetch_add(1, Ordering::Relaxed);
-        let sent = self.shards[shard].tx.send(env);
-        if sent.is_err() {
-            self.shards[shard].depth.fetch_sub(1, Ordering::Relaxed);
+        let index = self.shard_of(env.client);
+        let shard = &self.shards[index];
+        // A `Shutdown` is the worker's own stop signal and always queues.
+        if shard.depth.load(Ordering::SeqCst) == 0 && !matches!(env.req, Request::Shutdown) {
+            if let Some(mut table) = shard.table.try_lock() {
+                if table.closed {
+                    return Err(SendError(env));
+                }
+                let (tenant, stats) = table.tenant_of(&env, &self.cfg.tenants);
+                let (reply, _unused_sink) =
+                    HarmonyServer::serve(index, &self.cfg, &mut table, &tenant, &stats, env);
+                return Ok(Some(reply));
+            }
         }
-        sent
+        shard.depth.fetch_add(1, Ordering::SeqCst);
+        let sent = shard.tx.send(env);
+        if sent.is_err() {
+            shard.depth.fetch_sub(1, Ordering::SeqCst);
+        }
+        sent.map(|()| None)
     }
 
-    /// Per-shard queue depths, for the observability plane.
+    /// Per-shard count of envelopes queued for or being served by the
+    /// shard's worker, for the observability plane. Requests served by
+    /// their caller never show here.
     pub(crate) fn queue_depths(&self) -> Vec<u64> {
         self.shards
             .iter()
@@ -480,7 +532,6 @@ pub struct HarmonyServer {
     handles: Vec<JoinHandle<()>>,
     sync_stop: Arc<AtomicBool>,
     sync_handles: Vec<JoinHandle<()>>,
-    config: ServerConfig,
 }
 
 impl HarmonyServer {
@@ -502,6 +553,7 @@ impl HarmonyServer {
     /// Start the server with full control over sharding, per-trial
     /// deadlines, and member liveness eviction.
     pub fn start_with_config(config: ServerConfig) -> Self {
+        let config = Arc::new(config);
         let n = if config.shards == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -518,7 +570,7 @@ impl HarmonyServer {
             let depth = Arc::new(AtomicU64::new(0));
             let worker_table = Arc::clone(&table);
             let worker_depth = Arc::clone(&depth);
-            let cfg = config.clone();
+            let cfg = Arc::clone(&config);
             let handle = std::thread::Builder::new()
                 .name(format!("harmony-shard-{i}"))
                 .spawn(move || Self::worker_loop(i, rx, worker_table, worker_depth, cfg))
@@ -544,28 +596,32 @@ impl HarmonyServer {
                 sync_handles.push(handle);
             }
         }
-        let bus = ServerBus {
-            shards: Arc::new(pool),
-            next_seq: Arc::new(AtomicU64::new(0)),
-        };
         if let Some(series) = &config.timeseries {
-            // Stock server gauges: total queued envelopes across shards
-            // (the SLO engine's `shard_queue_depth`) and the store's
-            // unflushed record count (`store_unsynced`, flush lag).
-            let gauge_bus = bus.clone();
+            // Stock server gauges: envelopes queued for or being served by
+            // the shard workers, summed (the SLO engine's
+            // `shard_queue_depth`), and the store's unflushed record count
+            // (`store_unsynced`, flush lag). The gauge holds the counters,
+            // not the bus: the bus owns the config that owns this series.
+            let depths: Vec<_> = pool.iter().map(|s| Arc::clone(&s.depth)).collect();
             series.register_gauge("shard_queue_depth", move || {
-                gauge_bus.queue_depths().iter().sum::<u64>() as f64
+                depths
+                    .iter()
+                    .map(|d| d.load(Ordering::Relaxed))
+                    .sum::<u64>() as f64
             });
             if let Some(store) = config.store.clone() {
                 series.register_gauge("store_unsynced", move || store.unsynced() as f64);
             }
         }
         HarmonyServer {
-            bus,
+            bus: ServerBus {
+                shards: Arc::new(pool),
+                next_seq: Arc::new(AtomicU64::new(0)),
+                cfg: config,
+            },
             handles,
             sync_stop,
             sync_handles,
-            config,
         }
     }
 
@@ -612,85 +668,97 @@ impl HarmonyServer {
         }
     }
 
-    /// Shard worker: pull envelopes off the channel into per-tenant DRR
-    /// queues, then serve one tenant turn at a time. A `Shutdown` stops
-    /// intake; queued envelopes are still served before the acknowledgement
-    /// (matching the old FIFO loop, where everything sent before the
-    /// shutdown was processed first).
+    /// Serve one envelope against its shard's locked table: the one
+    /// per-envelope body, run by the shard worker for queued envelopes and
+    /// by [`ServerBus::dispatch`] on the caller's thread for an idle
+    /// shard. The caller holds the table lock across it, so the
+    /// `shard_handle` spans of one shard never overlap whichever threads
+    /// record them. Returns the reply and the envelope's sink.
+    fn serve(
+        shard: usize,
+        cfg: &ServerConfig,
+        table: &mut ShardTable,
+        tenant: &str,
+        stats: &TenantStats,
+        env: Envelope,
+    ) -> (Reply, ReplySink) {
+        stats.served.fetch_add(1, Ordering::Relaxed);
+        let wait = env.queued_at.elapsed();
+        cfg.telemetry.observe(Latency::ShardQueueWait, wait);
+        cfg.telemetry.tenant_add(
+            tenant,
+            TenantMetric::QueueWaitUs,
+            u64::try_from(wait.as_micros()).unwrap_or(u64::MAX),
+        );
+        let span = cfg
+            .telemetry
+            .span_begin(SpanKind::ShardHandle, 0, "shard", shard as u64);
+        let reply = Self::handle(table, cfg, env.client, env.req);
+        cfg.telemetry.span_end(span);
+        (reply, env.reply)
+    }
+
+    /// Shard worker: serves the envelopes that could not be served by
+    /// their caller. Pulls them off the channel into per-tenant DRR queues
+    /// (classified under a short table lock), then serves one tenant turn
+    /// at a time. A `Shutdown` stops intake; envelopes queued before it
+    /// are still served before the acknowledgement.
     fn worker_loop(
         shard: usize,
         rx: Receiver<Envelope>,
         table: Arc<Mutex<ShardTable>>,
         depth: Arc<AtomicU64>,
-        cfg: ServerConfig,
+        cfg: Arc<ServerConfig>,
     ) {
-        let mut dispatch = ShardDispatch::default();
+        let mut drr = DrrQueues::default();
         let mut shutdown_ack: Option<ReplySink> = None;
-        'outer: loop {
+        let intake = |drr: &mut DrrQueues, env: Envelope| -> Option<ReplySink> {
+            if matches!(env.req, Request::Shutdown) {
+                depth.fetch_sub(1, Ordering::SeqCst);
+                return Some(env.reply);
+            }
+            let (tenant, stats) = table.lock().tenant_of(&env, &cfg.tenants);
+            drr.enqueue(tenant, stats, env);
+            None
+        };
+        loop {
             if shutdown_ack.is_none() {
                 // Block only when idle; otherwise drain whatever is ready
                 // so fairness is decided over everything that has arrived.
-                if dispatch.drr.pending == 0 {
+                if drr.pending == 0 {
                     match rx.recv() {
-                        Ok(env) => {
-                            if let Some(ack) = dispatch.intake(env, &cfg.tenants) {
-                                depth.fetch_sub(1, Ordering::Relaxed);
-                                shutdown_ack = Some(ack);
-                            }
-                        }
-                        Err(_) => break 'outer, // bus gone, nothing queued
+                        Ok(env) => shutdown_ack = intake(&mut drr, env),
+                        Err(_) => break, // bus gone, nothing queued
                     }
                 }
                 while shutdown_ack.is_none() {
                     match rx.try_recv() {
-                        Ok(env) => {
-                            if let Some(ack) = dispatch.intake(env, &cfg.tenants) {
-                                depth.fetch_sub(1, Ordering::Relaxed);
-                                shutdown_ack = Some(ack);
-                            }
-                        }
+                        Ok(env) => shutdown_ack = intake(&mut drr, env),
                         Err(_) => break, // empty or disconnected: serve what we have
                     }
                 }
             }
-            match dispatch.drr.take_turn() {
-                Some((tenant, batch)) => {
-                    let stats = dispatch.tenant_stats(&tenant, &cfg.tenants);
-                    for env in batch {
-                        depth.fetch_sub(1, Ordering::Relaxed);
-                        stats.queued.fetch_sub(1, Ordering::Relaxed);
-                        stats.served.fetch_add(1, Ordering::Relaxed);
-                        let wait = env.queued_at.elapsed();
-                        cfg.telemetry.observe(Latency::ShardQueueWait, wait);
-                        cfg.telemetry.tenant_add(
-                            &tenant,
-                            TenantMetric::QueueWaitUs,
-                            u64::try_from(wait.as_micros()).unwrap_or(u64::MAX),
-                        );
-                        let Envelope {
-                            client, req, reply, ..
-                        } = env;
-                        let span = cfg.telemetry.span_begin(
-                            SpanKind::ShardHandle,
-                            0,
-                            "shard",
-                            shard as u64,
-                        );
-                        let out = {
-                            let mut table = table.lock();
-                            Self::handle(&mut table, &cfg, client, req)
-                        };
-                        cfg.telemetry.span_end(span);
-                        reply.deliver(out);
-                    }
+            let Some((tenant, stats, batch)) = drr.take_turn() else {
+                if shutdown_ack.is_some() {
+                    break;
                 }
-                None => {
-                    if let Some(ack) = shutdown_ack.take() {
-                        ack.deliver(Reply::Ok);
-                        break 'outer;
-                    }
-                }
+                continue;
+            };
+            for env in batch {
+                let (reply, sink) = {
+                    let mut table = table.lock();
+                    Self::serve(shard, &cfg, &mut table, &tenant, &stats, env)
+                };
+                // Lowered once the envelope has taken effect and before its
+                // reply leaves: whoever acts on the reply finds the shard
+                // idle again, and nobody finds it idle sooner.
+                depth.fetch_sub(1, Ordering::SeqCst);
+                sink.deliver(reply);
             }
+        }
+        table.lock().closed = true;
+        if let Some(ack) = shutdown_ack {
+            ack.deliver(Reply::Ok);
         }
     }
 
@@ -711,7 +779,7 @@ impl HarmonyServer {
 
     /// The configuration this server was started with.
     pub fn config(&self) -> &ServerConfig {
-        &self.config
+        &self.bus.cfg
     }
 
     /// Start the observability plane: an HTTP responder on `addr` serving
@@ -720,7 +788,7 @@ impl HarmonyServer {
     /// untouched. Bind to port 0 to let the OS pick; the bound address is on
     /// the returned [`ObserveHandle`].
     pub fn observe(&self, addr: &str) -> std::io::Result<ObserveHandle> {
-        observe::start(addr, self.bus.clone(), self.config.clone())
+        observe::start(addr, self.bus.clone(), self.config().clone())
     }
 
     /// Connect a new client application (founds a fresh session) under the
@@ -747,9 +815,10 @@ impl HarmonyServer {
         self.attach_as(session, "")
     }
 
-    /// Join an existing session under an explicit tenant label; the label
-    /// scopes this member's dispatch fairness, while quota accounting
-    /// stays with the session's founding tenant.
+    /// Join an existing session, sending a tenant label along. The label
+    /// is carried for the wire format's sake only: a member belongs to the
+    /// tenant its session was founded under, for dispatch fairness and
+    /// for quotas alike.
     pub fn attach_as(&self, session: u64, tenant: impl Into<String>) -> Result<HarmonyClient> {
         HarmonyClient::attach(self.bus(), session, tenant.into())
     }
@@ -770,17 +839,15 @@ impl HarmonyServer {
         // Tell every shard to stop, then wait: collect acknowledgements
         // first so shards wind down in parallel.
         let mut acks = Vec::with_capacity(self.bus.shards.len());
-        for shard in self.bus.shards.iter() {
+        for shard in 0..self.bus.shards.len() as u64 {
+            // Client id `shard` routes to shard `shard`.
             let (tx, rx) = crossbeam::channel::bounded(1);
-            shard.depth.fetch_add(1, Ordering::Relaxed);
-            if shard
-                .tx
-                .send(Envelope::new(0, Request::Shutdown, tx))
+            if self
+                .bus
+                .dispatch(Envelope::new(shard, Request::Shutdown, tx))
                 .is_ok()
             {
                 acks.push(rx);
-            } else {
-                shard.depth.fetch_sub(1, Ordering::Relaxed);
             }
         }
         for rx in acks {
@@ -892,7 +959,9 @@ impl HarmonyServer {
 
     fn handle(table: &mut ShardTable, cfg: &ServerConfig, client: u64, req: Request) -> Reply {
         let now = Instant::now();
-        let ShardTable { sessions, clients } = table;
+        let ShardTable {
+            sessions, clients, ..
+        } = table;
         match req {
             Request::Register { app, tenant } => {
                 // The id was allocated by the bus; it routed here, so this
@@ -2081,5 +2150,181 @@ mod tests {
             }
             server.shutdown();
         }
+    }
+
+    /// Completion sink that forwards `(token, reply)` to the test, in the
+    /// order the shard worker delivered them.
+    struct Tagged(crossbeam::channel::Sender<(u64, Reply)>);
+
+    impl protocol::CompletionSink for Tagged {
+        fn complete(&self, token: u64, reply: Reply) {
+            let _ = self.0.send((token, reply));
+        }
+    }
+
+    fn register(bus: &ServerBus, tenant: &str) -> u64 {
+        let req = Request::Register {
+            app: "dispatch".into(),
+            tenant: tenant.into(),
+        };
+        match bus.dispatch(Envelope::with_sink(0, req, ReplySink::Discard)) {
+            Ok(Some(Reply::Registered { client_id, .. })) => client_id,
+            other => panic!("idle shard must register on the caller, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn dispatch_serves_an_idle_shard_on_the_caller() {
+        let server = HarmonyServer::start_with(1);
+        let bus = server.bus();
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        let req = Request::Register {
+            app: "idle".into(),
+            tenant: String::new(),
+        };
+        let reply = bus.dispatch(Envelope::new(0, req, tx)).unwrap();
+        assert!(matches!(reply, Some(Reply::Registered { .. })), "{reply:?}");
+        // The reply was the return value; nothing went through the sink
+        // (its sender was dropped unused) or through the worker's queue.
+        assert_eq!(
+            rx.try_recv().unwrap_err(),
+            crossbeam::channel::TryRecvError::Disconnected
+        );
+        assert_eq!(bus.queue_depths(), vec![0]);
+        server.shutdown();
+    }
+
+    #[test]
+    fn dispatch_queues_behind_a_busy_shard_and_the_worker_serves_in_drr_order() {
+        let server = HarmonyServer::start_with(1);
+        let bus = server.bus();
+        let big = register(&bus, "big");
+        let small = register(&bus, "small");
+        let (tx, rx) = unbounded();
+        let sink: Arc<dyn protocol::CompletionSink> = Arc::new(Tagged(tx));
+        let heartbeat = |client: u64, token: u64| {
+            let sink = ReplySink::Completion {
+                sink: Arc::clone(&sink),
+                token,
+            };
+            bus.dispatch(Envelope::with_sink(client, Request::Heartbeat, sink))
+                .unwrap()
+        };
+        // With the table lock held the first envelope cannot be served
+        // here and queues; everything after it queues behind it. The
+        // worker blocks on the same lock, so all 21 envelopes are in its
+        // channel before it classifies the first.
+        let table = bus.shards[0].table.lock();
+        for token in 0..20 {
+            assert!(heartbeat(big, token).is_none(), "token {token}");
+        }
+        assert!(heartbeat(small, 100).is_none());
+        assert_eq!(bus.queue_depths(), vec![21]);
+        assert!(rx.try_recv().is_err(), "nothing is served while queued");
+        drop(table);
+        // One quantum of the flood, then the small tenant's turn, then the
+        // rest of the flood.
+        let order: Vec<u64> = (0..21)
+            .map(|_| {
+                let (token, reply) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+                assert!(matches!(reply, Reply::Ok), "{reply:?}");
+                token
+            })
+            .collect();
+        let expected: Vec<u64> = (0..DRR_QUANTUM)
+            .chain([100])
+            .chain(DRR_QUANTUM..20)
+            .collect();
+        assert_eq!(order, expected);
+        // The count drops before each reply leaves, so by the last reply
+        // the shard is idle again and the next request is served here.
+        assert_eq!(bus.queue_depths(), vec![0]);
+        assert!(matches!(heartbeat(small, 101), Some(Reply::Ok)));
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_is_never_served_by_its_caller_and_closes_the_shard() {
+        let server = HarmonyServer::start_with(1);
+        let bus = server.bus();
+        let client = register(&bus, "");
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        let queued = bus.dispatch(Envelope::new(0, Request::Shutdown, tx));
+        assert!(matches!(queued, Ok(None)), "{queued:?}");
+        let ack = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert!(matches!(ack, Reply::Ok), "{ack:?}");
+        // The worker is gone, and an idle-looking shard must not be
+        // mistaken for a live one.
+        let refused = bus.dispatch(Envelope::with_sink(
+            client,
+            Request::Heartbeat,
+            ReplySink::Discard,
+        ));
+        assert!(refused.is_err(), "{refused:?}");
+        server.shutdown();
+    }
+
+    fn served(server: &HarmonyServer, tenant: &str) -> u64 {
+        let rows = server.config().tenants.snapshot();
+        rows.iter().find(|r| r.0 == tenant).map_or(0, |r| r.4)
+    }
+
+    #[test]
+    fn evicted_member_leaves_no_per_client_state_on_its_shard() {
+        let server = HarmonyServer::start_with_config(ServerConfig {
+            shards: 1,
+            client_ttl: Some(Duration::from_millis(30)),
+            ..Default::default()
+        });
+        let founder = server.connect_as("ttl", "team").unwrap();
+        founder.add_param(Param::int("x", 0, 100, 1)).unwrap();
+        founder
+            .seal(SessionOptions::default(), StrategyKind::Random)
+            .unwrap();
+        let worker = server.attach(founder.session_id()).unwrap();
+        // The founder heartbeats; the worker goes silent past its TTL.
+        for _ in 0..4 {
+            std::thread::sleep(Duration::from_millis(20));
+            founder.heartbeat().unwrap();
+        }
+        // Eviction took the worker out of the table, and the table is all
+        // there is: its next request is a stranger's, accounted to the
+        // default tenant and not to the team it once belonged to.
+        let team_before = served(&server, "team");
+        assert!(worker.fetch().is_err(), "evicted member must be refused");
+        assert_eq!(served(&server, "team"), team_before);
+        assert_eq!(served(&server, DEFAULT_TENANT), 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn attached_member_with_a_foreign_label_is_served_in_the_founders_queue() {
+        let server = HarmonyServer::start_with(1);
+        let founder = server.connect_as("pool", "team-a").unwrap();
+        let worker = server.attach_as(founder.session_id(), "team-b").unwrap();
+        for _ in 0..5 {
+            worker.heartbeat().unwrap();
+        }
+        // Register + Attach + five heartbeats, all team-a's; the label the
+        // worker attached with never became a tenant of its own.
+        assert_eq!(served(&server, "team-a"), 7);
+        let rows = server.config().tenants.snapshot();
+        assert!(rows.iter().all(|r| r.0 != "team-b"), "{rows:?}");
+        // The classifier the worker's intake and `dispatch` share agrees,
+        // for the member's requests and for the attach itself.
+        let bus = server.bus();
+        let table = bus.shards[0].table.lock();
+        let tenant_of = |client: u64, req: Request| {
+            let env = Envelope::with_sink(client, req, ReplySink::Discard);
+            table.tenant_of(&env, &bus.cfg.tenants).0
+        };
+        assert_eq!(tenant_of(worker.id(), Request::Heartbeat), "team-a");
+        let attach = Request::Attach {
+            session: founder.session_id(),
+            tenant: "team-b".into(),
+        };
+        assert_eq!(tenant_of(0, attach), "team-a");
+        drop(table);
+        server.shutdown();
     }
 }

@@ -595,7 +595,7 @@ fn fleet_json(ctx: &ObserveCtx) -> Value {
 /// exposition (the depths live on the bus, not in the telemetry handle).
 fn queue_depth_exposition(bus: &ServerBus) -> String {
     let mut out = String::from(
-        "# HELP ah_shard_queue_depth Envelopes queued per shard, not yet picked up.\n\
+        "# HELP ah_shard_queue_depth Envelopes waiting for or being served by the shard's worker.\n\
          # TYPE ah_shard_queue_depth gauge\n",
     );
     for (i, depth) in bus.queue_depths().iter().enumerate() {

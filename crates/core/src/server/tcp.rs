@@ -171,13 +171,16 @@ impl TcpHarmonyServer {
         self.active.load(Ordering::SeqCst)
     }
 
+    /// The in-process server behind the socket: clients connected through
+    /// it share shards and sessions with the TCP clients.
+    pub fn inproc(&self) -> &HarmonyServer {
+        self.inner.as_ref().expect("server not shut down")
+    }
+
     /// Start the observability plane on `addr` (see
     /// [`HarmonyServer::observe`]).
     pub fn observe(&self, addr: &str) -> std::io::Result<super::ObserveHandle> {
-        self.inner
-            .as_ref()
-            .expect("server not shut down")
-            .observe(addr)
+        self.inproc().observe(addr)
     }
 
     /// Stop accepting connections and shut the adaptation controller down.

@@ -1,11 +1,17 @@
 //! Concurrency stress and protocol-level tests for the sharded Harmony
-//! server: many clients over both transports, and frame accounting showing
-//! that a whole PRO round costs exactly one request/reply pair each way.
+//! server: many clients over both transports (separately, and mixed on one
+//! shard so caller-served and worker-served requests interleave), a
+//! pipelining peer that will not drain its replies, and frame accounting
+//! showing that a whole PRO round costs exactly one request/reply pair each
+//! way.
 
 use ah_core::param::Param;
 use ah_core::server::protocol::{StrategyKind, TrialReport};
-use ah_core::server::{HarmonyServer, TcpHarmonyClient, TcpHarmonyServer};
+use ah_core::server::{
+    EventLoopConfig, HarmonyServer, ServerConfig, TcpHarmonyClient, TcpHarmonyServer, TcpTransport,
+};
 use ah_core::session::SessionOptions;
+use ah_core::telemetry::{SpanKind, Telemetry};
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -152,6 +158,249 @@ fn sixteen_tcp_clients_tune_independently() {
             });
         }
     });
+    server.shutdown();
+}
+
+/// The mixed test's campaigns, by client index: each has its own strategy
+/// seed and objective.
+fn mixed_options(i: usize) -> SessionOptions {
+    SessionOptions {
+        max_evaluations: 60,
+        seed: 100 + i as u64,
+        ..Default::default()
+    }
+}
+
+fn mixed_cost(i: usize, x: i64) -> f64 {
+    ((x - target_of(i)) as f64).powi(2)
+}
+
+/// Client `i`'s campaign, serial fetch/report in process; its serialized
+/// history.
+fn inproc_history(server: &HarmonyServer, i: usize, start: Option<&Barrier>) -> String {
+    let client = server.connect(format!("mixed-{i}")).expect("connect");
+    client
+        .add_param(Param::int("x", 0, 1000, 1))
+        .expect("param");
+    client
+        .seal(mixed_options(i), StrategyKind::NelderMead)
+        .expect("seal");
+    if let Some(barrier) = start {
+        barrier.wait();
+    }
+    loop {
+        let fetched = client.fetch().expect("fetch");
+        if fetched.finished {
+            break;
+        }
+        let x = fetched.config.int("x").expect("x");
+        client.report(mixed_cost(i, x)).expect("report");
+    }
+    let (history, finished) = client.history().expect("history");
+    assert!(finished);
+    serde_json::to_string(&history).expect("history serializes")
+}
+
+/// In-process and TCP clients on one shard at once: a request is served by
+/// whichever thread finds the shard idle — an application thread, the
+/// event loop — or by the shard worker when it does not, so all three
+/// interleave on one table. Each session's history must still equal its
+/// solo serial run, and the `shard_handle` spans of the one shard, recorded
+/// from all those threads, must never overlap.
+#[test]
+fn inproc_and_tcp_clients_mixed_on_one_shard_match_their_solo_runs() {
+    const EACH: usize = 4;
+    let solo: Vec<String> = (0..2 * EACH)
+        .map(|i| {
+            let server = HarmonyServer::start_with(1);
+            let history = inproc_history(&server, i, None);
+            server.shutdown();
+            history
+        })
+        .collect();
+
+    let telemetry = Telemetry::enabled();
+    let server = TcpHarmonyServer::bind_with(
+        "127.0.0.1:0",
+        64,
+        ServerConfig {
+            shards: 1,
+            telemetry: telemetry.clone(),
+            ..Default::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    let barrier = Barrier::new(2 * EACH);
+    let mixed: Vec<String> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..2 * EACH)
+            .map(|i| {
+                let (server, barrier) = (&server, &barrier);
+                s.spawn(move || {
+                    if i % 2 == 0 {
+                        return inproc_history(server.inproc(), i, Some(barrier));
+                    }
+                    let mut client =
+                        TcpHarmonyClient::connect(addr, &format!("mixed-{i}")).expect("connect");
+                    client
+                        .add_param(Param::int("x", 0, 1000, 1))
+                        .expect("param");
+                    client
+                        .seal(mixed_options(i), StrategyKind::NelderMead)
+                        .expect("seal");
+                    barrier.wait();
+                    loop {
+                        let (cfg, finished) = client.fetch().expect("fetch");
+                        if finished {
+                            break;
+                        }
+                        let x = cfg.int("x").expect("x");
+                        client.report(mixed_cost(i, x)).expect("report");
+                    }
+                    let (history, finished) = client.history().expect("history");
+                    assert!(finished);
+                    client.close();
+                    serde_json::to_string(&history).expect("history serializes")
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .collect()
+    });
+    server.shutdown();
+    for (i, (solo, mixed)) in solo.iter().zip(&mixed).enumerate() {
+        assert_eq!(solo, mixed, "client {i}: history differs from its solo run");
+    }
+
+    let mut spans: Vec<(u64, u64)> = telemetry
+        .spans()
+        .iter()
+        .filter(|s| s.kind == SpanKind::ShardHandle)
+        .map(|s| (s.start_us, s.start_us + s.dur_us))
+        .collect();
+    assert_eq!(telemetry.dropped_spans(), 0);
+    assert!(spans.len() >= 2 * EACH * 120, "{} spans", spans.len());
+    spans.sort_unstable();
+    for pair in spans.windows(2) {
+        assert!(
+            pair[1].0 >= pair[0].1,
+            "shard_handle spans overlap: {:?} then {:?}",
+            pair[0],
+            pair[1]
+        );
+    }
+}
+
+/// Shrink a socket's receive buffer to 16 KiB, so that a peer that does not
+/// read stalls its sender after tens of kilobytes instead of megabytes
+/// (and, unlike the kernel's minimum, still reopens its window promptly
+/// once it does read).
+#[cfg(target_os = "linux")]
+fn shrink_receive_buffer(stream: &TcpStream) {
+    use std::os::fd::AsRawFd;
+    extern "C" {
+        fn setsockopt(
+            fd: std::ffi::c_int,
+            level: std::ffi::c_int,
+            name: std::ffi::c_int,
+            value: *const std::ffi::c_void,
+            len: u32,
+        ) -> std::ffi::c_int;
+    }
+    const SOL_SOCKET: std::ffi::c_int = 1;
+    const SO_RCVBUF: std::ffi::c_int = 8;
+    let size: std::ffi::c_int = 16 * 1024;
+    // SAFETY: `fd` is an open socket owned by `stream` for the whole call,
+    // and `value`/`len` describe one live `c_int`, which SO_RCVBUF takes.
+    let rc = unsafe {
+        setsockopt(
+            stream.as_raw_fd(),
+            SOL_SOCKET,
+            SO_RCVBUF,
+            (&size as *const std::ffi::c_int).cast(),
+            std::mem::size_of::<std::ffi::c_int>() as u32,
+        )
+    };
+    assert_eq!(rc, 0, "setsockopt(SO_RCVBUF)");
+}
+
+/// A peer that pipelines 10 000 heartbeats in one burst and reads nothing
+/// can neither keep the loop from other connections nor lose a reply:
+/// its replies come to about 600 KB and the socket buffers between the two
+/// stall the sender after a few tens of KB, so as long as it has not read,
+/// the server still holds requests or replies of its; a second connection
+/// answered in that time was answered past them. Once the first does read,
+/// it gets one reply per request, in request order.
+#[cfg(target_os = "linux")]
+#[test]
+fn pipelining_peer_that_will_not_drain_neither_starves_others_nor_loses_replies() {
+    const HEARTBEATS: usize = 10_000;
+    const MARK_EVERY: usize = 100;
+    let server = TcpHarmonyServer::bind_with_transport(
+        "127.0.0.1:0",
+        64,
+        ServerConfig::default(),
+        TcpTransport::EventLoop(EventLoopConfig {
+            loop_threads: 1,
+            write_buffer_cap: 4096,
+            ..Default::default()
+        }),
+    )
+    .expect("bind");
+
+    // Never registered, so each heartbeat draws the same "unknown client"
+    // error. Every hundredth is followed by an attach to a session that
+    // does not exist, whose error names the session: the markers show the
+    // replies come back in request order.
+    let hog = TcpStream::connect(server.local_addr()).expect("connect");
+    shrink_receive_buffer(&hog);
+    let mut burst = String::new();
+    for i in 0..HEARTBEATS {
+        burst.push_str("\"Heartbeat\"\n");
+        if (i + 1) % MARK_EVERY == 0 {
+            burst.push_str(&format!(
+                "{{\"Attach\":{{\"session\":{}}}}}\n",
+                1_000_000 + i
+            ));
+        }
+    }
+    let mut writing = hog.try_clone().expect("clone");
+    let writer = std::thread::spawn(move || writing.write_all(burst.as_bytes()).expect("burst"));
+
+    let mut other = TcpStream::connect(server.local_addr()).expect("connect");
+    other
+        .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .expect("timeout");
+    let mut other_replies = BufReader::new(other.try_clone().expect("clone"));
+    let reply = frame(
+        &mut other,
+        &mut other_replies,
+        serde_json::json!("Heartbeat"),
+    );
+    assert!(reply.get("Error").is_some(), "{reply:?}");
+
+    hog.set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .expect("timeout");
+    let mut lines = BufReader::new(hog).lines();
+    for i in 0..HEARTBEATS {
+        let line = lines.next().expect("a reply per heartbeat").expect("read");
+        assert!(line.contains("unknown client"), "reply {i}: {line}");
+        if (i + 1) % MARK_EVERY == 0 {
+            let line = lines.next().expect("a reply per marker").expect("read");
+            let session = format!("unknown session {}", 1_000_000 + i);
+            assert!(line.contains(&session), "marker after {i}: {line}");
+        }
+    }
+    writer.join().expect("writer");
+    // The loop is still serving everybody.
+    let reply = frame(
+        &mut other,
+        &mut other_replies,
+        serde_json::json!("Heartbeat"),
+    );
+    assert!(reply.get("Error").is_some(), "{reply:?}");
     server.shutdown();
 }
 

@@ -215,6 +215,33 @@ fn summarize(name: String, mut latencies_us: Vec<f64>, wall_secs: f64) -> Scenar
     }
 }
 
+/// One client's timed loop: its per-evaluation latencies (µs) and when it
+/// ran, clocked on the client's own thread from the moment it left the
+/// start barrier. A coordinating thread cannot clock the window: it leaves
+/// the barrier whenever the scheduler gets to it, and clients whose
+/// requests are served without blocking (an idle in-process shard) can be
+/// done by then.
+struct Timed {
+    started: Instant,
+    finished: Instant,
+    latencies_us: Vec<f64>,
+}
+
+/// A scenario's wall time (first client started to last client finished)
+/// and its clients' latencies.
+fn collect(runs: Vec<Timed>) -> (Vec<Vec<f64>>, f64) {
+    let started = runs.iter().map(|r| r.started).min();
+    let finished = runs.iter().map(|r| r.finished).max();
+    let wall_secs = match (started, finished) {
+        (Some(s), Some(f)) => f.duration_since(s).as_secs_f64(),
+        _ => 0.0,
+    };
+    (
+        runs.into_iter().map(|r| r.latencies_us).collect(),
+        wall_secs,
+    )
+}
+
 /// One client's serial tuning loop; returns per-evaluation latencies (µs).
 fn drive_serial(client: &ah_core::server::HarmonyClient, iters: usize) -> Vec<f64> {
     let mut lat = Vec::with_capacity(iters);
@@ -274,11 +301,11 @@ fn run_inproc(
         ..Default::default()
     });
     let observer = observer_for(cfg, &telemetry, |addr| server.observe(addr));
-    let barrier = Barrier::new(cfg.clients + 1);
-    let mut wall_secs = 0.0;
-    let latencies: Vec<Vec<f64>> = std::thread::scope(|s| {
+    let barrier = Barrier::new(cfg.clients);
+    let (latencies, wall_secs) = std::thread::scope(|s| {
         let handles: Vec<_> = (0..cfg.clients)
             .map(|i| {
+                // Setup (connect/declare/seal) stays outside the timed window.
                 let client = server
                     .connect(format!("bench-{nonce}-{i}"))
                     .expect("connect");
@@ -291,23 +318,26 @@ fn run_inproc(
                 let barrier = &barrier;
                 s.spawn(move || {
                     barrier.wait();
-                    if batched {
+                    let started = Instant::now();
+                    let latencies_us = if batched {
                         drive_batched(&client, cfg.iters)
                     } else {
                         drive_serial(&client, cfg.iters)
+                    };
+                    Timed {
+                        started,
+                        finished: Instant::now(),
+                        latencies_us,
                     }
                 })
             })
             .collect();
-        // Setup (connect/declare/seal) stays outside the timed window.
-        barrier.wait();
-        let t0 = Instant::now();
-        let out = handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect();
-        wall_secs = t0.elapsed().as_secs_f64();
-        out
+        collect(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("client thread"))
+                .collect(),
+        )
     });
     if let Some(handle) = observer {
         handle.stop();
@@ -341,9 +371,8 @@ fn run_tcp(cfg: &BenchConfig, batched: bool, store: Option<&SharedStore>) -> Sce
         telemetry: cfg.server_telemetry(),
         ..Default::default()
     };
-    let barrier = Barrier::new(cfg.clients + 1);
-    let mut wall_secs = 0.0;
-    let latencies: Vec<Vec<f64>> = std::thread::scope(|s| {
+    let barrier = Barrier::new(cfg.clients);
+    let (latencies, wall_secs) = std::thread::scope(|s| {
         let handles: Vec<_> = (0..cfg.clients)
             .map(|i| {
                 let barrier = &barrier;
@@ -359,6 +388,7 @@ fn run_tcp(cfg: &BenchConfig, batched: bool, store: Option<&SharedStore>) -> Sce
                         .seal(session_options(i as u64 + 1), StrategyKind::Random)
                         .expect("seal");
                     barrier.wait();
+                    let started = Instant::now();
                     let mut lat = Vec::with_capacity(cfg.iters);
                     let mut done = 0usize;
                     while done < cfg.iters {
@@ -391,19 +421,22 @@ fn run_tcp(cfg: &BenchConfig, batched: bool, store: Option<&SharedStore>) -> Sce
                             done += 1;
                         }
                     }
+                    let finished = Instant::now();
                     client.close();
-                    lat
+                    Timed {
+                        started,
+                        finished,
+                        latencies_us: lat,
+                    }
                 })
             })
             .collect();
-        barrier.wait();
-        let t0 = Instant::now();
-        let out = handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect();
-        wall_secs = t0.elapsed().as_secs_f64();
-        out
+        collect(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("client thread"))
+                .collect(),
+        )
     });
     if let Some(handle) = observer {
         handle.stop();
@@ -507,9 +540,8 @@ fn run_tenants(cfg: &BenchConfig, store: Option<&SharedStore>) -> (Scenario, ser
     .expect("bind");
     let observer = observer_for(cfg, &telemetry, |a| server.observe(a));
     let addr = server.local_addr();
-    let barrier = Barrier::new(cfg.tenants + 1);
-    let mut wall_secs = 0.0;
-    let per_tenant: Vec<Vec<f64>> = std::thread::scope(|s| {
+    let barrier = Barrier::new(cfg.tenants);
+    let (per_tenant, wall_secs) = std::thread::scope(|s| {
         let handles: Vec<_> = (0..cfg.tenants)
             .map(|i| {
                 let barrier = &barrier;
@@ -529,6 +561,7 @@ fn run_tenants(cfg: &BenchConfig, store: Option<&SharedStore>) -> (Scenario, ser
                         .seal(session_options(i as u64 + 1), StrategyKind::Random)
                         .expect("seal");
                     barrier.wait();
+                    let started = Instant::now();
                     let mut lat = Vec::with_capacity(cfg.iters);
                     let mut done = 0usize;
                     while done < cfg.iters {
@@ -550,19 +583,22 @@ fn run_tenants(cfg: &BenchConfig, store: Option<&SharedStore>) -> (Scenario, ser
                         lat.extend(std::iter::repeat_n(per_eval, n));
                         done += n;
                     }
+                    let finished = Instant::now();
                     client.close();
-                    lat
+                    Timed {
+                        started,
+                        finished,
+                        latencies_us: lat,
+                    }
                 })
             })
             .collect();
-        barrier.wait();
-        let t0 = Instant::now();
-        let out = handles
-            .into_iter()
-            .map(|h| h.join().expect("tenant thread"))
-            .collect();
-        wall_secs = t0.elapsed().as_secs_f64();
-        out
+        collect(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("tenant thread"))
+                .collect(),
+        )
     });
     if let Some(handle) = observer {
         handle.stop();
@@ -663,6 +699,32 @@ fn store_cache_demo(cfg: &BenchConfig, store: &SharedStore) -> serde_json::Value
     })
 }
 
+/// Where and on what a report was taken: every recorded number is a
+/// number about this host and this commit. The commit is `git describe
+/// --always --dirty`, so a report recorded from an uncommitted tree says so.
+fn host_block(cores: usize) -> serde_json::Value {
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            let line = text.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split_once(':')?.1.trim().to_string())
+        });
+    let kernel = std::fs::read_to_string("/proc/sys/kernel/osrelease").ok();
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).into_owned());
+    let or_unknown = |v: Option<String>| v.map_or("unknown".to_string(), |s| s.trim().to_string());
+    serde_json::json!({
+        "cores": cores,
+        "cpu_model": or_unknown(cpu_model),
+        "kernel": or_unknown(kernel),
+        "commit": or_unknown(commit),
+    })
+}
+
 /// Run the full scenario matrix and return the machine-readable report.
 pub fn run(cfg: &BenchConfig) -> serde_json::Value {
     let host_cores = std::thread::available_parallelism()
@@ -740,7 +802,7 @@ pub fn run(cfg: &BenchConfig) -> serde_json::Value {
     }
 
     let mut report = serde_json::json!({
-        "host_cores": host_cores,
+        "host": host_block(host_cores),
         "clients": cfg.clients,
         "swarm_clients": cfg.swarm_clients,
         "iterations_per_client": cfg.iters,
@@ -906,6 +968,9 @@ mod tests {
         };
         let report = run(&cfg);
         assert_eq!(report["clients"].as_u64(), Some(3));
+        for key in ["cores", "cpu_model", "kernel", "commit"] {
+            assert!(report["host"].get(key).is_some(), "host block lacks {key}");
+        }
         let scenarios = report["scenarios"].as_array().unwrap();
         assert_eq!(scenarios.len(), 7);
         for s in scenarios {

@@ -485,6 +485,25 @@ mod tests {
                 }
             }
 
+            // One shard's table is served by one thread at a time, whoever
+            // that thread is: the handle spans of a shard track never overlap.
+            for shard in 0..2u64 {
+                let mut handled: Vec<(u64, u64)> = spans
+                    .iter()
+                    .filter(|s| s.kind == SpanKind::ShardHandle && s.track_id == shard)
+                    .map(|s| (s.start_us, s.start_us + s.dur_us))
+                    .collect();
+                handled.sort_unstable();
+                for pair in handled.windows(2) {
+                    prop_assert!(
+                        pair[1].0 >= pair[0].1,
+                        "shard {shard}: handle spans overlap: {:?} then {:?}",
+                        pair[0],
+                        pair[1]
+                    );
+                }
+            }
+
             // Chrome export round-trips and is per-track monotonic.
             let text = serde_json::to_string(&t.chrome_trace()).unwrap();
             let doc: Value = serde_json::parse(&text).unwrap();
