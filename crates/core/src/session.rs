@@ -295,7 +295,11 @@ impl TuningSession {
         match &self.best {
             Some((_, b)) if *b <= cost => false,
             _ => {
-                self.best = Some((config.clone(), cost));
+                // A preloaded configuration may have been decoded from a
+                // frame or a file: hold it over the space's name table.
+                let mut config = config.clone();
+                config.adopt_names(self.space.names_table());
+                self.best = Some((config, cost));
                 true
             }
         }

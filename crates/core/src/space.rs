@@ -4,7 +4,8 @@
 //! [`Constraint`]s between dependent parameters (paper §II footnote 2, using
 //! the dependent-variable techniques of the authors' SC'04 work).
 //! A [`Configuration`] is one valid point of the space — the thing handed to
-//! the application.
+//! the application — and shares its parameter names with every other point
+//! of that space.
 
 use crate::constraint::Constraint;
 use crate::error::{HarmonyError, Result};
@@ -16,17 +17,75 @@ use std::fmt;
 use std::sync::Arc;
 
 /// One valid point of a [`SearchSpace`]: a named, typed value per parameter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// **Shared name table.** The names are held by reference. A space builds
+/// one `Arc<[String]>` in `build()`, and every configuration it produces
+/// ([`SearchSpace::project`], [`SearchSpace::configuration`],
+/// [`SearchSpace::center`], the compiled space's points) points at it: a
+/// point costs its value vector and a reference-count bump, never a copy
+/// of the names. A configuration made from parts ([`Configuration::new`])
+/// or decoded from JSON owns a table of its own until a holder that knows
+/// the space — the session, the store's log replay — swaps it for the
+/// shared one.
+///
+/// **Equality** is by content, names and values. `Arc`'s `==` compares the
+/// pointers first (`String: Eq`), which settles the names for any two
+/// points of one space without reading them.
+///
+/// **Wire and log form** is unchanged by the sharing: the JSON object
+/// `{"names":[…],"values":[…]}`, names written out in every record, byte
+/// for byte what the derive on `names: Vec<String>` produced.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Configuration {
-    names: Vec<String>,
+    names: Arc<[String]>,
     values: Vec<ParamValue>,
+}
+
+// By hand because the stand-in `serde` has no `Arc` impls; field for field
+// what `#[derive(Serialize, Deserialize)]` wrote for `names: Vec<String>`.
+impl Serialize for Configuration {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            ("names".to_string(), self.names.to_value()),
+            ("values".to_string(), self.values.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for Configuration {
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
+        let obj = serde::de::object(v, "Configuration")?;
+        let field = |name| serde::de::field(obj, "Configuration", name);
+        Ok(Configuration {
+            names: Vec::<String>::from_value(field("names")?)?.into(),
+            values: Deserialize::from_value(field("values")?)?,
+        })
+    }
 }
 
 impl Configuration {
     /// Build a configuration from parallel name/value vectors.
     pub fn new(names: Vec<String>, values: Vec<ParamValue>) -> Self {
+        Configuration::with_table(names.into(), values)
+    }
+
+    /// A configuration over an existing name table.
+    pub(crate) fn with_table(names: Arc<[String]>, values: Vec<ParamValue>) -> Self {
         debug_assert_eq!(names.len(), values.len());
         Configuration { names, values }
+    }
+
+    /// Point this configuration at `table` if it spells the same names, so
+    /// that decoded configurations of one space share one table.
+    pub(crate) fn adopt_names(&mut self, table: &Arc<[String]>) {
+        if !Arc::ptr_eq(&self.names, table) && self.names == *table {
+            self.names = Arc::clone(table);
+        }
+    }
+
+    /// The name table, for adoption by the next decoded record.
+    pub(crate) fn names_table(&self) -> &Arc<[String]> {
+        &self.names
     }
 
     /// Number of parameters.
@@ -97,6 +156,11 @@ impl Configuration {
             None => Err(HarmonyError::UnknownParam(name.to_string())),
         }
     }
+
+    /// Replace the value of the `index`-th parameter.
+    pub(crate) fn set_at(&mut self, index: usize, value: ParamValue) {
+        self.values[index] = value;
+    }
 }
 
 impl fmt::Display for Configuration {
@@ -118,6 +182,9 @@ impl fmt::Display for Configuration {
 pub struct SearchSpace {
     params: Vec<Param>,
     constraints: Vec<Arc<dyn Constraint>>,
+    /// Parameter names in declaration order: the table every
+    /// [`Configuration`] of this space (and of its clones) shares.
+    names: Arc<[String]>,
 }
 
 impl fmt::Debug for SearchSpace {
@@ -159,6 +226,11 @@ impl SearchSpace {
         &self.constraints
     }
 
+    /// The shared name table (see [`Configuration`]).
+    pub(crate) fn names_table(&self) -> &Arc<[String]> {
+        &self.names
+    }
+
     /// Index of a parameter by name.
     pub fn index_of(&self, name: &str) -> Option<usize> {
         self.params.iter().position(|p| p.name() == name)
@@ -197,10 +269,7 @@ impl SearchSpace {
             .zip(repaired.iter())
             .map(|(p, &c)| p.project(c))
             .collect();
-        Configuration {
-            names: self.params.iter().map(|p| p.name().to_string()).collect(),
-            values,
-        }
+        Configuration::with_table(Arc::clone(&self.names), values)
     }
 
     /// Apply every constraint's repair step to a continuous point, in order.
@@ -279,10 +348,7 @@ impl SearchSpace {
         for (p, v) in self.params.iter().zip(values.iter()) {
             p.embed(v)?; // type/domain check
         }
-        Ok(Configuration {
-            names: self.params.iter().map(|p| p.name().to_string()).collect(),
-            values,
-        })
+        Ok(Configuration::with_table(Arc::clone(&self.names), values))
     }
 
     /// Build a configuration from `(name, string)` pairs, e.g. parsed from a
@@ -373,6 +439,7 @@ impl SearchSpaceBuilder {
             }
         }
         let space = SearchSpace {
+            names: self.params.iter().map(|p| p.name().to_string()).collect(),
             params: self.params,
             constraints: self.constraints,
         };
@@ -509,6 +576,94 @@ mod tests {
         assert!(cfg.set("nope", ParamValue::Int(1)).is_err());
         let shown = cfg.to_string();
         assert!(shown.contains("x=2"));
+    }
+
+    /// What `Configuration` was before its names became a shared table;
+    /// the derive on it is the wire format's definition.
+    #[derive(Serialize, Deserialize)]
+    struct ConfigurationV0 {
+        names: Vec<String>,
+        values: Vec<ParamValue>,
+    }
+
+    #[test]
+    fn json_is_byte_identical_to_the_derive_on_owned_names() {
+        let space = SearchSpace::builder()
+            .int("tile", -8, 128, 4)
+            .real("tol", 1e-12, 1.0)
+            .enumeration("layout", ["row \"major\"", "col\nmajor"])
+            .build()
+            .unwrap();
+        let configs = [
+            space.project(&[-8.0, 0.5, 0.0]),
+            space.project(&[77.0, 1e-12, 1.0]),
+            Configuration::new(
+                vec!["a".into(), "b".into()],
+                vec![ParamValue::Real(f64::NAN), ParamValue::Real(-0.0)],
+            ),
+            Configuration::new(Vec::new(), Vec::new()),
+        ];
+        for cfg in &configs {
+            let v0 = ConfigurationV0 {
+                names: cfg.names().to_vec(),
+                values: cfg.values().to_vec(),
+            };
+            let json = serde_json::to_string(cfg).unwrap();
+            assert_eq!(json, serde_json::to_string(&v0).unwrap());
+            // Each side reads what the other wrote (or, for the NaN that
+            // JSON writes as `null`, refuses it in the same words).
+            match (
+                serde_json::from_str::<Configuration>(&json),
+                serde_json::from_str::<ConfigurationV0>(&json),
+            ) {
+                (Ok(back), Ok(v0)) => {
+                    assert_eq!(&back, cfg);
+                    assert_eq!(
+                        (back.names(), back.values()),
+                        (&v0.names[..], &v0.values[..])
+                    );
+                }
+                (Err(ours), Err(theirs)) => assert_eq!(ours.to_string(), theirs.to_string()),
+                _ => panic!("one side read {json}, the other did not"),
+            }
+        }
+        // Malformed input is refused in the derive's words.
+        for bad in ["[]", "{\"names\":[\"a\"]}", "{\"names\":3,\"values\":[]}"] {
+            let ours = serde_json::from_str::<Configuration>(bad).unwrap_err();
+            let theirs = serde_json::from_str::<ConfigurationV0>(bad)
+                .map(|_| ())
+                .unwrap_err();
+            assert_eq!(
+                ours.to_string().replace("ConfigurationV0", "Configuration"),
+                theirs
+                    .to_string()
+                    .replace("ConfigurationV0", "Configuration")
+            );
+        }
+    }
+
+    #[test]
+    fn points_of_one_space_share_its_name_table() {
+        let s = space2d();
+        let table = s.names_table();
+        let mut rng = StdRng::seed_from_u64(3);
+        let from_clone = s.clone().sample(&mut rng);
+        for cfg in [s.center(), s.project(&[1.0, 2.0]), from_clone] {
+            assert!(Arc::ptr_eq(cfg.names_table(), table));
+        }
+        // A decoded configuration owns its table until it adopts the
+        // space's; one over other names never does.
+        let json = serde_json::to_string(&s.center()).unwrap();
+        let mut decoded: Configuration = serde_json::from_str(&json).unwrap();
+        assert_eq!(decoded, s.center());
+        assert!(!Arc::ptr_eq(decoded.names_table(), table));
+        decoded.adopt_names(table);
+        assert!(Arc::ptr_eq(decoded.names_table(), table));
+        let mut other =
+            Configuration::new(vec!["x".into(), "nope".into()], decoded.values().to_vec());
+        other.adopt_names(table);
+        assert!(!Arc::ptr_eq(other.names_table(), table));
+        assert_ne!(other, decoded);
     }
 
     #[test]

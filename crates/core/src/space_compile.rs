@@ -3,13 +3,12 @@
 //! spaces.
 //!
 //! The paper's production search spaces are enormous — GS2's layout ×
-//! decomposition space is quoted at O(10^100) points — while this codebase's
-//! enumerating strategies ([`Exhaustive`](crate::strategy::Exhaustive),
-//! [`GridSearch`](crate::strategy::GridSearch)) historically walked the raw
-//! Cartesian product and *repaired* infeasible points into (duplicate) valid
-//! ones. Following "Efficient Construction of Large Search Spaces for
-//! Auto-Tuning" (Willemsen & van Nieuwpoort), [`CompiledSpace`] compiles the
-//! constrained space once and then iterates it lazily:
+//! decomposition space is quoted at O(10^100) points. Following "Efficient
+//! Construction of Large Search Spaces for Auto-Tuning" (Willemsen & van
+//! Nieuwpoort), [`CompiledSpace`] compiles the constrained space once and
+//! from then on works in *index space*: a point is a vector of lattice
+//! indices, one per dimension, and is turned into anything heavier only
+//! for a caller that asks.
 //!
 //! 1. **Constraint propagation** — each constraint's machine-readable
 //!    [`ConstraintSpec`] tightens per-dimension bounds to a fixpoint
@@ -31,12 +30,46 @@
 //!    suffix blocks to be credited at once, with a cap and a node budget so
 //!    callers (e.g. `Exhaustive`'s safety valve) get an answer in bounded
 //!    time even on hostile spaces.
+//! 5. **Nearest feasible point** — [`CompiledSpace::snap_feasible`], an
+//!    exact branch-and-bound over the same walk (below).
+//!
+//! # What a point costs
+//!
+//! Advancing a [`PointCursor`] allocates nothing: the walk rewrites its
+//! index vector in place, and the scanners that visit many points and keep
+//! one — the surrogate's argmin, `snap_feasible` — read
+//! [`PointCursor::indices`] and never leave index space.
+//! [`CompiledSpace::coords`] is one `Vec<f64>`.
+//! [`CompiledSpace::configuration`] (and so [`CompiledSpace::iter`] and
+//! [`CompiledSpace::next_chunk`], per point) is one `Vec<ParamValue>` plus
+//! a reference-count bump on the space's shared name table; the parameter
+//! names are never copied. Only an enum value carries a `String`, its label.
+//!
+//! # What `snap_feasible` guarantees
+//!
+//! The answer is the one an exhaustive scan of the stream would give: the
+//! valid point at the smallest squared distance in the continuous
+//! embedding, the earliest in enumeration order among equals, the first
+//! valid point if the distance is NaN, `None` if the space holds more than
+//! `cap` valid points or none. It gets there without the scan. The
+//! distance is a sum over dimensions taken left to right — the order the
+//! walk assigns them in — so the sum carried down the tree for a prefix is
+//! bit for bit the partial sum of every point beneath it, and a leaf's
+//! sum is bit for bit what the scan computes for that point. Every term is
+//! a square, so rounded sums never decrease along a path: a prefix already
+//! `>=` the best distance found has nothing strictly nearer beneath it,
+//! and its subtree is skipped. "More than `cap`" is a property of the
+//! space, established once by a bounded count and remembered; the PETSc
+//! boundary spaces (C(n+p−3, p−1) valid points) give that answer on every
+//! call after the first without visiting a lattice point.
 //!
 //! Opaque constraints (no [`ConstraintSpec`]) still work: they are checked
-//! on fully-assigned points only, which degrades enumeration to
-//! filter-while-walking but never changes the result. The equivalence with
-//! naive enumerate-and-filter — same points, same order, bit-identical — is
-//! property-tested in `tests/space_compile_props.rs`.
+//! on fully-assigned points only, against one scratch configuration
+//! rewritten in place, which degrades enumeration to filter-while-walking
+//! but never changes the result. The equivalence with the naive approaches
+//! — same points in the same order as enumerate-and-filter, the same
+//! nearest point as a first-wins scan, bit-identical — is property-tested
+//! in `tests/space_compile_props.rs`.
 
 use crate::constraint::ConstraintSpec;
 use crate::error::{HarmonyError, Result};
@@ -44,7 +77,9 @@ use crate::param::Param;
 use crate::space::{Configuration, SearchSpace};
 use crate::telemetry::{Counter, Latency, Telemetry};
 use crate::value::ParamValue;
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How a dimension's lattice index maps to its embedded value.
@@ -76,11 +111,18 @@ impl CompiledDim {
         }
     }
 
-    fn value(&self, idx: u64) -> f64 {
+    /// The lattice value at `idx` as an integer: the parameter's value for
+    /// an int, the choice index for an enum — its `ParamValue::cache_key`.
+    fn key(&self, idx: u64) -> i64 {
         match self.kind {
-            DimKind::Int { min, step } => (min + idx as i64 * step) as f64,
-            DimKind::Enum => idx as f64,
+            DimKind::Int { min, step } => min + idx as i64 * step,
+            DimKind::Enum => idx as i64,
         }
+    }
+
+    /// The embedded (continuous-coordinate) value at `idx`.
+    fn value(&self, idx: u64) -> f64 {
+        self.key(idx) as f64
     }
 }
 
@@ -193,6 +235,9 @@ pub struct PointCursor {
     pruned: u64,
     /// Valid points yielded so far.
     yielded: u64,
+    /// Prefix checks performed so far: the walk's unit of work, whichever
+    /// of enumeration, counting or snapping drove it.
+    checks: u64,
 }
 
 impl PointCursor {
@@ -230,6 +275,10 @@ pub struct CompiledSpace {
     /// `d` (`suffix[dims-1] == 1`), saturating.
     suffix: Vec<u64>,
     empty: bool,
+    /// What [`snap_feasible`](Self::snap_feasible) has learnt about the
+    /// number of valid points: a property of the space, so counted once and
+    /// shared by its clones.
+    snap_count: Arc<Mutex<Option<FeasibleCount>>>,
     stats: CompileStats,
     telemetry: Telemetry,
 }
@@ -430,6 +479,7 @@ impl CompiledSpace {
             max_check_dim,
             suffix,
             empty,
+            snap_count: Arc::default(),
             stats,
             telemetry,
         })
@@ -473,6 +523,7 @@ impl CompiledSpace {
             scratch: None,
             pruned: 0,
             yielded: 0,
+            checks: 0,
         }
     }
 
@@ -566,6 +617,14 @@ impl CompiledSpace {
         }
     }
 
+    /// Put `cur`'s indices back on the first lattice point of the box, for
+    /// a walk that manages its own depth.
+    fn rewind(&self, cur: &mut PointCursor) {
+        for (i, dim) in cur.idx.iter_mut().zip(&self.dims) {
+            *i = dim.lo;
+        }
+    }
+
     /// Increment `idx[from]`, rippling towards dimension 0 on overflow;
     /// returns the depth that changed, or `None` when exhausted.
     fn bump(&self, cur: &mut PointCursor, from: usize) -> Option<usize> {
@@ -587,11 +646,10 @@ impl CompiledSpace {
     /// (not conservative) for chains and sums, full-point-only for opaque
     /// constraints.
     fn prefix_ok(&self, cur: &mut PointCursor, assigned: usize) -> bool {
+        cur.checks += 1;
         if self.checks_at[assigned].is_empty() {
             return true;
         }
-        // Split borrows: the scratch configuration is only touched by the
-        // opaque path, which reads `idx` immutably.
         for ci in &self.checks_at[assigned] {
             let ok = match &self.checks[*ci] {
                 CompiledCheck::Chain(members) => self.chain_ok(&cur.idx, members, assigned),
@@ -600,12 +658,12 @@ impl CompiledSpace {
                 }
                 CompiledCheck::Opaque(c) => {
                     let cfg = match &mut cur.scratch {
-                        Some(cfg) => cfg,
+                        Some(cfg) => {
+                            self.rewrite(cfg, &cur.idx);
+                            cfg
+                        }
                         none => none.insert(self.configuration(&cur.idx)),
                     };
-                    for (d, dim) in self.dims.iter().enumerate() {
-                        set_value(cfg, d, dim, cur.idx[d], &self.space);
-                    }
                     self.space.constraints()[*c].is_satisfied(&self.space, cfg)
                 }
             };
@@ -666,15 +724,10 @@ impl CompiledSpace {
             .collect()
     }
 
-    /// The configuration at a lattice point.
+    /// The configuration at a lattice point: its values, over the space's
+    /// shared name table.
     pub fn configuration(&self, indices: &[u64]) -> Configuration {
         debug_assert_eq!(indices.len(), self.dims.len());
-        let names = self
-            .space
-            .params()
-            .iter()
-            .map(|p| p.name().to_string())
-            .collect();
         let values = self
             .dims
             .iter()
@@ -682,21 +735,119 @@ impl CompiledSpace {
             .zip(indices)
             .map(|((dim, param), &i)| lattice_value(dim, i, param))
             .collect();
-        Configuration::new(names, values)
+        Configuration::with_table(Arc::clone(self.space.names_table()), values)
+    }
+
+    /// Overwrite `cfg`, a configuration of this space, with the point at
+    /// `indices`, in place: by position, and leaving alone an enum value
+    /// that already holds the right choice (its label is a `String`).
+    fn rewrite(&self, cfg: &mut Configuration, indices: &[u64]) {
+        for (d, (dim, &i)) in self.dims.iter().zip(indices).enumerate() {
+            if cfg.values()[d].as_enum_index() != Some(i as usize) {
+                cfg.set_at(d, lattice_value(dim, i, &self.space.params()[d]));
+            }
+        }
+    }
+
+    /// [`Configuration::cache_key`] of the point at `indices`, without the
+    /// configuration.
+    pub(crate) fn cache_key(&self, indices: &[u64]) -> Vec<i64> {
+        self.dims
+            .iter()
+            .zip(indices)
+            .map(|(dim, &i)| dim.key(i))
+            .collect()
+    }
+
+    /// Compiled index range `[lo, hi]` of dimension `d`.
+    pub(crate) fn index_range(&self, d: usize) -> (u64, u64) {
+        (self.dims[d].lo, self.dims[d].hi)
+    }
+
+    /// Embedded value of dimension `d` at lattice index `index`: the
+    /// `d`-th coordinate of [`coords`](Self::coords).
+    pub(crate) fn coord(&self, d: usize, index: u64) -> f64 {
+        self.dims[d].value(index)
     }
 
     /// Nearest feasible lattice point to `coords` by squared distance in
-    /// the continuous embedding, scanning at most `cap` valid points in
-    /// enumeration order (deterministic: ties go to the earlier point).
-    /// `None` when the compiled space is empty or `cap` is zero.
+    /// the continuous embedding (deterministic: ties go to the point
+    /// earlier in enumeration order, and a distance that is NaN never
+    /// displaces the first valid point). `None` when the compiled space
+    /// is empty, or holds more than `cap` valid points.
     ///
     /// This is the feasibility-aware replacement for repair-then-snap:
     /// repairing a constrained candidate and snapping it to the lattice
     /// can land on an *invalid* point (snap moves it back off the
     /// constraint surface) or collapse many distinct candidates onto the
     /// same boundary configuration, which inflates evaluation counts with
-    /// duplicates.
+    /// duplicates. Beyond `cap` valid points the caller falls back to
+    /// repair; that answer comes from a count taken once per space.
     pub fn snap_feasible(&self, coords: &[f64], cap: u64) -> Option<Vec<f64>> {
+        let mut cur = self.start();
+        self.snap_walk(&mut cur, coords, cap)
+            .then(|| self.coords(&cur.idx))
+    }
+
+    /// [`snap_feasible`](Self::snap_feasible) on the caller's cursor:
+    /// `true` leaves the nearest point's indices in `cur`, and `cur.checks`
+    /// says what the answer cost. The module docs argue why skipping a
+    /// subtree on its prefix's distance is exact. Note the two comparisons:
+    /// a NaN sum is neither `>=` nor `<` anything, so it skips nothing and
+    /// displaces nothing.
+    fn snap_walk(&self, cur: &mut PointCursor, coords: &[f64], cap: u64) -> bool {
+        debug_assert_eq!(coords.len(), self.dims.len());
+        if self.empty || self.more_valid_than(cur, cap) {
+            return false;
+        }
+        let k = self.dims.len();
+        // prefix[d]: squared distance over dimensions `0..d` of `cur.idx`.
+        let mut prefix = vec![0.0f64; k + 1];
+        let mut best: Option<f64> = None;
+        let mut nearest = cur.idx.clone();
+        self.rewind(cur);
+        let mut depth = Some(0);
+        while let Some(d) = depth {
+            let off = self.dims[d].value(cur.idx[d]) - coords[d];
+            let here = prefix[d] + off * off;
+            let hopeless = best.is_some_and(|b| here >= b);
+            if hopeless || !self.prefix_ok(cur, d) {
+                depth = self.bump(cur, d);
+            } else if d + 1 < k {
+                prefix[d + 1] = here;
+                cur.idx[d + 1] = self.dims[d + 1].lo;
+                depth = Some(d + 1);
+            } else {
+                if best.is_none_or(|b| here < b) {
+                    best = Some(here);
+                    nearest.copy_from_slice(&cur.idx);
+                }
+                depth = self.bump(cur, d);
+            }
+        }
+        cur.idx = nearest;
+        best.is_some()
+    }
+
+    /// Does the space hold more than `cap` valid points? Answered from the
+    /// shared count when it settles the question (an exact count settles
+    /// every cap, a lower bound every cap below it); counted, on `cur`, and
+    /// remembered when not.
+    fn more_valid_than(&self, cur: &mut PointCursor, cap: u64) -> bool {
+        let mut known = self.snap_count.lock();
+        let count = match *known {
+            Some(c) if c.is_exact() || c.lower_bound() > cap => c,
+            _ => *known.insert(self.count_on(cur, cap, u64::MAX)),
+        };
+        count.lower_bound() > cap
+    }
+
+    /// [`snap_feasible`](Self::snap_feasible) as it was before it became a
+    /// branch-and-bound — every valid point visited, a coordinate vector
+    /// built for each, the count re-established on every call — kept as the
+    /// oracle the walk is tested against.
+    #[cfg(test)]
+    fn snap_feasible_by_scan(&self, coords: &[f64], cap: u64) -> Option<Vec<f64>> {
         let mut cur = self.start();
         let mut best: Option<(f64, Vec<f64>)> = None;
         let mut scanned = 0u64;
@@ -713,9 +864,6 @@ impl CompiledSpace {
             }
         }
         if scanned == cap && self.next_point(&mut cur) {
-            // More valid points exist beyond the scan budget: the prefix
-            // nearest would be biased toward enumeration order, so report
-            // "too large" and let the caller fall back to repair.
             return None;
         }
         best.map(|(_, c)| c)
@@ -792,6 +940,12 @@ impl CompiledSpace {
     /// leading-dimension-constrained) spaces count in O(prefix tree)
     /// rather than O(points).
     pub fn count_valid_bounded(&self, cap: u64, node_budget: u64) -> FeasibleCount {
+        self.count_on(&mut self.start(), cap, node_budget)
+    }
+
+    /// [`count_valid_bounded`](Self::count_valid_bounded) walking on the
+    /// caller's cursor, so the caller can read what the count cost.
+    fn count_on(&self, cur: &mut PointCursor, cap: u64, node_budget: u64) -> FeasibleCount {
         if self.empty {
             return FeasibleCount::Exact(0);
         }
@@ -799,8 +953,7 @@ impl CompiledSpace {
             return FeasibleCount::Exact(self.stats.points_box);
         };
         let tail_block = self.suffix[tail];
-        let mut cur = self.start();
-        cur.fresh = false; // the DFS below manages depth itself
+        self.rewind(cur);
         let mut count: u64 = 0;
         let mut nodes: u64 = 0;
         let mut depth = 0usize;
@@ -809,13 +962,13 @@ impl CompiledSpace {
             if nodes > node_budget {
                 return FeasibleCount::AtLeast(count);
             }
-            if self.prefix_ok(&mut cur, depth) {
+            if self.prefix_ok(cur, depth) {
                 if depth == tail {
                     count = count.saturating_add(tail_block);
                     if count > cap {
                         return FeasibleCount::AtLeast(count);
                     }
-                    match self.bump(&mut cur, depth) {
+                    match self.bump(cur, depth) {
                         Some(d) => depth = d,
                         None => return FeasibleCount::Exact(count),
                     }
@@ -824,7 +977,7 @@ impl CompiledSpace {
                     cur.idx[depth] = self.dims[depth].lo;
                 }
             } else {
-                match self.bump(&mut cur, depth) {
+                match self.bump(cur, depth) {
                     Some(d) => depth = d,
                     None => return FeasibleCount::Exact(count),
                 }
@@ -901,19 +1054,13 @@ fn lower_hi(dim: &mut CompiledDim, ceil: f64) -> bool {
 
 fn lattice_value(dim: &CompiledDim, idx: u64, param: &Param) -> ParamValue {
     match (dim.kind, param) {
-        (DimKind::Int { min, step }, _) => ParamValue::Int(min + idx as i64 * step),
+        (DimKind::Int { .. }, _) => ParamValue::Int(dim.key(idx)),
         (DimKind::Enum, Param::Enum { choices, .. }) => ParamValue::Enum {
             index: idx as usize,
             label: choices[idx as usize].clone(),
         },
         (DimKind::Enum, _) => unreachable!("enum dim compiled from enum param"),
     }
-}
-
-fn set_value(cfg: &mut Configuration, d: usize, dim: &CompiledDim, idx: u64, space: &SearchSpace) {
-    let name = space.params()[d].name();
-    let value = lattice_value(dim, idx, &space.params()[d]);
-    cfg.set(name, value).expect("scratch has every parameter");
 }
 
 /// Iterator sugar over [`CompiledSpace::next_point`].
@@ -1138,6 +1285,98 @@ mod tests {
         let compiled: Vec<Configuration> = cs.iter().collect();
         assert_eq!(compiled, naive(&s));
         assert_eq!(cs.count_valid(), FeasibleCount::Exact(18));
+    }
+
+    /// The PETSc boundary space: `parts - 1` non-decreasing boundaries
+    /// over `1..=n-1`.
+    fn boundary_chain(n: i64, parts: usize) -> SearchSpace {
+        let names: Vec<String> = (1..parts).map(|i| format!("b{i}")).collect();
+        names
+            .iter()
+            .fold(SearchSpace::builder(), |b, name| b.int(name, 1, n - 1, 1))
+            .constraint(MonotoneChain::new(names))
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn too_large_to_snap_is_answered_once_then_from_the_count() {
+        // C(201, 3) = 1 333 300 valid points, far beyond the cap.
+        let cs = CompiledSpace::compile(&boundary_chain(200, 4)).unwrap();
+        let cap = 65_536;
+        let target = [150.2, 20.7, 90.1];
+
+        let mut first = cs.start();
+        assert!(!cs.snap_walk(&mut first, &target, cap));
+        assert!(first.checks > 0, "the first call has to count");
+        assert!(matches!(
+            *cs.snap_count.lock(),
+            Some(FeasibleCount::AtLeast(n)) if n > cap
+        ));
+
+        let mut second = cs.start();
+        assert!(!cs.snap_walk(&mut second, &[3.0, 2.0, 1.0], cap));
+        assert_eq!(second.checks, 0, "the second call visits no lattice point");
+        assert_eq!(cs.snap_feasible(&target, cap), None);
+        // A clone is the same space: it inherits the answer.
+        let mut cloned = cs.clone().start();
+        assert!(!cs.clone().snap_walk(&mut cloned, &target, cap));
+        assert_eq!(cloned.checks, 0);
+    }
+
+    #[test]
+    fn the_count_answers_only_the_caps_it_settles() {
+        let cs = CompiledSpace::compile(&chain_space()).unwrap(); // 84 valid
+        let target = [4.4, 1.2, 3.3];
+        // Counted at cap 10: "more than 10", which says nothing about 84.
+        assert_eq!(cs.snap_feasible(&target, 10), None);
+        // Exactly `cap` valid points is not too large.
+        let snapped = cs.snap_feasible(&target, 84);
+        assert_eq!(snapped, cs.snap_feasible_by_scan(&target, 84));
+        assert!(snapped.is_some());
+        assert_eq!(*cs.snap_count.lock(), Some(FeasibleCount::Exact(84)));
+        // One fewer is, and the exact count now answers without a walk.
+        let mut cur = cs.start();
+        assert!(!cs.snap_walk(&mut cur, &target, 83));
+        assert_eq!(cur.checks, 0);
+        assert_eq!(cs.snap_feasible(&target, 0), None);
+    }
+
+    #[test]
+    fn snap_walk_agrees_with_the_scan_and_visits_less() {
+        let cs = CompiledSpace::compile(&chain_space()).unwrap();
+        let exhaustive = {
+            let mut cur = cs.start();
+            while cs.next_point(&mut cur) {}
+            cur.checks
+        };
+        cs.snap_feasible(&[0.0; 3], 1000); // take the count out of the accounting
+        for target in [
+            [5.0, 2.0, 4.0],    // infeasible lattice point
+            [2.5, 2.5, 2.5],    // equidistant from eight lattice points
+            [-40.0, 3.0, 90.0], // far outside the box
+            [6.0, 0.0, 0.0],    // nearest feasible points tie
+            [f64::INFINITY, 1.0, 2.0],
+        ] {
+            let mut cur = cs.start();
+            assert!(cs.snap_walk(&mut cur, &target, 1000));
+            assert_eq!(
+                Some(cs.coords(&cur.idx)),
+                cs.snap_feasible_by_scan(&target, 1000),
+                "{target:?}"
+            );
+            assert!(cur.checks < exhaustive, "{target:?}: {} checks", cur.checks);
+        }
+    }
+
+    #[test]
+    fn a_nan_coordinate_snaps_to_the_first_valid_point() {
+        let cs = CompiledSpace::compile(&chain_space()).unwrap();
+        let first = cs.iter().next().map(|c| cs.space().embed(&c).unwrap());
+        for target in [[f64::NAN, 3.0, 3.0], [6.0, 6.0, f64::NAN], [f64::NAN; 3]] {
+            assert_eq!(cs.snap_feasible(&target, 1000), first, "{target:?}");
+            assert_eq!(cs.snap_feasible_by_scan(&target, 1000), first);
+        }
     }
 
     #[test]

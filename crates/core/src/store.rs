@@ -372,6 +372,16 @@ fn push_record_line(rec: &StoreRecord, out: &mut String) {
     out.push('\n');
 }
 
+/// Let `record` share its predecessor's name table when they spell the same
+/// names. Every record decoded from a line or a peer arrives with a table
+/// of its own; a log written over one space would otherwise hold one copy
+/// of the parameter names per record.
+fn share_names(prev: Option<&StoreRecord>, record: &mut StoreRecord) {
+    if let Some(prev) = prev {
+        record.config.adopt_names(prev.config.names_table());
+    }
+}
+
 /// The durable performance database: an append-only JSON-lines log plus an
 /// in-memory first-write-wins index. See the [module docs](self) for format,
 /// fsync policy, and cache semantics.
@@ -494,7 +504,8 @@ impl PerfStore {
                 )));
             }
             match serde_json::from_str::<StoreRecord>(line) {
-                Ok(r) => {
+                Ok(mut r) => {
+                    share_names(records.last(), &mut r);
                     records.push(r);
                     good_end = offset;
                 }
@@ -632,7 +643,8 @@ impl PerfStore {
         use std::collections::hash_map::Entry;
         let mut blob = String::with_capacity(records.len() * 192);
         let before = self.records.len();
-        for record in records {
+        for mut record in records {
+            share_names(self.records.last(), &mut record);
             let key = record.config.cache_key();
             // One `entry` probe decides dedup *and* performs the index
             // insert — the key (a `Vec<i64>`) is hashed exactly once per
@@ -709,7 +721,7 @@ impl PerfStore {
     pub fn merge_records(&mut self, records: Vec<StoreRecord>) -> Result<MergeStats> {
         let mut stats = MergeStats::default();
         let mut blob = String::with_capacity(records.len().min(4096) * 192);
-        for record in records {
+        for mut record in records {
             stats.scanned += 1;
             let key = record.config.cache_key();
             if let Some(pos) = self.live_pos(&record.app, record.fingerprint, &key) {
@@ -720,6 +732,7 @@ impl PerfStore {
                 }
                 continue;
             }
+            share_names(self.records.last(), &mut record);
             // Same borrowed-probe discipline as `insert_batch`; the index
             // is updated as we go, so a duplicate key later in this same
             // batch resolves first-write-wins within the batch too.
@@ -1241,6 +1254,46 @@ mod tests {
         assert_eq!(hit.cost.to_bits(), 25.0f64.to_bits());
         assert!(store.lookup("other-app", fp, &key).is_none());
         assert!(store.lookup("app", fp ^ 1, &key).is_none());
+    }
+
+    #[test]
+    fn records_of_one_space_share_one_name_table() {
+        let one_table = |store: &PerfStore| {
+            let first = store.records[0].config.names_table();
+            store
+                .records
+                .iter()
+                .all(|r| Arc::ptr_eq(r.config.names_table(), first))
+        };
+        let path = temp_path("one-table");
+        let _ = std::fs::remove_file(&path);
+        let fp = space_fingerprint(&space());
+        // `rec` builds its space anew, so every record arrives with a table
+        // of its own, as records decoded from a peer's log do.
+        let batch = |from: usize| -> Vec<StoreRecord> {
+            (from..from + 20)
+                .map(|i| rec("app", fp, i as f64, 1.0, i as f64))
+                .collect()
+        };
+        assert!(!Arc::ptr_eq(
+            batch(0)[0].config.names_table(),
+            batch(0)[1].config.names_table()
+        ));
+        {
+            let mut store = PerfStore::open(&path).unwrap();
+            store.insert_batch(batch(0)).unwrap();
+            store.merge_records(batch(20)).unwrap();
+            assert_eq!(store.len(), 40);
+            assert!(one_table(&store), "inserted and merged records");
+        }
+        let mut store = PerfStore::open(&path).unwrap();
+        assert_eq!(store.len(), 40);
+        assert!(one_table(&store), "replayed records");
+        // A record over other names keeps them, and starts the next run.
+        let other = SearchSpace::builder().int("z", 0, 9, 1).build().unwrap();
+        let odd = StoreRecord::new("app", fp ^ 1, other.center(), 1.0, 1.0);
+        store.insert(odd).unwrap();
+        assert_eq!(store.records[40].config.names(), ["z".to_string()]);
     }
 
     #[test]

@@ -15,11 +15,25 @@
 //! - otherwise → fall back to the inner strategy (Nelder–Mead by default)
 //!   and count the fallback.
 //!
+//! The argmin is an exact scan of the compiled lattice, in enumeration
+//! order, the earlier point winning a tie — exact because on a constrained
+//! lattice the minimum of a quadratic is not where descent from its
+//! continuous minimum lands. What keeps the scan affordable is that it
+//! never leaves index space: the model being separable, its `2·dims` terms
+//! are tabulated per dimension once per proposal, a point then costs
+//! `2·dims` additions on the cursor's index vector, and nothing is
+//! allocated for a point unless it beats the best so far (see
+//! [`Surrogate::scan`]). That is linear in
+//! [`candidate_cap`](SurrogateOptions::candidate_cap) with a constant of
+//! some tens of nanoseconds, not bounded: a proposal over the full default
+//! cap still costs on the order of a millisecond.
+//!
 //! Feedback for a model proposal never reaches the inner strategy — the
 //! inner simplex only ever hears answers to its own questions, so its
 //! invariants (one outstanding proposal) hold unchanged.
 
 use super::{SearchStrategy, StrategySnapshot, SurrogateSnapshot};
+use crate::param::Param;
 use crate::space::SearchSpace;
 use crate::space_compile::CompiledSpace;
 use crate::telemetry::{Counter, Latency, Telemetry};
@@ -43,8 +57,11 @@ pub struct SurrogateOptions {
     /// Relative RMS fit error above which the model is distrusted and the
     /// proposal falls back to the inner strategy.
     pub fit_threshold: f64,
-    /// Compiled-space points scanned per argmin pass (enumeration order;
-    /// random candidates supplement the scan when the space is larger).
+    /// Compiled-space points scored per argmin pass, in enumeration order.
+    /// A proposal's cost is linear in it (`2·dims` additions per point);
+    /// a space with more valid points than this is scanned up to the cap
+    /// and supplemented with 512 random lattice candidates, so the argmin
+    /// is not confined to the corner enumeration starts in.
     pub candidate_cap: u64,
     /// Ridge regularization added to the normal equations' diagonal.
     pub ridge: f64,
@@ -69,6 +86,60 @@ struct Model {
     /// Relative RMS error on the training samples.
     rel_error: f64,
 }
+
+/// The model's two terms along one dimension — `[w_lin·xn, w_quad·xn²]` —
+/// at every compiled lattice index of that dimension, `xn` being the
+/// normalized coordinate as [`Surrogate::normalized`] computes it.
+///
+/// At most `cap` indices are tabulated (a scan of `cap` points cannot pay
+/// for more, and a dimension may have 10⁹ of them); an index beyond the
+/// table is computed on the spot by the same expression.
+struct DimTerms<'a> {
+    cs: &'a CompiledSpace,
+    param: &'a Param,
+    dim: usize,
+    weights: [f64; 2],
+    lo: u64,
+    table: Vec<[f64; 2]>,
+}
+
+impl<'a> DimTerms<'a> {
+    fn new(
+        cs: &'a CompiledSpace,
+        space: &'a SearchSpace,
+        dim: usize,
+        weights: [f64; 2],
+        cap: u64,
+    ) -> Self {
+        let (lo, hi) = cs.index_range(dim);
+        let mut terms = DimTerms {
+            cs,
+            param: &space.params()[dim],
+            dim,
+            weights,
+            lo,
+            table: Vec::new(),
+        };
+        let tabulated = (hi - lo).saturating_add(1).min(cap);
+        terms.table = (lo..lo + tabulated).map(|i| terms.compute(i)).collect();
+        terms
+    }
+
+    fn compute(&self, index: u64) -> [f64; 2] {
+        let xn = Surrogate::normalized(self.param, self.cs.coord(self.dim, index));
+        [xn * self.weights[0], xn * xn * self.weights[1]]
+    }
+
+    fn at(&self, index: u64) -> [f64; 2] {
+        match self.table.get((index - self.lo) as usize) {
+            Some(terms) => *terms,
+            None => self.compute(index),
+        }
+    }
+}
+
+/// A scored candidate: `(prediction, cache key, coordinates)`.
+type Candidate = (f64, Vec<i64>, Vec<f64>);
 
 /// Which source produced the outstanding proposal.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,20 +206,23 @@ impl Surrogate {
         self.opts.min_samples.max(auto)
     }
 
+    /// One coordinate normalized to [0, 1] over its parameter's range.
+    fn normalized(param: &Param, coord: f64) -> f64 {
+        let (lo, hi) = (param.embed_min(), param.embed_max());
+        if hi > lo {
+            (coord - lo) / (hi - lo)
+        } else {
+            0.0
+        }
+    }
+
     /// Per-dimension normalization to [0, 1] for conditioning.
     fn normalize(space: &SearchSpace, coords: &[f64]) -> Vec<f64> {
         space
             .params()
             .iter()
             .zip(coords)
-            .map(|(p, &c)| {
-                let (lo, hi) = (p.embed_min(), p.embed_max());
-                if hi > lo {
-                    (c - lo) / (hi - lo)
-                } else {
-                    0.0
-                }
-            })
+            .map(|(p, &c)| Self::normalized(p, c))
             .collect()
     }
 
@@ -247,25 +321,9 @@ impl Surrogate {
         let model = self.model.as_ref()?;
         let cs = self.compiled.as_ref()?;
         let start = Instant::now();
-        let mut best: Option<(f64, Vec<i64>, Vec<f64>)> = None;
-        let mut consider = |key: Vec<i64>, coords: Vec<f64>| {
-            if self.seen.contains(&key) {
-                return;
-            }
-            let pred = Self::predict(model, &Self::normalize(space, &coords));
-            if best.as_ref().is_none_or(|(b, ..)| pred < *b) {
-                best = Some((pred, key, coords));
-            }
-        };
-        let mut cursor = cs.start();
-        let mut scanned = 0u64;
-        while scanned < self.opts.candidate_cap && cs.next_point(&mut cursor) {
-            scanned += 1;
-            let cfg = cs.configuration(cursor.indices());
-            let coords = cs.coords(cursor.indices());
-            consider(cfg.cache_key(), coords);
-        }
-        if scanned == self.opts.candidate_cap {
+        let cap = self.opts.candidate_cap;
+        let (mut best, scanned) = self.scan(model, cs, space);
+        if scanned == cap {
             // Space larger than the scan: supplement with random lattice
             // candidates so the argmin isn't confined to one corner.
             for _ in 0..EXTRA_RANDOM_CANDIDATES {
@@ -285,7 +343,14 @@ impl Surrogate {
                 let Ok(coords) = space.embed(&cfg) else {
                     continue;
                 };
-                consider(cfg.cache_key(), coords);
+                let key = cfg.cache_key();
+                if self.seen.contains(&key) {
+                    continue;
+                }
+                let pred = Self::predict(model, &Self::normalize(space, &coords));
+                if best.as_ref().is_none_or(|(b, ..)| pred < *b) {
+                    best = Some((pred, key, coords));
+                }
             }
         }
         self.telemetry
@@ -293,6 +358,86 @@ impl Surrogate {
         let (_, key, coords) = best?;
         self.seen.insert(key);
         Some(coords)
+    }
+
+    /// Score up to `candidate_cap` compiled points, in enumeration order:
+    /// the best one not yet measured (the earlier of equals), and how many
+    /// were scored.
+    ///
+    /// The scan works on lattice indices. The model is separable, so a
+    /// point's prediction is `w0` plus one linear and one quadratic term
+    /// per dimension, each a function of that dimension's index alone:
+    /// they are tabulated once per call ([`DimTerms`]) and a point costs
+    /// `2·dims` additions — all linear terms, then all quadratic ones, the
+    /// order [`features`](Self::features) lays them out in, so the sum is
+    /// the one [`predict`](Self::predict) computes, bit for bit. A point
+    /// is compared before anything is built for it; only one that improves
+    /// on the best so far pays for its cache key, the `seen` lookup and
+    /// its coordinates.
+    fn scan(
+        &self,
+        model: &Model,
+        cs: &CompiledSpace,
+        space: &SearchSpace,
+    ) -> (Option<Candidate>, u64) {
+        let cap = self.opts.candidate_cap;
+        let dims = space.dims();
+        let w = &model.weights;
+        let terms: Vec<DimTerms> = (0..dims)
+            .map(|d| DimTerms::new(cs, space, d, [w[1 + d], w[1 + dims + d]], cap))
+            .collect();
+        let mut best: Option<Candidate> = None;
+        let mut cursor = cs.start();
+        let mut scanned = 0u64;
+        while scanned < cap && cs.next_point(&mut cursor) {
+            scanned += 1;
+            let idx = cursor.indices();
+            let mut pred = w[0];
+            for (t, &i) in terms.iter().zip(idx) {
+                pred += t.at(i)[0];
+            }
+            for (t, &i) in terms.iter().zip(idx) {
+                pred += t.at(i)[1];
+            }
+            if best.as_ref().is_none_or(|(b, ..)| pred < *b) {
+                let key = cs.cache_key(idx);
+                if !self.seen.contains(&key) {
+                    best = Some((pred, key, cs.coords(idx)));
+                }
+            }
+        }
+        (best, scanned)
+    }
+
+    /// [`scan`](Self::scan) as it was before it moved to lattice indices —
+    /// a `Configuration`, a key, a coordinate vector and a feature vector
+    /// per point — kept as the oracle the scan is tested against.
+    #[cfg(test)]
+    fn scan_by_configuration(
+        &self,
+        model: &Model,
+        cs: &CompiledSpace,
+        space: &SearchSpace,
+    ) -> (Option<Candidate>, u64) {
+        let mut best: Option<Candidate> = None;
+        let mut consider = |key: Vec<i64>, coords: Vec<f64>| {
+            if self.seen.contains(&key) {
+                return;
+            }
+            let pred = Self::predict(model, &Self::normalize(space, &coords));
+            if best.as_ref().is_none_or(|(b, ..)| pred < *b) {
+                best = Some((pred, key, coords));
+            }
+        };
+        let mut cursor = cs.start();
+        let mut scanned = 0u64;
+        while scanned < self.opts.candidate_cap && cs.next_point(&mut cursor) {
+            scanned += 1;
+            let cfg = cs.configuration(cursor.indices());
+            let coords = cs.coords(cursor.indices());
+            consider(cfg.cache_key(), coords);
+        }
+        (best, scanned)
     }
 
     fn note_seen(&mut self, space: &SearchSpace, coords: &[f64]) {
@@ -505,6 +650,122 @@ mod tests {
             let cost = bowl(&space.project(&coords));
             s.feedback(&coords, cost, &space, &mut rng);
         }
+    }
+
+    /// Spaces that exercise every branch of the index-space scan.
+    fn oracle_spaces() -> Vec<(&'static str, SearchSpace)> {
+        use crate::constraint::{MonotoneChain, SumBound};
+        vec![
+            (
+                "stepped ints and an enum",
+                SearchSpace::builder()
+                    .int("a", -4, 20, 3)
+                    .enumeration("m", ["w", "x", "y", "z"])
+                    .int("b", 0, 9, 1)
+                    .build()
+                    .unwrap(),
+            ),
+            (
+                // `one` has a single value (normalizes to 0); `p` is pinned
+                // to 5 by propagation, so its compiled range is one index
+                // in the middle of its lattice.
+                "a one-value parameter and a pinned dimension",
+                SearchSpace::builder()
+                    .int("one", 7, 7, 1)
+                    .int("p", 0, 9, 1)
+                    .int("q", 0, 12, 2)
+                    .constraint(SumBound::exact(["p"], 5.0))
+                    .build()
+                    .unwrap(),
+            ),
+            (
+                "a chain",
+                SearchSpace::builder()
+                    .int("c0", 0, 8, 1)
+                    .int("c1", 0, 8, 1)
+                    .int("c2", 0, 8, 1)
+                    .constraint(MonotoneChain::new(["c0", "c1", "c2"]))
+                    .build()
+                    .unwrap(),
+            ),
+            (
+                // The first valid points are x=0, z=900..: indices of `z`
+                // far beyond a table of `cap` entries.
+                "indices beyond the tabulated ones",
+                SearchSpace::builder()
+                    .int("x", 0, 999, 1)
+                    .int("z", 0, 999, 1)
+                    .constraint(SumBound::new(["x", "z"], 900.0, 2000.0))
+                    .build()
+                    .unwrap(),
+            ),
+        ]
+    }
+
+    fn bits(best: Option<Candidate>) -> Option<(u64, Vec<i64>, Vec<u64>)> {
+        best.map(|(pred, key, coords)| {
+            let coords = coords.iter().map(|c| c.to_bits()).collect();
+            (pred.to_bits(), key, coords)
+        })
+    }
+
+    /// The index-space scan against the configuration-per-point oracle:
+    /// same point, same prediction bits, same number scanned — for random
+    /// models (zero weights included, so that whole faces of the lattice
+    /// tie), at caps below and above the space's size, while `seen` grows
+    /// to cover the model's best points one by one.
+    #[test]
+    fn scan_equals_the_configuration_per_point_oracle() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(2006);
+        for (name, space) in oracle_spaces() {
+            let cs = CompiledSpace::compile(&space).unwrap();
+            let m = 2 * space.dims() + 1;
+            for cap in [37, 65_536] {
+                for round in 0..6 {
+                    let weights = (0..m)
+                        .map(|_| match rng.gen_range(0..4usize) {
+                            0 => 0.0,
+                            _ => rng.gen_range(-3.0..3.0),
+                        })
+                        .collect();
+                    let model = Model {
+                        weights,
+                        rel_error: 0.0,
+                    };
+                    let mut s = Surrogate::new(SurrogateOptions {
+                        candidate_cap: cap,
+                        ..Default::default()
+                    });
+                    for taken in 0..5 {
+                        let (got, scanned) = s.scan(&model, &cs, &space);
+                        let (want, want_scanned) = s.scan_by_configuration(&model, &cs, &space);
+                        assert_eq!(
+                            (bits(got.clone()), scanned),
+                            (bits(want), want_scanned),
+                            "{name}, cap {cap}, model {round}, {taken} best points seen"
+                        );
+                        let Some((_, key, _)) = got else { break };
+                        s.seen.insert(key);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_dimension_wider_than_the_cap_is_tabulated_only_up_to_it() {
+        let space = SearchSpace::builder()
+            .int("wide", 0, 999_999_999, 1)
+            .int("y", 0, 3, 1)
+            .build()
+            .unwrap();
+        let cs = CompiledSpace::compile(&space).unwrap();
+        let terms = DimTerms::new(&cs, &space, 0, [1.5, -0.5], 100);
+        assert_eq!(terms.table.len(), 100);
+        assert_eq!(terms.at(99), terms.compute(99));
+        let far = terms.at(999_999_999);
+        assert_eq!(far, [1.5, -0.5], "xn = 1 at the top of the range");
     }
 
     #[test]

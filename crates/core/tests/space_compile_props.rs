@@ -6,6 +6,8 @@
 //! spaces (chains, sum bounds, opaque constraints, in any mix) the
 //! compiled stream must produce the same configurations in the same order,
 //! bit-identically — pruning may only ever skip *invalid* points. The
+//! nearest-feasible snap is held to the same standard: whatever it prunes,
+//! it returns what a first-wins scan of that stream returns. The
 //! store fingerprint has its own contract: insensitive to constraint
 //! ordering, byte-stable against the historical params-only scheme for
 //! spaces without describable constraints.
@@ -133,6 +135,57 @@ fn naive_filter(space: &SearchSpace) -> Vec<Configuration> {
     }
 }
 
+/// Ground truth for `snap_feasible`: visit every valid point in stream
+/// order, keep the first of the strictly nearest; more than `cap` of them
+/// is "too large".
+fn naive_snap(cs: &CompiledSpace, coords: &[f64], cap: u64) -> Option<Vec<f64>> {
+    let mut best: Option<(f64, Vec<f64>)> = None;
+    for (n, cfg) in cs.iter().enumerate() {
+        if n as u64 >= cap {
+            return None;
+        }
+        let cand = cs.space().embed(&cfg).expect("a valid point embeds");
+        let dist: f64 = cand
+            .iter()
+            .zip(coords)
+            .map(|(a, b)| (a - b) * (a - b))
+            .sum();
+        if best.as_ref().is_none_or(|(d, _)| dist < *d) {
+            best = Some((dist, cand));
+        }
+    }
+    best.map(|(_, c)| c)
+}
+
+/// A target for `snap_feasible`: inside the box, outside it, on lattice
+/// midpoints (every coordinate equidistant from two lattice values, so
+/// that ties decide), or with a NaN coordinate.
+fn random_target(space: &SearchSpace, g: &mut Lcg) -> Vec<f64> {
+    let mode = g.below(4);
+    let nan_at = g.below(space.dims() as u64) as usize;
+    space
+        .params()
+        .iter()
+        .enumerate()
+        .map(|(d, p)| {
+            let (lo, hi) = (p.embed_min(), p.embed_max());
+            let step = match p {
+                Param::Int { step, .. } => *step as f64,
+                _ => 1.0,
+            };
+            let cells = ((hi - lo) / step) as u64;
+            match mode {
+                0 => lo + (hi - lo) * g.below(1000) as f64 / 999.0,
+                1 if g.below(2) == 0 => lo - 0.3 - g.below(9) as f64,
+                1 => hi + 0.7 + g.below(9) as f64,
+                2 => lo + step * (g.below(cells) as f64 + 0.5),
+                _ if d == nan_at => f64::NAN,
+                _ => lo + step * g.below(cells + 1) as f64,
+            }
+        })
+        .collect()
+}
+
 /// The historical params-only fingerprint scheme, reproduced independently
 /// so drift in `space_fingerprint` for unconstrained spaces is caught even
 /// if both sides of the comparison change together in store.rs.
@@ -197,6 +250,36 @@ proptest! {
             .flat_map(|band| cs.iter_band(band).collect::<Vec<_>>())
             .collect();
         prop_assert_eq!(whole, banded);
+    }
+
+    /// `snap_feasible` == the first-wins nearest over the whole stream, bit
+    /// for bit, for every kind of target, at caps below, at and above the
+    /// valid count — asked in a seed-dependent order on one compiled space,
+    /// so the cached count is consulted for caps it was not taken at.
+    #[test]
+    fn snap_equals_first_wins_nearest_over_the_stream(seed in 0u64..1_000_000) {
+        let space = random_space(seed);
+        let cs = CompiledSpace::compile(&space).expect("discrete space compiles");
+        let valid = cs.iter().count() as u64;
+        let mut g = Lcg(seed ^ 0x5eed);
+        let mut caps = [valid.saturating_sub(1), valid, valid + 1, 0, u64::MAX];
+        caps.rotate_left(g.below(5) as usize);
+        for _ in 0..6 {
+            let target = random_target(&space, &mut g);
+            for cap in caps {
+                let got = cs.snap_feasible(&target, cap).map(|c| {
+                    c.iter().map(|x| x.to_bits()).collect::<Vec<u64>>()
+                });
+                let want = naive_snap(&cs, &target, cap).map(|c| {
+                    c.iter().map(|x| x.to_bits()).collect::<Vec<u64>>()
+                });
+                prop_assert!(
+                    got == want,
+                    "target {:?}, cap {}, {} valid: {:?} vs {:?}",
+                    target, cap, valid, got, want
+                );
+            }
+        }
     }
 
     /// The fingerprint ignores constraint ordering and never changes for

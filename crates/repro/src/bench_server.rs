@@ -702,7 +702,7 @@ fn store_cache_demo(cfg: &BenchConfig, store: &SharedStore) -> serde_json::Value
 /// Where and on what a report was taken: every recorded number is a
 /// number about this host and this commit. The commit is `git describe
 /// --always --dirty`, so a report recorded from an uncommitted tree says so.
-fn host_block(cores: usize) -> serde_json::Value {
+pub(crate) fn host_block(cores: usize) -> serde_json::Value {
     let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
         .ok()
         .and_then(|text| {

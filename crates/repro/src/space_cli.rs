@@ -224,7 +224,9 @@ fn bench(args: &[String], quick: bool) -> i32 {
     };
     let wall_seconds = (s.compile_micros + stream_micros) as f64 / 1e6;
     let within_bound = max_seconds == 0 || wall_seconds <= max_seconds as f64;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let blob = serde_json::json!({
+        "host": crate::bench_server::host_block(cores),
         "space": name,
         "dims": s.dims,
         "constraints": s.constraints,
@@ -342,6 +344,9 @@ mod tests {
         assert_eq!(blob["points_streamed"].as_u64(), Some(20_000));
         assert_eq!(blob["space"].as_str(), Some("synth-1e9"));
         assert!(blob["points_pruned"].as_u64().unwrap() > 0);
+        for key in ["cores", "cpu_model", "kernel", "commit"] {
+            assert!(blob["host"].get(key).is_some(), "host block lacks {key}");
+        }
         let _ = std::fs::remove_file(&out);
     }
 
