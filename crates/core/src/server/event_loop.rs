@@ -682,10 +682,9 @@ fn complete(conn: &mut Conn, is_leave: bool, reply: &Reply) {
     queue_reply(&mut conn.out, reply);
 }
 
-/// Serialize one reply frame onto a connection's write buffer.
+/// Serialize one reply frame straight onto a connection's write buffer.
 fn queue_reply(out: &mut Vec<u8>, reply: &Reply) {
-    let blob = serde_json::to_string(reply).expect("replies serialize");
-    out.extend_from_slice(blob.as_bytes());
+    serde_json::to_writer(out, reply).expect("replies serialize");
     out.push(b'\n');
 }
 

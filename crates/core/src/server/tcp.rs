@@ -44,7 +44,7 @@ use crate::retry::RetryPolicy;
 use crate::session::SessionOptions;
 use crate::space::Configuration;
 use crate::telemetry::{Counter, Latency, SpanKind, Telemetry};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -239,10 +239,13 @@ fn io_error(e: std::io::Error, what: &str) -> HarmonyError {
     }
 }
 
-/// One live socket to the server.
+/// One live socket to the server, with the two buffers every exchange on
+/// it reuses: the request frame being written and the reply line being read.
 struct Conn {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
+    request: Vec<u8>,
+    reply: String,
 }
 
 impl Conn {
@@ -257,26 +260,30 @@ impl Conn {
         let writer = stream.try_clone().map_err(|_| HarmonyError::Disconnected)?;
         Ok(Conn {
             reader: BufReader::new(stream),
-            writer: BufWriter::new(writer),
+            writer,
+            request: Vec::new(),
+            reply: String::new(),
         })
     }
 
     fn call(&mut self, req: &Request) -> Result<Reply> {
-        let mut blob = serde_json::to_string(req).expect("requests serialize");
-        blob.push('\n');
+        self.request.clear();
+        serde_json::to_writer(&mut self.request, req).expect("requests serialize");
+        self.request.push(b'\n');
+        // The frame is whole, so it goes to the socket in one write.
         self.writer
-            .write_all(blob.as_bytes())
-            .and_then(|()| self.writer.flush())
+            .write_all(&self.request)
             .map_err(|e| io_error(e, "request write"))?;
-        let mut line = String::new();
+        self.reply.clear();
         let n = self
             .reader
-            .read_line(&mut line)
+            .read_line(&mut self.reply)
             .map_err(|e| io_error(e, "reply read"))?;
         if n == 0 {
             return Err(HarmonyError::Disconnected);
         }
-        serde_json::from_str(&line).map_err(|e| HarmonyError::Protocol(format!("bad reply: {e}")))
+        serde_json::from_str(&self.reply)
+            .map_err(|e| HarmonyError::Protocol(format!("bad reply: {e}")))
     }
 }
 

@@ -32,35 +32,14 @@ use std::sync::Arc;
 /// pointers first (`String: Eq`), which settles the names for any two
 /// points of one space without reading them.
 ///
-/// **Wire and log form** is unchanged by the sharing: the JSON object
-/// `{"names":[…],"values":[…]}`, names written out in every record, byte
-/// for byte what the derive on `names: Vec<String>` produced.
-#[derive(Debug, Clone, PartialEq)]
+/// **Wire and log form** does not know about the sharing: an `Arc<[String]>`
+/// serializes as the sequence it points at, so the derive writes the JSON
+/// object `{"names":[…],"values":[…]}`, names spelled out in every record,
+/// and reads one back into a table of its own.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Configuration {
     names: Arc<[String]>,
     values: Vec<ParamValue>,
-}
-
-// By hand because the stand-in `serde` has no `Arc` impls; field for field
-// what `#[derive(Serialize, Deserialize)]` wrote for `names: Vec<String>`.
-impl Serialize for Configuration {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("names".to_string(), self.names.to_value()),
-            ("values".to_string(), self.values.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Configuration {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let obj = serde::de::object(v, "Configuration")?;
-        let field = |name| serde::de::field(obj, "Configuration", name);
-        Ok(Configuration {
-            names: Vec::<String>::from_value(field("names")?)?.into(),
-            values: Deserialize::from_value(field("values")?)?,
-        })
-    }
 }
 
 impl Configuration {

@@ -18,6 +18,13 @@
 //! from the store is *exactly* the one measured — bit-identical memoization,
 //! no decimal round-trip.
 //!
+//! There is one encoder and one decoder, the derived ones: an append, a
+//! merge, a peer's pull and a compaction all serialize their records
+//! straight into the one buffer they then write, and open reads each line
+//! straight into a record. The bytes are pinned by golden lines
+//! (`records_encode_to_their_golden_lines`) and by a store file an earlier
+//! build wrote (`tests/parent_logs.rs`), not by a second implementation.
+//!
 //! # Crash safety and fsync policy
 //!
 //! Open-time recovery is the WAL's: a single scan tracks the byte offset
@@ -57,11 +64,9 @@ use crate::error::{HarmonyError, Result};
 use crate::priors::PriorRunDb;
 use crate::space::{Configuration, SearchSpace};
 use crate::telemetry::{Counter, Latency, SpanKind, Telemetry};
-use crate::value::ParamValue;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -287,89 +292,21 @@ fn io_err(what: &str, path: &Path, e: std::io::Error) -> HarmonyError {
     HarmonyError::Io(format!("{what} {}: {e}", path.display()))
 }
 
-fn encode_line<T: Serialize>(value: &T) -> Result<String> {
-    let mut line = serde_json::to_string(value).map_err(|e| HarmonyError::Io(e.to_string()))?;
-    line.push('\n');
-    Ok(line)
+/// Append `value`'s JSON line — what the derive writes, and a newline — to
+/// `out`. Every line of the log is made here: the header, a batch's records
+/// into the batch's one buffer, a peer's pull, a compaction's rewrite.
+fn append_line<T: Serialize>(value: &T, out: &mut Vec<u8>) {
+    serde_json::to_writer(out, value).expect("log lines serialize");
+    out.push(b'\n');
 }
 
-fn push_json_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_json_f64(f: f64, out: &mut String) {
-    if f.is_finite() {
-        let before = out.len();
-        let _ = write!(out, "{f}");
-        if !out[before..].contains(['.', 'e', 'E']) {
-            out.push_str(".0");
-        }
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// Encode one [`StoreRecord`] straight into `out`, byte-identical to
-/// `encode_line(&record)`. The generic path builds a full `Value` tree
-/// (one boxed node and one key `String` per field) before writing; at one
-/// insert per report this was the single largest term of the store's
-/// per-evaluation cost, so the hot path formats directly instead.
-/// `encode_matches_the_generic_serializer` pins the two encodings to each
-/// other.
-fn push_record_line(rec: &StoreRecord, out: &mut String) {
-    out.push_str("{\"app\":");
-    push_json_str(&rec.app, out);
-    let _ = write!(out, ",\"fingerprint\":{}", rec.fingerprint);
-    out.push_str(",\"config\":{\"names\":[");
-    for (i, name) in rec.config.names().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_str(name, out);
-    }
-    out.push_str("],\"values\":[");
-    for (i, value) in rec.config.values().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        match value {
-            ParamValue::Int(x) => {
-                let _ = write!(out, "{{\"Int\":{x}}}");
-            }
-            ParamValue::Real(x) => {
-                out.push_str("{\"Real\":");
-                push_json_f64(*x, out);
-                out.push('}');
-            }
-            ParamValue::Enum { index, label } => {
-                let _ = write!(out, "{{\"Enum\":{{\"index\":{index},\"label\":");
-                push_json_str(label, out);
-                out.push_str("}}");
-            }
-        }
-    }
-    let _ = write!(
-        out,
-        "]}},\"cost_bits\":{},\"wall_bits\":{},\"session\":{},\"iteration\":{},\"requeued\":{},\"replayed\":{}}}",
-        rec.cost_bits, rec.wall_bits, rec.session, rec.iteration, rec.requeued, rec.replayed
-    );
-    out.push('\n');
+/// Line 1 of every store file.
+fn append_header(out: &mut Vec<u8>) {
+    let header = StoreHeader {
+        kind: STORE_KIND.into(),
+        version: STORE_VERSION,
+    };
+    append_line(&header, out);
 }
 
 /// Let `record` share its predecessor's name table when they spell the same
@@ -439,11 +376,9 @@ impl PerfStore {
             .unwrap_or(false);
         if !exists {
             let mut file = File::create(&path).map_err(|e| io_err("create", &path, e))?;
-            let line = encode_line(&StoreHeader {
-                kind: STORE_KIND.into(),
-                version: STORE_VERSION,
-            })?;
-            file.write_all(line.as_bytes())
+            let mut line = Vec::new();
+            append_header(&mut line);
+            file.write_all(&line)
                 .and_then(|()| file.sync_data())
                 .map_err(|e| io_err("write header to", &path, e))?;
             return Ok(PerfStore {
@@ -641,7 +576,7 @@ impl PerfStore {
     /// this same batch) is skipped. Returns how many records were written.
     pub fn insert_batch(&mut self, records: Vec<StoreRecord>) -> Result<usize> {
         use std::collections::hash_map::Entry;
-        let mut blob = String::with_capacity(records.len() * 192);
+        let mut blob = Vec::with_capacity(records.len() * 192);
         let before = self.records.len();
         for mut record in records {
             share_names(self.records.last(), &mut record);
@@ -677,7 +612,7 @@ impl PerfStore {
                     slot.insert(self.records.len());
                 }
             }
-            push_record_line(&record, &mut blob);
+            append_line(&record, &mut blob);
             self.telemetry.inc(Counter::StoreInserts);
             self.records.push(record);
         }
@@ -691,7 +626,7 @@ impl PerfStore {
         // semantics, they would simply be re-measured.
         let started = Instant::now();
         self.file
-            .write_all(blob.as_bytes())
+            .write_all(&blob)
             .map_err(|e| io_err("append to", &self.path, e))?;
         self.last_append = started;
         self.unsynced += written;
@@ -720,7 +655,7 @@ impl PerfStore {
     /// counted as a conflict ([`Counter::StoreMergeConflicts`]).
     pub fn merge_records(&mut self, records: Vec<StoreRecord>) -> Result<MergeStats> {
         let mut stats = MergeStats::default();
-        let mut blob = String::with_capacity(records.len().min(4096) * 192);
+        let mut blob = Vec::with_capacity(records.len().min(4096) * 192);
         for mut record in records {
             stats.scanned += 1;
             let key = record.config.cache_key();
@@ -745,7 +680,7 @@ impl PerfStore {
                 .entry(record.fingerprint)
                 .or_default()
                 .insert(key, self.records.len());
-            push_record_line(&record, &mut blob);
+            append_line(&record, &mut blob);
             self.telemetry.inc(Counter::StoreMergedRecords);
             stats.merged += 1;
             self.records.push(record);
@@ -755,7 +690,7 @@ impl PerfStore {
         }
         let started = Instant::now();
         self.file
-            .write_all(blob.as_bytes())
+            .write_all(&blob)
             .map_err(|e| io_err("append to", &self.path, e))?;
         self.last_append = started;
         self.unsynced += stats.merged;
@@ -809,11 +744,14 @@ impl PerfStore {
     /// resynchronizes the puller's high-water mark.
     pub fn encode_log_from(&self, from: usize) -> (usize, String) {
         let start = if from <= self.records.len() { from } else { 0 };
-        let mut blob = String::with_capacity((self.records.len() - start) * 192);
+        let mut blob = Vec::with_capacity((self.records.len() - start) * 192);
         for rec in &self.records[start..] {
-            push_record_line(rec, &mut blob);
+            append_line(rec, &mut blob);
         }
-        (start, blob)
+        (
+            start,
+            String::from_utf8(blob).expect("JSON lines are UTF-8"),
+        )
     }
 
     /// Force `sync_data` on any unsynced appends.
@@ -885,14 +823,12 @@ impl PerfStore {
         let tmp = self.path.with_extension("compact");
         {
             let mut f = File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
-            let mut blob = encode_line(&StoreHeader {
-                kind: STORE_KIND.into(),
-                version: STORE_VERSION,
-            })?;
+            let mut blob = Vec::with_capacity(kept.len() * 192);
+            append_header(&mut blob);
             for rec in &kept {
-                blob.push_str(&encode_line(rec)?);
+                append_line(rec, &mut blob);
             }
-            f.write_all(blob.as_bytes())
+            f.write_all(&blob)
                 .and_then(|()| f.sync_data())
                 .map_err(|e| io_err("write", &tmp, e))?;
         }
@@ -1169,6 +1105,7 @@ impl SharedStore {
 mod tests {
     use super::*;
     use crate::strategy::StartPoint;
+    use crate::value::ParamValue;
 
     fn temp_path(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ah-store-tests-{}", std::process::id()));
@@ -1188,50 +1125,84 @@ mod tests {
         StoreRecord::new(app, fp, space().project(&[x, y]), cost, cost)
     }
 
-    #[test]
-    fn encode_matches_the_generic_serializer() {
-        // The hot-path encoder must stay byte-identical to the derive-based
-        // one: recovery, compaction, and old store files all go through the
-        // generic path. Exercise every `ParamValue` shape, float formatting
-        // corner cases (integral, negative zero, exponent, non-finite), and
-        // string escaping.
-        let sp = SearchSpace::builder()
-            .int("tile", 1, 128, 1)
-            .real("tol", 1e-12, 1.0)
-            .enumeration("layout", ["row \"major\"", "col\nmajor", "z\u{1}order"])
-            .build()
-            .unwrap();
-        let fp = space_fingerprint(&sp);
-        let configs = [
-            sp.project(&[1.0, 0.5, 0.0]),
-            sp.project(&[128.0, 1e-12, 2.0]),
-            sp.project(&[64.0, 2.0, 1.0]),
-            // Non-finite and negative-zero reals can't come out of a
-            // projection; build them by hand to pin the `null`/`-0.0` rules.
-            Configuration::new(
-                vec!["a".into(), "b".into(), "c".into()],
-                vec![
-                    ParamValue::Real(f64::NAN),
-                    ParamValue::Real(-0.0),
-                    ParamValue::Real(f64::NEG_INFINITY),
-                ],
-            ),
-        ];
-        let costs = [0.25, -0.0, 1e300, 2.0, f64::NAN, f64::INFINITY];
-        for (i, config) in configs.iter().enumerate() {
-            for (j, &cost) in costs.iter().enumerate() {
-                let record = StoreRecord::new("app \"x\"\n\u{7}", fp, config.clone(), cost, -cost)
+    /// One record per way a value can be spelled: every `ParamValue` shape,
+    /// escapes in labels and names, reals that are whole, negative zero,
+    /// tiny, huge, and not finite.
+    fn golden_records() -> Vec<(StoreRecord, &'static str)> {
+        let shapes = Configuration::new(
+            vec!["tile".into(), "tol".into(), "lay\"out".into()],
+            vec![
+                ParamValue::Int(-64),
+                ParamValue::Real(0.5),
+                ParamValue::Enum {
+                    index: 2,
+                    label: "col\nmajor \\ z\u{1}é".into(),
+                },
+            ],
+        );
+        let reals = Configuration::new(
+            vec!["a".into(), "b".into(), "c".into(), "d".into(), "e".into()],
+            vec![
+                ParamValue::Real(f64::NAN),
+                ParamValue::Real(-0.0),
+                ParamValue::Real(f64::NEG_INFINITY),
+                ParamValue::Real(1e21),
+                ParamValue::Real(1e-7),
+            ],
+        );
+        vec![
+            (
+                StoreRecord::new("app \"x\"\n\u{7}", u64::MAX, shapes, 0.25, -0.0)
                     .with_provenance(u64::MAX, usize::MAX)
-                    .with_flags(i % 2 == 0, j % 2 == 1);
-                let mut fast = String::new();
-                push_record_line(&record, &mut fast);
-                assert_eq!(
-                    fast,
-                    encode_line(&record).unwrap(),
-                    "config {i} cost {cost}"
-                );
-            }
+                    .with_flags(true, false),
+                GOLDEN_SHAPES,
+            ),
+            (
+                StoreRecord::new("gs2", 7, reals, f64::NAN, f64::INFINITY).with_flags(false, true),
+                GOLDEN_REALS,
+            ),
+            (
+                StoreRecord::new("", 0, Configuration::new(vec![], vec![]), 2.0, 2.0),
+                GOLDEN_EMPTY,
+            ),
+        ]
+    }
+
+    const GOLDEN_SHAPES: &str = r#"{"app":"app \"x\"\n\u0007","fingerprint":18446744073709551615,"config":{"names":["tile","tol","lay\"out"],"values":[{"Int":-64},{"Real":0.5},{"Enum":{"index":2,"label":"col\nmajor \\ z\u0001é"}}]},"cost_bits":4598175219545276416,"wall_bits":9223372036854775808,"session":18446744073709551615,"iteration":18446744073709551615,"requeued":true,"replayed":false}"#;
+    const GOLDEN_REALS: &str = r#"{"app":"gs2","fingerprint":7,"config":{"names":["a","b","c","d","e"],"values":[{"Real":null},{"Real":-0.0},{"Real":null},{"Real":1000000000000000000000.0},{"Real":0.0000001}]},"cost_bits":9221120237041090560,"wall_bits":9218868437227405312,"session":0,"iteration":0,"requeued":false,"replayed":true}"#;
+    const GOLDEN_EMPTY: &str = r#"{"app":"","fingerprint":0,"config":{"names":[],"values":[]},"cost_bits":4611686018427387904,"wall_bits":4611686018427387904,"session":0,"iteration":0,"requeued":false,"replayed":false}"#;
+
+    #[test]
+    fn records_encode_to_their_golden_lines() {
+        // The lines below were written by the encoder this store had
+        // before it used the derive's; every path that writes a record —
+        // append, merge, peer pull, compaction — must produce them.
+        let path = temp_path("golden-lines");
+        let peer_path = temp_path("golden-lines-peer");
+        for p in [&path, &peer_path] {
+            let _ = std::fs::remove_file(p);
         }
+        let (records, lines): (Vec<StoreRecord>, Vec<&str>) = golden_records().into_iter().unzip();
+        let log: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        let header = "{\"kind\":\"ah-store\",\"version\":1}\n";
+
+        let mut store = PerfStore::open(&path).unwrap();
+        assert_eq!(store.insert_batch(records.clone()).unwrap(), records.len());
+        assert_eq!(store.encode_log_from(0), (0, log.clone()));
+        store.flush().unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            format!("{header}{log}")
+        );
+
+        let mut peer = PerfStore::open(&peer_path).unwrap();
+        assert_eq!(peer.merge_records(records).unwrap().merged, lines.len());
+        peer.compact().unwrap();
+        drop(peer);
+        assert_eq!(
+            std::fs::read_to_string(&peer_path).unwrap(),
+            format!("{header}{log}")
+        );
     }
 
     #[test]

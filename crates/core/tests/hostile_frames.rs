@@ -1,0 +1,349 @@
+//! Hostile input at every door JSON comes in by: a socket, a log file, a
+//! server's reply. It must end as a typed error and a counter — never a
+//! dead process, never a hang.
+//!
+//! The first three tests are one bug seen from three sides. The JSON
+//! parser recursed once per `[` with nothing to stop it, so a megabyte of
+//! `[` ran it off its stack: a `SIGABRT` of the whole server (every session
+//! of every tenant) from one unauthenticated frame that the 4 MiB frame cap
+//! lets through, of any process opening a store or WAL with such a tail, of
+//! any client handed such a reply. At the commit before the nesting limit
+//! each of them aborts this test binary.
+//!
+//! The last test is the first piece of ROADMAP item 3's hostile-input half:
+//! a seeded run of 10⁵ garbage frames through the server's own framing and
+//! request decoding.
+
+use ah_core::error::HarmonyError;
+use ah_core::param::Param;
+use ah_core::server::protocol::{FrameDecoder, Reply, Request, StrategyKind, MAX_FRAME_LEN};
+use ah_core::server::tcp::{TcpClientOptions, TcpHarmonyClient, TcpHarmonyServer};
+use ah_core::session::SessionOptions;
+use ah_core::space::SearchSpace;
+use ah_core::store::{space_fingerprint, PerfStore, StoreRecord};
+use ah_core::telemetry::{Counter, Telemetry};
+use ah_core::wal::{WalHeader, WalSession};
+use proptest::Gen;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
+use std::path::PathBuf;
+use std::time::Duration;
+
+/// Deep enough to overflow any thread's stack at two frames per level, and
+/// well under [`MAX_FRAME_LEN`]: the frame cap is not what saves the server.
+const DEPTH: usize = 1 << 20;
+const _: () = assert!(DEPTH < MAX_FRAME_LEN);
+
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ah-hostile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join(name);
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
+#[test]
+fn a_megabyte_of_brackets_is_a_malformed_request_not_a_dead_server() {
+    let server = TcpHarmonyServer::bind("127.0.0.1:0").expect("bind");
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    // A dead server is a failed read, not a hang.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut exchange = |frame: &[u8]| -> Reply {
+        writer.write_all(frame).expect("send");
+        writer.write_all(b"\n").expect("send");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("the server answers");
+        serde_json::from_str(&line).unwrap_or_else(|e| panic!("reply {line:?}: {e}"))
+    };
+
+    // The very first frame of a fresh, unregistered connection.
+    match exchange("[".repeat(DEPTH).as_bytes()) {
+        Reply::Error { message, retryable } => {
+            assert!(message.starts_with("malformed request:"), "{message}");
+            assert!(!retryable);
+        }
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+    // Nested objects, and nesting inside a key no request has.
+    for frame in [
+        "{\"a\":".repeat(DEPTH / 8),
+        format!("{{\"Fetch\":null,\"x\":{}", "[".repeat(DEPTH)),
+        format!(
+            "{{\"FetchBatch\":{{\"max\":1,\"x\":{}",
+            "[{\"k\":".repeat(DEPTH / 8)
+        ),
+    ] {
+        let reply = exchange(frame.as_bytes());
+        assert!(
+            matches!(&reply, Reply::Error { message, .. } if message.starts_with("malformed request:")),
+            "{reply:?}"
+        );
+    }
+
+    // The same connection then registers and tunes …
+    let frame = |req: &Request| serde_json::to_string(req).unwrap();
+    let registered = exchange(
+        frame(&Request::Register {
+            app: "survivor".into(),
+            tenant: String::new(),
+        })
+        .as_bytes(),
+    );
+    assert!(
+        matches!(registered, Reply::Registered { .. }),
+        "{registered:?}"
+    );
+    let declared = exchange(
+        frame(&Request::AddParam {
+            param: Param::int("x", 0, 60, 1),
+        })
+        .as_bytes(),
+    );
+    assert!(matches!(declared, Reply::Ok), "{declared:?}");
+    let sealed = exchange(
+        frame(&Request::Seal {
+            options: SessionOptions::default(),
+            strategy: StrategyKind::NelderMead,
+        })
+        .as_bytes(),
+    );
+    assert!(matches!(sealed, Reply::Ok), "{sealed:?}");
+    for _ in 0..5 {
+        let Reply::Config { config, .. } = exchange(frame(&Request::Fetch).as_bytes()) else {
+            panic!("expected a configuration");
+        };
+        let cost = (config.int("x").expect("x is declared") - 42).abs() as f64;
+        let reported = exchange(
+            frame(&Request::Report {
+                cost,
+                wall_time: cost,
+            })
+            .as_bytes(),
+        );
+        assert!(matches!(reported, Reply::Ok), "{reported:?}");
+    }
+
+    // … and a second client is served.
+    let mut second = TcpHarmonyClient::connect(server.local_addr(), "bystander").expect("connect");
+    second.add_param(Param::int("y", 0, 9, 1)).unwrap();
+    second
+        .seal(SessionOptions::default(), StrategyKind::Random)
+        .unwrap();
+    let (config, _) = second.fetch().unwrap();
+    assert!(config.int("y").is_some());
+    second.report(1.0).unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn a_log_that_ends_in_endless_brackets_has_a_torn_tail() {
+    let space = SearchSpace::builder().int("x", 0, 100, 1).build().unwrap();
+    let fp = space_fingerprint(&space);
+
+    // The store: two good records, then a line that starts like a third.
+    let path = scratch("nested.store");
+    {
+        let mut store = PerfStore::open(&path).unwrap();
+        let records = [3.0, 7.0]
+            .map(|x| StoreRecord::new("app", fp, space.project(&[x]), x, x))
+            .to_vec();
+        assert_eq!(store.insert_batch(records).unwrap(), 2);
+    }
+    let good = std::fs::read(&path).unwrap();
+    let mut torn = good.clone();
+    torn.extend_from_slice(b"{\"app\":");
+    torn.extend(std::iter::repeat_n(b'[', 100_000));
+    std::fs::write(&path, &torn).unwrap();
+    let telemetry = Telemetry::enabled();
+    let store =
+        PerfStore::open_with(&path, telemetry.clone()).expect("a torn tail is not corruption");
+    assert_eq!(store.len(), 2);
+    assert!(store.stats().torn_tail_truncated);
+    assert_eq!(telemetry.counter(Counter::StoreTornTails), 1);
+    drop(store);
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        good,
+        "truncated back to the last good record"
+    );
+
+    // The WAL, by the same recovery scan.
+    let path = scratch("nested.wal");
+    let header = WalHeader::new(
+        "app",
+        vec![Param::int("x", 0, 60, 1)],
+        vec![],
+        StrategyKind::NelderMead,
+        SessionOptions::default(),
+    );
+    {
+        let (mut wal, _) = WalSession::open_or_create(&path, &header).unwrap();
+        for _ in 0..3 {
+            let trial = wal.suggest().unwrap().unwrap();
+            wal.report(trial, 1.0).unwrap();
+        }
+    }
+    let good = std::fs::read(&path).unwrap();
+    let mut torn = good.clone();
+    torn.extend_from_slice(b"{\"iteration\":");
+    torn.extend(std::iter::repeat_n(b'[', 100_000));
+    std::fs::write(&path, &torn).unwrap();
+    let telemetry = Telemetry::enabled();
+    let (wal, _) = WalSession::resume_with(&path, telemetry.clone()).expect("a torn tail resumes");
+    assert_eq!(wal.replayed(), 3);
+    assert_eq!(telemetry.counter(Counter::WalTornTails), 1);
+    drop(wal);
+    assert_eq!(std::fs::read(&path).unwrap(), good);
+}
+
+#[test]
+fn a_reply_of_endless_brackets_is_a_protocol_error_to_the_client() {
+    // A "server" that answers whatever it is asked with a megabyte of `[`.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let liar = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("the client connects");
+        let mut request = String::new();
+        BufReader::new(stream.try_clone().unwrap())
+            .read_line(&mut request)
+            .expect("the client registers");
+        let mut stream = stream;
+        stream.write_all("[".repeat(DEPTH).as_bytes()).unwrap();
+        stream.write_all(b"\n").unwrap();
+        request
+    });
+    let opts = TcpClientOptions {
+        io_timeout: Some(Duration::from_secs(20)),
+        ..Default::default()
+    };
+    match TcpHarmonyClient::connect_with(addr, "victim", opts) {
+        Err(HarmonyError::Protocol(message)) => {
+            assert!(message.starts_with("bad reply:"), "{message}");
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    assert!(liar.join().unwrap().contains("victim"));
+}
+
+/// Uniform index below `n`, from the vendored proptest's seeded generator:
+/// the garbage must be the same garbage on every run.
+fn below(rng: &mut Gen, n: usize) -> usize {
+    rng.below(n as u64) as usize
+}
+
+/// One frame of garbage, newline-free: raw bytes, JSON punctuation soup, a
+/// real request with bytes damaged, or a real request buried in nesting.
+fn garbage(rng: &mut Gen, real: &[Vec<u8>]) -> Vec<u8> {
+    const SOUP: &[u8] = b"{}[]\",:\\u/ 0123456789.+-eEnultrfas\t\r\xc3\xa9\xf0\x9f\x98\x80\xff\x00";
+    let mut frame = match below(rng, 4) {
+        0 => (0..below(rng, 64)).map(|_| rng.next_u64() as u8).collect(),
+        1 => (0..below(rng, 96))
+            .map(|_| SOUP[below(rng, SOUP.len())])
+            .collect(),
+        2 => {
+            let mut frame = real[below(rng, real.len())].clone();
+            for _ in 0..1 + below(rng, 3) {
+                let at = below(rng, frame.len());
+                match below(rng, 3) {
+                    0 => {
+                        frame.remove(at);
+                    }
+                    1 => frame[at] = SOUP[below(rng, SOUP.len())],
+                    _ => frame.insert(at, SOUP[below(rng, SOUP.len())]),
+                }
+                if frame.is_empty() {
+                    break;
+                }
+            }
+            frame
+        }
+        _ => {
+            let depth = [1, 127, 128, 129, 1000][below(rng, 5)];
+            let (open, close) =
+                [("[", "]"), ("{\"Fetch\":", "}"), ("{\"x\":[", "]}")][below(rng, 3)];
+            let core = String::from_utf8_lossy(&real[below(rng, real.len())]).into_owned();
+            let close = if below(rng, 2) == 0 { close } else { "" };
+            format!("{}{core}{}", open.repeat(depth), close.repeat(depth)).into_bytes()
+        }
+    };
+    frame.retain(|&b| b != b'\n');
+    frame
+}
+
+#[test]
+fn a_hundred_thousand_garbage_frames_are_each_a_request_or_an_error() {
+    const FRAMES: usize = 100_000;
+    let real: Vec<Vec<u8>> = [
+        Request::Register {
+            app: "gs2 \"é\"\n".into(),
+            tenant: "t".into(),
+        },
+        Request::AddParam {
+            param: Param::enumeration("layout", ["lxyes", "yxles"]),
+        },
+        Request::Seal {
+            options: SessionOptions::default(),
+            strategy: StrategyKind::Grid { target: 9 },
+        },
+        Request::Fetch,
+        Request::FetchBatch { max: 16 },
+        Request::ReportBatch {
+            reports: vec![ah_core::server::protocol::TrialReport {
+                iteration: 4,
+                cost: 1.25,
+                wall_time: 2.5,
+            }],
+        },
+    ]
+    .iter()
+    .map(|r| serde_json::to_string(r).unwrap().into_bytes())
+    .collect();
+
+    let mut rng = Gen::new(0x5eed_f00d);
+    let mut decoder = FrameDecoder::new(MAX_FRAME_LEN);
+    let (mut sent, mut framed, mut requests, mut refused) = (0, 0, 0, 0);
+    let mut stream = Vec::new();
+    while sent < FRAMES {
+        // A burst of frames, fed to the decoder in arbitrary chunks, as a
+        // socket would deliver them.
+        stream.clear();
+        for _ in 0..1 + below(&mut rng, 8) {
+            stream.extend_from_slice(&garbage(&mut rng, &real));
+            stream.push(b'\n');
+            sent += 1;
+        }
+        let mut rest = stream.as_slice();
+        while !rest.is_empty() {
+            let (chunk, tail) = rest.split_at(1 + below(&mut rng, rest.len()));
+            rest = tail;
+            decoder.extend(chunk);
+            while let Some(frame) = decoder.next_frame().expect("no frame nears the cap") {
+                framed += 1;
+                if frame.trim().is_empty() {
+                    continue;
+                }
+                // Decoding returns: that is the whole assertion. What it
+                // returns is one of two things, and both occur.
+                match serde_json::from_str::<Request>(&frame) {
+                    Ok(request) => {
+                        requests += 1;
+                        // What was understood can be said again.
+                        serde_json::to_string(&request).unwrap();
+                    }
+                    Err(e) => {
+                        refused += 1;
+                        assert!(!e.to_string().is_empty());
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(framed, sent, "every frame sent came out of the decoder");
+    assert_eq!(decoder.buffered(), 0);
+    assert!(refused > FRAMES / 2, "{refused} refused");
+    assert!(requests > 100, "{requests} understood");
+}
