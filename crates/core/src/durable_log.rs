@@ -1,0 +1,483 @@
+//! One durable log: the file format, the recovery scan, the append path and
+//! the atomic rewrite under both the [write-ahead log](crate::wal) and the
+//! [performance store](crate::store). Every file operation of either is
+//! here; the two are schemas (a header type, a record type) and policies
+//! (when to [`sync`](DurableLog::sync)) on top. DESIGN.md, "Durable log",
+//! has the reasoning at length.
+//!
+//! **Format.** JSON lines: line 1 a header, every further line one record,
+//! each made by [`push_line`]. A line is a record only when it ends in
+//! `\n`: a file that stops after a complete `{…}` holds a write cut one
+//! byte short, and counting it would let the next append share its line.
+//!
+//! **Recovery.** [`scan`] reads the bytes once; records count up to the
+//! first line that is not one — not UTF-8, not JSON of the record type, or
+//! not newline-terminated. A readable record *after* that line means damage
+//! in the middle of the log, which [`DurableLog::open`] refuses by line
+//! number; otherwise the rest is the tail of an append a crash cut short,
+//! and open truncates it, so an opened log always ends in `\n`.
+//!
+//! **Appends** go in whole lines at the log's committed length, and a write
+//! that fails half way (a full disk) is truncated back to it. They are
+//! durable after the next [`sync`](DurableLog::sync), the caller's call to
+//! make. **[`rewrite`](DurableLog::rewrite)** replaces the file through a
+//! temp file and a rename: a crash leaves the old log or the new.
+
+use crate::error::{HarmonyError, Result};
+use serde::{Deserialize, Serialize};
+use std::fs::{File, OpenOptions};
+use std::io::{BufRead, Read, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
+
+fn io_err(what: &str, path: &Path, e: std::io::Error) -> HarmonyError {
+    HarmonyError::Io(format!("{what} {}: {e}", path.display()))
+}
+
+/// Append `value`'s JSON line — what the derive writes, and a newline — to
+/// `out`. Every line of either log is made here: a header, a batch's
+/// records into the batch's one buffer, a peer's pull, a compaction.
+pub(crate) fn push_line<T: Serialize>(value: &T, out: &mut Vec<u8>) {
+    serde_json::to_writer(out, value).expect("log lines serialize");
+    out.push(b'\n');
+}
+
+/// Whether `path` holds a log to [`open`](DurableLog::open): it exists and
+/// is not empty.
+pub(crate) fn has_content(path: &Path) -> bool {
+    std::fs::metadata(path).is_ok_and(|m| m.len() > 0)
+}
+
+/// Move the next line of `rest` into `buf`: `Ok` with its text, less the
+/// line ending, or `Err` with why it is not a line. `None` at the end.
+fn next_line<'a>(
+    rest: &mut &[u8],
+    buf: &'a mut Vec<u8>,
+) -> Option<std::result::Result<&'a str, String>> {
+    buf.clear();
+    // `read_until` for its newline search, which is several times faster
+    // than a loop over the bytes; open is a benchmark's whole set-up.
+    if rest.read_until(b'\n', buf).expect("memory reads") == 0 {
+        return None;
+    }
+    Some(match buf.last() {
+        Some(b'\n') => std::str::from_utf8(buf)
+            .map(str::trim_end)
+            .map_err(|_| "invalid UTF-8".into()),
+        _ => Err("no trailing newline".into()),
+    })
+}
+
+/// The one reader of header-plus-records JSON lines, with or without a file
+/// under them. Every record up to the first line that is not one goes to
+/// `keep`, in order; blank lines are skipped. Returns the header, for the
+/// caller to check, and the offset just past the last record kept; `Err`
+/// says why line 1 is not a header, or which line has a readable record
+/// *after* it and so is damage mid-log, not the end of the last append.
+pub(crate) fn scan<H: Deserialize, R: Deserialize>(
+    bytes: &[u8],
+    mut keep: impl FnMut(R),
+) -> std::result::Result<(H, usize), String> {
+    let (mut rest, mut buf) = (bytes, Vec::new());
+    let header: H = next_line(&mut rest, &mut buf)
+        .ok_or("empty log has no header")?
+        .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
+        .map_err(|e| format!("bad header: {e}"))?;
+    let mut good_end = bytes.len() - rest.len();
+    // The first line that is not a record: its number, and why.
+    let mut bad: Option<(usize, String)> = None;
+    let mut line_no = 1;
+    while let Some(line) = next_line(&mut rest, &mut buf) {
+        line_no += 1;
+        let record = match line {
+            Ok("") => continue,
+            Ok(text) => serde_json::from_str::<R>(text).map_err(|e| e.to_string()),
+            Err(why) => Err(why),
+        };
+        match (record, &bad) {
+            (Ok(record), None) => {
+                keep(record);
+                good_end = bytes.len() - rest.len();
+            }
+            (Ok(_), Some((line, error))) => {
+                return Err(format!("unreadable record at line {line}: {error}"))
+            }
+            (Err(error), None) => bad = Some((line_no, error)),
+            (Err(_), Some(_)) => {}
+        }
+    }
+    Ok((header, good_end))
+}
+
+/// An open log file; see the [module docs](self).
+pub(crate) struct DurableLog {
+    path: PathBuf,
+    file: File,
+    /// Length of the file as of the last append that succeeded: where the
+    /// next one starts, and what a failed one truncates back to.
+    committed: u64,
+    /// Records appended since the last `sync_data`.
+    unsynced: usize,
+    last_append: Instant,
+}
+
+/// A handle at the end of a fresh, synced file at `path` holding `contents`.
+fn write_new(path: &Path, contents: &[u8]) -> std::io::Result<File> {
+    let mut file = File::create(path)?;
+    file.write_all(contents)?;
+    file.sync_data()?;
+    Ok(file)
+}
+
+/// Cut `file` back to `len` bytes and leave its cursor there. No handle of
+/// a log is in append mode (ext4 serves an `O_APPEND` write ≈ 0.8 µs slower
+/// than one at the cursor), so the cursor is where the next append lands.
+fn cut(file: &mut File, len: u64) -> std::io::Result<()> {
+    file.set_len(len)?;
+    file.seek(SeekFrom::Start(len)).map(|_| ())
+}
+
+impl DurableLog {
+    fn new(path: &Path, file: File, committed: usize) -> Self {
+        DurableLog {
+            path: path.to_path_buf(),
+            file,
+            committed: committed as u64,
+            unsynced: 0,
+            last_append: Instant::now(),
+        }
+    }
+
+    /// Start a log at `path` (replacing any file there) holding `header`.
+    pub(crate) fn create(path: &Path, header: &impl Serialize) -> Result<Self> {
+        let mut line = Vec::new();
+        push_line(header, &mut line);
+        let file = write_new(path, &line).map_err(|e| io_err("create", path, e))?;
+        Ok(Self::new(path, file, line.len()))
+    }
+
+    /// Open the log at `path` and recover it: the header goes through
+    /// `check` and is returned, every record goes to `keep`, a torn tail is
+    /// truncated off the file and reported. A refused header or damage
+    /// mid-log is the error `corrupt` makes of `"{path}: {what}"`.
+    pub(crate) fn open<H: Deserialize, R: Deserialize>(
+        path: &Path,
+        corrupt: fn(String) -> HarmonyError,
+        check: impl FnOnce(&H) -> std::result::Result<(), String>,
+        keep: impl FnMut(R),
+    ) -> Result<(Self, H, bool)> {
+        let unread = |e| io_err("read", path, e);
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(path)
+            .map_err(unread)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes).map_err(unread)?;
+        let refuse = |what: String| corrupt(format!("{}: {what}", path.display()));
+        let (header, good_end) = scan::<H, R>(&bytes, keep).map_err(refuse)?;
+        check(&header).map_err(refuse)?;
+        let torn = good_end < bytes.len();
+        if torn {
+            // Off the disk, not merely skipped: the next append must start
+            // a line of its own.
+            cut(&mut file, good_end as u64)
+                .and_then(|()| file.sync_data())
+                .map_err(|e| io_err("truncate torn tail of", path, e))?;
+        }
+        Ok((Self::new(path, file, good_end), header, torn))
+    }
+
+    /// Path of the file.
+    pub(crate) fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Length of the file in bytes.
+    pub(crate) fn len(&self) -> u64 {
+        self.committed
+    }
+
+    /// Records appended and not yet covered by a `sync_data`.
+    pub(crate) fn unsynced(&self) -> usize {
+        self.unsynced
+    }
+
+    /// Append `lines` — whole lines from [`push_line`], `records` of them —
+    /// with one write. Not durable until the next [`sync`](Self::sync).
+    #[inline] // as is `PerfStore::append`: +2 % on `store-cold` as calls
+    pub(crate) fn append(&mut self, lines: &[u8], records: usize) -> Result<()> {
+        self.append_with(lines, records, |file, lines| file.write_all(lines))
+    }
+
+    /// [`append`](Self::append) with the write as an argument, for the test
+    /// that makes it fail half way.
+    #[inline]
+    fn append_with(
+        &mut self,
+        lines: &[u8],
+        records: usize,
+        write: impl FnOnce(&mut File, &[u8]) -> std::io::Result<()>,
+    ) -> Result<()> {
+        if let Err(e) = write(&mut self.file, lines) {
+            // Whatever part of `lines` reached the file goes again (best
+            // effort), or the next append would continue its last line.
+            let _ = cut(&mut self.file, self.committed);
+            return Err(io_err("append to", &self.path, e));
+        }
+        self.committed += lines.len() as u64;
+        self.unsynced += records;
+        self.last_append = Instant::now();
+        Ok(())
+    }
+
+    /// `sync_data`, when there is an append it has not covered.
+    pub(crate) fn sync(&mut self) -> Result<()> {
+        if self.unsynced > 0 {
+            self.file
+                .sync_data()
+                .map_err(|e| io_err("sync", &self.path, e))?;
+            self.unsynced = 0;
+        }
+        Ok(())
+    }
+
+    /// Group commit from another thread: when records are unsynced and the
+    /// last append is at least `quiet` old (an fsync stalls appends to the
+    /// same inode), the sync to run *without* the lock around this log
+    /// held, on a duplicate of the file handle; it returns the records to
+    /// [`mark_synced`](Self::mark_synced). A duplicate taken just before a
+    /// [`rewrite`](Self::rewrite) syncs the replaced file, harmlessly.
+    pub(crate) fn pending_sync(
+        &self,
+        quiet: Duration,
+    ) -> Option<impl FnOnce() -> std::io::Result<usize>> {
+        if self.unsynced == 0 || self.last_append.elapsed() < quiet {
+            return None;
+        }
+        let (file, records) = (self.file.try_clone().ok()?, self.unsynced);
+        Some(move || file.sync_data().map(|()| records))
+    }
+
+    /// Credit `records` appends as synced. Saturating, because a rewrite
+    /// (which resets the count) may have run while the flusher was syncing.
+    pub(crate) fn mark_synced(&mut self, records: usize) {
+        self.unsynced = self.unsynced.saturating_sub(records);
+    }
+
+    /// Replace the whole log with `contents` (a header line and record
+    /// lines), atomically: temp file, sync, rename over the log.
+    pub(crate) fn rewrite(&mut self, contents: &[u8]) -> Result<()> {
+        let tmp = self.path.with_extension("compact");
+        let file = write_new(&tmp, contents).map_err(|e| io_err("write", &tmp, e))?;
+        std::fs::rename(&tmp, &self.path).map_err(|e| io_err("rename over", &self.path, e))?;
+        // The handle follows the file through the rename.
+        self.file = file;
+        self.committed = contents.len() as u64;
+        self.unsynced = 0;
+        Ok(())
+    }
+}
+
+impl Drop for DurableLog {
+    fn drop(&mut self) {
+        // Best effort; `sync` is the call that reports.
+        let _ = self.sync();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Head {
+        kind: String,
+    }
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Rec {
+        n: u32,
+    }
+
+    fn head() -> Head {
+        Head { kind: "t".into() }
+    }
+
+    fn line(n: u32) -> Vec<u8> {
+        let mut out = Vec::new();
+        push_line(&Rec { n }, &mut out);
+        out
+    }
+
+    fn temp_path(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ah-log-tests-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(format!("{tag}.log"))
+    }
+
+    /// Open `path`: the log, the `n` of every record, a torn tail dropped.
+    fn reopen(path: &Path) -> Result<(DurableLog, Vec<u32>, bool)> {
+        let mut seen = Vec::new();
+        let keep = |r: Rec| seen.push(r.n);
+        let (log, header, torn) =
+            DurableLog::open(path, HarmonyError::StoreCorrupt, |_: &Head| Ok(()), keep)?;
+        assert_eq!(header, head());
+        Ok((log, seen, torn))
+    }
+
+    /// `scan` over `body` after a good header: the records kept, and either
+    /// how many bytes of `body` they span or the line found damaged mid-log.
+    fn scan_body(body: &[u8]) -> (Vec<u32>, std::result::Result<usize, usize>) {
+        let mut bytes = Vec::new();
+        push_line(&head(), &mut bytes);
+        let header_len = bytes.len();
+        bytes.extend_from_slice(body);
+        let mut seen = Vec::new();
+        let end = match scan::<Head, _>(&bytes, |r: Rec| seen.push(r.n)) {
+            Ok((_, good_end)) => Ok(good_end - header_len),
+            Err(what) => {
+                let rest = what
+                    .strip_prefix("unreadable record at line ")
+                    .expect(&what);
+                Err(rest.split_once(": ").expect(&what).0.parse().expect(&what))
+            }
+        };
+        (seen, end)
+    }
+
+    #[test]
+    fn a_write_that_fails_half_way_is_rolled_back() {
+        let path = temp_path("short-write");
+        let mut log = DurableLog::create(&path, &head()).unwrap();
+        log.append(&line(1), 1).unwrap();
+        let before = log.len();
+        // A disk that fills up: half the line lands, then the write fails.
+        let failed = log.append_with(&line(2), 1, |file, lines| {
+            file.write_all(&lines[..lines.len() / 2])?;
+            Err(std::io::Error::other("no space left on device"))
+        });
+        match failed {
+            Err(HarmonyError::Io(msg)) => assert!(msg.contains("append to"), "{msg}"),
+            other => panic!("expected an I/O error, got {other:?}"),
+        }
+        assert_eq!((log.len(), log.unsynced()), (before, 1));
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), before);
+        // The caller carries on, as the server does with an advisory store.
+        log.append(&line(3), 1).unwrap();
+        log.append(&line(4), 1).unwrap();
+        drop(log);
+        let (_, seen, torn) = reopen(&path).expect("the half line must not be in the file");
+        assert_eq!((seen, torn), (vec![1, 3, 4], false));
+    }
+
+    #[test]
+    fn a_line_is_a_record_only_when_newline_terminated_text() {
+        // A complete record without its newline is a torn tail.
+        assert_eq!(scan_body(b"{\"n\":1}\n{\"n\":2}"), (vec![1], Ok(8)));
+        // So is a tail cut inside a multi-byte character, or garbage with
+        // newlines of its own and nothing readable after it.
+        assert_eq!(scan_body(b"{\"n\":1}\n{\"n\":\"\xc3"), (vec![1], Ok(8)));
+        assert_eq!(
+            scan_body(b"{\"n\":1}\n\xff\xfe\n\x00{\n\n"),
+            (vec![1], Ok(8))
+        );
+        // A line that is not a record with a record after it is damage
+        // mid-log, and the records stop there either way.
+        assert_eq!(
+            scan_body(b"{\"n\":1}\n\xff\n{\"n\":3}\n"),
+            (vec![1], Err(3))
+        );
+        assert_eq!(
+            scan_body(b"nope\n\n{\"n\":3}\n{\"n\":4}\n"),
+            (vec![], Err(2))
+        );
+        assert_eq!(
+            scan_body(b"{\"n\":1}{\"n\":2}\n\xff\n{\"n\":3}\n").1,
+            Err(2)
+        );
+        // Blank lines are not records and not damage.
+        assert_eq!(
+            scan_body(b"\n{\"n\":1}\r\n \n{\"n\":2}\n"),
+            (vec![1, 2], Ok(20))
+        );
+        assert_eq!(scan_body(b""), (vec![], Ok(0)));
+    }
+
+    #[test]
+    fn line_one_must_be_a_whole_header() {
+        let refused = |bytes: &[u8]| {
+            scan::<Head, Rec>(bytes, |_| {})
+                .map(|_| ())
+                .expect_err("refused")
+        };
+        assert_eq!(refused(b""), "empty log has no header");
+        assert!(refused(b"{\"kind\":\"t\"}").starts_with("bad header: no trailing"));
+        assert!(refused(b"{\"kind\":\"\xff\"}\n").starts_with("bad header: invalid"));
+        assert!(refused(b"{\"sort\":1}\n").starts_with("bad header: "));
+    }
+
+    #[test]
+    fn open_truncates_a_torn_tail_and_refuses_damage_in_the_middle() {
+        let path = temp_path("open");
+        let mut log = DurableLog::create(&path, &head()).unwrap();
+        log.append(&[line(1), line(2)].concat(), 2).unwrap();
+        let good = log.len();
+        drop(log);
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(b"{\"n\":3}").unwrap();
+        let (mut log, seen, torn) = reopen(&path).unwrap();
+        assert_eq!((seen, torn, log.len()), (vec![1, 2], true, good));
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), good);
+        log.append(&line(3), 1).unwrap();
+        drop(log);
+        let (log, seen, torn) = reopen(&path).unwrap();
+        assert_eq!((seen, torn), (vec![1, 2, 3], false));
+        drop(log);
+
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[good as usize - 2] = 0xff; // inside record 2, line 3
+        std::fs::write(&path, &bytes).unwrap();
+        match reopen(&path) {
+            Err(HarmonyError::StoreCorrupt(msg)) => {
+                assert!(msg.contains("unreadable record at line 3: "), "{msg}");
+                assert!(msg.starts_with(&path.display().to_string()), "{msg}");
+            }
+            other => panic!(
+                "expected corruption, got {:?}",
+                other.map(|(_, seen, _)| seen)
+            ),
+        }
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "a refused log is left as found"
+        );
+        // So is one whose header the caller refuses, torn tail and all.
+        bytes.truncate(good as usize - 3);
+        std::fs::write(&path, &bytes).unwrap();
+        let not_mine = |h: &Head| Err(format!("not mine: {}", h.kind));
+        match DurableLog::open(&path, HarmonyError::WalCorrupt, not_mine, |_: Rec| {}) {
+            Err(HarmonyError::WalCorrupt(msg)) => assert!(msg.ends_with(": not mine: t"), "{msg}"),
+            other => panic!("expected a refusal, got {:?}", other.map(|(_, h, _)| h)),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+    }
+
+    #[test]
+    fn appends_after_a_rewrite_land_in_the_new_file() {
+        let path = temp_path("rewrite");
+        let mut log = DurableLog::create(&path, &head()).unwrap();
+        log.append(&[line(1), line(2), line(3)].concat(), 3)
+            .unwrap();
+        let mut contents = Vec::new();
+        push_line(&head(), &mut contents);
+        contents.extend(line(3));
+        log.rewrite(&contents).unwrap();
+        assert_eq!((log.len(), log.unsynced()), (contents.len() as u64, 0));
+        assert!(!path.with_extension("compact").exists());
+        log.append(&line(4), 1).unwrap();
+        drop(log);
+        assert_eq!(reopen(&path).unwrap().1, [3, 4]);
+    }
+}

@@ -111,6 +111,7 @@ pub use event_loop::EventLoopConfig;
 pub use observe::ObserveHandle;
 pub use tcp::{TcpClientOptions, TcpHarmonyClient, TcpHarmonyServer, TcpTransport};
 
+use crate::durable_log;
 use crate::error::{HarmonyError, Result};
 use crate::session::{Trial, TuningSession};
 use crate::space::SearchSpaceBuilder;
@@ -635,22 +636,12 @@ impl HarmonyServer {
         let mut from = 0usize;
         while !stop.load(Ordering::Relaxed) {
             if let Ok((200, body)) = observe::http_get(&peer, &format!("/store/log?from={from}")) {
-                let mut lines = body.lines();
-                let header = lines
-                    .next()
-                    .and_then(|l| serde_json::from_str::<observe::StoreLogHeader>(l).ok())
-                    .filter(|h| h.kind == observe::STORE_LOG_KIND);
-                if let Some(h) = header {
-                    let mut records = Vec::new();
-                    for line in lines {
-                        if line.is_empty() {
-                            continue;
-                        }
-                        match serde_json::from_str::<StoreRecord>(line) {
-                            Ok(r) => records.push(r),
-                            Err(_) => break, // torn tail: refetch next round
-                        }
-                    }
+                // The records up to the first line that is not one (a body
+                // cut short); the rest is refetched next round.
+                let mut records: Vec<StoreRecord> = Vec::new();
+                let scan = durable_log::scan(body.as_bytes(), |record| records.push(record));
+                let header: Option<observe::StoreLogHeader> = scan.ok().map(|(header, _)| header);
+                if let Some(h) = header.filter(|h| h.kind == observe::STORE_LOG_KIND) {
                     from = h.start + records.len();
                     if !records.is_empty() {
                         let _ = store.merge_records(records);

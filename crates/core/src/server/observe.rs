@@ -297,8 +297,10 @@ fn serve_connection(stream: TcpStream, ctx: &ObserveCtx) -> std::io::Result<()> 
             "/store/log" => match &cfg.store {
                 Some(store) => {
                     let from = parse_query(query, "from").unwrap_or(0);
-                    let (start, blob) = store.encode_log_from(from);
-                    let total = start + blob.lines().count();
+                    let (start, total, blob) = store.with(|store| {
+                        let (start, blob) = store.encode_log_from(from);
+                        (start, store.len(), blob)
+                    });
                     let header = serde_json::to_string(&StoreLogHeader {
                         kind: STORE_LOG_KIND.to_string(),
                         start,

@@ -12,45 +12,35 @@
 //!
 //! # On-disk format
 //!
-//! JSON lines, like the [WAL](crate::wal). Line 1 is a [`StoreHeader`]
-//! (`kind` + format version); each following line is one [`StoreRecord`].
-//! Costs are stored as `u64` bit patterns (`f64::to_bits`), so a cost served
-//! from the store is *exactly* the one measured — bit-identical memoization,
-//! no decimal round-trip.
+//! A durable log — the module `durable_log`, which the [WAL](crate::wal)
+//! sits on too (DESIGN.md, "Durable log") — with that module's JSON lines,
+//! recovery ([`Counter::StoreTornTails`], [`HarmonyError::StoreCorrupt`]),
+//! append and rewrite. Line 1 is a [`StoreHeader`] (`kind` + format
+//! version); each following line is one [`StoreRecord`], written and read
+//! by its derived serializer. Costs are stored as `u64` bit patterns
+//! (`f64::to_bits`), so a cost served from the store is *exactly* the one
+//! measured — bit-identical memoization, no decimal round-trip. The bytes
+//! are pinned by golden lines (`records_encode_to_their_golden_lines`) and
+//! by a store file an earlier build wrote (`tests/parent_logs.rs`).
 //!
-//! There is one encoder and one decoder, the derived ones: an append, a
-//! merge, a peer's pull and a compaction all serialize their records
-//! straight into the one buffer they then write, and open reads each line
-//! straight into a record. The bytes are pinned by golden lines
-//! (`records_encode_to_their_golden_lines`) and by a store file an earlier
-//! build wrote (`tests/parent_logs.rs`), not by a second implementation.
+//! # Fsync policy
 //!
-//! # Crash safety and fsync policy
-//!
-//! Open-time recovery is the WAL's: a single scan tracks the byte offset
-//! just past the last parseable record; a torn final line (crash mid-append)
-//! is truncated off disk ([`Counter::StoreTornTails`]), while an unreadable
-//! record *followed by* readable ones is real corruption and surfaces as
-//! [`HarmonyError::StoreCorrupt`].
-//!
-//! The append path deliberately diverges from the WAL: the WAL is a
-//! correctness log (losing a record means losing search state), so it pays
-//! one fsync per record. The store is a cache — losing the unsynced tail
-//! merely means a few configurations get re-measured next run — so appends
-//! go to the file immediately (they reach the OS page cache, surviving
-//! `abort()`/SIGKILL) but `sync_data` is deferred. A bare [`PerfStore`]
-//! syncs inline every [`PerfStore::sync_every`] records; under the server,
-//! [`SharedStore`] disables the inline sync entirely and a background
-//! flusher group-commits whenever the append path goes quiet, so no report
-//! ever waits on an fsync. Both paths sync on [`PerfStore::flush`] / drop.
-//! That keeps store-enabled serving inside the bench regression tolerance.
+//! When to sync is where the store deliberately diverges from the WAL: the
+//! WAL is a correctness log (losing a record means losing search state), so
+//! it pays one fsync per record. The store is a cache — losing the unsynced
+//! tail merely means a few configurations get re-measured next run — so
+//! appends go to the file immediately (they reach the OS page cache,
+//! surviving `abort()`/SIGKILL) but the fsync is deferred: a bare
+//! [`PerfStore`] syncs inline every 512 records, a [`SharedStore`] from a
+//! background thread once appends go quiet, and both on
+//! [`PerfStore::flush`] / drop.
 //!
 //! # Compaction
 //!
 //! The log is append-only; re-measurements of a known configuration under a
 //! noisy objective append rather than rewrite. [`PerfStore::compact`]
-//! snapshots the live (first-recorded) records to a temp file and atomically
-//! renames it over the log, so the file cannot grow without bound;
+//! snapshots the live (first-recorded) records and atomically rewrites the
+//! log with them, so the file cannot grow without bound;
 //! [`PerfStore::gc`] is compaction filtered to one application's records.
 //!
 //! # Cache semantics
@@ -60,6 +50,7 @@
 //! store replay the cold run's trajectory bit-identically (see
 //! [`TuningSession::report_stored`](crate::session::TuningSession::report_stored)).
 
+use crate::durable_log::{self, push_line, DurableLog};
 use crate::error::{HarmonyError, Result};
 use crate::priors::PriorRunDb;
 use crate::space::{Configuration, SearchSpace};
@@ -67,9 +58,7 @@ use crate::telemetry::{Counter, Latency, SpanKind, Telemetry};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -90,7 +79,7 @@ pub const STORE_KIND: &str = "ah-store";
 /// cache entries merely means re-measuring them, so the cadence errs
 /// toward throughput. [`PerfStore::flush`] (called on drop and on server
 /// shutdown) always syncs the tail.
-pub const DEFAULT_SYNC_EVERY: usize = 512;
+const DEFAULT_SYNC_EVERY: usize = 512;
 
 /// First line of every store file.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -288,25 +277,23 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn io_err(what: &str, path: &Path, e: std::io::Error) -> HarmonyError {
-    HarmonyError::Io(format!("{what} {}: {e}", path.display()))
-}
-
-/// Append `value`'s JSON line — what the derive writes, and a newline — to
-/// `out`. Every line of the log is made here: the header, a batch's records
-/// into the batch's one buffer, a peer's pull, a compaction's rewrite.
-fn append_line<T: Serialize>(value: &T, out: &mut Vec<u8>) {
-    serde_json::to_writer(out, value).expect("log lines serialize");
-    out.push(b'\n');
-}
-
 /// Line 1 of every store file.
-fn append_header(out: &mut Vec<u8>) {
-    let header = StoreHeader {
+fn header() -> StoreHeader {
+    StoreHeader {
         kind: STORE_KIND.into(),
         version: STORE_VERSION,
-    };
-    append_line(&header, out);
+    }
+}
+
+/// Refuse line 1 of a file that is not a store this build reads.
+fn check_header(h: &StoreHeader) -> std::result::Result<(), String> {
+    match (h.kind.as_str(), h.version) {
+        (STORE_KIND, STORE_VERSION) => Ok(()),
+        (STORE_KIND, v) => Err(format!(
+            "store version {v} (this build reads {STORE_VERSION})"
+        )),
+        (kind, _) => Err(format!("not a performance store (kind {kind:?})")),
+    }
 }
 
 /// Let `record` share its predecessor's name table when they spell the same
@@ -319,39 +306,47 @@ fn share_names(prev: Option<&StoreRecord>, record: &mut StoreRecord) {
     }
 }
 
+/// `app → fingerprint → cache_key → position in the record list` of the
+/// first (live) record for that key. Nested (rather than keyed by an
+/// `(app, fingerprint)` tuple) so the per-proposal hot path can probe
+/// with a borrowed `&str` instead of allocating a composite key.
+type Index = HashMap<String, HashMap<u64, HashMap<Vec<i64>, usize>>>;
+
+/// The index's keys under `(app, fingerprint)`, made if absent. The app is
+/// probed borrowed first: `HashMap::entry` would demand an owned `String`
+/// even in the steady state where the app is already indexed.
+fn keys_of<'a>(
+    index: &'a mut Index,
+    app: &str,
+    fingerprint: u64,
+) -> &'a mut HashMap<Vec<i64>, usize> {
+    if !index.contains_key(app) {
+        index.insert(app.to_string(), HashMap::new());
+    }
+    let by_fingerprint = index.get_mut(app).expect("app entry ensured above");
+    by_fingerprint.entry(fingerprint).or_default()
+}
+
 /// The durable performance database: an append-only JSON-lines log plus an
 /// in-memory first-write-wins index. See the [module docs](self) for format,
 /// fsync policy, and cache semantics.
 pub struct PerfStore {
-    path: PathBuf,
-    file: File,
+    log: DurableLog,
     telemetry: Telemetry,
     /// Every log record in file order (compaction rewrites this).
     records: Vec<StoreRecord>,
-    /// `app → fingerprint → cache_key → position in `records`` of the
-    /// first (live) record for that key. Nested (rather than keyed by an
-    /// `(app, fingerprint)` tuple) so the per-proposal hot path can probe
-    /// with a borrowed `&str` instead of allocating a composite key.
-    index: HashMap<String, HashMap<u64, HashMap<Vec<i64>, usize>>>,
-    /// Appends since the last `sync_data`; see [`Self::sync_every`].
-    unsynced: usize,
-    /// When the last append hit the file. [`SharedStore`]'s flusher only
-    /// syncs a store that has gone quiet: an fsync on the inode being
-    /// appended to serializes with the appender at the filesystem level,
-    /// so syncing mid-burst would stall the serving path (lock held)
-    /// for the full fsync.
-    last_append: Instant,
-    /// `sync_data` cadence in appends (≥1). The store is a cache, not a
+    index: Index,
+    /// Inline sync cadence in appends. The store is a cache, not a
     /// correctness log: an unsynced tail lost to a crash just gets
     /// re-measured.
-    pub sync_every: usize,
+    sync_every: usize,
     torn_tail_truncated: bool,
 }
 
 impl std::fmt::Debug for PerfStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PerfStore")
-            .field("path", &self.path)
+            .field("path", &self.log.path())
             .field("records", &self.records.len())
             .field("live_configs", &self.live_configs())
             .finish_non_exhaustive()
@@ -360,8 +355,8 @@ impl std::fmt::Debug for PerfStore {
 
 impl PerfStore {
     /// Open the store at `path`, creating it (with a header line) if absent
-    /// or empty. An existing file is scanned WAL-style: a torn trailing
-    /// record is truncated away, anything else unreadable is
+    /// or empty. An existing file is recovered as every durable log is: a
+    /// torn tail is truncated away, anything else unreadable is
     /// [`HarmonyError::StoreCorrupt`].
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         Self::open_with(path, Telemetry::disabled())
@@ -370,137 +365,44 @@ impl PerfStore {
     /// [`open`](Self::open) recording hits/misses/inserts/compactions and
     /// lookup / append+fsync latencies on `telemetry`.
     pub fn open_with(path: impl AsRef<Path>, telemetry: Telemetry) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let exists = std::fs::metadata(&path)
-            .map(|m| m.len() > 0)
-            .unwrap_or(false);
-        if !exists {
-            let mut file = File::create(&path).map_err(|e| io_err("create", &path, e))?;
-            let mut line = Vec::new();
-            append_header(&mut line);
-            file.write_all(&line)
-                .and_then(|()| file.sync_data())
-                .map_err(|e| io_err("write header to", &path, e))?;
-            return Ok(PerfStore {
-                path,
-                file,
-                telemetry,
-                records: Vec::new(),
-                index: HashMap::new(),
-                unsynced: 0,
-                last_append: Instant::now(),
-                sync_every: DEFAULT_SYNC_EVERY,
-                torn_tail_truncated: false,
-            });
-        }
-
-        let blob = std::fs::read_to_string(&path).map_err(|e| io_err("read", &path, e))?;
-        // Same single-pass recovery scan as the WAL: `good_end` is the byte
-        // offset just past the last parseable record; a bad record is held
-        // until we know whether readable lines follow it (torn tail vs.
-        // mid-file corruption).
+        let path = path.as_ref();
         let mut records: Vec<StoreRecord> = Vec::new();
-        let mut pending_bad: Option<(usize, String)> = None;
-        let mut good_end = 0usize;
-        let mut offset = 0usize;
-        let mut line_no = 0usize;
-        for chunk in blob.split_inclusive('\n') {
-            line_no += 1;
-            offset += chunk.len();
-            let line = chunk.trim_end();
-            if line_no == 1 {
-                let h: StoreHeader = serde_json::from_str(line).map_err(|e| {
-                    HarmonyError::StoreCorrupt(format!("{}: bad header: {e}", path.display()))
-                })?;
-                if h.kind != STORE_KIND {
-                    return Err(HarmonyError::StoreCorrupt(format!(
-                        "{}: not a performance store (kind {:?})",
-                        path.display(),
-                        h.kind
-                    )));
-                }
-                if h.version != STORE_VERSION {
-                    return Err(HarmonyError::StoreCorrupt(format!(
-                        "{}: store version {} (this build reads {STORE_VERSION})",
-                        path.display(),
-                        h.version
-                    )));
-                }
-                good_end = offset;
-                continue;
-            }
-            if line.is_empty() {
-                continue;
-            }
-            if let Some((bad_line, e)) = pending_bad.take() {
-                return Err(HarmonyError::StoreCorrupt(format!(
-                    "{}: unreadable record at line {bad_line}: {e}",
-                    path.display()
-                )));
-            }
-            match serde_json::from_str::<StoreRecord>(line) {
-                Ok(mut r) => {
-                    share_names(records.last(), &mut r);
-                    records.push(r);
-                    good_end = offset;
-                }
-                Err(e) => pending_bad = Some((line_no, e.to_string())),
-            }
+        let (log, torn_tail_truncated) = if durable_log::has_content(path) {
+            let keep = |mut r: StoreRecord| {
+                share_names(records.last(), &mut r);
+                records.push(r);
+            };
+            let (log, _, torn) =
+                DurableLog::open(path, HarmonyError::StoreCorrupt, check_header, keep)?;
+            (log, torn)
+        } else {
+            (DurableLog::create(path, &header())?, false)
+        };
+        if torn_tail_truncated {
+            telemetry.inc(Counter::StoreTornTails);
         }
-        if line_no == 0 {
-            return Err(HarmonyError::StoreCorrupt(format!(
-                "{}: empty store has no header",
-                path.display()
-            )));
-        }
-        let torn = pending_bad.is_some();
-
-        let file = OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .map_err(|e| io_err("reopen", &path, e))?;
-        if good_end < blob.len() {
-            file.set_len(good_end as u64)
-                .and_then(|()| file.sync_data())
-                .map_err(|e| io_err("truncate torn tail of", &path, e))?;
-            if torn {
-                telemetry.inc(Counter::StoreTornTails);
-            }
-        }
-
-        let index = Self::build_index(&records);
         Ok(PerfStore {
-            path,
-            file,
+            log,
             telemetry,
+            index: Self::build_index(&records),
             records,
-            index,
-            unsynced: 0,
-            last_append: Instant::now(),
             sync_every: DEFAULT_SYNC_EVERY,
-            torn_tail_truncated: torn,
+            torn_tail_truncated,
         })
     }
 
-    fn build_index(
-        records: &[StoreRecord],
-    ) -> HashMap<String, HashMap<u64, HashMap<Vec<i64>, usize>>> {
-        let mut index: HashMap<String, HashMap<u64, HashMap<Vec<i64>, usize>>> = HashMap::new();
+    fn build_index(records: &[StoreRecord]) -> Index {
+        let mut index = Index::new();
         for (pos, rec) in records.iter().enumerate() {
-            index
-                .entry(rec.app.clone())
-                .or_default()
-                .entry(rec.fingerprint)
-                .or_default()
-                .entry(rec.config.cache_key())
-                .or_insert(pos);
+            let keys = keys_of(&mut index, &rec.app, rec.fingerprint);
+            keys.entry(rec.config.cache_key()).or_insert(pos);
         }
         index
     }
 
     /// Backing file path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Total log records, superseded duplicates included.
@@ -585,20 +487,8 @@ impl PerfStore {
             // insert — the key (a `Vec<i64>`) is hashed exactly once per
             // record, and a duplicate earlier in this same batch is
             // caught by the same probe because the index is updated as
-            // we go. (`HashMap::entry` on the outer map would demand an
-            // owned `String` even in the steady state where the app is
-            // already indexed; probe borrowed first and clone only for
-            // a genuinely new label.)
-            if !self.index.contains_key(record.app.as_str()) {
-                self.index.insert(record.app.clone(), HashMap::new());
-            }
-            let by_key = self
-                .index
-                .get_mut(record.app.as_str())
-                .expect("app entry ensured above")
-                .entry(record.fingerprint)
-                .or_default();
-            match by_key.entry(key) {
+            // we go.
+            match keys_of(&mut self.index, &record.app, record.fingerprint).entry(key) {
                 Entry::Occupied(live) => {
                     // Same key, same cost: a true duplicate, skipped.
                     // Same key, new cost (noisy objective): appended to
@@ -612,33 +502,33 @@ impl PerfStore {
                     slot.insert(self.records.len());
                 }
             }
-            append_line(&record, &mut blob);
+            push_line(&record, &mut blob);
             self.telemetry.inc(Counter::StoreInserts);
             self.records.push(record);
         }
         let written = self.records.len() - before;
-        if written == 0 {
-            return Ok(0);
+        self.append(&blob, written)?;
+        Ok(written)
+    }
+
+    /// Append the lines of `records` new records, already in memory and
+    /// indexed, and sync when the inline cadence says so. Memory first: if
+    /// the write errors, this process still serves the records (consistent
+    /// with what it measured) and only the next open loses them — cache
+    /// semantics, they would simply be re-measured.
+    #[inline]
+    fn append(&mut self, lines: &[u8], records: usize) -> Result<()> {
+        if records == 0 {
+            return Ok(());
         }
-        // Memory is updated before the append hits disk: if the write
-        // errors, this process still serves the records (consistent with
-        // what it measured) and only the next open loses them — cache
-        // semantics, they would simply be re-measured.
         let started = Instant::now();
-        self.file
-            .write_all(&blob)
-            .map_err(|e| io_err("append to", &self.path, e))?;
-        self.last_append = started;
-        self.unsynced += written;
-        if self.unsynced >= self.sync_every.max(1) {
-            self.file
-                .sync_data()
-                .map_err(|e| io_err("sync", &self.path, e))?;
-            self.unsynced = 0;
+        self.log.append(lines, records)?;
+        if self.log.unsynced() >= self.sync_every {
+            self.log.sync()?;
             self.telemetry
                 .observe(Latency::StoreAppendFsync, started.elapsed());
         }
-        Ok(written)
+        Ok(())
     }
 
     /// Merge peer records into this store (anti-entropy replication).
@@ -668,40 +558,16 @@ impl PerfStore {
                 continue;
             }
             share_names(self.records.last(), &mut record);
-            // Same borrowed-probe discipline as `insert_batch`; the index
-            // is updated as we go, so a duplicate key later in this same
-            // batch resolves first-write-wins within the batch too.
-            if !self.index.contains_key(record.app.as_str()) {
-                self.index.insert(record.app.clone(), HashMap::new());
-            }
-            self.index
-                .get_mut(record.app.as_str())
-                .expect("app entry ensured above")
-                .entry(record.fingerprint)
-                .or_default()
+            // The index is updated as we go, so a duplicate key later in
+            // this same batch resolves first-write-wins within the batch too.
+            keys_of(&mut self.index, &record.app, record.fingerprint)
                 .insert(key, self.records.len());
-            append_line(&record, &mut blob);
+            push_line(&record, &mut blob);
             self.telemetry.inc(Counter::StoreMergedRecords);
             stats.merged += 1;
             self.records.push(record);
         }
-        if stats.merged == 0 {
-            return Ok(stats);
-        }
-        let started = Instant::now();
-        self.file
-            .write_all(&blob)
-            .map_err(|e| io_err("append to", &self.path, e))?;
-        self.last_append = started;
-        self.unsynced += stats.merged;
-        if self.unsynced >= self.sync_every.max(1) {
-            self.file
-                .sync_data()
-                .map_err(|e| io_err("sync", &self.path, e))?;
-            self.unsynced = 0;
-            self.telemetry
-                .observe(Latency::StoreAppendFsync, started.elapsed());
-        }
+        self.append(&blob, stats.merged)?;
         Ok(stats)
     }
 
@@ -746,7 +612,7 @@ impl PerfStore {
         let start = if from <= self.records.len() { from } else { 0 };
         let mut blob = Vec::with_capacity((self.records.len() - start) * 192);
         for rec in &self.records[start..] {
-            append_line(rec, &mut blob);
+            push_line(rec, &mut blob);
         }
         (
             start,
@@ -756,40 +622,12 @@ impl PerfStore {
 
     /// Force `sync_data` on any unsynced appends.
     pub fn flush(&mut self) -> Result<()> {
-        if self.unsynced > 0 {
-            self.file
-                .sync_data()
-                .map_err(|e| io_err("sync", &self.path, e))?;
-            self.unsynced = 0;
-        }
-        Ok(())
+        self.log.sync()
     }
 
-    /// Appends not yet covered by a `sync_data` — group-commit
-    /// bookkeeping for [`SharedStore`]'s background flusher.
+    /// Appends not yet covered by a sync.
     pub fn unsynced(&self) -> usize {
-        self.unsynced
-    }
-
-    /// How long since the last append hit the file — the flusher's
-    /// quiescence probe.
-    pub fn idle_for(&self) -> std::time::Duration {
-        self.last_append.elapsed()
-    }
-
-    /// Duplicate the log's file descriptor so a flusher can `sync_data`
-    /// *without holding the store lock*. A descriptor cloned just before
-    /// a compaction points at the replaced file; syncing it is harmless
-    /// (the compaction path fsyncs its own snapshot).
-    pub fn sync_fd(&self) -> std::io::Result<File> {
-        self.file.try_clone()
-    }
-
-    /// Credit `n` appends as synced. Saturating, because a compaction
-    /// (which resets the counter) may have run while the flusher was
-    /// syncing on its cloned descriptor.
-    pub fn mark_synced(&mut self, n: usize) {
-        self.unsynced = self.unsynced.saturating_sub(n);
+        self.log.unsynced()
     }
 
     /// The telemetry handle measurements are recorded on.
@@ -810,9 +648,9 @@ impl PerfStore {
     }
 
     /// Rewrite the log keeping only records for which `keep` returns true
-    /// among the live set, via temp file + fsync + atomic rename.
+    /// among the live set.
     fn rewrite(&mut self, keep: impl Fn(&StoreRecord) -> bool) -> Result<CompactionStats> {
-        let bytes_before = std::fs::metadata(&self.path).map(|m| m.len()).unwrap_or(0);
+        let bytes_before = self.log.len();
         let records_before = self.records.len();
         let kept: Vec<StoreRecord> = self
             .live_positions()
@@ -820,38 +658,25 @@ impl PerfStore {
             .map(|pos| self.records[pos].clone())
             .filter(|r| keep(r))
             .collect();
-        let tmp = self.path.with_extension("compact");
-        {
-            let mut f = File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
-            let mut blob = Vec::with_capacity(kept.len() * 192);
-            append_header(&mut blob);
-            for rec in &kept {
-                append_line(rec, &mut blob);
-            }
-            f.write_all(&blob)
-                .and_then(|()| f.sync_data())
-                .map_err(|e| io_err("write", &tmp, e))?;
+        let mut blob = Vec::with_capacity(kept.len() * 192);
+        push_line(&header(), &mut blob);
+        for rec in &kept {
+            push_line(rec, &mut blob);
         }
-        std::fs::rename(&tmp, &self.path).map_err(|e| io_err("rename over", &self.path, e))?;
-        self.file = OpenOptions::new()
-            .append(true)
-            .open(&self.path)
-            .map_err(|e| io_err("reopen", &self.path, e))?;
-        self.unsynced = 0;
+        self.log.rewrite(&blob)?;
         self.index = Self::build_index(&kept);
         self.records = kept;
         self.telemetry.inc(Counter::StoreCompactions);
-        let bytes_after = std::fs::metadata(&self.path).map(|m| m.len()).unwrap_or(0);
         Ok(CompactionStats {
             records_before,
             records_after: self.records.len(),
             bytes_before,
-            bytes_after,
+            bytes_after: self.log.len(),
         })
     }
 
-    /// Snapshot the live records to a fresh log (temp file + atomic
-    /// rename), dropping superseded duplicates. Lookups are unchanged.
+    /// Snapshot the live records to a fresh log, atomically, dropping
+    /// superseded duplicates. Lookups are unchanged.
     pub fn compact(&mut self) -> Result<CompactionStats> {
         self.rewrite(|_| true)
     }
@@ -884,8 +709,8 @@ impl PerfStore {
             .collect();
         apps.sort_by(|a, b| a.app.cmp(&b.app));
         StoreStats {
-            path: self.path.display().to_string(),
-            file_bytes: std::fs::metadata(&self.path).map(|m| m.len()).unwrap_or(0),
+            path: self.log.path().display().to_string(),
+            file_bytes: self.log.len(),
             records: self.records.len(),
             live_configs: self.live_configs(),
             apps,
@@ -940,14 +765,6 @@ impl PerfStore {
     }
 }
 
-impl Drop for PerfStore {
-    fn drop(&mut self) {
-        // Best-effort: push any unsynced tail to disk. Failure is fine —
-        // the records are a cache and get re-measured if lost.
-        let _ = self.flush();
-    }
-}
-
 /// How often [`SharedStore`]'s background flusher polls for unsynced
 /// appends.
 const FLUSH_INTERVAL: std::time::Duration = std::time::Duration::from_millis(20);
@@ -958,16 +775,9 @@ const FLUSH_INTERVAL: std::time::Duration = std::time::Duration::from_millis(20)
 /// holds the store lock across its `write`) for the full fsync — on slow
 /// filesystems that is longer than an entire quick bench scenario.
 /// Waiting for a gap makes the group commit free: it runs between
-/// measurement bursts, and process exit still syncs the tail via
-/// `PerfStore`'s `Drop`.
+/// measurement bursts, and process exit still syncs the tail when the
+/// log is dropped.
 const FLUSH_QUIESCENCE: std::time::Duration = std::time::Duration::from_millis(50);
-
-/// State behind a [`SharedStore`] handle: the store itself, which is
-/// also the liveness anchor for the background flusher (the flusher
-/// holds a `Weak` to this and exits once every handle is gone).
-struct StoreInner {
-    store: Mutex<PerfStore>,
-}
 
 /// Cheap cloneable handle sharing one [`PerfStore`] across server shards
 /// and driver threads.
@@ -979,14 +789,14 @@ struct StoreInner {
 /// in the bench regression gate). Instead a background flusher thread
 /// polls every [`FLUSH_INTERVAL`] and group-commits once the append
 /// path has been quiet for [`FLUSH_QUIESCENCE`], syncing on a cloned
-/// file descriptor *outside* the lock. When the last handle drops,
-/// [`PerfStore`]'s `Drop` still flushes the tail synchronously.
+/// file descriptor *outside* the lock. When the last handle drops, the
+/// store's log still syncs the tail synchronously.
 #[derive(Clone)]
-pub struct SharedStore(Arc<StoreInner>);
+pub struct SharedStore(Arc<Mutex<PerfStore>>);
 
 impl std::fmt::Debug for SharedStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.store.lock().fmt(f)
+        self.0.lock().fmt(f)
     }
 }
 
@@ -996,44 +806,33 @@ impl SharedStore {
         // The inline count-based fsync must never fire under the
         // server; the flusher owns sync cadence from here on.
         store.sync_every = usize::MAX;
-        let inner = Arc::new(StoreInner {
-            store: Mutex::new(store),
-        });
-        Self::spawn_flusher(Arc::downgrade(&inner));
-        SharedStore(inner)
+        let store = Arc::new(Mutex::new(store));
+        Self::spawn_flusher(Arc::downgrade(&store));
+        SharedStore(store)
     }
 
     /// Periodic group-commit loop. Holds only a `Weak`, so the store's
     /// lifetime is governed by the handles: once they are gone the
-    /// upgrade fails and the thread exits (and `PerfStore::drop` has
-    /// already flushed the tail). Spawn failure is tolerated — the
+    /// upgrade fails and the thread exits (and dropping the log has
+    /// already synced the tail). Spawn failure is tolerated — the
     /// store then just syncs on drop, never mid-run.
-    fn spawn_flusher(weak: std::sync::Weak<StoreInner>) {
+    fn spawn_flusher(weak: std::sync::Weak<Mutex<PerfStore>>) {
         let _ = std::thread::Builder::new()
             .name("ah-store-flusher".into())
             .spawn(move || loop {
                 std::thread::sleep(FLUSH_INTERVAL);
-                let Some(inner) = weak.upgrade() else { break };
-                // Briefly lock to snapshot the unsynced count and clone
-                // the fd, then sync with the lock *released* so reports
-                // and lookups keep flowing during the fsync.
-                let pending = {
-                    let store = inner.store.lock();
-                    match store.unsynced() {
-                        0 => None,
-                        _ if store.idle_for() < FLUSH_QUIESCENCE => None,
-                        n => store
-                            .sync_fd()
-                            .ok()
-                            .map(|fd| (n, fd, store.telemetry().clone())),
-                    }
-                };
-                if let Some((n, fd, telemetry)) = pending {
-                    let started = Instant::now();
-                    if fd.sync_data().is_ok() {
-                        telemetry.observe(Latency::StoreAppendFsync, started.elapsed());
-                        inner.store.lock().mark_synced(n);
-                    }
+                let Some(store) = weak.upgrade() else { break };
+                // The lock is held to take the pending sync and to credit
+                // it, not across it: reports and lookups keep flowing
+                // during the fsync.
+                let pending = store.lock().log.pending_sync(FLUSH_QUIESCENCE);
+                let started = Instant::now();
+                if let Some(Ok(synced)) = pending.map(|sync| sync()) {
+                    let mut store = store.lock();
+                    store
+                        .telemetry
+                        .observe(Latency::StoreAppendFsync, started.elapsed());
+                    store.log.mark_synced(synced);
                 }
             });
     }
@@ -1050,54 +849,54 @@ impl SharedStore {
 
     /// Locked [`PerfStore::lookup`].
     pub fn lookup(&self, app: &str, fingerprint: u64, key: &[i64]) -> Option<StoredCost> {
-        self.0.store.lock().lookup(app, fingerprint, key)
+        self.0.lock().lookup(app, fingerprint, key)
     }
 
     /// Locked [`PerfStore::insert`].
     pub fn insert(&self, record: StoreRecord) -> Result<bool> {
-        self.0.store.lock().insert(record)
+        self.0.lock().insert(record)
     }
 
     /// Locked [`PerfStore::insert_batch`].
     pub fn insert_batch(&self, records: Vec<StoreRecord>) -> Result<usize> {
-        self.0.store.lock().insert_batch(records)
+        self.0.lock().insert_batch(records)
     }
 
     /// Locked [`PerfStore::merge_records`].
     pub fn merge_records(&self, records: Vec<StoreRecord>) -> Result<MergeStats> {
-        self.0.store.lock().merge_records(records)
+        self.0.lock().merge_records(records)
     }
 
     /// Locked [`PerfStore::encode_log_from`].
     pub fn encode_log_from(&self, from: usize) -> (usize, String) {
-        self.0.store.lock().encode_log_from(from)
+        self.0.lock().encode_log_from(from)
     }
 
     /// Locked [`PerfStore::len`] — total log records, for replication
     /// high-water marks and `/status`.
     pub fn record_count(&self) -> usize {
-        self.0.store.lock().len()
+        self.0.lock().len()
     }
 
     /// Locked [`PerfStore::flush`].
     pub fn flush(&self) -> Result<()> {
-        self.0.store.lock().flush()
+        self.0.lock().flush()
     }
 
     /// Locked [`PerfStore::unsynced`]: appended records not yet fsynced —
     /// the flush-lag gauge the SLO engine watches.
     pub fn unsynced(&self) -> usize {
-        self.0.store.lock().unsynced()
+        self.0.lock().unsynced()
     }
 
     /// Locked [`PerfStore::stats`].
     pub fn stats(&self) -> StoreStats {
-        self.0.store.lock().stats()
+        self.0.lock().stats()
     }
 
     /// Run `f` under the store lock (compaction, priors queries, …).
     pub fn with<R>(&self, f: impl FnOnce(&mut PerfStore) -> R) -> R {
-        f(&mut self.0.store.lock())
+        f(&mut self.0.lock())
     }
 }
 
@@ -1106,6 +905,9 @@ mod tests {
     use super::*;
     use crate::strategy::StartPoint;
     use crate::value::ParamValue;
+    use std::fs::OpenOptions;
+    use std::io::Write;
+    use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ah-store-tests-{}", std::process::id()));

@@ -9,10 +9,11 @@
 //!
 //! # Log format
 //!
-//! The log is JSON lines. Line 1 is a [`WalHeader`] — everything needed to
-//! rebuild the session object: parameter declarations, monotone chains, the
-//! [`StrategyKind`] and [`SessionOptions`]. Each following line is one
-//! evaluation record:
+//! A durable log (the module `durable_log`; DESIGN.md, "Durable log"): JSON
+//! lines, with that module's recovery, append and truncation. Line 1 is a
+//! [`WalHeader`] — everything needed to rebuild the session object:
+//! parameter declarations, monotone chains, the [`StrategyKind`] and
+//! [`SessionOptions`]. Each following line is one evaluation record:
 //!
 //! ```text
 //! {"iteration":7,"cost_bits":4634204016564240384,"wall_bits":0}
@@ -34,16 +35,17 @@
 //!
 //! # Crash safety
 //!
-//! A record is appended, flushed and fsync'd *before* the report is applied
-//! to the in-memory session (log-first). A crash between the two leaves a
+//! A record is appended and fsync'd *before* the report is applied to the
+//! in-memory session (log-first). A crash between the two leaves a
 //! logged-but-unapplied record, which replay applies — identical outcome. A
-//! crash mid-append leaves a torn final line, which replay drops: the
-//! evaluation is simply re-measured, and because costs are deterministic
-//! functions of the configuration the resumed trajectory is still
-//! bit-identical. A parse error anywhere *before* the final line is real
-//! corruption and surfaces as [`HarmonyError::WalCorrupt`].
+//! crash mid-append leaves a torn final line, which the log truncates when
+//! it is next opened: the evaluation is simply re-measured, and because
+//! costs are deterministic functions of the configuration the resumed
+//! trajectory is still bit-identical. Damage anywhere *before* the last
+//! append is real corruption and surfaces as [`HarmonyError::WalCorrupt`].
 
 use crate::constraint::MonotoneChain;
+use crate::durable_log::{self, DurableLog};
 use crate::error::{HarmonyError, Result};
 use crate::param::Param;
 use crate::server::protocol::StrategyKind;
@@ -52,9 +54,7 @@ use crate::space::SearchSpace;
 use crate::telemetry::{Counter, Latency, SpanKind, Telemetry, TrialStage};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
 /// Current log format version (line 1 of every log).
@@ -125,10 +125,6 @@ struct EvalRecord {
     wall_bits: u64,
 }
 
-fn io_err(what: &str, path: &Path, e: std::io::Error) -> HarmonyError {
-    HarmonyError::Io(format!("{what} {}: {e}", path.display()))
-}
-
 /// A [`TuningSession`] whose evaluations are logged to disk before they are
 /// applied, so the search survives a `SIGKILL` and resumes bit-identically.
 ///
@@ -165,8 +161,7 @@ fn io_err(what: &str, path: &Path, e: std::io::Error) -> HarmonyError {
 /// std::fs::remove_dir_all(&dir).unwrap();
 /// ```
 pub struct WalSession {
-    path: PathBuf,
-    file: File,
+    log: DurableLog,
     session: TuningSession,
     replayed: usize,
     telemetry: Telemetry,
@@ -175,7 +170,7 @@ pub struct WalSession {
 impl std::fmt::Debug for WalSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WalSession")
-            .field("path", &self.path)
+            .field("path", &self.log.path())
             .field("replayed", &self.replayed)
             .finish_non_exhaustive()
     }
@@ -195,20 +190,10 @@ impl WalSession {
         header: &WalHeader,
         telemetry: Telemetry,
     ) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
         let mut session = header.build_session()?;
         session.set_telemetry(telemetry.clone());
-        let mut file = File::create(&path).map_err(|e| io_err("create", &path, e))?;
-        let mut line =
-            serde_json::to_string(header).map_err(|e| HarmonyError::Io(e.to_string()))?;
-        line.push('\n');
-        file.write_all(line.as_bytes())
-            .and_then(|()| file.flush())
-            .and_then(|()| file.sync_data())
-            .map_err(|e| io_err("write header to", &path, e))?;
         Ok(WalSession {
-            path,
-            file,
+            log: DurableLog::create(path.as_ref(), header)?,
             session,
             replayed: 0,
             telemetry,
@@ -232,65 +217,20 @@ impl WalSession {
     /// [`TrialStage::Replayed`] event with cause `wal`), any truncated torn
     /// tail, and the resumed session's lifecycle on `telemetry`.
     pub fn resume_with(path: impl AsRef<Path>, telemetry: Telemetry) -> Result<(Self, Vec<Trial>)> {
-        let path = path.as_ref().to_path_buf();
-        let blob = std::fs::read_to_string(&path).map_err(|e| io_err("read", &path, e))?;
-
-        // Single pass over the log, tracking byte offsets: `good_end` is
-        // the offset just past the last chunk that parsed, so a torn final
-        // line (crash mid-append) can be truncated away — not merely
-        // skipped. Skipping without truncating was a bug: the next append
-        // glued onto the torn partial line and a *second* resume died with
-        // WalCorrupt in the middle of the log.
-        let mut header: Option<WalHeader> = None;
+        let path = path.as_ref();
         let mut records: Vec<EvalRecord> = Vec::new();
-        // A record that failed to parse, held until we know whether any
-        // later non-empty line follows it (torn tail vs. real corruption).
-        let mut pending_bad: Option<(usize, String)> = None;
-        let mut good_end = 0usize;
-        let mut offset = 0usize;
-        let mut line_no = 0usize;
-        for chunk in blob.split_inclusive('\n') {
-            line_no += 1;
-            offset += chunk.len();
-            let line = chunk.trim_end();
-            if line_no == 1 {
-                let h: WalHeader = serde_json::from_str(line).map_err(|e| {
-                    HarmonyError::WalCorrupt(format!("{}: bad header: {e}", path.display()))
-                })?;
-                if h.version != WAL_VERSION {
-                    return Err(HarmonyError::WalCorrupt(format!(
-                        "{}: log version {} (this build reads {WAL_VERSION})",
-                        path.display(),
-                        h.version
-                    )));
-                }
-                header = Some(h);
-                good_end = offset;
-                continue;
-            }
-            if line.is_empty() {
-                continue;
-            }
-            if let Some((bad_line, e)) = pending_bad.take() {
-                // The unreadable line has readable lines after it: that is
-                // corruption in the middle of the log, not a torn tail.
-                return Err(HarmonyError::WalCorrupt(format!(
-                    "{}: unreadable record at line {bad_line}: {e}",
-                    path.display()
-                )));
-            }
-            match serde_json::from_str::<EvalRecord>(line) {
-                Ok(r) => {
-                    records.push(r);
-                    good_end = offset;
-                }
-                Err(e) => pending_bad = Some((line_no, e.to_string())),
-            }
+        let (log, header, torn) = DurableLog::open(
+            path,
+            HarmonyError::WalCorrupt,
+            |h: &WalHeader| match h.version {
+                WAL_VERSION => Ok(()),
+                v => Err(format!("log version {v} (this build reads {WAL_VERSION})")),
+            },
+            |record| records.push(record),
+        )?;
+        if torn {
+            telemetry.inc(Counter::WalTornTails);
         }
-        let header = header.ok_or_else(|| {
-            HarmonyError::WalCorrupt(format!("{}: empty log has no header", path.display()))
-        })?;
-        let torn = pending_bad.is_some();
         let mut session = header.build_session()?;
 
         // Replay: re-suggest deterministically, matching records to
@@ -329,25 +269,9 @@ impl WalSession {
         session.set_telemetry(telemetry.clone());
         let mut outstanding: Vec<Trial> = staged.into_values().collect();
         outstanding.sort_by_key(|t| t.iteration);
-
-        let file = OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .map_err(|e| io_err("reopen", &path, e))?;
-        if good_end < blob.len() {
-            // Drop the torn bytes from disk so the next append starts a
-            // fresh line instead of gluing onto the partial record.
-            file.set_len(good_end as u64)
-                .and_then(|()| file.sync_data())
-                .map_err(|e| io_err("truncate torn tail of", &path, e))?;
-            if torn {
-                telemetry.inc(Counter::WalTornTails);
-            }
-        }
         Ok((
             WalSession {
-                path,
-                file,
+                log,
                 session,
                 replayed: applied,
                 telemetry,
@@ -374,9 +298,10 @@ impl WalSession {
         telemetry: Telemetry,
     ) -> Result<(Self, Vec<Trial>)> {
         let p = path.as_ref();
-        match std::fs::metadata(p) {
-            Ok(m) if m.len() > 0 => Self::resume_with(p, telemetry),
-            _ => Ok((Self::create_with(p, header, telemetry)?, Vec::new())),
+        if durable_log::has_content(p) {
+            Self::resume_with(p, telemetry)
+        } else {
+            Ok((Self::create_with(p, header, telemetry)?, Vec::new()))
         }
     }
 
@@ -397,7 +322,7 @@ impl WalSession {
         self.report_timed(trial, cost, cost)
     }
 
-    /// Log the result (append + flush + fsync), *then* apply it to the
+    /// Log the result (append + fsync), *then* apply it to the
     /// session. The log-first order is what makes a crash between the two
     /// harmless: replay applies the logged record and lands in the same
     /// state.
@@ -407,23 +332,19 @@ impl WalSession {
             cost_bits: cost.to_bits(),
             wall_bits: wall_time.to_bits(),
         };
-        let mut line = serde_json::to_string(&rec).map_err(|e| HarmonyError::Io(e.to_string()))?;
-        line.push('\n');
+        let mut line = Vec::with_capacity(96);
+        durable_log::push_line(&rec, &mut line);
         let started = Instant::now();
         let span = self
             .telemetry
             .span_begin(SpanKind::WalAppend, trial.iteration, "wal", 0);
-        let wrote = self
-            .file
-            .write_all(line.as_bytes())
-            .and_then(|()| self.file.flush())
-            .and_then(|()| self.file.sync_data());
+        let wrote = self.log.append(&line, 1).and_then(|()| self.log.sync());
         if wrote.is_err() {
             self.telemetry.span_fault(span, "io_error");
         } else {
             self.telemetry.span_end(span);
         }
-        wrote.map_err(|e| io_err("append to", &self.path, e))?;
+        wrote?;
         self.telemetry
             .observe(Latency::WalAppendFsync, started.elapsed());
         self.telemetry.inc(Counter::WalAppends);
@@ -448,13 +369,16 @@ impl WalSession {
 
     /// Path of the backing log file.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
+    use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ah-wal-tests-{}", std::process::id()));
