@@ -142,6 +142,25 @@ impl Param {
         }
     }
 
+    /// Up to `n` evenly spaced embedded coordinates from one end of this
+    /// dimension to the other — never more than it has lattice points, and
+    /// its midpoint alone when that leaves a single one. What a grid plans
+    /// per dimension and a coordinate sweep probes.
+    pub(crate) fn levels(&self, n: usize) -> Vec<f64> {
+        let (lo, hi) = (self.embed_min(), self.embed_max());
+        let n = match self.cardinality() {
+            Some(c) => n.min(c as usize),
+            None => n,
+        }
+        .max(1);
+        if n == 1 {
+            return vec![0.5 * (lo + hi)];
+        }
+        (0..n)
+            .map(|i| lo + (hi - lo) * i as f64 / (n - 1) as f64)
+            .collect()
+    }
+
     /// Project an arbitrary real coordinate to the nearest valid value on
     /// this dimension (paper §II: the simplex evaluates "the nearest integer
     /// point in the space").

@@ -187,25 +187,9 @@ impl PriorRunDb {
             builder = builder.param(narrowed);
         }
         for c in space.constraints() {
-            builder = builder.constraint(ArcConstraint(c.clone()));
+            builder = builder.shared_constraint(c.clone());
         }
         builder.build()
-    }
-}
-
-/// Adapter letting a shared constraint be re-attached to a derived space.
-#[derive(Debug, Clone)]
-struct ArcConstraint(std::sync::Arc<dyn crate::constraint::Constraint>);
-
-impl crate::constraint::Constraint for ArcConstraint {
-    fn repair(&self, space: &SearchSpace, coords: &mut [f64]) {
-        self.0.repair(space, coords)
-    }
-    fn is_satisfied(&self, space: &SearchSpace, cfg: &Configuration) -> bool {
-        self.0.is_satisfied(space, cfg)
-    }
-    fn check_space(&self, space: &SearchSpace) -> crate::error::Result<()> {
-        self.0.check_space(space)
     }
 }
 
@@ -286,6 +270,43 @@ mod tests {
         assert_eq!(p.embed_min(), 40.0);
         assert_eq!(p.embed_max(), 60.0);
         assert!(narrow.cardinality().unwrap() < s.cardinality().unwrap());
+    }
+
+    #[test]
+    fn narrowed_space_keeps_its_constraints_specs() {
+        use crate::constraint::MonotoneChain;
+        use crate::store::space_fingerprint;
+        let chained = SearchSpace::builder()
+            .int("x", 0, 100, 1)
+            .int("y", 0, 100, 1)
+            .constraint(MonotoneChain::new(["x", "y"]))
+            .build()
+            .unwrap();
+        let mut db = PriorRunDb::new();
+        db.record("a", chained.project(&[40.0, 60.0]), 1.0);
+        let narrow = db.narrowed_space("a", &chained, 0.1).unwrap();
+        let specs = |s: &SearchSpace| {
+            s.constraints()
+                .iter()
+                .map(|c| c.spec(s))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(specs(&narrow), specs(&chained));
+        assert_eq!(
+            specs(&narrow),
+            [crate::constraint::ConstraintSpec::Chain(vec![0, 1])]
+        );
+        // The store keys records by fingerprint: the narrowed space must
+        // not read as the unconstrained space over the same parameters.
+        let unconstrained = SearchSpace::new(narrow.params().to_vec()).unwrap();
+        assert_ne!(
+            space_fingerprint(&narrow),
+            space_fingerprint(&unconstrained)
+        );
+        // And it compiles with its constraint propagated, not checked point
+        // by point through a callback.
+        let stats = narrow.compiled().expect("discrete").stats();
+        assert_eq!((stats.constraints, stats.compiled_constraints), (1, 1));
     }
 
     #[test]

@@ -42,7 +42,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -52,6 +52,18 @@ use std::time::{Duration, Instant};
 /// How long a single request may dribble in before the responder gives up
 /// on the connection. One slow client must not wedge the plane.
 const READ_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Most bytes a request's head — request line plus headers — may take.
+/// Every route is a short `GET`; a client still sending its head after
+/// this much is answered `431` and dropped, so what the plane buffers for
+/// a connection is bounded whatever that connection sends.
+const MAX_HEAD_BYTES: usize = 8 * 1024;
+
+/// Most bytes [`http_get`] takes from a responder, head included. Room for
+/// a full event ring as `/trace` (some 15 MiB); a `/store/log` longer than
+/// this arrives cut, which the sync loop already treats as "the rest next
+/// round". A peer that never stops sending costs this much and no more.
+const MAX_RESPONSE_BYTES: usize = 32 << 20;
 
 /// `kind` value of the [`StoreLogHeader`] a `/store/log` response leads
 /// with, so a puller never mistakes an arbitrary HTTP body for a log.
@@ -179,9 +191,12 @@ fn serve_connection(stream: TcpStream, ctx: &ObserveCtx) -> std::io::Result<()> 
         if ctx.stop.load(Ordering::SeqCst) {
             return Ok(());
         }
+        let mut head_left = MAX_HEAD_BYTES;
         let mut request_line = String::new();
-        if reader.read_line(&mut request_line)? == 0 {
-            return Ok(()); // clean EOF between requests
+        match read_head_line(&mut reader, &mut head_left, &mut request_line)? {
+            HeadLine::Eof => return Ok(()), // clean EOF between requests
+            HeadLine::TooLong => return refuse_head(reader.get_mut()),
+            HeadLine::Line => {}
         }
         if request_line.trim().is_empty() {
             continue; // stray CRLF between pipelined requests
@@ -191,9 +206,13 @@ fn serve_connection(stream: TcpStream, ctx: &ObserveCtx) -> std::io::Result<()> 
         let mut close = false;
         loop {
             let mut line = String::new();
-            if reader.read_line(&mut line)? == 0 {
-                close = true;
-                break;
+            match read_head_line(&mut reader, &mut head_left, &mut line)? {
+                HeadLine::Eof => {
+                    close = true;
+                    break;
+                }
+                HeadLine::TooLong => return refuse_head(reader.get_mut()),
+                HeadLine::Line => {}
             }
             if line == "\r\n" || line == "\n" {
                 break;
@@ -325,6 +344,38 @@ fn serve_connection(stream: TcpStream, ctx: &ObserveCtx) -> std::io::Result<()> 
     }
 }
 
+/// What [`read_head_line`] found.
+enum HeadLine {
+    /// The connection ended before another byte.
+    Eof,
+    /// A line (or, at the end of the stream, what there was of one).
+    Line,
+    /// The head's byte budget ran out before the line did.
+    TooLong,
+}
+
+/// Read one line of a request head into `line`, charging it to `left`, the
+/// bytes the head may still take: never more than that is read.
+fn read_head_line(
+    reader: &mut BufReader<TcpStream>,
+    left: &mut usize,
+    line: &mut String,
+) -> std::io::Result<HeadLine> {
+    let n = reader.by_ref().take(*left as u64).read_line(line)?;
+    *left -= n;
+    Ok(match n {
+        0 if *left > 0 => HeadLine::Eof,
+        _ if *left == 0 && !line.ends_with('\n') => HeadLine::TooLong,
+        _ => HeadLine::Line,
+    })
+}
+
+/// Answer an oversized head and give the connection up: the rest of what
+/// the client is sending is never read.
+fn refuse_head(stream: &mut TcpStream) -> std::io::Result<()> {
+    respond(stream, 431, "text/plain", "request head too large\n", true)
+}
+
 /// A JSON document as a newline-terminated response body.
 fn render(v: Value) -> String {
     let mut body = serde_json::to_string(&v).unwrap_or_else(|_| "null".into());
@@ -343,6 +394,7 @@ fn respond(
         200 => "OK",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        431 => "Request Header Fields Too Large",
         503 => "Service Unavailable",
         _ => "Error",
     };
@@ -734,7 +786,7 @@ fn session_json(shard: usize, id: u64, state: &SessionState) -> Value {
 /// and the integration tests — none of which want an HTTP client
 /// dependency any more than the server wants a framework.
 pub fn http_get(addr: &str, path: &str) -> std::io::Result<(u16, String)> {
-    use std::io::Read;
+    let invalid = |what| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(READ_TIMEOUT))?;
     write!(
@@ -742,16 +794,31 @@ pub fn http_get(addr: &str, path: &str) -> std::io::Result<(u16, String)> {
         "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
     )?;
     stream.flush()?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
-    let (head, body) = raw.split_once("\r\n\r\n").ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed response")
+    let mut raw = Vec::new();
+    stream
+        .take(MAX_RESPONSE_BYTES as u64)
+        .read_to_end(&mut raw)?;
+    // A response cut short — by the cap, or by a peer that went away
+    // mid-write — may end inside a character: hand on what is whole.
+    let raw = String::from_utf8(raw).or_else(|e| {
+        let cut = e.utf8_error();
+        match cut.error_len() {
+            None => {
+                let mut whole = e.into_bytes();
+                whole.truncate(cut.valid_up_to());
+                Ok(String::from_utf8(whole).expect("valid up to the cut"))
+            }
+            Some(_) => Err(invalid("response is not UTF-8")),
+        }
     })?;
+    let (head, body) = raw
+        .split_once("\r\n\r\n")
+        .ok_or_else(|| invalid("malformed response"))?;
     let code = head
         .split_whitespace()
         .nth(1)
         .and_then(|c| c.parse().ok())
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "missing status"))?;
+        .ok_or_else(|| invalid("missing status"))?;
     Ok((code, body.to_string()))
 }
 

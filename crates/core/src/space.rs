@@ -10,11 +10,17 @@
 use crate::constraint::Constraint;
 use crate::error::{HarmonyError, Result};
 use crate::param::Param;
+use crate::space_compile::CompiledSpace;
 use crate::value::ParamValue;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// Valid points [`SearchSpace::snap_feasible`] lets the compiled space hold
+/// before it stops looking for the nearest one (ample for the constrained
+/// spaces the repro suite compiles; a larger space is repaired instead).
+const SNAP_SCAN_CAP: u64 = 65_536;
 
 /// One valid point of a [`SearchSpace`]: a named, typed value per parameter.
 ///
@@ -164,6 +170,11 @@ pub struct SearchSpace {
     /// Parameter names in declaration order: the table every
     /// [`Configuration`] of this space (and of its clones) shares.
     names: Arc<[String]>,
+    /// The compiled form, see [`compiled`](Self::compiled): built on first
+    /// use, once for this space and all its clones; `None` inside when the
+    /// space does not compile. Boxed, so that a space nobody compiles (a
+    /// server holds thousands) pays for a pointer, not for the form.
+    compiled: Arc<OnceLock<Option<Box<CompiledSpace>>>>,
 }
 
 impl fmt::Debug for SearchSpace {
@@ -242,13 +253,107 @@ impl SearchSpace {
         debug_assert_eq!(coords.len(), self.dims());
         let mut repaired = coords.to_vec();
         self.repair(&mut repaired);
+        self.lattice_point(&repaired)
+    }
+
+    /// The configuration at the lattice point nearest `coords`, dimension
+    /// by dimension; constraints are not consulted.
+    fn lattice_point(&self, coords: &[f64]) -> Configuration {
         let values = self
             .params
             .iter()
-            .zip(repaired.iter())
+            .zip(coords)
             .map(|(p, &c)| p.project(c))
             .collect();
         Configuration::with_table(Arc::clone(&self.names), values)
+    }
+
+    /// Snap every coordinate to its dimension's lattice *without* repairing
+    /// constraints first: the configuration at that point, or `None` when
+    /// it violates a constraint (never `None` on an unconstrained space).
+    ///
+    /// This is the snap for candidates that must stay what they are —
+    /// random samples, grid points, offspring — where [`project`]'s repair
+    /// would fold many distinct infeasible candidates onto one boundary
+    /// configuration and spend evaluations on duplicates.
+    ///
+    /// [`project`]: Self::project
+    pub fn snap(&self, coords: &[f64]) -> Option<Configuration> {
+        debug_assert_eq!(coords.len(), self.dims());
+        let cfg = self.lattice_point(coords);
+        self.is_valid(&cfg).then_some(cfg)
+    }
+
+    /// Move a candidate that travels through continuous space — a simplex
+    /// vertex, a greedy probe — onto the feasible region, in embedded
+    /// coordinates.
+    ///
+    /// An unconstrained space only clamps `p` into the box and leaves it
+    /// continuous: the simplex keeps its geometry and the session snaps
+    /// what it measures. On a constrained space the answer is a lattice
+    /// point: `p`'s own ([`snap`](Self::snap)) if that is valid, else the
+    /// nearest valid one the [compiled](Self::compiled) space finds
+    /// ([`CompiledSpace::snap_feasible`]), else — the space does not
+    /// compile, is empty, or holds more than 65 536 valid points — `p`
+    /// [repaired](Self::repair), as [`project`](Self::project) would.
+    pub fn snap_feasible(&self, mut p: Vec<f64>) -> Vec<f64> {
+        if !self.constraints.is_empty() {
+            if let Some(own) = self.snap(&p).and_then(|cfg| self.embed(&cfg).ok()) {
+                return own;
+            }
+            let nearest = self
+                .compiled()
+                .and_then(|cs| cs.snap_feasible(&p, SNAP_SCAN_CAP));
+            if let Some(nearest) = nearest {
+                return nearest;
+            }
+        }
+        self.repair(&mut p);
+        p
+    }
+
+    /// This space compiled for enumeration, counting and nearest-feasible
+    /// lookups ([`CompiledSpace`]), or `None` when it has a continuous
+    /// dimension and so no lattice to compile.
+    ///
+    /// Compiled on first use and then held by the space: every clone made
+    /// before or after, and every strategy handed one, sees the same
+    /// object, and a refusal is remembered like a success.
+    pub fn compiled(&self) -> Option<&CompiledSpace> {
+        self.compiled
+            .get_or_init(|| CompiledSpace::compile(self).ok().map(Box::new))
+            .as_deref()
+    }
+
+    /// A copy of this space that will compile for itself. The compiled
+    /// form keeps one (an opaque constraint is checked against its space);
+    /// were that copy to share this space's cell, the cell would own a
+    /// reference to itself and no clone's drop would ever free it.
+    pub(crate) fn detached(&self) -> SearchSpace {
+        SearchSpace {
+            compiled: Arc::default(),
+            ..self.clone()
+        }
+    }
+
+    /// `centre` with every coordinate moved by a uniform draw from
+    /// `[-a, a]`, `a = amplitude(width of that dimension)`, and clamped
+    /// back into the box: one draw per dimension, in declaration order.
+    pub(crate) fn jitter<R: Rng + ?Sized>(
+        &self,
+        centre: &[f64],
+        amplitude: impl Fn(f64) -> f64,
+        rng: &mut R,
+    ) -> Vec<f64> {
+        self.params
+            .iter()
+            .zip(centre)
+            .map(|(p, &c)| {
+                let (lo, hi) = (p.embed_min(), p.embed_max());
+                let amp = amplitude(hi - lo);
+                (c + rng.gen_range(-amp..=amp)).clamp(lo, hi)
+            })
+            .collect()
     }
 
     /// Apply every constraint's repair step to a continuous point, in order.
@@ -355,13 +460,6 @@ impl SearchSpace {
         }
         Ok(cfg)
     }
-
-    /// Compile this space for large-scale enumeration (constraint
-    /// propagation + lazy valid-point iteration). See
-    /// [`CompiledSpace`](crate::space_compile::CompiledSpace).
-    pub fn compile(&self) -> Result<crate::space_compile::CompiledSpace> {
-        crate::space_compile::CompiledSpace::compile(self)
-    }
 }
 
 /// Incremental builder for [`SearchSpace`].
@@ -401,8 +499,16 @@ impl SearchSpaceBuilder {
     }
 
     /// Attach a dependent-variable constraint.
-    pub fn constraint(mut self, c: impl Constraint + 'static) -> Self {
-        self.constraints.push(Arc::new(c));
+    pub fn constraint(self, c: impl Constraint + 'static) -> Self {
+        self.shared_constraint(Arc::new(c))
+    }
+
+    /// Attach a constraint another space already holds (see
+    /// [`SearchSpace::constraints`]), as it is: a space derived from
+    /// another keeps its constraints' specs, and so its fingerprint and
+    /// its compiled propagation.
+    pub fn shared_constraint(mut self, c: Arc<dyn Constraint>) -> Self {
+        self.constraints.push(c);
         self
     }
 
@@ -421,6 +527,7 @@ impl SearchSpaceBuilder {
             names: self.params.iter().map(|p| p.name().to_string()).collect(),
             params: self.params,
             constraints: self.constraints,
+            compiled: Arc::default(),
         };
         for c in &space.constraints {
             c.check_space(&space)?;

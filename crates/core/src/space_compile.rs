@@ -276,8 +276,10 @@ pub struct CompiledSpace {
     suffix: Vec<u64>,
     empty: bool,
     /// What [`snap_feasible`](Self::snap_feasible) has learnt about the
-    /// number of valid points: a property of the space, so counted once and
-    /// shared by its clones.
+    /// number of valid points: a property of the space, so counted once —
+    /// once per space when reached through [`SearchSpace::compiled`], which
+    /// holds the one compiled form every strategy on that space snaps
+    /// against — and shared by this value's clones.
     snap_count: Arc<Mutex<Option<FeasibleCount>>>,
     stats: CompileStats,
     telemetry: Telemetry,
@@ -472,7 +474,9 @@ impl CompiledSpace {
         );
 
         Ok(CompiledSpace {
-            space: space.clone(),
+            // Not a clone: `SearchSpace::compiled` may store this value in
+            // the cell `space` shares with its clones.
+            space: space.detached(),
             dims,
             checks,
             checks_at,

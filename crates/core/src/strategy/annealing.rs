@@ -107,21 +107,10 @@ impl Annealing {
         }
     }
 
-    /// Snap `coords` to its lattice point; `None` if the snapped
-    /// configuration violates a constraint (never `None` on unconstrained
-    /// spaces).
+    /// `coords` on its lattice point ([`SearchSpace::snap`]); `None` if
+    /// that point violates a constraint.
     fn snap(space: &SearchSpace, coords: &[f64]) -> Option<Vec<f64>> {
-        let values: Vec<_> = space
-            .params()
-            .iter()
-            .zip(coords)
-            .map(|(param, &c)| param.project(c))
-            .collect();
-        let cfg = space.configuration(values).ok()?;
-        if !space.constraints().is_empty() && !space.is_valid(&cfg) {
-            return None;
-        }
-        space.embed(&cfg).ok()
+        space.snap(coords).and_then(|cfg| space.embed(&cfg).ok())
     }
 
     /// A feasible lattice-snapped random sample (warm-up proposals).
@@ -400,14 +389,9 @@ mod tests {
         s.init(&space, &mut rng);
         for _ in 0..60 {
             let coords = s.propose(&space, &mut rng).unwrap();
-            let values: Vec<_> = space
-                .params()
-                .iter()
-                .zip(&coords)
-                .map(|(p, &c)| p.project(c))
-                .collect();
-            let cfg = space.configuration(values).expect("snapped proposal");
-            assert!(space.is_valid(&cfg), "infeasible proposal {coords:?}");
+            let cfg = space
+                .snap(&coords)
+                .unwrap_or_else(|| panic!("infeasible proposal {coords:?}"));
             let cost = bowl_like(&cfg);
             s.feedback(&coords, cost, &space, &mut rng);
         }

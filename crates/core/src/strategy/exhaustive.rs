@@ -12,7 +12,7 @@
 
 use super::SearchStrategy;
 use crate::space::SearchSpace;
-use crate::space_compile::{CompiledSpace, FeasibleCount, PointCursor};
+use crate::space_compile::{FeasibleCount, PointCursor};
 use rand::rngs::StdRng;
 
 /// Enumerates all valid lattice points of a fully discrete space, in
@@ -22,7 +22,6 @@ use rand::rngs::StdRng;
 #[derive(Debug)]
 pub struct Exhaustive {
     limit: u64,
-    compiled: Option<CompiledSpace>,
     cursor: Option<PointCursor>,
     done: bool,
     started: bool,
@@ -39,7 +38,6 @@ impl Exhaustive {
     pub fn new(limit: u64) -> Self {
         Exhaustive {
             limit,
-            compiled: None,
             cursor: None,
             done: false,
             started: false,
@@ -48,7 +46,7 @@ impl Exhaustive {
 
     fn plan(&mut self, space: &SearchSpace) {
         self.started = true;
-        let Ok(cs) = CompiledSpace::compile(space) else {
+        let Some(cs) = space.compiled() else {
             // Continuous dimensions: nothing to enumerate.
             self.done = true;
             return;
@@ -61,7 +59,6 @@ impl Exhaustive {
         match cs.count_valid_bounded(self.limit, budget) {
             FeasibleCount::Exact(n) if n <= self.limit => {
                 self.cursor = Some(cs.start());
-                self.compiled = Some(cs);
                 self.done = false;
             }
             _ => {
@@ -87,7 +84,7 @@ impl SearchStrategy for Exhaustive {
         if self.done {
             return None;
         }
-        let (cs, cur) = (self.compiled.as_ref()?, self.cursor.as_mut()?);
+        let (cs, cur) = (space.compiled()?, self.cursor.as_mut()?);
         if cs.next_point(cur) {
             Some(cs.coords(cur.indices()))
         } else {

@@ -126,21 +126,11 @@ impl Genetic {
         self
     }
 
-    /// Snap to a feasible lattice point; `None` when constrained-invalid.
+    /// The lattice point of `coords` ([`SearchSpace::snap`]) as its cache
+    /// key and embedded coordinates; `None` when it violates a constraint.
     fn snap(space: &SearchSpace, coords: &[f64]) -> Option<(Vec<i64>, Vec<f64>)> {
-        let values: Vec<_> = space
-            .params()
-            .iter()
-            .zip(coords)
-            .map(|(param, &c)| param.project(c))
-            .collect();
-        let cfg = space.configuration(values).ok()?;
-        if !space.constraints().is_empty() && !space.is_valid(&cfg) {
-            return None;
-        }
-        let key = cfg.cache_key();
-        let embedded = space.embed(&cfg).ok()?;
-        Some((key, embedded))
+        let cfg = space.snap(coords)?;
+        Some((cfg.cache_key(), space.embed(&cfg).ok()?))
     }
 
     /// Push a candidate into `batch` if it snaps feasibly and is novel.
@@ -528,14 +518,9 @@ mod tests {
         s.init(&space, &mut rng);
         for _ in 0..30 {
             let coords = s.propose(&space, &mut rng).unwrap();
-            let values: Vec<_> = space
-                .params()
-                .iter()
-                .zip(&coords)
-                .map(|(p, &c)| p.project(c))
-                .collect();
-            let cfg = space.configuration(values).unwrap();
-            assert!(space.is_valid(&cfg), "infeasible individual {coords:?}");
+            let cfg = space
+                .snap(&coords)
+                .unwrap_or_else(|| panic!("infeasible individual {coords:?}"));
             let c = cfg.int("b1").unwrap() as f64;
             s.feedback(&coords, c, &space, &mut rng);
         }

@@ -8,8 +8,7 @@
 //! coupled ones (like decomposition boundaries, where single-parameter
 //! moves cannot cross the minimax plateaus).
 
-use super::{FeasibleSnapper, SearchStrategy};
-use crate::param::Param;
+use super::SearchStrategy;
 use crate::space::SearchSpace;
 use rand::rngs::StdRng;
 
@@ -47,7 +46,6 @@ pub struct GreedyOneParam {
     stale_cycles: usize,
     done: bool,
     started: bool,
-    snapper: FeasibleSnapper,
 }
 
 impl Default for GreedyOneParam {
@@ -70,28 +68,11 @@ impl GreedyOneParam {
             stale_cycles: 0,
             done: false,
             started: false,
-            snapper: FeasibleSnapper::new(),
         }
-    }
-
-    fn probes_for(&self, param: &Param) -> Vec<f64> {
-        let lo = param.embed_min();
-        let hi = param.embed_max();
-        let n = match param.cardinality() {
-            Some(c) => (c as usize).min(self.opts.max_probes_per_param),
-            None => self.opts.max_probes_per_param,
-        }
-        .max(1);
-        if n == 1 {
-            return vec![0.5 * (lo + hi)];
-        }
-        (0..n)
-            .map(|i| lo + (hi - lo) * i as f64 / (n - 1) as f64)
-            .collect()
     }
 
     fn start_dim(&mut self, space: &SearchSpace) {
-        self.probes = self.probes_for(&space.params()[self.dim]);
+        self.probes = space.params()[self.dim].levels(self.opts.max_probes_per_param);
         self.probe_idx = 0;
     }
 
@@ -129,7 +110,6 @@ impl SearchStrategy for GreedyOneParam {
         self.stale_cycles = 0;
         self.done = false;
         self.started = true;
-        self.snapper.reset();
         self.start_dim(space);
     }
 
@@ -143,7 +123,7 @@ impl SearchStrategy for GreedyOneParam {
         }
         let mut p = self.current.clone();
         p[self.dim] = self.probes[self.probe_idx];
-        Some(self.snapper.snap(space, p))
+        Some(space.snap_feasible(p))
     }
 
     fn feedback(&mut self, coords: &[f64], cost: f64, space: &SearchSpace, _rng: &mut StdRng) {
@@ -286,7 +266,7 @@ mod tests {
             .constraint(crate::constraint::MonotoneChain::new(["b1", "b2"]))
             .build()
             .unwrap();
-        let compiled = crate::space_compile::CompiledSpace::compile(&space).unwrap();
+        let compiled = space.compiled().expect("a discrete space compiles");
         assert_eq!(compiled.count_valid().lower_bound(), 55);
         let mut g = GreedyOneParam::default();
         let mut rng = rand::SeedableRng::seed_from_u64(0);
@@ -295,14 +275,9 @@ mod tests {
         let mut proposals = 0;
         while let Some(p) = g.propose(&space, &mut rng) {
             proposals += 1;
-            let values: Vec<_> = space
-                .params()
-                .iter()
-                .zip(&p)
-                .map(|(param, &c)| param.project(c))
-                .collect();
-            let cfg = space.configuration(values).expect("snapped proposal");
-            assert!(space.is_valid(&cfg), "infeasible greedy probe {p:?}");
+            let cfg = space
+                .snap(&p)
+                .unwrap_or_else(|| panic!("infeasible greedy probe {p:?}"));
             unique.insert(cfg.cache_key());
             let b1 = cfg.int("b1").unwrap() as f64;
             let b2 = cfg.int("b2").unwrap() as f64;

@@ -7,7 +7,6 @@
 //! Cartesian product.
 
 use super::SearchStrategy;
-use crate::param::Param;
 use crate::space::SearchSpace;
 use rand::rngs::StdRng;
 use std::collections::HashSet;
@@ -55,35 +54,13 @@ impl GridSearch {
         }
     }
 
-    fn levels_for(param: &Param, per_dim: usize) -> Vec<f64> {
-        let lo = param.embed_min();
-        let hi = param.embed_max();
-        let card = param.cardinality();
-        // Never plan more levels than the dimension has lattice points.
-        let n = match card {
-            Some(c) => per_dim.min(c as usize),
-            None => per_dim,
-        }
-        .max(1);
-        if n == 1 {
-            return vec![0.5 * (lo + hi)];
-        }
-        (0..n)
-            .map(|i| lo + (hi - lo) * i as f64 / (n - 1) as f64)
-            .collect()
-    }
-
     fn plan(&mut self, space: &SearchSpace) {
         let k = space.dims();
         // Start with floor(target^(1/k)) levels per dimension and grow
         // greedily while under budget.
         let mut per_dim = (self.target as f64).powf(1.0 / k as f64).floor() as usize;
         per_dim = per_dim.max(1);
-        self.levels = space
-            .params()
-            .iter()
-            .map(|p| Self::levels_for(p, per_dim))
-            .collect();
+        self.levels = space.params().iter().map(|p| p.levels(per_dim)).collect();
         // Greedy growth: add a level to the dimension with the fewest levels
         // while the total stays within the budget.
         loop {
@@ -103,7 +80,7 @@ impl GridSearch {
             match best {
                 Some((_, d)) => {
                     let n = self.levels[d].len() + 1;
-                    self.levels[d] = Self::levels_for(&space.params()[d], n);
+                    self.levels[d] = space.params()[d].levels(n);
                 }
                 None => break,
             }
@@ -161,19 +138,12 @@ impl SearchStrategy for GridSearch {
             // and new — repairing would collapse many grid points onto
             // the same feasible configuration and inflate evaluation
             // counts with duplicates.
-            let values: Vec<_> = space
-                .params()
-                .iter()
-                .zip(&p)
-                .map(|(param, &c)| param.project(c))
-                .collect();
-            let Ok(cfg) = space.configuration(values) else {
-                continue;
-            };
-            if !space.is_valid(&cfg) || !self.proposed.insert(cfg.cache_key()) {
-                continue;
+            match space.snap(&p) {
+                Some(cfg) if self.proposed.insert(cfg.cache_key()) => {
+                    return space.embed(&cfg).ok();
+                }
+                _ => continue,
             }
-            return space.embed(&cfg).ok();
         }
     }
 

@@ -12,6 +12,14 @@
 //! configuration and measures it, then [`SearchStrategy::feedback`] reports
 //! the measured cost (of the projected point — the paper's "resulting values
 //! from the nearest integer point" approximation).
+//!
+//! How a candidate meets the lattice is the space's business, not a
+//! strategy's: none of them snaps, validates, compiles or jitters for
+//! itself. The samplers and the grid ask [`SearchSpace::snap`] (validate,
+//! never repair), the simplex moves and greedy probes ask
+//! [`SearchSpace::snap_feasible`] (nearest feasible point), the scanners
+//! walk [`SearchSpace::compiled`], and the session applies
+//! [`SearchSpace::project`] (repair, then snap) to whatever comes out.
 
 mod annealing;
 mod exhaustive;
@@ -183,70 +191,6 @@ pub trait SearchStrategy: Send {
     /// The session forwards its own handle here on
     /// [`set_telemetry`](crate::session::TuningSession::set_telemetry).
     fn set_telemetry(&mut self, _telemetry: Telemetry) {}
-}
-
-/// Feasibility-aware lattice snap for candidate proposals, shared by the
-/// strategies that move through continuous space ([`GreedyOneParam`],
-/// [`NelderMead`]).
-///
-/// Unconstrained spaces keep the historical repair path (bit-identical
-/// proposal streams). On constrained spaces, repair-then-snap can leave
-/// the constraint surface (the snap undoes the repair) or collapse many
-/// distinct candidates onto one boundary configuration; instead the
-/// candidate is snapped to its lattice point and, if that violates a
-/// constraint, the compiled space supplies the *nearest feasible* lattice
-/// point (compiled lazily, once, on first need).
-pub(crate) struct FeasibleSnapper {
-    compiled: Option<crate::space_compile::CompiledSpace>,
-}
-
-/// Valid points scanned per nearest-feasible lookup (ample for the
-/// constrained spaces the repro suite compiles; larger spaces fall back
-/// to plain repair beyond the cap).
-const SNAP_SCAN_CAP: u64 = 65_536;
-
-impl FeasibleSnapper {
-    pub(crate) fn new() -> Self {
-        FeasibleSnapper { compiled: None }
-    }
-
-    /// Reset the cached compiled space (call from `init`).
-    pub(crate) fn reset(&mut self) {
-        self.compiled = None;
-    }
-
-    /// Snap `p` to a feasible lattice point (see type docs).
-    pub(crate) fn snap(&mut self, space: &SearchSpace, mut p: Vec<f64>) -> Vec<f64> {
-        if space.constraints().is_empty() {
-            space.repair(&mut p);
-            return p;
-        }
-        let values: Vec<_> = space
-            .params()
-            .iter()
-            .zip(&p)
-            .map(|(param, &c)| param.project(c))
-            .collect();
-        if let Ok(cfg) = space.configuration(values) {
-            if space.is_valid(&cfg) {
-                if let Ok(embedded) = space.embed(&cfg) {
-                    return embedded;
-                }
-            }
-        }
-        if self.compiled.is_none() {
-            self.compiled = crate::space_compile::CompiledSpace::compile(space).ok();
-        }
-        if let Some(snapped) = self
-            .compiled
-            .as_ref()
-            .and_then(|cs| cs.snap_feasible(&p, SNAP_SCAN_CAP))
-        {
-            return snapped;
-        }
-        space.repair(&mut p);
-        p
-    }
 }
 
 /// Relative cost spread of a set of evaluated vertex costs:

@@ -15,7 +15,7 @@
 //!   is re-seeded with fresh random vertices around the best point, since a
 //!   discrete space offers no infinitesimal steps.
 
-use super::{cost_spread, FeasibleSnapper, SearchStrategy, SimplexSnapshot, StrategySnapshot};
+use super::{cost_spread, SearchStrategy, SimplexSnapshot, StrategySnapshot};
 use crate::space::SearchSpace;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -34,6 +34,22 @@ pub enum StartPoint {
     /// Seed the *entire* initial simplex from prior-run points (padded with
     /// perturbations of the first if fewer than `k+1` are given).
     Simplex(Vec<Vec<f64>>),
+}
+
+impl StartPoint {
+    /// The point a simplex seeded under this policy is built around. Draws
+    /// from `rng` only to pick a random one: for `Random`, and for a
+    /// `Simplex` with no points in it.
+    pub(crate) fn base(&self, space: &SearchSpace, rng: &mut StdRng) -> Vec<f64> {
+        match self {
+            StartPoint::Center => space
+                .embed(&space.center())
+                .expect("center embeds into its own space"),
+            StartPoint::Coords(c) => c.clone(),
+            StartPoint::Simplex(points) if !points.is_empty() => points[0].clone(),
+            StartPoint::Random | StartPoint::Simplex(_) => space.sample_coords(rng),
+        }
+    }
 }
 
 /// Tunable knobs of the simplex algorithm.
@@ -107,7 +123,6 @@ pub struct NelderMead {
     expansions: usize,
     contractions: usize,
     shrinks: usize,
-    snapper: FeasibleSnapper,
 }
 
 impl Default for NelderMead {
@@ -130,7 +145,6 @@ impl NelderMead {
             expansions: 0,
             contractions: 0,
             shrinks: 0,
-            snapper: FeasibleSnapper::new(),
         }
     }
 
@@ -149,20 +163,15 @@ impl NelderMead {
 
     fn seed_simplex(&mut self, space: &SearchSpace, rng: &mut StdRng) {
         let k = space.dims();
-        let base: Vec<f64> = match &self.opts.start {
-            StartPoint::Center => space
-                .embed(&space.center())
-                .expect("center embeds into its own space"),
-            StartPoint::Random => space.sample_coords(rng),
-            StartPoint::Coords(c) => c.clone(),
-            StartPoint::Simplex(points) if !points.is_empty() => points[0].clone(),
-            StartPoint::Simplex(_) => space.sample_coords(rng),
-        };
+        let base = self.opts.start.base(space, rng);
         let mut pts: Vec<Vec<f64>> = Vec::with_capacity(k + 1);
-        if let StartPoint::Simplex(points) = &self.opts.start {
-            pts.extend(points.iter().take(k + 1).cloned());
-        } else {
-            pts.push(base.clone());
+        match &self.opts.start {
+            StartPoint::Simplex(points) if !points.is_empty() => {
+                pts.extend(points.iter().take(k + 1).cloned());
+            }
+            // No prior points is a random start; an empty `pts` would
+            // underflow the vertex index below.
+            _ => pts.push(base.clone()),
         }
         for p in &mut pts {
             space.repair(p);
@@ -175,8 +184,8 @@ impl NelderMead {
             let i = pts.len() - 1; // dimension perturbed first
             let mut candidate = None;
             for attempt in 0..32 {
-                let mut p = base.clone();
-                if attempt < 2 {
+                let mut p = if attempt < 2 {
+                    let mut p = base.clone();
                     // Axis-aligned offset; try the two directions in turn
                     // (alternating by vertex index so the initial simplex
                     // straddles the start point instead of sitting entirely
@@ -194,16 +203,13 @@ impl NelderMead {
                     } else {
                         -signed
                     };
+                    p
                 } else {
                     // Repair folded the offset away: perturb every dimension
                     // randomly until the projection is distinct.
-                    for (d, param) in space.params().iter().enumerate() {
-                        let range = param.embed_max() - param.embed_min();
-                        let amp = (range * self.opts.init_scale).max(1.0);
-                        p[d] = (p[d] + rng.gen_range(-amp..=amp))
-                            .clamp(param.embed_min(), param.embed_max());
-                    }
-                }
+                    let scale = self.opts.init_scale;
+                    space.jitter(&base, |range| (range * scale).max(1.0), rng)
+                };
                 space.repair(&mut p);
                 let key = space.project(&p).cache_key();
                 if !keys.contains(&key) {
@@ -302,7 +308,6 @@ impl SearchStrategy for NelderMead {
     }
 
     fn init(&mut self, space: &SearchSpace, rng: &mut StdRng) {
-        self.snapper.reset();
         self.seed_simplex(space, rng);
     }
 
@@ -317,25 +322,25 @@ impl SearchStrategy for NelderMead {
                 let c = self.centroid_excluding_worst();
                 let w = &self.vertices.last().expect("nonempty simplex").coords;
                 let p = Self::combine(&c, w, self.opts.alpha);
-                self.snapper.snap(space, p)
+                space.snap_feasible(p)
             }
             Phase::Expand => {
                 let c = self.centroid_excluding_worst();
                 let w = &self.vertices.last().expect("nonempty simplex").coords;
                 let p = Self::combine(&c, w, self.opts.gamma);
-                self.snapper.snap(space, p)
+                space.snap_feasible(p)
             }
             Phase::ContractOutside => {
                 let c = self.centroid_excluding_worst();
                 let w = &self.vertices.last().expect("nonempty simplex").coords;
                 let p = Self::combine(&c, w, self.opts.beta);
-                self.snapper.snap(space, p)
+                space.snap_feasible(p)
             }
             Phase::ContractInside => {
                 let c = self.centroid_excluding_worst();
                 let w = &self.vertices.last().expect("nonempty simplex").coords;
                 let p = Self::combine(&c, w, -self.opts.beta);
-                self.snapper.snap(space, p)
+                space.snap_feasible(p)
             }
         };
         self.pending = Some(point.clone());
@@ -590,6 +595,30 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_prior_simplex_is_a_random_start() {
+        let space = quadratic_space();
+        let stream = |start: StartPoint| {
+            let mut nm = NelderMead::new(NelderMeadOptions {
+                start,
+                ..Default::default()
+            });
+            let mut rng: StdRng = rand::SeedableRng::seed_from_u64(31);
+            nm.init(&space, &mut rng);
+            (0..12)
+                .map(|i| {
+                    let p = nm.propose(&space, &mut rng).unwrap();
+                    nm.feedback(&p, i as f64, &space, &mut rng);
+                    p
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            stream(StartPoint::Simplex(Vec::new())),
+            stream(StartPoint::Random)
+        );
+    }
+
+    #[test]
     fn snapshot_reports_converging_simplex() {
         let space = quadratic_space();
         let mut nm = NelderMead::default();
@@ -682,14 +711,10 @@ mod tests {
             if moving {
                 // Simplex moves must land exactly on feasible lattice
                 // points (init/shrink vertices stay continuous by design).
-                let values: Vec<_> = space
-                    .params()
-                    .iter()
-                    .zip(&coords)
-                    .map(|(param, &c)| param.project(c))
-                    .collect();
-                let cfg = space.configuration(values).expect("snapped move");
-                assert!(space.is_valid(&cfg), "infeasible simplex move {coords:?}");
+                assert!(
+                    space.snap(&coords).is_some(),
+                    "infeasible simplex move {coords:?}"
+                );
                 checked_moves += 1;
             }
             let cfg = space.project(&coords);

@@ -20,7 +20,7 @@ use crate::history::{Evaluation, History};
 use crate::session::TuningResult;
 use crate::space::SearchSpace;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::collections::HashMap;
 
 /// PRO knobs.
@@ -150,15 +150,7 @@ impl ParallelRankOrder {
         // PRO is built for wide simplexes (one vertex per processor);
         // default to 2k so every round carries a useful parallel batch.
         let n = self.opts.size.unwrap_or_else(|| (2 * k).max(4)).max(2);
-        let base: Vec<f64> = match &self.opts.start {
-            StartPoint::Center => space
-                .embed(&space.center())
-                .expect("center embeds into its own space"),
-            StartPoint::Random => space.sample_coords(rng),
-            StartPoint::Coords(c) => c.clone(),
-            StartPoint::Simplex(points) if !points.is_empty() => points[0].clone(),
-            StartPoint::Simplex(_) => space.sample_coords(rng),
-        };
+        let base = self.opts.start.base(space, rng);
         let mut batch: Vec<Vec<f64>> = Vec::with_capacity(n);
         if let StartPoint::Simplex(points) = &self.opts.start {
             batch.extend(points.iter().take(n).cloned());
@@ -177,13 +169,8 @@ impl ParallelRankOrder {
             // Random spread around the base, retried for distinctness.
             let mut candidate = None;
             for _ in 0..32 {
-                let mut p = base.clone();
-                for (d, param) in space.params().iter().enumerate() {
-                    let range = param.embed_max() - param.embed_min();
-                    let amp = (range * self.opts.init_scale).max(1.0);
-                    p[d] = (p[d] + rng.gen_range(-amp..=amp))
-                        .clamp(param.embed_min(), param.embed_max());
-                }
+                let scale = self.opts.init_scale;
+                let mut p = space.jitter(&base, |range| (range * scale).max(1.0), rng);
                 space.repair(&mut p);
                 let key = space.project(&p).cache_key();
                 if !keys.contains(&key) {
@@ -344,14 +331,10 @@ impl ParallelRankOrder {
         if collapsed || self.stagnant >= 2 {
             self.stagnant = 0;
             self.respreads += 1;
-            let best_coords = self.points[self.best_index()].coords.clone();
+            let best_coords = &self.points[self.best_index()].coords;
+            let scale = self.opts.init_scale;
             for p in &mut self.batch {
-                for (d, param) in space.params().iter().enumerate() {
-                    let range = param.embed_max() - param.embed_min();
-                    let amp = (range * self.opts.init_scale * 0.3).max(1.0);
-                    p[d] = (best_coords[d] + rng.gen_range(-amp..=amp))
-                        .clamp(param.embed_min(), param.embed_max());
-                }
+                *p = space.jitter(best_coords, |range| (range * scale * 0.3).max(1.0), rng);
                 space.repair(p);
             }
         }

@@ -152,7 +152,6 @@ enum Source {
 pub struct Surrogate {
     opts: SurrogateOptions,
     inner: Box<dyn SearchStrategy>,
-    compiled: Option<CompiledSpace>,
     /// Measured `(coords, cost)` pairs the model trains on.
     samples: Vec<(Vec<f64>, f64)>,
     /// Cache keys of every configuration measured or proposed.
@@ -182,7 +181,6 @@ impl Surrogate {
         Surrogate {
             opts,
             inner,
-            compiled: None,
             samples: Vec::new(),
             seen: HashSet::new(),
             model: None,
@@ -315,11 +313,8 @@ impl Surrogate {
     /// compiled-space enumeration up to the cap, topped up with random
     /// lattice samples when the space is larger than the cap.
     fn argmin(&mut self, space: &SearchSpace, rng: &mut StdRng) -> Option<Vec<f64>> {
-        if self.compiled.is_none() {
-            self.compiled = CompiledSpace::compile(space).ok();
-        }
         let model = self.model.as_ref()?;
-        let cs = self.compiled.as_ref()?;
+        let cs = space.compiled()?;
         let start = Instant::now();
         let cap = self.opts.candidate_cap;
         let (mut best, scanned) = self.scan(model, cs, space);
@@ -328,18 +323,9 @@ impl Surrogate {
             // candidates so the argmin isn't confined to one corner.
             for _ in 0..EXTRA_RANDOM_CANDIDATES {
                 let cand = space.sample_coords(rng);
-                let values: Vec<_> = space
-                    .params()
-                    .iter()
-                    .zip(&cand)
-                    .map(|(p, &c)| p.project(c))
-                    .collect();
-                let Ok(cfg) = space.configuration(values) else {
+                let Some(cfg) = space.snap(&cand) else {
                     continue;
                 };
-                if !space.constraints().is_empty() && !space.is_valid(&cfg) {
-                    continue;
-                }
                 let Ok(coords) = space.embed(&cfg) else {
                     continue;
                 };
@@ -452,7 +438,6 @@ impl SearchStrategy for Surrogate {
 
     fn init(&mut self, space: &SearchSpace, rng: &mut StdRng) {
         self.inner.init(space, rng);
-        self.compiled = None;
         self.seen.clear();
         self.model = None;
         self.fitted_at = 0;

@@ -10,24 +10,33 @@
 //! any client handed such a reply. At the commit before the nesting limit
 //! each of them aborts this test binary.
 //!
-//! The last test is the first piece of ROADMAP item 3's hostile-input half:
-//! a seeded run of 10⁵ garbage frames through the server's own framing and
-//! request decoding.
+//! The fourth test is the first piece of ROADMAP item 3's hostile-input
+//! half: a seeded run of 10⁵ garbage frames through the server's own
+//! framing and request decoding.
+//!
+//! The last three are the observer plane, which read whatever it was sent:
+//! a request head with no end, a peer's response with no end (the sync loop
+//! and `/fleet` call every `sync_peers` entry on a timer), and a `/store/log`
+//! body that stops inside a character.
 
 use ah_core::error::HarmonyError;
 use ah_core::param::Param;
+use ah_core::server::observe::http_get;
 use ah_core::server::protocol::{FrameDecoder, Reply, Request, StrategyKind, MAX_FRAME_LEN};
 use ah_core::server::tcp::{TcpClientOptions, TcpHarmonyClient, TcpHarmonyServer};
+use ah_core::server::{HarmonyServer, ServerConfig};
 use ah_core::session::SessionOptions;
 use ah_core::space::SearchSpace;
-use ah_core::store::{space_fingerprint, PerfStore, StoreRecord};
+use ah_core::store::{space_fingerprint, PerfStore, SharedStore, StoreRecord};
 use ah_core::telemetry::{Counter, Telemetry};
 use ah_core::wal::{WalHeader, WalSession};
 use proptest::Gen;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Deep enough to overflow any thread's stack at two frames per level, and
 /// well under [`MAX_FRAME_LEN`]: the frame cap is not what saves the server.
@@ -346,4 +355,157 @@ fn a_hundred_thousand_garbage_frames_are_each_a_request_or_an_error() {
     assert_eq!(decoder.buffered(), 0);
     assert!(refused > FRAMES / 2, "{refused} refused");
     assert!(requests > 100, "{requests} understood");
+}
+
+#[test]
+fn a_request_head_with_no_end_is_a_431_and_the_observer_keeps_answering() {
+    let server = HarmonyServer::start_with_config(ServerConfig::default());
+    let observe = server.observe("127.0.0.1:0").expect("bind observer");
+    let addr = observe.addr().to_string();
+
+    // What a client that sends `head` and then listens gets back.
+    let answer_to = |head: &[u8]| {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        // The server stops reading a few KiB in and hangs up, so the tail
+        // of this write may be refused: that is the point.
+        let _ = stream.write_all(head);
+        let mut answer = Vec::new();
+        let read = stream.read_to_end(&mut answer);
+        // Hanging up on unread input resets the connection, and whether the
+        // answer or the reset reaches this end first is the kernel's call.
+        // What must not happen is a clean end and no answer: the whole head
+        // read, however long, and then silence.
+        assert!(
+            read.is_err() || answer.starts_with(b"HTTP/1.1 431 "),
+            "{} bytes of head were met with {:?}",
+            head.len(),
+            String::from_utf8_lossy(&answer)
+        );
+    };
+    // A megabyte and no newline.
+    answer_to(&vec![b'a'; 1 << 20]);
+    // A request line, then a megabyte of short header lines and no blank
+    // one: the cap is on the head, not on a line.
+    let mut head = b"GET /status HTTP/1.1\r\n".to_vec();
+    head.extend("X-Filler: aaaaaaaaaaaaaaaaaaaa\r\n".repeat(1 << 15).bytes());
+    answer_to(&head);
+
+    // An ordinary head is still an ordinary request.
+    let (code, body) = http_get(&addr, "/status").expect("the observer still answers");
+    assert_eq!(code, 200);
+    assert!(body.contains("\"sessions\""), "{body}");
+    observe.stop();
+    server.shutdown();
+}
+
+/// A stand-in for a peer's observer port: `serve` gets every connection,
+/// its request head already read. Returns the address to call and a guard
+/// that stops the listener when dropped.
+fn fake_peer(serve: impl Fn(TcpStream) + Send + 'static) -> (SocketAddr, impl Drop) {
+    struct Stop(
+        SocketAddr,
+        Arc<AtomicBool>,
+        Option<std::thread::JoinHandle<()>>,
+    );
+    impl Drop for Stop {
+        fn drop(&mut self) {
+            self.1.store(true, Ordering::SeqCst);
+            let _ = TcpStream::connect(self.0);
+            self.2.take().unwrap().join().expect("fake peer");
+        }
+    }
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let stopped = Arc::clone(&stop);
+    let thread = std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            if stopped.load(Ordering::SeqCst) {
+                break;
+            }
+            let stream = stream.expect("accept");
+            let mut head = BufReader::new(stream.try_clone().unwrap());
+            let mut line = String::new();
+            while head.read_line(&mut line).is_ok_and(|n| n > 2) {
+                line.clear();
+            }
+            serve(stream);
+        }
+    });
+    (addr, Stop(addr, stop, Some(thread)))
+}
+
+#[test]
+fn a_peer_that_never_stops_writing_costs_http_get_a_bounded_read() {
+    /// What `http_get` may take (32 MiB), and where this peer gives up if
+    /// nobody hangs up on it — so that an unbounded reader fails this test
+    /// instead of filling the machine.
+    const CAP: usize = 32 << 20;
+    const GIVE_UP: usize = 3 * CAP;
+    let (addr, _peer) = fake_peer(|mut stream| {
+        let _ = stream.write_all(b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\r\n");
+        let chunk = [b'x'; 1 << 16];
+        let mut written = 0;
+        while written < GIVE_UP && stream.write_all(&chunk).is_ok() {
+            written += chunk.len();
+        }
+    });
+    let (code, body) = http_get(&addr.to_string(), "/status").expect("what arrived is handed on");
+    assert_eq!(code, 200);
+    assert!(
+        body.len() <= CAP,
+        "read {} MiB of a response that has no end",
+        body.len() >> 20
+    );
+    assert!(body.len() > CAP / 2 && body.bytes().all(|b| b == b'x'));
+}
+
+#[test]
+fn a_store_log_cut_inside_a_character_still_yields_its_whole_records() {
+    let space = SearchSpace::builder().int("x", 0, 100, 1).build().unwrap();
+    let fp = space_fingerprint(&space);
+    // A peer's `/store/log` body — header line, three records — that stops
+    // one byte into the `é` of the third record.
+    let (blob, total) = {
+        let mut source = PerfStore::open(scratch("cut-source.store")).unwrap();
+        let records = [3.0, 7.0, 9.0]
+            .map(|x| StoreRecord::new("café", fp, space.project(&[x]), x, x))
+            .to_vec();
+        assert_eq!(source.insert_batch(records).unwrap(), 3);
+        (source.encode_log_from(0).1, source.len())
+    };
+    let mut body =
+        format!("{{\"kind\":\"ah-store-log\",\"start\":0,\"total\":{total}}}\n{blob}").into_bytes();
+    let cut = body.iter().rposition(|&b| b == 0xc3).expect("an é") + 1;
+    body.truncate(cut);
+    let whole = String::from_utf8(body[..cut - 1].to_vec()).expect("whole up to the cut");
+    assert_eq!(whole.matches("caf").count(), 3, "the cut is in the third");
+
+    let (addr, _peer) = fake_peer(move |mut stream| {
+        let _ = stream.write_all(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n");
+        let _ = stream.write_all(&body);
+    });
+    let (code, got) = http_get(&addr.to_string(), "/store/log?from=0")
+        .expect("a cut body is a short body, not an error");
+    assert_eq!((code, got.as_str()), (200, whole.as_str()));
+
+    // And the puller that calls it, end to end: the two whole records are
+    // merged; the torn third is refetched (and torn again) every round.
+    let store = SharedStore::open(scratch("cut-puller.store")).unwrap();
+    let server = HarmonyServer::start_with_config(ServerConfig {
+        store: Some(store.clone()),
+        sync_peers: vec![addr.to_string()],
+        sync_interval: Duration::from_millis(10),
+        ..Default::default()
+    });
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while store.record_count() < 2 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(store.record_count(), 2);
+    server.shutdown();
 }

@@ -11,6 +11,13 @@
 //! store fingerprint has its own contract: insensitive to constraint
 //! ordering, byte-stable against the historical params-only scheme for
 //! spaces without describable constraints.
+//!
+//! The space's own lattice operations, which every strategy calls instead
+//! of carrying a copy, are held to a brute-force reading of their docs:
+//! `snap` is the per-dimension projection exactly when that is valid,
+//! `snap_feasible` lands on a valid point no other valid point is strictly
+//! nearer than (clamp-only repair when nothing constrains the space), and
+//! `compiled` is one object per space, freed with its last clone.
 
 use ah_core::constraint::{Constraint, MonotoneChain, SumBound};
 use ah_core::param::Param;
@@ -18,6 +25,8 @@ use ah_core::prelude::*;
 use ah_core::space_compile::{CompiledSpace, FeasibleCount, SpaceCursor};
 use ah_core::store::space_fingerprint;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Sum of the integer parameters must be even — deliberately opaque (no
 /// `ConstraintSpec`), forcing the compiler onto its full-point fallback.
@@ -186,6 +195,16 @@ fn random_target(space: &SearchSpace, g: &mut Lcg) -> Vec<f64> {
         .collect()
 }
 
+/// Squared distance in the embedding, summed left to right as the compiled
+/// walk sums it.
+fn dist2(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(a, b)| (a - b) * (a - b)).sum()
+}
+
+fn bits(coords: &[f64]) -> Vec<u64> {
+    coords.iter().map(|c| c.to_bits()).collect()
+}
+
 /// The historical params-only fingerprint scheme, reproduced independently
 /// so drift in `space_fingerprint` for unconstrained spaces is caught even
 /// if both sides of the comparison change together in store.rs.
@@ -282,6 +301,65 @@ proptest! {
         }
     }
 
+    /// `snap` is `Some` exactly when the per-dimension projection of the
+    /// target satisfies every constraint, and is then that projection:
+    /// nothing is repaired on the way.
+    #[test]
+    fn snap_is_the_projection_exactly_when_it_is_valid(seed in 0u64..1_000_000) {
+        let space = random_space(seed);
+        let mut g = Lcg(seed ^ 0x51a9);
+        for _ in 0..12 {
+            let target = random_target(&space, &mut g);
+            let values = space
+                .params()
+                .iter()
+                .zip(&target)
+                .map(|(p, &c)| p.project(c))
+                .collect();
+            let projection = space.configuration(values).expect("a projection is typed");
+            let want = space.is_valid(&projection).then_some(projection);
+            prop_assert!(
+                space.snap(&target) == want,
+                "target {:?}: {:?} vs {:?}", target, space.snap(&target), want
+            );
+        }
+    }
+
+    /// On a constrained space with any valid point, `snap_feasible` embeds
+    /// a valid configuration and no valid point is strictly nearer the
+    /// target; with nothing to satisfy (or nothing that can be) it is
+    /// `repair`, which without constraints only clamps.
+    #[test]
+    fn snap_feasible_is_the_nearest_valid_point_or_the_repair(seed in 0u64..1_000_000) {
+        let space = random_space(seed);
+        let valid: Vec<Vec<f64>> = space
+            .compiled()
+            .expect("discrete space compiles")
+            .iter()
+            .map(|cfg| space.embed(&cfg).expect("a valid point embeds"))
+            .collect();
+        let mut g = Lcg(seed ^ 0xfea5);
+        for _ in 0..8 {
+            let target = random_target(&space, &mut g);
+            let got = space.snap_feasible(target.clone());
+            if space.constraints().is_empty() || valid.is_empty() {
+                let mut repaired = target.clone();
+                space.repair(&mut repaired);
+                prop_assert_eq!(bits(&got), bits(&repaired));
+                continue;
+            }
+            let landed = space.snap(&got).map(|cfg| space.embed(&cfg).expect("embeds"));
+            prop_assert!(
+                landed.as_deref() == Some(&got[..]),
+                "target {:?} landed on {:?}, not a valid lattice point", target, got
+            );
+            let reach = dist2(&got, &target);
+            if let Some(nearer) = valid.iter().find(|v| dist2(v, &target) < reach) {
+                prop_assert!(false, "target {:?}: {:?} is nearer than {:?}", target, nearer, got);
+            }
+        }
+    }
+
     /// The fingerprint ignores constraint ordering and never changes for
     /// spaces without describable constraints.
     #[test]
@@ -332,4 +410,84 @@ proptest! {
             space_fingerprint(&random_space(seed))
         );
     }
+}
+
+#[test]
+fn a_space_and_its_clones_share_one_compiled_form() {
+    let space = random_space(7);
+    let before = space.clone();
+    let cs = space.compiled().expect("discrete space compiles");
+    let after = space.clone();
+    for other in [&before, &after, &space] {
+        assert!(std::ptr::eq(cs, other.compiled().unwrap()));
+    }
+    // A space rebuilt from the same parts is another space.
+    assert!(!std::ptr::eq(cs, random_space(7).compiled().unwrap()));
+    // The compiled form's own copy of the space answers for itself too.
+    let inner = cs.space().compiled().expect("compiles again");
+    assert!(!std::ptr::eq(cs, inner));
+    assert_eq!(inner.iter().count(), cs.iter().count());
+
+    // A continuous dimension has no lattice: refused, and the refusal held.
+    let real = SearchSpace::builder()
+        .int("n", 0, 9, 1)
+        .real("tol", 0.0, 1.0)
+        .build()
+        .unwrap();
+    assert!(real.compiled().is_none());
+    assert!(real.clone().compiled().is_none());
+    // `snap_feasible` still answers on it, by repair.
+    let chained = SearchSpace::builder()
+        .real("a", 0.0, 1.0)
+        .real("b", 0.0, 1.0)
+        .constraint(MonotoneChain::new(["a", "b"]))
+        .build()
+        .unwrap();
+    assert_eq!(chained.snap_feasible(vec![0.9, 0.2]), [0.2, 0.9]);
+}
+
+/// An always-satisfied opaque constraint that counts its own drops.
+#[derive(Debug)]
+struct CountsDrops(Arc<AtomicUsize>);
+
+impl Drop for CountsDrops {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+impl Constraint for CountsDrops {
+    fn repair(&self, _space: &SearchSpace, _coords: &mut [f64]) {}
+    fn is_satisfied(&self, _space: &SearchSpace, _cfg: &Configuration) -> bool {
+        true
+    }
+    fn check_space(&self, _space: &SearchSpace) -> std::result::Result<(), HarmonyError> {
+        Ok(())
+    }
+}
+
+/// The compiled form keeps a copy of its space. If that copy shared the
+/// cell the compiled form is stored in, the cell would hold a reference to
+/// itself and a space that was ever compiled would never be freed.
+#[test]
+fn dropping_the_last_clone_frees_the_compiled_form() {
+    let drops = Arc::new(AtomicUsize::new(0));
+    let space = SearchSpace::builder()
+        .int("a", 0, 3, 1)
+        .int("b", 0, 3, 1)
+        .constraint(CountsDrops(Arc::clone(&drops)))
+        .build()
+        .unwrap();
+    let clone = space.clone();
+    assert_eq!(space.compiled().expect("compiles").iter().count(), 16);
+    // Compiled through its inner copy as well, as an opaque check may.
+    assert!(clone.compiled().unwrap().space().compiled().is_some());
+    drop(space);
+    assert_eq!(drops.load(Ordering::SeqCst), 0, "a clone is still alive");
+    drop(clone);
+    assert_eq!(
+        drops.load(Ordering::SeqCst),
+        1,
+        "the space outlived its last clone"
+    );
 }
