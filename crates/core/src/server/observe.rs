@@ -43,7 +43,7 @@ use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -371,9 +371,12 @@ fn read_head_line(
 }
 
 /// Answer an oversized head and give the connection up: the rest of what
-/// the client is sending is never read.
+/// the client is sending is never read. The write side is shut before the
+/// stream drops, so the answer is followed by an orderly end before the
+/// reset that closing on unread input causes.
 fn refuse_head(stream: &mut TcpStream) -> std::io::Result<()> {
-    respond(stream, 431, "text/plain", "request head too large\n", true)
+    respond(stream, 431, "text/plain", "request head too large\n", true)?;
+    stream.shutdown(Shutdown::Write)
 }
 
 /// A JSON document as a newline-terminated response body.
@@ -383,6 +386,9 @@ fn render(v: Value) -> String {
     body
 }
 
+/// Send one response, head and body in a single write: the stream is
+/// unbuffered, and a response split over several writes can lose its tail
+/// to the reset that closing on unread input causes ([`refuse_head`]).
 fn respond(
     stream: &mut TcpStream,
     code: u16,
@@ -399,14 +405,14 @@ fn respond(
         _ => "Error",
     };
     let connection = if close { "close" } else { "keep-alive" };
-    write!(
-        stream,
+    let mut response = format!(
         "HTTP/1.1 {code} {reason}\r\nContent-Type: {content_type}\r\n\
          Content-Length: {}\r\nConnection: {connection}\r\n\r\n",
         body.len()
-    )?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    )
+    .into_bytes();
+    response.extend_from_slice(body.as_bytes());
+    stream.write_all(&response)
 }
 
 /// The `n` value of a `n=K` query string, if present and numeric.

@@ -30,38 +30,72 @@
 //!    suffix blocks to be credited at once, with a cap and a node budget so
 //!    callers (e.g. `Exhaustive`'s safety valve) get an answer in bounded
 //!    time even on hostile spaces.
-//! 5. **Nearest feasible point** — [`CompiledSpace::snap_feasible`], an
-//!    exact branch-and-bound over the same walk (below).
+//! 5. **Separable minimum** — one exact branch-and-bound over the same
+//!    walk (below) answers both [`CompiledSpace::snap_feasible`], the
+//!    nearest feasible point, and the surrogate strategy's argmin, the
+//!    valid point its fitted quadratic predicts lowest.
 //!
 //! # What a point costs
 //!
 //! Advancing a [`PointCursor`] allocates nothing: the walk rewrites its
-//! index vector in place, and the scanners that visit many points and keep
-//! one — the surrogate's argmin, `snap_feasible` — read
-//! [`PointCursor::indices`] and never leave index space.
+//! index vector in place, and the branch-and-bound that visits many points
+//! and keeps one reads the cursor's indices and never leaves index space.
 //! [`CompiledSpace::coords`] is one `Vec<f64>`.
 //! [`CompiledSpace::configuration`] (and so [`CompiledSpace::iter`] and
 //! [`CompiledSpace::next_chunk`], per point) is one `Vec<ParamValue>` plus
 //! a reference-count bump on the space's shared name table; the parameter
 //! names are never copied. Only an enum value carries a `String`, its label.
+//! What the branch-and-bound costs is not a number of points at all but
+//! the nodes its bound cannot rule out: on the benchmark's fitted 4 096-point
+//! bowl, under 2 % of the prefix checks a full enumeration makes.
 //!
-//! # What `snap_feasible` guarantees
+//! # One walk, two scores
 //!
-//! The answer is the one an exhaustive scan of the stream would give: the
-//! valid point at the smallest squared distance in the continuous
-//! embedding, the earliest in enumeration order among equals, the first
-//! valid point if the distance is NaN, `None` if the space holds more than
-//! `cap` valid points or none. It gets there without the scan. The
-//! distance is a sum over dimensions taken left to right — the order the
-//! walk assigns them in — so the sum carried down the tree for a prefix is
-//! bit for bit the partial sum of every point beneath it, and a leaf's
-//! sum is bit for bit what the scan computes for that point. Every term is
-//! a square, so rounded sums never decrease along a path: a prefix already
-//! `>=` the best distance found has nothing strictly nearer beneath it,
-//! and its subtree is skipped. "More than `cap`" is a property of the
-//! space, established once by a bounded count and remembered; the PETSc
-//! boundary spaces (C(n+p−3, p−1) valid points) give that answer on every
-//! call after the first without visiting a lattice point.
+//! The walk minimises a [`Separable`] score: a root value plus one term
+//! per dimension, each a function of that dimension's lattice index alone.
+//! It descends the enumeration tree in order, carrying the root plus the
+//! prefix's terms, and skips a subtree when that sum, plus a lower bound on
+//! the remaining dimensions' terms, less a rounding margin, is `>=` the
+//! best score found so far. A point it reaches is scored exactly; it
+//! replaces the best only when strictly lower, so the earlier point keeps
+//! a tie, and a NaN score displaces nothing (a NaN bound skips nothing).
+//! The answer is therefore the one a scan of every point in stream order
+//! would give, provided the bound never exceeds the score of a point
+//! beneath it. Two scores meet that:
+//!
+//! - **Squared distance** ([`snap_feasible`](CompiledSpace::snap_feasible)).
+//!   The terms are squares, summed left to right — the order the walk
+//!   assigns dimensions in — so the carried sum is bit for bit every
+//!   point's partial sum, and a leaf's is bit for bit what the scan
+//!   computes. Rounded sums of non-negative terms never decrease along a
+//!   path, so the remaining terms are bounded by zero and no margin is
+//!   needed: `x + 0.0 - 0.0 == x` for every non-NaN `x ≥ 0`, and the walk is
+//!   the exact distance branch-and-bound it was before it was generalised.
+//!   The answer: the nearest valid point, the earliest among equals, the
+//!   first valid point if the distance is NaN, `None` if the space holds
+//!   more than `cap` valid points or none.
+//! - **The surrogate's prediction** (`strategy/surrogate.rs`). A term is a
+//!   dimension's `w_lin·xn + w_quad·xn²`; the remaining dimensions are
+//!   bounded by each one's smallest term over its compiled index range, in
+//!   closed form (a quadratic in the index is smallest at an end of its
+//!   range or at one of the two indices around its vertex). A point is
+//!   scored in the model's own order — `w0`, every linear term, every
+//!   quadratic term — not the walk's, so the bound and the score are two
+//!   different float sums of the same terms. Every normalized coordinate
+//!   lies in [0, 1], so no term exceeds its weight in magnitude, and the
+//!   two sums (and the range minima) differ from the exact ones by a few
+//!   `dims·ε·Σ|w|` at most: the margin is `4·(2·dims+1)·ε·Σ|w|` (plus a
+//!   little for underflow), infinite — no skipping — when a weight is not
+//!   finite or a sum could overflow. The walk considers the first `cap`
+//!   valid points only, and the point scored must not have been measured
+//!   already.
+//!
+//! "More than `cap`" is a property of the space, established once by a
+//! bounded count and remembered; the PETSc boundary spaces (C(n+p−3, p−1)
+//! valid points) give that answer on every call after the first without
+//! visiting a lattice point. Where the first `cap` points end — the
+//! horizon the surrogate's walk stops at when the space holds more — is
+//! walked to once per space and cap, and remembered beside the count.
 //!
 //! Opaque constraints (no [`ConstraintSpec`]) still work: they are checked
 //! on fully-assigned points only, against one scratch configuration
@@ -69,7 +103,8 @@
 //! but never changes the result. The equivalence with the naive approaches
 //! — same points in the same order as enumerate-and-filter, the same
 //! nearest point as a first-wins scan, bit-identical — is property-tested
-//! in `tests/space_compile_props.rs`.
+//! in `tests/space_compile_props.rs`; the surrogate's argmin is held to its
+//! configuration-per-point scan in `strategy/surrogate.rs`'s tests.
 
 use crate::constraint::ConstraintSpec;
 use crate::error::{HarmonyError, Result};
@@ -256,6 +291,80 @@ impl PointCursor {
     pub fn yielded(&self) -> u64 {
         self.yielded
     }
+
+    /// Prefix checks performed so far.
+    #[cfg(test)]
+    pub(crate) fn checks(&self) -> u64 {
+        self.checks
+    }
+}
+
+/// A score the compiled [walk](CompiledSpace::argmin_of_first) minimises
+/// over valid points: a root value plus one term per dimension, each a
+/// function of that dimension's lattice index alone, bounded from below
+/// well enough to skip a subtree (module docs, "One walk, two scores").
+///
+/// The defaults are the plain case, squared distance: nothing below the
+/// prefix but more non-negative terms, no rounding to allow for, a point
+/// scored by its path sum, and every point admissible.
+pub(crate) trait Separable {
+    /// The score of the empty prefix.
+    fn root(&self) -> f64 {
+        0.0
+    }
+
+    /// Dimension `d`'s term at lattice index `index`. The walk calls it for
+    /// every node it enters, so at a leaf the latest call per dimension was
+    /// for the point being scored.
+    fn term(&mut self, d: usize, index: u64) -> f64;
+
+    /// A lower bound on the terms of the dimensions after `d`, together.
+    fn rest(&self, _d: usize) -> f64 {
+        0.0
+    }
+
+    /// How far a path sum may exceed, through rounding, the score of a
+    /// point beneath it.
+    fn margin(&self) -> f64 {
+        0.0
+    }
+
+    /// The score of the point the walk stands on, whose path sum — the
+    /// root, then its terms in dimension order — is `path`.
+    fn leaf(&self, path: f64) -> f64 {
+        path
+    }
+
+    /// May the point at `indices` be the answer?
+    fn admits(&self, _indices: &[u64]) -> bool {
+        true
+    }
+}
+
+/// Squared distance to `coords` in the continuous embedding.
+struct Distance<'a> {
+    cs: &'a CompiledSpace,
+    coords: &'a [f64],
+}
+
+impl Separable for Distance<'_> {
+    fn term(&mut self, d: usize, index: u64) -> f64 {
+        let off = self.cs.dims[d].value(index) - self.coords[d];
+        off * off
+    }
+}
+
+/// What the walks have learnt about the stream: a property of the space,
+/// so learnt once — once per space when reached through
+/// [`SearchSpace::compiled`], which holds the one compiled form every
+/// strategy on that space walks — and shared by a compiled value's clones.
+#[derive(Debug, Default)]
+struct Learnt {
+    /// The number of valid points, as far as some cap has needed it.
+    count: Option<FeasibleCount>,
+    /// `(cap, indices of the cap-th valid point)`, for every cap a walk
+    /// over the first `cap` points has stopped short of the whole stream at.
+    horizons: Vec<(u64, Vec<u64>)>,
 }
 
 /// A [`SearchSpace`] compiled for large-scale enumeration: tightened
@@ -275,12 +384,7 @@ pub struct CompiledSpace {
     /// `d` (`suffix[dims-1] == 1`), saturating.
     suffix: Vec<u64>,
     empty: bool,
-    /// What [`snap_feasible`](Self::snap_feasible) has learnt about the
-    /// number of valid points: a property of the space, so counted once —
-    /// once per space when reached through [`SearchSpace::compiled`], which
-    /// holds the one compiled form every strategy on that space snaps
-    /// against — and shared by this value's clones.
-    snap_count: Arc<Mutex<Option<FeasibleCount>>>,
+    learnt: Arc<Mutex<Learnt>>,
     stats: CompileStats,
     telemetry: Telemetry,
 }
@@ -483,7 +587,7 @@ impl CompiledSpace {
             max_check_dim,
             suffix,
             empty,
-            snap_count: Arc::default(),
+            learnt: Arc::default(),
             stats,
             telemetry,
         })
@@ -795,55 +899,123 @@ impl CompiledSpace {
 
     /// [`snap_feasible`](Self::snap_feasible) on the caller's cursor:
     /// `true` leaves the nearest point's indices in `cur`, and `cur.checks`
-    /// says what the answer cost. The module docs argue why skipping a
-    /// subtree on its prefix's distance is exact. Note the two comparisons:
-    /// a NaN sum is neither `>=` nor `<` anything, so it skips nothing and
-    /// displaces nothing.
+    /// says what the answer cost.
     fn snap_walk(&self, cur: &mut PointCursor, coords: &[f64], cap: u64) -> bool {
         debug_assert_eq!(coords.len(), self.dims.len());
-        if self.empty || self.more_valid_than(cur, cap) {
+        if self.empty || self.valid_count(cur, cap).lower_bound() > cap {
             return false;
         }
+        let mut distance = Distance { cs: self, coords };
+        self.walk(cur, &mut distance, None).is_some()
+    }
+
+    /// The valid point with the smallest `score` among the first `cap` of
+    /// the stream (the earlier of equals, a NaN score displacing nothing),
+    /// its score returned and its indices left in `cur`; and whether the
+    /// space holds at least `cap` valid points — whether those first `cap`
+    /// fall short of the whole stream, or just cover it.
+    ///
+    /// `score` is built only when there is a point to score: not for
+    /// `cap == 0`, not on a space propagation proved empty. How far the
+    /// first `cap` points reach is learnt once per space and cap: from the
+    /// shared count, and, when the space holds more, one walk to the
+    /// `cap`-th point.
+    pub(crate) fn argmin_of_first<S: Separable>(
+        &self,
+        cur: &mut PointCursor,
+        cap: u64,
+        score: impl FnOnce() -> S,
+    ) -> (Option<f64>, bool) {
+        let count = self.valid_count(cur, cap).lower_bound();
+        if self.empty || cap == 0 {
+            return (None, count >= cap);
+        }
+        let last = (count > cap).then(|| self.horizon(cap));
+        (self.walk(cur, &mut score(), last.as_deref()), count >= cap)
+    }
+
+    /// The branch-and-bound walk both [`snap_feasible`](Self::snap_feasible)
+    /// and the surrogate's argmin run: the valid point, up to and including
+    /// `last` when given, with the smallest [`Separable`] score, as the
+    /// module docs define and argue it. Returns the score and leaves the
+    /// point's indices in `cur`; `cur.checks` says what it cost.
+    ///
+    /// Note the two comparisons: a NaN bound is neither `>=` nor `<`
+    /// anything, so it skips nothing, and a NaN score displaces nothing.
+    fn walk<S: Separable>(
+        &self,
+        cur: &mut PointCursor,
+        score: &mut S,
+        last: Option<&[u64]>,
+    ) -> Option<f64> {
+        debug_assert!(!self.empty);
         let k = self.dims.len();
-        // prefix[d]: squared distance over dimensions `0..d` of `cur.idx`.
-        let mut prefix = vec![0.0f64; k + 1];
+        let margin = score.margin();
+        // path[d]: the root plus the terms of dimensions `0..d` of `cur.idx`.
+        let mut path = vec![score.root(); k + 1];
         let mut best: Option<f64> = None;
-        let mut nearest = cur.idx.clone();
+        let mut argmin = cur.idx.clone();
+        // How many leading dimensions of `cur.idx` equal `last`'s.
+        let mut on_last = 0;
         self.rewind(cur);
         let mut depth = Some(0);
         while let Some(d) = depth {
-            let off = self.dims[d].value(cur.idx[d]) - coords[d];
-            let here = prefix[d] + off * off;
-            let hopeless = best.is_some_and(|b| here >= b);
+            if let Some(last) = last {
+                on_last = on_last.min(d);
+                if on_last == d {
+                    match cur.idx[d].cmp(&last[d]) {
+                        std::cmp::Ordering::Greater => break,
+                        std::cmp::Ordering::Equal => on_last = d + 1,
+                        std::cmp::Ordering::Less => {}
+                    }
+                }
+            }
+            let here = path[d] + score.term(d, cur.idx[d]);
+            let hopeless = best.is_some_and(|b| here + score.rest(d) - margin >= b);
             if hopeless || !self.prefix_ok(cur, d) {
                 depth = self.bump(cur, d);
             } else if d + 1 < k {
-                prefix[d + 1] = here;
+                path[d + 1] = here;
                 cur.idx[d + 1] = self.dims[d + 1].lo;
                 depth = Some(d + 1);
             } else {
-                if best.is_none_or(|b| here < b) {
-                    best = Some(here);
-                    nearest.copy_from_slice(&cur.idx);
+                let s = score.leaf(here);
+                if best.is_none_or(|b| s < b) && score.admits(&cur.idx) {
+                    best = Some(s);
+                    argmin.copy_from_slice(&cur.idx);
                 }
                 depth = self.bump(cur, d);
             }
         }
-        cur.idx = nearest;
-        best.is_some()
+        cur.idx = argmin;
+        best
     }
 
-    /// Does the space hold more than `cap` valid points? Answered from the
-    /// shared count when it settles the question (an exact count settles
+    /// The number of valid points, as far as `cap` needs it: answered from
+    /// the shared count when that settles `cap` (an exact count settles
     /// every cap, a lower bound every cap below it); counted, on `cur`, and
     /// remembered when not.
-    fn more_valid_than(&self, cur: &mut PointCursor, cap: u64) -> bool {
-        let mut known = self.snap_count.lock();
-        let count = match *known {
+    fn valid_count(&self, cur: &mut PointCursor, cap: u64) -> FeasibleCount {
+        let mut learnt = self.learnt.lock();
+        match learnt.count {
             Some(c) if c.is_exact() || c.lower_bound() > cap => c,
-            _ => *known.insert(self.count_on(cur, cap, u64::MAX)),
-        };
-        count.lower_bound() > cap
+            _ => *learnt.count.insert(self.count_on(cur, cap, u64::MAX)),
+        }
+    }
+
+    /// The indices of the `cap`-th valid point (`cap >= 1`, and the space
+    /// holds more): walked to once per cap, then remembered.
+    fn horizon(&self, cap: u64) -> Vec<u64> {
+        let mut learnt = self.learnt.lock();
+        if let Some((_, last)) = learnt.horizons.iter().find(|(c, _)| *c == cap) {
+            return last.clone();
+        }
+        let mut cur = self.start();
+        for _ in 0..cap {
+            self.next_point(&mut cur);
+        }
+        learnt.horizons.push((cap, cur.idx.clone()));
+        cur.idx
     }
 
     /// [`snap_feasible`](Self::snap_feasible) as it was before it became a
@@ -1314,7 +1486,7 @@ mod tests {
         assert!(!cs.snap_walk(&mut first, &target, cap));
         assert!(first.checks > 0, "the first call has to count");
         assert!(matches!(
-            *cs.snap_count.lock(),
+            cs.learnt.lock().count,
             Some(FeasibleCount::AtLeast(n)) if n > cap
         ));
 
@@ -1338,7 +1510,7 @@ mod tests {
         let snapped = cs.snap_feasible(&target, 84);
         assert_eq!(snapped, cs.snap_feasible_by_scan(&target, 84));
         assert!(snapped.is_some());
-        assert_eq!(*cs.snap_count.lock(), Some(FeasibleCount::Exact(84)));
+        assert_eq!(cs.learnt.lock().count, Some(FeasibleCount::Exact(84)));
         // One fewer is, and the exact count now answers without a walk.
         let mut cur = cs.start();
         assert!(!cs.snap_walk(&mut cur, &target, 83));

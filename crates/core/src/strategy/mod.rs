@@ -17,9 +17,10 @@
 //! strategy's: none of them snaps, validates, compiles or jitters for
 //! itself. The samplers and the grid ask [`SearchSpace::snap`] (validate,
 //! never repair), the simplex moves and greedy probes ask
-//! [`SearchSpace::snap_feasible`] (nearest feasible point), the scanners
-//! walk [`SearchSpace::compiled`], and the session applies
-//! [`SearchSpace::project`] (repair, then snap) to whatever comes out.
+//! [`SearchSpace::snap_feasible`] (nearest feasible point), the
+//! enumerators and the surrogate's argmin walk [`SearchSpace::compiled`],
+//! and the session applies [`SearchSpace::project`] (repair, then snap) to
+//! whatever comes out.
 
 mod annealing;
 mod exhaustive;

@@ -15,18 +15,22 @@
 //! - otherwise → fall back to the inner strategy (Nelder–Mead by default)
 //!   and count the fallback.
 //!
-//! The argmin is an exact scan of the compiled lattice, in enumeration
-//! order, the earlier point winning a tie — exact because on a constrained
-//! lattice the minimum of a quadratic is not where descent from its
-//! continuous minimum lands. What keeps the scan affordable is that it
-//! never leaves index space: the model being separable, its `2·dims` terms
-//! are tabulated per dimension once per proposal, a point then costs
-//! `2·dims` additions on the cursor's index vector, and nothing is
-//! allocated for a point unless it beats the best so far (see
-//! [`Surrogate::scan`]). That is linear in
-//! [`candidate_cap`](SurrogateOptions::candidate_cap) with a constant of
-//! some tens of nanoseconds, not bounded: a proposal over the full default
-//! cap still costs on the order of a millisecond.
+//! The argmin is exact over the compiled lattice: of the first
+//! [`candidate_cap`](SurrogateOptions::candidate_cap) valid points in
+//! enumeration order, the one not yet measured with the smallest
+//! prediction, the earlier point winning a tie — exact because on a
+//! constrained lattice the minimum of a quadratic is not where descent from
+//! its continuous minimum lands. It is found without scoring those points
+//! one by one. The model is separable, so the compiled space's
+//! branch-and-bound walk — the one `snap_feasible` runs for distance —
+//! takes the prediction as its score ([`Prediction`]): it descends the
+//! enumeration tree in order and skips every subtree whose prefix terms,
+//! plus each later dimension's smallest term, already reach the best
+//! prediction found. A point it does reach is scored by the sum
+//! [`Surrogate::predict`] computes, bit for bit, so the answer is the one a
+//! scan of every point gives. What a proposal costs follows the model's
+//! shape, not the cap: on a fitted bowl, a few percent of a full
+//! enumeration's nodes.
 //!
 //! Feedback for a model proposal never reaches the inner strategy — the
 //! inner simplex only ever hears answers to its own questions, so its
@@ -35,15 +39,21 @@
 use super::{SearchStrategy, StrategySnapshot, SurrogateSnapshot};
 use crate::param::Param;
 use crate::space::SearchSpace;
-use crate::space_compile::CompiledSpace;
+use crate::space_compile::{CompiledSpace, PointCursor, Separable};
 use crate::telemetry::{Counter, Latency, Telemetry};
 use rand::rngs::StdRng;
 use std::collections::HashSet;
 use std::time::Instant;
 
-/// Random lattice candidates mixed into the argmin scan once enumeration
-/// hits the candidate cap (so huge spaces still get global coverage).
+/// Random lattice candidates mixed into the argmin once the space holds at
+/// least the candidate cap (so huge spaces still get global coverage).
 const EXTRA_RANDOM_CANDIDATES: usize = 512;
+
+/// Lattice indices per dimension, from the bottom of its compiled range,
+/// whose terms a proposal computes up front: the walk enters most of a
+/// small dimension's indices many times over, and a dimension may have 10⁹
+/// of them.
+const TABULATED: u64 = 256;
 
 /// Tunable knobs of [`Surrogate`] — the hyperparameter surface the
 /// meta-tuner searches.
@@ -57,11 +67,13 @@ pub struct SurrogateOptions {
     /// Relative RMS fit error above which the model is distrusted and the
     /// proposal falls back to the inner strategy.
     pub fit_threshold: f64,
-    /// Compiled-space points scored per argmin pass, in enumeration order.
-    /// A proposal's cost is linear in it (`2·dims` additions per point);
-    /// a space with more valid points than this is scanned up to the cap
-    /// and supplemented with 512 random lattice candidates, so the argmin
-    /// is not confined to the corner enumeration starts in.
+    /// Compiled-space points an argmin pass considers: the first this many
+    /// valid ones, in enumeration order. A proposal does not score them one
+    /// by one — the walk over them skips what the model's bound rules out,
+    /// and how far they reach is learnt once per space — so its cost is not
+    /// linear in the cap. A space with at least this many valid points has
+    /// the argmin supplemented with 512 random lattice candidates, so that
+    /// it is not confined to the corner enumeration starts in.
     pub candidate_cap: u64,
     /// Ridge regularization added to the normal equations' diagonal.
     pub ridge: f64,
@@ -87,54 +99,165 @@ struct Model {
     rel_error: f64,
 }
 
-/// The model's two terms along one dimension — `[w_lin·xn, w_quad·xn²]` —
-/// at every compiled lattice index of that dimension, `xn` being the
-/// normalized coordinate as [`Surrogate::normalized`] computes it.
+/// The model's prediction as the score of the compiled space's walk: `w0`,
+/// then one term per dimension, `w_lin·xn + w_quad·xn²`, `xn` being the
+/// normalized coordinate as [`Surrogate::normalized`] computes it at that
+/// dimension's lattice index.
 ///
-/// At most `cap` indices are tabulated (a scan of `cap` points cannot pay
-/// for more, and a dimension may have 10⁹ of them); an index beyond the
-/// table is computed on the spot by the same expression.
-struct DimTerms<'a> {
+/// A point the walk reaches is scored from the `[w_lin·xn, w_quad·xn²]`
+/// pairs it computed on the way down, added as
+/// [`features`](Surrogate::features) lays them out — `w0`, every linear
+/// term, every quadratic term — so the score is the one
+/// [`predict`](Surrogate::predict) computes, bit for bit. A subtree is
+/// bounded by its prefix's terms plus every later dimension's smallest term
+/// over its compiled index range, less
+/// [`rounding_margin`](Self::rounding_margin); only a point that beats the
+/// best so far pays for its cache key and the `seen` lookup.
+struct Prediction<'a> {
     cs: &'a CompiledSpace,
-    param: &'a Param,
-    dim: usize,
-    weights: [f64; 2],
-    lo: u64,
-    table: Vec<[f64; 2]>,
+    seen: &'a HashSet<Vec<i64>>,
+    w0: f64,
+    /// `[w_lin, w_quad]` per dimension.
+    weights: Vec<[f64; 2]>,
+    /// `rest[d]`: the range minima of the dimensions after `d`, summed.
+    rest: Vec<f64>,
+    margin: f64,
+    /// Per dimension, the pairs at the first [`TABULATED`] indices of its
+    /// range; an index beyond is computed on the spot, by the same
+    /// expression.
+    table: Vec<Vec<[f64; 2]>>,
+    /// Per dimension, the pair at the node the walk last entered there.
+    path: Vec<[f64; 2]>,
 }
 
-impl<'a> DimTerms<'a> {
-    fn new(
-        cs: &'a CompiledSpace,
-        space: &'a SearchSpace,
-        dim: usize,
-        weights: [f64; 2],
-        cap: u64,
-    ) -> Self {
-        let (lo, hi) = cs.index_range(dim);
-        let mut terms = DimTerms {
+impl<'a> Prediction<'a> {
+    fn new(model: &Model, cs: &'a CompiledSpace, seen: &'a HashSet<Vec<i64>>) -> Self {
+        let dims = cs.dims();
+        let w = &model.weights;
+        let mut prediction = Prediction {
             cs,
-            param: &space.params()[dim],
-            dim,
-            weights,
-            lo,
+            seen,
+            w0: w[0],
+            weights: (0..dims).map(|d| [w[1 + d], w[1 + dims + d]]).collect(),
+            rest: vec![0.0; dims],
+            margin: Self::rounding_margin(w),
             table: Vec::new(),
+            path: vec![[0.0; 2]; dims],
         };
-        let tabulated = (hi - lo).saturating_add(1).min(cap);
-        terms.table = (lo..lo + tabulated).map(|i| terms.compute(i)).collect();
-        terms
-    }
-
-    fn compute(&self, index: u64) -> [f64; 2] {
-        let xn = Surrogate::normalized(self.param, self.cs.coord(self.dim, index));
-        [xn * self.weights[0], xn * xn * self.weights[1]]
-    }
-
-    fn at(&self, index: u64) -> [f64; 2] {
-        match self.table.get((index - self.lo) as usize) {
-            Some(terms) => *terms,
-            None => self.compute(index),
+        prediction.table = (0..dims)
+            .map(|d| {
+                let (lo, hi) = cs.index_range(d);
+                let end = hi.min(lo.saturating_add(TABULATED - 1));
+                (lo..=end).map(|i| prediction.compute(d, i)).collect()
+            })
+            .collect();
+        for d in (1..dims).rev() {
+            prediction.rest[d - 1] = prediction.rest[d] + prediction.range_min(d);
         }
+        prediction
+    }
+
+    /// What rounding can put between a bound and a point's score. Every
+    /// normalized coordinate lies in [0, 1], so no term exceeds its weight
+    /// in magnitude, and a sum of the `n = 2·dims + 1` terms, in any order,
+    /// is off by at most about `n/2·ε·Σ|w|`, plus what underflow loses. The
+    /// bound and the score are two such sums and each range minimum is a
+    /// few roundings off the true one: `4·n·ε·Σ|w|` covers all three. A
+    /// weight that is not finite, or so large that a sum could overflow,
+    /// makes the margin infinite and turns the bound off.
+    fn rounding_margin(weights: &[f64]) -> f64 {
+        let magnitude: f64 = weights.iter().map(|w| w.abs()).sum();
+        if magnitude <= f64::MAX / 4.0 {
+            4.0 * weights.len() as f64 * (f64::EPSILON * magnitude + f64::MIN_POSITIVE)
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    /// `[w_lin·xn, w_quad·xn²]` at lattice index `index` of dimension `d`.
+    fn pair(&self, d: usize, index: u64) -> [f64; 2] {
+        let (lo, _) = self.cs.index_range(d);
+        match self.table[d].get((index - lo) as usize) {
+            Some(pair) => *pair,
+            None => self.compute(d, index),
+        }
+    }
+
+    fn compute(&self, d: usize, index: u64) -> [f64; 2] {
+        let xn = self.normalized(d, index);
+        let [lin, quad] = self.weights[d];
+        [xn * lin, xn * xn * quad]
+    }
+
+    fn normalized(&self, d: usize, index: u64) -> f64 {
+        Surrogate::normalized(&self.cs.space().params()[d], self.cs.coord(d, index))
+    }
+
+    /// The smallest term of dimension `d` over its compiled index range, in
+    /// closed form. `xn` never decreases with the index, so a quadratic
+    /// that opens upwards is smallest at the last index below its vertex
+    /// or the first at or past it (found by bisection), and any other at
+    /// an end of the range.
+    fn range_min(&self, d: usize) -> f64 {
+        let (lo, hi) = self.cs.index_range(d);
+        let [lin, quad] = self.weights[d];
+        let mut candidates = [lo, hi, lo, hi];
+        if quad > 0.0 {
+            let vertex = -lin / (2.0 * quad);
+            let (mut past, mut end) = (lo, hi);
+            while past < end {
+                let mid = past + (end - past) / 2;
+                if self.normalized(d, mid) < vertex {
+                    past = mid + 1;
+                } else {
+                    end = mid;
+                }
+            }
+            candidates[2] = past.saturating_sub(1).max(lo);
+            candidates[3] = past;
+        }
+        candidates
+            .into_iter()
+            .map(|i| {
+                let [lin, quad] = self.pair(d, i);
+                lin + quad
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+}
+
+impl Separable for Prediction<'_> {
+    fn root(&self) -> f64 {
+        self.w0
+    }
+
+    fn term(&mut self, d: usize, index: u64) -> f64 {
+        let [lin, quad] = self.pair(d, index);
+        self.path[d] = [lin, quad];
+        lin + quad
+    }
+
+    fn rest(&self, d: usize) -> f64 {
+        self.rest[d]
+    }
+
+    fn margin(&self) -> f64 {
+        self.margin
+    }
+
+    fn leaf(&self, _path: f64) -> f64 {
+        let mut pred = self.w0;
+        for [lin, _] in &self.path {
+            pred += lin;
+        }
+        for [_, quad] in &self.path {
+            pred += quad;
+        }
+        pred
+    }
+
+    fn admits(&self, indices: &[u64]) -> bool {
+        !self.seen.contains(&self.cs.cache_key(indices))
     }
 }
 
@@ -309,17 +432,16 @@ impl Surrogate {
         self.fitted_at = self.samples.len();
     }
 
-    /// The model's argmin over not-yet-measured lattice candidates:
-    /// compiled-space enumeration up to the cap, topped up with random
-    /// lattice samples when the space is larger than the cap.
+    /// The model's argmin over not-yet-measured lattice candidates: the
+    /// compiled space's first `candidate_cap` points, topped up with random
+    /// lattice samples when the space holds at least that many.
     fn argmin(&mut self, space: &SearchSpace, rng: &mut StdRng) -> Option<Vec<f64>> {
         let model = self.model.as_ref()?;
         let cs = space.compiled()?;
         let start = Instant::now();
-        let cap = self.opts.candidate_cap;
-        let (mut best, scanned) = self.scan(model, cs, space);
-        if scanned == cap {
-            // Space larger than the scan: supplement with random lattice
+        let (mut best, capped) = self.best_enumerated(model, cs, &mut cs.start());
+        if capped {
+            // Space larger than the walk: supplement with random lattice
             // candidates so the argmin isn't confined to one corner.
             for _ in 0..EXTRA_RANDOM_CANDIDATES {
                 let cand = space.sample_coords(rng);
@@ -346,58 +468,28 @@ impl Surrogate {
         Some(coords)
     }
 
-    /// Score up to `candidate_cap` compiled points, in enumeration order:
-    /// the best one not yet measured (the earlier of equals), and how many
-    /// were scored.
-    ///
-    /// The scan works on lattice indices. The model is separable, so a
-    /// point's prediction is `w0` plus one linear and one quadratic term
-    /// per dimension, each a function of that dimension's index alone:
-    /// they are tabulated once per call ([`DimTerms`]) and a point costs
-    /// `2·dims` additions — all linear terms, then all quadratic ones, the
-    /// order [`features`](Self::features) lays them out in, so the sum is
-    /// the one [`predict`](Self::predict) computes, bit for bit. A point
-    /// is compared before anything is built for it; only one that improves
-    /// on the best so far pays for its cache key, the `seen` lookup and
-    /// its coordinates.
-    fn scan(
+    /// Of the first `candidate_cap` compiled points, in enumeration order,
+    /// the best one not yet measured (the earlier of equals); and whether
+    /// the space holds at least that many. One bounded walk of the compiled
+    /// space on `cur`, with the model as its score ([`Prediction`]).
+    fn best_enumerated(
         &self,
         model: &Model,
         cs: &CompiledSpace,
-        space: &SearchSpace,
-    ) -> (Option<Candidate>, u64) {
-        let cap = self.opts.candidate_cap;
-        let dims = space.dims();
-        let w = &model.weights;
-        let terms: Vec<DimTerms> = (0..dims)
-            .map(|d| DimTerms::new(cs, space, d, [w[1 + d], w[1 + dims + d]], cap))
-            .collect();
-        let mut best: Option<Candidate> = None;
-        let mut cursor = cs.start();
-        let mut scanned = 0u64;
-        while scanned < cap && cs.next_point(&mut cursor) {
-            scanned += 1;
-            let idx = cursor.indices();
-            let mut pred = w[0];
-            for (t, &i) in terms.iter().zip(idx) {
-                pred += t.at(i)[0];
-            }
-            for (t, &i) in terms.iter().zip(idx) {
-                pred += t.at(i)[1];
-            }
-            if best.as_ref().is_none_or(|(b, ..)| pred < *b) {
-                let key = cs.cache_key(idx);
-                if !self.seen.contains(&key) {
-                    best = Some((pred, key, cs.coords(idx)));
-                }
-            }
-        }
-        (best, scanned)
+        cur: &mut PointCursor,
+    ) -> (Option<Candidate>, bool) {
+        let (pred, capped) = cs.argmin_of_first(cur, self.opts.candidate_cap, || {
+            Prediction::new(model, cs, &self.seen)
+        });
+        let best = pred.map(|pred| (pred, cs.cache_key(cur.indices()), cs.coords(cur.indices())));
+        (best, capped)
     }
 
-    /// [`scan`](Self::scan) as it was before it moved to lattice indices —
-    /// a `Configuration`, a key, a coordinate vector and a feature vector
-    /// per point — kept as the oracle the scan is tested against.
+    /// The argmin as it was before it moved to lattice indices and then to
+    /// a bounded walk — every one of the first `candidate_cap` points
+    /// visited, with a `Configuration`, a key, a coordinate vector and a
+    /// feature vector each — kept as the oracle
+    /// [`best_enumerated`](Self::best_enumerated) is tested against.
     #[cfg(test)]
     fn scan_by_configuration(
         &self,
@@ -637,7 +729,7 @@ mod tests {
         }
     }
 
-    /// Spaces that exercise every branch of the index-space scan.
+    /// Spaces that exercise every branch of the walk.
     fn oracle_spaces() -> Vec<(&'static str, SearchSpace)> {
         use crate::constraint::{MonotoneChain, SumBound};
         vec![
@@ -674,9 +766,10 @@ mod tests {
                     .unwrap(),
             ),
             (
-                // The first valid points are x=0, z=900..: indices of `z`
-                // far beyond a table of `cap` entries.
-                "indices beyond the tabulated ones",
+                // The first valid points are x=0, z=900..: the bound on `z`
+                // is a minimum over a thousand indices, and the first
+                // 65 536 points end part-way through x=70.
+                "a thousand indices per dimension",
                 SearchSpace::builder()
                     .int("x", 0, 999, 1)
                     .int("z", 0, 999, 1)
@@ -694,11 +787,34 @@ mod tests {
         })
     }
 
-    /// The index-space scan against the configuration-per-point oracle:
-    /// same point, same prediction bits, same number scanned — for random
-    /// models (zero weights included, so that whole faces of the lattice
-    /// tie), at caps below and above the space's size, while `seen` grows
-    /// to cover the model's best points one by one.
+    /// [`Surrogate::best_enumerated`] against the configuration-per-point
+    /// oracle under one model and cap, while `seen` grows to cover the
+    /// model's best points one by one: the same prediction bits, key and
+    /// coordinate bits, and the same "capped" decision.
+    fn assert_walk_equals_oracle(what: &str, cs: &CompiledSpace, model: &Model, cap: u64) {
+        let mut s = Surrogate::new(SurrogateOptions {
+            candidate_cap: cap,
+            ..Default::default()
+        });
+        for taken in 0..5 {
+            let (got, capped) = s.best_enumerated(model, cs, &mut cs.start());
+            let (want, scanned) = s.scan_by_configuration(model, cs, cs.space());
+            assert_eq!(
+                (bits(got.clone()), capped),
+                (bits(want), scanned == cap),
+                "{what}, cap {cap}, weights {:?}, {taken} best points seen",
+                model.weights
+            );
+            let Some((_, key, _)) = got else { break };
+            s.seen.insert(key);
+        }
+    }
+
+    /// The walk against the configuration-per-point oracle: same point,
+    /// same prediction bits, same "capped" decision — for random models
+    /// (zero weights included, so that whole faces of the lattice tie), at
+    /// caps below and above the space's size, while `seen` grows to cover
+    /// the model's best points one by one.
     #[test]
     fn scan_equals_the_configuration_per_point_oracle() {
         use rand::Rng;
@@ -718,39 +834,261 @@ mod tests {
                         weights,
                         rel_error: 0.0,
                     };
-                    let mut s = Surrogate::new(SurrogateOptions {
-                        candidate_cap: cap,
-                        ..Default::default()
-                    });
-                    for taken in 0..5 {
-                        let (got, scanned) = s.scan(&model, &cs, &space);
-                        let (want, want_scanned) = s.scan_by_configuration(&model, &cs, &space);
-                        assert_eq!(
-                            (bits(got.clone()), scanned),
-                            (bits(want), want_scanned),
-                            "{name}, cap {cap}, model {round}, {taken} best points seen"
-                        );
-                        let Some((_, key, _)) = got else { break };
-                        s.seen.insert(key);
-                    }
+                    assert_walk_equals_oracle(&format!("{name}, model {round}"), &cs, &model, cap);
                 }
             }
         }
     }
 
+    /// Even sum of the integer values: a constraint with no spec, checked
+    /// on full points only.
+    #[derive(Debug)]
+    struct EvenSum;
+
+    impl crate::constraint::Constraint for EvenSum {
+        fn repair(&self, _space: &SearchSpace, _coords: &mut [f64]) {}
+        fn is_satisfied(&self, _space: &SearchSpace, cfg: &crate::space::Configuration) -> bool {
+            let sum: i64 = cfg.values().iter().filter_map(|v| v.as_int()).sum();
+            sum % 2 == 0
+        }
+        fn check_space(&self, _space: &SearchSpace) -> crate::error::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A random space for the walk's oracle: two to four dimensions —
+    /// stepped ints, an enum, a one-value int — under up to two of a chain,
+    /// a sum bound, a sum that pins one dimension and an opaque
+    /// constraint; one in five also ends in a dimension of 10⁹ indices,
+    /// whose range minimum only the closed form can afford. Returns the
+    /// space and whether it has that dimension.
+    fn random_space(rng: &mut StdRng) -> (SearchSpace, bool) {
+        use crate::constraint::{MonotoneChain, SumBound};
+        use rand::Rng;
+        let mut b = SearchSpace::builder();
+        // (name, min, step, values) of every int dimension.
+        let mut ints: Vec<(String, i64, i64, i64)> = Vec::new();
+        for d in 0..rng.gen_range(2..=4) {
+            let name = format!("p{d}");
+            let (min, step, values) = match rng.gen_range(0..6) {
+                0 => {
+                    b = b.enumeration(&name, ["lo", "mid", "hi"]);
+                    continue;
+                }
+                1 => (4, 1, 1),
+                _ => (
+                    rng.gen_range(-3..4),
+                    [1, 1, 2, 5][rng.gen_range(0..4usize)],
+                    rng.gen_range(2..7),
+                ),
+            };
+            b = b.int(&name, min, min + step * (values - 1), step);
+            ints.push((name, min, step, values));
+        }
+        let wide = rng.gen_range(0..5) == 0;
+        if wide {
+            b = b.int("wide", 0, 999_999_999, 1);
+        }
+        let names: Vec<&str> = ints.iter().map(|(n, ..)| n.as_str()).collect();
+        for _ in 0..rng.gen_range(0..=2) {
+            b = match rng.gen_range(0..4) {
+                0 if names.len() >= 2 => {
+                    let from = rng.gen_range(0..names.len() - 1);
+                    b.constraint(MonotoneChain::new(names[from..].to_vec()))
+                }
+                1 if !names.is_empty() => {
+                    let lo = rng.gen_range(-10.0..10.0f64).round();
+                    b.constraint(SumBound::new(
+                        names.clone(),
+                        lo,
+                        lo + rng.gen_range(0..15) as f64,
+                    ))
+                }
+                2 if !ints.is_empty() => {
+                    let (name, min, step, values) = &ints[rng.gen_range(0..ints.len())];
+                    let at = min + step * rng.gen_range(0..*values);
+                    b.constraint(SumBound::exact([name.as_str()], at as f64))
+                }
+                _ => b.constraint(EvenSum),
+            };
+        }
+        (b.build().expect("generated spaces are well-formed"), wide)
+    }
+
+    /// A random model: ordinary weights, a third of them zero (faces that
+    /// tie) and the rest of either sign (a negative quadratic weight is a
+    /// concave dimension); in one model of three, one weight replaced by a
+    /// very large, tiny, infinite or NaN one.
+    fn random_model(rng: &mut StdRng, dims: usize) -> Model {
+        use rand::Rng;
+        let mut weights: Vec<f64> = (0..2 * dims + 1)
+            .map(|_| match rng.gen_range(0..3) {
+                0 => 0.0,
+                _ => rng.gen_range(-3.0..3.0),
+            })
+            .collect();
+        if rng.gen_range(0..3) == 0 {
+            let special = [
+                1e300,
+                -1e300,
+                1e-310,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+            ];
+            let at = rng.gen_range(0..weights.len());
+            weights[at] = special[rng.gen_range(0..special.len())];
+        }
+        Model {
+            weights,
+            rel_error: 0.0,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The walk against the oracle on random spaces and models, at caps
+        /// 0, 1, one short of the space's valid points, exactly them, one
+        /// more, and the default — or, on a space with a 10⁹-index
+        /// dimension, at caps the oracle can afford to scan.
+        #[test]
+        fn the_walk_equals_the_oracle_on_random_spaces_and_models(seed in 0u64..1_000_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (space, wide) = random_space(&mut rng);
+            let cs = CompiledSpace::compile(&space).unwrap();
+            let caps = if wide {
+                vec![0, 1, 37, 1000]
+            } else {
+                let valid = cs.count_valid().lower_bound();
+                vec![0, 1, valid.saturating_sub(1), valid, valid + 1, 65_536]
+            };
+            for round in 0..3 {
+                let model = random_model(&mut rng, space.dims());
+                for &cap in &caps {
+                    assert_walk_equals_oracle(&format!("seed {seed}, model {round}"), &cs, &model, cap);
+                }
+            }
+        }
+    }
+
+    /// The benchmark's 4 096-point bowl with a model fitted to it: the walk
+    /// enters under a tenth of the nodes a full enumeration checks.
     #[test]
-    fn a_dimension_wider_than_the_cap_is_tabulated_only_up_to_it() {
+    fn on_a_fitted_bowl_the_walk_checks_a_fraction_of_the_enumeration() {
+        let space = (0..4)
+            .fold(SearchSpace::builder(), |b, d| {
+                b.int(format!("x{d}"), 0, 7, 1)
+            })
+            .build()
+            .unwrap();
+        let mut s = Surrogate::default();
+        drive(&mut s, &space, 30, |cfg| {
+            cfg.cache_key()
+                .iter()
+                .zip([6, 1, 7, 0])
+                .enumerate()
+                .map(|(i, (v, o))| (1 + i % 3) as f64 * ((v - o) * (v - o)) as f64)
+                .sum()
+        });
+        let model = s.model.as_ref().expect("30 samples fit the bowl");
+        let cs = space.compiled().unwrap();
+        let mut enumeration = cs.start();
+        while cs.next_point(&mut enumeration) {}
+        let mut walk = cs.start();
+        let (best, capped) = s.best_enumerated(model, cs, &mut walk);
+        assert!(best.is_some() && !capped);
+        assert!(
+            walk.checks() * 10 < enumeration.checks(),
+            "the walk checked {} nodes, the enumeration {}",
+            walk.checks(),
+            enumeration.checks()
+        );
+    }
+
+    /// A dimension of 10⁹ indices: its smallest term comes from the closed
+    /// form (no table reaches it), and what brute force around both ends
+    /// and the vertex finds.
+    #[test]
+    fn a_dimension_wider_than_the_cap_has_its_minimum_in_closed_form() {
         let space = SearchSpace::builder()
-            .int("wide", 0, 999_999_999, 1)
             .int("y", 0, 3, 1)
+            .int("wide", 0, 999_999_999, 1)
             .build()
             .unwrap();
         let cs = CompiledSpace::compile(&space).unwrap();
-        let terms = DimTerms::new(&cs, &space, 0, [1.5, -0.5], 100);
-        assert_eq!(terms.table.len(), 100);
-        assert_eq!(terms.at(99), terms.compute(99));
-        let far = terms.at(999_999_999);
-        assert_eq!(far, [1.5, -0.5], "xn = 1 at the top of the range");
+        let seen = HashSet::new();
+        let top = 999_999_999;
+        // Brute force over both ends and the indices around mid-range.
+        let brute = |p: &Prediction| {
+            (0..1000)
+                .chain(top - 1000..=top)
+                .chain(499_999_000..500_001_000)
+                .map(|i| {
+                    let [lin, quad] = p.pair(1, i);
+                    lin + quad
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        // Concave, smallest at xn = 0; vertex at xn = 0.5 + 1e-10, between
+        // two indices; vertex beyond the range, smallest at xn = 1.
+        for [lin, quad] in [[1.5, -0.5], [-1.0 - 2e-10, 1.0], [-3.0, 1.0]] {
+            let model = Model {
+                weights: vec![0.0, 0.0, lin, 0.0, quad],
+                rel_error: 0.0,
+            };
+            let p = Prediction::new(&model, &cs, &seen);
+            assert_eq!(
+                p.range_min(1).to_bits(),
+                brute(&p).to_bits(),
+                "{lin}, {quad}"
+            );
+            assert_eq!(p.rest[0], p.range_min(1));
+            // Only the bottom of the range is tabulated; past it, a pair is
+            // computed by the same expression.
+            assert_eq!(p.table[1].len() as u64, TABULATED);
+            assert_eq!(p.pair(1, TABULATED - 1), p.compute(1, TABULATED - 1));
+            assert_eq!(
+                p.pair(1, top),
+                [lin, quad],
+                "xn = 1 at the top of the range"
+            );
+        }
+    }
+
+    /// At 96ac031 a trusted model on a space that propagation proves empty
+    /// tabulated `hi - lo` with `lo > hi` on the emptied dimension: an
+    /// overflow panic in a debug build, 65 536 table entries for nothing in
+    /// a release one. Now the argmin answers `None` before it scores
+    /// anything, and the proposal falls back.
+    #[test]
+    fn a_provably_empty_space_falls_back_without_scoring() {
+        use crate::constraint::MonotoneChain;
+        let space = SearchSpace::builder()
+            .int("a", 5, 9, 1)
+            .int("b", 0, 3, 1)
+            .constraint(MonotoneChain::new(["a", "b"]))
+            .build()
+            .unwrap();
+        assert!(space.compiled().unwrap().stats().provably_empty);
+        let mut rng = StdRng::seed_from_u64(9);
+        let priors: Vec<(Vec<f64>, f64)> = (0..12)
+            .map(|_| {
+                let c = space.sample_coords(&mut rng);
+                let cost = (c[0] - 6.0).powi(2) + 2.0 * (c[1] - 1.0).powi(2);
+                (c, cost)
+            })
+            .collect();
+        let mut s = Surrogate::default().with_prior_samples(priors);
+        s.init(&space, &mut rng);
+        let _ = s.propose(&space, &mut rng);
+        assert!(
+            s.model
+                .as_ref()
+                .is_some_and(|m| m.rel_error <= s.opts.fit_threshold),
+            "the model is trusted, so the argmin was asked"
+        );
+        assert_eq!((s.model_proposals, s.fallbacks), (0, 1));
     }
 
     #[test]

@@ -305,7 +305,7 @@ pub enum Latency {
     SpaceCompile,
     /// Surrogate model fit (normal-equation solve over the sample set).
     SurrogateFit,
-    /// Surrogate model argmin scan over compiled-space candidates.
+    /// Surrogate model argmin over compiled-space candidates.
     SurrogatePredict,
 }
 
