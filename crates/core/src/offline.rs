@@ -129,10 +129,10 @@ impl OfflineTuner {
         let fingerprint = space_fingerprint(&space);
         let default_cfg = app.default_config();
         let mut store_hits = 0usize;
-        let lookup = |cfg: &Configuration, hits: &mut usize| -> Option<f64> {
+        let mut lookup = |key: &[i64]| -> Option<f64> {
             let (store, label) = self.store.as_ref()?;
-            let hit = store.lookup(label, fingerprint, &cfg.cache_key())?;
-            *hits += 1;
+            let hit = store.lookup(label, fingerprint, key)?;
+            store_hits += 1;
             Some(hit.cost)
         };
         let record = |cfg: &Configuration, cost: f64, charged: f64, iteration: usize| {
@@ -146,7 +146,7 @@ impl OfflineTuner {
         };
         // Stored default: skip the baseline short run entirely — a restart
         // the tuning budget never pays for.
-        let (default_cost, mut tuning_time) = match lookup(&default_cfg, &mut store_hits) {
+        let (default_cost, mut tuning_time) = match lookup(&default_cfg.cache_key()) {
             Some(cost) => (cost, 0.0),
             None => {
                 let m = app.run_short(&default_cfg);
@@ -161,13 +161,9 @@ impl OfflineTuner {
         };
         let mut session = TuningSession::new(space, strategy, self.opts.clone());
         session.preload(&default_cfg, default_cost);
-        while let Some(trial) = session.suggest() {
-            if let Some(cost) = lookup(&trial.config, &mut store_hits) {
-                session
-                    .report_stored(trial, cost)
-                    .expect("session accepts stored report for its own trial");
-                continue;
-            }
+        // Stored configurations are served inside the session; only what
+        // the store does not know comes back as a trial to run.
+        while let Some(trial) = session.suggest_batch_with(1, |_, key| lookup(key)).pop() {
             let m = app.run_short(&trial.config);
             let charged = if self.charge_overheads {
                 m.total_time()

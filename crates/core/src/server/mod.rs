@@ -222,8 +222,8 @@ pub struct ServerConfig {
     pub telemetry: Telemetry,
     /// Shared performance store ([`crate::store`]). When set, every shard
     /// consults it before dispatching a trial — a configuration whose cost
-    /// is already on record is answered server-side
-    /// ([`TuningSession::report_stored`]) without a round trip to any
+    /// is already on record is answered inside the session
+    /// ([`TuningSession::suggest_batch_with`]) without a round trip to any
     /// client — and records every fresh measurement into it.
     pub store: Option<SharedStore>,
     /// Most sessions one tenant may hold open at once; a `Register` past
@@ -1167,61 +1167,47 @@ impl HarmonyServer {
                         iteration: t.trial.iteration,
                     });
                 }
-                // Top up with fresh proposals, resolving store-known ones
-                // server-side. Each served cost may unlock further
-                // proposals, so keep asking while the store keeps
-                // progressing the search; without a store this degenerates
-                // to a single `suggest_batch` pass. The tenant's
-                // in-flight cap clamps how many fresh trials may be issued
-                // (store-served hits complete immediately and don't count);
-                // suggestions are requested only up to the clamp so no
-                // proposal is ever pulled from the strategy and dropped.
+                // Top up with fresh proposals. The session asks the store
+                // about each one and applies a hit on the spot, so what comes
+                // back is only what a client must measure. The tenant's
+                // in-flight cap clamps how many may be issued (served hits
+                // complete immediately and don't count), so no proposal is
+                // ever pulled from the strategy and dropped; past
+                // `MAX_SERVED_PER_REQUEST` hits the memo stops answering and
+                // the rest are handed out.
                 let fresh_budget = cfg.tenant_max_inflight.map_or(usize::MAX, |cap| {
                     (cap as u64).saturating_sub(tenant_stats.inflight.load(Ordering::Relaxed))
                         as usize
                 });
+                let store = cfg.store.as_ref();
                 let mut served = 0usize;
-                let mut fresh = 0usize;
-                while trials.len() < max {
-                    let want = (max - trials.len()).min(fresh_budget - fresh);
-                    if want == 0 {
-                        break;
-                    }
-                    let batch = session.suggest_batch(want);
-                    if batch.is_empty() {
-                        break;
-                    }
-                    let mut progressed = false;
-                    for trial in batch {
-                        *issued_high = (*issued_high).max(trial.iteration);
-                        if served < MAX_SERVED_PER_REQUEST {
-                            if let Some(hit) = cfg.store.as_ref().and_then(|s| {
-                                s.lookup(app, *fingerprint, &trial.config.cache_key())
-                            }) {
-                                served += 1;
-                                progressed = true;
-                                let _ = session.report_stored(trial, hit.cost);
-                                continue;
-                            }
+                let batch = session.suggest_batch_with(
+                    (max - trials.len()).min(fresh_budget),
+                    |iteration, key| {
+                        if served == MAX_SERVED_PER_REQUEST {
+                            return None;
                         }
-                        telemetry.inc(Counter::TrialsFetched);
-                        telemetry.event(TrialStage::Fetched, trial.iteration, client, None);
-                        trials.push(FetchedTrial {
-                            config: trial.config.clone(),
-                            iteration: trial.iteration,
-                        });
-                        fresh += 1;
-                        tenant_stats.inflight.fetch_add(1, Ordering::Relaxed);
-                        outstanding.push_back(OutstandingTrial {
-                            trial,
-                            owner: client,
-                            issued: now,
-                            requeued: false,
-                        });
-                    }
-                    if !progressed {
-                        break;
-                    }
+                        let hit = store?.lookup(app, *fingerprint, key)?;
+                        served += 1;
+                        *issued_high = (*issued_high).max(iteration);
+                        Some(hit.cost)
+                    },
+                );
+                for trial in batch {
+                    *issued_high = (*issued_high).max(trial.iteration);
+                    telemetry.inc(Counter::TrialsFetched);
+                    telemetry.event(TrialStage::Fetched, trial.iteration, client, None);
+                    trials.push(FetchedTrial {
+                        config: trial.config.clone(),
+                        iteration: trial.iteration,
+                    });
+                    tenant_stats.inflight.fetch_add(1, Ordering::Relaxed);
+                    outstanding.push_back(OutstandingTrial {
+                        trial,
+                        owner: client,
+                        issued: now,
+                        requeued: false,
+                    });
                 }
                 let finished = trials.is_empty() && session.stop_reason().is_some();
                 if finished {
@@ -1249,6 +1235,9 @@ impl HarmonyServer {
                 // append instead of one per trial, so attaching a store
                 // does not un-amortize what batching bought.
                 let mut recorded: Vec<StoreRecord> = Vec::new();
+                // A report that fails stops the batch, but the ones before it
+                // are applied already: their records are written all the same.
+                let mut failed: Option<String> = None;
                 for r in reports {
                     if session.stop_reason().is_some() {
                         // Stopped mid-batch: the remaining results belong
@@ -1271,7 +1260,8 @@ impl HarmonyServer {
                             let iteration = t.trial.iteration;
                             telemetry.tenant_add(tenant, TenantMetric::Reports, 1);
                             if let Err(e) = session.report_timed(t.trial, cost, wall_time) {
-                                return Reply::err(e.to_string());
+                                failed = Some(e.to_string());
+                                break;
                             }
                             telemetry.tenant_add(tenant, TenantMetric::Evaluations, 1);
                             if let Some(config) = config {
@@ -1298,13 +1288,14 @@ impl HarmonyServer {
                             continue;
                         }
                         None => {
-                            return Reply::err(
+                            failed = Some(
                                 HarmonyError::Protocol(format!(
                                     "report for unknown trial {}",
                                     r.iteration
                                 ))
                                 .to_string(),
-                            )
+                            );
+                            break;
                         }
                     }
                 }
@@ -1316,7 +1307,7 @@ impl HarmonyServer {
                 if session.stop_reason().is_some() {
                     Self::drain_outstanding(outstanding, tenant_stats);
                 }
-                Reply::Ok
+                failed.map_or(Reply::Ok, Reply::err)
             }
             (SessionPhase::Tuning { session, .. }, Request::QueryBest) => {
                 let best = session.best().map(|(c, v)| (c.clone(), v));
@@ -1931,6 +1922,131 @@ mod tests {
             assert_eq!(a.cost.to_bits(), b.cost.to_bits());
         }
         assert!(mixed.evaluations().iter().any(|e| e.cached));
+    }
+
+    /// A store at a fresh temporary path, and the fingerprint of the
+    /// two-parameter space `declare_xy` seals.
+    fn fresh_store(tag: &str) -> (SharedStore, u64) {
+        let dir = std::env::temp_dir().join(format!("ah-server-store-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{tag}.store"));
+        let _ = std::fs::remove_file(&path);
+        let space = crate::space::SearchSpace::builder()
+            .param(Param::int("x", 0, 200, 1))
+            .param(Param::int("y", 0, 200, 1))
+            .build()
+            .unwrap();
+        (SharedStore::open(&path).unwrap(), space_fingerprint(&space))
+    }
+
+    fn declare_xy(client: &HarmonyClient, max_evaluations: usize) {
+        client.add_param(Param::int("x", 0, 200, 1)).unwrap();
+        client.add_param(Param::int("y", 0, 200, 1)).unwrap();
+        let options = SessionOptions {
+            max_evaluations,
+            seed: 5,
+            ..Default::default()
+        };
+        client.seal(options, StrategyKind::Random).unwrap();
+    }
+
+    fn xy_cost(cfg: &crate::space::Configuration) -> f64 {
+        let x = cfg.int("x").unwrap() as f64;
+        let y = cfg.int("y").unwrap() as f64;
+        (x - 120.0).powi(2) + (y - 40.0).powi(2)
+    }
+
+    #[test]
+    fn a_report_batch_that_fails_partway_still_records_what_it_applied() {
+        let (store, fingerprint) = fresh_store("partway");
+        let server = HarmonyServer::start_with_config(ServerConfig {
+            shards: 1,
+            store: Some(store.clone()),
+            ..Default::default()
+        });
+        let client = server.connect("partway").unwrap();
+        declare_xy(&client, 10);
+        let (trials, _) = client.fetch_batch(2).unwrap();
+        let valid = TrialReport {
+            iteration: trials[0].iteration,
+            cost: 7.5,
+            wall_time: 1.0,
+        };
+        let unknown = TrialReport {
+            iteration: 10_000,
+            cost: 1.0,
+            wall_time: 1.0,
+        };
+        let err = client.report_batch(vec![valid, unknown]).unwrap_err();
+        assert!(err.to_string().contains("unknown trial"), "{err}");
+        // The session applied the first report; the store has it too.
+        assert_eq!(client.history().unwrap().0.len(), 1);
+        let key = trials[0].config.cache_key();
+        let hit = store
+            .lookup("partway", fingerprint, &key)
+            .expect("a store hit");
+        assert_eq!(hit.cost, 7.5);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_report_for_a_served_iteration_is_dropped_as_stale() {
+        // The reference campaign, measured with no store.
+        let server = HarmonyServer::start_with(1);
+        let client = server.connect("served").unwrap();
+        declare_xy(&client, 6);
+        loop {
+            let fetched = client.fetch().unwrap();
+            if fetched.finished {
+                break;
+            }
+            client.report(xy_cost(&fetched.config)).unwrap();
+        }
+        let (reference, _) = client.history().unwrap();
+        server.shutdown();
+        assert!(reference.evaluations().iter().all(|e| !e.cached));
+
+        // The store knows every point but the first, so one request hands
+        // out iteration 1 and serves 2..=6 behind it.
+        let (store, fingerprint) = fresh_store("served");
+        for e in &reference.evaluations()[1..] {
+            let record = StoreRecord::new("served", fingerprint, e.config.clone(), e.cost, 1.0);
+            store.insert(record).unwrap();
+        }
+        let telemetry = Telemetry::enabled();
+        let server = HarmonyServer::start_with_config(ServerConfig {
+            shards: 1,
+            store: Some(store),
+            telemetry: telemetry.clone(),
+            ..Default::default()
+        });
+        let client = server.connect("served").unwrap();
+        declare_xy(&client, 6);
+        let (trials, finished) = client.fetch_batch(16).unwrap();
+        assert!(!finished);
+        assert_eq!(trials.len(), 1);
+        assert_eq!(trials[0].iteration, 1);
+        let report = |iteration, cost| TrialReport {
+            iteration,
+            cost,
+            wall_time: 1.0,
+        };
+        // Iteration 6 was served, never handed out: its echo is stale.
+        client.report_batch(vec![report(6, 0.0)]).unwrap();
+        assert_eq!(telemetry.counter(Counter::StaleReportsDropped), 1);
+        let err = client.report_batch(vec![report(7, 0.0)]).unwrap_err();
+        assert!(err.to_string().contains("unknown trial"), "{err}");
+        let first = xy_cost(&trials[0].config);
+        client.report_batch(vec![report(1, first)]).unwrap();
+        assert!(client.fetch_batch(16).unwrap().1, "the budget is spent");
+        let (warm, _) = client.history().unwrap();
+        server.shutdown();
+        assert_eq!(reference.len(), warm.len());
+        for (a, b) in reference.evaluations().iter().zip(warm.evaluations()) {
+            assert_eq!(a.config.cache_key(), b.config.cache_key());
+            assert_eq!(a.cost.to_bits(), b.cost.to_bits());
+            assert_eq!(b.cached, b.iteration > 1);
+        }
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //! Repeated visits to an already-measured lattice point are served from the
 //! cache: in off-line tuning one evaluation is one application run, so cache
 //! hits are free iterations.
+//!
+//! Costs known from outside the session — the persistent performance store
+//! — are resolved inside it too: [`TuningSession::suggest_batch_with`] asks
+//! a memo about each new proposal's cache key, and a hit is applied on the
+//! spot (a `cached` history row that charges no time) instead of leaving as
+//! a trial. The Harmony server and the off-line tuner both serve their
+//! stores this way.
 
 use crate::error::{HarmonyError, Result};
 use crate::history::{Evaluation, History};
@@ -335,6 +342,24 @@ impl TuningSession {
     /// An empty result with [`stop_reason`](Self::stop_reason) `None` means
     /// the strategy needs outstanding reports before it can propose again.
     pub fn suggest_batch(&mut self, max: usize) -> Vec<Trial> {
+        self.suggest_batch_with(max, |_, _| None)
+    }
+
+    /// [`suggest_batch`](Self::suggest_batch) with a memo of known costs
+    /// (the performance store, in the server and the off-line tuner).
+    ///
+    /// `memo(iteration, key)` is asked once about every proposal that is
+    /// neither cached nor pending, on the cache key the session has just
+    /// computed. A cost it returns resolves the proposal there and then,
+    /// exactly as [`report_stored`](Self::report_stored) would: the history
+    /// row is flagged `cached`, no wall time is charged, and budget, best
+    /// tracking, strategy feedback and stop checks advance as for a
+    /// measurement. Served proposals never become trials and do not count
+    /// towards `max`; `None` hands the proposal out as a trial.
+    pub fn suggest_batch_with<M>(&mut self, max: usize, mut memo: M) -> Vec<Trial>
+    where
+        M: FnMut(usize, &[i64]) -> Option<f64>,
+    {
         let mut out = Vec::new();
         if self.stopped.is_some() || max == 0 {
             return out;
@@ -402,19 +427,29 @@ impl TuningSession {
             self.telemetry.inc(Counter::TrialsProposed);
             self.telemetry
                 .event(TrialStage::Proposed, iteration, 0, None);
-            out.push(Trial {
-                config: config.clone(),
-                iteration,
-            });
+            let stored = memo(iteration, &key);
+            match stored {
+                Some(_) => self
+                    .telemetry
+                    .event(TrialStage::Replayed, iteration, 0, Some("store")),
+                None => out.push(Trial {
+                    config: config.clone(),
+                    iteration,
+                }),
+            }
             self.pending.push_back(PendingTrial {
                 coords,
                 config,
                 key,
                 iteration,
                 kind: PendingKind::Fresh,
-                outcome: None,
-                from_store: false,
+                outcome: stored.map(|cost| (cost, 0.0)),
+                from_store: stored.is_some(),
             });
+            if stored.is_some() {
+                // Applied now, or once the trials queued ahead are reported.
+                self.flush_pending();
+            }
         }
         out
     }
@@ -450,6 +485,10 @@ impl TuningSession {
     /// trajectory bit-identical to the cold run that populated the store —
     /// except that the history row is flagged `cached` and no wall time is
     /// charged to the cumulative tuning time (nothing actually ran).
+    ///
+    /// A caller that can answer from a memo before the trial leaves the
+    /// session should pass it to [`suggest_batch_with`](Self::suggest_batch_with)
+    /// instead: same outcome, without building the trial.
     pub fn report_stored(&mut self, trial: Trial, cost: f64) -> Result<()> {
         if self.stopped.is_some() {
             return Err(HarmonyError::SessionFinished);
@@ -639,7 +678,10 @@ impl TuningSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::{GridSearch, NelderMead, RandomSearch};
+    use crate::strategy::{
+        Annealing, Exhaustive, Genetic, GreedyFrom, GreedyOptions, GridSearch, NelderMead,
+        ParallelRankOrder, RandomSearch, Surrogate,
+    };
 
     fn space() -> SearchSpace {
         SearchSpace::builder()
@@ -1141,6 +1183,129 @@ mod tests {
         assert_eq!(a.best_cost.to_bits(), b.best_cost.to_bits());
         for (x, y) in a.history.evaluations().iter().zip(b.history.evaluations()) {
             assert_eq!(x.cost.to_bits(), y.cost.to_bits());
+        }
+    }
+
+    type Build = fn(&SearchSpace) -> Box<dyn SearchStrategy>;
+
+    /// The nine strategies `repro leaderboard` races, each built fresh.
+    const ROSTER: [(&str, Build); 9] = [
+        ("random", |_| Box::new(RandomSearch::new())),
+        ("grid", |_| Box::new(GridSearch::new(60))),
+        ("exhaustive", |_| Box::new(Exhaustive::new(10_000))),
+        ("greedy", |sp| {
+            let start = sp.embed(&sp.center()).expect("the centre embeds");
+            Box::new(GreedyFrom::new(start, GreedyOptions::default()))
+        }),
+        ("nelder-mead", |_| Box::new(NelderMead::default())),
+        ("pro", |_| Box::new(ParallelRankOrder::default())),
+        ("annealing", |_| Box::new(Annealing::default())),
+        ("genetic", |_| Box::new(Genetic::default())),
+        ("surrogate", |_| Box::new(Surrogate::default())),
+    ];
+
+    /// A cost that is a function of the cache key alone, as a store's is.
+    fn keyed_cost(key: &[i64]) -> f64 {
+        ((key[0] - 31) as f64).powi(2) + ((key[1] - 9) as f64).powi(2) + 5.0
+    }
+
+    /// A session over `space()` with one preloaded point, so the cache is
+    /// not empty before the first proposal.
+    fn memo_session(build: Build) -> TuningSession {
+        let sp = space();
+        let preloaded = sp.project(&[20.0, 20.0]);
+        let mut s = TuningSession::new(
+            sp.clone(),
+            build(&sp),
+            SessionOptions {
+                max_evaluations: 60,
+                seed: 31,
+                ..Default::default()
+            },
+        );
+        s.preload(&preloaded, keyed_cost(&preloaded.cache_key()));
+        s
+    }
+
+    /// What the memo hook replaces: serial `suggest`, then `report_stored`
+    /// for a known key and a timed report for the rest.
+    fn served_serially(build: Build, known: fn(&[i64]) -> bool) -> TuningResult {
+        let mut s = memo_session(build);
+        while let Some(t) = s.suggest() {
+            let key = t.config.cache_key();
+            let cost = keyed_cost(&key);
+            if known(&key) {
+                s.report_stored(t, cost).unwrap();
+            } else {
+                s.report_timed(t, cost, 1.0).unwrap();
+            }
+        }
+        s.result()
+    }
+
+    /// The same campaign through `suggest_batch_with`, `batch` trials per
+    /// call. Panics if the memo is asked about a key twice: every key it
+    /// is asked about is pending or cached from then on, so a second
+    /// question would be one about a known point.
+    fn served_by_the_memo(build: Build, known: fn(&[i64]) -> bool, batch: usize) -> TuningResult {
+        let mut s = memo_session(build);
+        let preloaded = s.space().project(&[20.0, 20.0]).cache_key();
+        let mut asked = std::collections::HashSet::new();
+        loop {
+            let trials = s.suggest_batch_with(batch, |_, key| {
+                assert_ne!(key, preloaded.as_slice(), "memo asked about a cached key");
+                assert!(asked.insert(key.to_vec()), "memo asked twice about {key:?}");
+                known(key).then(|| keyed_cost(key))
+            });
+            if trials.is_empty() {
+                assert!(s.stop_reason().is_some(), "no trial, nothing outstanding");
+                break;
+            }
+            for t in trials {
+                assert!(!known(&t.config.cache_key()), "a known key left as a trial");
+                let cost = keyed_cost(&t.config.cache_key());
+                let _ = s.report_timed(t, cost, 1.0); // stop mid-batch is legitimate
+            }
+        }
+        s.result()
+    }
+
+    #[test]
+    fn the_memo_hook_equals_serial_report_stored_for_the_whole_roster() {
+        let some: fn(&[i64]) -> bool = |key| (key[0] + key[1]) % 3 != 0;
+        let all: fn(&[i64]) -> bool = |_| true;
+        for (name, build) in ROSTER {
+            for (everything, known) in [(false, some), (true, all)] {
+                let want = served_serially(build, known);
+                for batch in [1, 16] {
+                    let got = served_by_the_memo(build, known, batch);
+                    let context = format!("{name}, batch {batch}");
+                    assert_eq!(want.stop_reason, got.stop_reason, "{context}");
+                    assert_eq!(want.evaluations, got.evaluations, "{context}");
+                    assert_eq!(want.history.len(), got.history.len(), "{context}");
+                    let rows = want.history.evaluations().iter();
+                    for (a, b) in rows.zip(got.history.evaluations()) {
+                        assert_eq!(a.iteration, b.iteration, "{context}");
+                        assert_eq!(a.config.cache_key(), b.config.cache_key(), "{context}");
+                        assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "{context}");
+                        assert_eq!(a.cached, b.cached, "{context}");
+                        assert_eq!(
+                            a.cumulative_time.to_bits(),
+                            b.cumulative_time.to_bits(),
+                            "{context}"
+                        );
+                    }
+                    assert!(got.history.evaluations().iter().any(|e| e.cached));
+                }
+                if everything {
+                    // Nothing ran: every row is cached and charges no time.
+                    assert!(want
+                        .history
+                        .evaluations()
+                        .iter()
+                        .all(|e| e.cached && e.cumulative_time == 0.0));
+                }
+            }
         }
     }
 

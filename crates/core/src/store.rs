@@ -47,8 +47,10 @@
 //!
 //! Lookup is *first write wins*: the first recorded cost for a key is the
 //! one served forever after, which is what makes a warm run against the
-//! store replay the cold run's trajectory bit-identically (see
-//! [`TuningSession::report_stored`](crate::session::TuningSession::report_stored)).
+//! store replay the cold run's trajectory bit-identically. Sessions are
+//! served inside their own proposal loop: the server and the off-line
+//! tuner pass [`lookup`](PerfStore::lookup) as the memo of
+//! [`TuningSession::suggest_batch_with`](crate::session::TuningSession::suggest_batch_with).
 
 use crate::durable_log::{self, push_line, DurableLog};
 use crate::error::{HarmonyError, Result};
@@ -426,9 +428,10 @@ impl PerfStore {
 
     /// Look up the first-recorded cost for a configuration. Counts a
     /// [`Counter::StoreHits`] or [`Counter::StoreMisses`] and observes
-    /// [`Latency::StoreLookup`].
+    /// [`Latency::StoreLookup`]; with telemetry disabled the clock is never
+    /// read.
     pub fn lookup(&self, app: &str, fingerprint: u64, key: &[i64]) -> Option<StoredCost> {
-        let started = Instant::now();
+        let started = self.telemetry.is_enabled().then(Instant::now);
         let span = self
             .telemetry
             .span_begin(SpanKind::StoreLookup, 0, "store", 0);
@@ -440,8 +443,10 @@ impl PerfStore {
             }
         });
         self.telemetry.span_end(span);
-        self.telemetry
-            .observe(Latency::StoreLookup, started.elapsed());
+        if let Some(started) = started {
+            self.telemetry
+                .observe(Latency::StoreLookup, started.elapsed());
+        }
         self.telemetry.inc(if hit.is_some() {
             Counter::StoreHits
         } else {
@@ -521,12 +526,14 @@ impl PerfStore {
         if records == 0 {
             return Ok(());
         }
-        let started = Instant::now();
+        let started = self.telemetry.is_enabled().then(Instant::now);
         self.log.append(lines, records)?;
         if self.log.unsynced() >= self.sync_every {
             self.log.sync()?;
-            self.telemetry
-                .observe(Latency::StoreAppendFsync, started.elapsed());
+            if let Some(started) = started {
+                self.telemetry
+                    .observe(Latency::StoreAppendFsync, started.elapsed());
+            }
         }
         Ok(())
     }
@@ -574,21 +581,29 @@ impl PerfStore {
     /// What [`merge_records`](Self::merge_records) *would* do, without
     /// writing anything (`repro store merge --dry-run`).
     pub fn merge_preview(&self, records: &[StoreRecord]) -> MergeStats {
+        use std::collections::hash_map::Entry;
         let mut stats = MergeStats::default();
-        let mut fresh: std::collections::HashSet<(&str, u64, Vec<i64>)> =
-            std::collections::HashSet::new();
+        // Cost bits of the records the merge would append, by key: a later
+        // duplicate in the batch meets them as the merge meets its own
+        // appends.
+        let mut fresh: HashMap<(&str, u64, Vec<i64>), u64> = HashMap::new();
         for record in records {
             stats.scanned += 1;
             let key = record.config.cache_key();
-            if let Some(pos) = self.live_pos(&record.app, record.fingerprint, &key) {
-                stats.skipped += 1;
-                if self.records[pos].cost_bits != record.cost_bits {
-                    stats.conflicts += 1;
-                }
-            } else if fresh.insert((record.app.as_str(), record.fingerprint, key)) {
-                stats.merged += 1;
-            } else {
-                stats.skipped += 1;
+            let live = match self.live_pos(&record.app, record.fingerprint, &key) {
+                Some(pos) => self.records[pos].cost_bits,
+                None => match fresh.entry((record.app.as_str(), record.fingerprint, key)) {
+                    Entry::Occupied(first) => *first.get(),
+                    Entry::Vacant(slot) => {
+                        slot.insert(record.cost_bits);
+                        stats.merged += 1;
+                        continue;
+                    }
+                },
+            };
+            stats.skipped += 1;
+            if live != record.cost_bits {
+                stats.conflicts += 1;
             }
         }
         stats

@@ -9,8 +9,14 @@
 //! store records first-reported costs under requeues, duplicates, and
 //! stragglers; whatever mess produced the database, replaying it must
 //! reproduce the fault-free trajectory.
+//!
+//! The same holds however the campaign is fetched — serially, sixteen
+//! trials a request, against a store that knows only part of the campaign,
+//! or past the cap on hits one request may serve — and for the off-line
+//! tuner, which serves its store through the same session hook.
 
 use ah_clustersim::{FaultKind, FaultPlan};
+use ah_core::offline::OfflineOutcome;
 use ah_core::prelude::*;
 use ah_core::server::protocol::TrialReport;
 use ah_core::server::{HarmonyClient, ServerConfig};
@@ -81,10 +87,14 @@ fn trajectory(c: &HarmonyClient) -> Trajectory {
 
 /// Ground truth: one client, no faults, no store.
 fn serial_reference(strategy: StrategyKind, seed: u64) -> Trajectory {
+    serial_reference_with(strategy, options(seed))
+}
+
+fn serial_reference_with(strategy: StrategyKind, options: SessionOptions) -> Trajectory {
     let server = HarmonyServer::start_with(1);
     let c = server.connect("det").unwrap();
     declare(&c);
-    c.seal(options(seed), strategy).unwrap();
+    c.seal(options, strategy).unwrap();
     loop {
         let f = c.fetch().unwrap();
         if f.finished {
@@ -262,5 +272,264 @@ proptest! {
         seed in 0u64..1_000_000, fs in 0u64..1_000_000
     ) {
         check(StrategyKind::Pro, seed, fs);
+    }
+}
+
+fn budget(seed: u64, max_evaluations: usize) -> SessionOptions {
+    SessionOptions {
+        max_evaluations,
+        seed,
+        ..Default::default()
+    }
+}
+
+/// A store-backed run driven `batch` trials per request; returns the
+/// trajectory and how many history rows the client measured.
+fn batched_store_run(
+    strategy: StrategyKind,
+    options: SessionOptions,
+    batch: usize,
+    store: &SharedStore,
+) -> (Trajectory, usize) {
+    let server = store_server(store);
+    let c = server.connect("det").unwrap();
+    declare(&c);
+    c.seal(options, strategy).unwrap();
+    loop {
+        let (trials, finished) = c.fetch_batch(batch).unwrap();
+        if finished {
+            break;
+        }
+        assert!(!trials.is_empty(), "nothing outstanding, yet no trial");
+        let reports = trials
+            .iter()
+            .map(|t| TrialReport {
+                iteration: t.iteration,
+                cost: objective(&t.config),
+                wall_time: objective(&t.config),
+            })
+            .collect();
+        c.report_batch(reports).unwrap();
+    }
+    let (h, _) = c.history().unwrap();
+    let measured = h.evaluations().iter().filter(|e| !e.cached).count();
+    let t = trajectory(&c);
+    server.shutdown();
+    store.flush().unwrap();
+    (t, measured)
+}
+
+/// Cold and warm runs fetched sixteen at a time replay the serial run.
+fn check_batched(strategy: StrategyKind, seed: u64) {
+    let want = serial_reference(strategy.clone(), seed);
+    let path = temp_store("batched");
+    let store = SharedStore::open(&path).unwrap();
+    let (cold, measured) = batched_store_run(strategy.clone(), options(seed), 16, &store);
+    assert_eq!(cold, want, "{strategy:?} cold batched run diverged");
+    assert!(measured > 0, "{strategy:?} cold run measured nothing");
+    let (warm, measured) = batched_store_run(strategy.clone(), options(seed), 16, &store);
+    assert_eq!(warm, want, "{strategy:?} warm batched run diverged");
+    assert_eq!(measured, 0, "{strategy:?} warm batched run re-measured");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A store seeded by a 20-evaluation run serves the first part of a
+/// 40-evaluation one: the first request serves those hits and hands out
+/// misses, and the client measures exactly what the store lacks.
+fn check_partly_warm(strategy: StrategyKind, seed: u64) {
+    let want = serial_reference_with(strategy.clone(), budget(seed, 40));
+    let cold_path = temp_store("partly-cold");
+    let (cold, total) = batched_store_run(
+        strategy.clone(),
+        budget(seed, 40),
+        16,
+        &SharedStore::open(&cold_path).unwrap(),
+    );
+    assert_eq!(cold, want, "{strategy:?} cold batched run diverged");
+    let path = temp_store("partly");
+    let store = SharedStore::open(&path).unwrap();
+    let (_, seeded) = batched_store_run(strategy.clone(), budget(seed, 20), 16, &store);
+    let (warm, measured) = batched_store_run(strategy.clone(), budget(seed, 40), 16, &store);
+    assert_eq!(warm, want, "{strategy:?} partly warm run diverged");
+    assert_eq!(
+        measured,
+        total - seeded,
+        "{strategy:?} measured what the store knew"
+    );
+    for p in [cold_path, path] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+/// Every strategy a session can be sealed with.
+fn server_roster() -> [StrategyKind; 7] {
+    [
+        StrategyKind::Random,
+        StrategyKind::NelderMead,
+        StrategyKind::Pro,
+        StrategyKind::Grid { target: 40 },
+        StrategyKind::Annealing,
+        StrategyKind::Genetic,
+        StrategyKind::Surrogate,
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    #[test]
+    fn warm_runs_replay_cold_runs_for_annealing(
+        seed in 0u64..1_000_000, fs in 0u64..1_000_000
+    ) {
+        check(StrategyKind::Annealing, seed, fs);
+    }
+
+    #[test]
+    fn warm_runs_replay_cold_runs_for_genetic(
+        seed in 0u64..1_000_000, fs in 0u64..1_000_000
+    ) {
+        check(StrategyKind::Genetic, seed, fs);
+    }
+
+    #[test]
+    fn warm_runs_replay_cold_runs_for_grid(
+        seed in 0u64..1_000_000, fs in 0u64..1_000_000
+    ) {
+        check(StrategyKind::Grid { target: 40 }, seed, fs);
+    }
+
+    #[test]
+    fn warm_runs_replay_cold_runs_for_surrogate(
+        seed in 0u64..1_000_000, fs in 0u64..1_000_000
+    ) {
+        check(StrategyKind::Surrogate, seed, fs);
+    }
+
+    #[test]
+    fn batched_warm_runs_replay_the_serial_run(seed in 0u64..1_000_000) {
+        for strategy in server_roster() {
+            check_batched(strategy, seed);
+        }
+    }
+
+    #[test]
+    fn partly_warm_batches_mix_hits_and_misses(seed in 0u64..1_000_000) {
+        for strategy in server_roster() {
+            check_partly_warm(strategy, seed);
+        }
+    }
+}
+
+#[test]
+fn a_long_random_campaign_crosses_the_served_cap_mid_request() {
+    let long = budget(77, 1_500);
+    let want = serial_reference_with(StrategyKind::Random, long.clone());
+    let path = temp_store("long");
+    let store = SharedStore::open(&path).unwrap();
+    let (cold, measured) = batched_store_run(StrategyKind::Random, long.clone(), 16, &store);
+    assert_eq!(cold, want, "cold long run diverged");
+    assert_eq!(measured, 1_500);
+    // The first request serves 1 024 hits (`MAX_SERVED_PER_REQUEST` in
+    // `ah_core::server`) and then hands out one batch; the second serves
+    // the remaining 460 and finishes.
+    let (warm, measured) = batched_store_run(StrategyKind::Random, long, 16, &store);
+    assert_eq!(warm, want, "warm long run diverged");
+    assert_eq!(measured, 16, "trials handed out past the served cap");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The off-line tuner's short-run application over the same space and
+/// objective.
+struct Bowl {
+    runs: usize,
+}
+
+impl ShortRunApp for Bowl {
+    fn space(&self) -> SearchSpace {
+        SearchSpace::builder()
+            .int("x", 0, 80, 1)
+            .int("y", -30, 30, 1)
+            .build()
+            .unwrap()
+    }
+
+    fn default_config(&self) -> Configuration {
+        self.space().center()
+    }
+
+    fn run_short(&mut self, config: &Configuration) -> RunMeasurement {
+        self.runs += 1;
+        RunMeasurement {
+            exec_time: objective(config),
+            warmup_time: 1.0,
+            restart_cost: 0.5,
+        }
+    }
+}
+
+type Build = fn(&SearchSpace) -> Box<dyn SearchStrategy>;
+
+/// The nine strategies `repro leaderboard` races, each built fresh. Greedy
+/// and exhaustive have no `StrategyKind`, so the server cannot seal them;
+/// the off-line tuner serves its store through the same session hook.
+const ROSTER: [(&str, Build); 9] = [
+    ("random", |_| Box::new(RandomSearch::new())),
+    ("grid", |_| Box::new(GridSearch::new(40))),
+    ("exhaustive", |_| Box::new(Exhaustive::new(10_000))),
+    ("greedy", |sp| {
+        Box::new(GreedyFrom::new(
+            sp.embed(&sp.center()).expect("the centre embeds"),
+            GreedyOptions::default(),
+        ))
+    }),
+    ("nelder-mead", |_| Box::new(NelderMead::default())),
+    ("pro", |_| Box::new(ParallelRankOrder::default())),
+    ("annealing", |_| Box::new(Annealing::default())),
+    ("genetic", |_| Box::new(Genetic::default())),
+    ("surrogate", |_| Box::new(Surrogate::default())),
+];
+
+/// `(iteration, cache key, cost bits)` of every history row.
+fn rows(outcome: &OfflineOutcome) -> Vec<(usize, Vec<i64>, u64)> {
+    outcome
+        .result
+        .history
+        .evaluations()
+        .iter()
+        .map(|e| (e.iteration, e.config.cache_key(), e.cost.to_bits()))
+        .collect()
+}
+
+#[test]
+fn offline_warm_campaigns_replay_cold_ones_for_the_whole_roster() {
+    let space = Bowl { runs: 0 }.space();
+    for (name, build) in ROSTER {
+        let tuner = || OfflineTuner::new(options(41));
+        let want = rows(&tuner().tune(&mut Bowl { runs: 0 }, build(&space)));
+        let path = temp_store("offline");
+        let store = SharedStore::open(&path).unwrap();
+        let cold = tuner()
+            .with_store(store.clone(), "det")
+            .tune(&mut Bowl { runs: 0 }, build(&space));
+        assert_eq!(
+            rows(&cold),
+            want,
+            "{name}: cold store-backed campaign diverged"
+        );
+        let mut app = Bowl { runs: 0 };
+        let warm = tuner()
+            .with_store(store, "det")
+            .tune(&mut app, build(&space));
+        assert_eq!(rows(&warm), want, "{name}: warm campaign diverged");
+        assert_eq!(app.runs, 0, "{name}: warm campaign ran the application");
+        assert_eq!(warm.tuning_time, 0.0);
+        assert_eq!(warm.store_hits, warm.result.evaluations + 1);
+        assert!(warm
+            .result
+            .history
+            .evaluations()
+            .iter()
+            .all(|e| e.cached && e.cumulative_time == 0.0));
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -176,6 +176,27 @@ proptest! {
         other.merge_from(&dst).unwrap();
         prop_assert_eq!(live_map(&other), peer_view);
     }
+
+    #[test]
+    fn the_dry_run_counts_what_the_merge_does(
+        local in proptest::collection::vec(0i64..8, 0..6),
+        incoming in proptest::collection::vec(0i64..24, 0..40),
+    ) {
+        // Eight keys, three possible costs each: a raw peer log, with
+        // superseded duplicates, conflicting costs and keys already here.
+        let local: Vec<(i64, i64)> = local.iter().map(|&k| (k, 0)).collect();
+        let records: Vec<StoreRecord> = incoming
+            .iter()
+            .map(|&k| record((k % 8, 0), cost_of((k % 8, 0)) + (k / 8) as f64))
+            .collect();
+        let mut dst = store_with("preview", &local);
+        let p = dst.merge_preview(&records);
+        let m = dst.merge_records(records).unwrap();
+        prop_assert_eq!(
+            (p.scanned, p.merged, p.skipped, p.conflicts),
+            (m.scanned, m.merged, m.skipped, m.conflicts)
+        );
+    }
 }
 
 #[test]
