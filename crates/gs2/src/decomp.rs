@@ -4,14 +4,14 @@
 //! contiguous chunks of `⌈N/P⌉` elements. A phase that needs a set of
 //! dimensions `D` local (e.g. `{x, y}` for the field solve) requires every
 //! *pencil* — the sub-array spanned by `D` at fixed other coordinates — to
-//! reside on a single processor. [`locality`] walks the whole index space
-//! and counts exactly how many elements already live on their pencil's home
-//! processor; the remainder is the redistribution volume.
+//! reside on a single processor. [`locality`] counts exactly how many
+//! elements already live on their pencil's home processor, one run of the
+//! fastest dimension at a time; the remainder is the redistribution volume.
 
 use crate::layout::{Dim, Layout};
 
 /// Sizes of the five dimensions in canonical `x y l e s` order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DimSizes {
     /// x size.
     pub x: usize,
@@ -94,7 +94,13 @@ impl Decomposition {
 /// Fraction of elements already resident on their pencil-home processor for
 /// a phase needing dimensions `needed` local. `1.0` = no redistribution.
 ///
-/// Exact: walks all `N` elements of the index space.
+/// Exact: counts by runs of the layout's fastest dimension, `N / n₀` runs of
+/// `n₀` consecutive flat indices. Along a run, if that dimension is needed
+/// the home is one flat index and the count is the run's overlap with the
+/// home's chunk; otherwise `flat − home = δ` is constant and an element is
+/// local exactly when `home mod chunk < chunk − δ`, counted in closed form
+/// (none when `δ ≥ chunk`, the whole run when `δ = 0`). Both counts are
+/// integers, so the fraction is the one an element-by-element walk gives.
 pub fn locality(d: &Decomposition, needed: &[Dim]) -> f64 {
     let order = d.layout.dims();
     let sizes: [usize; 5] = std::array::from_fn(|i| d.sizes.of(order[i]));
@@ -103,6 +109,8 @@ pub fn locality(d: &Decomposition, needed: &[Dim]) -> f64 {
     if n == 0 {
         return 1.0;
     }
+    let chunk = d.chunk();
+    let run = sizes[0];
     // Strides of each layout position in the flattened index.
     let mut strides = [0usize; 5];
     let mut acc = 1usize;
@@ -112,27 +120,44 @@ pub fn locality(d: &Decomposition, needed: &[Dim]) -> f64 {
     }
     let mut local = 0usize;
     let mut coords = [0usize; 5];
-    for flat in 0..n {
-        // Home of this element's pencil: same coords with needed dims zeroed.
-        let mut home_flat = flat;
-        for i in 0..5 {
-            if mask[i] {
-                home_flat -= coords[i] * strides[i];
+    // The run's first flat index, and its pencil home: the same index with
+    // the needed coordinates of positions 1..5 zeroed (position 0's is 0).
+    let (mut first, mut home) = (0usize, 0usize);
+    'runs: loop {
+        local += if mask[0] {
+            let lo = home / chunk * chunk;
+            (first + run).min(lo + chunk).saturating_sub(first.max(lo))
+        } else {
+            let delta = first - home;
+            if delta == 0 {
+                run
+            } else if delta >= chunk {
+                0
+            } else {
+                // Homes in `0..m` whose offset in their chunk is below `keep`.
+                let keep = chunk - delta;
+                let below = |m: usize| m / chunk * keep + (m % chunk).min(keep);
+                below(home + run) - below(home)
             }
-        }
-        if d.owner(flat) == d.owner(home_flat) {
-            local += 1;
-        }
-        // Increment mixed-radix coordinates.
-        for i in 0..5 {
+        };
+        // Next run: increment the mixed-radix coordinates of positions 1..5.
+        for i in 1..5 {
             coords[i] += 1;
+            first += strides[i];
+            if !mask[i] {
+                home += strides[i];
+            }
             if coords[i] < sizes[i] {
-                break;
+                continue 'runs;
             }
             coords[i] = 0;
+            first -= sizes[i] * strides[i];
+            if !mask[i] {
+                home -= sizes[i] * strides[i];
+            }
         }
+        return local as f64 / n as f64;
     }
-    local as f64 / n as f64
 }
 
 /// Elements that must move for the phase (the alltoall volume).
@@ -144,6 +169,127 @@ pub fn redistribution_volume(d: &Decomposition, needed: &[Dim]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The element walk `locality` replaced, kept as its oracle: every
+    /// element's owner against its pencil home's owner.
+    fn locality_by_walk(d: &Decomposition, needed: &[Dim]) -> f64 {
+        let order = d.layout.dims();
+        let sizes: [usize; 5] = std::array::from_fn(|i| d.sizes.of(order[i]));
+        let mask: [bool; 5] = std::array::from_fn(|i| needed.contains(&order[i]));
+        let n = d.sizes.total();
+        if n == 0 {
+            return 1.0;
+        }
+        let mut strides = [0usize; 5];
+        let mut acc = 1usize;
+        for i in 0..5 {
+            strides[i] = acc;
+            acc *= sizes[i];
+        }
+        let mut local = 0usize;
+        let mut coords = [0usize; 5];
+        for flat in 0..n {
+            let mut home_flat = flat;
+            for i in 0..5 {
+                if mask[i] {
+                    home_flat -= coords[i] * strides[i];
+                }
+            }
+            if d.owner(flat) == d.owner(home_flat) {
+                local += 1;
+            }
+            for i in 0..5 {
+                coords[i] += 1;
+                if coords[i] < sizes[i] {
+                    break;
+                }
+                coords[i] = 0;
+            }
+        }
+        local as f64 / n as f64
+    }
+
+    /// The subset of the five dimensions whose bits are set in `bits`.
+    fn subset(bits: usize) -> Vec<Dim> {
+        (0..5)
+            .filter(|i| bits >> i & 1 == 1)
+            .map(|i| Dim::ALL[i])
+            .collect()
+    }
+
+    /// Sizes from five draws, and a processor count in `1..=2N` from `p`.
+    fn decomposition(layout: Layout, dims: &[usize], p: usize) -> Decomposition {
+        let sizes = DimSizes {
+            x: dims[0],
+            y: dims[1],
+            l: dims[2],
+            e: dims[3],
+            s: dims[4],
+        };
+        Decomposition::new(layout, sizes, 1 + p % (2 * sizes.total()))
+    }
+
+    fn agrees_with_walk(d: &Decomposition, needed: &[Dim]) -> Result<(), String> {
+        let (runs, walk) = (locality(d, needed), locality_by_walk(d, needed));
+        prop_assert!(
+            runs.to_bits() == walk.to_bits(),
+            "{d:?} needing {needed:?}: {runs} by runs, {walk} by walk"
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn locality_equals_the_walk_on_every_layout_and_subset(
+            dims in vec(1usize..5, 5),
+            p in 0usize..1_000_000,
+        ) {
+            for layout in Layout::all() {
+                let d = decomposition(layout, &dims, p);
+                for bits in 0..32 {
+                    agrees_with_walk(&d, &subset(bits))?;
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn locality_equals_the_walk_on_larger_sizes(
+            dims in vec(1usize..12, 5),
+            layout in 0usize..120,
+            bits in 0usize..32,
+            p in 0usize..1_000_000,
+        ) {
+            let d = decomposition(Layout::all()[layout], &dims, p);
+            agrees_with_walk(&d, &subset(bits))?;
+        }
+    }
+
+    #[test]
+    fn locality_equals_the_walk_at_paper_size() {
+        let sizes = DimSizes {
+            x: 32,
+            y: 16,
+            l: 32,
+            e: 16,
+            s: 2,
+        };
+        for name in ["lxyes", "yxles", "sexyl"] {
+            for procs in [7, 128] {
+                let d = Decomposition::new(layout(name), sizes, procs);
+                for needed in [&[Dim::X, Dim::Y][..], &[Dim::L, Dim::E]] {
+                    agrees_with_walk(&d, needed).unwrap();
+                }
+            }
+        }
+    }
 
     fn sizes() -> DimSizes {
         DimSizes {

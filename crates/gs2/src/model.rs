@@ -25,8 +25,10 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Memoisation key for locality scans: `(layout, negrid, procs, phase tag)`.
-type LocalityKey = (String, usize, usize, u8);
+/// Memoisation key for locality counts: everything [`locality`] reads — the
+/// layout, the five sizes, the processor count, and the needed dimensions as
+/// one bit per [`Dim`].
+type LocalityKey = (Layout, DimSizes, usize, u8);
 
 /// Gflop per element per `ntheta` point in the linear phase.
 pub const GFLOP_LINEAR: f64 = 1.2e-7;
@@ -115,7 +117,7 @@ pub struct Gs2Model {
     pub nl: usize,
     /// Species count.
     pub nspec: usize,
-    /// Memoised locality results keyed by `(layout, negrid, procs, dim set)`.
+    /// Memoised locality results, shared with clones (see [`LocalityKey`]).
     locality_cache: Arc<Mutex<HashMap<LocalityKey, f64>>>,
 }
 
@@ -162,8 +164,9 @@ impl Gs2Model {
         cfg.nodes.min(self.max_nodes).max(1) * self.node.procs
     }
 
-    fn cached_locality(&self, d: &Decomposition, needed: &[Dim], tag: u8) -> f64 {
-        let key = (d.layout.to_string(), d.sizes.e, d.procs, tag);
+    fn cached_locality(&self, d: &Decomposition, needed: &[Dim]) -> f64 {
+        let dims = needed.iter().fold(0u8, |bits, &dim| bits | 1 << dim as u8);
+        let key = (d.layout, d.sizes, d.procs, dims);
         if let Some(&v) = self.locality_cache.lock().get(&key) {
             return v;
         }
@@ -216,7 +219,7 @@ impl Gs2Model {
 
         // Linear/field phase.
         let lin_compute = chunk_work * GFLOP_LINEAR / speed;
-        let loc_xy = self.cached_locality(&d, &[Dim::X, Dim::Y], 0);
+        let loc_xy = self.cached_locality(&d, &[Dim::X, Dim::Y]);
         let lin_comm = 2.0 * self.redistribution_time(cfg, &d, loc_xy, BYTES_PER_ELEMENT_THETA);
 
         // Collision phase: needs l-e velocity pencils local, which neither
@@ -225,7 +228,7 @@ impl Gs2Model {
         let (coll_compute, coll_comm) = match cfg.collision {
             CollisionModel::None => (0.0, 0.0),
             CollisionModel::Lorentz => {
-                let loc_le = self.cached_locality(&d, &[Dim::L, Dim::E], 1);
+                let loc_le = self.cached_locality(&d, &[Dim::L, Dim::E]);
                 (
                     chunk_work * GFLOP_COLLISION / speed,
                     2.0 * self.redistribution_time(cfg, &d, loc_le, BYTES_PER_ELEMENT_THETA_COLL),
@@ -246,7 +249,7 @@ impl Gs2Model {
         let d = Decomposition::new(cfg.layout, self.sizes(cfg), procs);
         let speed = self.node.effective_speed(self.node.procs);
         let compute = d.chunk() as f64 * cfg.ntheta as f64 * GFLOP_INIT / speed;
-        let loc_xy = self.cached_locality(&d, &[Dim::X, Dim::Y], 0);
+        let loc_xy = self.cached_locality(&d, &[Dim::X, Dim::Y]);
         let redist =
             INIT_REDIST_PASSES * self.redistribution_time(cfg, &d, loc_xy, BYTES_PER_ELEMENT_THETA);
         INIT_FIXED + compute + redist
@@ -365,6 +368,43 @@ mod tests {
         let a = m.step_time(&c);
         let b = m.step_time(&c);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_resized_clone_does_not_reuse_its_originals_localities() {
+        // Clones share the locality memo; `nx`..`nspec` are public, so a
+        // clone resized after the original filled the memo must still get
+        // its own counts.
+        let small = || {
+            let mut m = Gs2Model::on_seaborg(16, 8);
+            m.nx = 16;
+            m.ny = 8;
+            m.nl = 16;
+            m
+        };
+        let original = small();
+        let mut resized = original.clone();
+        resized.nx = 12;
+        let mut fresh = small();
+        fresh.nx = 12;
+        for layout in Layout::paper_candidates() {
+            for nodes in 1..=8 {
+                for collision in [CollisionModel::None, CollisionModel::Lorentz] {
+                    let c = Gs2Config {
+                        layout,
+                        nodes,
+                        collision,
+                        ..Gs2Config::paper_default()
+                    };
+                    original.run_time(&c, 10);
+                    assert_eq!(
+                        resized.run_time(&c, 10).to_bits(),
+                        fresh.run_time(&c, 10).to_bits(),
+                        "{layout} on {nodes} nodes, {collision:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

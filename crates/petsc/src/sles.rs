@@ -106,20 +106,40 @@ impl SlesProblem {
     /// for each nonzero `(r, c)` with `owner(r) = i ≠ j = owner(c)`,
     /// part `j` must send `x[c]` to part `i` each iteration. Distinct
     /// columns are counted once (vector entries are gathered, not nonzeros).
+    /// Pairs that exchange nothing are absent.
     pub fn halo_volumes(&self, part: &RowPartition) -> HashMap<(usize, usize), usize> {
-        let mut seen: HashMap<(usize, usize), std::collections::HashSet<usize>> = HashMap::new();
+        self.halos(part).into_iter().collect()
+    }
+
+    /// The halo volumes as `((src, dst), values)`, sorted by `(src, dst)`.
+    ///
+    /// One pass over each part `i`'s rows. A column inside `range(i)` is
+    /// local: for a part that has rows, that is exactly `owner(c) = i`. `stamp[c]` names the last part that counted column
+    /// `c`, so a remote column is counted, and its owner looked up, once per
+    /// part that needs it; `from[j]` tallies part `i`'s values from part `j`.
+    /// Every count is an exact integer, as the set sizes it replaces were.
+    fn halos(&self, part: &RowPartition) -> Vec<((usize, usize), usize)> {
+        let mut stamp = vec![usize::MAX; self.matrix.cols()];
+        let mut from = vec![0usize; part.parts()];
+        let mut halos = Vec::new();
         for i in 0..part.parts() {
-            for r in part.range(i) {
-                let (cols, _) = self.matrix.row(r);
-                for &c in cols {
-                    let j = part.owner(c);
-                    if j != i {
-                        seen.entry((j, i)).or_default().insert(c);
+            let local = part.range(i);
+            for r in local.clone() {
+                for &c in self.matrix.row(r).0 {
+                    if !local.contains(&c) && stamp[c] != i {
+                        stamp[c] = i;
+                        from[part.owner(c)] += 1;
                     }
                 }
             }
+            for (j, values) in from.iter_mut().enumerate() {
+                if *values > 0 {
+                    halos.push(((j, i), std::mem::take(values)));
+                }
+            }
         }
-        seen.into_iter().map(|(k, v)| (k, v.len())).collect()
+        halos.sort_unstable_by_key(|&(k, _)| k);
+        halos
     }
 
     /// Simulate a distributed CG solve under the given decomposition.
@@ -131,6 +151,15 @@ impl SlesProblem {
             "machine too small for {} partitions",
             part.parts()
         );
+        let halos = self.halos(part);
+        self.simulate(part, halos)
+    }
+
+    /// The superstep of one CG iteration, given the partition's sorted halo
+    /// volumes, executed on the machine and scaled by the iteration count.
+    /// The sorted `(src, dst)` order keeps the simulated time bit-identical
+    /// run to run (float sums are order-sensitive at the ulp).
+    fn simulate(&mut self, part: &RowPartition, halos: Vec<((usize, usize), usize)>) -> SlesRun {
         let iterations = self.iterations();
         let loads = part.loads(&self.matrix);
         let rows = part.row_counts();
@@ -140,11 +169,6 @@ impl SlesProblem {
         for (i, (&nnz, &nrows)) in loads.iter().zip(&rows).enumerate() {
             compute[i] = nnz as f64 * GFLOP_PER_NNZ + nrows as f64 * GFLOP_PER_ROW;
         }
-        // Hash order is per-process-random; fix (src, dst) order so the
-        // simulated time is bit-identical run to run (float sums are
-        // order-sensitive at the ulp).
-        let mut halos: Vec<((usize, usize), usize)> = self.halo_volumes(part).into_iter().collect();
-        halos.sort_unstable_by_key(|&(k, _)| k);
         let messages: Vec<Message> = halos
             .into_iter()
             .map(|((src, dst), vals)| Message {
@@ -167,8 +191,21 @@ impl SlesProblem {
             iterations,
             compute_time: one.compute_time * iterations as f64,
             comm_time: one.comm_time * iterations as f64,
-            imbalance: part.load_imbalance(&self.matrix),
+            imbalance: load_imbalance(&loads),
         }
+    }
+}
+
+/// `max(load) / mean(load)` (1.0 = perfect), from loads already counted:
+/// the arithmetic of [`RowPartition::load_imbalance`], which counts them
+/// again.
+fn load_imbalance(loads: &[usize]) -> f64 {
+    let max = loads.iter().copied().max().unwrap_or(0) as f64;
+    let mean = loads.iter().sum::<usize>() as f64 / loads.len() as f64;
+    if mean <= 0.0 {
+        1.0
+    } else {
+        max / mean
     }
 }
 
@@ -177,9 +214,115 @@ mod tests {
     use super::*;
     use ah_clustersim::NetworkModel;
     use ah_sparse::gen::{clustered_blocks, laplacian_2d, ones};
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn machine(procs: usize) -> Machine {
         Machine::uniform("test", procs, 1, 1.0, NetworkModel::default())
+    }
+
+    /// The count `halos` replaced, kept as its oracle: a binary-searched
+    /// owner per nonzero and a hash set of columns per `(src, dst)` pair.
+    fn halo_volumes_by_hashing(
+        a: &CsrMatrix,
+        part: &RowPartition,
+    ) -> HashMap<(usize, usize), usize> {
+        let mut seen: HashMap<(usize, usize), HashSet<usize>> = HashMap::new();
+        for i in 0..part.parts() {
+            for r in part.range(i) {
+                let (cols, _) = a.row(r);
+                for &c in cols {
+                    let j = part.owner(c);
+                    if j != i {
+                        seen.entry((j, i)).or_default().insert(c);
+                    }
+                }
+            }
+        }
+        seen.into_iter().map(|(k, v)| (k, v.len())).collect()
+    }
+
+    /// A random square matrix of order `n`: `raw` read as `(row, col)` pairs.
+    fn random_matrix(n: usize, raw: &[usize]) -> CsrMatrix {
+        let t: Vec<(usize, usize, f64)> = raw
+            .chunks_exact(2)
+            .map(|rc| (rc[0] % n, rc[1] % n, 1.0))
+            .collect();
+        CsrMatrix::from_triplets(n, n, &t)
+    }
+
+    /// A partition of `n` rows from raw boundaries. `from_boundaries` clamps
+    /// `n + 1` and `n + 2` to `n`, so on small `n` boundaries at 0 and at
+    /// `n`, repeated boundaries and empty parts are common; no boundaries is
+    /// a single part.
+    fn partition(n: usize, raw: &[usize]) -> RowPartition {
+        let interior: Vec<usize> = raw.iter().map(|&b| b % (n + 3)).collect();
+        RowPartition::from_boundaries(n, &interior)
+    }
+
+    /// `halo_volumes` equals the hash-set oracle, and `solve` is bit-equal
+    /// to the superstep built from the oracle's sorted volumes and
+    /// `RowPartition::load_imbalance`.
+    fn agrees_with_hashing(a: CsrMatrix, part: &RowPartition) -> Result<(), String> {
+        let oracle = halo_volumes_by_hashing(&a, part);
+        let mut p = SlesProblem::new(a.clone(), ones(a.rows()), machine(part.parts()));
+        p.set_iterations(37);
+        prop_assert_eq!(p.halo_volumes(part), oracle.clone());
+        let mut sorted: Vec<((usize, usize), usize)> = oracle.into_iter().collect();
+        sorted.sort_unstable_by_key(|&(k, _)| k);
+        let got = p.solve(part);
+        let want = p.simulate(part, sorted);
+        for (g, w) in [
+            (got.time, want.time),
+            (got.compute_time, want.compute_time),
+            (got.comm_time, want.comm_time),
+            (got.imbalance, part.load_imbalance(&a)),
+        ] {
+            prop_assert_eq!(g.to_bits(), w.to_bits());
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn halo_volumes_equal_the_hash_set_count(
+            kind in 0usize..3,
+            size in 1usize..40,
+            width in 1usize..8,
+            blocks in proptest::collection::vec(1usize..20, 1..5),
+            density in 0.0..1.0f64,
+            seed in 0u64..1_000,
+            entries in proptest::collection::vec(0usize..10_000, 0..400),
+            bounds in proptest::collection::vec(0usize..10_000, 0..9),
+        ) {
+            let a = match kind {
+                0 => laplacian_2d(size, width),
+                1 => clustered_blocks(&blocks, density, seed),
+                _ => random_matrix(size, &entries),
+            };
+            let part = partition(a.rows(), &bounds);
+            agrees_with_hashing(a, &part)?;
+        }
+    }
+
+    #[test]
+    fn halo_volumes_agree_on_the_edge_partitions() {
+        let a = clustered_blocks(&[7, 3, 12, 5], 0.6, 11);
+        let n = a.rows();
+        for interior in [
+            vec![],
+            vec![0],
+            vec![n],
+            vec![0, 0, n, n],
+            vec![5, 5, 5],
+            vec![0, 9, 9, n],
+            (1..n).collect(),
+        ] {
+            let part = RowPartition::from_boundaries(n, &interior);
+            agrees_with_hashing(a.clone(), &part).unwrap();
+        }
     }
 
     #[test]
