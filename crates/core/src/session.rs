@@ -553,9 +553,12 @@ impl TuningSession {
                         self.cached_evals += 1;
                     }
                     self.consecutive_cached = 0;
+                    // The best copies the configuration only when it
+                    // improves; the history row takes it.
+                    let improved = self.update_best(&e.config, cost);
                     self.history.push(Evaluation {
                         iteration: e.iteration,
-                        config: e.config.clone(),
+                        config: e.config,
                         cost,
                         cached: e.from_store,
                         cumulative_time: self.cumulative_time,
@@ -565,7 +568,6 @@ impl TuningSession {
                         self.telemetry
                             .event(TrialStage::Reported, e.iteration, 0, None);
                     }
-                    let improved = self.update_best(&e.config, cost);
                     if improved {
                         self.since_improvement = 0;
                     } else {

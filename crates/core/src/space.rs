@@ -251,6 +251,11 @@ impl SearchSpace {
     /// embedding, then snap every coordinate to its lattice.
     pub fn project(&self, coords: &[f64]) -> Configuration {
         debug_assert_eq!(coords.len(), self.dims());
+        if self.constraints.is_empty() {
+            // Repair is then only the box clamp, and `Param::project`
+            // clamps into the same box itself.
+            return self.lattice_point(coords);
+        }
         let mut repaired = coords.to_vec();
         self.repair(&mut repaired);
         self.lattice_point(&repaired)
@@ -541,7 +546,7 @@ mod tests {
     use super::*;
     use crate::constraint::MonotoneChain;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn space2d() -> SearchSpace {
         SearchSpace::builder()
@@ -750,6 +755,76 @@ mod tests {
         other.adopt_names(table);
         assert!(!Arc::ptr_eq(other.names_table(), table));
         assert_ne!(other, decoded);
+    }
+
+    /// A configuration's values bit for bit: the cache key holds a real's
+    /// IEEE-754 pattern, the debug form the variants and enum labels.
+    fn exactly(cfg: &Configuration) -> (Vec<i64>, String) {
+        (cfg.cache_key(), format!("{:?}", cfg.values()))
+    }
+
+    /// A coordinate for `p` from the cases a clamp or a rounding could
+    /// treat differently: NaN, ±∞, −0.0, outside the box, an enum's
+    /// half-points (−0.5 and len − 0.5), a lattice midpoint, anywhere in.
+    fn awkward_coord(p: &Param, rng: &mut StdRng) -> f64 {
+        let (lo, hi) = (p.embed_min(), p.embed_max());
+        let step = match p {
+            Param::Int { step, .. } => *step as f64,
+            _ => 1.0,
+        };
+        match rng.gen_range(0..10) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -0.0,
+            4 => lo - rng.gen_range(0.0..10.0),
+            5 => hi + rng.gen_range(0.0..10.0),
+            6 => -0.5,
+            7 => hi + 0.5,
+            8 => lo + step * (rng.gen_range(0..4) as f64 + 0.5),
+            _ => rng.gen_range(lo..=hi),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Without constraints `project` skips the repair; what it returns
+        /// is still bit for bit the repaired point's lattice point, on
+        /// ints with negative minima, steps above one and a maximum off
+        /// the lattice, on reals and on enums.
+        #[test]
+        fn unconstrained_project_equals_repair_then_lattice(seed in 0u64..1_000_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut b = SearchSpace::builder();
+            for d in 0..rng.gen_range(1..=5) {
+                let name = format!("p{d}");
+                b = match rng.gen_range(0..3) {
+                    0 => {
+                        let min = rng.gen_range(-7..4i64);
+                        b.int(name, min, min + rng.gen_range(0..20i64), rng.gen_range(1..4))
+                    }
+                    1 => {
+                        let min = rng.gen_range(-3.0..1.0);
+                        b.real(name, min, min + rng.gen_range(0.0..5.0))
+                    }
+                    _ => b.enumeration(name, ["a", "b", "c", "d"][..rng.gen_range(1..=4)].to_vec()),
+                };
+            }
+            let s = b.build().unwrap();
+            for _ in 0..16 {
+                let coords: Vec<f64> = s.params().iter().map(|p| awkward_coord(p, &mut rng)).collect();
+                let mut repaired = coords.clone();
+                s.repair(&mut repaired);
+                let want = s.lattice_point(&repaired);
+                let got = s.project(&coords);
+                proptest::prop_assert!(
+                    exactly(&got) == exactly(&want),
+                    "{:?}: {} vs {}", coords, got, want
+                );
+                proptest::prop_assert!(Arc::ptr_eq(got.names_table(), s.names_table()));
+            }
+        }
     }
 
     #[test]

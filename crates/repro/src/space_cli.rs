@@ -16,7 +16,7 @@
 //! claim — it compiles the space, then streams the first `--points` valid
 //! points through the chunked cursor API with O(chunk) memory, and fails
 //! (exit 1) if the whole thing takes longer than `--max-seconds`. CI runs
-//! it on `synth-1e9` and archives the `--json` stats.
+//! it on every space `list` names and archives each `--json` stats.
 
 use ah_core::constraint::{MonotoneChain, SumBound};
 use ah_core::space::SearchSpace;
