@@ -129,9 +129,10 @@ impl OfflineTuner {
         let fingerprint = space_fingerprint(&space);
         let default_cfg = app.default_config();
         let mut store_hits = 0usize;
+        let mut last_hit = None;
         let mut lookup = |key: &[i64]| -> Option<f64> {
             let (store, label) = self.store.as_ref()?;
-            let hit = store.lookup(label, fingerprint, key)?;
+            let hit = store.lookup_after(label, fingerprint, key, &mut last_hit)?;
             store_hits += 1;
             Some(hit.cost)
         };

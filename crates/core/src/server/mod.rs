@@ -307,6 +307,9 @@ enum SessionPhase {
         /// [`space_fingerprint`] of the sealed space, the session's store
         /// key alongside the application label.
         fingerprint: u64,
+        /// Store position of the session's last served hit, where a warm
+        /// replay's next lookup looks first ([`SharedStore::lookup_after`]).
+        last_hit: Option<usize>,
     },
 }
 
@@ -629,11 +632,14 @@ impl HarmonyServer {
     /// Anti-entropy puller for one peer: fetch the peer's store log from
     /// our high-water mark, merge it (first write wins, so re-pulls are
     /// harmless), advance the mark to what actually parsed, sleep. A peer
-    /// that is down, speaks garbage, or compacted beneath our mark just
-    /// means a retry — the header's `start` re-anchors us after a
-    /// compaction, and an unparseable tail is refetched next round.
+    /// that is down or speaks garbage just means a retry, and an
+    /// unparseable tail is refetched next round. Our mark is a position in
+    /// one generation of the peer's log; when the header names another (the
+    /// peer compacted or restarted, and records may have moved beneath the
+    /// mark) the next pull starts from 0.
     fn sync_loop(peer: String, store: SharedStore, interval: Duration, stop: Arc<AtomicBool>) {
         let mut from = 0usize;
+        let mut generation = None;
         while !stop.load(Ordering::Relaxed) {
             if let Ok((200, body)) = observe::http_get(&peer, &format!("/store/log?from={from}")) {
                 // The records up to the first line that is not one (a body
@@ -642,7 +648,9 @@ impl HarmonyServer {
                 let scan = durable_log::scan(body.as_bytes(), |record| records.push(record));
                 let header: Option<observe::StoreLogHeader> = scan.ok().map(|(header, _)| header);
                 if let Some(h) = header.filter(|h| h.kind == observe::STORE_LOG_KIND) {
-                    from = h.start + records.len();
+                    let anchored = h.start == 0 || generation == Some(h.generation);
+                    from = if anchored { h.start + records.len() } else { 0 };
+                    generation = Some(h.generation);
                     if !records.is_empty() {
                         let _ = store.merge_records(records);
                     }
@@ -1108,6 +1116,7 @@ impl HarmonyServer {
                             outstanding: VecDeque::new(),
                             issued_high: 0,
                             fingerprint,
+                            last_hit: None,
                         };
                         Reply::Ok
                     }
@@ -1120,6 +1129,7 @@ impl HarmonyServer {
                     outstanding,
                     issued_high,
                     fingerprint,
+                    last_hit,
                 },
                 Request::FetchBatch { max },
             ) => {
@@ -1187,7 +1197,7 @@ impl HarmonyServer {
                         if served == MAX_SERVED_PER_REQUEST {
                             return None;
                         }
-                        let hit = store?.lookup(app, *fingerprint, key)?;
+                        let hit = store?.lookup_after(app, *fingerprint, key, last_hit)?;
                         served += 1;
                         *issued_high = (*issued_high).max(iteration);
                         Some(hit.cost)
@@ -1228,6 +1238,7 @@ impl HarmonyServer {
                     outstanding,
                     issued_high,
                     fingerprint,
+                    ..
                 },
                 Request::ReportBatch { reports },
             ) => {
@@ -2228,6 +2239,72 @@ mod tests {
             assert_eq!(a.cost.to_bits(), b.cost.to_bits());
         }
         assert!(hist_b.evaluations().iter().all(|e| e.cached));
+        server_b.shutdown();
+        observe_a.stop();
+        server_a.shutdown();
+    }
+
+    #[test]
+    fn a_puller_repulls_records_a_compaction_moved_beneath_its_mark() {
+        let dir = std::env::temp_dir().join(format!("ah-server-resync-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (path_a, path_b) = (dir.join("a.store"), dir.join("b.store"));
+        for path in [&path_a, &path_b] {
+            let _ = std::fs::remove_file(path);
+        }
+        let space = crate::space::SearchSpace::builder()
+            .int("x", 0, 80, 1)
+            .build()
+            .unwrap();
+        let fp = space_fingerprint(&space);
+        let record =
+            |x: f64, cost: f64| StoreRecord::new("resync", fp, space.project(&[x]), cost, cost);
+        // Ten records and a noisy re-measurement of the first: eleven in
+        // A's log, ten of them live.
+        let store_a = SharedStore::open(&path_a).unwrap();
+        let mut seeded: Vec<StoreRecord> = (0..10).map(|x| record(x as f64, x as f64)).collect();
+        seeded.push(record(0.0, 0.5));
+        store_a.insert_batch(seeded).unwrap();
+        let server_a = HarmonyServer::start_with_config(ServerConfig {
+            shards: 1,
+            store: Some(store_a.clone()),
+            ..Default::default()
+        });
+        let observe_a = server_a.observe("127.0.0.1:0").unwrap();
+        let store_b = SharedStore::open(&path_b).unwrap();
+        let server_b = HarmonyServer::start_with_config(ServerConfig {
+            shards: 1,
+            store: Some(store_b.clone()),
+            sync_peers: vec![observe_a.addr().to_string()],
+            sync_interval: Duration::from_millis(10),
+            ..Default::default()
+        });
+        let has = |x: f64| {
+            let key = space.project(&[x]).cache_key();
+            store_b.lookup("resync", fp, &key).is_some()
+        };
+        let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !done() {
+                assert!(Instant::now() < deadline, "{what}");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+        // B has merged the first pull, so its mark is 11.
+        wait_for("the first pull", &|| store_b.record_count() == 10);
+        // In one step under A's lock, so that no pull sees it half done:
+        // x=50 and x=51 land at 11 and 12, the compaction drops the
+        // duplicate and moves them to 10 and 11, and x=52 lands at 12. A
+        // pull from 11 now starts at x=51.
+        store_a.with(|a| {
+            a.insert_batch(vec![record(50.0, 50.0), record(51.0, 51.0)])
+                .unwrap();
+            a.compact().unwrap();
+            a.insert(record(52.0, 52.0)).unwrap();
+        });
+        wait_for("x=52 replicated", &|| has(52.0));
+        wait_for("x=50, moved beneath the mark, replicated", &|| has(50.0));
+        assert!(has(51.0));
         server_b.shutdown();
         observe_a.stop();
         server_a.shutdown();

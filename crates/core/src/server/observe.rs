@@ -19,12 +19,13 @@
 //!   loadable in Perfetto (`repro trace --from <addr>` pulls this).
 //! * `GET /store/log?from=SEQ` — the attached performance store's record
 //!   log from sequence `SEQ` on: a JSON header line
-//!   (`{"kind":"ah-store-log","start":S,"total":T}`) followed by one
-//!   record per line in the store's own on-disk encoding. This is the
-//!   replication feed peer servers pull on their anti-entropy interval
-//!   ([`ServerConfig::sync_peers`]); a `from` past the end re-serves the
-//!   whole log (the merge is idempotent, and it re-anchors a puller after
-//!   the peer compacted). 404 when no store is attached.
+//!   (`{"kind":"ah-store-log","start":S,"total":T,"generation":G}`)
+//!   followed by one record per line in the store's own on-disk encoding.
+//!   This is the replication feed peer servers pull on their anti-entropy
+//!   interval ([`ServerConfig::sync_peers`]); a `from` past the end
+//!   re-serves the whole log, and a generation the puller has not seen
+//!   (the peer compacted or reopened its store) makes it re-pull from 0 —
+//!   the merge is idempotent. 404 when no store is attached.
 //! * `GET /` — an index of the routes above.
 //!
 //! Everything stays off the tuning hot path: building a response takes each
@@ -70,14 +71,19 @@ const MAX_RESPONSE_BYTES: usize = 32 << 20;
 pub(crate) const STORE_LOG_KIND: &str = "ah-store-log";
 
 /// First line of a `/store/log` response: which slice of the peer's record
-/// log follows. `start` is where the slice begins (it may be less than the
-/// requested `from` after a compaction re-anchor) and `total` is the
-/// peer's record count, i.e. the next `from` to ask for.
+/// log follows. `start` is where the slice begins (0 when the requested
+/// `from` is past the end), `total` is the peer's record count, i.e. the
+/// next `from` to ask for, and `generation` names the numbering both are
+/// in ([`PerfStore::generation`](crate::store::PerfStore::generation)): a
+/// compaction renumbers, and a puller that sees a new generation re-pulls
+/// from 0.
 #[derive(Debug, Serialize, Deserialize)]
 pub(crate) struct StoreLogHeader {
     pub kind: String,
     pub start: usize,
     pub total: usize,
+    #[serde(default)]
+    pub generation: u64,
 }
 
 /// Handle to a running observability responder. Dropping it (or calling
@@ -316,16 +322,17 @@ fn serve_connection(stream: TcpStream, ctx: &ObserveCtx) -> std::io::Result<()> 
             "/store/log" => match &cfg.store {
                 Some(store) => {
                     let from = parse_query(query, "from").unwrap_or(0);
-                    let (start, total, blob) = store.with(|store| {
+                    let (header, blob) = store.with(|store| {
                         let (start, blob) = store.encode_log_from(from);
-                        (start, store.len(), blob)
+                        let header = StoreLogHeader {
+                            kind: STORE_LOG_KIND.to_string(),
+                            start,
+                            total: store.len(),
+                            generation: store.generation(),
+                        };
+                        (header, blob)
                     });
-                    let header = serde_json::to_string(&StoreLogHeader {
-                        kind: STORE_LOG_KIND.to_string(),
-                        start,
-                        total,
-                    })
-                    .expect("header serialises");
+                    let header = serde_json::to_string(&header).expect("header serialises");
                     respond(
                         stream,
                         200,
@@ -758,6 +765,7 @@ fn session_json(shard: usize, id: u64, state: &SessionState) -> Value {
             outstanding,
             issued_high,
             fingerprint,
+            ..
         } => {
             let snap = session.search_snapshot();
             let unclaimed = outstanding.iter().filter(|t| t.owner == 0).count();

@@ -209,6 +209,8 @@ pub struct TuningSession {
     /// the front strictly in order, so a batched session walks through
     /// bit-identical state transitions to a serial one.
     pending: VecDeque<PendingTrial>,
+    /// `Fresh` entries in `pending`, which the budget counts as spent.
+    pending_fresh: usize,
     telemetry: Telemetry,
 }
 
@@ -237,6 +239,7 @@ impl TuningSession {
             stopped: None,
             initialized: false,
             pending: VecDeque::new(),
+            pending_fresh: 0,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -369,12 +372,7 @@ impl TuningSession {
             self.initialized = true;
         }
         while out.len() < max && self.stopped.is_none() {
-            let pending_fresh = self
-                .pending
-                .iter()
-                .filter(|e| e.kind == PendingKind::Fresh)
-                .count();
-            if self.fresh_evals + pending_fresh >= self.opts.max_evaluations {
+            if self.fresh_evals + self.pending_fresh >= self.opts.max_evaluations {
                 // Budget spent (counting trials already in flight). Only an
                 // idle session is *stopped*: outstanding reports may still
                 // trigger a different stop reason first.
@@ -446,6 +444,7 @@ impl TuningSession {
                 outcome: stored.map(|cost| (cost, 0.0)),
                 from_store: stored.is_some(),
             });
+            self.pending_fresh += 1;
             if stored.is_some() {
                 // Applied now, or once the trials queued ahead are reported.
                 self.flush_pending();
@@ -547,6 +546,7 @@ impl TuningSession {
                     if !e.from_store {
                         self.cumulative_time += wall_time;
                     }
+                    self.pending_fresh -= 1;
                     self.cache.insert(e.key, cost);
                     self.fresh_evals += 1;
                     if e.from_store {
@@ -623,6 +623,7 @@ impl TuningSession {
             // trajectory stay identical. Reports for them are accepted
             // nowhere — the session is finished.
             self.pending.clear();
+            self.pending_fresh = 0;
         }
     }
 

@@ -42,6 +42,9 @@
 //! snapshots the live (first-recorded) records and atomically rewrites the
 //! log with them, so the file cannot grow without bound;
 //! [`PerfStore::gc`] is compaction filtered to one application's records.
+//! A rewrite moves records to new positions, so it also starts a new
+//! [`generation`](PerfStore::generation): a peer pulling the log by
+//! position re-pulls from 0 when the generation it last saw is gone.
 //!
 //! # Cache semantics
 //!
@@ -49,17 +52,30 @@
 //! one served forever after, which is what makes a warm run against the
 //! store replay the cold run's trajectory bit-identically. Sessions are
 //! served inside their own proposal loop: the server and the off-line
-//! tuner pass [`lookup`](PerfStore::lookup) as the memo of
+//! tuner pass [`lookup_after`](PerfStore::lookup_after) as the memo of
 //! [`TuningSession::suggest_batch_with`](crate::session::TuningSession::suggest_batch_with).
+//!
+//! A replay asks for records in the order the cold run wrote them, so
+//! `lookup_after` first checks the record after the caller's last hit and
+//! serves it when it is the live record for the key — same app,
+//! fingerprint and cache key, and not a superseded re-measurement. Only
+//! otherwise does it probe the index. The position is a guess that is
+//! always verified, never a cache that could go stale: after a compaction,
+//! on another application's record, or where two sessions' batches
+//! interleave in the log, the guess fails and the index answers.
+//! [`lookup`](PerfStore::lookup) is the same body without a position.
 
 use crate::durable_log::{self, push_line, DurableLog};
 use crate::error::{HarmonyError, Result};
 use crate::priors::PriorRunDb;
 use crate::space::{Configuration, SearchSpace};
 use crate::telemetry::{Counter, Latency, SpanKind, Telemetry};
+use crate::value::ParamValue;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -308,6 +324,14 @@ fn share_names(prev: Option<&StoreRecord>, record: &mut StoreRecord) {
     }
 }
 
+/// A log generation no other open or rewrite is likely to have drawn:
+/// `RandomState` is seeded per process and steps per instance, so hashing
+/// nothing with a new one yields a fresh 64-bit value without a clock or
+/// an RNG dependency.
+fn fresh_generation() -> u64 {
+    RandomState::new().build_hasher().finish()
+}
+
 /// `app → fingerprint → cache_key → position in the record list` of the
 /// first (live) record for that key. Nested (rather than keyed by an
 /// `(app, fingerprint)` tuple) so the per-proposal hot path can probe
@@ -337,7 +361,13 @@ pub struct PerfStore {
     telemetry: Telemetry,
     /// Every log record in file order (compaction rewrites this).
     records: Vec<StoreRecord>,
+    /// `live[pos]`: the index serves `records[pos]` for its key. False
+    /// only for a re-measurement appended for provenance.
+    live: Vec<bool>,
     index: Index,
+    /// Drawn afresh at open and at every rewrite: the record positions a
+    /// `/store/log` puller holds are positions in this generation.
+    generation: u64,
     /// Inline sync cadence in appends. The store is a cache, not a
     /// correctness log: an unsynced tail lost to a crash just gets
     /// re-measured.
@@ -383,23 +413,37 @@ impl PerfStore {
         if torn_tail_truncated {
             telemetry.inc(Counter::StoreTornTails);
         }
+        let (index, live) = Self::build_index(&records);
         Ok(PerfStore {
             log,
             telemetry,
-            index: Self::build_index(&records),
             records,
+            live,
+            index,
+            generation: fresh_generation(),
             sync_every: DEFAULT_SYNC_EVERY,
             torn_tail_truncated,
         })
     }
 
-    fn build_index(records: &[StoreRecord]) -> Index {
+    /// The first-write-wins index over `records`, and their `live` flags.
+    fn build_index(records: &[StoreRecord]) -> (Index, Vec<bool>) {
         let mut index = Index::new();
-        for (pos, rec) in records.iter().enumerate() {
-            let keys = keys_of(&mut index, &rec.app, rec.fingerprint);
-            keys.entry(rec.config.cache_key()).or_insert(pos);
-        }
-        index
+        let live = records
+            .iter()
+            .enumerate()
+            .map(|(pos, rec)| {
+                let keys = keys_of(&mut index, &rec.app, rec.fingerprint);
+                match keys.entry(rec.config.cache_key()) {
+                    Entry::Occupied(_) => false,
+                    Entry::Vacant(slot) => {
+                        slot.insert(pos);
+                        true
+                    }
+                }
+            })
+            .collect();
+        (index, live)
     }
 
     /// Backing file path.
@@ -431,11 +475,36 @@ impl PerfStore {
     /// [`Latency::StoreLookup`]; with telemetry disabled the clock is never
     /// read.
     pub fn lookup(&self, app: &str, fingerprint: u64, key: &[i64]) -> Option<StoredCost> {
+        self.lookup_after(app, fingerprint, key, &mut None)
+    }
+
+    /// [`lookup`](Self::lookup) for a caller that reads the log in the
+    /// order it was written, as a warm replay of a seeded campaign does.
+    /// `last_hit` is the position of the caller's previous hit (`None`
+    /// before the first). The record after it is served if it is the live
+    /// record for the key; otherwise the index answers. A hit moves
+    /// `last_hit` to its position, a miss leaves it. Any position is safe
+    /// to pass — stale, past the end, on another key — because the guess
+    /// is verified before it is served. Answers exactly what `lookup`
+    /// answers, and counts and times the same.
+    pub fn lookup_after(
+        &self,
+        app: &str,
+        fingerprint: u64,
+        key: &[i64],
+        last_hit: &mut Option<usize>,
+    ) -> Option<StoredCost> {
         let started = self.telemetry.is_enabled().then(Instant::now);
         let span = self
             .telemetry
             .span_begin(SpanKind::StoreLookup, 0, "store", 0);
-        let hit = self.live_pos(app, fingerprint, key).map(|pos| {
+        let pos = self
+            .next_if_live(app, fingerprint, key, *last_hit)
+            .or_else(|| self.live_pos(app, fingerprint, key));
+        if pos.is_some() {
+            *last_hit = pos;
+        }
+        let hit = pos.map(|pos| {
             let rec = &self.records[pos];
             StoredCost {
                 cost: rec.cost(),
@@ -465,6 +534,30 @@ impl PerfStore {
             .copied()
     }
 
+    /// The position after `last_hit`, if the record there is the live one
+    /// for `(app, fingerprint, key)` — then it is what
+    /// [`live_pos`](Self::live_pos) would answer, without the hash probe.
+    fn next_if_live(
+        &self,
+        app: &str,
+        fingerprint: u64,
+        key: &[i64],
+        last_hit: Option<usize>,
+    ) -> Option<usize> {
+        let next = last_hit?.checked_add(1)?;
+        let rec = self.records.get(next)?;
+        let served = self.live[next]
+            && rec.fingerprint == fingerprint
+            && rec.app == app
+            && rec
+                .config
+                .values()
+                .iter()
+                .map(ParamValue::cache_key)
+                .eq(key.iter().copied());
+        served.then_some(next)
+    }
+
     /// Append one measured record. Returns `Ok(true)` when the record was
     /// written, `Ok(false)` when it duplicated the live entry bit-for-bit
     /// and was skipped (two deterministic runs produce identical costs — the
@@ -482,7 +575,6 @@ impl PerfStore {
     /// bit-for-bit duplicate of the live entry (including one earlier in
     /// this same batch) is skipped. Returns how many records were written.
     pub fn insert_batch(&mut self, records: Vec<StoreRecord>) -> Result<usize> {
-        use std::collections::hash_map::Entry;
         let mut blob = Vec::with_capacity(records.len() * 192);
         let before = self.records.len();
         for mut record in records {
@@ -493,7 +585,7 @@ impl PerfStore {
             // record, and a duplicate earlier in this same batch is
             // caught by the same probe because the index is updated as
             // we go.
-            match keys_of(&mut self.index, &record.app, record.fingerprint).entry(key) {
+            let live = match keys_of(&mut self.index, &record.app, record.fingerprint).entry(key) {
                 Entry::Occupied(live) => {
                     // Same key, same cost: a true duplicate, skipped.
                     // Same key, new cost (noisy objective): appended to
@@ -502,14 +594,17 @@ impl PerfStore {
                     if self.records[*live.get()].cost_bits == record.cost_bits {
                         continue;
                     }
+                    false
                 }
                 Entry::Vacant(slot) => {
                     slot.insert(self.records.len());
+                    true
                 }
-            }
+            };
             push_line(&record, &mut blob);
             self.telemetry.inc(Counter::StoreInserts);
             self.records.push(record);
+            self.live.push(live);
         }
         let written = self.records.len() - before;
         self.append(&blob, written)?;
@@ -573,6 +668,7 @@ impl PerfStore {
             self.telemetry.inc(Counter::StoreMergedRecords);
             stats.merged += 1;
             self.records.push(record);
+            self.live.push(true);
         }
         self.append(&blob, stats.merged)?;
         Ok(stats)
@@ -581,7 +677,6 @@ impl PerfStore {
     /// What [`merge_records`](Self::merge_records) *would* do, without
     /// writing anything (`repro store merge --dry-run`).
     pub fn merge_preview(&self, records: &[StoreRecord]) -> MergeStats {
-        use std::collections::hash_map::Entry;
         let mut stats = MergeStats::default();
         // Cost bits of the records the merge would append, by key: a later
         // duplicate in the batch meets them as the merge meets its own
@@ -619,10 +714,11 @@ impl PerfStore {
     /// Serialize the replication log from record position `from` onward,
     /// in the byte-identical on-disk record encoding, for the
     /// `/store/log` anti-entropy endpoint. Returns `(start, blob)`: when
-    /// `from` points past the end of the log (the peer compacted since
-    /// the puller's last pull), the whole log is re-served from 0 —
-    /// merges are idempotent, so over-serving is harmless and it
-    /// resynchronizes the puller's high-water mark.
+    /// `from` points past the end of the log, the whole log is re-served
+    /// from 0 — merges are idempotent, so over-serving is harmless. A
+    /// compaction can also move records *beneath* a puller's `from`
+    /// without shortening the log that far; only the
+    /// [`generation`](Self::generation) tells the puller that.
     pub fn encode_log_from(&self, from: usize) -> (usize, String) {
         let start = if from <= self.records.len() { from } else { 0 };
         let mut blob = Vec::with_capacity((self.records.len() - start) * 192);
@@ -633,6 +729,14 @@ impl PerfStore {
             start,
             String::from_utf8(blob).expect("JSON lines are UTF-8"),
         )
+    }
+
+    /// Which numbering of the log record positions refer to. Drawn afresh
+    /// when the store is opened and at every compaction, so a puller that
+    /// holds a position from another generation knows to re-pull from 0.
+    /// Not stored on disk.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Force `sync_data` on any unsynced appends.
@@ -650,8 +754,18 @@ impl PerfStore {
         &self.telemetry
     }
 
-    /// Positions of the live records, in first-occurrence (file) order.
-    fn live_positions(&self) -> Vec<usize> {
+    /// Positions of the live records, in file order.
+    fn live_positions(&self) -> impl Iterator<Item = usize> + '_ {
+        self.live
+            .iter()
+            .enumerate()
+            .filter_map(|(pos, &live)| live.then_some(pos))
+    }
+
+    /// [`live_positions`](Self::live_positions) from the index instead of
+    /// the flags: the oracle the flags are tested against.
+    #[cfg(test)]
+    fn live_positions_by_index(&self) -> Vec<usize> {
         let mut live: Vec<usize> = self
             .index
             .values()
@@ -669,9 +783,9 @@ impl PerfStore {
         let records_before = self.records.len();
         let kept: Vec<StoreRecord> = self
             .live_positions()
-            .into_iter()
-            .map(|pos| self.records[pos].clone())
+            .map(|pos| &self.records[pos])
             .filter(|r| keep(r))
+            .cloned()
             .collect();
         let mut blob = Vec::with_capacity(kept.len() * 192);
         push_line(&header(), &mut blob);
@@ -679,8 +793,9 @@ impl PerfStore {
             push_line(rec, &mut blob);
         }
         self.log.rewrite(&blob)?;
-        self.index = Self::build_index(&kept);
+        (self.index, self.live) = Self::build_index(&kept);
         self.records = kept;
+        self.generation = fresh_generation();
         self.telemetry.inc(Counter::StoreCompactions);
         Ok(CompactionStats {
             records_before,
@@ -736,7 +851,6 @@ impl PerfStore {
     /// The live records, in file order (inspection / `repro store inspect`).
     pub fn live_records(&self) -> Vec<&StoreRecord> {
         self.live_positions()
-            .into_iter()
             .map(|pos| &self.records[pos])
             .collect()
     }
@@ -865,6 +979,17 @@ impl SharedStore {
     /// Locked [`PerfStore::lookup`].
     pub fn lookup(&self, app: &str, fingerprint: u64, key: &[i64]) -> Option<StoredCost> {
         self.0.lock().lookup(app, fingerprint, key)
+    }
+
+    /// Locked [`PerfStore::lookup_after`].
+    pub fn lookup_after(
+        &self,
+        app: &str,
+        fingerprint: u64,
+        key: &[i64],
+        last_hit: &mut Option<usize>,
+    ) -> Option<StoredCost> {
+        self.0.lock().lookup_after(app, fingerprint, key, last_hit)
     }
 
     /// Locked [`PerfStore::insert`].
@@ -1443,6 +1568,162 @@ mod tests {
         let (start, blob) = src.encode_log_from(from + 10);
         assert_eq!(start, 0);
         assert_eq!(blob.lines().count(), src.len());
+    }
+
+    /// A record over two apps × two fingerprints × four keys, one in four
+    /// with a cost the key's first record may not have: small enough that
+    /// the record after any position is often a neighbour of the key
+    /// looked up — same key under another app or fingerprint, or a
+    /// superseded re-measurement of it.
+    fn record_from(bits: u64) -> StoreRecord {
+        let app = ["a", "b"][(bits & 1) as usize];
+        let fingerprint = 1 + (bits >> 1 & 1);
+        let x = (bits >> 2 & 3) as f64;
+        let noise = if bits >> 4 & 3 == 0 { 0.5 } else { 0.0 };
+        rec(app, fingerprint, x, 0.0, x + noise)
+    }
+
+    /// Apply one random operation: bits 0–2 pick it, bits 3–4 a batch
+    /// size of 1–4, and each record of the batch takes 5 more bits.
+    fn apply(store: &mut PerfStore, path: &Path, op: u64) {
+        let batch = (0..1 + (op >> 3 & 3))
+            .map(|i| record_from(op >> (5 + 5 * i)))
+            .collect();
+        match op & 7 {
+            0..=2 => {
+                store.insert_batch(batch).unwrap();
+            }
+            3 | 4 => {
+                store.merge_records(batch).unwrap();
+            }
+            5 => {
+                store.compact().unwrap();
+            }
+            6 => {
+                store.gc(Some(["a", "b"][(op >> 3 & 1) as usize])).unwrap();
+            }
+            _ => {
+                store.flush().unwrap();
+                *store = PerfStore::open(path).unwrap();
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn lookup_after_answers_what_the_index_answers_from_any_position(
+            ops in proptest::collection::vec(0u64..u64::MAX, 1..24)
+        ) {
+            let path = temp_path("lookup-after-prop");
+            let _ = std::fs::remove_file(&path);
+            let mut store = PerfStore::open(&path).unwrap();
+            for op in ops {
+                apply(&mut store, &path, op);
+                proptest::prop_assert_eq!(
+                    store.live_positions().collect::<Vec<_>>(),
+                    store.live_positions_by_index()
+                );
+                // Every position a caller can hold: none, each record (the
+                // next may be another app's, another fingerprint's, a
+                // superseded duplicate), the last, past the end.
+                let positions = std::iter::once(None)
+                    .chain((0..store.len() + 2).map(Some))
+                    .chain([Some(usize::MAX)]);
+                for last_hit in positions {
+                    for app in ["a", "b", "c"] {
+                        for fingerprint in 1..=3 {
+                            for x in 0..4 {
+                                let key = [x, 0];
+                                let want = store.live_pos(app, fingerprint, &key);
+                                let mut at = last_hit;
+                                let got = store.lookup_after(app, fingerprint, &key, &mut at);
+                                proptest::prop_assert_eq!(
+                                    got.map(|c| c.cost.to_bits()),
+                                    want.map(|p| store.records[p].cost_bits)
+                                );
+                                proptest::prop_assert_eq!(at, want.or(last_hit));
+                            }
+                        }
+                    }
+                }
+            }
+            drop(store);
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn a_sequential_replay_is_served_by_the_record_after_each_hit() {
+        let path = temp_path("sequential-replay");
+        let _ = std::fs::remove_file(&path);
+        let mut store = PerfStore::open(&path).unwrap();
+        // Two campaigns written one after the other, as seeded sessions
+        // write them.
+        for app in ["a", "b"] {
+            let campaign = (0..50).map(|i| rec(app, 1, i as f64, 1.0, i as f64));
+            store.insert_batch(campaign.collect()).unwrap();
+        }
+        let replay = |store: &PerfStore| {
+            let mut last_hit = None;
+            let mut guessed = Vec::new();
+            for (pos, r) in store.records.iter().enumerate() {
+                let key = r.config.cache_key();
+                let guess = store.next_if_live(&r.app, r.fingerprint, &key, last_hit);
+                assert!(store
+                    .lookup_after(&r.app, r.fingerprint, &key, &mut last_hit)
+                    .is_some());
+                assert_eq!(last_hit, Some(pos));
+                guessed.push(guess);
+            }
+            guessed
+        };
+        // Only the very first lookup, before any hit, needs the index.
+        let guessed = replay(&store);
+        assert_eq!(guessed[0], None);
+        assert!((1..100).all(|pos| guessed[pos] == Some(pos)), "{guessed:?}");
+        // Batches of two sessions interleaved in runs of four: one session
+        // reads its records with a gap at every run of the other's, so the
+        // guess misses once per run and hits inside it.
+        let path = temp_path("interleaved-replay");
+        let _ = std::fs::remove_file(&path);
+        let mut store = PerfStore::open(&path).unwrap();
+        for run in 0..10 {
+            for app in ["a", "b"] {
+                let batch = (4 * run..4 * run + 4).map(|i| rec(app, 1, i as f64, 1.0, i as f64));
+                store.insert_batch(batch.collect()).unwrap();
+            }
+        }
+        let mut last_hit = None;
+        let mut misses = 0;
+        for r in store.records.iter().filter(|r| r.app == "a") {
+            let key = r.config.cache_key();
+            misses += store.next_if_live("a", 1, &key, last_hit).map_or(1, |_| 0);
+            store.lookup_after("a", 1, &key, &mut last_hit).unwrap();
+        }
+        assert_eq!(misses, 10, "one index probe per run of four");
+    }
+
+    #[test]
+    fn opens_and_rewrites_start_a_new_generation() {
+        let path = temp_path("generation");
+        let _ = std::fs::remove_file(&path);
+        let mut store = PerfStore::open(&path).unwrap();
+        let opened = store.generation();
+        store.insert(rec("a", 1, 1.0, 0.0, 1.0)).unwrap();
+        store.insert(rec("a", 1, 1.0, 0.0, 2.0)).unwrap();
+        store
+            .merge_records(vec![rec("a", 1, 2.0, 0.0, 2.0)])
+            .unwrap();
+        assert_eq!(store.generation(), opened, "appends keep the numbering");
+        store.compact().unwrap();
+        let compacted = store.generation();
+        assert_ne!(compacted, opened);
+        store.gc(Some("a")).unwrap();
+        assert_ne!(store.generation(), compacted);
+        drop(store);
+        assert_ne!(PerfStore::open(&path).unwrap().generation(), opened);
     }
 
     #[test]

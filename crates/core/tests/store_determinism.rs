@@ -12,13 +12,15 @@
 //!
 //! The same holds however the campaign is fetched — serially, sixteen
 //! trials a request, against a store that knows only part of the campaign,
-//! or past the cap on hits one request may serve — and for the off-line
-//! tuner, which serves its store through the same session hook.
+//! or past the cap on hits one request may serve — however the log is laid
+//! out — two sessions' batches interleaved, or compacted in the middle of
+//! the replay — and for the off-line tuner, which serves its store through
+//! the same session hook.
 
 use ah_clustersim::{FaultKind, FaultPlan};
 use ah_core::offline::OfflineOutcome;
 use ah_core::prelude::*;
-use ah_core::server::protocol::TrialReport;
+use ah_core::server::protocol::{FetchedTrial, TrialReport};
 use ah_core::server::{HarmonyClient, ServerConfig};
 use ah_core::store::SharedStore;
 use proptest::prelude::*;
@@ -435,6 +437,147 @@ fn a_long_random_campaign_crosses_the_served_cap_mid_request() {
     let (warm, measured) = batched_store_run(StrategyKind::Random, long, 16, &store);
     assert_eq!(warm, want, "warm long run diverged");
     assert_eq!(measured, 16, "trials handed out past the served cap");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Measure a fetched batch with the objective.
+fn measure(trials: &[FetchedTrial]) -> Vec<TrialReport> {
+    trials
+        .iter()
+        .map(|t| TrialReport {
+            iteration: t.iteration,
+            cost: objective(&t.config),
+            wall_time: objective(&t.config),
+        })
+        .collect()
+}
+
+/// Two sessions under two labels, sixteen trials a request in turn on one
+/// server, so that a cold pair writes the store's log as interleaved runs
+/// of one batch each. Returns both trajectories and how many history rows
+/// the clients measured.
+fn interleaved_store_run(
+    strategy: StrategyKind,
+    seeds: [u64; 2],
+    store: &SharedStore,
+) -> (Vec<Trajectory>, usize) {
+    let server = store_server(store);
+    let clients: Vec<HarmonyClient> = ["det", "det-other"]
+        .into_iter()
+        .zip(seeds)
+        .map(|(app, seed)| {
+            let c = server.connect(app).unwrap();
+            declare(&c);
+            c.seal(budget(seed, 200), strategy.clone()).unwrap();
+            c
+        })
+        .collect();
+    let mut finished = [false; 2];
+    while finished.contains(&false) {
+        for (c, finished) in clients.iter().zip(finished.iter_mut()) {
+            if *finished {
+                continue;
+            }
+            let (trials, fin) = c.fetch_batch(16).unwrap();
+            *finished = fin;
+            if !fin {
+                c.report_batch(measure(&trials)).unwrap();
+            }
+        }
+    }
+    let measured = clients
+        .iter()
+        .map(|c| c.history().unwrap().0)
+        .map(|h| h.evaluations().iter().filter(|e| !e.cached).count())
+        .sum();
+    let trajectories = clients.iter().map(trajectory).collect();
+    server.shutdown();
+    store.flush().unwrap();
+    (trajectories, measured)
+}
+
+/// A warm pair replays a log whose two campaigns interleave batch by batch.
+fn check_interleaved(strategy: StrategyKind, seed: u64) {
+    let seeds = [seed, seed ^ 0x5eed];
+    let want: Vec<Trajectory> = seeds
+        .iter()
+        .map(|&s| serial_reference_with(strategy.clone(), budget(s, 200)))
+        .collect();
+    let path = temp_store("interleaved");
+    let store = SharedStore::open(&path).unwrap();
+    let (cold, measured) = interleaved_store_run(strategy.clone(), seeds, &store);
+    assert_eq!(cold, want, "{strategy:?} cold interleaved pair diverged");
+    assert!(measured > 0, "{strategy:?} cold pair measured nothing");
+    let (warm, measured) = interleaved_store_run(strategy.clone(), seeds, &store);
+    assert_eq!(warm, want, "{strategy:?} warm interleaved pair diverged");
+    assert_eq!(
+        measured, 0,
+        "{strategy:?} warm interleaved pair re-measured"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    #[test]
+    fn warm_pairs_replay_a_log_of_interleaved_batches(seed in 0u64..1_000_000) {
+        for strategy in server_roster() {
+            check_interleaved(strategy, seed);
+        }
+    }
+}
+
+#[test]
+fn a_warm_replay_across_a_compaction_replays_the_cold_run() {
+    let long = budget(78, 1_500);
+    let want = serial_reference_with(StrategyKind::Random, long.clone());
+    let path = temp_store("compacted");
+    let store = SharedStore::open(&path).unwrap();
+    // Ahead of the campaign, another application's records, each followed
+    // by a superseded re-measurement: compacting drops the forty
+    // re-measurements and moves every record of the campaign down by forty.
+    let space = Bowl { runs: 0 }.space();
+    let fp = space_fingerprint(&space);
+    let other: Vec<StoreRecord> = (0..40)
+        .flat_map(|x| {
+            let cfg = space.project(&[x as f64, 0.0]);
+            [1.0, 2.0].map(|cost| StoreRecord::new("other", fp, cfg.clone(), cost, cost))
+        })
+        .collect();
+    assert_eq!(store.insert_batch(other).unwrap(), 80);
+    let (cold, measured) = batched_store_run(StrategyKind::Random, long.clone(), 16, &store);
+    assert_eq!(cold, want, "cold long run diverged");
+    assert_eq!(measured, 1_500);
+
+    // The first request serves 1 024 hits; the compaction then moves the
+    // records the other 476 are served from.
+    let server = store_server(&store);
+    let c = server.connect("det").unwrap();
+    declare(&c);
+    c.seal(long, StrategyKind::Random).unwrap();
+    let (mut measured, mut compactions) = (0, 0);
+    loop {
+        let (trials, finished) = c.fetch_batch(16).unwrap();
+        if finished {
+            break;
+        }
+        if compactions == 0 {
+            let stats = store.with(|s| s.compact()).unwrap();
+            assert_eq!(stats.records_before - stats.records_after, 40);
+            compactions += 1;
+        }
+        measured += trials.len();
+        c.report_batch(measure(&trials)).unwrap();
+    }
+    assert_eq!(compactions, 1);
+    assert_eq!(
+        trajectory(&c),
+        want,
+        "warm run across the compaction diverged"
+    );
+    assert_eq!(measured, 16, "trials handed out past the served cap");
+    server.shutdown();
     let _ = std::fs::remove_file(&path);
 }
 
