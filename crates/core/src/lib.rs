@@ -70,6 +70,15 @@ pub mod telemetry;
 pub mod value;
 pub mod wal;
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m` even if a thread panicked while holding it: a panic under one
+/// of the crate's locks (a shard table, a telemetry ring, the store) must
+/// not make every later caller panic too.
+fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Convenience re-exports of the types needed for typical tuning workflows.
 pub mod prelude {
     pub use crate::constraint::{Constraint, ConstraintSpec, MonotoneChain, SumBound};
@@ -108,4 +117,24 @@ pub mod prelude {
     };
     pub use crate::value::ParamValue;
     pub use crate::wal::{WalHeader, WalSession};
+}
+
+#[cfg(test)]
+mod tests {
+    use super::lock;
+    use std::sync::{Arc, Mutex};
+
+    #[test]
+    fn lock_survives_a_panicked_holder() {
+        let m = Arc::new(Mutex::new(0));
+        let m2 = Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let _g = lock(&m2);
+            panic!("poison attempt");
+        })
+        .join();
+        assert!(m.is_poisoned());
+        *lock(&m) += 1;
+        assert_eq!(*lock(&m), 1);
+    }
 }

@@ -16,7 +16,7 @@ use crate::history::History;
 use crate::param::Param;
 use crate::session::SessionOptions;
 use crate::space::Configuration;
-use crossbeam::channel::bounded;
+use std::sync::mpsc::channel;
 
 /// The result of a [`HarmonyClient::fetch`].
 #[derive(Debug, Clone)]
@@ -100,7 +100,7 @@ impl HarmonyClient {
     }
 
     fn call_raw(bus: &ServerBus, client: u64, req: Request) -> Result<Reply> {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = channel();
         match bus.dispatch(Envelope::new(client, req, tx)) {
             // The shard was idle: this thread served the request itself.
             Ok(Some(reply)) => Ok(reply),

@@ -60,14 +60,14 @@ use super::protocol::{
     CompletionSink, Envelope, FrameDecoder, Reply, ReplySink, Request, MAX_FRAME_LEN,
 };
 use super::ServerBus;
+use crate::lock;
 use crate::telemetry::{Counter, Latency, Telemetry};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -165,7 +165,7 @@ impl EventLoopPool {
         let mut lanes = Vec::with_capacity(threads);
         let mut handles = Vec::with_capacity(threads);
         for i in 0..threads {
-            let (tx, rx) = unbounded::<TcpStream>();
+            let (tx, rx) = channel::<TcpStream>();
             let (waker, wake_rx) = waker_pair()?;
             let shared = Arc::new(LoopShared {
                 completions: Mutex::new(Vec::new()),
@@ -225,7 +225,7 @@ struct LoopShared {
 
 impl CompletionSink for LoopShared {
     fn complete(&self, token: u64, reply: Reply) {
-        self.completions.lock().push((token, reply));
+        lock(&self.completions).push((token, reply));
         self.waker.wake();
     }
 }
@@ -333,7 +333,7 @@ impl LoopWorker {
 
             // Route completed shard replies back onto their connections.
             let completions: Vec<(u64, Reply)> =
-                std::mem::take(&mut *self.shared.completions.lock());
+                std::mem::take(&mut *lock(&self.shared.completions));
             for (token, reply) in completions {
                 let Some(conn) = conns.get_mut(&token) else {
                     continue; // connection closed while the shard worked
@@ -735,7 +735,7 @@ mod tests {
                 max_connections: 8,
                 telemetry: Telemetry::disabled(),
                 active: Arc::new(AtomicUsize::new(0)),
-                incoming: unbounded().1,
+                incoming: channel().1,
                 shared: Arc::new(LoopShared {
                     completions: Mutex::new(Vec::new()),
                     waker,
@@ -820,13 +820,13 @@ mod tests {
             !rig.woken(Duration::ZERO),
             "no request was queued, none may wake"
         );
-        assert!(rig.worker.shared.completions.lock().is_empty());
+        assert!(lock(&rig.worker.shared.completions).is_empty());
 
         // The same probe does see a request that has to queue: with the
         // shard's table held, the request goes to the worker and comes
         // back through the completion queue and the wake pipe.
         let bus = rig.server.bus();
-        let table = bus.shards[0].table.lock();
+        let table = lock(&bus.shards[0].table);
         peer.write_all(&frame(&Request::Heartbeat)).unwrap();
         assert!(rig.pass(&mut conn, Duration::from_secs(10)));
         assert_eq!(conn.in_flight, Some(false));
@@ -835,7 +835,7 @@ mod tests {
             rig.woken(Duration::from_secs(10)),
             "a queued request's reply wakes the loop"
         );
-        assert_eq!(rig.worker.shared.completions.lock().len(), 1);
+        assert_eq!(lock(&rig.worker.shared.completions).len(), 1);
     }
 
     /// Shrink a socket buffer to 8 KiB, so that a peer that does not read

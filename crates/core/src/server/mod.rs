@@ -113,20 +113,20 @@ pub use tcp::{TcpClientOptions, TcpHarmonyClient, TcpHarmonyServer, TcpTransport
 
 use crate::durable_log;
 use crate::error::{HarmonyError, Result};
+use crate::lock;
 use crate::session::{Trial, TuningSession};
 use crate::space::SearchSpaceBuilder;
 use crate::store::{space_fingerprint, SharedStore, StoreRecord};
 use crate::telemetry::slo::SloRule;
 use crate::telemetry::timeseries::TimeSeries;
 use crate::telemetry::{Counter, Latency, SpanKind, Telemetry, TenantMetric, TrialStage};
-use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
-use parking_lot::Mutex;
 use protocol::{
     sanitize_measurement, Envelope, FetchedTrial, Reply, ReplySink, Request, TrialReport,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, SendError, Sender};
+use std::sync::{Arc, Mutex, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -176,15 +176,13 @@ pub struct TenantRegistry {
 impl TenantRegistry {
     /// The stats cell for `tenant`, created on first use.
     pub fn stats(&self, tenant: &str) -> Arc<TenantStats> {
-        Arc::clone(self.inner.lock().entry(tenant.to_string()).or_default())
+        Arc::clone(lock(&self.inner).entry(tenant.to_string()).or_default())
     }
 
     /// Snapshot of every tenant ever seen, sorted by name:
     /// `(name, sessions, inflight, queued, served)`.
     pub fn snapshot(&self) -> Vec<(String, u64, u64, u64, u64)> {
-        let mut rows: Vec<_> = self
-            .inner
-            .lock()
+        let mut rows: Vec<_> = lock(&self.inner)
             .iter()
             .map(|(name, s)| {
                 (
@@ -492,7 +490,12 @@ impl ServerBus {
         let shard = &self.shards[index];
         // A `Shutdown` is the worker's own stop signal and always queues.
         if shard.depth.load(Ordering::SeqCst) == 0 && !matches!(env.req, Request::Shutdown) {
-            if let Some(mut table) = shard.table.try_lock() {
+            let free = match shard.table.try_lock() {
+                Ok(table) => Some(table),
+                Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+                Err(TryLockError::WouldBlock) => None,
+            };
+            if let Some(mut table) = free {
                 if table.closed {
                     return Err(SendError(env));
                 }
@@ -524,7 +527,7 @@ impl ServerBus {
     pub(crate) fn client_count(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.table.lock().clients.len())
+            .map(|s| lock(&s.table).clients.len())
             .sum()
     }
 }
@@ -569,7 +572,7 @@ impl HarmonyServer {
         let mut pool = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
         for i in 0..n {
-            let (tx, rx) = unbounded::<Envelope>();
+            let (tx, rx) = channel::<Envelope>();
             let table = Arc::new(Mutex::new(ShardTable::default()));
             let depth = Arc::new(AtomicU64::new(0));
             let worker_table = Arc::clone(&table);
@@ -716,7 +719,7 @@ impl HarmonyServer {
                 depth.fetch_sub(1, Ordering::SeqCst);
                 return Some(env.reply);
             }
-            let (tenant, stats) = table.lock().tenant_of(&env, &cfg.tenants);
+            let (tenant, stats) = lock(&table).tenant_of(&env, &cfg.tenants);
             drr.enqueue(tenant, stats, env);
             None
         };
@@ -745,7 +748,7 @@ impl HarmonyServer {
             };
             for env in batch {
                 let (reply, sink) = {
-                    let mut table = table.lock();
+                    let mut table = lock(&table);
                     Self::serve(shard, &cfg, &mut table, &tenant, &stats, env)
                 };
                 // Lowered once the envelope has taken effect and before its
@@ -755,7 +758,7 @@ impl HarmonyServer {
                 sink.deliver(reply);
             }
         }
-        table.lock().closed = true;
+        lock(&table).closed = true;
         if let Some(ack) = shutdown_ack {
             ack.deliver(Reply::Ok);
         }
@@ -840,7 +843,7 @@ impl HarmonyServer {
         let mut acks = Vec::with_capacity(self.bus.shards.len());
         for shard in 0..self.bus.shards.len() as u64 {
             // Client id `shard` routes to shard `shard`.
-            let (tx, rx) = crossbeam::channel::bounded(1);
+            let (tx, rx) = channel();
             if self
                 .bus
                 .dispatch(Envelope::new(shard, Request::Shutdown, tx))
@@ -1360,6 +1363,7 @@ mod tests {
     use crate::param::Param;
     use crate::server::protocol::{StrategyKind, TrialReport};
     use crate::session::SessionOptions;
+    use std::sync::mpsc::{RecvTimeoutError, TryRecvError};
 
     #[test]
     fn single_client_tunes_a_bowl() {
@@ -2338,7 +2342,7 @@ mod tests {
 
     /// Completion sink that forwards `(token, reply)` to the test, in the
     /// order the shard worker delivered them.
-    struct Tagged(crossbeam::channel::Sender<(u64, Reply)>);
+    struct Tagged(Sender<(u64, Reply)>);
 
     impl protocol::CompletionSink for Tagged {
         fn complete(&self, token: u64, reply: Reply) {
@@ -2361,7 +2365,7 @@ mod tests {
     fn dispatch_serves_an_idle_shard_on_the_caller() {
         let server = HarmonyServer::start_with(1);
         let bus = server.bus();
-        let (tx, rx) = crossbeam::channel::bounded(1);
+        let (tx, rx) = channel();
         let req = Request::Register {
             app: "idle".into(),
             tenant: String::new(),
@@ -2370,10 +2374,7 @@ mod tests {
         assert!(matches!(reply, Some(Reply::Registered { .. })), "{reply:?}");
         // The reply was the return value; nothing went through the sink
         // (its sender was dropped unused) or through the worker's queue.
-        assert_eq!(
-            rx.try_recv().unwrap_err(),
-            crossbeam::channel::TryRecvError::Disconnected
-        );
+        assert_eq!(rx.try_recv().unwrap_err(), TryRecvError::Disconnected);
         assert_eq!(bus.queue_depths(), vec![0]);
         server.shutdown();
     }
@@ -2384,7 +2385,7 @@ mod tests {
         let bus = server.bus();
         let big = register(&bus, "big");
         let small = register(&bus, "small");
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let sink: Arc<dyn protocol::CompletionSink> = Arc::new(Tagged(tx));
         let heartbeat = |client: u64, token: u64| {
             let sink = ReplySink::Completion {
@@ -2398,7 +2399,7 @@ mod tests {
         // here and queues; everything after it queues behind it. The
         // worker blocks on the same lock, so all 21 envelopes are in its
         // channel before it classifies the first.
-        let table = bus.shards[0].table.lock();
+        let table = lock(&bus.shards[0].table);
         for token in 0..20 {
             assert!(heartbeat(big, token).is_none(), "token {token}");
         }
@@ -2432,7 +2433,7 @@ mod tests {
         let server = HarmonyServer::start_with(1);
         let bus = server.bus();
         let client = register(&bus, "");
-        let (tx, rx) = crossbeam::channel::bounded(1);
+        let (tx, rx) = channel();
         let queued = bus.dispatch(Envelope::new(0, Request::Shutdown, tx));
         assert!(matches!(queued, Ok(None)), "{queued:?}");
         let ack = rx.recv_timeout(Duration::from_secs(10)).unwrap();
@@ -2446,6 +2447,23 @@ mod tests {
         ));
         assert!(refused.is_err(), "{refused:?}");
         server.shutdown();
+    }
+
+    #[test]
+    fn messages_queued_when_the_last_receiver_drops_are_dropped() {
+        // What the shutdown path relies on from the shard channel: a reply
+        // sender queued to a worker that exits without receiving it is
+        // dropped with the worker's receiver, so its requester sees the
+        // reply channel disconnect rather than wait forever.
+        let (tx, rx) = channel::<Sender<Reply>>();
+        let (reply_tx, reply_rx) = channel::<Reply>();
+        tx.send(reply_tx).unwrap();
+        drop(rx);
+        assert_eq!(
+            reply_rx.recv_timeout(Duration::from_secs(10)).unwrap_err(),
+            RecvTimeoutError::Disconnected
+        );
+        assert!(tx.send(channel().0).is_err());
     }
 
     fn served(server: &HarmonyServer, tenant: &str) -> u64 {
@@ -2497,7 +2515,7 @@ mod tests {
         // The classifier the worker's intake and `dispatch` share agrees,
         // for the member's requests and for the attach itself.
         let bus = server.bus();
-        let table = bus.shards[0].table.lock();
+        let table = lock(&bus.shards[0].table);
         let tenant_of = |client: u64, req: Request| {
             let env = Envelope::with_sink(client, req, ReplySink::Discard);
             table.tenant_of(&env, &bus.cfg.tenants).0

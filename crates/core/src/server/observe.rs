@@ -38,15 +38,15 @@
 //! [`SearchSnapshot`]: crate::session::SearchSnapshot
 
 use super::{ServerBus, ServerConfig, SessionPhase, SessionState};
+use crate::lock;
 use crate::telemetry::{slo, Counter};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -563,12 +563,10 @@ fn fleet_json(ctx: &ObserveCtx) -> Value {
         let row = match fetched {
             Some((status, metrics)) => {
                 let row = fleet_row(peer, false, true, 0.0, &status, &metrics);
-                ctx.fleet
-                    .lock()
-                    .insert(peer.clone(), (Instant::now(), row.clone()));
+                lock(&ctx.fleet).insert(peer.clone(), (Instant::now(), row.clone()));
                 row
             }
-            None => match ctx.fleet.lock().get(peer) {
+            None => match lock(&ctx.fleet).get(peer) {
                 Some((at, cached)) => {
                     let mut row = cached.clone();
                     if let Value::Object(fields) = &mut row {
@@ -675,7 +673,7 @@ fn queue_depth_exposition(bus: &ServerBus) -> String {
 fn status_json(bus: &ServerBus, cfg: &ServerConfig) -> Value {
     let mut sessions: Vec<(u64, Value)> = Vec::new();
     for (shard_idx, shard) in bus.shards.iter().enumerate() {
-        let table = shard.table.lock();
+        let table = lock(&shard.table);
         for (&id, state) in table.sessions.iter() {
             sessions.push((id, session_json(shard_idx, id, state)));
         }

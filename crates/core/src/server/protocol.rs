@@ -2,13 +2,13 @@
 //!
 //! Every message is serde-serializable, so the protocol can cross a process
 //! boundary; the in-process transport used here carries `(client id, request,
-//! reply channel)` envelopes over a crossbeam channel.
+//! reply channel)` envelopes over a `std::sync::mpsc` channel.
 
 use crate::param::Param;
 use crate::session::SessionOptions;
 use crate::space::Configuration;
-use crossbeam::channel::Sender;
 use serde::{Deserialize, Serialize};
+use std::sync::mpsc::Sender;
 
 /// Which tuning algorithm the server should run for a client.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -275,7 +275,7 @@ impl Reply {
 /// end; the event loop cannot park, so it hands over a [`CompletionSink`]
 /// that enqueues the reply and wakes the owning loop thread instead.
 pub enum ReplySink {
-    /// Deliver into a bounded channel a blocked caller is `recv()`ing on.
+    /// Deliver into a channel a blocked caller is `recv()`ing on.
     Channel(Sender<Reply>),
     /// Deliver into an event loop's completion queue, tagged with the
     /// connection token the loop uses to route it.

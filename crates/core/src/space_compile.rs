@@ -116,13 +116,13 @@
 
 use crate::constraint::ConstraintSpec;
 use crate::error::{HarmonyError, Result};
+use crate::lock;
 use crate::param::Param;
 use crate::space::{Configuration, SearchSpace};
 use crate::telemetry::{Counter, Latency, Telemetry};
 use crate::value::ParamValue;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// How a dimension's lattice index maps to its embedded value.
@@ -1058,7 +1058,7 @@ impl CompiledSpace {
     /// every cap, a lower bound every cap below it); counted, on `cur`, and
     /// remembered when not.
     fn valid_count(&self, cur: &mut PointCursor, cap: u64) -> FeasibleCount {
-        let mut learnt = self.learnt.lock();
+        let mut learnt = lock(&self.learnt);
         match learnt.count {
             Some(c) if c.is_exact() || c.lower_bound() > cap => c,
             _ => *learnt.count.insert(self.count_on(cur, cap, u64::MAX)),
@@ -1068,7 +1068,7 @@ impl CompiledSpace {
     /// The indices of the `cap`-th valid point (`cap >= 1`, and the space
     /// holds more): walked to once per cap, then remembered.
     fn horizon(&self, cap: u64) -> Vec<u64> {
-        let mut learnt = self.learnt.lock();
+        let mut learnt = lock(&self.learnt);
         if let Some((_, last)) = learnt.horizons.iter().find(|(c, _)| *c == cap) {
             return last.clone();
         }
@@ -1539,7 +1539,7 @@ mod tests {
         assert!(!cs.snap_walk(&mut first, &target, cap));
         assert!(first.checks > 0, "the first call has to count");
         assert!(matches!(
-            cs.learnt.lock().count,
+            lock(&cs.learnt).count,
             Some(FeasibleCount::AtLeast(n)) if n > cap
         ));
 
@@ -1563,7 +1563,7 @@ mod tests {
         let snapped = cs.snap_feasible(&target, 84);
         assert_eq!(snapped, cs.snap_feasible_by_scan(&target, 84));
         assert!(snapped.is_some());
-        assert_eq!(cs.learnt.lock().count, Some(FeasibleCount::Exact(84)));
+        assert_eq!(lock(&cs.learnt).count, Some(FeasibleCount::Exact(84)));
         // One fewer is, and the exact count now answers without a walk.
         let mut cur = cs.start();
         assert!(!cs.snap_walk(&mut cur, &target, 83));

@@ -67,17 +67,17 @@
 
 use crate::durable_log::{self, push_line, DurableLog};
 use crate::error::{HarmonyError, Result};
+use crate::lock;
 use crate::priors::PriorRunDb;
 use crate::space::{Configuration, SearchSpace};
 use crate::telemetry::{Counter, Latency, SpanKind, Telemetry};
 use crate::value::ParamValue;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Current store format version (line 1 of every store file).
@@ -925,7 +925,7 @@ pub struct SharedStore(Arc<Mutex<PerfStore>>);
 
 impl std::fmt::Debug for SharedStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.lock().fmt(f)
+        lock(&self.0).fmt(f)
     }
 }
 
@@ -954,10 +954,10 @@ impl SharedStore {
                 // The lock is held to take the pending sync and to credit
                 // it, not across it: reports and lookups keep flowing
                 // during the fsync.
-                let pending = store.lock().log.pending_sync(FLUSH_QUIESCENCE);
+                let pending = lock(&store).log.pending_sync(FLUSH_QUIESCENCE);
                 let started = Instant::now();
                 if let Some(Ok(synced)) = pending.map(|sync| sync()) {
-                    let mut store = store.lock();
+                    let mut store = lock(&store);
                     store
                         .telemetry
                         .observe(Latency::StoreAppendFsync, started.elapsed());
@@ -978,7 +978,7 @@ impl SharedStore {
 
     /// Locked [`PerfStore::lookup`].
     pub fn lookup(&self, app: &str, fingerprint: u64, key: &[i64]) -> Option<StoredCost> {
-        self.0.lock().lookup(app, fingerprint, key)
+        lock(&self.0).lookup(app, fingerprint, key)
     }
 
     /// Locked [`PerfStore::lookup_after`].
@@ -989,54 +989,54 @@ impl SharedStore {
         key: &[i64],
         last_hit: &mut Option<usize>,
     ) -> Option<StoredCost> {
-        self.0.lock().lookup_after(app, fingerprint, key, last_hit)
+        lock(&self.0).lookup_after(app, fingerprint, key, last_hit)
     }
 
     /// Locked [`PerfStore::insert`].
     pub fn insert(&self, record: StoreRecord) -> Result<bool> {
-        self.0.lock().insert(record)
+        lock(&self.0).insert(record)
     }
 
     /// Locked [`PerfStore::insert_batch`].
     pub fn insert_batch(&self, records: Vec<StoreRecord>) -> Result<usize> {
-        self.0.lock().insert_batch(records)
+        lock(&self.0).insert_batch(records)
     }
 
     /// Locked [`PerfStore::merge_records`].
     pub fn merge_records(&self, records: Vec<StoreRecord>) -> Result<MergeStats> {
-        self.0.lock().merge_records(records)
+        lock(&self.0).merge_records(records)
     }
 
     /// Locked [`PerfStore::encode_log_from`].
     pub fn encode_log_from(&self, from: usize) -> (usize, String) {
-        self.0.lock().encode_log_from(from)
+        lock(&self.0).encode_log_from(from)
     }
 
     /// Locked [`PerfStore::len`] — total log records, for replication
     /// high-water marks and `/status`.
     pub fn record_count(&self) -> usize {
-        self.0.lock().len()
+        lock(&self.0).len()
     }
 
     /// Locked [`PerfStore::flush`].
     pub fn flush(&self) -> Result<()> {
-        self.0.lock().flush()
+        lock(&self.0).flush()
     }
 
     /// Locked [`PerfStore::unsynced`]: appended records not yet fsynced —
     /// the flush-lag gauge the SLO engine watches.
     pub fn unsynced(&self) -> usize {
-        self.0.lock().unsynced()
+        lock(&self.0).unsynced()
     }
 
     /// Locked [`PerfStore::stats`].
     pub fn stats(&self) -> StoreStats {
-        self.0.lock().stats()
+        lock(&self.0).stats()
     }
 
     /// Run `f` under the store lock (compaction, priors queries, …).
     pub fn with<R>(&self, f: impl FnOnce(&mut PerfStore) -> R) -> R {
-        f(&mut self.0.lock())
+        f(&mut lock(&self.0))
     }
 }
 

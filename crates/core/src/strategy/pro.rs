@@ -13,7 +13,7 @@
 //!
 //! Two drivers are provided: the [`SearchStrategy`] impl (serial ask–tell,
 //! usable anywhere Nelder–Mead is) and [`tune_parallel`], which evaluates
-//! each round's batch on crossbeam scoped threads.
+//! each round's batch on scoped threads.
 
 use super::{cost_spread, SearchStrategy, SimplexSnapshot, StartPoint, StrategySnapshot};
 use crate::history::{Evaluation, History};
@@ -21,7 +21,7 @@ use crate::session::TuningResult;
 use crate::space::SearchSpace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// PRO knobs.
 #[derive(Debug, Clone)]
@@ -419,12 +419,13 @@ impl SearchStrategy for ParallelRankOrder {
     }
 }
 
-/// Evaluate one PRO round's batch on crossbeam scoped threads and drive the
-/// search to completion — the deployment mode PRO was designed for, where
-/// each candidate runs on its own processor.
+/// Evaluate one PRO round's batch on scoped threads and drive the search to
+/// completion — the deployment mode PRO was designed for, where each
+/// candidate runs on its own processor.
 ///
 /// `objective` must be thread-safe; results are cached by configuration so
-/// revisited lattice points are free.
+/// revisited lattice points are free, and a configuration that appears
+/// twice in one batch is evaluated once.
 pub fn tune_parallel<F>(
     space: &SearchSpace,
     objective: F,
@@ -446,28 +447,30 @@ where
         let batch = pro.current_batch().to_vec();
         let configs: Vec<crate::space::Configuration> =
             batch.iter().map(|p| space.project(p)).collect();
-        // Evaluate uncached configurations concurrently.
+        // Evaluate uncached configurations concurrently, each once: later
+        // copies within the batch take the first copy's cost.
         let mut fresh_idx = Vec::new();
+        let mut claimed = HashSet::new();
         for (i, cfg) in configs.iter().enumerate() {
-            if !cache.contains_key(&cfg.cache_key()) {
+            let key = cfg.cache_key();
+            if !cache.contains_key(&key) && claimed.insert(key) {
                 fresh_idx.push(i);
             }
         }
-        let fresh_costs: Vec<(usize, f64)> = crossbeam::thread::scope(|s| {
+        let fresh_costs: Vec<(usize, f64)> = std::thread::scope(|s| {
             let handles: Vec<_> = fresh_idx
                 .iter()
                 .map(|&i| {
                     let cfg = &configs[i];
                     let obj = &objective;
-                    s.spawn(move |_| (i, obj(cfg)))
+                    s.spawn(move || (i, obj(cfg)))
                 })
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("objective worker panicked"))
                 .collect()
-        })
-        .expect("scoped evaluation");
+        });
         for &(i, cost) in &fresh_costs {
             cache.insert(configs[i].cache_key(), cost);
         }
@@ -550,10 +553,30 @@ mod tests {
         assert!(result.best_cost <= 9.0, "best={}", result.best_cost);
         assert_eq!(result.strategy, "parallel-rank-order");
         assert!(result.history.runs() > 10);
-        // Cache must prevent duplicate evaluation of revisited points.
-        let fresh = result.history.runs();
-        let total = result.history.len();
-        assert!(fresh <= total);
+    }
+
+    #[test]
+    fn tune_parallel_evaluates_each_configuration_once() {
+        // At seed 1 one round's batch holds the same lattice point twice.
+        let s = SearchSpace::builder()
+            .int("x", -100, 100, 1)
+            .int("y", -100, 100, 1)
+            .build()
+            .unwrap();
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let counted = |cfg: &crate::space::Configuration| {
+            calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            bowl(cfg)
+        };
+        let result = tune_parallel(&s, counted, ProOptions::default(), 40, 1);
+        let distinct: HashSet<Vec<i64>> = result
+            .history
+            .evaluations()
+            .iter()
+            .map(|e| e.config.cache_key())
+            .collect();
+        assert_eq!(calls.into_inner(), result.history.runs());
+        assert_eq!(result.history.runs(), distinct.len());
     }
 
     #[test]

@@ -50,11 +50,11 @@
 pub mod slo;
 pub mod timeseries;
 
-use parking_lot::Mutex;
+use crate::lock;
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Default capacity of the bounded event ring (events beyond it evict the
@@ -666,7 +666,7 @@ impl std::fmt::Debug for Telemetry {
             None => f.write_str("Telemetry(disabled)"),
             Some(inner) => f
                 .debug_struct("Telemetry")
-                .field("events", &inner.ring.lock().len())
+                .field("events", &lock(&inner.ring).len())
                 .field("dropped", &inner.dropped.load(Ordering::Relaxed))
                 .finish_non_exhaustive(),
         }
@@ -729,7 +729,7 @@ impl Telemetry {
             client,
             cause,
         };
-        let mut ring = inner.ring.lock();
+        let mut ring = lock(&inner.ring);
         if ring.len() >= inner.capacity {
             ring.pop_front();
             inner.dropped.fetch_add(1, Ordering::Relaxed);
@@ -762,7 +762,7 @@ impl Telemetry {
     /// tenant-id churn cannot grow the exposition.
     pub fn tenant_add(&self, tenant: &str, metric: TenantMetric, n: u64) {
         let Some(inner) = &self.0 else { return };
-        let mut table = inner.tenants.lock();
+        let mut table = lock(&inner.tenants);
         let label = if table.iter().any(|(t, _)| t == tenant) || table.len() < MAX_TENANT_LABELS {
             tenant
         } else {
@@ -782,9 +782,7 @@ impl Telemetry {
     /// tenant was never recorded).
     pub fn tenant_counter(&self, tenant: &str, metric: TenantMetric) -> u64 {
         match &self.0 {
-            Some(inner) => inner
-                .tenants
-                .lock()
+            Some(inner) => lock(&inner.tenants)
                 .iter()
                 .find(|(t, _)| t == tenant)
                 .map(|(_, row)| row[metric.idx()])
@@ -797,7 +795,7 @@ impl Telemetry {
     /// `(tenant, [value per TenantMetric::ALL])` row per label.
     pub fn tenant_counters(&self) -> Vec<(String, [u64; TENANT_METRIC_COUNT])> {
         match &self.0 {
-            Some(inner) => inner.tenants.lock().clone(),
+            Some(inner) => lock(&inner.tenants).clone(),
             None => Vec::new(),
         }
     }
@@ -848,7 +846,7 @@ impl Telemetry {
     /// Snapshot of the event ring, oldest first (empty when disabled).
     pub fn events(&self) -> Vec<TrialEvent> {
         match &self.0 {
-            Some(inner) => inner.ring.lock().iter().cloned().collect(),
+            Some(inner) => lock(&inner.ring).iter().cloned().collect(),
             None => Vec::new(),
         }
     }
@@ -882,7 +880,7 @@ impl Telemetry {
         };
         let id = inner.span_seq.fetch_add(1, Ordering::Relaxed);
         let start_us = u64::try_from(inner.start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        inner.open_spans.lock().insert(
+        lock(&inner.open_spans).insert(
             id,
             OpenSpan {
                 kind,
@@ -911,7 +909,7 @@ impl Telemetry {
         if token.0 == 0 {
             return;
         }
-        let Some(open) = inner.open_spans.lock().remove(&token.0) else {
+        let Some(open) = lock(&inner.open_spans).remove(&token.0) else {
             return;
         };
         let now_us = u64::try_from(inner.start.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -925,7 +923,7 @@ impl Telemetry {
             dur_us: now_us.saturating_sub(open.start_us),
             cause,
         };
-        let mut spans = inner.spans.lock();
+        let mut spans = lock(&inner.spans);
         if spans.len() >= inner.capacity {
             spans.pop_front();
             inner.span_dropped.fetch_add(1, Ordering::Relaxed);
@@ -937,7 +935,7 @@ impl Telemetry {
     /// disabled).
     pub fn spans(&self) -> Vec<SpanEvent> {
         match &self.0 {
-            Some(inner) => inner.spans.lock().iter().cloned().collect(),
+            Some(inner) => lock(&inner.spans).iter().cloned().collect(),
             None => Vec::new(),
         }
     }
@@ -946,7 +944,7 @@ impl Telemetry {
     /// every begin had an end or a fault cause.
     pub fn open_spans(&self) -> usize {
         match &self.0 {
-            Some(inner) => inner.open_spans.lock().len(),
+            Some(inner) => lock(&inner.open_spans).len(),
             None => 0,
         }
     }

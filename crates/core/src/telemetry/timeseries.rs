@@ -26,10 +26,10 @@
 //! the default 512-sample ring, independent of traffic.
 
 use super::{Counter, HistoSnapshot, Latency, Telemetry};
-use parking_lot::Mutex;
+use crate::lock;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Default number of retained samples (at the default 1s interval: ~8.5
@@ -105,7 +105,7 @@ pub struct TimeSeries {
 impl std::fmt::Debug for TimeSeries {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TimeSeries")
-            .field("samples", &self.inner.ring.lock().len())
+            .field("samples", &lock(&self.inner.ring).len())
             .field("capacity", &self.inner.capacity)
             .finish_non_exhaustive()
     }
@@ -137,7 +137,7 @@ impl TimeSeries {
 
     /// Register (or replace) a gauge read on every sampling tick.
     pub fn register_gauge(&self, name: &str, f: impl Fn() -> f64 + Send + Sync + 'static) {
-        let mut gauges = self.inner.gauges.lock();
+        let mut gauges = lock(&self.inner.gauges);
         match gauges.iter_mut().find(|(n, _)| n == name) {
             Some((_, slot)) => *slot = Box::new(f),
             None => gauges.push((name.to_string(), Box::new(f))),
@@ -157,7 +157,7 @@ impl TimeSeries {
             .map(|l| self.inner.telemetry.histogram(*l))
             .collect();
         let gauges = {
-            let gauges = self.inner.gauges.lock();
+            let gauges = lock(&self.inner.gauges);
             gauges.iter().map(|(n, f)| (n.clone(), f())).collect()
         };
         let sample = Sample {
@@ -166,7 +166,7 @@ impl TimeSeries {
             gauges,
             histos,
         };
-        let mut ring = self.inner.ring.lock();
+        let mut ring = lock(&self.inner.ring);
         if ring.len() >= self.inner.capacity {
             ring.pop_front();
         }
@@ -176,23 +176,23 @@ impl TimeSeries {
 
     /// Number of samples currently retained.
     pub fn len(&self) -> usize {
-        self.inner.ring.lock().len()
+        lock(&self.inner.ring).len()
     }
 
     /// True when no sample has been taken yet.
     pub fn is_empty(&self) -> bool {
-        self.inner.ring.lock().is_empty()
+        lock(&self.inner.ring).is_empty()
     }
 
     /// The newest sample, if any.
     pub fn latest(&self) -> Option<Sample> {
-        self.inner.ring.lock().back().cloned()
+        lock(&self.inner.ring).back().cloned()
     }
 
     /// The retained samples whose age (relative to the newest sample) is
     /// within `window`, oldest first.
     pub fn samples_within(&self, window: Duration) -> Vec<Sample> {
-        let ring = self.inner.ring.lock();
+        let ring = lock(&self.inner.ring);
         let Some(last) = ring.back() else {
             return Vec::new();
         };

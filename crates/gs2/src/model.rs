@@ -21,9 +21,8 @@
 use crate::decomp::{locality, Decomposition, DimSizes};
 use crate::layout::{Dim, Layout};
 use ah_clustersim::{NetworkModel, NodeSpec};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Memoisation key for locality counts: everything [`locality`] reads — the
 /// layout, the five sizes, the processor count, and the needed dimensions as
@@ -167,11 +166,19 @@ impl Gs2Model {
     fn cached_locality(&self, d: &Decomposition, needed: &[Dim]) -> f64 {
         let dims = needed.iter().fold(0u8, |bits, &dim| bits | 1 << dim as u8);
         let key = (d.layout, d.sizes, d.procs, dims);
-        if let Some(&v) = self.locality_cache.lock().get(&key) {
+        let cache = &self.locality_cache;
+        if let Some(&v) = cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
             return v;
         }
         let v = locality(d, needed);
-        self.locality_cache.lock().insert(key, v);
+        cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(key, v);
         v
     }
 

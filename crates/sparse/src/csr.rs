@@ -1,7 +1,5 @@
 //! Compressed sparse row matrices.
 
-use crossbeam::thread;
-
 /// A square or rectangular sparse matrix in CSR format.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
@@ -94,7 +92,7 @@ impl CsrMatrix {
     }
 
     /// `y = A·x` computed with `threads` worker threads over disjoint row
-    /// blocks (crossbeam scoped threads; falls back to serial for 1 thread).
+    /// blocks (scoped threads; falls back to serial for 1 thread).
     pub fn par_spmv(&self, x: &[f64], y: &mut [f64], threads: usize) {
         assert_eq!(x.len(), self.cols, "x length mismatch");
         assert_eq!(y.len(), self.rows, "y length mismatch");
@@ -104,10 +102,10 @@ impl CsrMatrix {
             return;
         }
         let chunk = self.rows.div_ceil(threads);
-        thread::scope(|s| {
+        std::thread::scope(|s| {
             for (block, y_block) in y.chunks_mut(chunk).enumerate() {
                 let start = block * chunk;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for (i, yv) in y_block.iter_mut().enumerate() {
                         let r = start + i;
                         let (cols, vals) = self.row(r);
@@ -119,8 +117,7 @@ impl CsrMatrix {
                     }
                 });
             }
-        })
-        .expect("spmv worker panicked");
+        });
     }
 
     /// Iterate all `(row, col, value)` triplets.

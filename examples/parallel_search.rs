@@ -4,7 +4,7 @@
 //! simplex developed in the Active Harmony project after this paper)
 //! reflects every non-best simplex vertex through the best point each
 //! round, so a whole batch of configurations can be measured
-//! simultaneously — here on crossbeam threads, on a cluster one candidate
+//! simultaneously — here on scoped threads, on a cluster one candidate
 //! per node.
 //!
 //! ```text
