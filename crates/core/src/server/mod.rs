@@ -56,18 +56,21 @@
 //! # One fetch path, one report path
 //!
 //! The on-line conversation — fetch a configuration, run it, report the
-//! time — has two request shapes and one implementation. `FetchBatch`
-//! serves the caller's own unreported trials first (so a re-fetch after a
-//! lost reply converges), then claims requeued trials, then tops up with
-//! fresh proposals under the tenant's in-flight quota, answering
-//! store-known proposals server-side on the way; `ReportBatch` matches
-//! results to trials by iteration token, sanitises non-finite
-//! measurements, applies them, and appends them to the store in one write.
-//! A serial `Fetch` is a `FetchBatch` of one and a serial `Report` is a
-//! one-entry `ReportBatch` for the caller's oldest outstanding trial; only
-//! the reply is reshaped (`Config` instead of `Configs`, the best
-//! configuration once finished, a retryable busy error while another
-//! member holds the round).
+//! time — has three request shapes and two rules, each in one function.
+//! The fetch rule (`Tuning::top_up`) serves the caller's own unreported
+//! trials first (so a re-fetch after a lost reply converges), then claims
+//! requeued trials, then tops up with fresh proposals under the tenant's
+//! in-flight quota, answering store-known proposals server-side on the
+//! way. The report rule (`Tuning::apply_reports`) matches results to
+//! trials by iteration token, sanitises non-finite measurements, applies
+//! them, and appends them to the store in one write. `FetchBatch` is the
+//! fetch rule and `ReportBatch` the report rule; `Exchange` is the report
+//! rule then the fetch rule, in one shard visit, which is how a serial TCP
+//! client spends one round trip per trial. A serial `Fetch` is a
+//! `FetchBatch` of one and a serial `Report` is a one-entry `ReportBatch`
+//! for the caller's oldest outstanding trial; only the reply is reshaped
+//! (`Config` instead of `Configs`, the best configuration once finished, a
+//! retryable busy error while another member holds the round).
 //!
 //! # Tenancy and federation
 //!
@@ -232,8 +235,10 @@ pub struct ServerConfig {
     /// sessions. A fetch has its fresh top-up clamped to the cap and is
     /// refused with [`Reply::QuotaExceeded`] only when it gathered nothing
     /// at all — for a serial `Fetch`, whenever it would need a fresh trial.
-    /// Re-fetches and requeue claims are always exempt — they never grow
-    /// the tenant's holdings. `None` (default) leaves issuance unbounded.
+    /// An `Exchange` is clamped the same way but answers an empty batch
+    /// instead of refusing, since its reports were applied. Re-fetches
+    /// and requeue claims are always exempt — they never grow the tenant's
+    /// holdings. `None` (default) leaves issuance unbounded.
     pub tenant_max_inflight: Option<usize>,
     /// Per-tenant accounting, shared by shards and the observability
     /// plane. The default (empty) registry fills in lazily as tenants
@@ -294,21 +299,48 @@ enum SessionPhase {
     /// Still declaring parameters.
     Building { builder: Option<SearchSpaceBuilder> },
     /// Space sealed; tuning in progress.
-    Tuning {
-        session: Box<TuningSession>,
-        /// Fetched-but-unreported trials, oldest first.
-        outstanding: VecDeque<OutstandingTrial>,
-        /// Highest iteration token ever issued; a report for an unknown
-        /// token at or below it is a stale duplicate (the trial was
-        /// requeued, re-measured, and already applied) and is ignored.
-        issued_high: usize,
-        /// [`space_fingerprint`] of the sealed space, the session's store
-        /// key alongside the application label.
-        fingerprint: u64,
-        /// Store position of the session's last served hit, where a warm
-        /// replay's next lookup looks first ([`SharedStore::lookup_after`]).
-        last_hit: Option<usize>,
-    },
+    Tuning(Tuning),
+}
+
+/// A sealed session: the search, and the trials it has handed out.
+struct Tuning {
+    session: Box<TuningSession>,
+    /// Fetched-but-unreported trials, oldest first.
+    outstanding: VecDeque<OutstandingTrial>,
+    /// Highest iteration token ever issued; a report for an unknown
+    /// token at or below it is a stale duplicate (the trial was
+    /// requeued, re-measured, and already applied) and is ignored.
+    issued_high: usize,
+    /// [`space_fingerprint`] of the sealed space, the session's store
+    /// key alongside the application label.
+    fingerprint: u64,
+    /// Store position of the session's last served hit, where a warm
+    /// replay's next lookup looks first ([`SharedStore::lookup_after`]).
+    last_hit: Option<usize>,
+}
+
+/// Who a tuning request is served for, and under which policy: what the
+/// report and fetch rules read besides the session's own state.
+#[derive(Clone, Copy)]
+struct Caller<'a> {
+    cfg: &'a ServerConfig,
+    /// The session's application label (its store key).
+    app: &'a str,
+    tenant: &'a str,
+    stats: &'a TenantStats,
+    client: u64,
+    session_id: u64,
+    now: Instant,
+}
+
+/// What the fetch rule gathered for one request.
+struct TopUp {
+    trials: Vec<FetchedTrial>,
+    /// The session has stopped; no further trials will come.
+    finished: bool,
+    /// Nothing was gathered because the tenant's in-flight quota left no
+    /// room for a fresh trial.
+    refused: bool,
 }
 
 /// One tuning session shared by its founder and any attached members.
@@ -860,40 +892,6 @@ impl HarmonyServer {
         }
     }
 
-    /// Shape the outcome of the fetch arm for the request that asked. A
-    /// `FetchBatch` gets the `Configs` frame as is; a serial `Fetch` gets
-    /// its one trial as a `Config`, the best configuration found once the
-    /// session has finished, and a retryable busy error while the strategy
-    /// waits on another member's report.
-    fn fetch_reply(
-        serial: bool,
-        mut trials: Vec<FetchedTrial>,
-        finished: bool,
-        session: &TuningSession,
-    ) -> Reply {
-        if !serial {
-            return Reply::Configs { trials, finished };
-        }
-        if let Some(t) = trials.pop() {
-            return Reply::Config {
-                config: t.config,
-                iteration: t.iteration,
-                finished: false,
-            };
-        }
-        if !finished {
-            return Reply::busy("no trial available until outstanding reports arrive");
-        }
-        match session.best() {
-            Some((cfg, _)) => Reply::Config {
-                config: cfg.clone(),
-                iteration: session.history().len(),
-                finished: true,
-            },
-            None => Reply::err("session finished with no evaluations"),
-        }
-    }
-
     /// Requeue deadline-expired trials and evict silent members. Runs on
     /// every message addressed to a tuning session, with the sender's
     /// `last_seen` already refreshed (a client can never evict itself by
@@ -905,7 +903,7 @@ impl HarmonyServer {
         now: Instant,
     ) {
         let telemetry = &cfg.telemetry;
-        let SessionPhase::Tuning { outstanding, .. } = &mut state.phase else {
+        let SessionPhase::Tuning(Tuning { outstanding, .. }) = &mut state.phase else {
             return;
         };
         // Members evicted by *this* sweep, so requeues below can name the
@@ -1042,15 +1040,12 @@ impl HarmonyServer {
         }
     }
 
-    /// Forget every outstanding trial, returning the tenant's in-flight
-    /// claim on them. Used wherever a finished session drops its queue.
-    fn drain_outstanding(outstanding: &mut VecDeque<OutstandingTrial>, stats: &TenantStats) {
-        stats
-            .inflight
-            .fetch_sub(outstanding.len() as u64, Ordering::Relaxed);
-        outstanding.clear();
-    }
-
+    /// Serve one request of a session member. A session still declaring
+    /// its space takes declarations; a sealed one serves the tuning loop,
+    /// whose three shapes share two rules: `Report`, `ReportBatch` and
+    /// `Exchange` apply reports through [`Tuning::apply_reports`], and
+    /// `Fetch`, `FetchBatch` and `Exchange` gather trials through
+    /// [`Tuning::top_up`].
     fn handle_for_session(
         state: &mut SessionState,
         cfg: &ServerConfig,
@@ -1059,33 +1054,11 @@ impl HarmonyServer {
         req: Request,
         now: Instant,
     ) -> Reply {
-        let telemetry = &cfg.telemetry;
         if matches!(req, Request::Heartbeat) {
             return Reply::Ok; // last_seen already refreshed by the caller
         }
-        // One fetch arm and one report arm serve both request shapes: a
-        // serial `Fetch` is a `FetchBatch` of one, and a serial `Report` is
-        // a one-entry `ReportBatch` for the caller's oldest outstanding
-        // trial. `serial` only selects the reply shape.
-        let serial = matches!(req, Request::Fetch);
-        let req = match (req, &state.phase) {
-            (Request::Fetch, _) => Request::FetchBatch { max: 1 },
-            (Request::Report { cost, wall_time }, SessionPhase::Tuning { outstanding, .. }) => {
-                let Some(t) = outstanding.iter().find(|t| t.owner == client) else {
-                    return Reply::err("report without an outstanding fetch");
-                };
-                Request::ReportBatch {
-                    reports: vec![TrialReport {
-                        iteration: t.trial.iteration,
-                        cost,
-                        wall_time,
-                    }],
-                }
-            }
-            (req, _) => req,
-        };
         // Disjoint borrows: the store key (`app`) and tenant accounting are
-        // read while `phase` is borrowed mutably by the match below.
+        // read while `phase` is borrowed mutably.
         let SessionState {
             app,
             phase,
@@ -1093,258 +1066,378 @@ impl HarmonyServer {
             tenant_stats,
             ..
         } = state;
-        match (&mut *phase, req) {
-            (SessionPhase::Building { builder }, Request::AddParam { param }) => {
-                if let Err(e) = param.validate() {
-                    return Reply::err(e.to_string());
-                }
-                let b = builder.take().expect("builder present while building");
-                *builder = Some(b.param(param));
-                Reply::Ok
-            }
-            (SessionPhase::Building { builder }, Request::AddMonotoneChain { names }) => {
-                let b = builder.take().expect("builder present while building");
-                *builder = Some(b.constraint(crate::constraint::MonotoneChain::new(names)));
-                Reply::Ok
-            }
-            (SessionPhase::Building { builder }, Request::Seal { options, strategy }) => {
-                let b = builder.take().expect("builder present while building");
-                match b.build() {
-                    Ok(space) => {
-                        let fingerprint = space_fingerprint(&space);
-                        let mut session = TuningSession::new(space, strategy.build(), options);
-                        session.set_telemetry(telemetry.clone());
-                        *phase = SessionPhase::Tuning {
-                            session: Box::new(session),
-                            outstanding: VecDeque::new(),
-                            issued_high: 0,
-                            fingerprint,
-                            last_hit: None,
-                        };
+        let tuning = match phase {
+            SessionPhase::Tuning(tuning) => tuning,
+            SessionPhase::Building { builder } => {
+                return match req {
+                    Request::AddParam { param } => {
+                        if let Err(e) = param.validate() {
+                            return Reply::err(e.to_string());
+                        }
+                        let b = builder.take().expect("builder present while building");
+                        *builder = Some(b.param(param));
                         Reply::Ok
                     }
-                    Err(e) => Reply::err(e.to_string()),
-                }
-            }
-            (
-                SessionPhase::Tuning {
-                    session,
-                    outstanding,
-                    issued_high,
-                    fingerprint,
-                    last_hit,
-                },
-                Request::FetchBatch { max },
-            ) => {
-                if session.stop_reason().is_some() {
-                    // Trials fetched before the stop were dropped by the
-                    // session; forget them here too.
-                    Self::drain_outstanding(outstanding, tenant_stats);
-                    return Self::fetch_reply(serial, Vec::new(), true, session);
-                }
-                // `max` comes straight off the wire: bound what one request
-                // can make the session propose and the reply carry.
-                let max = max.min(MAX_SERVED_PER_REQUEST);
-                // This client's unreported trials first (so a re-fetch after
-                // a lost reply converges), then requeued trials of departed
-                // owners, then top up with fresh proposals.
-                let mut trials: Vec<FetchedTrial> = Vec::new();
-                for t in outstanding.iter().filter(|t| t.owner == client).take(max) {
-                    telemetry.inc(Counter::TrialsFetched);
-                    telemetry.event(
-                        TrialStage::Fetched,
-                        t.trial.iteration,
-                        client,
-                        Some("refetch"),
-                    );
-                    trials.push(FetchedTrial {
-                        config: t.trial.config.clone(),
-                        iteration: t.trial.iteration,
-                    });
-                }
-                for t in outstanding.iter_mut().filter(|t| t.owner == 0) {
-                    if trials.len() >= max {
-                        break;
+                    Request::AddMonotoneChain { names } => {
+                        let b = builder.take().expect("builder present while building");
+                        *builder = Some(b.constraint(crate::constraint::MonotoneChain::new(names)));
+                        Reply::Ok
                     }
-                    t.owner = client;
-                    t.issued = now;
-                    telemetry.inc(Counter::TrialsFetched);
-                    telemetry.event(
-                        TrialStage::Fetched,
-                        t.trial.iteration,
-                        client,
-                        Some("requeue_claim"),
-                    );
-                    trials.push(FetchedTrial {
-                        config: t.trial.config.clone(),
-                        iteration: t.trial.iteration,
-                    });
-                }
-                // Top up with fresh proposals. The session asks the store
-                // about each one and applies a hit on the spot, so what comes
-                // back is only what a client must measure. The tenant's
-                // in-flight cap clamps how many may be issued (served hits
-                // complete immediately and don't count), so no proposal is
-                // ever pulled from the strategy and dropped; past
-                // `MAX_SERVED_PER_REQUEST` hits the memo stops answering and
-                // the rest are handed out.
-                let fresh_budget = cfg.tenant_max_inflight.map_or(usize::MAX, |cap| {
-                    (cap as u64).saturating_sub(tenant_stats.inflight.load(Ordering::Relaxed))
-                        as usize
-                });
-                let store = cfg.store.as_ref();
-                let mut served = 0usize;
-                let batch = session.suggest_batch_with(
-                    (max - trials.len()).min(fresh_budget),
-                    |iteration, key| {
-                        if served == MAX_SERVED_PER_REQUEST {
-                            return None;
-                        }
-                        let hit = store?.lookup_after(app, *fingerprint, key, last_hit)?;
-                        served += 1;
-                        *issued_high = (*issued_high).max(iteration);
-                        Some(hit.cost)
-                    },
-                );
-                for trial in batch {
-                    *issued_high = (*issued_high).max(trial.iteration);
-                    telemetry.inc(Counter::TrialsFetched);
-                    telemetry.event(TrialStage::Fetched, trial.iteration, client, None);
-                    trials.push(FetchedTrial {
-                        config: trial.config.clone(),
-                        iteration: trial.iteration,
-                    });
-                    tenant_stats.inflight.fetch_add(1, Ordering::Relaxed);
-                    outstanding.push_back(OutstandingTrial {
-                        trial,
-                        owner: client,
-                        issued: now,
-                        requeued: false,
-                    });
-                }
-                let finished = trials.is_empty() && session.stop_reason().is_some();
-                if finished {
-                    Self::drain_outstanding(outstanding, tenant_stats);
-                }
-                if trials.is_empty() && !finished && fresh_budget == 0 {
-                    telemetry.inc(Counter::QuotaRefusals);
-                    telemetry.tenant_add(tenant, TenantMetric::QuotaRefusals, 1);
-                    return Reply::QuotaExceeded {
-                        tenant: tenant.clone(),
-                    };
-                }
-                Self::fetch_reply(serial, trials, finished, session)
-            }
-            (
-                SessionPhase::Tuning {
-                    session,
-                    outstanding,
-                    issued_high,
-                    fingerprint,
-                    ..
-                },
-                Request::ReportBatch { reports },
-            ) => {
-                // Accumulated store writes for the whole batch: one locked
-                // append instead of one per trial, so attaching a store
-                // does not un-amortize what batching bought.
-                let mut recorded: Vec<StoreRecord> = Vec::new();
-                // A report that fails stops the batch, but the ones before it
-                // are applied already: their records are written all the same.
-                let mut failed: Option<String> = None;
-                for r in reports {
-                    if session.stop_reason().is_some() {
-                        // Stopped mid-batch: the remaining results belong
-                        // to trials the session already dropped.
-                        break;
-                    }
-                    match outstanding
-                        .iter()
-                        .position(|t| t.trial.iteration == r.iteration)
-                    {
-                        Some(pos) => {
-                            let t = outstanding.remove(pos).expect("position found above");
-                            tenant_stats.inflight.fetch_sub(1, Ordering::Relaxed);
-                            let (cost, wall_time, clamped) =
-                                sanitize_measurement(r.cost, r.wall_time);
-                            if clamped {
-                                telemetry.inc(Counter::NonFiniteCostsSanitized);
+                    Request::Seal { options, strategy } => {
+                        let b = builder.take().expect("builder present while building");
+                        match b.build() {
+                            Ok(space) => {
+                                let fingerprint = space_fingerprint(&space);
+                                let mut session =
+                                    TuningSession::new(space, strategy.build(), options);
+                                session.set_telemetry(cfg.telemetry.clone());
+                                *phase = SessionPhase::Tuning(Tuning {
+                                    session: Box::new(session),
+                                    outstanding: VecDeque::new(),
+                                    issued_high: 0,
+                                    fingerprint,
+                                    last_hit: None,
+                                });
+                                Reply::Ok
                             }
-                            let config = cfg.store.as_ref().map(|_| t.trial.config.clone());
-                            let iteration = t.trial.iteration;
-                            telemetry.tenant_add(tenant, TenantMetric::Reports, 1);
-                            if let Err(e) = session.report_timed(t.trial, cost, wall_time) {
-                                failed = Some(e.to_string());
-                                break;
-                            }
-                            telemetry.tenant_add(tenant, TenantMetric::Evaluations, 1);
-                            if let Some(config) = config {
-                                recorded.push(
-                                    StoreRecord::new(
-                                        app.clone(),
-                                        *fingerprint,
-                                        config,
-                                        cost,
-                                        wall_time,
-                                    )
-                                    .with_provenance(session_id, iteration)
-                                    .with_flags(t.requeued, false),
-                                );
-                            }
-                        }
-                        // Stale duplicate: the trial was requeued after an
-                        // eviction, re-measured by another member, and its
-                        // cost already applied. Costs are functions of the
-                        // configuration, so dropping the echo is lossless.
-                        None if r.iteration <= *issued_high => {
-                            telemetry.inc(Counter::StaleReportsDropped);
-                            telemetry.tenant_add(tenant, TenantMetric::Reports, 1);
-                            continue;
-                        }
-                        None => {
-                            failed = Some(
-                                HarmonyError::Protocol(format!(
-                                    "report for unknown trial {}",
-                                    r.iteration
-                                ))
-                                .to_string(),
-                            );
-                            break;
+                            Err(e) => Reply::err(e.to_string()),
                         }
                     }
-                }
-                if let (Some(store), false) = (&cfg.store, recorded.is_empty()) {
-                    // Advisory write: a full disk must not fail reports the
-                    // session already accepted.
-                    let _ = store.insert_batch(recorded);
-                }
-                if session.stop_reason().is_some() {
-                    Self::drain_outstanding(outstanding, tenant_stats);
-                }
-                failed.map_or(Reply::Ok, Reply::err)
+                    Request::QueryBest => Reply::Best { best: None },
+                    Request::Fetch
+                    | Request::Report { .. }
+                    | Request::FetchBatch { .. }
+                    | Request::ReportBatch { .. }
+                    | Request::Exchange { .. }
+                    | Request::QueryHistory => Reply::err(
+                        HarmonyError::Protocol("space not sealed yet".into()).to_string(),
+                    ),
+                    _ => {
+                        Reply::err(HarmonyError::Protocol("unexpected message".into()).to_string())
+                    }
+                };
             }
-            (SessionPhase::Tuning { session, .. }, Request::QueryBest) => {
-                let best = session.best().map(|(c, v)| (c.clone(), v));
+        };
+        let caller = Caller {
+            cfg,
+            app,
+            tenant,
+            stats: tenant_stats,
+            client,
+            session_id,
+            now,
+        };
+        match req {
+            Request::Fetch => {
+                let top = tuning.top_up(&caller, 1);
+                tuning.fetch_reply(&caller, top, true)
+            }
+            Request::FetchBatch { max } => {
+                let top = tuning.top_up(&caller, max);
+                tuning.fetch_reply(&caller, top, false)
+            }
+            // A serial report answers the caller's oldest outstanding trial.
+            Request::Report { cost, wall_time } => {
+                let Some(t) = tuning.outstanding.iter().find(|t| t.owner == client) else {
+                    return Reply::err("report without an outstanding fetch");
+                };
+                let report = TrialReport {
+                    iteration: t.trial.iteration,
+                    cost,
+                    wall_time,
+                };
+                tuning
+                    .apply_reports(&caller, vec![report])
+                    .map_or_else(Reply::err, |()| Reply::Ok)
+            }
+            Request::ReportBatch { reports } => tuning
+                .apply_reports(&caller, reports)
+                .map_or_else(Reply::err, |()| Reply::Ok),
+            Request::Exchange { reports, max } => match tuning.apply_reports(&caller, reports) {
+                // A failed report prefetches nothing.
+                Err(e) => Reply::err(e),
+                // A top-up the in-flight quota refuses is an empty batch, not
+                // `QuotaExceeded`: the reports counted, and the refusal is
+                // met by the caller's next fetch.
+                Ok(()) => {
+                    let TopUp {
+                        trials, finished, ..
+                    } = tuning.top_up(&caller, max);
+                    Reply::Configs { trials, finished }
+                }
+            },
+            Request::QueryBest => {
+                let best = tuning.session.best().map(|(c, v)| (c.clone(), v));
                 Reply::Best { best }
             }
-            (SessionPhase::Tuning { session, .. }, Request::QueryHistory) => Reply::History {
-                history: session.history().clone(),
-                finished: session.stop_reason().is_some(),
+            Request::QueryHistory => Reply::History {
+                history: tuning.session.history().clone(),
+                finished: tuning.session.stop_reason().is_some(),
             },
-            (
-                SessionPhase::Building { .. },
-                Request::Report { .. }
-                | Request::FetchBatch { .. }
-                | Request::ReportBatch { .. }
-                | Request::QueryHistory,
-            ) => Reply::err(HarmonyError::Protocol("space not sealed yet".into()).to_string()),
-            (SessionPhase::Building { .. }, Request::QueryBest) => Reply::Best { best: None },
-            (SessionPhase::Tuning { .. }, _) => {
-                Reply::err(HarmonyError::Protocol("space already sealed".into()).to_string())
+            _ => Reply::err(HarmonyError::Protocol("space already sealed".into()).to_string()),
+        }
+    }
+}
+
+/// Forget every outstanding trial, returning the tenant's in-flight claim
+/// on them. Used wherever a finished session drops its queue.
+fn drain_outstanding(outstanding: &mut VecDeque<OutstandingTrial>, stats: &TenantStats) {
+    stats
+        .inflight
+        .fetch_sub(outstanding.len() as u64, Ordering::Relaxed);
+    outstanding.clear();
+}
+
+impl Tuning {
+    /// The report rule: match each result to its trial by iteration token,
+    /// sanitise non-finite measurements, apply them in order, and append
+    /// the applied ones to the store in one write. A report that fails
+    /// stops the batch and is the error returned; the ones before it stay
+    /// applied and recorded.
+    fn apply_reports(
+        &mut self,
+        caller: &Caller,
+        reports: Vec<TrialReport>,
+    ) -> std::result::Result<(), String> {
+        let Caller {
+            cfg,
+            app,
+            tenant,
+            stats,
+            session_id,
+            ..
+        } = *caller;
+        let telemetry = &cfg.telemetry;
+        let Tuning {
+            session,
+            outstanding,
+            issued_high,
+            fingerprint,
+            ..
+        } = self;
+        // Accumulated store writes for the whole batch: one locked append
+        // instead of one per trial, so attaching a store does not
+        // un-amortize what batching bought.
+        let mut recorded: Vec<StoreRecord> = Vec::new();
+        let mut failed: Option<String> = None;
+        for r in reports {
+            if session.stop_reason().is_some() {
+                // Stopped mid-batch: the remaining results belong to
+                // trials the session already dropped.
+                break;
             }
-            (SessionPhase::Building { .. }, _) => {
-                Reply::err(HarmonyError::Protocol("unexpected message".into()).to_string())
+            match outstanding
+                .iter()
+                .position(|t| t.trial.iteration == r.iteration)
+            {
+                Some(pos) => {
+                    let t = outstanding.remove(pos).expect("position found above");
+                    stats.inflight.fetch_sub(1, Ordering::Relaxed);
+                    let (cost, wall_time, clamped) = sanitize_measurement(r.cost, r.wall_time);
+                    if clamped {
+                        telemetry.inc(Counter::NonFiniteCostsSanitized);
+                    }
+                    let config = cfg.store.as_ref().map(|_| t.trial.config.clone());
+                    let iteration = t.trial.iteration;
+                    telemetry.tenant_add(tenant, TenantMetric::Reports, 1);
+                    if let Err(e) = session.report_timed(t.trial, cost, wall_time) {
+                        failed = Some(e.to_string());
+                        break;
+                    }
+                    telemetry.tenant_add(tenant, TenantMetric::Evaluations, 1);
+                    if let Some(config) = config {
+                        recorded.push(
+                            StoreRecord::new(app, *fingerprint, config, cost, wall_time)
+                                .with_provenance(session_id, iteration)
+                                .with_flags(t.requeued, false),
+                        );
+                    }
+                }
+                // Stale duplicate: the trial was requeued after an
+                // eviction, re-measured by another member, and its cost
+                // already applied. Costs are functions of the
+                // configuration, so dropping the echo is lossless.
+                None if r.iteration <= *issued_high => {
+                    telemetry.inc(Counter::StaleReportsDropped);
+                    telemetry.tenant_add(tenant, TenantMetric::Reports, 1);
+                }
+                None => {
+                    failed = Some(
+                        HarmonyError::Protocol(format!("report for unknown trial {}", r.iteration))
+                            .to_string(),
+                    );
+                    break;
+                }
             }
+        }
+        if let (Some(store), false) = (&cfg.store, recorded.is_empty()) {
+            // Advisory write: a full disk must not fail reports the
+            // session already accepted.
+            let _ = store.insert_batch(recorded);
+        }
+        if session.stop_reason().is_some() {
+            drain_outstanding(outstanding, stats);
+        }
+        failed.map_or(Ok(()), Err)
+    }
+
+    /// The fetch rule: gather up to `max` trials for the caller (clamped
+    /// to [`MAX_SERVED_PER_REQUEST`]) — its own unreported trials first (so
+    /// a re-fetch after a lost reply converges), then requeued trials of
+    /// departed owners, then fresh proposals under the tenant's in-flight
+    /// quota, answering store-known proposals on the way.
+    fn top_up(&mut self, caller: &Caller, max: usize) -> TopUp {
+        let Caller {
+            cfg,
+            app,
+            stats,
+            client,
+            now,
+            ..
+        } = *caller;
+        let telemetry = &cfg.telemetry;
+        let Tuning {
+            session,
+            outstanding,
+            issued_high,
+            fingerprint,
+            last_hit,
+        } = self;
+        if session.stop_reason().is_some() {
+            // Trials fetched before the stop were dropped by the session;
+            // forget them here too.
+            drain_outstanding(outstanding, stats);
+            return TopUp {
+                trials: Vec::new(),
+                finished: true,
+                refused: false,
+            };
+        }
+        // `max` comes straight off the wire: bound what one request can
+        // make the session propose and the reply carry.
+        let max = max.min(MAX_SERVED_PER_REQUEST);
+        let mut trials: Vec<FetchedTrial> = Vec::new();
+        for t in outstanding.iter().filter(|t| t.owner == client).take(max) {
+            telemetry.inc(Counter::TrialsFetched);
+            telemetry.event(
+                TrialStage::Fetched,
+                t.trial.iteration,
+                client,
+                Some("refetch"),
+            );
+            trials.push(FetchedTrial {
+                config: t.trial.config.clone(),
+                iteration: t.trial.iteration,
+            });
+        }
+        for t in outstanding.iter_mut().filter(|t| t.owner == 0) {
+            if trials.len() >= max {
+                break;
+            }
+            t.owner = client;
+            t.issued = now;
+            telemetry.inc(Counter::TrialsFetched);
+            telemetry.event(
+                TrialStage::Fetched,
+                t.trial.iteration,
+                client,
+                Some("requeue_claim"),
+            );
+            trials.push(FetchedTrial {
+                config: t.trial.config.clone(),
+                iteration: t.trial.iteration,
+            });
+        }
+        // Top up with fresh proposals. The session asks the store about
+        // each one and applies a hit on the spot, so what comes back is
+        // only what a client must measure. The tenant's in-flight cap
+        // clamps how many may be issued (served hits complete immediately
+        // and don't count), so no proposal is ever pulled from the strategy
+        // and dropped; past `MAX_SERVED_PER_REQUEST` hits the memo stops
+        // answering and the rest are handed out.
+        let fresh_budget = cfg.tenant_max_inflight.map_or(usize::MAX, |cap| {
+            (cap as u64).saturating_sub(stats.inflight.load(Ordering::Relaxed)) as usize
+        });
+        let store = cfg.store.as_ref();
+        let mut served = 0usize;
+        let batch =
+            session.suggest_batch_with((max - trials.len()).min(fresh_budget), |iteration, key| {
+                if served == MAX_SERVED_PER_REQUEST {
+                    return None;
+                }
+                let hit = store?.lookup_after(app, *fingerprint, key, last_hit)?;
+                served += 1;
+                *issued_high = (*issued_high).max(iteration);
+                Some(hit.cost)
+            });
+        for trial in batch {
+            *issued_high = (*issued_high).max(trial.iteration);
+            telemetry.inc(Counter::TrialsFetched);
+            telemetry.event(TrialStage::Fetched, trial.iteration, client, None);
+            trials.push(FetchedTrial {
+                config: trial.config.clone(),
+                iteration: trial.iteration,
+            });
+            stats.inflight.fetch_add(1, Ordering::Relaxed);
+            outstanding.push_back(OutstandingTrial {
+                trial,
+                owner: client,
+                issued: now,
+                requeued: false,
+            });
+        }
+        let finished = trials.is_empty() && session.stop_reason().is_some();
+        if finished {
+            drain_outstanding(outstanding, stats);
+        }
+        let refused = trials.is_empty() && !finished && fresh_budget == 0;
+        TopUp {
+            trials,
+            finished,
+            refused,
+        }
+    }
+
+    /// Shape what the fetch rule gathered for a `Fetch` or `FetchBatch`.
+    /// Empty-handed under the quota is the typed `QuotaExceeded`, counted.
+    /// A `FetchBatch` gets the `Configs` frame as is; a serial `Fetch` gets
+    /// its one trial as a `Config`, the best configuration found once the
+    /// session has finished, and a retryable busy error while the strategy
+    /// waits on another member's report.
+    fn fetch_reply(&self, caller: &Caller, top: TopUp, serial: bool) -> Reply {
+        let TopUp {
+            mut trials,
+            finished,
+            refused,
+        } = top;
+        if refused {
+            let telemetry = &caller.cfg.telemetry;
+            telemetry.inc(Counter::QuotaRefusals);
+            telemetry.tenant_add(caller.tenant, TenantMetric::QuotaRefusals, 1);
+            return Reply::QuotaExceeded {
+                tenant: caller.tenant.to_string(),
+            };
+        }
+        if !serial {
+            return Reply::Configs { trials, finished };
+        }
+        if let Some(t) = trials.pop() {
+            return Reply::Config {
+                config: t.config,
+                iteration: t.iteration,
+                finished: false,
+            };
+        }
+        if !finished {
+            return Reply::busy("no trial available until outstanding reports arrive");
+        }
+        match self.session.best() {
+            Some((cfg, _)) => Reply::Config {
+                config: cfg.clone(),
+                iteration: self.session.history().len(),
+                finished: true,
+            },
+            None => Reply::err("session finished with no evaluations"),
         }
     }
 }
@@ -2062,6 +2155,140 @@ mod tests {
             assert_eq!(a.cost.to_bits(), b.cost.to_bits());
             assert_eq!(b.cached, b.iteration > 1);
         }
+    }
+
+    /// Send `req` as `client` and wait for the reply, whoever serves it.
+    fn call(bus: &ServerBus, client: u64, req: Request) -> Reply {
+        let (tx, rx) = channel();
+        match bus
+            .dispatch(Envelope::new(client, req, tx))
+            .expect("running")
+        {
+            Some(reply) => reply,
+            None => rx.recv_timeout(Duration::from_secs(10)).expect("a reply"),
+        }
+    }
+
+    /// How many trials `client`'s session has out, read off its shard.
+    fn outstanding(bus: &ServerBus, client: u64) -> usize {
+        let table = lock(&bus.shards[bus.shard_of(client)].table);
+        match &table.sessions[&table.clients[&client]].phase {
+            SessionPhase::Tuning(tuning) => tuning.outstanding.len(),
+            SessionPhase::Building { .. } => 0,
+        }
+    }
+
+    fn inflight(server: &HarmonyServer, tenant: &str) -> u64 {
+        let stats = server.config().tenants.stats(tenant);
+        stats.inflight.load(Ordering::Relaxed)
+    }
+
+    fn exchange(reports: Vec<TrialReport>) -> Request {
+        Request::Exchange { reports, max: 1 }
+    }
+
+    #[test]
+    fn exchange_reporting_an_unknown_iteration_is_an_error_and_issues_nothing() {
+        let telemetry = Telemetry::enabled();
+        let server = HarmonyServer::start_with_config(ServerConfig {
+            shards: 1,
+            telemetry: telemetry.clone(),
+            ..Default::default()
+        });
+        let client = server.connect_as("unknown", "team").unwrap();
+        declare_xy(&client, 10);
+        let (trials, _) = client.fetch_batch(2).unwrap();
+        let bus = server.bus();
+        let fetched = telemetry.counter(Counter::TrialsFetched);
+        let unknown = TrialReport {
+            iteration: 10_000,
+            cost: 1.0,
+            wall_time: 1.0,
+        };
+        let Reply::Error { message, retryable } = call(&bus, client.id(), exchange(vec![unknown]))
+        else {
+            panic!("an unknown iteration must be an error");
+        };
+        assert_eq!(
+            client::reply_error(message, retryable),
+            HarmonyError::Protocol("protocol error: report for unknown trial 10000".into())
+        );
+        assert_eq!(telemetry.counter(Counter::TrialsFetched), fetched);
+        assert_eq!(outstanding(&bus, client.id()), 2);
+        assert_eq!(inflight(&server, "team"), 2);
+        // The two trials are still the client's, re-served first.
+        let (again, _) = client.fetch_batch(2).unwrap();
+        let iterations = |ts: &[FetchedTrial]| ts.iter().map(|t| t.iteration).collect::<Vec<_>>();
+        assert_eq!(iterations(&again), iterations(&trials));
+        server.shutdown();
+    }
+
+    #[test]
+    fn exchange_refused_by_the_inflight_quota_still_applies_its_report() {
+        let telemetry = Telemetry::enabled();
+        let server = HarmonyServer::start_with_config(ServerConfig {
+            shards: 1,
+            tenant_max_inflight: Some(1),
+            telemetry: telemetry.clone(),
+            ..Default::default()
+        });
+        let client = server.connect_as("quota", "team").unwrap();
+        declare_xy(&client, 50);
+        let (trials, _) = client.fetch_batch(1).unwrap();
+        // The cap is checked per top-up, not claimed, so top-ups racing on
+        // two shards can leave the tenant holding one trial past it. This
+        // stands in for the other shard's; without it, the slot the report
+        // frees is always there for the top-up.
+        let stats = server.config().tenants.stats("team");
+        stats.inflight.fetch_add(1, Ordering::Relaxed);
+        let report = TrialReport {
+            iteration: trials[0].iteration,
+            cost: 2.0,
+            wall_time: 1.0,
+        };
+        let reply = call(&server.bus(), client.id(), exchange(vec![report]));
+        assert!(
+            matches!(&reply, Reply::Configs { trials, finished: false } if trials.is_empty()),
+            "{reply:?}"
+        );
+        assert_eq!(client.history().unwrap().0.len(), 1, "the report counted");
+        // Nothing was refused that was asked for by name: the refusal is
+        // counted when a fetch meets it.
+        assert_eq!(telemetry.counter(Counter::QuotaRefusals), 0);
+        let quota = HarmonyError::QuotaExceeded {
+            tenant: "team".into(),
+        };
+        assert_eq!(client.fetch().unwrap_err(), quota);
+        assert_eq!(telemetry.counter(Counter::QuotaRefusals), 1);
+        stats.inflight.fetch_sub(1, Ordering::Relaxed);
+        assert!(!client.fetch().unwrap().finished);
+        server.shutdown();
+    }
+
+    #[test]
+    fn exchange_that_finishes_the_session_says_so() {
+        let server = HarmonyServer::start_with(1);
+        let client = server.connect_as("last", "team").unwrap();
+        declare_xy(&client, 1);
+        let (trials, _) = client.fetch_batch(1).unwrap();
+        let report = TrialReport {
+            iteration: trials[0].iteration,
+            cost: 3.0,
+            wall_time: 1.0,
+        };
+        let bus = server.bus();
+        let reply = call(&bus, client.id(), exchange(vec![report]));
+        assert!(
+            matches!(&reply, Reply::Configs { trials, finished: true } if trials.is_empty()),
+            "{reply:?}"
+        );
+        assert_eq!(outstanding(&bus, client.id()), 0);
+        assert_eq!(inflight(&server, "team"), 0);
+        // The next fetch carries the best configuration.
+        let last = client.fetch().unwrap();
+        assert!(last.finished);
+        assert_eq!(last.config, trials[0].config);
+        server.shutdown();
     }
 
     #[test]

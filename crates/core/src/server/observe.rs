@@ -37,7 +37,7 @@
 //!
 //! [`SearchSnapshot`]: crate::session::SearchSnapshot
 
-use super::{ServerBus, ServerConfig, SessionPhase, SessionState};
+use super::{ServerBus, ServerConfig, SessionPhase, SessionState, Tuning};
 use crate::lock;
 use crate::telemetry::{slo, Counter};
 use serde::{Deserialize, Serialize};
@@ -758,13 +758,13 @@ fn session_json(shard: usize, id: u64, state: &SessionState) -> Value {
             "members": state.members.len(),
             "phase": "building",
         }),
-        SessionPhase::Tuning {
+        SessionPhase::Tuning(Tuning {
             session,
             outstanding,
             issued_high,
             fingerprint,
             ..
-        } => {
+        }) => {
             let snap = session.search_snapshot();
             let unclaimed = outstanding.iter().filter(|t| t.owner == 0).count();
             let requeued = outstanding.iter().filter(|t| t.requeued).count();

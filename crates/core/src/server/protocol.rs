@@ -135,6 +135,22 @@ pub enum Request {
         /// One entry per measured trial.
         reports: Vec<TrialReport>,
     },
+    /// Report measured costs and fetch the next trials in one round-trip:
+    /// `reports` are applied exactly as a [`ReportBatch`](Self::ReportBatch)
+    /// applies them, then up to `max` trials are gathered exactly as a
+    /// [`FetchBatch`](Self::FetchBatch) gathers them, answered as
+    /// [`Reply::Configs`]. A report that fails is the reply, and nothing is
+    /// fetched. A top-up the tenant's in-flight quota refuses is an empty
+    /// `Configs` (the reports still count); a report that finishes the
+    /// session is answered with an empty `Configs` marked `finished`. A
+    /// serial client's report carries its next fetch this way.
+    Exchange {
+        /// One entry per measured trial; may be empty.
+        reports: Vec<TrialReport>,
+        /// Upper bound on the number of trials returned; the server clamps
+        /// it to 1024.
+        max: usize,
+    },
     /// Ask for the best configuration so far.
     QueryBest,
     /// Ask for the full evaluation history of the session (used by tests,
@@ -144,7 +160,8 @@ pub enum Request {
     Shutdown,
 }
 
-/// One measured result inside a [`Request::ReportBatch`].
+/// One measured result inside a [`Request::ReportBatch`] or a
+/// [`Request::Exchange`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrialReport {
     /// Iteration token of the fetched trial this result belongs to.
@@ -188,7 +205,8 @@ pub enum Reply {
         /// found and no further `Report` is expected.
         finished: bool,
     },
-    /// A batch of configurations to run (reply to [`Request::FetchBatch`]).
+    /// A batch of configurations to run (reply to [`Request::FetchBatch`]
+    /// and [`Request::Exchange`]).
     Configs {
         /// The trials to measure; may be fewer than requested (strategy
         /// waiting on outstanding reports) or empty with `finished`.
@@ -628,6 +646,14 @@ mod tests {
                         wall_time: 0.5,
                     },
                 ],
+            },
+            Request::Exchange {
+                reports: vec![TrialReport {
+                    iteration: 8,
+                    cost: 0.25,
+                    wall_time: 0.25,
+                }],
+                max: 1,
             },
             Request::QueryBest,
             Request::Shutdown,

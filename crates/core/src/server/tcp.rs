@@ -15,23 +15,27 @@
 //!
 //! A whole batch (`FetchBatch` request, `Configs` reply, `ReportBatch`
 //! request) is one serde frame — one line, one write — so a PRO round of
-//! candidates costs a single round-trip. Sockets run with `TCP_NODELAY`
-//! and buffered writers: frames are small and latency-bound, so waiting
-//! for Nagle coalescing only delays the tuning loop.
+//! candidates costs a single round-trip. The serial loop costs one
+//! round-trip per trial: [`TcpHarmonyClient::report`] sends an
+//! [`Request::Exchange`] that reports the trial and fetches the next one,
+//! and the following [`TcpHarmonyClient::fetch`] returns that trial without
+//! touching the socket. Sockets run with `TCP_NODELAY` and buffered
+//! writers: frames are small and latency-bound, so waiting for Nagle
+//! coalescing only delays the tuning loop.
 //!
 //! # Fault tolerance
 //!
 //! On the paper's machines clients lose connections mid-iteration, so
 //! [`TcpHarmonyClient`] retries retryable failures with the bounded
 //! exponential backoff of a [`RetryPolicy`]: connects retry on refusal or
-//! capacity errors, and idempotent requests (fetches, batch reports,
-//! queries) transparently reconnect and [`Request::Attach`] back to their
-//! session under a fresh client id. Reports ride `ReportBatch` with the
-//! trial's iteration token, which the server treats idempotently — a
-//! retried report whose first copy did arrive is a tolerated duplicate.
-//! When a connection dies, the server front-end synthesises a
-//! [`Request::Leave`], requeueing the client's outstanding trials for the
-//! surviving members.
+//! capacity errors, and idempotent requests (fetches, reports, queries)
+//! transparently reconnect and [`Request::Attach`] back to their session
+//! under a fresh client id. A report carries the trial's iteration token,
+//! which the server treats idempotently — a retried report whose first
+//! copy did arrive is a tolerated duplicate. When a connection dies, the
+//! server front-end synthesises a [`Request::Leave`], requeueing the
+//! client's outstanding trials, a prefetched one included, for the
+//! surviving members; a client that reconnects forgets the trial it held.
 
 use super::client::reply_error;
 use super::event_loop::{EventLoopConfig, EventLoopPool};
@@ -296,8 +300,13 @@ pub struct TcpHarmonyClient {
     client_id: u64,
     session: u64,
     /// Iteration token of the last unanswered plain fetch; reports ride
-    /// `ReportBatch` with this token so a retried report is idempotent.
+    /// `Exchange` with this token so a retried report is idempotent.
     last_fetch: Option<usize>,
+    /// The trial the last report's `Exchange` brought back, which the next
+    /// plain fetch returns without a round trip. Dropped on a reconnect
+    /// (the synthesised `Leave` requeues it for the new client id) and by
+    /// `fetch_batch`, `report_batch` and `leave`.
+    prefetched: Option<FetchedTrial>,
 }
 
 impl std::fmt::Debug for TcpHarmonyClient {
@@ -337,6 +346,7 @@ impl TcpHarmonyClient {
             client_id: 0,
             session: 0,
             last_fetch: None,
+            prefetched: None,
         };
         let policy = client.opts.retry.clone();
         let attempts = policy.max_attempts.max(1);
@@ -368,6 +378,7 @@ impl TcpHarmonyClient {
             client_id: 0,
             session,
             last_fetch: None,
+            prefetched: None,
         };
         let policy = client.opts.retry.clone();
         let attempts = policy.max_attempts.max(1);
@@ -410,6 +421,9 @@ impl TcpHarmonyClient {
                 "cannot reconnect before registering".into(),
             ));
         }
+        // The old connection's `Leave` requeues the held trial; the new
+        // client id fetches it, or another member claims it.
+        self.prefetched = None;
         let mut conn = Conn::open(self.addr, self.opts.io_timeout)?;
         match conn.call(&Request::Attach {
             session: self.session,
@@ -526,7 +540,14 @@ impl TcpHarmonyClient {
 
     /// Fetch the next configuration (same semantics as the in-process
     /// client: repeats until reported; `finished` carries the final best).
+    /// After a [`report`](Self::report) this is the trial its exchange
+    /// brought back, with no round trip; otherwise (the first fetch, after
+    /// `finished` or a quota refusal, after a reconnect) it is a `Fetch`.
     pub fn fetch(&mut self) -> Result<(Configuration, bool)> {
+        if let Some(t) = self.prefetched.take() {
+            self.last_fetch = Some(t.iteration);
+            return Ok((t.config, false));
+        }
         match self.observed_call(SpanKind::Fetch, Latency::FetchBatchRtt, Request::Fetch)? {
             Reply::Config {
                 config,
@@ -540,30 +561,49 @@ impl TcpHarmonyClient {
         }
     }
 
-    /// Report the measured cost of the last fetched configuration. Sent as
-    /// a one-entry `ReportBatch` carrying the fetched iteration token, so a
-    /// retry after a lost reply cannot double-count the measurement.
+    /// Report the measured cost of the last fetched configuration, and
+    /// fetch the next one in the same round trip: one `Exchange` carrying
+    /// the fetched iteration token (so a retry after a lost reply cannot
+    /// double-count the measurement) and asking for one trial, which the
+    /// next [`fetch`](Self::fetch) returns.
     pub fn report(&mut self, cost: f64) -> Result<()> {
         let Some(iteration) = self.last_fetch.take() else {
             return Err(HarmonyError::Protocol(
                 "report without an outstanding fetch".into(),
             ));
         };
-        let out = self.report_batch(vec![TrialReport {
-            iteration,
-            cost,
-            wall_time: cost,
-        }]);
-        if out.is_err() {
-            // Keep the token: the caller may retry the report.
-            self.last_fetch = Some(iteration);
+        let req = Request::Exchange {
+            reports: vec![TrialReport {
+                iteration,
+                cost,
+                wall_time: cost,
+            }],
+            max: 1,
+        };
+        match self.observed_call(SpanKind::Report, Latency::ReportBatchRtt, req) {
+            // An empty batch (finished, or refused by the quota) leaves the
+            // next fetch to ask, and to be told.
+            Ok(Reply::Configs { trials, .. }) => {
+                self.prefetched = trials.into_iter().next();
+                Ok(())
+            }
+            Ok(_) => Err(HarmonyError::Protocol(
+                "unexpected reply to Exchange".into(),
+            )),
+            Err(e) => {
+                // Keep the token: the caller may retry the report.
+                self.last_fetch = Some(iteration);
+                Err(e)
+            }
         }
-        out
     }
 
     /// Fetch up to `max` configurations in one round-trip — one request
     /// frame out, one reply frame back. Returns `(trials, finished)`.
     pub fn fetch_batch(&mut self, max: usize) -> Result<(Vec<FetchedTrial>, bool)> {
+        // The server serves this client's unreported trials first, the
+        // prefetched one among them.
+        self.prefetched = None;
         let req = Request::FetchBatch { max };
         match self.observed_call(SpanKind::Fetch, Latency::FetchBatchRtt, req)? {
             Reply::Configs { trials, finished } => Ok((trials, finished)),
@@ -577,6 +617,7 @@ impl TcpHarmonyClient {
     /// round-trip (one frame each way). Safe to retry: duplicates are
     /// dropped by iteration token on the server.
     pub fn report_batch(&mut self, reports: Vec<TrialReport>) -> Result<()> {
+        self.prefetched = None;
         let req = Request::ReportBatch { reports };
         self.observed_call(SpanKind::Report, Latency::ReportBatchRtt, req)
             .map(|_| ())
@@ -609,6 +650,7 @@ impl TcpHarmonyClient {
     /// Depart from the session, requeueing outstanding trials for the
     /// remaining members.
     pub fn leave(&mut self) -> Result<()> {
+        self.prefetched = None;
         self.call_once(Request::Leave).map(|_| ())
     }
 
@@ -656,19 +698,18 @@ mod tests {
             client.report((x - 33.0).powi(2)).unwrap();
             reports += 1;
         }
-        // A serial client is as visible as a batching one: every fetch and
-        // every report is one round-trip sample and one closed span.
-        assert_eq!(
-            telemetry.histogram(Latency::FetchBatchRtt).count,
-            reports + 1
-        );
+        // A serial client is as visible as a batching one: every round trip
+        // is one sample and one closed span. Each report is an exchange that
+        // brings the next trial back, so only two fetches leave the client:
+        // the first, and the one that learns the session `finished`.
+        assert_eq!(telemetry.histogram(Latency::FetchBatchRtt).count, 2);
         assert_eq!(telemetry.histogram(Latency::ReportBatchRtt).count, reports);
         let fetch_spans = telemetry
             .spans()
             .iter()
             .filter(|s| s.kind == SpanKind::Fetch)
             .count();
-        assert_eq!(fetch_spans as u64, reports + 1);
+        assert_eq!(fetch_spans, 2);
         let (best, cost) = client.best().unwrap().unwrap();
         assert!(cost <= 4.0, "best {best} cost {cost}");
         assert!((best.int("x").unwrap() - 33).abs() <= 2);
@@ -1035,6 +1076,169 @@ mod tests {
         assert!(finished);
         assert_eq!(h.evaluations().iter().filter(|e| !e.cached).count(), 6);
         c2.close();
+        server.shutdown();
+    }
+
+    /// A one-shard server under `config`, and a client (with `opts`) that
+    /// founded a sealed `strategy` session over `x` with `max_evaluations`.
+    fn sealed(
+        config: crate::server::ServerConfig,
+        opts: TcpClientOptions,
+        strategy: StrategyKind,
+        max_evaluations: usize,
+    ) -> (TcpHarmonyServer, TcpHarmonyClient) {
+        let config = crate::server::ServerConfig {
+            shards: 1,
+            ..config
+        };
+        let server = TcpHarmonyServer::bind_with("127.0.0.1:0", 64, config).expect("bind");
+        let mut client = TcpHarmonyClient::connect_with(server.local_addr(), "x", opts).unwrap();
+        client.add_param(Param::int("x", 0, 1_000_000, 1)).unwrap();
+        let options = SessionOptions {
+            max_evaluations,
+            seed: 17,
+            ..Default::default()
+        };
+        client.seal(options, strategy).unwrap();
+        (server, client)
+    }
+
+    fn held(client: &TcpHarmonyClient) -> usize {
+        let trial = client.prefetched.as_ref();
+        trial.expect("the exchange brought a trial back").iteration
+    }
+
+    #[test]
+    fn exchange_makes_the_next_fetch_a_local_one() {
+        let telemetry = Telemetry::enabled();
+        let opts = TcpClientOptions {
+            telemetry: telemetry.clone(),
+            ..Default::default()
+        };
+        let (server, mut client) = sealed(Default::default(), opts, StrategyKind::Random, 20);
+        let fetches = || telemetry.histogram(Latency::FetchBatchRtt).count;
+        client.fetch().unwrap();
+        client.report(1.0).unwrap();
+        let next = held(&client);
+        assert_eq!(fetches(), 1);
+        let (first, finished) = client.fetch().unwrap();
+        assert!(!finished);
+        assert_eq!(client.last_fetch, Some(next));
+        assert_eq!(fetches(), 1, "the held trial needs no round trip");
+        // A second fetch before reporting asks the server, which serves the
+        // client's unreported trial again.
+        let (second, _) = client.fetch().unwrap();
+        assert_eq!(second, first);
+        assert_eq!(client.last_fetch, Some(next));
+        assert_eq!(fetches(), 2);
+        server.shutdown();
+    }
+
+    #[test]
+    fn exchange_refused_by_the_quota_leaves_the_next_fetch_to_meet_it() {
+        let config = crate::server::ServerConfig {
+            tenant_max_inflight: Some(1),
+            ..Default::default()
+        };
+        let opts = TcpClientOptions {
+            tenant: "team".into(),
+            retry: RetryPolicy::none(),
+            ..Default::default()
+        };
+        let (server, mut client) = sealed(config, opts, StrategyKind::Random, 20);
+        client.fetch().unwrap();
+        // Stands in for a racing top-up on another shard, which can leave
+        // the tenant one trial past its cap (see the server's test of the
+        // same rule).
+        let stats = server.inproc().config().tenants.stats("team");
+        stats.inflight.fetch_add(1, Ordering::Relaxed);
+        client.report(1.0).unwrap();
+        assert!(client.prefetched.is_none());
+        assert_eq!(client.history().unwrap().0.len(), 1, "the report counted");
+        let quota = HarmonyError::QuotaExceeded {
+            tenant: "team".into(),
+        };
+        assert_eq!(client.fetch().unwrap_err(), quota);
+        stats.inflight.fetch_sub(1, Ordering::Relaxed);
+        assert!(!client.fetch().unwrap().1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn exchange_held_by_a_leaving_member_is_requeued() {
+        let (server, mut founder) = sealed(
+            Default::default(),
+            Default::default(),
+            StrategyKind::Random,
+            20,
+        );
+        let mut worker =
+            TcpHarmonyClient::attach(server.local_addr(), founder.session_id()).unwrap();
+        worker.fetch().unwrap();
+        worker.report(1.0).unwrap();
+        let prefetched = held(&worker);
+        worker.leave().unwrap();
+        assert!(worker.prefetched.is_none());
+        let (claimed, finished) = founder.fetch_batch(1).unwrap();
+        assert!(!finished);
+        let iterations: Vec<usize> = claimed.iter().map(|t| t.iteration).collect();
+        assert_eq!(iterations, vec![prefetched]);
+        server.shutdown();
+    }
+
+    #[test]
+    fn exchange_that_finishes_leaves_the_best_to_the_next_fetch() {
+        let (server, mut client) = sealed(
+            Default::default(),
+            Default::default(),
+            StrategyKind::Random,
+            3,
+        );
+        for cost in [3.0, 1.0, 2.0] {
+            let (_, finished) = client.fetch().unwrap();
+            assert!(!finished);
+            client.report(cost).unwrap();
+        }
+        assert!(client.prefetched.is_none());
+        let (config, finished) = client.fetch().unwrap();
+        assert!(finished);
+        let (best, cost) = client.best().unwrap().expect("three evaluations");
+        assert_eq!((config, cost), (best, 1.0));
+        server.shutdown();
+    }
+
+    #[test]
+    fn exchange_held_trial_is_forgotten_on_a_reconnect() {
+        let telemetry = Telemetry::enabled();
+        let opts = TcpClientOptions {
+            telemetry: telemetry.clone(),
+            ..Default::default()
+        };
+        let (server, mut client) = sealed(Default::default(), opts, StrategyKind::NelderMead, 20);
+        client.fetch().unwrap();
+        client.report(1.0).unwrap();
+        let prefetched = held(&client);
+        // The socket dies; the next call reconnects under a new client id.
+        let old_id = client.id();
+        client.conn = None;
+        client.heartbeat().unwrap();
+        assert_ne!(client.id(), old_id);
+        assert!(client.prefetched.is_none());
+        // The dead connection's `Leave` requeues the held trial. Nelder–Mead
+        // proposes nothing else meanwhile, so until then a fetch is busy.
+        let fetches = telemetry.histogram(Latency::FetchBatchRtt).count;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            match client.fetch() {
+                Ok(_) => break,
+                Err(HarmonyError::ServerBusy(_)) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                Err(e) => panic!("{e}"),
+            }
+        }
+        assert_eq!(client.last_fetch, Some(prefetched));
+        assert!(telemetry.histogram(Latency::FetchBatchRtt).count > fetches);
         server.shutdown();
     }
 

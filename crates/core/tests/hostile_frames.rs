@@ -12,7 +12,10 @@
 //!
 //! The fourth test is the first piece of ROADMAP item 3's hostile-input
 //! half: a seeded run of 10⁵ garbage frames through the server's own
-//! framing and request decoding.
+//! framing and request decoding. The fifth sends the serial loop's
+//! `Exchange` what a hostile client would: one before the seal, one asking
+//! for `usize::MAX` trials, one with a `1e999` cost, one for an iteration
+//! never issued.
 //!
 //! The last three are the observer plane, which read whatever it was sent:
 //! a request head with no end, a peer's response with no end (the sync loop
@@ -22,7 +25,9 @@
 use ah_core::error::HarmonyError;
 use ah_core::param::Param;
 use ah_core::server::observe::http_get;
-use ah_core::server::protocol::{FrameDecoder, Reply, Request, StrategyKind, MAX_FRAME_LEN};
+use ah_core::server::protocol::{
+    FrameDecoder, Reply, Request, StrategyKind, TrialReport, MAX_FRAME_LEN,
+};
 use ah_core::server::tcp::{TcpClientOptions, TcpHarmonyClient, TcpHarmonyServer};
 use ah_core::server::{HarmonyServer, ServerConfig};
 use ah_core::session::SessionOptions;
@@ -51,23 +56,28 @@ fn scratch(name: &str) -> PathBuf {
     path
 }
 
-#[test]
-fn a_megabyte_of_brackets_is_a_malformed_request_not_a_dead_server() {
-    let server = TcpHarmonyServer::bind("127.0.0.1:0").expect("bind");
-    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+/// A bare socket to `addr`: send one frame, read and decode one reply.
+fn raw_connection(addr: SocketAddr) -> impl FnMut(&[u8]) -> Reply {
+    let stream = TcpStream::connect(addr).expect("connect");
     // A dead server is a failed read, not a hang.
     stream
         .set_read_timeout(Some(Duration::from_secs(20)))
         .unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
-    let mut exchange = |frame: &[u8]| -> Reply {
+    move |frame: &[u8]| -> Reply {
         writer.write_all(frame).expect("send");
         writer.write_all(b"\n").expect("send");
         let mut line = String::new();
         reader.read_line(&mut line).expect("the server answers");
         serde_json::from_str(&line).unwrap_or_else(|e| panic!("reply {line:?}: {e}"))
-    };
+    }
+}
+
+#[test]
+fn a_megabyte_of_brackets_is_a_malformed_request_not_a_dead_server() {
+    let server = TcpHarmonyServer::bind("127.0.0.1:0").expect("bind");
+    let mut exchange = raw_connection(server.local_addr());
 
     // The very first frame of a fresh, unregistered connection.
     match exchange("[".repeat(DEPTH).as_bytes()) {
@@ -301,7 +311,7 @@ fn a_hundred_thousand_garbage_frames_are_each_a_request_or_an_error() {
         Request::Fetch,
         Request::FetchBatch { max: 16 },
         Request::ReportBatch {
-            reports: vec![ah_core::server::protocol::TrialReport {
+            reports: vec![TrialReport {
                 iteration: 4,
                 cost: 1.25,
                 wall_time: 2.5,
@@ -355,6 +365,96 @@ fn a_hundred_thousand_garbage_frames_are_each_a_request_or_an_error() {
     assert_eq!(decoder.buffered(), 0);
     assert!(refused > FRAMES / 2, "{refused} refused");
     assert!(requests > 100, "{requests} understood");
+}
+
+#[test]
+fn hostile_exchanges_are_each_a_typed_error_or_a_counted_clamp() {
+    let telemetry = Telemetry::enabled();
+    let config = ServerConfig {
+        shards: 1,
+        telemetry: telemetry.clone(),
+        ..Default::default()
+    };
+    let server = TcpHarmonyServer::bind_with("127.0.0.1:0", 64, config).expect("bind");
+    let mut call = raw_connection(server.local_addr());
+    let mut exchange = |frame: &str| call(frame.as_bytes());
+    let frame = |req: &Request| serde_json::to_string(req).unwrap();
+    let refused = |reply: &Reply, why: &str| match reply {
+        Reply::Error { message, retryable } => !retryable && message.contains(why),
+        _ => false,
+    };
+    let registered = exchange(&frame(&Request::Register {
+        app: "hostile".into(),
+        tenant: String::new(),
+    }));
+    assert!(matches!(registered, Reply::Registered { .. }));
+    exchange(&frame(&Request::AddParam {
+        param: Param::int("x", 0, 1_000_000, 1),
+    }));
+
+    // Before the seal.
+    let early = exchange(&frame(&Request::Exchange {
+        reports: vec![],
+        max: 1,
+    }));
+    assert!(refused(&early, "space not sealed yet"), "{early:?}");
+    let sealed = exchange(&frame(&Request::Seal {
+        options: SessionOptions {
+            max_evaluations: 4096,
+            ..Default::default()
+        },
+        strategy: StrategyKind::Random,
+    }));
+    assert!(matches!(sealed, Reply::Ok), "{sealed:?}");
+
+    // `max` off the wire is clamped to the per-request cap of 1024.
+    let Reply::Configs { trials, finished } = exchange(&frame(&Request::Exchange {
+        reports: vec![],
+        max: usize::MAX,
+    })) else {
+        panic!("expected Configs");
+    };
+    assert!(!finished);
+    assert_eq!(trials.len(), 1024);
+
+    // `1e999` parses to +inf: clamped, counted once, never the best.
+    let poisoned = trials[0].iteration;
+    let reply = exchange(&format!(
+        "{{\"Exchange\":{{\"reports\":[{{\"iteration\":{poisoned},\
+         \"cost\":1e999,\"wall_time\":0.0}}],\"max\":1}}}}"
+    ));
+    assert!(matches!(reply, Reply::Configs { .. }), "{reply:?}");
+    assert_eq!(telemetry.counter(Counter::NonFiniteCostsSanitized), 1);
+
+    // An iteration the session never issued.
+    let unknown = exchange(&frame(&Request::Exchange {
+        reports: vec![TrialReport {
+            iteration: usize::MAX,
+            cost: 1.0,
+            wall_time: 1.0,
+        }],
+        max: 1,
+    }));
+    assert!(refused(&unknown, "unknown trial"), "{unknown:?}");
+
+    // The connection still tunes.
+    let finite = exchange(&frame(&Request::Exchange {
+        reports: vec![TrialReport {
+            iteration: trials[1].iteration,
+            cost: 5.0,
+            wall_time: 5.0,
+        }],
+        max: 1,
+    }));
+    assert!(matches!(finite, Reply::Configs { .. }), "{finite:?}");
+    let Reply::Best {
+        best: Some((_, cost)),
+    } = exchange(&frame(&Request::QueryBest))
+    else {
+        panic!("expected a best");
+    };
+    assert_eq!(cost, 5.0);
+    server.shutdown();
 }
 
 #[test]

@@ -3,7 +3,10 @@
 //! schedule (worker sockets dying mid-iteration, replacements attaching
 //! back in) produces the bit-identical tuning trajectory of a fault-free
 //! serial in-process run. Multiplexing is a throughput optimisation, never
-//! a behavioural change.
+//! a behavioural change. So is the serial client's exchange, which reports
+//! a trial and fetches the next in one round trip: driven through
+//! `fetch`/`report`, alone or handing over to another member mid-campaign,
+//! every strategy retraces the in-process run.
 
 use ah_clustersim::{FaultKind, FaultPlan};
 use ah_core::prelude::*;
@@ -45,18 +48,24 @@ fn serial_history(strategy: StrategyKind, seed: u64) -> String {
     serde_json::to_string(&h).unwrap()
 }
 
+/// A TCP server and the client that founded the campaign's session on it.
+fn founded(strategy: StrategyKind, seed: u64) -> (TcpHarmonyServer, TcpHarmonyClient) {
+    let server = TcpHarmonyServer::bind_with_limit("127.0.0.1:0", 64).expect("bind");
+    let mut founder = TcpHarmonyClient::connect(server.local_addr(), "equiv").unwrap();
+    founder.add_param(Param::int("x", 0, 80, 1)).unwrap();
+    founder.add_param(Param::int("y", -30, 30, 1)).unwrap();
+    founder.seal(options(seed), strategy).unwrap();
+    (server, founder)
+}
+
 /// The same campaign over TCP: a founder plus three workers fetching one
 /// trial at a time. The fault plan picks iterations whose worker *crashes*
 /// — the socket is dropped with no goodbye, the server front-end notices
 /// the dead connection and synthesises the `Leave` that requeues the held
 /// trial, and a replacement worker attaches to the session.
 fn tcp_history(strategy: StrategyKind, seed: u64, plan: &FaultPlan) -> String {
-    let server = TcpHarmonyServer::bind_with_limit("127.0.0.1:0", 64).expect("bind");
+    let (server, mut founder) = founded(strategy, seed);
     let addr = server.local_addr();
-    let mut founder = TcpHarmonyClient::connect(addr, "equiv").unwrap();
-    founder.add_param(Param::int("x", 0, 80, 1)).unwrap();
-    founder.add_param(Param::int("y", -30, 30, 1)).unwrap();
-    founder.seal(options(seed), strategy).unwrap();
     let session = founder.session_id();
     let mut workers: Vec<TcpHarmonyClient> = (0..3)
         .map(|_| TcpHarmonyClient::attach(addr, session).unwrap())
@@ -108,6 +117,47 @@ fn tcp_history(strategy: StrategyKind, seed: u64, plan: &FaultPlan) -> String {
     serde_json::to_string(&h).unwrap()
 }
 
+/// The strategies a serial client drives, PRO's rounds included.
+const SERIAL_ROSTER: [StrategyKind; 6] = [
+    StrategyKind::Random,
+    StrategyKind::NelderMead,
+    StrategyKind::Annealing,
+    StrategyKind::Genetic,
+    StrategyKind::Surrogate,
+    StrategyKind::Pro,
+];
+
+/// The same campaign through the serial TCP calls: `fetch`, then `report`,
+/// which carries the next fetch in its exchange. With `handover = Some(k)`
+/// an attached member measures the first `k` trials and leaves holding the
+/// trial its last report brought back; the server requeues it and the
+/// founder's first fetch claims it.
+fn tcp_serial_history(strategy: StrategyKind, seed: u64, handover: Option<usize>) -> String {
+    let (server, mut founder) = founded(strategy, seed);
+    if let Some(k) = handover {
+        let mut worker =
+            TcpHarmonyClient::attach(server.local_addr(), founder.session_id()).unwrap();
+        for _ in 0..k {
+            let (config, finished) = worker.fetch().unwrap();
+            assert!(!finished, "the handover comes before the budget is spent");
+            worker.report(objective(&config)).unwrap();
+        }
+        worker.leave().unwrap();
+    }
+    loop {
+        let (config, finished) = founder.fetch().unwrap();
+        if finished {
+            break;
+        }
+        founder.report(objective(&config)).unwrap();
+    }
+    let (h, finished) = founder.history().unwrap();
+    assert!(finished);
+    founder.close();
+    server.shutdown();
+    serde_json::to_string(&h).unwrap()
+}
+
 fn check(strategy: StrategyKind, seed: u64, fault_seed: u64) {
     let plan = FaultPlan::new(fault_seed, 0.2, 0.0, 0.0);
     let want = serial_history(strategy.clone(), seed);
@@ -146,6 +196,27 @@ proptest! {
         // Surrogate interleaves model-argmin proposals with its fallback
         // inner strategy; both sides must replay identically over sockets.
         check(StrategyKind::Surrogate, seed, fs);
+    }
+
+    #[test]
+    fn serial_fetch_and_report_are_transport_invariant(seed in 0u64..1_000_000) {
+        for strategy in SERIAL_ROSTER {
+            let want = serial_history(strategy.clone(), seed);
+            let got = tcp_serial_history(strategy.clone(), seed, None);
+            assert_eq!(got, want, "{strategy:?}: serial TCP diverged");
+        }
+    }
+
+    #[test]
+    fn a_member_leaving_with_a_prefetched_trial_is_transport_invariant(
+        seed in 0u64..1_000_000,
+        k in 1usize..10,
+    ) {
+        for strategy in SERIAL_ROSTER {
+            let want = serial_history(strategy.clone(), seed);
+            let got = tcp_serial_history(strategy.clone(), seed, Some(k));
+            assert_eq!(got, want, "{strategy:?}: handover after {k} diverged");
+        }
     }
 }
 

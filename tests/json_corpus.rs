@@ -263,6 +263,24 @@ fn corpus() -> Vec<Case> {
             "req.report-batch.empty",
             Request::ReportBatch { reports: vec![] },
         ),
+        entry(
+            "req.exchange",
+            Request::Exchange {
+                reports: vec![TrialReport {
+                    iteration: 4,
+                    cost: 1.25,
+                    wall_time: -0.0,
+                }],
+                max: 1,
+            },
+        ),
+        entry(
+            "req.exchange.empty",
+            Request::Exchange {
+                reports: vec![],
+                max: usize::MAX,
+            },
+        ),
         entry("req.query-best", Request::QueryBest),
         entry("req.query-history", Request::QueryHistory),
         entry("req.shutdown", Request::Shutdown),
