@@ -9,14 +9,13 @@
 //! members share the founder's outstanding-trial queue, which is how a
 //! crashed worker's trials get re-measured by its replacement.
 
-use super::protocol::{Envelope, FetchedTrial, Reply, Request, StrategyKind, TrialReport};
+use super::protocol::{FetchedTrial, Reply, Request, StrategyKind, TrialReport};
 use super::ServerBus;
 use crate::error::{HarmonyError, Result};
 use crate::history::History;
 use crate::param::Param;
 use crate::session::SessionOptions;
 use crate::space::Configuration;
-use std::sync::mpsc::channel;
 
 /// The result of a [`HarmonyClient::fetch`].
 #[derive(Debug, Clone)]
@@ -63,8 +62,7 @@ pub(crate) fn reply_error(message: String, retryable: bool) -> HarmonyError {
 
 impl HarmonyClient {
     pub(crate) fn register(bus: ServerBus, app: String, tenant: String) -> Result<Self> {
-        let reply = Self::call_raw(
-            &bus,
+        let reply = bus.dispatch(
             0,
             Request::Register {
                 app: app.clone(),
@@ -85,7 +83,7 @@ impl HarmonyClient {
     }
 
     pub(crate) fn attach(bus: ServerBus, session: u64, tenant: String) -> Result<Self> {
-        let reply = Self::call_raw(&bus, 0, Request::Attach { session, tenant })?;
+        let reply = bus.dispatch(0, Request::Attach { session, tenant })?;
         match reply {
             Reply::Registered { client_id, session } => Ok(HarmonyClient {
                 id: client_id,
@@ -99,18 +97,8 @@ impl HarmonyClient {
         }
     }
 
-    fn call_raw(bus: &ServerBus, client: u64, req: Request) -> Result<Reply> {
-        let (tx, rx) = channel();
-        match bus.dispatch(Envelope::new(client, req, tx)) {
-            // The shard was idle: this thread served the request itself.
-            Ok(Some(reply)) => Ok(reply),
-            Ok(None) => rx.recv().map_err(|_| HarmonyError::Disconnected),
-            Err(_) => Err(HarmonyError::Disconnected),
-        }
-    }
-
     fn call(&self, req: Request) -> Result<Reply> {
-        match Self::call_raw(&self.bus, self.id, req)? {
+        match self.bus.dispatch(self.id, req)? {
             Reply::QuotaExceeded { tenant } => Err(HarmonyError::QuotaExceeded { tenant }),
             Reply::Error { message, retryable } => Err(reply_error(message, retryable)),
             ok => Ok(ok),

@@ -21,17 +21,14 @@
 //!
 //! # Who serves a request
 //!
-//! The loop thread hands each decoded request to `ServerBus::dispatch`.
-//! When the request's shard is idle the loop thread serves it right there
-//! and has the reply in hand: it is serialized onto the connection's
-//! write buffer and written in the same pass, with no other thread
-//! involved. When the shard is busy the request is queued for the shard's
-//! worker and marked in flight on the connection, which stops decoding
-//! until the reply arrives; the reply comes back through a
-//! [`CompletionSink`], the worker pushing it onto the owning loop's
-//! completion queue and popping the loop's poller with a [`Waker`]. Only
-//! those queued requests touch the completion queue and the wake pipe: a
-//! closed-loop client on an uncontended server never causes a wake.
+//! The loop thread hands each decoded request to `ServerBus::dispatch`,
+//! which serves it on the loop thread and returns the reply: it is
+//! serialized onto the connection's write buffer and written in the same
+//! pass, with no other thread involved. When the request's shard is busy
+//! (another loop thread, or an in-process client, holds it) the loop
+//! thread parks in `dispatch` until the shard is handed to it. The
+//! [`Waker`] pipe is only for adopting sockets and for stopping: a
+//! request never writes it.
 //!
 //! A loop pass serves at most one request per connection. A peer that
 //! pipelines (writes many requests without waiting) has the rest left in
@@ -56,18 +53,15 @@ use super::poll::{
     poll_fd, waker_pair, Interest, PollFd, PollPoller, Readiness, ReadinessPoller, WakeReceiver,
     Waker,
 };
-use super::protocol::{
-    CompletionSink, Envelope, FrameDecoder, Reply, ReplySink, Request, MAX_FRAME_LEN,
-};
+use super::protocol::{FrameDecoder, Reply, Request, MAX_FRAME_LEN};
 use super::ServerBus;
-use crate::lock;
 use crate::telemetry::{Counter, Latency, Telemetry};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -167,10 +161,6 @@ impl EventLoopPool {
         for i in 0..threads {
             let (tx, rx) = channel::<TcpStream>();
             let (waker, wake_rx) = waker_pair()?;
-            let shared = Arc::new(LoopShared {
-                completions: Mutex::new(Vec::new()),
-                waker: waker.clone(),
-            });
             let worker = LoopWorker {
                 bus: bus.clone(),
                 cfg: cfg.clone(),
@@ -178,7 +168,6 @@ impl EventLoopPool {
                 telemetry: telemetry.clone(),
                 active: Arc::clone(&active),
                 incoming: rx,
-                shared,
                 wake_rx,
                 stop: Arc::clone(&stop),
             };
@@ -215,21 +204,6 @@ impl EventLoopPool {
     }
 }
 
-/// The completion queue one loop thread drains, handed to shard workers
-/// inside [`ReplySink::Completion`]. Only requests that were queued for a
-/// worker complete through it.
-struct LoopShared {
-    completions: Mutex<Vec<(u64, Reply)>>,
-    waker: Waker,
-}
-
-impl CompletionSink for LoopShared {
-    fn complete(&self, token: u64, reply: Reply) {
-        lock(&self.completions).push((token, reply));
-        self.waker.wake();
-    }
-}
-
 /// Why a connection is being torn down (drives churn counters and the
 /// `Leave` synthesis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,9 +233,6 @@ enum Phase {
 
 /// One registered connection.
 struct Conn {
-    /// This connection's key in the loop's map; shard replies carry it
-    /// back through the completion queue.
-    token: u64,
     stream: TcpStream,
     decoder: FrameDecoder,
     /// Serialized replies not yet written (consumed prefix tracked by
@@ -270,9 +241,6 @@ struct Conn {
     out_pos: usize,
     client_id: u64,
     departed: bool,
-    /// `Some(is_leave)` while a request is queued for a shard worker; the
-    /// protocol is strictly request-reply per connection, so one is enough.
-    in_flight: Option<bool>,
     /// The last pass served a request and left input buffered: service the
     /// connection again next pass without waiting for its socket.
     resume: bool,
@@ -287,7 +255,7 @@ struct Conn {
 }
 
 /// One event-loop thread: owns its connections outright; nothing here is
-/// shared except the completion queue and the atomic connection count.
+/// shared except the atomic connection count.
 struct LoopWorker {
     bus: ServerBus,
     cfg: EventLoopConfig,
@@ -295,7 +263,6 @@ struct LoopWorker {
     telemetry: Telemetry,
     active: Arc<AtomicUsize>,
     incoming: Receiver<TcpStream>,
-    shared: Arc<LoopShared>,
     wake_rx: WakeReceiver,
     stop: Arc<AtomicBool>,
 }
@@ -325,44 +292,25 @@ impl LoopWorker {
 
             // Adopt connections the accept thread handed over.
             while let Ok(stream) = self.incoming.try_recv() {
-                if let Some(conn) = self.adopt(stream, next_token) {
+                if let Some(conn) = self.adopt(stream) {
                     conns.insert(next_token, conn);
                     next_token += 1;
-                }
-            }
-
-            // Route completed shard replies back onto their connections.
-            let completions: Vec<(u64, Reply)> =
-                std::mem::take(&mut *lock(&self.shared.completions));
-            for (token, reply) in completions {
-                let Some(conn) = conns.get_mut(&token) else {
-                    continue; // connection closed while the shard worked
-                };
-                let is_leave = conn.in_flight.take().unwrap_or(false);
-                complete(conn, is_leave, &reply);
-                // The reply may unblock the next buffered frame.
-                if let Err(cause) = self.advance(conn) {
-                    closed.push((token, cause));
                 }
             }
 
             // Deadlines: idle reaping and the refusal wait bound.
             let now = Instant::now();
             for (&token, conn) in conns.iter_mut() {
-                match conn.phase {
-                    Phase::Refusing if now.duration_since(conn.last_activity) > REFUSE_DEADLINE => {
-                        closed.push((token, Close::Refused));
+                let waited = now.duration_since(conn.last_activity);
+                let expired = match conn.phase {
+                    Phase::Refusing if waited > REFUSE_DEADLINE => Some(Close::Refused),
+                    Phase::Active if self.cfg.idle_timeout.is_some_and(|idle| waited > idle) => {
+                        Some(Close::Idle)
                     }
-                    Phase::Active => {
-                        if let Some(idle) = self.cfg.idle_timeout {
-                            if conn.in_flight.is_none()
-                                && now.duration_since(conn.last_activity) > idle
-                            {
-                                closed.push((token, Close::Idle));
-                            }
-                        }
-                    }
-                    _ => {}
+                    _ => None,
+                };
+                if let Some(cause) = expired {
+                    closed.push((token, cause));
                 }
             }
             self.reap(&mut conns, &mut closed);
@@ -412,7 +360,7 @@ impl LoopWorker {
 
     /// Take ownership of a fresh socket: claim a ceiling slot or put the
     /// connection on the nonblocking refusal path.
-    fn adopt(&self, stream: TcpStream, token: u64) -> Option<Conn> {
+    fn adopt(&self, stream: TcpStream) -> Option<Conn> {
         let _ = stream.set_nodelay(true);
         if stream.set_nonblocking(true).is_err() {
             return None;
@@ -434,14 +382,12 @@ impl LoopWorker {
             Phase::Active
         };
         Some(Conn {
-            token,
             stream,
             decoder: FrameDecoder::new(self.cfg.max_frame_len),
             out: Vec::new(),
             out_pos: 0,
             client_id: 0,
             departed: false,
-            in_flight: None,
             resume: false,
             eof: false,
             finished_tail: false,
@@ -454,10 +400,10 @@ impl LoopWorker {
     /// What this connection should be polled for right now.
     fn interest_of(&self, conn: &Conn) -> Interest {
         Interest {
-            // Read only what could be decoded: not while a request is in
-            // flight or the peer is not draining its replies
-            // (backpressure), nor while requests are already buffered (the
-            // protocol is request-reply serial), nor after EOF.
+            // Read only what could be decoded: not while the peer is not
+            // draining its replies (backpressure), nor while requests are
+            // already buffered (the protocol is request-reply serial), nor
+            // after EOF.
             read: self.may_decode(conn) && !conn.resume && !conn.eof,
             write: conn.out.len() > conn.out_pos,
         }
@@ -473,7 +419,7 @@ impl LoopWorker {
             }
             let deadline = match conn.phase {
                 Phase::Refusing => Some(REFUSE_DEADLINE),
-                Phase::Active if conn.in_flight.is_none() => self.cfg.idle_timeout,
+                Phase::Active => self.cfg.idle_timeout,
                 _ => None,
             };
             if let Some(d) = deadline {
@@ -525,18 +471,15 @@ impl LoopWorker {
         }
     }
 
-    /// Whether the next buffered frame may be decoded now: nothing of this
-    /// connection's is at a shard worker, it is not closing, and its
-    /// unsent replies are under the cap.
+    /// Whether the next buffered frame may be decoded now: the connection
+    /// is not closing, and its unsent replies are under the cap.
     fn may_decode(&self, conn: &Conn) -> bool {
-        conn.in_flight.is_none()
-            && conn.phase != Phase::Closing
-            && conn.out.len() - conn.out_pos < self.cfg.write_buffer_cap
+        conn.phase != Phase::Closing && conn.out.len() - conn.out_pos < self.cfg.write_buffer_cap
     }
 
     /// Push the state machine one step: flush queued reply bytes, decode
-    /// buffered frames up to and including the first request this thread
-    /// serves (or queues), flush again. Stopping at one served request
+    /// buffered frames up to and including the first request served,
+    /// flush again. Stopping at one served request
     /// keeps a pipelining peer from monopolising the pass; stopping at the
     /// cap keeps a non-draining one from growing `out`.
     fn advance(&self, conn: &mut Conn) -> Result<(), Close> {
@@ -593,22 +536,11 @@ impl LoopWorker {
                 }
                 Ok(req) => {
                     let is_leave = matches!(req, Request::Leave);
-                    let env = Envelope::with_sink(
-                        conn.client_id,
-                        req,
-                        ReplySink::Completion {
-                            sink: Arc::clone(&self.shared) as Arc<dyn CompletionSink>,
-                            token: conn.token,
-                        },
-                    );
-                    match self.bus.dispatch(env) {
-                        Ok(Some(reply)) => {
-                            complete(conn, is_leave, &reply);
-                            served = true;
-                        }
-                        Ok(None) => conn.in_flight = Some(is_leave),
-                        Err(_) => return Err(Close::Server),
-                    }
+                    let Ok(reply) = self.bus.dispatch(conn.client_id, req) else {
+                        return Err(Close::Server);
+                    };
+                    complete(conn, is_leave, &reply);
+                    served = true;
                 }
                 Err(e) => {
                     queue_reply(
@@ -630,11 +562,7 @@ impl LoopWorker {
                 Close::Refused
             });
         }
-        if conn.eof
-            && conn.in_flight.is_none()
-            && conn.finished_tail
-            && conn.decoder.buffered() == 0
-        {
+        if conn.eof && conn.finished_tail && conn.decoder.buffered() == 0 {
             return Err(Close::Peer);
         }
         Ok(())
@@ -657,12 +585,8 @@ impl LoopWorker {
             if conn.client_id != 0 && !conn.departed {
                 // The connection died with its client still a member:
                 // requeue outstanding trials for the survivors. Nobody
-                // waits for this reply.
-                let _ = self.bus.dispatch(Envelope::with_sink(
-                    conn.client_id,
-                    Request::Leave,
-                    ReplySink::Discard,
-                ));
+                // reads this reply.
+                let _ = self.bus.dispatch(conn.client_id, Request::Leave);
             }
         }
     }
@@ -719,7 +643,10 @@ mod tests {
     /// A loop worker driven by hand, one connection and one pass at a
     /// time, so a test can look at the connection between passes.
     struct Rig {
-        server: HarmonyServer,
+        // Held, not read: dropping the server closes its shards, and
+        // dropping the waker makes the wake pipe read as closed.
+        _server: HarmonyServer,
+        _waker: Waker,
         worker: LoopWorker,
         poller: PollPoller,
         read_buf: Vec<u8>,
@@ -736,15 +663,12 @@ mod tests {
                 telemetry: Telemetry::disabled(),
                 active: Arc::new(AtomicUsize::new(0)),
                 incoming: channel().1,
-                shared: Arc::new(LoopShared {
-                    completions: Mutex::new(Vec::new()),
-                    waker,
-                }),
                 wake_rx,
                 stop: Arc::new(AtomicBool::new(false)),
             };
             Rig {
-                server,
+                _server: server,
+                _waker: waker,
                 worker,
                 poller: PollPoller::new(),
                 read_buf: vec![0u8; 16 * 1024],
@@ -752,11 +676,11 @@ mod tests {
         }
 
         /// A server-side connection and the peer's end of it.
-        fn connect(&self, token: u64) -> (Conn, TcpStream) {
+        fn connect(&self) -> (Conn, TcpStream) {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
             let (stream, _) = listener.accept().unwrap();
-            (self.worker.adopt(stream, token).unwrap(), peer)
+            (self.worker.adopt(stream).unwrap(), peer)
         }
 
         /// What `run` does for one connection in one pass: poll it for
@@ -795,7 +719,7 @@ mod tests {
     #[test]
     fn serial_client_on_an_idle_server_never_touches_the_wake_pipe() {
         let mut rig = Rig::new(EventLoopConfig::default());
-        let (mut conn, mut peer) = rig.connect(1);
+        let (mut conn, mut peer) = rig.connect();
         peer.set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
         let mut replies = BufReader::new(peer.try_clone().unwrap());
@@ -810,32 +734,13 @@ mod tests {
             // A small frame arrives whole, and the pass that reads it
             // serves it and writes the reply.
             assert!(rig.pass(&mut conn, Duration::from_secs(10)));
-            assert!(conn.in_flight.is_none() && !conn.resume);
+            assert!(!conn.resume);
             let mut line = String::new();
             replies.read_line(&mut line).unwrap();
             assert!(line.ends_with('\n'), "{line:?}");
         }
         assert_ne!(conn.client_id, 0, "the Register reply was applied");
-        assert!(
-            !rig.woken(Duration::ZERO),
-            "no request was queued, none may wake"
-        );
-        assert!(lock(&rig.worker.shared.completions).is_empty());
-
-        // The same probe does see a request that has to queue: with the
-        // shard's table held, the request goes to the worker and comes
-        // back through the completion queue and the wake pipe.
-        let bus = rig.server.bus();
-        let table = lock(&bus.shards[0].table);
-        peer.write_all(&frame(&Request::Heartbeat)).unwrap();
-        assert!(rig.pass(&mut conn, Duration::from_secs(10)));
-        assert_eq!(conn.in_flight, Some(false));
-        drop(table);
-        assert!(
-            rig.woken(Duration::from_secs(10)),
-            "a queued request's reply wakes the loop"
-        );
-        assert_eq!(lock(&rig.worker.shared.completions).len(), 1);
+        assert!(!rig.woken(Duration::ZERO), "a request never wakes the loop");
     }
 
     /// Shrink a socket buffer to 8 KiB, so that a peer that does not read
@@ -881,7 +786,7 @@ mod tests {
             write_buffer_cap: cap,
             ..Default::default()
         });
-        let (mut conn, peer) = rig.connect(1);
+        let (mut conn, peer) = rig.connect();
         shrink(&conn.stream, SO_SNDBUF);
         shrink(&peer, SO_RCVBUF);
 

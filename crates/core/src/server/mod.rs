@@ -15,28 +15,24 @@
 //! # Who executes a request
 //!
 //! Every request enters through one function, `ServerBus::dispatch`, and is
-//! executed under its shard's table lock by one per-envelope body
+//! served by the thread that called it — the application thread of an
+//! in-process client, or the event-loop thread of a TCP connection — which
+//! gets the reply back as the return value. There is no server thread per
+//! shard, no channel and no completion queue. The body is one function
 //! (`HarmonyServer::serve`: tenant accounting, the queue-wait sample, the
-//! `shard_handle` span, `handle`). Which thread runs that body is decided
-//! from what `dispatch` observes:
+//! `shard_handle` span, `handle`), run while the caller holds its shard:
 //!
-//! - **The shard is idle** — no envelope is queued for or being served by
-//!   the shard's worker, and the table lock is free: the *calling* thread
-//!   (an event-loop thread, or the application thread of an in-process
-//!   client) serves the request and gets the reply back as the return
-//!   value. No channel, no worker wake-up, no completion queue.
-//! - **Otherwise** the envelope is queued on the shard's channel and the
-//!   shard's worker thread serves it, delivering the reply through the
-//!   envelope's [`protocol::ReplySink`].
+//! - **The shard is free and nobody waits**: the caller takes it at once.
+//! - **The shard is busy**: the caller joins the shard's arrivals and
+//!   parks. Whoever releases the shard files the arrivals into per-tenant
+//!   queues and hands the shard to the next waiter in deficit-round-robin
+//!   order (`server/admission.rs`), so a request that arrives while
+//!   anyone waits never overtakes them.
 //!
-//! A shard's "busy" count is raised before an envelope is queued and
-//! lowered only after the worker has handled it, so a request served by
-//! its caller can never overtake one the worker already holds, and every
-//! request that arrives while anything is queued joins the queue behind it.
-//! That count is what `ah_shard_queue_depth` and `/status` report:
-//! envelopes waiting for or being served by a shard worker. Requests served
-//! by their caller never appear in it, so on an uncontended server it
-//! reads zero however high the request rate.
+//! What `ah_shard_queue_depth` and `/status` report is the number of
+//! callers *waiting* for their shard. It reads zero on an uncontended
+//! server however high the request rate, and is non-zero only under real
+//! contention.
 //!
 //! # Sessions, members, and fault tolerance
 //!
@@ -77,14 +73,11 @@
 //! A `Register` may carry a *tenant* label (empty means the `"default"`
 //! tenant); the session it founds, and every member that later attaches to
 //! it, belongs to that tenant for dispatch and for quotas alike — the
-//! session table is the only record of who belongs where. Shard workers
-//! serve *queued* envelopes with deficit round-robin across tenants
-//! ([`DRR_QUANTUM`] messages per turn), so a thousand-client swarm from one
-//! team cannot starve another team's two-client session. Serving an idle
-//! shard's request on its caller does not touch that: DRR arbitrates among
-//! queued envelopes, an empty queue has nothing to arbitrate, and the first
-//! envelope that does queue sends everything after it through the queue
-//! until the worker has drained it.
+//! session table is the only record of who belongs where. A busy shard is
+//! handed to its waiters with deficit round-robin across tenants
+//! ([`DRR_QUANTUM`] admissions per turn), so a thousand-client swarm from
+//! one team cannot starve another team's two-client session. A free shard
+//! with nobody waiting has nothing to arbitrate.
 //! [`ServerConfig::tenant_max_sessions`] /
 //! [`ServerConfig::tenant_max_inflight`] bound what any one tenant can hold
 //! open — refusals are the typed [`Reply::QuotaExceeded`], which clients
@@ -102,6 +95,7 @@
 //! what makes fleet-wide warm starts work: a server can answer a
 //! configuration it never measured itself.
 
+mod admission;
 pub mod client;
 pub mod event_loop;
 pub mod observe;
@@ -123,21 +117,19 @@ use crate::store::{space_fingerprint, SharedStore, StoreRecord};
 use crate::telemetry::slo::SloRule;
 use crate::telemetry::timeseries::TimeSeries;
 use crate::telemetry::{Counter, Latency, SpanKind, Telemetry, TenantMetric, TrialStage};
-use protocol::{
-    sanitize_measurement, Envelope, FetchedTrial, Reply, ReplySink, Request, TrialReport,
-};
+use admission::{Admission, Arrival};
+use protocol::{sanitize_measurement, FetchedTrial, Reply, Request, TrialReport};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, SendError, Sender};
-use std::sync::{Arc, Mutex, TryLockError};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 /// The tenant label members get when they declare none.
 pub const DEFAULT_TENANT: &str = "default";
 
-/// Messages one tenant may consume per deficit-round-robin turn of a shard
-/// worker before the turn passes to the next tenant with queued work.
+/// Admissions one tenant may take per deficit-round-robin turn of a busy
+/// shard before the turn passes to the next tenant with waiters.
 pub const DRR_QUANTUM: u64 = 8;
 
 /// Anti-entropy pull period used when [`ServerConfig::sync_interval`] is
@@ -153,7 +145,7 @@ fn canonical_tenant(tenant: &str) -> &str {
     }
 }
 
-/// Live accounting for one tenant, shared between shard workers, quota
+/// Live accounting for one tenant, shared between the shards, quota
 /// checks, and the observability plane. All counters are relaxed: they
 /// gate admission and feed `/status`, neither of which needs ordering.
 #[derive(Debug, Default)]
@@ -162,15 +154,16 @@ pub struct TenantStats {
     pub sessions: AtomicU64,
     /// Fetched-but-unreported trials across the tenant's sessions.
     pub inflight: AtomicU64,
-    /// Envelopes waiting in shard dispatch queues.
+    /// Callers waiting for a busy shard, counted from the release that
+    /// files them into the shard's tenant queues.
     pub queued: AtomicU64,
-    /// Envelopes handled to completion since the server started.
+    /// Requests served to completion since the server started.
     pub served: AtomicU64,
 }
 
-/// Registry of per-tenant stats, cloned into every shard worker and the
-/// observability plane. The mutex guards only the name→stats map; the
-/// stats themselves are lock-free atomics.
+/// Registry of per-tenant stats, shared by the shards, the server's
+/// configuration and the observability plane. The mutex guards only the
+/// name→stats map; the stats themselves are lock-free atomics.
 #[derive(Debug, Clone, Default)]
 pub struct TenantRegistry {
     inner: Arc<Mutex<HashMap<String, Arc<TenantStats>>>>,
@@ -205,9 +198,10 @@ impl TenantRegistry {
 /// Liveness, quota, and federation policy of a running server.
 #[derive(Debug, Clone, Default)]
 pub struct ServerConfig {
-    /// Shard worker threads; `0` means one per available core (capped at 8 —
-    /// per-message work is small, so shards beyond the core count only add
-    /// memory and wake-up churn).
+    /// Shards the session table is partitioned into, each taken by the
+    /// threads that send it requests through its own admission lock; `0`
+    /// means one per available core (capped at 8 — per-request work is
+    /// small, so shards beyond the core count only add memory).
     pub shards: usize,
     /// Requeue an outstanding trial whose owner has held it longer than
     /// this. `None` (default) disables the deadline: trials are requeued
@@ -357,66 +351,6 @@ struct SessionState {
     tenant_stats: Arc<TenantStats>,
 }
 
-/// One tenant's queued envelopes on a shard, with the accounting cell
-/// their `queued` count lives in.
-struct TenantQueue {
-    envelopes: VecDeque<Envelope>,
-    stats: Arc<TenantStats>,
-}
-
-/// Per-tenant FIFO queues a shard worker serves in deficit-round-robin
-/// order: each tenant with queued work gets [`DRR_QUANTUM`] credits per
-/// turn (plus any carried deficit), so one tenant's flood waits behind at
-/// most a quantum of every other tenant's traffic instead of the whole
-/// backlog. Invariant: a tenant is in `ring` iff it has a queue, and a
-/// queue is never empty.
-#[derive(Default)]
-struct DrrQueues {
-    queues: HashMap<String, TenantQueue>,
-    ring: VecDeque<String>,
-    deficit: HashMap<String, u64>,
-    pending: usize,
-}
-
-impl DrrQueues {
-    fn enqueue(&mut self, tenant: String, stats: Arc<TenantStats>, env: Envelope) {
-        stats.queued.fetch_add(1, Ordering::Relaxed);
-        match self.queues.get_mut(&tenant) {
-            Some(q) => q.envelopes.push_back(env),
-            None => {
-                self.ring.push_back(tenant.clone());
-                let envelopes = VecDeque::from([env]);
-                self.queues.insert(tenant, TenantQueue { envelopes, stats });
-            }
-        }
-        self.pending += 1;
-    }
-
-    /// Take the next tenant's turn: up to quantum-plus-deficit envelopes
-    /// from the head of the ring. `None` when nothing is queued.
-    fn take_turn(&mut self) -> Option<(String, Arc<TenantStats>, Vec<Envelope>)> {
-        let tenant = self.ring.pop_front()?;
-        let credit = self.deficit.remove(&tenant).unwrap_or(0) + DRR_QUANTUM;
-        let q = self
-            .queues
-            .get_mut(&tenant)
-            .expect("ring tenants have a queue");
-        let take = (credit as usize).min(q.envelopes.len());
-        let batch: Vec<Envelope> = q.envelopes.drain(..take).collect();
-        let stats = Arc::clone(&q.stats);
-        stats.queued.fetch_sub(take as u64, Ordering::Relaxed);
-        self.pending -= take;
-        if q.envelopes.is_empty() {
-            // Classic DRR: an emptied queue forfeits unused credit.
-            self.queues.remove(&tenant);
-        } else {
-            self.deficit.insert(tenant.clone(), credit - take as u64);
-            self.ring.push_back(tenant.clone());
-        }
-        Some((tenant, stats, batch))
-    }
-}
-
 /// One shard's slice of server state, behind the shard's mutex.
 #[derive(Default)]
 struct ShardTable {
@@ -424,27 +358,42 @@ struct ShardTable {
     sessions: HashMap<u64, SessionState>,
     /// Client id → session id, for every live member on this shard.
     clients: HashMap<u64, u64>,
-    /// Set by the shard's worker as it stops: from then on the shard
-    /// serves nothing, on any thread.
-    closed: bool,
+}
+
+/// What a request's tenant is read from: a `Register` names its own, an
+/// `Attach` joins its target session's, anything else is its sender's.
+enum Claim {
+    Named(String),
+    Session(u64),
+    Member(u64),
+}
+
+impl Claim {
+    fn of(client: u64, req: &Request) -> Claim {
+        match req {
+            Request::Register { tenant, .. } => Claim::Named(tenant.clone()),
+            Request::Attach { session, .. } => Claim::Session(*session),
+            _ => Claim::Member(client),
+        }
+    }
 }
 
 impl ShardTable {
-    /// The tenant an envelope is queued under and accounted to, read off
-    /// the table so dispatch and quotas can never disagree: a member's is
-    /// its session's, an `Attach` takes its target session's, a `Register`
+    /// The tenant a request waits under and is accounted to, read off the
+    /// table so admission and quotas can never disagree: a member's is its
+    /// session's, an `Attach` takes its target session's, a `Register`
     /// names its own, and a client the table does not know (never
     /// registered, left, evicted) falls to [`DEFAULT_TENANT`].
-    fn tenant_of(&self, env: &Envelope, registry: &TenantRegistry) -> (String, Arc<TenantStats>) {
-        let session = match &env.req {
-            Request::Register { tenant, .. } => {
+    fn tenant_of(&self, claim: &Claim, registry: &TenantRegistry) -> (String, Arc<TenantStats>) {
+        let session = match claim {
+            Claim::Named(tenant) => {
                 let tenant = canonical_tenant(tenant);
                 return (tenant.to_string(), registry.stats(tenant));
             }
-            Request::Attach { session, .. } => self.sessions.get(session),
-            _ => self
+            Claim::Session(session) => self.sessions.get(session),
+            Claim::Member(client) => self
                 .clients
-                .get(&env.client)
+                .get(client)
                 .and_then(|id| self.sessions.get(id)),
         };
         match session {
@@ -454,19 +403,120 @@ impl ShardTable {
     }
 }
 
-/// One shard: its table, and the channel its worker thread drains when a
-/// request cannot be served by its caller.
+/// A parked caller: a waiter for a busy shard, or a closer waiting for the
+/// shard to go idle.
+struct Ticket {
+    /// What the waiter's tenant is read from when a release files it.
+    claim: Claim,
+    thread: Thread,
+    granted: AtomicBool,
+}
+
+impl Ticket {
+    fn new(claim: Claim) -> Arc<Ticket> {
+        Arc::new(Ticket {
+            claim,
+            thread: std::thread::current(),
+            granted: AtomicBool::new(false),
+        })
+    }
+
+    /// Wake the parked thread: it holds the shard now (a closer: the shard
+    /// is idle).
+    fn grant(&self) {
+        self.granted.store(true, Ordering::Release);
+        self.thread.unpark();
+    }
+
+    /// Park until granted. `park` may return spuriously or for an earlier
+    /// unpark, so the flag decides; its `Acquire` pairs with the `Release`
+    /// in `grant` (the table itself is handed over by its own mutex).
+    fn wait(&self) {
+        while !self.granted.load(Ordering::Acquire) {
+            std::thread::park();
+        }
+    }
+}
+
+/// One shard: its table, and the admission that decides who holds it.
 struct Shard {
-    tx: Sender<Envelope>,
-    table: Arc<Mutex<ShardTable>>,
-    /// Envelopes queued for, or being served by, the shard's worker:
-    /// raised before an envelope is sent, lowered once the worker has
-    /// handled it. Zero means nothing stands between a new request and
-    /// the table, which is what lets [`ServerBus::dispatch`] serve it on
-    /// the caller. `SeqCst` throughout: the count orders a caller's
-    /// decision against the worker's progress, and on x86-64 costs the
-    /// same as the relaxed counter it was when only the gauge read it.
-    depth: Arc<AtomicU64>,
+    table: Mutex<ShardTable>,
+    admission: Mutex<Admission<Arc<Ticket>>>,
+}
+
+impl Shard {
+    fn new() -> Shard {
+        Shard {
+            table: Mutex::default(),
+            admission: Mutex::new(Admission::new(DRR_QUANTUM)),
+        }
+    }
+
+    /// Take the shard for `client`'s `req`: at once when it is free and
+    /// nobody waits, else parked until a release hands it over.
+    /// `Disconnected` when the shard is closed.
+    fn enter<'a>(
+        &'a self,
+        client: u64,
+        req: &Request,
+        tenants: &'a TenantRegistry,
+    ) -> Result<Held<'a>> {
+        let mut ticket = None;
+        let arrival = lock(&self.admission)
+            .arrive(|| Arc::clone(ticket.insert(Ticket::new(Claim::of(client, req)))));
+        match arrival {
+            Arrival::Enter => {}
+            Arrival::Wait => ticket.expect("a waiter was filed").wait(),
+            Arrival::Closed => return Err(HarmonyError::Disconnected),
+        }
+        Ok(Held {
+            shard: self,
+            tenants,
+            table: Some(lock(&self.table)),
+        })
+    }
+
+    /// Close the shard to later arrivals. Returns the ticket to wait on
+    /// while callers still hold or wait for the shard; they are served
+    /// first.
+    fn close(&self) -> Option<Arc<Ticket>> {
+        let mut ticket = None;
+        // A closer is never filed among the waiters, so its claim is unread.
+        lock(&self.admission).close(|| Arc::clone(ticket.insert(Ticket::new(Claim::Member(0)))));
+        ticket
+    }
+
+    /// Callers waiting for the shard.
+    fn waiting(&self) -> u64 {
+        lock(&self.admission).waiting() as u64
+    }
+}
+
+/// A shard held by the calling thread, with its table locked. Dropping it
+/// releases the shard to the next waiter, also when the request panicked.
+struct Held<'a> {
+    shard: &'a Shard,
+    tenants: &'a TenantRegistry,
+    /// `Some` until the drop, which unlocks it before waking the next
+    /// holder.
+    table: Option<MutexGuard<'a, ShardTable>>,
+}
+
+impl Held<'_> {
+    fn table(&mut self) -> &mut ShardTable {
+        self.table.as_mut().expect("held until dropped")
+    }
+}
+
+impl Drop for Held<'_> {
+    fn drop(&mut self) {
+        let table = self.table.take().expect("held until dropped");
+        let next = lock(&self.shard.admission).release(|t| table.tenant_of(&t.claim, self.tenants));
+        drop(table);
+        if let Some(ticket) = next {
+            ticket.grant();
+        }
+    }
 }
 
 /// Cheap, cloneable entry to the shards (held by every client handle and
@@ -493,66 +543,34 @@ impl ServerBus {
         n * (seq + 1) + shard
     }
 
-    /// The one way into the server. `Register` and `Attach` get their
+    /// The one way into the server: serve `client`'s `req` on the calling
+    /// thread and return the reply. `Register` and `Attach` get their
     /// client id here so the id and the routing decision always agree
     /// (registers spread round-robin; attaches land on the shard owning
-    /// their session). Then, if the envelope's shard is idle — nothing
-    /// queued for or in the hands of its worker, table lock free — the
-    /// calling thread serves the envelope itself and the reply is the
-    /// return value; the envelope's sink is dropped unused. Otherwise the
-    /// envelope is queued, `Ok(None)` is returned, and the worker delivers
-    /// the reply through the sink. `Err` hands the envelope back when the
-    /// shard has shut down.
-    pub(crate) fn dispatch(
-        &self,
-        mut env: Envelope,
-    ) -> std::result::Result<Option<Reply>, SendError<Envelope>> {
+    /// their session). The caller takes the shard at once when it is free
+    /// and nobody waits, else parks until a release hands it over (see
+    /// `admission`). `Disconnected` once the server has shut down.
+    pub(crate) fn dispatch(&self, client: u64, req: Request) -> Result<Reply> {
+        let arrived = Instant::now();
         let n = self.shards.len() as u64;
-        match env.req {
+        let client = match req {
             Request::Register { .. } => {
                 let seq = self.next_seq.load(Ordering::Relaxed);
-                env.client = self.allocate(seq % n);
+                self.allocate(seq % n)
             }
-            Request::Attach { session, .. } => {
-                env.client = self.allocate(session % n);
-            }
-            _ => {}
-        }
-        let index = self.shard_of(env.client);
-        let shard = &self.shards[index];
-        // A `Shutdown` is the worker's own stop signal and always queues.
-        if shard.depth.load(Ordering::SeqCst) == 0 && !matches!(env.req, Request::Shutdown) {
-            let free = match shard.table.try_lock() {
-                Ok(table) => Some(table),
-                Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
-                Err(TryLockError::WouldBlock) => None,
-            };
-            if let Some(mut table) = free {
-                if table.closed {
-                    return Err(SendError(env));
-                }
-                let (tenant, stats) = table.tenant_of(&env, &self.cfg.tenants);
-                let (reply, _unused_sink) =
-                    HarmonyServer::serve(index, &self.cfg, &mut table, &tenant, &stats, env);
-                return Ok(Some(reply));
-            }
-        }
-        shard.depth.fetch_add(1, Ordering::SeqCst);
-        let sent = shard.tx.send(env);
-        if sent.is_err() {
-            shard.depth.fetch_sub(1, Ordering::SeqCst);
-        }
-        sent.map(|()| None)
+            Request::Attach { session, .. } => self.allocate(session % n),
+            _ => client,
+        };
+        let index = self.shard_of(client);
+        let mut held = self.shards[index].enter(client, &req, &self.cfg.tenants)?;
+        let reply = HarmonyServer::serve(index, &self.cfg, held.table(), client, req, arrived);
+        Ok(reply)
     }
 
-    /// Per-shard count of envelopes queued for or being served by the
-    /// shard's worker, for the observability plane. Requests served by
-    /// their caller never show here.
+    /// Per-shard count of callers waiting for their shard, for the
+    /// observability plane. Zero on an uncontended server.
     pub(crate) fn queue_depths(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.depth.load(Ordering::Relaxed))
-            .collect()
+        self.shards.iter().map(Shard::waiting).collect()
     }
 
     /// Total live members across all shards.
@@ -564,24 +582,25 @@ impl ServerBus {
     }
 }
 
-/// Handle to a running Harmony server (a pool of shard worker threads,
-/// plus one anti-entropy puller per [`ServerConfig::sync_peers`] entry).
+/// Handle to a running Harmony server: its shards, plus one anti-entropy
+/// puller thread per [`ServerConfig::sync_peers`] entry. Requests are
+/// served by the threads that send them, so the server runs no other
+/// thread.
 pub struct HarmonyServer {
     bus: ServerBus,
-    handles: Vec<JoinHandle<()>>,
     sync_stop: Arc<AtomicBool>,
     sync_handles: Vec<JoinHandle<()>>,
 }
 
 impl HarmonyServer {
-    /// Start the server with the default [`ServerConfig`]: one shard worker
-    /// per available core, no deadlines, no eviction.
+    /// Start the server with the default [`ServerConfig`]: one shard per
+    /// available core (capped at 8), no deadlines, no eviction.
     pub fn start() -> Self {
         Self::start_with_config(ServerConfig::default())
     }
 
-    /// Start the server with an explicit number of shard workers.
-    /// Clients are partitioned by `client_id % shards`.
+    /// Start the server with an explicit number of shards. Clients are
+    /// partitioned by `client_id % shards`.
     pub fn start_with(shards: usize) -> Self {
         Self::start_with_config(ServerConfig {
             shards,
@@ -601,22 +620,7 @@ impl HarmonyServer {
         } else {
             config.shards
         };
-        let mut pool = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for i in 0..n {
-            let (tx, rx) = channel::<Envelope>();
-            let table = Arc::new(Mutex::new(ShardTable::default()));
-            let depth = Arc::new(AtomicU64::new(0));
-            let worker_table = Arc::clone(&table);
-            let worker_depth = Arc::clone(&depth);
-            let cfg = Arc::clone(&config);
-            let handle = std::thread::Builder::new()
-                .name(format!("harmony-shard-{i}"))
-                .spawn(move || Self::worker_loop(i, rx, worker_table, worker_depth, cfg))
-                .expect("spawn harmony shard worker");
-            pool.push(Shard { tx, table, depth });
-            handles.push(handle);
-        }
+        let shards: Arc<Vec<Shard>> = Arc::new((0..n).map(|_| Shard::new()).collect());
         let sync_stop = Arc::new(AtomicBool::new(false));
         let mut sync_handles = Vec::new();
         if let Some(store) = config.store.clone() {
@@ -636,17 +640,14 @@ impl HarmonyServer {
             }
         }
         if let Some(series) = &config.timeseries {
-            // Stock server gauges: envelopes queued for or being served by
-            // the shard workers, summed (the SLO engine's
-            // `shard_queue_depth`), and the store's unflushed record count
-            // (`store_unsynced`, flush lag). The gauge holds the counters,
-            // not the bus: the bus owns the config that owns this series.
-            let depths: Vec<_> = pool.iter().map(|s| Arc::clone(&s.depth)).collect();
+            // Stock server gauges: callers waiting for their shard, summed
+            // (the SLO engine's `shard_queue_depth`), and the store's
+            // unflushed record count (`store_unsynced`, flush lag). The
+            // gauge holds the shards, not the bus: the bus owns the config
+            // that owns this series.
+            let gauged = Arc::clone(&shards);
             series.register_gauge("shard_queue_depth", move || {
-                depths
-                    .iter()
-                    .map(|d| d.load(Ordering::Relaxed))
-                    .sum::<u64>() as f64
+                gauged.iter().map(Shard::waiting).sum::<u64>() as f64
             });
             if let Some(store) = config.store.clone() {
                 series.register_gauge("store_unsynced", move || store.unsynced() as f64);
@@ -654,11 +655,10 @@ impl HarmonyServer {
         }
         HarmonyServer {
             bus: ServerBus {
-                shards: Arc::new(pool),
+                shards,
                 next_seq: Arc::new(AtomicU64::new(0)),
                 cfg: config,
             },
-            handles,
             sync_stop,
             sync_handles,
         }
@@ -702,101 +702,37 @@ impl HarmonyServer {
         }
     }
 
-    /// Serve one envelope against its shard's locked table: the one
-    /// per-envelope body, run by the shard worker for queued envelopes and
-    /// by [`ServerBus::dispatch`] on the caller's thread for an idle
-    /// shard. The caller holds the table lock across it, so the
-    /// `shard_handle` spans of one shard never overlap whichever threads
-    /// record them. Returns the reply and the envelope's sink.
+    /// Serve one request against its shard's table: the one per-request
+    /// body, run by [`ServerBus::dispatch`] on the calling thread while it
+    /// holds the shard, so the `shard_handle` spans of one shard never
+    /// overlap whichever threads record them. `arrived` is when the caller
+    /// came for the shard; the wait since is the queue-wait sample.
     fn serve(
         shard: usize,
         cfg: &ServerConfig,
         table: &mut ShardTable,
-        tenant: &str,
-        stats: &TenantStats,
-        env: Envelope,
-    ) -> (Reply, ReplySink) {
+        client: u64,
+        req: Request,
+        arrived: Instant,
+    ) -> Reply {
+        let (tenant, stats) = table.tenant_of(&Claim::of(client, &req), &cfg.tenants);
         stats.served.fetch_add(1, Ordering::Relaxed);
-        let wait = env.queued_at.elapsed();
+        let wait = arrived.elapsed();
         cfg.telemetry.observe(Latency::ShardQueueWait, wait);
         cfg.telemetry.tenant_add(
-            tenant,
+            &tenant,
             TenantMetric::QueueWaitUs,
             u64::try_from(wait.as_micros()).unwrap_or(u64::MAX),
         );
         let span = cfg
             .telemetry
             .span_begin(SpanKind::ShardHandle, 0, "shard", shard as u64);
-        let reply = Self::handle(table, cfg, env.client, env.req);
+        let reply = Self::handle(table, cfg, client, req);
         cfg.telemetry.span_end(span);
-        (reply, env.reply)
+        reply
     }
 
-    /// Shard worker: serves the envelopes that could not be served by
-    /// their caller. Pulls them off the channel into per-tenant DRR queues
-    /// (classified under a short table lock), then serves one tenant turn
-    /// at a time. A `Shutdown` stops intake; envelopes queued before it
-    /// are still served before the acknowledgement.
-    fn worker_loop(
-        shard: usize,
-        rx: Receiver<Envelope>,
-        table: Arc<Mutex<ShardTable>>,
-        depth: Arc<AtomicU64>,
-        cfg: Arc<ServerConfig>,
-    ) {
-        let mut drr = DrrQueues::default();
-        let mut shutdown_ack: Option<ReplySink> = None;
-        let intake = |drr: &mut DrrQueues, env: Envelope| -> Option<ReplySink> {
-            if matches!(env.req, Request::Shutdown) {
-                depth.fetch_sub(1, Ordering::SeqCst);
-                return Some(env.reply);
-            }
-            let (tenant, stats) = lock(&table).tenant_of(&env, &cfg.tenants);
-            drr.enqueue(tenant, stats, env);
-            None
-        };
-        loop {
-            if shutdown_ack.is_none() {
-                // Block only when idle; otherwise drain whatever is ready
-                // so fairness is decided over everything that has arrived.
-                if drr.pending == 0 {
-                    match rx.recv() {
-                        Ok(env) => shutdown_ack = intake(&mut drr, env),
-                        Err(_) => break, // bus gone, nothing queued
-                    }
-                }
-                while shutdown_ack.is_none() {
-                    match rx.try_recv() {
-                        Ok(env) => shutdown_ack = intake(&mut drr, env),
-                        Err(_) => break, // empty or disconnected: serve what we have
-                    }
-                }
-            }
-            let Some((tenant, stats, batch)) = drr.take_turn() else {
-                if shutdown_ack.is_some() {
-                    break;
-                }
-                continue;
-            };
-            for env in batch {
-                let (reply, sink) = {
-                    let mut table = lock(&table);
-                    Self::serve(shard, &cfg, &mut table, &tenant, &stats, env)
-                };
-                // Lowered once the envelope has taken effect and before its
-                // reply leaves: whoever acts on the reply finds the shard
-                // idle again, and nobody finds it idle sooner.
-                depth.fetch_sub(1, Ordering::SeqCst);
-                sink.deliver(reply);
-            }
-        }
-        lock(&table).closed = true;
-        if let Some(ack) = shutdown_ack {
-            ack.deliver(Reply::Ok);
-        }
-    }
-
-    /// Number of shard workers.
+    /// Number of shards.
     pub fn shards(&self) -> usize {
         self.bus.shards.len()
     }
@@ -857,39 +793,11 @@ impl HarmonyServer {
         HarmonyClient::attach(self.bus(), session, tenant.into())
     }
 
-    /// Stop every shard worker. Subsequent client calls fail with
-    /// [`HarmonyError::Disconnected`].
-    pub fn shutdown(mut self) {
-        self.do_shutdown();
-    }
-
-    fn do_shutdown(&mut self) {
-        // Stop the anti-entropy pullers first so nothing merges into the
-        // store while it is being flushed for the last time.
-        self.sync_stop.store(true, Ordering::Relaxed);
-        for h in self.sync_handles.drain(..) {
-            let _ = h.join();
-        }
-        // Tell every shard to stop, then wait: collect acknowledgements
-        // first so shards wind down in parallel.
-        let mut acks = Vec::with_capacity(self.bus.shards.len());
-        for shard in 0..self.bus.shards.len() as u64 {
-            // Client id `shard` routes to shard `shard`.
-            let (tx, rx) = channel();
-            if self
-                .bus
-                .dispatch(Envelope::new(shard, Request::Shutdown, tx))
-                .is_ok()
-            {
-                acks.push(rx);
-            }
-        }
-        for rx in acks {
-            let _ = rx.recv();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+    /// Close every shard and return once each is idle: callers already
+    /// waiting for a shard are still served, later calls fail with
+    /// [`HarmonyError::Disconnected`]. Dropping the server does the same.
+    pub fn shutdown(self) {
+        drop(self);
     }
 
     /// Requeue deadline-expired trials and evict silent members. Runs on
@@ -959,9 +867,7 @@ impl HarmonyServer {
 
     fn handle(table: &mut ShardTable, cfg: &ServerConfig, client: u64, req: Request) -> Reply {
         let now = Instant::now();
-        let ShardTable {
-            sessions, clients, ..
-        } = table;
+        let ShardTable { sessions, clients } = table;
         match req {
             Request::Register { app, tenant } => {
                 // The id was allocated by the bus; it routed here, so this
@@ -1013,7 +919,6 @@ impl HarmonyServer {
                     session,
                 }
             }
-            Request::Shutdown => Reply::Ok, // handled by the loop
             other => {
                 let Some(&session_id) = clients.get(&client) else {
                     return Reply::err(HarmonyError::UnknownClient(client).to_string());
@@ -1444,8 +1349,17 @@ impl Tuning {
 
 impl Drop for HarmonyServer {
     fn drop(&mut self) {
-        if !self.handles.is_empty() {
-            self.do_shutdown();
+        // Stop the anti-entropy pullers first so nothing merges into the
+        // store while it is being flushed for the last time.
+        self.sync_stop.store(true, Ordering::Relaxed);
+        for h in self.sync_handles.drain(..) {
+            let _ = h.join();
+        }
+        // Close every shard first, so they wind down together, then wait
+        // for the busy ones.
+        let busy: Vec<Arc<Ticket>> = self.bus.shards.iter().filter_map(Shard::close).collect();
+        for closer in busy {
+            closer.wait();
         }
     }
 }
@@ -1456,7 +1370,6 @@ mod tests {
     use crate::param::Param;
     use crate::server::protocol::{StrategyKind, TrialReport};
     use crate::session::SessionOptions;
-    use std::sync::mpsc::{RecvTimeoutError, TryRecvError};
 
     #[test]
     fn single_client_tunes_a_bowl() {
@@ -2157,16 +2070,9 @@ mod tests {
         }
     }
 
-    /// Send `req` as `client` and wait for the reply, whoever serves it.
+    /// Send `req` as `client` and return the reply.
     fn call(bus: &ServerBus, client: u64, req: Request) -> Reply {
-        let (tx, rx) = channel();
-        match bus
-            .dispatch(Envelope::new(client, req, tx))
-            .expect("running")
-        {
-            Some(reply) => reply,
-            None => rx.recv_timeout(Duration::from_secs(10)).expect("a reply"),
-        }
+        bus.dispatch(client, req).expect("running")
     }
 
     /// How many trials `client`'s session has out, read off its shard.
@@ -2567,24 +2473,23 @@ mod tests {
         }
     }
 
-    /// Completion sink that forwards `(token, reply)` to the test, in the
-    /// order the shard worker delivered them.
-    struct Tagged(Sender<(u64, Reply)>);
-
-    impl protocol::CompletionSink for Tagged {
-        fn complete(&self, token: u64, reply: Reply) {
-            let _ = self.0.send((token, reply));
-        }
-    }
-
     fn register(bus: &ServerBus, tenant: &str) -> u64 {
         let req = Request::Register {
             app: "dispatch".into(),
             tenant: tenant.into(),
         };
-        match bus.dispatch(Envelope::with_sink(0, req, ReplySink::Discard)) {
-            Ok(Some(Reply::Registered { client_id, .. })) => client_id,
-            other => panic!("idle shard must register on the caller, got {other:?}"),
+        match call(bus, 0, req) {
+            Reply::Registered { client_id, .. } => client_id,
+            other => panic!("register failed: {other:?}"),
+        }
+    }
+
+    /// Spin until `done` holds, for at most ten seconds.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 
@@ -2592,105 +2497,109 @@ mod tests {
     fn dispatch_serves_an_idle_shard_on_the_caller() {
         let server = HarmonyServer::start_with(1);
         let bus = server.bus();
-        let (tx, rx) = channel();
         let req = Request::Register {
             app: "idle".into(),
             tenant: String::new(),
         };
-        let reply = bus.dispatch(Envelope::new(0, req, tx)).unwrap();
-        assert!(matches!(reply, Some(Reply::Registered { .. })), "{reply:?}");
-        // The reply was the return value; nothing went through the sink
-        // (its sender was dropped unused) or through the worker's queue.
-        assert_eq!(rx.try_recv().unwrap_err(), TryRecvError::Disconnected);
+        let reply = bus.dispatch(0, req).unwrap();
+        assert!(matches!(reply, Reply::Registered { .. }), "{reply:?}");
+        // Nobody waited, and the shard was released: this thread takes it
+        // again at once.
         assert_eq!(bus.queue_depths(), vec![0]);
+        assert!(matches!(
+            call(&bus, 0, Request::Heartbeat),
+            Reply::Error { .. }
+        ));
         server.shutdown();
     }
 
     #[test]
-    fn dispatch_queues_behind_a_busy_shard_and_the_worker_serves_in_drr_order() {
+    fn a_busy_shard_is_handed_to_its_waiters_in_drr_order() {
         let server = HarmonyServer::start_with(1);
         let bus = server.bus();
         let big = register(&bus, "big");
         let small = register(&bus, "small");
-        let (tx, rx) = channel();
-        let sink: Arc<dyn protocol::CompletionSink> = Arc::new(Tagged(tx));
-        let heartbeat = |client: u64, token: u64| {
-            let sink = ReplySink::Completion {
-                sink: Arc::clone(&sink),
-                token,
-            };
-            bus.dispatch(Envelope::with_sink(client, Request::Heartbeat, sink))
-                .unwrap()
-        };
-        // With the table lock held the first envelope cannot be served
-        // here and queues; everything after it queues behind it. The
-        // worker blocks on the same lock, so all 21 envelopes are in its
-        // channel before it classifies the first.
-        let table = lock(&bus.shards[0].table);
-        for token in 0..20 {
-            assert!(heartbeat(big, token).is_none(), "token {token}");
-        }
-        assert!(heartbeat(small, 100).is_none());
-        assert_eq!(bus.queue_depths(), vec![21]);
-        assert!(rx.try_recv().is_err(), "nothing is served while queued");
-        drop(table);
-        // One quantum of the flood, then the small tenant's turn, then the
-        // rest of the flood.
-        let order: Vec<u64> = (0..21)
-            .map(|_| {
-                let (token, reply) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-                assert!(matches!(reply, Reply::Ok), "{reply:?}");
-                token
+        // Hold the shard, then park twenty waiters of the big tenant and
+        // one of the small one behind it, each once the one before it has
+        // parked.
+        let held = bus.shards[0]
+            .enter(big, &Request::Heartbeat, &bus.cfg.tenants)
+            .unwrap();
+        let admitted = Arc::new(Mutex::new(Vec::new()));
+        let arrivals = (0..20).map(|token| (big, token)).chain([(small, 100)]);
+        let waiters: Vec<_> = arrivals
+            .enumerate()
+            .map(|(ahead, (client, token))| {
+                let (waiter_bus, admitted) = (bus.clone(), Arc::clone(&admitted));
+                let waiter = std::thread::spawn(move || {
+                    let tenants = &waiter_bus.cfg.tenants;
+                    let _held = waiter_bus.shards[0]
+                        .enter(client, &Request::Heartbeat, tenants)
+                        .unwrap();
+                    lock(&admitted).push(token);
+                });
+                wait_until("the waiter parks", || {
+                    bus.queue_depths() == vec![ahead as u64 + 1]
+                });
+                waiter
             })
             .collect();
+        assert_eq!(bus.queue_depths(), vec![21]);
+        assert!(
+            lock(&admitted).is_empty(),
+            "admitted while the shard was held"
+        );
+        drop(held);
+        for waiter in waiters {
+            waiter.join().unwrap();
+        }
+        // One quantum of the flood, then the small tenant's turn, then the
+        // rest of the flood.
         let expected: Vec<u64> = (0..DRR_QUANTUM)
             .chain([100])
             .chain(DRR_QUANTUM..20)
             .collect();
-        assert_eq!(order, expected);
-        // The count drops before each reply leaves, so by the last reply
-        // the shard is idle again and the next request is served here.
+        assert_eq!(*lock(&admitted), expected);
         assert_eq!(bus.queue_depths(), vec![0]);
-        assert!(matches!(heartbeat(small, 101), Some(Reply::Ok)));
+        let queued = |tenant: &str| bus.cfg.tenants.stats(tenant).queued.load(Ordering::Relaxed);
+        assert_eq!((queued("big"), queued("small")), (0, 0));
+        // The shard is free again: the next request is served at once.
+        assert!(matches!(call(&bus, small, Request::Heartbeat), Reply::Ok));
         server.shutdown();
     }
 
     #[test]
-    fn shutdown_is_never_served_by_its_caller_and_closes_the_shard() {
+    fn shutdown_serves_the_waiters_refuses_later_callers_and_returns_once_idle() {
         let server = HarmonyServer::start_with(1);
         let bus = server.bus();
         let client = register(&bus, "");
-        let (tx, rx) = channel();
-        let queued = bus.dispatch(Envelope::new(0, Request::Shutdown, tx));
-        assert!(matches!(queued, Ok(None)), "{queued:?}");
-        let ack = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert!(matches!(ack, Reply::Ok), "{ack:?}");
-        // The worker is gone, and an idle-looking shard must not be
-        // mistaken for a live one.
-        let refused = bus.dispatch(Envelope::with_sink(
-            client,
-            Request::Heartbeat,
-            ReplySink::Discard,
-        ));
-        assert!(refused.is_err(), "{refused:?}");
-        server.shutdown();
-    }
-
-    #[test]
-    fn messages_queued_when_the_last_receiver_drops_are_dropped() {
-        // What the shutdown path relies on from the shard channel: a reply
-        // sender queued to a worker that exits without receiving it is
-        // dropped with the worker's receiver, so its requester sees the
-        // reply channel disconnect rather than wait forever.
-        let (tx, rx) = channel::<Sender<Reply>>();
-        let (reply_tx, reply_rx) = channel::<Reply>();
-        tx.send(reply_tx).unwrap();
-        drop(rx);
-        assert_eq!(
-            reply_rx.recv_timeout(Duration::from_secs(10)).unwrap_err(),
-            RecvTimeoutError::Disconnected
+        let shard = &bus.shards[0];
+        let held = shard
+            .enter(client, &Request::Heartbeat, &bus.cfg.tenants)
+            .unwrap();
+        let waiter = {
+            let bus = bus.clone();
+            std::thread::spawn(move || bus.dispatch(client, Request::Heartbeat))
+        };
+        wait_until("the waiter parks", || bus.queue_depths() == vec![1]);
+        let stopper = std::thread::spawn(move || server.shutdown());
+        wait_until("the shard closes", || lock(&shard.admission).is_closed());
+        // A later caller is refused at once, though the shard is busy.
+        let refused = bus.dispatch(client, Request::Heartbeat).unwrap_err();
+        assert_eq!(refused, HarmonyError::Disconnected);
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(
+            !stopper.is_finished(),
+            "shutdown returned while the shard was held"
         );
-        assert!(tx.send(channel().0).is_err());
+        drop(held);
+        // The caller that was already waiting is still served.
+        let served = waiter.join().unwrap();
+        assert!(matches!(served, Ok(Reply::Ok)), "{served:?}");
+        stopper.join().unwrap();
+        assert_eq!(bus.queue_depths(), vec![0]);
+        let refused = bus.dispatch(client, Request::Heartbeat).unwrap_err();
+        assert_eq!(refused, HarmonyError::Disconnected);
     }
 
     fn served(server: &HarmonyServer, tenant: &str) -> u64 {
@@ -2739,13 +2648,14 @@ mod tests {
         assert_eq!(served(&server, "team-a"), 7);
         let rows = server.config().tenants.snapshot();
         assert!(rows.iter().all(|r| r.0 != "team-b"), "{rows:?}");
-        // The classifier the worker's intake and `dispatch` share agrees,
-        // for the member's requests and for the attach itself.
+        // The classifier that files waiters and accounts served requests
+        // agrees, for the member's requests and for the attach itself.
         let bus = server.bus();
         let table = lock(&bus.shards[0].table);
         let tenant_of = |client: u64, req: Request| {
-            let env = Envelope::with_sink(client, req, ReplySink::Discard);
-            table.tenant_of(&env, &bus.cfg.tenants).0
+            table
+                .tenant_of(&Claim::of(client, &req), &bus.cfg.tenants)
+                .0
         };
         assert_eq!(tenant_of(worker.id(), Request::Heartbeat), "team-a");
         let attach = Request::Attach {

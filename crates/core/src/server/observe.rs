@@ -30,7 +30,7 @@
 //!
 //! Everything stays off the tuning hot path: building a response takes each
 //! shard lock only long enough to copy a [`SearchSnapshot`] out, and the
-//! shard workers never block on the responder. The implementation is
+//! threads serving requests never block on the responder. The implementation is
 //! hand-rolled over [`std::net::TcpListener`] — the repo builds offline
 //! against vendored crates only, so no HTTP dependency is available, and
 //! two GET routes do not justify one.
@@ -660,7 +660,7 @@ fn fleet_json(ctx: &ObserveCtx) -> Value {
 /// exposition (the depths live on the bus, not in the telemetry handle).
 fn queue_depth_exposition(bus: &ServerBus) -> String {
     let mut out = String::from(
-        "# HELP ah_shard_queue_depth Envelopes waiting for or being served by the shard's worker.\n\
+        "# HELP ah_shard_queue_depth Requests waiting for their shard while another holds it.\n\
          # TYPE ah_shard_queue_depth gauge\n",
     );
     for (i, depth) in bus.queue_depths().iter().enumerate() {
@@ -939,7 +939,7 @@ mod tests {
             .get("traceEvents")
             .and_then(Value::as_array)
             .expect("trace has traceEvents");
-        // The shard workers produced ShardHandle spans for every request.
+        // Serving produced a ShardHandle span for every request.
         assert!(events
             .iter()
             .any(|e| { e.get("name").and_then(Value::as_str) == Some("shard_handle") }));

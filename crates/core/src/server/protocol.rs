@@ -1,14 +1,13 @@
 //! Wire protocol between Harmony clients and the server.
 //!
 //! Every message is serde-serializable, so the protocol can cross a process
-//! boundary; the in-process transport used here carries `(client id, request,
-//! reply channel)` envelopes over a `std::sync::mpsc` channel.
+//! boundary; in process, a request is a plain function argument and its
+//! reply the return value.
 
 use crate::param::Param;
 use crate::session::SessionOptions;
 use crate::space::Configuration;
 use serde::{Deserialize, Serialize};
-use std::sync::mpsc::Sender;
 
 /// Which tuning algorithm the server should run for a client.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -156,7 +155,8 @@ pub enum Request {
     /// Ask for the full evaluation history of the session (used by tests,
     /// diagnostics, and trajectory-equivalence checks).
     QueryHistory,
-    /// Stop the server.
+    /// Connection-level goodbye: the TCP front-end answers `Ok` and closes
+    /// the connection. It never stops the shared server.
     Shutdown,
 }
 
@@ -284,93 +284,6 @@ impl Reply {
         Reply::Error {
             message: message.into(),
             retryable: true,
-        }
-    }
-}
-
-/// Where a shard worker delivers its reply. A blocking caller (the
-/// in-process client) hands over a channel and parks on its receiving
-/// end; the event loop cannot park, so it hands over a [`CompletionSink`]
-/// that enqueues the reply and wakes the owning loop thread instead.
-pub enum ReplySink {
-    /// Deliver into a channel a blocked caller is `recv()`ing on.
-    Channel(Sender<Reply>),
-    /// Deliver into an event loop's completion queue, tagged with the
-    /// connection token the loop uses to route it.
-    Completion {
-        /// The loop-owned queue (plus waker) to complete into.
-        sink: std::sync::Arc<dyn CompletionSink>,
-        /// Connection token echoed back with the reply.
-        token: u64,
-    },
-    /// Nobody is waiting (synthesised `Leave` for a connection that is
-    /// already gone).
-    Discard,
-}
-
-/// A queue replies can be completed into without blocking the shard worker.
-pub trait CompletionSink: Send + Sync {
-    /// Enqueue `reply` for the connection identified by `token` and wake
-    /// the consumer. Must not block.
-    fn complete(&self, token: u64, reply: Reply);
-}
-
-impl ReplySink {
-    /// Deliver the reply, consuming the sink. Delivery failure (receiver
-    /// gone) is ignored — the requester vanished, which the caller already
-    /// handles through its own disconnect path.
-    pub fn deliver(self, reply: Reply) {
-        match self {
-            ReplySink::Channel(tx) => {
-                let _ = tx.send(reply);
-            }
-            ReplySink::Completion { sink, token } => sink.complete(token, reply),
-            ReplySink::Discard => {}
-        }
-    }
-}
-
-impl std::fmt::Debug for ReplySink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReplySink::Channel(_) => f.write_str("ReplySink::Channel"),
-            ReplySink::Completion { token, .. } => {
-                write!(f, "ReplySink::Completion({token})")
-            }
-            ReplySink::Discard => f.write_str("ReplySink::Discard"),
-        }
-    }
-}
-
-/// One request in flight, with its reply path (not serialized — the
-/// envelope is the in-process framing around the serializable payload).
-#[derive(Debug)]
-pub struct Envelope {
-    /// Sender's client id (0 before registration).
-    pub client: u64,
-    /// The request payload.
-    pub req: Request,
-    /// Where to deliver the reply.
-    pub reply: ReplySink,
-    /// When the envelope entered its shard queue (feeds the
-    /// `shard_queue_wait` latency histogram).
-    pub queued_at: std::time::Instant,
-}
-
-impl Envelope {
-    /// Build an envelope stamped with the current instant, replying into a
-    /// channel (the blocking callers' path).
-    pub fn new(client: u64, req: Request, reply: Sender<Reply>) -> Self {
-        Envelope::with_sink(client, req, ReplySink::Channel(reply))
-    }
-
-    /// Build an envelope with an explicit [`ReplySink`].
-    pub fn with_sink(client: u64, req: Request, reply: ReplySink) -> Self {
-        Envelope {
-            client,
-            req,
-            reply,
-            queued_at: std::time::Instant::now(),
         }
     }
 }

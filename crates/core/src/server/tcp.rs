@@ -891,8 +891,8 @@ mod tests {
     fn oversized_fetch_batch_is_clamped_not_an_overflow() {
         // `max` arrives unchecked off the wire. Unclamped, this frame
         // overflows the session's `max + max_cached_replays` queue bound:
-        // a debug build panics the shard worker, and every later client of
-        // the shard goes down with it.
+        // a debug build panics the thread serving it, and the loop thread's
+        // other connections go down with it.
         let server = TcpHarmonyServer::bind_with(
             "127.0.0.1:0",
             64,

@@ -281,7 +281,8 @@ impl Counter {
 /// `ah_<name>_seconds`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Latency {
-    /// Time an envelope spent queued before its shard worker picked it up.
+    /// Time a request waited for its shard: near zero when the shard was
+    /// free, the wait for a release to hand it over when it was busy.
     ShardQueueWait,
     /// TCP client `FetchBatch` round-trip.
     FetchBatchRtt,
@@ -326,8 +327,8 @@ pub enum TenantMetric {
     /// Report messages (single or batch elements) received from the
     /// tenant's clients, stale duplicates included.
     Reports,
-    /// Microseconds the tenant's envelopes spent queued before a shard
-    /// worker picked them up (a sum — divide by `reports` for a mean).
+    /// Microseconds the tenant's requests waited for their shard (a sum —
+    /// divide by `reports` for a mean).
     QueueWaitUs,
     /// Requests refused because the tenant hit its session or in-flight
     /// quota.
@@ -447,7 +448,7 @@ pub enum SpanKind {
     Measure,
     /// Client-side report/`ReportBatch` round-trip.
     Report,
-    /// A shard worker handling one envelope.
+    /// One request served while its caller holds the shard.
     ShardHandle,
     /// WAL record append + flush + fsync.
     WalAppend,

@@ -1,6 +1,6 @@
 //! Concurrency stress and protocol-level tests for the sharded Harmony
 //! server: many clients over both transports (separately, and mixed on one
-//! shard so caller-served and worker-served requests interleave), a
+//! shard so application and event-loop threads contend for it), a
 //! pipelining peer that will not drain its replies, and frame accounting
 //! showing that a whole PRO round costs exactly one request/reply pair each
 //! way.
@@ -201,10 +201,10 @@ fn inproc_history(server: &HarmonyServer, i: usize, start: Option<&Barrier>) -> 
     serde_json::to_string(&history).expect("history serializes")
 }
 
-/// In-process and TCP clients on one shard at once: a request is served by
-/// whichever thread finds the shard idle — an application thread, the
-/// event loop — or by the shard worker when it does not, so all three
-/// interleave on one table. Each session's history must still equal its
+/// In-process and TCP clients on one shard at once: every request is served
+/// by the thread that sent it — an application thread or the event loop —
+/// so both take turns at one table, parking while the other holds it. Each
+/// session's history must still equal its
 /// solo serial run, and the `shard_handle` spans of the one shard, recorded
 /// from all those threads, must never overlap.
 #[test]

@@ -5,9 +5,9 @@
 //! fetch/report vs batched `FetchBatch`/`ReportBatch`) and against the TCP
 //! transport, then reports ops/sec and per-evaluation latency percentiles.
 //! The figures quantify the two server-side changes of this codebase's
-//! "tuning at scale" layer: shard workers remove the single-dispatcher
-//! bottleneck, and batch messages amortize one round-trip over a whole PRO
-//! round of candidates.
+//! "tuning at scale" layer: shards, each an independent admission lock,
+//! remove the single-dispatcher bottleneck, and batch messages amortize one
+//! round-trip over a whole PRO round of candidates.
 
 use crate::swarm::{IndependentScript, Swarm, SwarmScript};
 use ah_core::param::Param;
@@ -796,7 +796,7 @@ pub fn run(cfg: &BenchConfig) -> serde_json::Value {
     );
     if host_cores == 1 {
         println!(
-            "note: single-core host — shard workers cannot run in parallel, \
+            "note: single-core host — shards cannot be served in parallel, \
              so the sharding speedup reflects scheduling overhead only."
         );
     }

@@ -70,7 +70,7 @@
 //!   --sync-peer ADDRS  serve: comma-separated peer observe addresses to
 //!                      pull /store/log from (anti-entropy)
 //!   --sync-interval-ms N  serve: anti-entropy pull period (default 500)
-//!   --shards N         serve: shard workers (default 2)
+//!   --shards N         serve: session-table shards (default 2)
 //!   --tenant-max-sessions N  serve: per-tenant concurrent session cap
 //!   --tenant-max-inflight N  serve: per-tenant in-flight trial cap
 //!   --slo RULE         serve: /healthz SLO rule `metric op thresh[@win_s]`,
