@@ -116,8 +116,12 @@ pub(crate) struct DurableLog {
     /// Length of the file as of the last append that succeeded: where the
     /// next one starts, and what a failed one truncates back to.
     committed: u64,
-    /// Records appended since the last `sync_data`.
-    unsynced: usize,
+    /// Records ever appended through this handle: the position a sync
+    /// credit names.
+    appended: u64,
+    /// `appended` as of the last sync known to cover it: a `sync`, a
+    /// `rewrite`, or a credited [`pending_sync`](Self::pending_sync).
+    synced: u64,
     last_append: Instant,
 }
 
@@ -143,7 +147,8 @@ impl DurableLog {
             path: path.to_path_buf(),
             file,
             committed: committed as u64,
-            unsynced: 0,
+            appended: 0,
+            synced: 0,
             last_append: Instant::now(),
         }
     }
@@ -200,7 +205,7 @@ impl DurableLog {
 
     /// Records appended and not yet covered by a `sync_data`.
     pub(crate) fn unsynced(&self) -> usize {
-        self.unsynced
+        (self.appended - self.synced) as usize
     }
 
     /// Append `lines` — whole lines from [`push_line`], `records` of them —
@@ -226,18 +231,18 @@ impl DurableLog {
             return Err(io_err("append to", &self.path, e));
         }
         self.committed += lines.len() as u64;
-        self.unsynced += records;
+        self.appended += records as u64;
         self.last_append = Instant::now();
         Ok(())
     }
 
     /// `sync_data`, when there is an append it has not covered.
     pub(crate) fn sync(&mut self) -> Result<()> {
-        if self.unsynced > 0 {
+        if self.unsynced() > 0 {
             self.file
                 .sync_data()
                 .map_err(|e| io_err("sync", &self.path, e))?;
-            self.unsynced = 0;
+            self.synced = self.appended;
         }
         Ok(())
     }
@@ -246,23 +251,26 @@ impl DurableLog {
     /// last append is at least `quiet` old (an fsync stalls appends to the
     /// same inode), the sync to run *without* the lock around this log
     /// held, on a duplicate of the file handle; it returns the records to
-    /// [`mark_synced`](Self::mark_synced). A duplicate taken just before a
-    /// [`rewrite`](Self::rewrite) syncs the replaced file, harmlessly.
+    /// [`mark_synced`](Self::mark_synced) the append position it covers.
     pub(crate) fn pending_sync(
         &self,
         quiet: Duration,
-    ) -> Option<impl FnOnce() -> std::io::Result<usize>> {
-        if self.unsynced == 0 || self.last_append.elapsed() < quiet {
+    ) -> Option<impl FnOnce() -> std::io::Result<u64>> {
+        if self.unsynced() == 0 || self.last_append.elapsed() < quiet {
             return None;
         }
-        let (file, records) = (self.file.try_clone().ok()?, self.unsynced);
-        Some(move || file.sync_data().map(|()| records))
+        let (file, position) = (self.file.try_clone().ok()?, self.appended);
+        Some(move || file.sync_data().map(|()| position))
     }
 
-    /// Credit `records` appends as synced. Saturating, because a rewrite
-    /// (which resets the count) may have run while the flusher was syncing.
-    pub(crate) fn mark_synced(&mut self, records: usize) {
-        self.unsynced = self.unsynced.saturating_sub(records);
+    /// Credit the appends up to `position` as synced. A credit is a
+    /// position, not a count, because the log may have moved on while the
+    /// sync ran: a `sync` or a [`rewrite`](Self::rewrite) in between
+    /// already covered everything the credit names, and the appends after
+    /// them went to a file, or a part of one, the credited sync never saw.
+    /// Such a credit changes nothing.
+    pub(crate) fn mark_synced(&mut self, position: u64) {
+        self.synced = self.synced.max(position);
     }
 
     /// Replace the whole log with `contents` (a header line and record
@@ -274,7 +282,7 @@ impl DurableLog {
         // The handle follows the file through the rename.
         self.file = file;
         self.committed = contents.len() as u64;
-        self.unsynced = 0;
+        self.synced = self.appended;
         Ok(())
     }
 }
@@ -479,5 +487,40 @@ mod tests {
         log.append(&line(4), 1).unwrap();
         drop(log);
         assert_eq!(reopen(&path).unwrap().1, [3, 4]);
+    }
+
+    #[test]
+    fn a_sync_taken_before_a_rewrite_credits_nothing_after_it() {
+        let path = temp_path("stale-credit");
+        let mut log = DurableLog::create(&path, &head()).unwrap();
+        log.append(&[line(1), line(2), line(3)].concat(), 3)
+            .unwrap();
+        let stale = log.pending_sync(Duration::ZERO).expect("3 unsynced");
+        let mut contents = Vec::new();
+        push_line(&head(), &mut contents);
+        contents.extend(line(3));
+        log.rewrite(&contents).unwrap();
+        log.append(&[line(4), line(5)].concat(), 2).unwrap();
+        // The flusher's sync ran on the replaced file: the two appends to
+        // the new one are still unsynced, so the next flush must sync.
+        log.mark_synced(stale().unwrap());
+        assert_eq!(log.unsynced(), 2);
+    }
+
+    #[test]
+    fn a_sync_taken_before_a_flush_credits_nothing_after_it() {
+        let path = temp_path("flushed-credit");
+        let mut log = DurableLog::create(&path, &head()).unwrap();
+        log.append(&[line(1), line(2), line(3)].concat(), 3)
+            .unwrap();
+        let stale = log.pending_sync(Duration::ZERO).expect("3 unsynced");
+        log.sync().unwrap();
+        log.append(&[line(4), line(5)].concat(), 2).unwrap();
+        log.mark_synced(stale().unwrap());
+        assert_eq!(log.unsynced(), 2);
+        // A credit taken now covers them.
+        let fresh = log.pending_sync(Duration::ZERO).expect("2 unsynced");
+        log.mark_synced(fresh().unwrap());
+        assert_eq!(log.unsynced(), 0);
     }
 }

@@ -221,7 +221,11 @@ impl HarmonyClient {
     }
 
     /// Depart from the session, requeueing this client's outstanding trials
-    /// for the remaining members. The handle is unusable afterwards.
+    /// for the remaining members. The handle is unusable afterwards. When
+    /// this client is the last member the session ends: the server frees
+    /// it, returns its trials' in-flight quota to the tenant, and refuses a
+    /// later `Attach` to it. (Unless a member evicted for missing its TTL
+    /// has not rejoined yet: then the session waits for it.)
     pub fn leave(&self) -> Result<()> {
         self.call(Request::Leave).map(|_| ())
     }

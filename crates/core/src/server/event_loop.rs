@@ -43,9 +43,10 @@
 //! will not drain its replies cannot force the server to buffer more than
 //! the cap plus one reply, and the kernel's socket buffers push back on
 //! the peer's sends. Connections silent past the configured idle timeout are
-//! reaped exactly like a dead socket: a `Leave` is synthesised so the
-//! session requeues their outstanding trials through the existing eviction
-//! path. Over-capacity connections get the protocol's retryable
+//! reaped exactly like a dead socket: the client departs its session as a
+//! `Leave` would, requeueing its outstanding trials through the existing
+//! eviction path, but the session stays open to the client's rejoin.
+//! Over-capacity connections get the protocol's retryable
 //! `ServerBusy` refusal written from this same nonblocking write path —
 //! no thread is ever spawned per refusal.
 
@@ -84,7 +85,7 @@ pub struct EventLoopConfig {
     /// of connections.
     pub loop_threads: usize,
     /// Reap connections with no inbound traffic for longer than this,
-    /// synthesising a `Leave` (outstanding trials requeue through the
+    /// departing their clients (outstanding trials requeue through the
     /// session's existing eviction path). `None` (default) disables
     /// reaping, matching the blocking transport's behaviour.
     pub idle_timeout: Option<Duration>,
@@ -205,7 +206,7 @@ impl EventLoopPool {
 }
 
 /// Why a connection is being torn down (drives churn counters and the
-/// `Leave` synthesis).
+/// client's departure).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Close {
     /// Peer closed (EOF, reset, write failure) or said a clean goodbye.
@@ -584,9 +585,10 @@ impl LoopWorker {
             }
             if conn.client_id != 0 && !conn.departed {
                 // The connection died with its client still a member:
-                // requeue outstanding trials for the survivors. Nobody
-                // reads this reply.
-                let _ = self.bus.dispatch(conn.client_id, Request::Leave);
+                // requeue outstanding trials for the survivors, and keep
+                // the session for the client to rejoin. Nobody reads this
+                // reply.
+                let _ = self.bus.depart(conn.client_id);
             }
         }
     }

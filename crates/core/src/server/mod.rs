@@ -49,6 +49,17 @@
 //! configuration alone, requeue + re-measure cannot perturb the search
 //! trajectory: the history stays bit-identical to a fault-free serial run.
 //!
+//! A session ends when its last member sends [`Request::Leave`]: its
+//! outstanding trials stop counting against the tenant's in-flight quota,
+//! it is removed from the table, and a later `Attach` to it is refused as
+//! an unknown session. A member can also depart without a `Leave` — its
+//! connection dies (the event loop's reap), or it misses its TTL — and
+//! such a member may come back. So each of those departures is counted,
+//! an `Attach` matches one, and while any is unmatched the last explicit
+//! `Leave` leaves the session in the table, memberless, for the rejoin to
+//! revive. A session whose last member departed without a `Leave` stays
+//! the same way.
+//!
 //! # One fetch path, one report path
 //!
 //! The on-line conversation — fetch a configuration, run it, report the
@@ -349,6 +360,10 @@ struct SessionState {
     tenant: String,
     /// The tenant's shared accounting cell, resolved once at founding.
     tenant_stats: Arc<TenantStats>,
+    /// Members that departed without a `Leave` (a dead connection, a TTL
+    /// eviction) and that no `Attach` has matched since. While any remain,
+    /// the last explicit `Leave` keeps the session for the rejoin.
+    unmatched_departures: usize,
 }
 
 /// One shard's slice of server state, behind the shard's mutex.
@@ -551,6 +566,20 @@ impl ServerBus {
     /// and nobody waits, else parks until a release hands it over (see
     /// `admission`). `Disconnected` once the server has shut down.
     pub(crate) fn dispatch(&self, client: u64, req: Request) -> Result<Reply> {
+        self.route(client, req, false)
+    }
+
+    /// `client` departed without a `Leave`: its connection died. Its
+    /// trials are requeued for the other members as a `Leave` would, but
+    /// the session stays to be revived by an `Attach` even when no member
+    /// is left.
+    pub(crate) fn depart(&self, client: u64) -> Result<Reply> {
+        self.route(client, Request::Leave, true)
+    }
+
+    /// [`dispatch`](Self::dispatch); `implicit` marks a `Leave` that the
+    /// client never sent.
+    fn route(&self, client: u64, req: Request, implicit: bool) -> Result<Reply> {
         let arrived = Instant::now();
         let n = self.shards.len() as u64;
         let client = match req {
@@ -563,7 +592,8 @@ impl ServerBus {
         };
         let index = self.shard_of(client);
         let mut held = self.shards[index].enter(client, &req, &self.cfg.tenants)?;
-        let reply = HarmonyServer::serve(index, &self.cfg, held.table(), client, req, arrived);
+        let table = held.table();
+        let reply = HarmonyServer::serve(index, &self.cfg, table, client, req, implicit, arrived);
         Ok(reply)
     }
 
@@ -713,6 +743,7 @@ impl HarmonyServer {
         table: &mut ShardTable,
         client: u64,
         req: Request,
+        implicit: bool,
         arrived: Instant,
     ) -> Reply {
         let (tenant, stats) = table.tenant_of(&Claim::of(client, &req), &cfg.tenants);
@@ -727,7 +758,7 @@ impl HarmonyServer {
         let span = cfg
             .telemetry
             .span_begin(SpanKind::ShardHandle, 0, "shard", shard as u64);
-        let reply = Self::handle(table, cfg, client, req);
+        let reply = Self::handle(table, cfg, client, req, implicit);
         cfg.telemetry.span_end(span);
         reply
     }
@@ -831,6 +862,7 @@ impl HarmonyServer {
                 telemetry.event(TrialStage::Evicted, 0, id, Some("ttl_expired"));
                 evicted.insert(id);
             }
+            state.unmatched_departures += evicted.len();
             if !evicted.is_empty() && state.members.is_empty() {
                 // Eviction emptied the session: release its tenant slot
                 // (an Attach revival re-claims it).
@@ -865,7 +897,13 @@ impl HarmonyServer {
         }
     }
 
-    fn handle(table: &mut ShardTable, cfg: &ServerConfig, client: u64, req: Request) -> Reply {
+    fn handle(
+        table: &mut ShardTable,
+        cfg: &ServerConfig,
+        client: u64,
+        req: Request,
+        implicit: bool,
+    ) -> Reply {
         let now = Instant::now();
         let ShardTable { sessions, clients } = table;
         match req {
@@ -895,6 +933,7 @@ impl HarmonyServer {
                         members: HashMap::from([(client, Member { last_seen: now })]),
                         tenant,
                         tenant_stats: stats,
+                        unmatched_departures: 0,
                     },
                 );
                 clients.insert(client, client);
@@ -912,6 +951,7 @@ impl HarmonyServer {
                     // founding tenant again.
                     state.tenant_stats.sessions.fetch_add(1, Ordering::Relaxed);
                 }
+                state.unmatched_departures = state.unmatched_departures.saturating_sub(1);
                 state.members.insert(client, Member { last_seen: now });
                 clients.insert(client, session);
                 Reply::Registered {
@@ -935,8 +975,18 @@ impl HarmonyServer {
                     if state.members.is_empty() {
                         state.tenant_stats.sessions.fetch_sub(1, Ordering::Relaxed);
                     }
+                    state.unmatched_departures += usize::from(implicit);
                     // sweep() requeues the leaver's outstanding trials.
                     Self::sweep(clients, state, cfg, now);
+                    if state.members.is_empty() && state.unmatched_departures == 0 {
+                        // The last member said goodbye and nobody is due to
+                        // rejoin: the session ends, and its trials stop
+                        // counting against the tenant.
+                        if let SessionPhase::Tuning(tuning) = &mut state.phase {
+                            drain_outstanding(&mut tuning.outstanding, &state.tenant_stats);
+                        }
+                        sessions.remove(&session_id);
+                    }
                     return Reply::Ok;
                 }
                 Self::sweep(clients, state, cfg, now);
@@ -2664,6 +2714,123 @@ mod tests {
         };
         assert_eq!(tenant_of(0, attach), "team-a");
         drop(table);
+        server.shutdown();
+    }
+
+    /// The tenant's `(sessions, inflight)` row.
+    fn holdings(server: &HarmonyServer, tenant: &str) -> (u64, u64) {
+        let rows = server.config().tenants.snapshot();
+        rows.iter()
+            .find(|r| r.0 == tenant)
+            .map_or((0, 0), |r| (r.1, r.2))
+    }
+
+    /// A sealed session of `tenant` with a founder and one attached worker.
+    fn pool(server: &HarmonyServer, tenant: &str) -> (HarmonyClient, HarmonyClient) {
+        let founder = server.connect_as("pool", tenant).unwrap();
+        declare_xy(&founder, 40);
+        let worker = server.attach_as(founder.session_id(), tenant).unwrap();
+        (founder, worker)
+    }
+
+    fn assert_unknown(server: &HarmonyServer, session: u64) {
+        let err = server.attach(session).unwrap_err();
+        assert!(err.to_string().contains("unknown session"), "{err}");
+    }
+
+    #[test]
+    fn lifecycle_a_last_explicit_leave_ends_the_session() {
+        let server = HarmonyServer::start_with(2);
+        let observe = server.observe("127.0.0.1:0").unwrap();
+        let (founder, worker) = pool(&server, "team");
+        let session = founder.session_id();
+        let (held, _) = worker.fetch_batch(3).unwrap();
+        assert_eq!(held.len(), 3);
+        // A member that is not the last leaves a live session behind, its
+        // trials requeued and still counted against the tenant.
+        worker.leave().unwrap();
+        assert_eq!(holdings(&server, "team"), (1, 3));
+        founder.fetch_batch(1).unwrap();
+        founder.leave().unwrap();
+        assert_eq!(holdings(&server, "team"), (0, 0));
+        assert_unknown(&server, session);
+        let (code, body) = observe::http_get(&observe.addr().to_string(), "/status").unwrap();
+        assert_eq!(code, 200);
+        let doc = serde_json::parse(&body).unwrap();
+        let sessions = doc.get("sessions").and_then(|v| v.as_array()).unwrap();
+        assert!(sessions.is_empty(), "{body}");
+        observe.stop();
+        server.shutdown();
+    }
+
+    #[test]
+    fn lifecycle_ttl_eviction_leaves_the_session_revivable() {
+        let server = HarmonyServer::start_with_config(ServerConfig {
+            shards: 1,
+            client_ttl: Some(Duration::from_millis(30)),
+            ..Default::default()
+        });
+        let (founder, worker) = pool(&server, "team");
+        let session = founder.session_id();
+        let (held, _) = worker.fetch_batch(1).unwrap();
+        // The worker goes silent past its TTL and is evicted by a sweep.
+        for _ in 0..4 {
+            std::thread::sleep(Duration::from_millis(20));
+            founder.heartbeat().unwrap();
+        }
+        assert_eq!(server.client_count(), 1);
+        // The founder's goodbye leaves nobody, but the evicted worker may
+        // still come back: the session waits for it.
+        founder.leave().unwrap();
+        assert_eq!(holdings(&server, "team"), (0, 1));
+        let rejoined = server.attach(session).unwrap();
+        assert_eq!(holdings(&server, "team"), (1, 1));
+        let (inherited, _) = rejoined.fetch_batch(1).unwrap();
+        assert_eq!(inherited[0].iteration, held[0].iteration);
+        // The rejoin matched the eviction, so this goodbye ends it.
+        rejoined.leave().unwrap();
+        assert_eq!(holdings(&server, "team"), (0, 0));
+        assert_unknown(&server, session);
+        server.shutdown();
+    }
+
+    #[test]
+    fn lifecycle_a_crashed_worker_and_the_founders_leave_keep_the_session_for_the_worker() {
+        let server = HarmonyServer::start_with(1);
+        let (founder, worker) = pool(&server, "team");
+        let session = founder.session_id();
+        let (held, _) = worker.fetch_batch(2).unwrap();
+        // The worker's connection dies: what the event loop sends for it.
+        server.bus().depart(worker.id()).unwrap();
+        founder.leave().unwrap();
+        assert_eq!(server.client_count(), 0);
+        assert_eq!(holdings(&server, "team"), (0, 2));
+        let rejoined = server.attach(session).unwrap();
+        let (inherited, _) = rejoined.fetch_batch(2).unwrap();
+        let iterations = |trials: &[FetchedTrial]| -> Vec<usize> {
+            trials.iter().map(|t| t.iteration).collect()
+        };
+        assert_eq!(iterations(&inherited), iterations(&held));
+        rejoined.leave().unwrap();
+        assert_unknown(&server, session);
+        server.shutdown();
+    }
+
+    #[test]
+    fn lifecycle_a_last_implicit_departure_leaves_the_session_revivable() {
+        let server = HarmonyServer::start_with(1);
+        let founder = server.connect_as("solo", "team").unwrap();
+        declare_xy(&founder, 40);
+        let session = founder.session_id();
+        let (held, _) = founder.fetch_batch(1).unwrap();
+        server.bus().depart(founder.id()).unwrap();
+        assert_eq!(holdings(&server, "team"), (0, 1));
+        let rejoined = server.attach(session).unwrap();
+        let (inherited, _) = rejoined.fetch_batch(1).unwrap();
+        assert_eq!(inherited[0].iteration, held[0].iteration);
+        rejoined.leave().unwrap();
+        assert_eq!(holdings(&server, "team"), (0, 0));
+        assert_unknown(&server, session);
         server.shutdown();
     }
 }

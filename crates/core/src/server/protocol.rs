@@ -86,8 +86,9 @@ pub enum Request {
     /// measurement is still running.
     Heartbeat,
     /// Depart from the session. Outstanding trials held by this client are
-    /// requeued for other workers. Sent explicitly by well-behaved clients
-    /// and synthesised by the TCP front-end when a connection drops.
+    /// requeued for other workers. The last member's `Leave` ends the
+    /// session, unless a member that departed without one (its connection
+    /// dropped, or it missed its TTL) has not rejoined yet.
     Leave,
     /// Declare one tunable parameter (pre-seal only).
     AddParam {

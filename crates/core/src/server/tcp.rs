@@ -33,9 +33,11 @@
 //! under a fresh client id. A report carries the trial's iteration token,
 //! which the server treats idempotently — a retried report whose first
 //! copy did arrive is a tolerated duplicate. When a connection dies, the
-//! server front-end synthesises a [`Request::Leave`], requeueing the
-//! client's outstanding trials, a prefetched one included, for the
-//! surviving members; a client that reconnects forgets the trial it held.
+//! server front-end departs its client from the session as a
+//! [`Request::Leave`] would, requeueing the client's outstanding trials, a
+//! prefetched one included, for the surviving members, but it keeps the
+//! session for the client to rejoin even when no member is left; a client
+//! that reconnects forgets the trial it held.
 
 use super::client::reply_error;
 use super::event_loop::{EventLoopConfig, EventLoopPool};
@@ -304,7 +306,7 @@ pub struct TcpHarmonyClient {
     last_fetch: Option<usize>,
     /// The trial the last report's `Exchange` brought back, which the next
     /// plain fetch returns without a round trip. Dropped on a reconnect
-    /// (the synthesised `Leave` requeues it for the new client id) and by
+    /// (the dead connection's departure requeues it for the new client id) and by
     /// `fetch_batch`, `report_batch` and `leave`.
     prefetched: Option<FetchedTrial>,
 }
@@ -421,7 +423,7 @@ impl TcpHarmonyClient {
                 "cannot reconnect before registering".into(),
             ));
         }
-        // The old connection's `Leave` requeues the held trial; the new
+        // The old connection's departure requeues the held trial; the new
         // client id fetches it, or another member claims it.
         self.prefetched = None;
         let mut conn = Conn::open(self.addr, self.opts.io_timeout)?;
@@ -647,15 +649,20 @@ impl TcpHarmonyClient {
         self.call_retrying(Request::Heartbeat).map(|_| ())
     }
 
-    /// Depart from the session, requeueing outstanding trials for the
-    /// remaining members.
+    /// Depart from the session, requeueing outstanding trials, the
+    /// prefetched one included, for the remaining members. When this
+    /// client is the last member the session ends: the server frees it,
+    /// returns its trials' in-flight quota to the tenant, and refuses a
+    /// later [`attach`](Self::attach) to it. (Unless a member that lost its
+    /// connection has not rejoined yet: then the session waits for it.)
     pub fn leave(&mut self) -> Result<()> {
         self.prefetched = None;
         self.call_once(Request::Leave).map(|_| ())
     }
 
     /// Say goodbye (closes this connection only; the server front-end
-    /// synthesises the `Leave`).
+    /// departs the client as for a dead connection, so the session stays
+    /// open to an [`attach`](Self::attach)).
     pub fn close(mut self) {
         if let Some(conn) = self.conn.as_mut() {
             let _ = conn.call(&Request::Shutdown);
@@ -1039,10 +1046,10 @@ mod tests {
         let (held, _) = c1.fetch_batch(3).unwrap();
         assert_eq!(held.len(), 3);
         // Simulate a crash: the socket dies without a goodbye. The server
-        // front-end synthesises a Leave, requeueing the 3 held trials.
+        // front-end departs the client, requeueing the 3 held trials.
         drop(c1);
         let mut c2 = TcpHarmonyClient::attach(addr, session).unwrap();
-        // The Leave is processed asynchronously after the EOF; poll until
+        // The departure is processed asynchronously after the EOF; poll until
         // the requeued trials are served to the new incarnation.
         let mut inherited = Vec::new();
         for _ in 0..100 {
@@ -1224,7 +1231,7 @@ mod tests {
         client.heartbeat().unwrap();
         assert_ne!(client.id(), old_id);
         assert!(client.prefetched.is_none());
-        // The dead connection's `Leave` requeues the held trial. Nelder–Mead
+        // The dead connection's departure requeues the held trial. Nelder–Mead
         // proposes nothing else meanwhile, so until then a fetch is busy.
         let fetches = telemetry.histogram(Latency::FetchBatchRtt).count;
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -1282,6 +1289,124 @@ mod tests {
         let (best, cost) = client.best().unwrap().unwrap();
         assert!(cost <= 25.0, "best {best} cost {cost}");
         client.close();
+        server.shutdown();
+    }
+
+    fn team_client(server: &TcpHarmonyServer) -> TcpHarmonyClient {
+        let opts = TcpClientOptions {
+            tenant: "team".into(),
+            retry: RetryPolicy::none(),
+            ..Default::default()
+        };
+        let mut client = TcpHarmonyClient::connect_with(server.local_addr(), "x", opts).unwrap();
+        client.add_param(Param::int("x", 0, 1_000_000, 1)).unwrap();
+        let options = SessionOptions {
+            max_evaluations: 20,
+            seed: 17,
+            ..Default::default()
+        };
+        client.seal(options, StrategyKind::Random).unwrap();
+        client
+    }
+
+    /// The team's `(sessions, inflight)` row.
+    fn holdings(server: &TcpHarmonyServer) -> (u64, u64) {
+        let stats = server.inproc().config().tenants.stats("team");
+        let load = |n: &std::sync::atomic::AtomicU64| n.load(Ordering::Relaxed);
+        (load(&stats.sessions), load(&stats.inflight))
+    }
+
+    /// Spin until the server has `n` members, for at most ten seconds.
+    fn await_members(server: &TcpHarmonyServer, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.inproc().client_count() != n {
+            assert!(Instant::now() < deadline, "waiting for {n} members");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    #[test]
+    fn exchange_client_that_leaves_returns_its_tenants_inflight_quota() {
+        let config = crate::server::ServerConfig {
+            shards: 1,
+            tenant_max_inflight: Some(2),
+            ..Default::default()
+        };
+        let server = TcpHarmonyServer::bind_with("127.0.0.1:0", 64, config).expect("bind");
+        for _ in 0..3 {
+            let mut client = team_client(&server);
+            for _ in 0..3 {
+                client.fetch().unwrap();
+                client.report(1.0).unwrap();
+            }
+            // The last report brought the next trial back with it.
+            held(&client);
+            client.leave().unwrap();
+        }
+        assert_eq!(holdings(&server), (0, 0));
+        server.shutdown();
+    }
+
+    #[test]
+    fn lifecycle_a_last_explicit_leave_over_tcp_ends_the_session() {
+        let server = TcpHarmonyServer::bind_with("127.0.0.1:0", 64, Default::default()).unwrap();
+        let observe = server.observe("127.0.0.1:0").unwrap();
+        let mut client = team_client(&server);
+        client.fetch().unwrap();
+        client.report(1.0).unwrap();
+        assert_eq!(holdings(&server), (1, 1));
+        client.leave().unwrap();
+        assert_eq!(holdings(&server), (0, 0));
+        let err = TcpHarmonyClient::attach(server.local_addr(), client.session_id()).unwrap_err();
+        assert!(err.to_string().contains("unknown session"), "{err}");
+        let addr = observe.addr().to_string();
+        let (code, body) = super::super::observe::http_get(&addr, "/status").unwrap();
+        assert_eq!(code, 200);
+        let doc = serde_json::parse(&body).unwrap();
+        let sessions = doc.get("sessions").and_then(|v| v.as_array()).unwrap();
+        assert!(sessions.is_empty(), "{body}");
+        observe.stop();
+        server.shutdown();
+    }
+
+    #[test]
+    fn lifecycle_a_dead_socket_leaves_the_session_revivable() {
+        let server = TcpHarmonyServer::bind_with("127.0.0.1:0", 64, Default::default()).unwrap();
+        let mut client = team_client(&server);
+        client.fetch().unwrap();
+        client.report(1.0).unwrap();
+        let (session, prefetched) = (client.session_id(), held(&client));
+        drop(client);
+        // The event loop has reaped the socket before anyone rejoins.
+        await_members(&server, 0);
+        assert_eq!(holdings(&server), (0, 1));
+        let mut rejoined = TcpHarmonyClient::attach(server.local_addr(), session).unwrap();
+        let (inherited, _) = rejoined.fetch_batch(1).unwrap();
+        assert_eq!(inherited[0].iteration, prefetched);
+        server.shutdown();
+    }
+
+    #[test]
+    fn lifecycle_a_crashed_worker_and_the_founders_leave_keep_the_session_for_the_worker() {
+        let server = TcpHarmonyServer::bind_with("127.0.0.1:0", 64, Default::default()).unwrap();
+        let mut founder = team_client(&server);
+        let session = founder.session_id();
+        let mut worker = TcpHarmonyClient::attach(server.local_addr(), session).unwrap();
+        worker.fetch().unwrap();
+        worker.report(1.0).unwrap();
+        let prefetched = held(&worker);
+        drop(worker);
+        await_members(&server, 1);
+        founder.leave().unwrap();
+        assert_eq!(holdings(&server), (0, 1));
+        let mut rejoined = TcpHarmonyClient::attach(server.local_addr(), session).unwrap();
+        let (inherited, _) = rejoined.fetch_batch(1).unwrap();
+        assert_eq!(inherited[0].iteration, prefetched);
+        // The rejoin matched the crash, so this goodbye ends the session.
+        rejoined.leave().unwrap();
+        assert_eq!(holdings(&server), (0, 0));
+        let err = TcpHarmonyClient::attach(server.local_addr(), session).unwrap_err();
+        assert!(err.to_string().contains("unknown session"), "{err}");
         server.shutdown();
     }
 }

@@ -10,6 +10,17 @@
 //! cache: in off-line tuning one evaluation is one application run, so cache
 //! hits are free iterations.
 //!
+//! The cache is a flat memo. Keys sit back to back in one `Vec<i64>`, one
+//! stride (the space's dimension) each, with their costs in a parallel
+//! `Vec<f64>`. A map from a key's 64-bit digest to its newest slot, and a
+//! chain through the slots whose digests collide, find a key again. A
+//! digest only narrows the search: every hit compares the stored key with
+//! the probe, so a collision costs one more compare and never a wrong cost.
+//! The digest is seeded once per process; nothing iterates the memo, so
+//! the seed cannot move a trajectory. Filling the memo allocates per
+//! growth, not per key, and freeing a session frees a handful of buffers
+//! however many points it measured.
+//!
 //! Costs known from outside the session — the persistent performance store
 //! — are resolved inside it too: [`TuningSession::suggest_batch_with`] asks
 //! a memo about each new proposal's cache key, and a hit is applied on the
@@ -24,7 +35,10 @@ use crate::strategy::{SearchStrategy, StrategySnapshot};
 use crate::telemetry::{Counter, Telemetry, TrialStage};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::sync::OnceLock;
 
 /// Why a session stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,6 +135,115 @@ struct PendingTrial {
     from_store: bool,
 }
 
+/// End of a memo chain.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The session's evaluation memo: cost by cache key, laid out flat (see
+/// the [module docs](self)).
+struct Memo {
+    /// Values per key: the space's dimension.
+    stride: usize,
+    /// Slot `i`'s key is `keys[i * stride..(i + 1) * stride]`.
+    keys: Vec<i64>,
+    /// Slot `i`'s cost.
+    costs: Vec<f64>,
+    /// The next older slot whose key has slot `i`'s digest, or `NO_SLOT`.
+    next: Vec<u32>,
+    /// Digest → newest slot with that digest.
+    heads: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
+    seed: u64,
+    digest: fn(u64, &[i64]) -> u64,
+}
+
+impl Memo {
+    fn new(stride: usize) -> Self {
+        Self::with_digest(stride, mix)
+    }
+
+    fn with_digest(stride: usize, digest: fn(u64, &[i64]) -> u64) -> Self {
+        static SEED: OnceLock<u64> = OnceLock::new();
+        Memo {
+            stride,
+            keys: Vec::new(),
+            costs: Vec::new(),
+            next: Vec::new(),
+            heads: HashMap::default(),
+            seed: *SEED.get_or_init(|| RandomState::new().build_hasher().finish()),
+            digest,
+        }
+    }
+
+    /// The slot holding `key`, whose digest is `hash`.
+    fn slot(&self, hash: u64, key: &[i64]) -> Option<usize> {
+        let mut slot = *self.heads.get(&hash)?;
+        while slot != NO_SLOT {
+            let i = slot as usize;
+            if self.keys[i * self.stride..(i + 1) * self.stride] == *key {
+                return Some(i);
+            }
+            slot = self.next[i];
+        }
+        None
+    }
+
+    fn get(&self, key: &[i64]) -> Option<f64> {
+        let slot = self.slot((self.digest)(self.seed, key), key)?;
+        Some(self.costs[slot])
+    }
+
+    /// Record `cost` for `key`, overwriting the cost of a key already
+    /// present. A key of another length (a preloaded configuration of some
+    /// other space) is never proposed here, so it is not kept.
+    fn insert(&mut self, key: &[i64], cost: f64) {
+        if key.len() != self.stride {
+            return;
+        }
+        let hash = (self.digest)(self.seed, key);
+        if let Some(slot) = self.slot(hash, key) {
+            self.costs[slot] = cost;
+            return;
+        }
+        let slot = u32::try_from(self.costs.len())
+            .ok()
+            .filter(|&slot| slot != NO_SLOT)
+            .expect("a memo holds fewer than 2^32 - 1 keys");
+        let older = self.heads.insert(hash, slot);
+        self.next.push(older.unwrap_or(NO_SLOT));
+        self.keys.extend_from_slice(key);
+        self.costs.push(cost);
+    }
+}
+
+/// The memo's digest: a multiply–xorshift mix of the key's values.
+fn mix(seed: u64, key: &[i64]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut h = seed;
+    for &v in key {
+        h = (h ^ v as u64).wrapping_mul(K);
+        h ^= h >> 32;
+    }
+    h
+}
+
+/// Hands a `u64` digest to the memo's map as its hash: the digest is
+/// already mixed.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the memo's map hashes only u64 digests")
+    }
+
+    fn write_u64(&mut self, digest: u64) {
+        self.0 = digest;
+    }
+}
+
 /// Live introspection snapshot of a session, for the observability plane.
 ///
 /// A lock-brief copy: [`TuningSession::search_snapshot`] clones the small
@@ -194,7 +317,7 @@ pub struct TuningSession {
     strategy: Box<dyn SearchStrategy>,
     opts: SessionOptions,
     rng: StdRng,
-    cache: HashMap<Vec<i64>, f64>,
+    cache: Memo,
     history: History,
     best: Option<(Configuration, f64)>,
     fresh_evals: usize,
@@ -224,11 +347,11 @@ impl TuningSession {
     ) -> Self {
         let rng = StdRng::seed_from_u64(opts.seed);
         TuningSession {
+            cache: Memo::new(space.dims()),
             space,
             strategy,
             opts,
             rng,
-            cache: HashMap::new(),
             history: History::new(),
             best: None,
             fresh_evals: 0,
@@ -297,7 +420,7 @@ impl TuningSession {
     /// Pre-load a known measurement (e.g. the default configuration's cost
     /// from a previous production run) without consuming budget.
     pub fn preload(&mut self, config: &Configuration, cost: f64) {
-        self.cache.insert(config.cache_key(), cost);
+        self.cache.insert(&config.cache_key(), cost);
         self.update_best(config, cost);
     }
 
@@ -401,7 +524,7 @@ impl TuningSession {
             // index of this proposal is fixed now, before earlier trials
             // have even been measured.
             let iteration = self.history.len() + self.pending.len() + 1;
-            let known = self.cache.contains_key(&key)
+            let known = self.cache.get(&key).is_some()
                 || self
                     .pending
                     .iter()
@@ -518,7 +641,7 @@ impl TuningSession {
                 None => break,
                 Some(e) => match e.kind {
                     PendingKind::Fresh => e.outcome.is_some(),
-                    PendingKind::Replay => self.cache.contains_key(&e.key),
+                    PendingKind::Replay => self.cache.get(&e.key).is_some(),
                 },
             };
             if !ready {
@@ -547,7 +670,7 @@ impl TuningSession {
                         self.cumulative_time += wall_time;
                     }
                     self.pending_fresh -= 1;
-                    self.cache.insert(e.key, cost);
+                    self.cache.insert(&e.key, cost);
                     self.fresh_evals += 1;
                     if e.from_store {
                         self.cached_evals += 1;
@@ -596,7 +719,7 @@ impl TuningSession {
                     }
                 }
                 PendingKind::Replay => {
-                    let cost = *self.cache.get(&e.key).expect("readiness checked above");
+                    let cost = self.cache.get(&e.key).expect("readiness checked above");
                     self.telemetry.inc(Counter::CacheReplays);
                     self.telemetry
                         .event(TrialStage::Replayed, e.iteration, 0, Some("cache_hit"));
@@ -1310,6 +1433,93 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Run `steps` against `memo` and a `HashMap` reference, which must
+    /// answer every lookup alike.
+    fn memo_matches_a_hash_map(mut memo: Memo, steps: &[(bool, Vec<i64>, f64)]) {
+        let mut reference: HashMap<Vec<i64>, f64> = HashMap::new();
+        for (insert, key, cost) in steps {
+            if *insert {
+                memo.insert(key, *cost);
+                reference.insert(key.clone(), *cost);
+            }
+            let want = reference.get(key).map(|c| c.to_bits());
+            assert_eq!(memo.get(key).map(f64::to_bits), want, "{key:?}");
+            assert_eq!(memo.get(&key[1..]), None, "a shorter key is never held");
+        }
+        for (key, cost) in &reference {
+            assert_eq!(memo.get(key), Some(*cost), "{key:?}");
+        }
+        assert_eq!(memo.costs.len(), reference.len(), "one slot per key");
+        assert_eq!(memo.keys.len(), 3 * reference.len());
+    }
+
+    /// Every key collides: each lookup walks the whole chain.
+    fn one_digest(_: u64, _: &[i64]) -> u64 {
+        7
+    }
+
+    proptest::proptest! {
+        /// `(insert, key, cost)` steps over a small key alphabet, so
+        /// overwrites and hits are common.
+        #[test]
+        fn the_memo_answers_what_a_hash_map_answers(
+            inserts in proptest::collection::vec(0u8..2, 0..160),
+            keys in proptest::collection::vec(proptest::collection::vec(-2i64..2, 3), 160),
+            costs in proptest::collection::vec(-1e3f64..1e3, 160),
+        ) {
+            let steps: Vec<_> = inserts
+                .iter()
+                .zip(keys)
+                .zip(costs)
+                .map(|((&insert, key), cost)| (insert == 1, key, cost))
+                .collect();
+            memo_matches_a_hash_map(Memo::new(3), &steps);
+            memo_matches_a_hash_map(Memo::with_digest(3, one_digest), &steps);
+        }
+    }
+
+    /// An exhaustive campaign over `space()` cut to 6 × 6, with one point
+    /// preloaded twice before it is proposed: the second cost stands.
+    fn preloaded_campaign(memo: Memo) -> TuningResult {
+        let sp = SearchSpace::builder()
+            .int("x", 0, 5, 1)
+            .int("y", 0, 5, 1)
+            .build()
+            .unwrap();
+        let known = sp.project(&[4.0, 1.0]);
+        let mut s = TuningSession::new(
+            sp,
+            Box::new(Exhaustive::new(1_000)),
+            SessionOptions::default(),
+        );
+        s.cache = memo;
+        s.preload(&known, 50.0);
+        s.preload(&known, 7.0);
+        s.run(|cfg| {
+            assert_ne!(cfg.cache_key(), known.cache_key(), "a preloaded point ran");
+            bowl(cfg)
+        })
+    }
+
+    #[test]
+    fn a_preloaded_point_is_replayed_at_its_last_cost_whatever_the_digest() {
+        let want = preloaded_campaign(Memo::new(2));
+        let got = preloaded_campaign(Memo::with_digest(2, one_digest));
+        let rows = |r: &TuningResult| -> Vec<(Vec<i64>, u64, bool)> {
+            let rows = r.history.evaluations().iter();
+            rows.map(|e| (e.config.cache_key(), e.cost.to_bits(), e.cached))
+                .collect()
+        };
+        assert_eq!(rows(&want), rows(&got));
+        assert_eq!(want.history.len(), 36);
+        let replays = want.history.evaluations().iter();
+        let replays: Vec<_> = replays.filter(|e| e.cached).collect();
+        let [replay] = replays.as_slice() else {
+            panic!("{} replays", replays.len());
+        };
+        assert_eq!((replay.config.cache_key(), replay.cost), (vec![4, 1], 7.0));
     }
 
     #[test]

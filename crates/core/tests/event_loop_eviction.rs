@@ -1,8 +1,8 @@
 //! Integration test: the event loop's idle-timeout reaper. A worker that
 //! goes silent while holding trials is indistinguishable from a hung node
-//! on the paper's clusters — the loop must reap its connection, the
-//! synthesised `Leave` must requeue the held trials through the existing
-//! eviction path, and the churn must be visible in telemetry.
+//! on the paper's clusters — the loop must reap its connection, its
+//! departure must requeue the held trials through the existing eviction
+//! path, and the churn must be visible in telemetry.
 
 use ah_core::prelude::*;
 use ah_core::server::protocol::TrialReport;

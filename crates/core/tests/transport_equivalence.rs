@@ -61,7 +61,7 @@ fn founded(strategy: StrategyKind, seed: u64) -> (TcpHarmonyServer, TcpHarmonyCl
 /// The same campaign over TCP: a founder plus three workers fetching one
 /// trial at a time. The fault plan picks iterations whose worker *crashes*
 /// — the socket is dropped with no goodbye, the server front-end notices
-/// the dead connection and synthesises the `Leave` that requeues the held
+/// the dead connection and departs its client, which requeues the held
 /// trial, and a replacement worker attaches to the session.
 fn tcp_history(strategy: StrategyKind, seed: u64, plan: &FaultPlan) -> String {
     let (server, mut founder) = founded(strategy, seed);
@@ -91,8 +91,8 @@ fn tcp_history(strategy: StrategyKind, seed: u64, plan: &FaultPlan) -> String {
             let crash = matches!(plan.at(t.iteration as u64), FaultKind::Crash)
                 && crashed.insert(t.iteration);
             if crash {
-                // Dead socket, no goodbye: the transport must synthesise
-                // the Leave and requeue the held trial.
+                // Dead socket, no goodbye: the transport must depart the
+                // client and requeue the held trial.
                 let dead =
                     std::mem::replace(worker, TcpHarmonyClient::attach(addr, session).unwrap());
                 drop(dead);

@@ -34,7 +34,7 @@ pub trait SwarmScript: Send {
     fn first(&mut self) -> Request;
     /// Given the reply to the previous request: the next request, or
     /// `None` when this client is done (its socket is then closed; the
-    /// server synthesises the `Leave`).
+    /// server departs the client as for a dead connection).
     fn next(&mut self, reply: Reply) -> Option<Request>;
     /// Per-evaluation latencies recorded by the script (µs), drained.
     fn take_latencies(&mut self) -> Vec<f64> {
@@ -221,7 +221,7 @@ fn drive_chunk<S: SwarmScript>(mut chunk: Vec<SwarmConn<S>>) -> Vec<S> {
             }
         }
         // Compact: closing the socket (drop) is the goodbye; the server
-        // synthesises the Leave for clients that still hold membership.
+        // departs the clients that still hold membership.
         let mut still = Vec::with_capacity(chunk.len());
         for conn in chunk.into_iter() {
             if conn.done {
