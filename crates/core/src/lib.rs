@@ -73,7 +73,7 @@ pub mod wal;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Lock `m` even if a thread panicked while holding it: a panic under one
-/// of the crate's locks (a shard table, a telemetry ring, the store) must
+/// of the crate's locks (a session, a telemetry ring, the store) must
 /// not make every later caller panic too.
 fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)

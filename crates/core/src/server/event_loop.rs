@@ -24,11 +24,11 @@
 //! The loop thread hands each decoded request to `ServerBus::dispatch`,
 //! which serves it on the loop thread and returns the reply: it is
 //! serialized onto the connection's write buffer and written in the same
-//! pass, with no other thread involved. When the request's shard is busy
-//! (another loop thread, or an in-process client, holds it) the loop
-//! thread parks in `dispatch` until the shard is handed to it. The
-//! [`Waker`] pipe is only for adopting sockets and for stopping: a
-//! request never writes it.
+//! pass, with no other thread involved. When the request's session is busy
+//! (another loop thread, or an in-process client, is serving one of its
+//! members) the loop thread waits in `dispatch` for the session's lock; a
+//! request of another session never makes it wait. The [`Waker`] pipe is
+//! only for adopting sockets and for stopping: a request never writes it.
 //!
 //! A loop pass serves at most one request per connection. A peer that
 //! pipelines (writes many requests without waiting) has the rest left in
@@ -215,7 +215,7 @@ enum Close {
     Idle,
     /// Refusal completed (busy frame flushed, or the peer never asked).
     Refused,
-    /// Internal failure (shard pool gone).
+    /// Internal failure (the server is shut down).
     Server,
 }
 
@@ -645,7 +645,7 @@ mod tests {
     /// A loop worker driven by hand, one connection and one pass at a
     /// time, so a test can look at the connection between passes.
     struct Rig {
-        // Held, not read: dropping the server closes its shards, and
+        // Held, not read: dropping the server closes it, and
         // dropping the waker makes the wake pipe read as closed.
         _server: HarmonyServer,
         _waker: Waker,
@@ -656,7 +656,7 @@ mod tests {
 
     impl Rig {
         fn new(cfg: EventLoopConfig) -> Rig {
-            let server = HarmonyServer::start_with(1);
+            let server = HarmonyServer::start();
             let (waker, wake_rx) = waker_pair().unwrap();
             let worker = LoopWorker {
                 bus: server.bus(),

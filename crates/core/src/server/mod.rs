@@ -8,31 +8,34 @@
 //!
 //! Multiple clients may tune concurrently and independently — the paper's
 //! Active Harmony "tries to coordinate the use of resources by multiple
-//! libraries and applications". Client sessions are partitioned by client
-//! id across shards, each a mutex-guarded slice of the session table, so
-//! independent clients never serialize behind one dispatcher.
+//! libraries and applications". Sessions share no tuning state, so each
+//! session is its own lock and independent clients never serialize behind
+//! one another.
 //!
 //! # Who executes a request
 //!
 //! Every request enters through one function, `ServerBus::dispatch`, and is
 //! served by the thread that called it — the application thread of an
 //! in-process client, or the event-loop thread of a TCP connection — which
-//! gets the reply back as the return value. There is no server thread per
-//! shard, no channel and no completion queue. The body is one function
-//! (`HarmonyServer::serve`: tenant accounting, the queue-wait sample, the
-//! `shard_handle` span, `handle`), run while the caller holds its shard:
+//! gets the reply back as the return value. There is no server thread, no
+//! channel and no completion queue.
 //!
-//! - **The shard is free and nobody waits**: the caller takes it at once.
-//! - **The shard is busy**: the caller joins the shard's arrivals and
-//!   parks. Whoever releases the shard files the arrivals into per-tenant
-//!   queues and hands the shard to the next waiter in deficit-round-robin
-//!   order (`server/admission.rs`), so a request that arrives while
-//!   anyone waits never overtakes them.
+//! Each session lives in a *cell*, `Arc<Mutex<SessionState>>`. One table
+//! (`Table`, behind a read-write lock) maps session ids and member client
+//! ids to cells. A request takes the read lock only to clone its cell's
+//! `Arc`, then locks the cell and is served there: tenant accounting, the
+//! queue-wait sample, the `shard_handle` span, `handle`. Requests of
+//! different sessions never wait for each other. Requests of one session —
+//! its members, all of one tenant — take turns at its cell, and since
+//! reports apply in proposal order, their order cannot move the search
+//! trajectory. Membership changes (`Register`, `Attach`, `Leave`, a dead
+//! connection, a TTL eviction) take the table's write lock briefly, after
+//! the cell's.
 //!
-//! What `ah_shard_queue_depth` and `/status` report is the number of
-//! callers *waiting* for their shard. It reads zero on an uncontended
-//! server however high the request rate, and is non-zero only under real
-//! contention.
+//! The serving metrics keep their names: `shard_queue_wait` (and a
+//! tenant's `queue_wait_us`) is the wait for a session's cell, and a
+//! `shard_handle` span (track `session`, id = the session id) is the
+//! service of one request on it.
 //!
 //! # Sessions, members, and fault tolerance
 //!
@@ -72,7 +75,7 @@
 //! trials by iteration token, sanitises non-finite measurements, applies
 //! them, and appends them to the store in one write. `FetchBatch` is the
 //! fetch rule and `ReportBatch` the report rule; `Exchange` is the report
-//! rule then the fetch rule, in one shard visit, which is how a serial TCP
+//! rule then the fetch rule, in one session visit, which is how a serial TCP
 //! client spends one round trip per trial. A serial `Fetch` is a
 //! `FetchBatch` of one and a serial `Report` is a one-entry `ReportBatch`
 //! for the caller's oldest outstanding trial; only the reply is reshaped
@@ -83,12 +86,12 @@
 //!
 //! A `Register` may carry a *tenant* label (empty means the `"default"`
 //! tenant); the session it founds, and every member that later attaches to
-//! it, belongs to that tenant for dispatch and for quotas alike — the
-//! session table is the only record of who belongs where. A busy shard is
-//! handed to its waiters with deficit round-robin across tenants
-//! ([`DRR_QUANTUM`] admissions per turn), so a thousand-client swarm from
-//! one team cannot starve another team's two-client session. A free shard
-//! with nobody waiting has nothing to arbitrate.
+//! it, belongs to that tenant for accounting and quotas alike — the
+//! session is the only record of who belongs where. Two tenants never
+//! share a session, so no request ever waits behind another tenant's;
+//! across connections, the event loop serves one request per connection
+//! per pass, so a thousand-client swarm from one team cannot starve
+//! another team's two-client session.
 //! [`ServerConfig::tenant_max_sessions`] /
 //! [`ServerConfig::tenant_max_inflight`] bound what any one tenant can hold
 //! open — refusals are the typed [`Reply::QuotaExceeded`], which clients
@@ -106,7 +109,6 @@
 //! what makes fleet-wide warm starts work: a server can answer a
 //! configuration it never measured itself.
 
-mod admission;
 pub mod client;
 pub mod event_loop;
 pub mod observe;
@@ -128,20 +130,15 @@ use crate::store::{space_fingerprint, SharedStore, StoreRecord};
 use crate::telemetry::slo::SloRule;
 use crate::telemetry::timeseries::TimeSeries;
 use crate::telemetry::{Counter, Latency, SpanKind, Telemetry, TenantMetric, TrialStage};
-use admission::{Admission, Arrival};
 use protocol::{sanitize_measurement, FetchedTrial, Reply, Request, TrialReport};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::{JoinHandle, Thread};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The tenant label members get when they declare none.
 pub const DEFAULT_TENANT: &str = "default";
-
-/// Admissions one tenant may take per deficit-round-robin turn of a busy
-/// shard before the turn passes to the next tenant with waiters.
-pub const DRR_QUANTUM: u64 = 8;
 
 /// Anti-entropy pull period used when [`ServerConfig::sync_interval`] is
 /// left at `Duration::ZERO`.
@@ -156,23 +153,20 @@ fn canonical_tenant(tenant: &str) -> &str {
     }
 }
 
-/// Live accounting for one tenant, shared between the shards, quota
+/// Live accounting for one tenant, shared between its sessions, quota
 /// checks, and the observability plane. All counters are relaxed: they
-/// gate admission and feed `/status`, neither of which needs ordering.
+/// gate quotas and feed `/status`, neither of which needs ordering.
 #[derive(Debug, Default)]
 pub struct TenantStats {
     /// Sessions with at least one live member.
     pub sessions: AtomicU64,
     /// Fetched-but-unreported trials across the tenant's sessions.
     pub inflight: AtomicU64,
-    /// Callers waiting for a busy shard, counted from the release that
-    /// files them into the shard's tenant queues.
-    pub queued: AtomicU64,
     /// Requests served to completion since the server started.
     pub served: AtomicU64,
 }
 
-/// Registry of per-tenant stats, shared by the shards, the server's
+/// Registry of per-tenant stats, shared by the sessions, the server's
 /// configuration and the observability plane. The mutex guards only the
 /// name→stats map; the stats themselves are lock-free atomics.
 #[derive(Debug, Clone, Default)]
@@ -187,8 +181,8 @@ impl TenantRegistry {
     }
 
     /// Snapshot of every tenant ever seen, sorted by name:
-    /// `(name, sessions, inflight, queued, served)`.
-    pub fn snapshot(&self) -> Vec<(String, u64, u64, u64, u64)> {
+    /// `(name, sessions, inflight, served)`.
+    pub fn snapshot(&self) -> Vec<(String, u64, u64, u64)> {
         let mut rows: Vec<_> = lock(&self.inner)
             .iter()
             .map(|(name, s)| {
@@ -196,7 +190,6 @@ impl TenantRegistry {
                     name.clone(),
                     s.sessions.load(Ordering::Relaxed),
                     s.inflight.load(Ordering::Relaxed),
-                    s.queued.load(Ordering::Relaxed),
                     s.served.load(Ordering::Relaxed),
                 )
             })
@@ -209,10 +202,8 @@ impl TenantRegistry {
 /// Liveness, quota, and federation policy of a running server.
 #[derive(Debug, Clone, Default)]
 pub struct ServerConfig {
-    /// Shards the session table is partitioned into, each taken by the
-    /// threads that send it requests through its own admission lock; `0`
-    /// means one per available core (capped at 8 — per-request work is
-    /// small, so shards beyond the core count only add memory).
+    /// Ignored: every session is its own lock, so there is no table to
+    /// partition. Kept only because existing callers still set it.
     pub shards: usize,
     /// Requeue an outstanding trial whose owner has held it longer than
     /// this. `None` (default) disables the deadline: trials are requeued
@@ -223,10 +214,10 @@ pub struct ServerConfig {
     /// idle clients holding long measurements should send
     /// [`Request::Heartbeat`]. `None` (default) disables eviction.
     pub client_ttl: Option<Duration>,
-    /// Telemetry handle every shard records onto (disabled by default —
+    /// Telemetry handle every session records onto (disabled by default —
     /// recording costs nothing until a caller passes an enabled handle).
     pub telemetry: Telemetry,
-    /// Shared performance store ([`crate::store`]). When set, every shard
+    /// Shared performance store ([`crate::store`]). When set, every session
     /// consults it before dispatching a trial — a configuration whose cost
     /// is already on record is answered inside the session
     /// ([`TuningSession::suggest_batch_with`]) without a round trip to any
@@ -245,7 +236,7 @@ pub struct ServerConfig {
     /// and requeue claims are always exempt — they never grow the tenant's
     /// holdings. `None` (default) leaves issuance unbounded.
     pub tenant_max_inflight: Option<usize>,
-    /// Per-tenant accounting, shared by shards and the observability
+    /// Per-tenant accounting, shared by sessions and the observability
     /// plane. The default (empty) registry fills in lazily as tenants
     /// appear.
     pub tenants: TenantRegistry,
@@ -258,8 +249,8 @@ pub struct ServerConfig {
     /// Anti-entropy pull period; `Duration::ZERO` (default) means 500 ms.
     pub sync_interval: Duration,
     /// Retained time-series over [`telemetry`](Self::telemetry). When set,
-    /// [`HarmonyServer::start_with_config`] registers a
-    /// `shard_queue_depth` gauge on it, and the observe plane serves
+    /// [`HarmonyServer::start_with_config`] registers a `store_unsynced`
+    /// gauge on it (with a store attached), and the observe plane serves
     /// `GET /metrics/history` and the `GET /healthz` SLO engine from it.
     /// The caller owns sampling (see
     /// [`TimeSeries::start_sampler`]). `None` (default) disables both
@@ -350,6 +341,8 @@ struct TopUp {
 
 /// One tuning session shared by its founder and any attached members.
 struct SessionState {
+    /// The session's id, which is its founder's client id.
+    id: u64,
     /// Application label: diagnostics, and the performance-store key.
     app: String,
     phase: SessionPhase,
@@ -364,207 +357,102 @@ struct SessionState {
     /// eviction) and that no `Attach` has matched since. While any remain,
     /// the last explicit `Leave` keeps the session for the rejoin.
     unmatched_departures: usize,
+    /// The session has left the table. A caller that took the cell before
+    /// the removal finds this and is answered as if the session were gone.
+    ended: bool,
 }
 
-/// One shard's slice of server state, behind the shard's mutex.
+/// A session behind its own lock: what a request holds while it is served.
+type Cell = Arc<Mutex<SessionState>>;
+
+/// Where every session and every live member is.
+///
+/// **Lock order.** A thread that holds a cell may take the table lock
+/// (membership changes do, to record themselves); no thread takes a cell
+/// while it holds the table lock. A request clones its cell's `Arc` under
+/// the read lock and drops the lock before locking the cell, and `/status`
+/// clones every cell out before it locks any. Shutdown takes neither: it
+/// waits on the count of admitted requests (`Gate`).
 #[derive(Default)]
-struct ShardTable {
-    /// Sessions keyed by founder client id.
-    sessions: HashMap<u64, SessionState>,
-    /// Client id → session id, for every live member on this shard.
-    clients: HashMap<u64, u64>,
+struct Table {
+    /// Session id → the session's cell.
+    sessions: HashMap<u64, Cell>,
+    /// Client id → its session's cell, for every live member.
+    clients: HashMap<u64, Cell>,
 }
 
-/// What a request's tenant is read from: a `Register` names its own, an
-/// `Attach` joins its target session's, anything else is its sender's.
-enum Claim {
-    Named(String),
-    Session(u64),
-    Member(u64),
+fn read(table: &RwLock<Table>) -> RwLockReadGuard<'_, Table> {
+    table.read().unwrap_or_else(PoisonError::into_inner)
 }
 
-impl Claim {
-    fn of(client: u64, req: &Request) -> Claim {
-        match req {
-            Request::Register { tenant, .. } => Claim::Named(tenant.clone()),
-            Request::Attach { session, .. } => Claim::Session(*session),
-            _ => Claim::Member(client),
+fn write(table: &RwLock<Table>) -> RwLockWriteGuard<'_, Table> {
+    table.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The top bit of a [`Gate`]: the server is closed.
+const CLOSED: u64 = 1 << 63;
+
+/// What shutdown waits on: a `closed` flag (the top bit) and the number of
+/// requests admitted and not yet answered (the rest), in one word, so that
+/// a request that is admitted and a shutdown that closes cannot miss each
+/// other. An answered request's `Release` pairs with the closer's
+/// `Acquire`: once `close` returns, it sees everything those requests did.
+#[derive(Default)]
+struct Gate(AtomicU64);
+
+impl Gate {
+    /// Admit a request, or refuse it with `Disconnected` once the server is
+    /// closed. It counts as admitted until the returned guard drops.
+    fn enter(&self) -> Result<Admitted<'_>> {
+        if self.0.fetch_add(1, Ordering::Acquire) & CLOSED != 0 {
+            self.0.fetch_sub(1, Ordering::Release);
+            return Err(HarmonyError::Disconnected);
         }
-    }
-}
-
-impl ShardTable {
-    /// The tenant a request waits under and is accounted to, read off the
-    /// table so admission and quotas can never disagree: a member's is its
-    /// session's, an `Attach` takes its target session's, a `Register`
-    /// names its own, and a client the table does not know (never
-    /// registered, left, evicted) falls to [`DEFAULT_TENANT`].
-    fn tenant_of(&self, claim: &Claim, registry: &TenantRegistry) -> (String, Arc<TenantStats>) {
-        let session = match claim {
-            Claim::Named(tenant) => {
-                let tenant = canonical_tenant(tenant);
-                return (tenant.to_string(), registry.stats(tenant));
-            }
-            Claim::Session(session) => self.sessions.get(session),
-            Claim::Member(client) => self
-                .clients
-                .get(client)
-                .and_then(|id| self.sessions.get(id)),
-        };
-        match session {
-            Some(s) => (s.tenant.clone(), Arc::clone(&s.tenant_stats)),
-            None => (DEFAULT_TENANT.to_string(), registry.stats(DEFAULT_TENANT)),
-        }
-    }
-}
-
-/// A parked caller: a waiter for a busy shard, or a closer waiting for the
-/// shard to go idle.
-struct Ticket {
-    /// What the waiter's tenant is read from when a release files it.
-    claim: Claim,
-    thread: Thread,
-    granted: AtomicBool,
-}
-
-impl Ticket {
-    fn new(claim: Claim) -> Arc<Ticket> {
-        Arc::new(Ticket {
-            claim,
-            thread: std::thread::current(),
-            granted: AtomicBool::new(false),
-        })
+        Ok(Admitted(self))
     }
 
-    /// Wake the parked thread: it holds the shard now (a closer: the shard
-    /// is idle).
-    fn grant(&self) {
-        self.granted.store(true, Ordering::Release);
-        self.thread.unpark();
-    }
-
-    /// Park until granted. `park` may return spuriously or for an earlier
-    /// unpark, so the flag decides; its `Acquire` pairs with the `Release`
-    /// in `grant` (the table itself is handed over by its own mutex).
-    fn wait(&self) {
-        while !self.granted.load(Ordering::Acquire) {
-            std::thread::park();
-        }
-    }
-}
-
-/// One shard: its table, and the admission that decides who holds it.
-struct Shard {
-    table: Mutex<ShardTable>,
-    admission: Mutex<Admission<Arc<Ticket>>>,
-}
-
-impl Shard {
-    fn new() -> Shard {
-        Shard {
-            table: Mutex::default(),
-            admission: Mutex::new(Admission::new(DRR_QUANTUM)),
+    /// Refuse every later request, and return once every admitted one has
+    /// been answered.
+    fn close(&self) {
+        self.0.fetch_or(CLOSED, Ordering::AcqRel);
+        while self.0.load(Ordering::Acquire) != CLOSED {
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 
-    /// Take the shard for `client`'s `req`: at once when it is free and
-    /// nobody waits, else parked until a release hands it over.
-    /// `Disconnected` when the shard is closed.
-    fn enter<'a>(
-        &'a self,
-        client: u64,
-        req: &Request,
-        tenants: &'a TenantRegistry,
-    ) -> Result<Held<'a>> {
-        let mut ticket = None;
-        let arrival = lock(&self.admission)
-            .arrive(|| Arc::clone(ticket.insert(Ticket::new(Claim::of(client, req)))));
-        match arrival {
-            Arrival::Enter => {}
-            Arrival::Wait => ticket.expect("a waiter was filed").wait(),
-            Arrival::Closed => return Err(HarmonyError::Disconnected),
-        }
-        Ok(Held {
-            shard: self,
-            tenants,
-            table: Some(lock(&self.table)),
-        })
-    }
-
-    /// Close the shard to later arrivals. Returns the ticket to wait on
-    /// while callers still hold or wait for the shard; they are served
-    /// first.
-    fn close(&self) -> Option<Arc<Ticket>> {
-        let mut ticket = None;
-        // A closer is never filed among the waiters, so its claim is unread.
-        lock(&self.admission).close(|| Arc::clone(ticket.insert(Ticket::new(Claim::Member(0)))));
-        ticket
-    }
-
-    /// Callers waiting for the shard.
-    fn waiting(&self) -> u64 {
-        lock(&self.admission).waiting() as u64
+    /// Requests admitted and not yet answered.
+    #[cfg(test)]
+    fn admitted(&self) -> u64 {
+        self.0.load(Ordering::Acquire) & !CLOSED
     }
 }
 
-/// A shard held by the calling thread, with its table locked. Dropping it
-/// releases the shard to the next waiter, also when the request panicked.
-struct Held<'a> {
-    shard: &'a Shard,
-    tenants: &'a TenantRegistry,
-    /// `Some` until the drop, which unlocks it before waking the next
-    /// holder.
-    table: Option<MutexGuard<'a, ShardTable>>,
-}
+/// An admitted request; dropping it marks the request answered.
+struct Admitted<'a>(&'a Gate);
 
-impl Held<'_> {
-    fn table(&mut self) -> &mut ShardTable {
-        self.table.as_mut().expect("held until dropped")
-    }
-}
-
-impl Drop for Held<'_> {
+impl Drop for Admitted<'_> {
     fn drop(&mut self) {
-        let table = self.table.take().expect("held until dropped");
-        let next = lock(&self.shard.admission).release(|t| table.tenant_of(&t.claim, self.tenants));
-        drop(table);
-        if let Some(ticket) = next {
-            ticket.grant();
-        }
+        self.0 .0.fetch_sub(1, Ordering::Release);
     }
 }
 
-/// Cheap, cloneable entry to the shards (held by every client handle and
+/// Cheap, cloneable entry to the sessions (held by every client handle and
 /// by the TCP front-end).
 #[derive(Clone)]
 pub(crate) struct ServerBus {
-    shards: Arc<Vec<Shard>>,
-    next_seq: Arc<AtomicU64>,
+    table: Arc<RwLock<Table>>,
+    /// The next client id to hand out. Ids count up from 1, because an
+    /// owner of 0 marks a trial unowned.
+    next_id: Arc<AtomicU64>,
+    gate: Arc<Gate>,
     cfg: Arc<ServerConfig>,
 }
 
 impl ServerBus {
-    fn shard_of(&self, client: u64) -> usize {
-        (client % self.shards.len() as u64) as usize
-    }
-
-    /// Allocate a client id that routes to `shard`: with `n` shards, id
-    /// `n*(seq+1) + shard` is unique per `seq` and satisfies
-    /// `id % n == shard`, so an `Attach` can be given an id living on the
-    /// same shard as the session it joins.
-    fn allocate(&self, shard: u64) -> u64 {
-        let n = self.shards.len() as u64;
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        n * (seq + 1) + shard
-    }
-
     /// The one way into the server: serve `client`'s `req` on the calling
     /// thread and return the reply. `Register` and `Attach` get their
-    /// client id here so the id and the routing decision always agree
-    /// (registers spread round-robin; attaches land on the shard owning
-    /// their session). The caller takes the shard at once when it is free
-    /// and nobody waits, else parks until a release hands it over (see
-    /// `admission`). `Disconnected` once the server has shut down.
+    /// client id here. The caller waits only for its own session's cell.
+    /// `Disconnected` once the server has shut down.
     pub(crate) fn dispatch(&self, client: u64, req: Request) -> Result<Reply> {
         self.route(client, req, false)
     }
@@ -581,38 +469,194 @@ impl ServerBus {
     /// client never sent.
     fn route(&self, client: u64, req: Request, implicit: bool) -> Result<Reply> {
         let arrived = Instant::now();
-        let n = self.shards.len() as u64;
-        let client = match req {
-            Request::Register { .. } => {
-                let seq = self.next_seq.load(Ordering::Relaxed);
-                self.allocate(seq % n)
+        let _admitted = self.gate.enter()?;
+        Ok(match req {
+            Request::Register { app, tenant } => self.register(app, &tenant, arrived),
+            Request::Attach { session, .. } => self.attach(session, arrived),
+            req => self.member(client, req, implicit, arrived),
+        })
+    }
+
+    /// Found a session whose id is its founder's fresh client id, under the
+    /// tenant's session quota: the cell is built first, then entered in
+    /// the table.
+    fn register(&self, app: String, tenant: &str, arrived: Instant) -> Reply {
+        let cfg = &*self.cfg;
+        let tenant = canonical_tenant(tenant).to_string();
+        let stats = cfg.tenants.stats(&tenant);
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        account(cfg, &tenant, &stats, arrived);
+        in_span(cfg, id, || {
+            // Claim-then-check keeps the cap exact when registers race.
+            let prior = stats.sessions.fetch_add(1, Ordering::Relaxed);
+            if cfg
+                .tenant_max_sessions
+                .is_some_and(|max| prior >= max as u64)
+            {
+                stats.sessions.fetch_sub(1, Ordering::Relaxed);
+                cfg.telemetry.inc(Counter::QuotaRefusals);
+                cfg.telemetry
+                    .tenant_add(&tenant, TenantMetric::QuotaRefusals, 1);
+                return Reply::QuotaExceeded { tenant };
             }
-            Request::Attach { session, .. } => self.allocate(session % n),
-            _ => client,
+            let founder = Member {
+                last_seen: Instant::now(),
+            };
+            let cell = Arc::new(Mutex::new(SessionState {
+                id,
+                app,
+                phase: SessionPhase::Building {
+                    builder: Some(SearchSpaceBuilder::default()),
+                },
+                members: HashMap::from([(id, founder)]),
+                tenant,
+                tenant_stats: stats,
+                unmatched_departures: 0,
+                ended: false,
+            }));
+            let mut table = write(&self.table);
+            table.sessions.insert(id, Arc::clone(&cell));
+            table.clients.insert(id, cell);
+            Reply::Registered {
+                client_id: id,
+                session: id,
+            }
+        })
+    }
+
+    /// Join `session` under a fresh client id. A session that is gone,
+    /// also one that ended while the caller waited for its cell, is
+    /// unknown.
+    fn attach(&self, session: u64, arrived: Instant) -> Reply {
+        let cfg = &*self.cfg;
+        let cell = read(&self.table).sessions.get(&session).cloned();
+        let state = cell.as_deref().map(lock).filter(|s| !s.ended);
+        let (Some(cell), Some(mut state)) = (&cell, state) else {
+            stranger(cfg, arrived);
+            return Reply::err(format!("unknown session {session}"));
         };
-        let index = self.shard_of(client);
-        let mut held = self.shards[index].enter(client, &req, &self.cfg.tenants)?;
-        let table = held.table();
-        let reply = HarmonyServer::serve(index, &self.cfg, table, client, req, implicit, arrived);
-        Ok(reply)
+        account(cfg, &state.tenant, &state.tenant_stats, arrived);
+        in_span(cfg, session, || {
+            let client = self.next_id.fetch_add(1, Ordering::Relaxed);
+            if state.members.is_empty() {
+                // Reviving an abandoned session counts against the founding
+                // tenant again.
+                state.tenant_stats.sessions.fetch_add(1, Ordering::Relaxed);
+            }
+            state.unmatched_departures = state.unmatched_departures.saturating_sub(1);
+            let now = Instant::now();
+            state.members.insert(client, Member { last_seen: now });
+            write(&self.table).clients.insert(client, Arc::clone(cell));
+            Reply::Registered {
+                client_id: client,
+                session,
+            }
+        })
     }
 
-    /// Per-shard count of callers waiting for their shard, for the
-    /// observability plane. Zero on an uncontended server.
-    pub(crate) fn queue_depths(&self) -> Vec<u64> {
-        self.shards.iter().map(Shard::waiting).collect()
+    /// Serve a member's request on its session. A `Leave` takes the member
+    /// out (`implicit`: a departure without one); the last member's
+    /// explicit `Leave`, with no departure left to rejoin, ends the session.
+    /// A client that is no member — never registered, left, or evicted,
+    /// also while it waited for the cell — is unknown.
+    fn member(&self, client: u64, req: Request, implicit: bool, arrived: Instant) -> Reply {
+        let cfg = &*self.cfg;
+        let cell = read(&self.table).clients.get(&client).cloned();
+        let state = cell.as_deref().map(lock);
+        let Some(mut state) = state.filter(|s| s.members.contains_key(&client)) else {
+            stranger(cfg, arrived);
+            return Reply::err(HarmonyError::UnknownClient(client).to_string());
+        };
+        account(cfg, &state.tenant, &state.tenant_stats, arrived);
+        let state = &mut *state;
+        in_span(cfg, state.id, || {
+            let now = Instant::now();
+            if let Some(m) = state.members.get_mut(&client) {
+                m.last_seen = now;
+            }
+            let leave = matches!(req, Request::Leave);
+            if leave {
+                state.members.remove(&client);
+                if state.members.is_empty() {
+                    state.tenant_stats.sessions.fetch_sub(1, Ordering::Relaxed);
+                }
+                state.unmatched_departures += usize::from(implicit);
+            }
+            // sweep() also requeues a leaver's outstanding trials.
+            let mut gone = HarmonyServer::sweep(state, cfg, now);
+            let ended = leave && state.members.is_empty() && state.unmatched_departures == 0;
+            if ended {
+                // The last member said goodbye and nobody is due to rejoin:
+                // the session ends, and its trials stop counting against
+                // the tenant.
+                if let SessionPhase::Tuning(tuning) = &mut state.phase {
+                    drain_outstanding(&mut tuning.outstanding, &state.tenant_stats);
+                }
+                state.ended = true;
+            }
+            if leave {
+                gone.insert(client);
+            }
+            if !gone.is_empty() {
+                let mut table = write(&self.table);
+                for id in &gone {
+                    table.clients.remove(id);
+                }
+                if ended {
+                    table.sessions.remove(&state.id);
+                }
+            }
+            if leave {
+                return Reply::Ok;
+            }
+            HarmonyServer::handle_for_session(state, cfg, client, req, now)
+        })
     }
 
-    /// Total live members across all shards.
+    /// Every session's cell, cloned out of the table so that the caller
+    /// can lock them without holding it (see [`Table`]).
+    fn cells(&self) -> Vec<Cell> {
+        read(&self.table).sessions.values().cloned().collect()
+    }
+
+    /// Total live members across all sessions.
     pub(crate) fn client_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| lock(&s.table).clients.len())
-            .sum()
+        read(&self.table).clients.len()
     }
 }
 
-/// Handle to a running Harmony server: its shards, plus one anti-entropy
+/// Account a request that found no session to [`DEFAULT_TENANT`].
+fn stranger(cfg: &ServerConfig, arrived: Instant) {
+    let stats = cfg.tenants.stats(DEFAULT_TENANT);
+    account(cfg, DEFAULT_TENANT, &stats, arrived);
+}
+
+/// Count a request to its tenant and sample how long it waited for its
+/// session's cell.
+fn account(cfg: &ServerConfig, tenant: &str, stats: &TenantStats, arrived: Instant) {
+    stats.served.fetch_add(1, Ordering::Relaxed);
+    let wait = arrived.elapsed();
+    cfg.telemetry.observe(Latency::ShardQueueWait, wait);
+    cfg.telemetry.tenant_add(
+        tenant,
+        TenantMetric::QueueWaitUs,
+        u64::try_from(wait.as_micros()).unwrap_or(u64::MAX),
+    );
+}
+
+/// Run `handle` inside a `shard_handle` span on `session`'s track. It runs
+/// while the caller holds the session's cell, so the spans of one session
+/// never overlap, whichever threads record them.
+fn in_span(cfg: &ServerConfig, session: u64, handle: impl FnOnce() -> Reply) -> Reply {
+    let span = cfg
+        .telemetry
+        .span_begin(SpanKind::ShardHandle, 0, "session", session);
+    let reply = handle();
+    cfg.telemetry.span_end(span);
+    reply
+}
+
+/// Handle to a running Harmony server: its sessions, plus one anti-entropy
 /// puller thread per [`ServerConfig::sync_peers`] entry. Requests are
 /// served by the threads that send them, so the server runs no other
 /// thread.
@@ -623,34 +667,16 @@ pub struct HarmonyServer {
 }
 
 impl HarmonyServer {
-    /// Start the server with the default [`ServerConfig`]: one shard per
-    /// available core (capped at 8), no deadlines, no eviction.
+    /// Start the server with the default [`ServerConfig`]: no deadlines,
+    /// no eviction.
     pub fn start() -> Self {
         Self::start_with_config(ServerConfig::default())
     }
 
-    /// Start the server with an explicit number of shards. Clients are
-    /// partitioned by `client_id % shards`.
-    pub fn start_with(shards: usize) -> Self {
-        Self::start_with_config(ServerConfig {
-            shards,
-            ..Default::default()
-        })
-    }
-
-    /// Start the server with full control over sharding, per-trial
-    /// deadlines, and member liveness eviction.
+    /// Start the server with full control over per-trial deadlines,
+    /// member liveness eviction, quotas, the store and federation.
     pub fn start_with_config(config: ServerConfig) -> Self {
         let config = Arc::new(config);
-        let n = if config.shards == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .clamp(1, 8)
-        } else {
-            config.shards
-        };
-        let shards: Arc<Vec<Shard>> = Arc::new((0..n).map(|_| Shard::new()).collect());
         let sync_stop = Arc::new(AtomicBool::new(false));
         let mut sync_handles = Vec::new();
         if let Some(store) = config.store.clone() {
@@ -669,24 +695,16 @@ impl HarmonyServer {
                 sync_handles.push(handle);
             }
         }
-        if let Some(series) = &config.timeseries {
-            // Stock server gauges: callers waiting for their shard, summed
-            // (the SLO engine's `shard_queue_depth`), and the store's
-            // unflushed record count (`store_unsynced`, flush lag). The
-            // gauge holds the shards, not the bus: the bus owns the config
-            // that owns this series.
-            let gauged = Arc::clone(&shards);
-            series.register_gauge("shard_queue_depth", move || {
-                gauged.iter().map(Shard::waiting).sum::<u64>() as f64
-            });
-            if let Some(store) = config.store.clone() {
-                series.register_gauge("store_unsynced", move || store.unsynced() as f64);
-            }
+        if let (Some(series), Some(store)) = (&config.timeseries, config.store.clone()) {
+            // The stock server gauge: the store's unflushed record count
+            // (`store_unsynced`, flush lag).
+            series.register_gauge("store_unsynced", move || store.unsynced() as f64);
         }
         HarmonyServer {
             bus: ServerBus {
-                shards,
-                next_seq: Arc::new(AtomicU64::new(0)),
+                table: Arc::default(),
+                next_id: Arc::new(AtomicU64::new(1)),
+                gate: Arc::default(),
                 cfg: config,
             },
             sync_stop,
@@ -732,43 +750,7 @@ impl HarmonyServer {
         }
     }
 
-    /// Serve one request against its shard's table: the one per-request
-    /// body, run by [`ServerBus::dispatch`] on the calling thread while it
-    /// holds the shard, so the `shard_handle` spans of one shard never
-    /// overlap whichever threads record them. `arrived` is when the caller
-    /// came for the shard; the wait since is the queue-wait sample.
-    fn serve(
-        shard: usize,
-        cfg: &ServerConfig,
-        table: &mut ShardTable,
-        client: u64,
-        req: Request,
-        implicit: bool,
-        arrived: Instant,
-    ) -> Reply {
-        let (tenant, stats) = table.tenant_of(&Claim::of(client, &req), &cfg.tenants);
-        stats.served.fetch_add(1, Ordering::Relaxed);
-        let wait = arrived.elapsed();
-        cfg.telemetry.observe(Latency::ShardQueueWait, wait);
-        cfg.telemetry.tenant_add(
-            &tenant,
-            TenantMetric::QueueWaitUs,
-            u64::try_from(wait.as_micros()).unwrap_or(u64::MAX),
-        );
-        let span = cfg
-            .telemetry
-            .span_begin(SpanKind::ShardHandle, 0, "shard", shard as u64);
-        let reply = Self::handle(table, cfg, client, req, implicit);
-        cfg.telemetry.span_end(span);
-        reply
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.bus.shards.len()
-    }
-
-    /// Number of live members across all shards.
+    /// Number of live members across all sessions.
     pub fn client_count(&self) -> usize {
         self.bus.client_count()
     }
@@ -785,8 +767,8 @@ impl HarmonyServer {
 
     /// Start the observability plane: an HTTP responder on `addr` serving
     /// `/metrics`, `/status`, `/trials` and `/spans` from a dedicated thread.
-    /// Snapshots take each shard lock only briefly; the tuning hot path is
-    /// untouched. Bind to port 0 to let the OS pick; the bound address is on
+    /// Snapshots take each session's lock only briefly; the tuning hot
+    /// path is untouched. Bind to port 0 to let the OS pick; the bound address is on
     /// the returned [`ObserveHandle`].
     pub fn observe(&self, addr: &str) -> std::io::Result<ObserveHandle> {
         observe::start(addr, self.bus.clone(), self.config().clone())
@@ -818,15 +800,16 @@ impl HarmonyServer {
 
     /// Join an existing session, sending a tenant label along. The label
     /// is carried for the wire format's sake only: a member belongs to the
-    /// tenant its session was founded under, for dispatch fairness and
-    /// for quotas alike.
+    /// tenant its session was founded under, for accounting and for quotas
+    /// alike.
     pub fn attach_as(&self, session: u64, tenant: impl Into<String>) -> Result<HarmonyClient> {
         HarmonyClient::attach(self.bus(), session, tenant.into())
     }
 
-    /// Close every shard and return once each is idle: callers already
-    /// waiting for a shard are still served, later calls fail with
-    /// [`HarmonyError::Disconnected`]. Dropping the server does the same.
+    /// Refuse later requests and return once every admitted one has been
+    /// answered: callers already waiting for a session are still served,
+    /// later calls fail with [`HarmonyError::Disconnected`]. Dropping the
+    /// server does the same.
     pub fn shutdown(self) {
         drop(self);
     }
@@ -834,16 +817,12 @@ impl HarmonyServer {
     /// Requeue deadline-expired trials and evict silent members. Runs on
     /// every message addressed to a tuning session, with the sender's
     /// `last_seen` already refreshed (a client can never evict itself by
-    /// talking to the server).
-    fn sweep(
-        clients: &mut HashMap<u64, u64>,
-        state: &mut SessionState,
-        cfg: &ServerConfig,
-        now: Instant,
-    ) {
+    /// talking to the server). Returns the evicted members, for the caller
+    /// to take out of the table.
+    fn sweep(state: &mut SessionState, cfg: &ServerConfig, now: Instant) -> HashSet<u64> {
         let telemetry = &cfg.telemetry;
         let SessionPhase::Tuning(Tuning { outstanding, .. }) = &mut state.phase else {
-            return;
+            return HashSet::new();
         };
         // Members evicted by *this* sweep, so requeues below can name the
         // right cause (an eviction vs. an explicit leave).
@@ -857,7 +836,6 @@ impl HarmonyServer {
                 .collect();
             for id in dead {
                 state.members.remove(&id);
-                clients.remove(&id);
                 telemetry.inc(Counter::MembersEvicted);
                 telemetry.event(TrialStage::Evicted, 0, id, Some("ttl_expired"));
                 evicted.insert(id);
@@ -895,104 +873,7 @@ impl HarmonyServer {
                 t.requeued = true;
             }
         }
-    }
-
-    fn handle(
-        table: &mut ShardTable,
-        cfg: &ServerConfig,
-        client: u64,
-        req: Request,
-        implicit: bool,
-    ) -> Reply {
-        let now = Instant::now();
-        let ShardTable { sessions, clients } = table;
-        match req {
-            Request::Register { app, tenant } => {
-                // The id was allocated by the bus; it routed here, so this
-                // shard owns it. The new session's id is the founder's id.
-                let tenant = canonical_tenant(&tenant).to_string();
-                let stats = cfg.tenants.stats(&tenant);
-                // Claim-then-check keeps the cap exact when shards race.
-                let prior = stats.sessions.fetch_add(1, Ordering::Relaxed);
-                if let Some(max) = cfg.tenant_max_sessions {
-                    if prior >= max as u64 {
-                        stats.sessions.fetch_sub(1, Ordering::Relaxed);
-                        cfg.telemetry.inc(Counter::QuotaRefusals);
-                        cfg.telemetry
-                            .tenant_add(&tenant, TenantMetric::QuotaRefusals, 1);
-                        return Reply::QuotaExceeded { tenant };
-                    }
-                }
-                sessions.insert(
-                    client,
-                    SessionState {
-                        app,
-                        phase: SessionPhase::Building {
-                            builder: Some(SearchSpaceBuilder::default()),
-                        },
-                        members: HashMap::from([(client, Member { last_seen: now })]),
-                        tenant,
-                        tenant_stats: stats,
-                        unmatched_departures: 0,
-                    },
-                );
-                clients.insert(client, client);
-                Reply::Registered {
-                    client_id: client,
-                    session: client,
-                }
-            }
-            Request::Attach { session, tenant: _ } => {
-                let Some(state) = sessions.get_mut(&session) else {
-                    return Reply::err(format!("unknown session {session}"));
-                };
-                if state.members.is_empty() {
-                    // Reviving an abandoned session counts against the
-                    // founding tenant again.
-                    state.tenant_stats.sessions.fetch_add(1, Ordering::Relaxed);
-                }
-                state.unmatched_departures = state.unmatched_departures.saturating_sub(1);
-                state.members.insert(client, Member { last_seen: now });
-                clients.insert(client, session);
-                Reply::Registered {
-                    client_id: client,
-                    session,
-                }
-            }
-            other => {
-                let Some(&session_id) = clients.get(&client) else {
-                    return Reply::err(HarmonyError::UnknownClient(client).to_string());
-                };
-                let state = sessions
-                    .get_mut(&session_id)
-                    .expect("member maps to a live session");
-                if let Some(m) = state.members.get_mut(&client) {
-                    m.last_seen = now;
-                }
-                if matches!(other, Request::Leave) {
-                    clients.remove(&client);
-                    state.members.remove(&client);
-                    if state.members.is_empty() {
-                        state.tenant_stats.sessions.fetch_sub(1, Ordering::Relaxed);
-                    }
-                    state.unmatched_departures += usize::from(implicit);
-                    // sweep() requeues the leaver's outstanding trials.
-                    Self::sweep(clients, state, cfg, now);
-                    if state.members.is_empty() && state.unmatched_departures == 0 {
-                        // The last member said goodbye and nobody is due to
-                        // rejoin: the session ends, and its trials stop
-                        // counting against the tenant.
-                        if let SessionPhase::Tuning(tuning) = &mut state.phase {
-                            drain_outstanding(&mut tuning.outstanding, &state.tenant_stats);
-                        }
-                        sessions.remove(&session_id);
-                    }
-                    return Reply::Ok;
-                }
-                Self::sweep(clients, state, cfg, now);
-                Self::handle_for_session(state, cfg, client, session_id, other, now)
-            }
-        }
+        evicted
     }
 
     /// Serve one request of a session member. A session still declaring
@@ -1005,7 +886,6 @@ impl HarmonyServer {
         state: &mut SessionState,
         cfg: &ServerConfig,
         client: u64,
-        session_id: u64,
         req: Request,
         now: Instant,
     ) -> Reply {
@@ -1015,6 +895,7 @@ impl HarmonyServer {
         // Disjoint borrows: the store key (`app`) and tenant accounting are
         // read while `phase` is borrowed mutably.
         let SessionState {
+            id,
             app,
             phase,
             tenant,
@@ -1079,7 +960,7 @@ impl HarmonyServer {
             tenant,
             stats: tenant_stats,
             client,
-            session_id,
+            session_id: *id,
             now,
         };
         match req {
@@ -1309,22 +1190,34 @@ impl Tuning {
         // clamps how many may be issued (served hits complete immediately
         // and don't count), so no proposal is ever pulled from the strategy
         // and dropped; past `MAX_SERVED_PER_REQUEST` hits the memo stops
-        // answering and the rest are handed out.
-        let fresh_budget = cfg.tenant_max_inflight.map_or(usize::MAX, |cap| {
-            (cap as u64).saturating_sub(stats.inflight.load(Ordering::Relaxed)) as usize
-        });
+        // answering and the rest are handed out. The clamp is reserved
+        // against the cap in one step, so sessions of one tenant topping
+        // up at once never together pass it, and what is not issued is
+        // handed back.
+        let cap = cfg.tenant_max_inflight.map_or(u64::MAX, |cap| cap as u64);
+        let want = (max - trials.len()) as u64;
+        let room = |held: u64| want.min(cap.saturating_sub(held));
+        let prior = stats
+            .inflight
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |held| {
+                Some(held + room(held))
+            })
+            .expect("the update never declines");
+        let reserved = room(prior);
         let store = cfg.store.as_ref();
         let mut served = 0usize;
-        let batch =
-            session.suggest_batch_with((max - trials.len()).min(fresh_budget), |iteration, key| {
-                if served == MAX_SERVED_PER_REQUEST {
-                    return None;
-                }
-                let hit = store?.lookup_after(app, *fingerprint, key, last_hit)?;
-                served += 1;
-                *issued_high = (*issued_high).max(iteration);
-                Some(hit.cost)
-            });
+        let batch = session.suggest_batch_with(reserved as usize, |iteration, key| {
+            if served == MAX_SERVED_PER_REQUEST {
+                return None;
+            }
+            let hit = store?.lookup_after(app, *fingerprint, key, last_hit)?;
+            served += 1;
+            *issued_high = (*issued_high).max(iteration);
+            Some(hit.cost)
+        });
+        stats
+            .inflight
+            .fetch_sub(reserved - batch.len() as u64, Ordering::Relaxed);
         for trial in batch {
             *issued_high = (*issued_high).max(trial.iteration);
             telemetry.inc(Counter::TrialsFetched);
@@ -1333,7 +1226,6 @@ impl Tuning {
                 config: trial.config.clone(),
                 iteration: trial.iteration,
             });
-            stats.inflight.fetch_add(1, Ordering::Relaxed);
             outstanding.push_back(OutstandingTrial {
                 trial,
                 owner: client,
@@ -1345,7 +1237,7 @@ impl Tuning {
         if finished {
             drain_outstanding(outstanding, stats);
         }
-        let refused = trials.is_empty() && !finished && fresh_budget == 0;
+        let refused = trials.is_empty() && !finished && prior >= cap;
         TopUp {
             trials,
             finished,
@@ -1405,12 +1297,7 @@ impl Drop for HarmonyServer {
         for h in self.sync_handles.drain(..) {
             let _ = h.join();
         }
-        // Close every shard first, so they wind down together, then wait
-        // for the busy ones.
-        let busy: Vec<Arc<Ticket>> = self.bus.shards.iter().filter_map(Shard::close).collect();
-        for closer in busy {
-            closer.wait();
-        }
+        self.bus.gate.close();
     }
 }
 
@@ -1544,7 +1431,7 @@ mod tests {
 
     #[test]
     fn serial_replies_keep_their_shape_through_the_batch_arms() {
-        let server = HarmonyServer::start_with(1);
+        let server = HarmonyServer::start();
         let founder = server.connect("shapes").unwrap();
         founder.add_param(Param::int("n", 0, 100, 1)).unwrap();
         founder
@@ -1592,7 +1479,7 @@ mod tests {
         // fetch had drained it. The one report arm drains on every stop, so
         // the second answer is the one kept: a stopped session holds no
         // fetch of anybody's.
-        let server = HarmonyServer::start_with(1);
+        let server = HarmonyServer::start();
         let founder = server.connect("late").unwrap();
         founder.add_param(Param::int("n", 0, 100, 1)).unwrap();
         founder
@@ -1656,7 +1543,7 @@ mod tests {
 
     #[test]
     fn attached_member_shares_the_session() {
-        let server = HarmonyServer::start_with(3);
+        let server = HarmonyServer::start();
         let founder = server.connect("pool").unwrap();
         founder.add_param(Param::int("x", 0, 100, 1)).unwrap();
         founder
@@ -1703,7 +1590,7 @@ mod tests {
 
     #[test]
     fn leave_requeues_outstanding_trials_for_other_members() {
-        let server = HarmonyServer::start_with(2);
+        let server = HarmonyServer::start();
         let founder = server.connect("pool").unwrap();
         founder.add_param(Param::int("x", 0, 100, 1)).unwrap();
         founder
@@ -1733,7 +1620,6 @@ mod tests {
     #[test]
     fn trial_deadline_requeues_stragglers() {
         let server = HarmonyServer::start_with_config(ServerConfig {
-            shards: 1,
             trial_deadline: Some(Duration::from_millis(30)),
             ..Default::default()
         });
@@ -1771,7 +1657,6 @@ mod tests {
     #[test]
     fn client_ttl_evicts_silent_members() {
         let server = HarmonyServer::start_with_config(ServerConfig {
-            shards: 1,
             client_ttl: Some(Duration::from_millis(30)),
             ..Default::default()
         });
@@ -1805,7 +1690,6 @@ mod tests {
     #[test]
     fn heartbeat_keeps_a_member_alive() {
         let server = HarmonyServer::start_with_config(ServerConfig {
-            shards: 1,
             client_ttl: Some(Duration::from_millis(40)),
             ..Default::default()
         });
@@ -1849,7 +1733,6 @@ mod tests {
         };
         let connect = |store: &SharedStore| {
             let server = HarmonyServer::start_with_config(ServerConfig {
-                shards: 2,
                 store: Some(store.clone()),
                 ..Default::default()
             });
@@ -1936,7 +1819,6 @@ mod tests {
         };
         let run = |store: Option<SharedStore>, evals: usize| {
             let server = HarmonyServer::start_with_config(ServerConfig {
-                shards: 1,
                 store,
                 ..Default::default()
             });
@@ -2031,7 +1913,6 @@ mod tests {
     fn a_report_batch_that_fails_partway_still_records_what_it_applied() {
         let (store, fingerprint) = fresh_store("partway");
         let server = HarmonyServer::start_with_config(ServerConfig {
-            shards: 1,
             store: Some(store.clone()),
             ..Default::default()
         });
@@ -2063,7 +1944,7 @@ mod tests {
     #[test]
     fn a_report_for_a_served_iteration_is_dropped_as_stale() {
         // The reference campaign, measured with no store.
-        let server = HarmonyServer::start_with(1);
+        let server = HarmonyServer::start();
         let client = server.connect("served").unwrap();
         declare_xy(&client, 6);
         loop {
@@ -2086,7 +1967,6 @@ mod tests {
         }
         let telemetry = Telemetry::enabled();
         let server = HarmonyServer::start_with_config(ServerConfig {
-            shards: 1,
             store: Some(store),
             telemetry: telemetry.clone(),
             ..Default::default()
@@ -2125,10 +2005,11 @@ mod tests {
         bus.dispatch(client, req).expect("running")
     }
 
-    /// How many trials `client`'s session has out, read off its shard.
+    /// How many trials `client`'s session has out, read off its cell.
     fn outstanding(bus: &ServerBus, client: u64) -> usize {
-        let table = lock(&bus.shards[bus.shard_of(client)].table);
-        match &table.sessions[&table.clients[&client]].phase {
+        let cell = Arc::clone(&read(&bus.table).clients[&client]);
+        let state = lock(&cell);
+        match &state.phase {
             SessionPhase::Tuning(tuning) => tuning.outstanding.len(),
             SessionPhase::Building { .. } => 0,
         }
@@ -2147,7 +2028,6 @@ mod tests {
     fn exchange_reporting_an_unknown_iteration_is_an_error_and_issues_nothing() {
         let telemetry = Telemetry::enabled();
         let server = HarmonyServer::start_with_config(ServerConfig {
-            shards: 1,
             telemetry: telemetry.clone(),
             ..Default::default()
         });
@@ -2183,7 +2063,6 @@ mod tests {
     fn exchange_refused_by_the_inflight_quota_still_applies_its_report() {
         let telemetry = Telemetry::enabled();
         let server = HarmonyServer::start_with_config(ServerConfig {
-            shards: 1,
             tenant_max_inflight: Some(1),
             telemetry: telemetry.clone(),
             ..Default::default()
@@ -2191,10 +2070,10 @@ mod tests {
         let client = server.connect_as("quota", "team").unwrap();
         declare_xy(&client, 50);
         let (trials, _) = client.fetch_batch(1).unwrap();
-        // The cap is checked per top-up, not claimed, so top-ups racing on
-        // two shards can leave the tenant holding one trial past it. This
-        // stands in for the other shard's; without it, the slot the report
-        // frees is always there for the top-up.
+        // Another session of the tenant may take the slot the report frees
+        // before this session's top-up reserves it: its cell is not this
+        // one's. This stands in for that session's trial; without it, the
+        // slot is always there for the top-up.
         let stats = server.config().tenants.stats("team");
         stats.inflight.fetch_add(1, Ordering::Relaxed);
         let report = TrialReport {
@@ -2223,7 +2102,7 @@ mod tests {
 
     #[test]
     fn exchange_that_finishes_the_session_says_so() {
-        let server = HarmonyServer::start_with(1);
+        let server = HarmonyServer::start();
         let client = server.connect_as("last", "team").unwrap();
         declare_xy(&client, 1);
         let (trials, _) = client.fetch_batch(1).unwrap();
@@ -2249,7 +2128,7 @@ mod tests {
 
     #[test]
     fn attach_to_unknown_session_fails() {
-        let server = HarmonyServer::start_with(2);
+        let server = HarmonyServer::start();
         let err = server.attach(999_999).unwrap_err();
         assert!(err.to_string().contains("unknown session"), "{err}");
         server.shutdown();
@@ -2258,7 +2137,6 @@ mod tests {
     #[test]
     fn session_quota_refuses_then_frees_on_leave() {
         let server = HarmonyServer::start_with_config(ServerConfig {
-            shards: 2,
             tenant_max_sessions: Some(1),
             ..Default::default()
         });
@@ -2291,7 +2169,6 @@ mod tests {
     fn inflight_quota_clamps_batches_and_refuses_empty_handed_fetches() {
         let telemetry = Telemetry::enabled();
         let server = HarmonyServer::start_with_config(ServerConfig {
-            shards: 1,
             tenant_max_inflight: Some(2),
             telemetry: telemetry.clone(),
             ..Default::default()
@@ -2393,7 +2270,6 @@ mod tests {
         // Server A measures a campaign and exposes its log over /store/log.
         let store_a = SharedStore::open(&path_a).unwrap();
         let server_a = HarmonyServer::start_with_config(ServerConfig {
-            shards: 1,
             store: Some(store_a.clone()),
             ..Default::default()
         });
@@ -2405,7 +2281,6 @@ mod tests {
         // Server B starts on an empty store with A as its anti-entropy peer.
         let store_b = SharedStore::open(&path_b).unwrap();
         let server_b = HarmonyServer::start_with_config(ServerConfig {
-            shards: 1,
             store: Some(store_b.clone()),
             sync_peers: vec![observe_a.addr().to_string()],
             sync_interval: Duration::from_millis(25),
@@ -2453,14 +2328,12 @@ mod tests {
         seeded.push(record(0.0, 0.5));
         store_a.insert_batch(seeded).unwrap();
         let server_a = HarmonyServer::start_with_config(ServerConfig {
-            shards: 1,
             store: Some(store_a.clone()),
             ..Default::default()
         });
         let observe_a = server_a.observe("127.0.0.1:0").unwrap();
         let store_b = SharedStore::open(&path_b).unwrap();
         let server_b = HarmonyServer::start_with_config(ServerConfig {
-            shards: 1,
             store: Some(store_b.clone()),
             sync_peers: vec![observe_a.addr().to_string()],
             sync_interval: Duration::from_millis(10),
@@ -2497,32 +2370,6 @@ mod tests {
         server_a.shutdown();
     }
 
-    #[test]
-    fn attach_routes_to_the_founders_shard() {
-        // Exercise id allocation across several shard counts: an attached
-        // member must always land on the shard owning the session.
-        for shards in [1usize, 2, 3, 5, 8] {
-            let server = HarmonyServer::start_with(shards);
-            let founder = server.connect("route").unwrap();
-            founder.add_param(Param::int("x", 0, 10, 1)).unwrap();
-            founder
-                .seal(SessionOptions::default(), StrategyKind::Random)
-                .unwrap();
-            for _ in 0..3 {
-                let w = server.attach(founder.session_id()).unwrap();
-                assert_eq!(
-                    w.id() % shards as u64,
-                    founder.id() % shards as u64,
-                    "shards={shards}"
-                );
-                let (trials, _) = w.fetch_batch(1).unwrap();
-                assert_eq!(trials.len(), 1);
-                w.leave().unwrap();
-            }
-            server.shutdown();
-        }
-    }
-
     fn register(bus: &ServerBus, tenant: &str) -> u64 {
         let req = Request::Register {
             app: "dispatch".into(),
@@ -2545,7 +2392,7 @@ mod tests {
 
     #[test]
     fn dispatch_serves_an_idle_shard_on_the_caller() {
-        let server = HarmonyServer::start_with(1);
+        let server = HarmonyServer::start();
         let bus = server.bus();
         let req = Request::Register {
             app: "idle".into(),
@@ -2553,9 +2400,8 @@ mod tests {
         };
         let reply = bus.dispatch(0, req).unwrap();
         assert!(matches!(reply, Reply::Registered { .. }), "{reply:?}");
-        // Nobody waited, and the shard was released: this thread takes it
-        // again at once.
-        assert_eq!(bus.queue_depths(), vec![0]);
+        // The request was answered and counts no more.
+        assert_eq!(bus.gate.admitted(), 0);
         assert!(matches!(
             call(&bus, 0, Request::Heartbeat),
             Reply::Error { .. }
@@ -2564,103 +2410,90 @@ mod tests {
     }
 
     #[test]
-    fn a_busy_shard_is_handed_to_its_waiters_in_drr_order() {
-        let server = HarmonyServer::start_with(1);
-        let bus = server.bus();
-        let big = register(&bus, "big");
-        let small = register(&bus, "small");
-        // Hold the shard, then park twenty waiters of the big tenant and
-        // one of the small one behind it, each once the one before it has
-        // parked.
-        let held = bus.shards[0]
-            .enter(big, &Request::Heartbeat, &bus.cfg.tenants)
-            .unwrap();
-        let admitted = Arc::new(Mutex::new(Vec::new()));
-        let arrivals = (0..20).map(|token| (big, token)).chain([(small, 100)]);
-        let waiters: Vec<_> = arrivals
-            .enumerate()
-            .map(|(ahead, (client, token))| {
-                let (waiter_bus, admitted) = (bus.clone(), Arc::clone(&admitted));
-                let waiter = std::thread::spawn(move || {
-                    let tenants = &waiter_bus.cfg.tenants;
-                    let _held = waiter_bus.shards[0]
-                        .enter(client, &Request::Heartbeat, tenants)
-                        .unwrap();
-                    lock(&admitted).push(token);
-                });
-                wait_until("the waiter parks", || {
-                    bus.queue_depths() == vec![ahead as u64 + 1]
-                });
-                waiter
-            })
-            .collect();
-        assert_eq!(bus.queue_depths(), vec![21]);
-        assert!(
-            lock(&admitted).is_empty(),
-            "admitted while the shard was held"
-        );
-        drop(held);
-        for waiter in waiters {
-            waiter.join().unwrap();
-        }
-        // One quantum of the flood, then the small tenant's turn, then the
-        // rest of the flood.
-        let expected: Vec<u64> = (0..DRR_QUANTUM)
-            .chain([100])
-            .chain(DRR_QUANTUM..20)
-            .collect();
-        assert_eq!(*lock(&admitted), expected);
-        assert_eq!(bus.queue_depths(), vec![0]);
-        let queued = |tenant: &str| bus.cfg.tenants.stats(tenant).queued.load(Ordering::Relaxed);
-        assert_eq!((queued("big"), queued("small")), (0, 0));
-        // The shard is free again: the next request is served at once.
-        assert!(matches!(call(&bus, small, Request::Heartbeat), Reply::Ok));
-        server.shutdown();
-    }
-
-    #[test]
     fn shutdown_serves_the_waiters_refuses_later_callers_and_returns_once_idle() {
-        let server = HarmonyServer::start_with(1);
+        let server = HarmonyServer::start();
         let bus = server.bus();
         let client = register(&bus, "");
-        let shard = &bus.shards[0];
-        let held = shard
-            .enter(client, &Request::Heartbeat, &bus.cfg.tenants)
-            .unwrap();
+        let cell = Arc::clone(&read(&bus.table).clients[&client]);
+        let held = lock(&cell);
         let waiter = {
             let bus = bus.clone();
             std::thread::spawn(move || bus.dispatch(client, Request::Heartbeat))
         };
-        wait_until("the waiter parks", || bus.queue_depths() == vec![1]);
+        wait_until("the waiter is admitted", || bus.gate.admitted() == 1);
         let stopper = std::thread::spawn(move || server.shutdown());
-        wait_until("the shard closes", || lock(&shard.admission).is_closed());
-        // A later caller is refused at once, though the shard is busy.
+        wait_until("the server closes", || {
+            bus.gate.0.load(Ordering::Acquire) & CLOSED != 0
+        });
+        // A later caller is refused at once, though its session is busy.
         let refused = bus.dispatch(client, Request::Heartbeat).unwrap_err();
         assert_eq!(refused, HarmonyError::Disconnected);
         std::thread::sleep(Duration::from_millis(50));
         assert!(
             !stopper.is_finished(),
-            "shutdown returned while the shard was held"
+            "shutdown returned while a request was waiting for its session"
         );
         drop(held);
         // The caller that was already waiting is still served.
         let served = waiter.join().unwrap();
         assert!(matches!(served, Ok(Reply::Ok)), "{served:?}");
         stopper.join().unwrap();
-        assert_eq!(bus.queue_depths(), vec![0]);
+        assert_eq!(bus.gate.admitted(), 0);
         let refused = bus.dispatch(client, Request::Heartbeat).unwrap_err();
         assert_eq!(refused, HarmonyError::Disconnected);
     }
 
+    #[test]
+    fn callers_that_waited_for_a_session_that_went_find_it_gone() {
+        let server = HarmonyServer::start();
+        let bus = server.bus();
+        let founder = register(&bus, "team");
+        let cell = Arc::clone(&read(&bus.table).sessions[&founder]);
+        let mut held = lock(&cell);
+        // An attach and the founder's heartbeat each take the cell out of
+        // the table, then wait for it: two references besides the table's
+        // two and this test's.
+        let attach = {
+            let bus = bus.clone();
+            let req = Request::Attach {
+                session: founder,
+                tenant: String::new(),
+            };
+            std::thread::spawn(move || call(&bus, 0, req))
+        };
+        let heartbeat = {
+            let bus = bus.clone();
+            std::thread::spawn(move || call(&bus, founder, Request::Heartbeat))
+        };
+        wait_until("both wait for the cell", || Arc::strong_count(&cell) == 5);
+        // Meanwhile the session leaves the table, as at its last `Leave`.
+        held.members.clear();
+        held.ended = true;
+        let mut table = write(&bus.table);
+        table.sessions.remove(&founder);
+        table.clients.remove(&founder);
+        drop(table);
+        drop(held);
+        let unknown = format!("unknown session {founder}");
+        assert!(
+            matches!(attach.join().unwrap(), Reply::Error { message, .. } if message == unknown)
+        );
+        let stranger = HarmonyError::UnknownClient(founder).to_string();
+        assert!(
+            matches!(heartbeat.join().unwrap(), Reply::Error { message, .. } if message == stranger)
+        );
+        assert_eq!(server.client_count(), 0);
+        server.shutdown();
+    }
+
     fn served(server: &HarmonyServer, tenant: &str) -> u64 {
         let rows = server.config().tenants.snapshot();
-        rows.iter().find(|r| r.0 == tenant).map_or(0, |r| r.4)
+        rows.iter().find(|r| r.0 == tenant).map_or(0, |r| r.3)
     }
 
     #[test]
     fn evicted_member_leaves_no_per_client_state_on_its_shard() {
         let server = HarmonyServer::start_with_config(ServerConfig {
-            shards: 1,
             client_ttl: Some(Duration::from_millis(30)),
             ..Default::default()
         });
@@ -2687,7 +2520,7 @@ mod tests {
 
     #[test]
     fn attached_member_with_a_foreign_label_is_served_in_the_founders_queue() {
-        let server = HarmonyServer::start_with(1);
+        let server = HarmonyServer::start();
         let founder = server.connect_as("pool", "team-a").unwrap();
         let worker = server.attach_as(founder.session_id(), "team-b").unwrap();
         for _ in 0..5 {
@@ -2698,22 +2531,6 @@ mod tests {
         assert_eq!(served(&server, "team-a"), 7);
         let rows = server.config().tenants.snapshot();
         assert!(rows.iter().all(|r| r.0 != "team-b"), "{rows:?}");
-        // The classifier that files waiters and accounts served requests
-        // agrees, for the member's requests and for the attach itself.
-        let bus = server.bus();
-        let table = lock(&bus.shards[0].table);
-        let tenant_of = |client: u64, req: Request| {
-            table
-                .tenant_of(&Claim::of(client, &req), &bus.cfg.tenants)
-                .0
-        };
-        assert_eq!(tenant_of(worker.id(), Request::Heartbeat), "team-a");
-        let attach = Request::Attach {
-            session: founder.session_id(),
-            tenant: "team-b".into(),
-        };
-        assert_eq!(tenant_of(0, attach), "team-a");
-        drop(table);
         server.shutdown();
     }
 
@@ -2739,8 +2556,159 @@ mod tests {
     }
 
     #[test]
+    fn inflight_quota_is_exact_when_sessions_top_up_at_once() {
+        // Eight sessions of one tenant top up at once under a cap of four:
+        // whichever order their top-ups run in, together they never hold
+        // more than four trials.
+        const SESSIONS: usize = 8;
+        const CAP: usize = 4;
+        for round in 0..200 {
+            let server = HarmonyServer::start_with_config(ServerConfig {
+                tenant_max_inflight: Some(CAP),
+                ..Default::default()
+            });
+            let clients: Vec<HarmonyClient> = (0..SESSIONS)
+                .map(|i| {
+                    let client = server.connect_as(format!("race-{i}"), "team").unwrap();
+                    declare_xy(&client, 40);
+                    client
+                })
+                .collect();
+            let barrier = std::sync::Barrier::new(SESSIONS);
+            let held: usize = std::thread::scope(|s| {
+                let fetchers: Vec<_> = clients
+                    .iter()
+                    .map(|client| {
+                        let barrier = &barrier;
+                        s.spawn(move || {
+                            barrier.wait();
+                            client
+                                .fetch_batch(CAP)
+                                .map_or(0, |(trials, _)| trials.len())
+                        })
+                    })
+                    .collect();
+                fetchers.into_iter().map(|f| f.join().unwrap()).sum()
+            });
+            assert!(held <= CAP, "round {round}: the tenant holds {held} trials");
+            assert_eq!(inflight(&server, "team"), held as u64, "round {round}");
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn table_and_cells_agree_after_racing_membership_changes() {
+        let telemetry = Telemetry::enabled();
+        let server = HarmonyServer::start_with_config(ServerConfig {
+            client_ttl: Some(Duration::from_millis(2)),
+            telemetry: telemetry.clone(),
+            ..Default::default()
+        });
+        let bus = server.bus();
+        let sessions: Vec<u64> = (0..3)
+            .map(|_| {
+                let founder = server.connect_as("race", "team").unwrap();
+                declare_xy(&founder, 1_000_000);
+                founder.session_id()
+            })
+            .collect();
+        // Four threads attach to the sessions, fetch and report part of
+        // what they fetched, leave, depart as a dead connection would, and
+        // go silent past the TTL so that the others' sweeps evict them.
+        std::thread::scope(|s| {
+            for thread in 0..4u64 {
+                let (bus, sessions) = (&bus, &sessions);
+                s.spawn(move || {
+                    let mut state = (thread + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let mut next = move |n: usize| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        (state % n as u64) as usize
+                    };
+                    let mut mine: Vec<u64> = Vec::new();
+                    for _ in 0..300 {
+                        match next(6) {
+                            0 | 1 if mine.len() < 3 => {
+                                let req = Request::Attach {
+                                    session: sessions[next(sessions.len())],
+                                    tenant: String::new(),
+                                };
+                                if let Reply::Registered { client_id, .. } = call(bus, 0, req) {
+                                    mine.push(client_id);
+                                }
+                            }
+                            _ if mine.is_empty() => {}
+                            2 => {
+                                let client = mine.swap_remove(next(mine.len()));
+                                call(bus, client, Request::Leave);
+                            }
+                            3 => {
+                                let client = mine.swap_remove(next(mine.len()));
+                                bus.depart(client).unwrap();
+                            }
+                            4 => std::thread::sleep(Duration::from_millis(3)),
+                            _ => {
+                                let client = mine[next(mine.len())];
+                                let req = Request::FetchBatch { max: 2 };
+                                if let Reply::Configs { trials, .. } = call(bus, client, req) {
+                                    let reports = trials
+                                        .iter()
+                                        .take(1)
+                                        .map(|t| TrialReport {
+                                            iteration: t.iteration,
+                                            cost: xy_cost(&t.config),
+                                            wall_time: 0.0,
+                                        })
+                                        .collect();
+                                    call(bus, client, Request::ReportBatch { reports });
+                                }
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        assert!(telemetry.counter(Counter::MembersEvicted) > 0);
+        // Cells are locked only after the table lock is dropped.
+        let (sessions, clients): (HashMap<u64, Cell>, HashMap<u64, Cell>) = {
+            let table = read(&bus.table);
+            (table.sessions.clone(), table.clients.clone())
+        };
+        for (client, cell) in &clients {
+            let state = lock(cell);
+            assert!(!state.ended, "client {client} maps to an ended session");
+            assert!(
+                state.members.contains_key(client),
+                "client {client} is no member of session {}",
+                state.id
+            );
+            assert!(Arc::ptr_eq(&sessions[&state.id], cell), "client {client}");
+        }
+        let (mut live, mut held) = (0, 0);
+        for (id, cell) in &sessions {
+            let state = lock(cell);
+            assert_eq!(state.id, *id);
+            assert!(!state.ended, "session {id} ended but is in the table");
+            for member in state.members.keys() {
+                let entry = clients.get(member);
+                assert!(
+                    entry.is_some_and(|c| Arc::ptr_eq(c, cell)),
+                    "member {member}"
+                );
+            }
+            live += u64::from(!state.members.is_empty());
+            if let SessionPhase::Tuning(tuning) = &state.phase {
+                held += tuning.outstanding.len() as u64;
+            }
+        }
+        assert_eq!(holdings(&server, "team"), (live, held));
+        server.shutdown();
+    }
+
+    #[test]
     fn lifecycle_a_last_explicit_leave_ends_the_session() {
-        let server = HarmonyServer::start_with(2);
+        let server = HarmonyServer::start();
         let observe = server.observe("127.0.0.1:0").unwrap();
         let (founder, worker) = pool(&server, "team");
         let session = founder.session_id();
@@ -2766,7 +2734,6 @@ mod tests {
     #[test]
     fn lifecycle_ttl_eviction_leaves_the_session_revivable() {
         let server = HarmonyServer::start_with_config(ServerConfig {
-            shards: 1,
             client_ttl: Some(Duration::from_millis(30)),
             ..Default::default()
         });
@@ -2796,7 +2763,7 @@ mod tests {
 
     #[test]
     fn lifecycle_a_crashed_worker_and_the_founders_leave_keep_the_session_for_the_worker() {
-        let server = HarmonyServer::start_with(1);
+        let server = HarmonyServer::start();
         let (founder, worker) = pool(&server, "team");
         let session = founder.session_id();
         let (held, _) = worker.fetch_batch(2).unwrap();
@@ -2818,7 +2785,7 @@ mod tests {
 
     #[test]
     fn lifecycle_a_last_implicit_departure_leaves_the_session_revivable() {
-        let server = HarmonyServer::start_with(1);
+        let server = HarmonyServer::start();
         let founder = server.connect_as("solo", "team").unwrap();
         declare_xy(&founder, 40);
         let session = founder.session_id();

@@ -6,11 +6,10 @@
 //! the responder runs on its own thread and answers:
 //!
 //! * `GET /metrics` — Prometheus text exposition (version 0.0.4) of every
-//!   telemetry counter and latency histogram, plus per-shard queue-depth
-//!   gauges.
+//!   telemetry counter and latency histogram.
 //! * `GET /status` — JSON: per-session strategy, best-so-far cost and
 //!   configuration, simplex vertex costs and spread, evaluations done,
-//!   pending/outstanding/requeued trial counts, per-shard queue depths,
+//!   pending/outstanding/requeued trial counts, per-tenant holdings,
 //!   store hit rate and WAL position.
 //! * `GET /trials?n=K` — the last `K` trial lifecycle events from the
 //!   telemetry ring (all of them without `n`).
@@ -29,7 +28,7 @@
 //! * `GET /` — an index of the routes above.
 //!
 //! Everything stays off the tuning hot path: building a response takes each
-//! shard lock only long enough to copy a [`SearchSnapshot`] out, and the
+//! session's lock only long enough to copy a [`SearchSnapshot`] out, and the
 //! threads serving requests never block on the responder. The implementation is
 //! hand-rolled over [`std::net::TcpListener`] — the repo builds offline
 //! against vendored crates only, so no HTTP dependency is available, and
@@ -125,7 +124,7 @@ impl Drop for ObserveHandle {
 }
 
 /// Everything a connection thread needs to answer any route: the bus for
-/// shard snapshots, the config for telemetry/store/peers, the last-good
+/// session snapshots, the config for telemetry/store/peers, the last-good
 /// peer snapshot cache behind `/fleet`, this responder's own bound
 /// address (its identity in the fleet view), and the shared stop flag.
 struct ObserveCtx {
@@ -259,17 +258,13 @@ fn serve_connection(stream: TcpStream, ctx: &ObserveCtx) -> std::io::Result<()> 
                 &render(index_json()),
                 close,
             )?,
-            "/metrics" => {
-                let mut body = cfg.telemetry.prometheus();
-                body.push_str(&queue_depth_exposition(bus));
-                respond(
-                    stream,
-                    200,
-                    "text/plain; version=0.0.4; charset=utf-8",
-                    &body,
-                    close,
-                )?
-            }
+            "/metrics" => respond(
+                stream,
+                200,
+                "text/plain; version=0.0.4; charset=utf-8",
+                &cfg.telemetry.prometheus(),
+                close,
+            )?,
             "/metrics/history" => match &cfg.timeseries {
                 Some(series) => {
                     let window =
@@ -510,12 +505,6 @@ fn fleet_row(
         .and_then(Value::as_array)
         .map(|s| s.len())
         .unwrap_or(0);
-    let queue_depth: u64 = status
-        .get("server")
-        .and_then(|s| s.get("queue_depths"))
-        .and_then(Value::as_array)
-        .map(|d| d.iter().filter_map(Value::as_u64).sum())
-        .unwrap_or(0);
     let store_records = status
         .get("store")
         .and_then(|s| s.get("records"))
@@ -527,7 +516,6 @@ fn fleet_row(
         "fresh": fresh,
         "age_s": age_s,
         "sessions": sessions,
-        "queue_depth": queue_depth,
         "store_records": store_records,
         "evaluations": exposition_counter(metrics, "trials_reported"),
         "reports": exposition_counter(metrics, "trials_measured"),
@@ -545,8 +533,7 @@ fn fleet_json(ctx: &ObserveCtx) -> Value {
     // Self: build the same row from local state, no HTTP round trip.
     let self_addr = ctx.local.to_string();
     let status = status_json(&ctx.bus, &ctx.cfg);
-    let mut metrics = ctx.cfg.telemetry.prometheus();
-    metrics.push_str(&queue_depth_exposition(&ctx.bus));
+    let metrics = ctx.cfg.telemetry.prometheus();
     rows.push(fleet_row(&self_addr, true, true, 0.0, &status, &metrics));
 
     for peer in &ctx.cfg.sync_peers {
@@ -656,29 +643,17 @@ fn fleet_json(ctx: &ObserveCtx) -> Value {
     })
 }
 
-/// Per-shard queue depth as a Prometheus gauge, appended to the telemetry
-/// exposition (the depths live on the bus, not in the telemetry handle).
-fn queue_depth_exposition(bus: &ServerBus) -> String {
-    let mut out = String::from(
-        "# HELP ah_shard_queue_depth Requests waiting for their shard while another holds it.\n\
-         # TYPE ah_shard_queue_depth gauge\n",
-    );
-    for (i, depth) in bus.queue_depths().iter().enumerate() {
-        out.push_str(&format!("ah_shard_queue_depth{{shard=\"{i}\"}} {depth}\n"));
-    }
-    out
-}
-
-/// The `/status` document. Takes each shard lock once, briefly.
+/// The `/status` document. Takes each session's lock once, briefly, after
+/// the table's is dropped.
 fn status_json(bus: &ServerBus, cfg: &ServerConfig) -> Value {
     let mut sessions: Vec<(u64, Value)> = Vec::new();
-    for (shard_idx, shard) in bus.shards.iter().enumerate() {
-        let table = lock(&shard.table);
-        for (&id, state) in table.sessions.iter() {
-            sessions.push((id, session_json(shard_idx, id, state)));
+    for cell in bus.cells() {
+        let state = lock(&cell);
+        if !state.ended {
+            sessions.push((state.id, session_json(&state)));
         }
     }
-    // Shard iteration order is arbitrary; keep the document stable.
+    // Table iteration order is arbitrary; keep the document stable.
     sessions.sort_by_key(|(id, _)| *id);
     let sessions: Vec<Value> = sessions.into_iter().map(|(_, v)| v).collect();
 
@@ -694,21 +669,18 @@ fn status_json(bus: &ServerBus, cfg: &ServerConfig) -> Value {
         .tenants
         .snapshot()
         .into_iter()
-        .map(|(name, sessions, inflight, queued, served)| {
+        .map(|(name, sessions, inflight, served)| {
             json!({
                 "tenant": name,
                 "sessions": sessions,
                 "inflight": inflight,
-                "queued": queued,
                 "served": served,
             })
         })
         .collect();
     json!({
         "server": {
-            "shards": bus.shards.len(),
             "clients": bus.client_count(),
-            "queue_depths": bus.queue_depths(),
         },
         "sessions": Value::Array(sessions),
         "tenants": Value::Array(tenants),
@@ -749,12 +721,12 @@ fn status_json(bus: &ServerBus, cfg: &ServerConfig) -> Value {
     })
 }
 
-fn session_json(shard: usize, id: u64, state: &SessionState) -> Value {
+fn session_json(state: &SessionState) -> Value {
+    let id = state.id;
     match &state.phase {
         SessionPhase::Building { .. } => json!({
             "session": id,
             "app": state.app.clone(),
-            "shard": shard,
             "members": state.members.len(),
             "phase": "building",
         }),
@@ -771,7 +743,6 @@ fn session_json(shard: usize, id: u64, state: &SessionState) -> Value {
             json!({
                 "session": id,
                 "app": state.app.clone(),
-                "shard": shard,
                 "members": state.members.len(),
                 "phase": "tuning",
                 "strategy": snap.strategy,
@@ -845,7 +816,6 @@ mod tests {
 
     fn observed_server() -> (HarmonyServer, ObserveHandle) {
         let server = HarmonyServer::start_with_config(ServerConfig {
-            shards: 2,
             telemetry: Telemetry::enabled(),
             ..Default::default()
         });
@@ -886,14 +856,6 @@ mod tests {
         let (code, body) = http_get(&addr, "/metrics").unwrap();
         assert_eq!(code, 200);
         assert!(body.contains("ah_trials_reported_total"), "{body}");
-        assert!(
-            body.contains("ah_shard_queue_depth{shard=\"0\"} "),
-            "{body}"
-        );
-        assert!(
-            body.contains("ah_shard_queue_depth{shard=\"1\"} "),
-            "{body}"
-        );
 
         let (code, body) = http_get(&addr, "/status").unwrap();
         assert_eq!(code, 200);
@@ -914,12 +876,6 @@ mod tests {
             .and_then(Value::as_array)
             .unwrap()
             .is_empty());
-        let depths = doc
-            .get("server")
-            .and_then(|v| v.get("queue_depths"))
-            .and_then(Value::as_array)
-            .unwrap();
-        assert_eq!(depths.len(), 2);
 
         let (code, body) = http_get(&addr, "/trials?n=5").unwrap();
         assert_eq!(code, 200);
@@ -1016,7 +972,7 @@ mod tests {
 
     #[test]
     fn unknown_methods_and_disabled_telemetry_are_handled() {
-        let server = HarmonyServer::start_with(1);
+        let server = HarmonyServer::start();
         let observe = server.observe("127.0.0.1:0").unwrap();
         let addr = observe.addr().to_string();
 

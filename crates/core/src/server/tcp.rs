@@ -5,7 +5,7 @@
 //! [`protocol`](super::protocol) on a socket: one JSON message per line,
 //! one tuning client per connection. The in-process
 //! [`HarmonyServer`](super::HarmonyServer) remains the adaptation
-//! controller; connections are bridged onto its sharded message bus.
+//! controller; connections are bridged onto its message bus.
 //!
 //! The bridging is done by the nonblocking readiness
 //! [`event loop`](super::event_loop): an accept thread hands each socket to
@@ -178,7 +178,7 @@ impl TcpHarmonyServer {
     }
 
     /// The in-process server behind the socket: clients connected through
-    /// it share shards and sessions with the TCP clients.
+    /// it share sessions with the TCP clients.
     pub fn inproc(&self) -> &HarmonyServer {
         self.inner.as_ref().expect("server not shut down")
     }
@@ -900,16 +900,10 @@ mod tests {
         // overflows the session's `max + max_cached_replays` queue bound:
         // a debug build panics the thread serving it, and the loop thread's
         // other connections go down with it.
-        let server = TcpHarmonyServer::bind_with(
-            "127.0.0.1:0",
-            64,
-            crate::server::ServerConfig {
-                shards: 1,
-                ..Default::default()
-            },
-        )
-        .expect("bind");
-        // The deadline turns a dead shard into a failed read, not a hang.
+        let server =
+            TcpHarmonyServer::bind_with("127.0.0.1:0", 64, crate::server::ServerConfig::default())
+                .expect("bind");
+        // The deadline turns a dead server into a failed read, not a hang.
         let opts = TcpClientOptions {
             io_timeout: Some(Duration::from_secs(10)),
             ..Default::default()
@@ -939,7 +933,7 @@ mod tests {
         };
         assert!(!finished);
         assert_eq!(trials.len(), clamp);
-        // The shard is still serving.
+        // The server is still serving.
         let second = TcpHarmonyClient::connect(server.local_addr(), "after");
         assert!(second.is_ok(), "{:?}", second.err());
         server.shutdown();
@@ -1086,18 +1080,14 @@ mod tests {
         server.shutdown();
     }
 
-    /// A one-shard server under `config`, and a client (with `opts`) that
-    /// founded a sealed `strategy` session over `x` with `max_evaluations`.
+    /// A server under `config`, and a client (with `opts`) that founded a
+    /// sealed `strategy` session over `x` with `max_evaluations`.
     fn sealed(
         config: crate::server::ServerConfig,
         opts: TcpClientOptions,
         strategy: StrategyKind,
         max_evaluations: usize,
     ) -> (TcpHarmonyServer, TcpHarmonyClient) {
-        let config = crate::server::ServerConfig {
-            shards: 1,
-            ..config
-        };
         let server = TcpHarmonyServer::bind_with("127.0.0.1:0", 64, config).expect("bind");
         let mut client = TcpHarmonyClient::connect_with(server.local_addr(), "x", opts).unwrap();
         client.add_param(Param::int("x", 0, 1_000_000, 1)).unwrap();
@@ -1154,9 +1144,9 @@ mod tests {
         };
         let (server, mut client) = sealed(config, opts, StrategyKind::Random, 20);
         client.fetch().unwrap();
-        // Stands in for a racing top-up on another shard, which can leave
-        // the tenant one trial past its cap (see the server's test of the
-        // same rule).
+        // Stands in for another session of the tenant taking the slot the
+        // report frees before this session's top-up reserves it (see the
+        // server's test of the same rule).
         let stats = server.inproc().config().tenants.stats("team");
         stats.inflight.fetch_add(1, Ordering::Relaxed);
         client.report(1.0).unwrap();
@@ -1328,7 +1318,6 @@ mod tests {
     #[test]
     fn exchange_client_that_leaves_returns_its_tenants_inflight_quota() {
         let config = crate::server::ServerConfig {
-            shards: 1,
             tenant_max_inflight: Some(2),
             ..Default::default()
         };

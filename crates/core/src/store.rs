@@ -908,13 +908,13 @@ const FLUSH_INTERVAL: std::time::Duration = std::time::Duration::from_millis(20)
 /// log is dropped.
 const FLUSH_QUIESCENCE: std::time::Duration = std::time::Duration::from_millis(50);
 
-/// Cheap cloneable handle sharing one [`PerfStore`] across server shards
+/// Cheap cloneable handle sharing one [`PerfStore`] across server sessions
 /// and driver threads.
 ///
 /// Unlike a bare `PerfStore`, a `SharedStore` never runs `sync_data`
 /// inline on the append path: `sync_data` can cost a millisecond or
 /// more, and paying it while holding the store lock stalls every
-/// shard's report path (visible as p99 spikes and throughput collapse
+/// session's report path (visible as p99 spikes and throughput collapse
 /// in the bench regression gate). Instead a background flusher thread
 /// polls every [`FLUSH_INTERVAL`] and group-commits once the append
 /// path has been quiet for [`FLUSH_QUIESCENCE`], syncing on a cloned

@@ -10,7 +10,7 @@
 //!
 //! The GA is generation-batched exactly like [`super::pro`]: every
 //! individual of a generation is proposed before any feedback is consumed,
-//! so a sharded server can farm a whole generation out to parallel clients
+//! so a server can farm a whole generation out to parallel clients
 //! and the trajectory stays bit-identical to serial execution.
 
 use super::{GeneticSnapshot, SearchStrategy, StrategySnapshot};

@@ -19,12 +19,12 @@
 //!   transitions plus sanitized costs, stale duplicate reports, retry
 //!   backoffs, WAL appends and torn tails.
 //! * **Latency histograms** — log2-bucketed microsecond histograms
-//!   ([`Latency`]) for shard-queue wait, batch round-trips, backoff sleeps
+//!   ([`Latency`]) for the wait for a session, batch round-trips, backoff sleeps
 //!   and WAL append+fsync.
 //! * **Spans** — paired begin/end intervals ([`SpanEvent`]) around the
 //!   phases of a trial (fetch round-trip, measurement, report round-trip)
 //!   and the durable-state operations (WAL append, store lookup), each on
-//!   a named track (`client`, `worker`, `shard`, `wal`, `store`).
+//!   a named track (`client`, `worker`, `session`, `wal`, `store`).
 //!   [`Telemetry::chrome_trace`] exports them as Chrome trace-event JSON
 //!   loadable in Perfetto, reconstructing the distributed timeline the
 //!   paper's per-iteration cost breakdown implies.
@@ -281,8 +281,9 @@ impl Counter {
 /// `ah_<name>_seconds`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Latency {
-    /// Time a request waited for its shard: near zero when the shard was
-    /// free, the wait for a release to hand it over when it was busy.
+    /// Time a request waited for its session (the name is historical):
+    /// near zero when the session was free, the wait for the member ahead
+    /// of it when it was busy.
     ShardQueueWait,
     /// TCP client `FetchBatch` round-trip.
     FetchBatchRtt,
@@ -327,8 +328,8 @@ pub enum TenantMetric {
     /// Report messages (single or batch elements) received from the
     /// tenant's clients, stale duplicates included.
     Reports,
-    /// Microseconds the tenant's requests waited for their shard (a sum —
-    /// divide by `reports` for a mean).
+    /// Microseconds the tenant's requests waited for their sessions (a
+    /// sum — divide by `reports` for a mean).
     QueueWaitUs,
     /// Requests refused because the tenant hit its session or in-flight
     /// quota.
@@ -448,7 +449,8 @@ pub enum SpanKind {
     Measure,
     /// Client-side report/`ReportBatch` round-trip.
     Report,
-    /// One request served while its caller holds the shard.
+    /// One request served while its caller holds its session (the name
+    /// is historical).
     ShardHandle,
     /// WAL record append + flush + fsync.
     WalAppend,
@@ -484,11 +486,11 @@ pub struct SpanEvent {
     /// Iteration token of the trial involved (0 for batch- or
     /// member-level spans).
     pub iteration: usize,
-    /// Track family the span belongs to (`client`, `worker`, `shard`,
+    /// Track family the span belongs to (`client`, `worker`, `session`,
     /// `wal`, `store`). One Chrome-trace thread per `(track, track_id)`.
     pub track: &'static str,
-    /// Which member of the track family (client id, worker index, shard
-    /// index; 0 for singleton tracks).
+    /// Which member of the track family (client id, worker index, session
+    /// id; 0 for singleton tracks).
     pub track_id: u64,
     /// Microseconds since the handle was created.
     pub start_us: u64,

@@ -10,14 +10,14 @@
 //! * `metric` — any name [`TimeSeries::resolve`] understands:
 //!   `<counter>_rate` (per-second over the window), a bare counter name
 //!   (cumulative), `<latency>_p50|_p90|_p99` (windowed percentile in
-//!   seconds), or a registered gauge (`shard_queue_depth`,
-//!   `store_unsynced`, `open_spans`, ...).
+//!   seconds), or a registered gauge (`store_unsynced`, `open_spans`,
+//!   ...).
 //! * `op` — `<`, `<=`, `>`, `>=`. The rule *holds* (is healthy) when
 //!   `value op threshold` is true.
 //! * `window_s` — evaluation window in (possibly fractional) seconds;
 //!   defaults to [`DEFAULT_WINDOW`].
 //!
-//! Examples: `report_batch_rtt_p99<0.5@30`, `shard_queue_depth<10000`,
+//! Examples: `report_batch_rtt_p99<0.5@30`, `store_unsynced<10000`,
 //! `quota_refusals_rate<100@60`, `open_spans<100000`.
 //!
 //! # Insufficient data is healthy
@@ -148,11 +148,9 @@ pub fn parse_rules<S: AsRef<str>>(specs: &[S]) -> Result<Vec<SloRule>, String> {
 }
 
 /// The stock rule set `repro serve` applies when no `--slo` flag is given:
-/// queue depth, report-RTT tail, quota-refusal rate, span leaks, and
-/// store flush lag — the five failure modes the ISSUE calls out.
+/// report-RTT tail, quota-refusal rate, span leaks, and store flush lag.
 pub fn default_rules() -> Vec<SloRule> {
     parse_rules(&[
-        "shard_queue_depth<10000@10",
         "report_batch_rtt_p99<1.0@60",
         "quota_refusals_rate<100@60",
         "open_spans<100000@10",
@@ -264,7 +262,7 @@ mod tests {
         assert!(parse_rule("x<notanumber").is_err());
         assert!(parse_rule("x<5@0").is_err());
         assert!(parse_rule("x<5@-2").is_err());
-        assert!(default_rules().len() == 5);
+        assert!(default_rules().len() == 4);
     }
 
     #[test]

@@ -138,7 +138,7 @@ fn prefilled_store(reference: &History, known: usize) -> (SharedStore, std::path
     (store, path)
 }
 
-/// One session on a one-shard server, driven either by the serial requests
+/// One session on a server, driven either by the serial requests
 /// or by batches of one. Returns its history and how many trials the client
 /// measured.
 fn run_server(
@@ -148,7 +148,6 @@ fn run_server(
     serial: bool,
 ) -> (History, usize) {
     let server = HarmonyServer::start_with_config(ServerConfig {
-        shards: 1,
         store,
         ..Default::default()
     });

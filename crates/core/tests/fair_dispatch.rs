@@ -1,16 +1,15 @@
-//! Property test for deficit-round-robin tenant fairness.
+//! Property test for tenant fairness.
 //!
-//! The dispatch contract: whatever other tenants do to a shard, a
+//! The dispatch contract: whatever other tenants do to a server, a
 //! tenant's own tuning trajectory is exactly what it would have been on an
 //! idle server. A small tenant's campaign runs once solo and once while a
-//! noisy tenant keeps the same single shard saturated with concurrent
-//! sessions; the two histories must match bit for bit, and the contended
-//! run must actually finish (DRR hands the small tenant its turn no
-//! matter how deep the noisy tenant's backlog is).
+//! noisy tenant keeps the same server saturated with concurrent sessions;
+//! the two histories must match bit for bit, and the contended run must
+//! actually finish (each session is its own lock, so the small tenant
+//! never waits behind the noisy tenant's backlog).
 
 use ah_core::prelude::*;
 use ah_core::server::protocol::{StrategyKind, TrialReport};
-use ah_core::server::ServerConfig;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -48,13 +47,6 @@ fn run_campaign(server: &HarmonyServer, app: &str, tenant: &str, seed: u64) -> H
     h
 }
 
-fn single_shard_server() -> HarmonyServer {
-    HarmonyServer::start_with_config(ServerConfig {
-        shards: 1,
-        ..Default::default()
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -64,13 +56,13 @@ proptest! {
         noisy in 2usize..7,
     ) {
         // Solo reference: the small tenant alone on the server.
-        let solo_server = single_shard_server();
+        let solo_server = HarmonyServer::start();
         let solo = run_campaign(&solo_server, "victim", "small", seed);
         solo_server.shutdown();
 
         // Contended run: `noisy` clients of a big tenant hammer the same
-        // shard with endless fetch/report traffic the whole time.
-        let server = single_shard_server();
+        // server with endless fetch/report traffic the whole time.
+        let server = HarmonyServer::start();
         let stop = Arc::new(AtomicBool::new(false));
         let handles: Vec<_> = (0..noisy)
             .map(|i| {

@@ -36,7 +36,7 @@ fn options(seed: u64) -> SessionOptions {
 
 /// Ground truth: one client, no faults, strictly serial fetch/report.
 fn serial_history(strategy: StrategyKind, seed: u64) -> String {
-    let server = HarmonyServer::start_with(1);
+    let server = HarmonyServer::start();
     let c = server.connect("serial").unwrap();
     declare(&c);
     c.seal(options(seed), strategy).unwrap();
@@ -71,7 +71,7 @@ struct Held {
 /// * `Straggler` — the report arrives, but several rounds late and out of
 ///   order with everyone else's.
 fn faulty_history(strategy: StrategyKind, seed: u64, plan: FaultPlan, workers: usize) -> String {
-    let server = HarmonyServer::start_with(2);
+    let server = HarmonyServer::start();
     let founder = server.connect("faulty").unwrap();
     declare(&founder);
     founder.seal(options(seed), strategy).unwrap();
@@ -187,7 +187,7 @@ proptest! {
 #[test]
 fn crash_holding_a_full_batch_requeues_the_round() {
     let want = serial_history(StrategyKind::Pro, 77);
-    let server = HarmonyServer::start_with(1);
+    let server = HarmonyServer::start();
     let founder = server.connect("batchy").unwrap();
     declare(&founder);
     founder.seal(options(77), StrategyKind::Pro).unwrap();
@@ -221,7 +221,7 @@ fn crash_holding_a_full_batch_requeues_the_round() {
 #[test]
 fn duplicate_report_batch_after_eviction_is_ignored() {
     let want = serial_history(StrategyKind::Random, 13);
-    let server = HarmonyServer::start_with(1);
+    let server = HarmonyServer::start();
     let founder = server.connect("dupes").unwrap();
     declare(&founder);
     founder.seal(options(13), StrategyKind::Random).unwrap();

@@ -26,7 +26,6 @@ fn spawn_server(
         "127.0.0.1:0",
         64,
         ServerConfig {
-            shards: 1,
             telemetry,
             store: Some(shared),
             sync_peers,

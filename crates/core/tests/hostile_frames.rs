@@ -371,7 +371,6 @@ fn a_hundred_thousand_garbage_frames_are_each_a_request_or_an_error() {
 fn hostile_exchanges_are_each_a_typed_error_or_a_counted_clamp() {
     let telemetry = Telemetry::enabled();
     let config = ServerConfig {
-        shards: 1,
         telemetry: telemetry.clone(),
         ..Default::default()
     };

@@ -1,6 +1,6 @@
-//! Concurrency stress and protocol-level tests for the sharded Harmony
-//! server: many clients over both transports (separately, and mixed on one
-//! shard so application and event-loop threads contend for it), a
+//! Concurrency stress and protocol-level tests for the Harmony server:
+//! many clients over both transports (separately, and mixed on one server
+//! so application and event-loop threads serve side by side), a
 //! pipelining peer that will not drain its replies, and frame accounting
 //! showing that a whole PRO round costs exactly one request/reply pair each
 //! way.
@@ -60,7 +60,7 @@ fn check_own_best(i: usize, seen: &[(i64, f64)], best_x: i64, best_cost: f64) {
 
 #[test]
 fn sixteen_inproc_clients_tune_independently() {
-    let server = HarmonyServer::start_with(4);
+    let server = HarmonyServer::start();
     let barrier = Barrier::new(CLIENTS);
     std::thread::scope(|s| {
         for i in 0..CLIENTS {
@@ -201,18 +201,17 @@ fn inproc_history(server: &HarmonyServer, i: usize, start: Option<&Barrier>) -> 
     serde_json::to_string(&history).expect("history serializes")
 }
 
-/// In-process and TCP clients on one shard at once: every request is served
-/// by the thread that sent it — an application thread or the event loop —
-/// so both take turns at one table, parking while the other holds it. Each
-/// session's history must still equal its
-/// solo serial run, and the `shard_handle` spans of the one shard, recorded
-/// from all those threads, must never overlap.
+/// In-process and TCP clients on one server at once: every request is
+/// served by the thread that sent it — an application thread or the event
+/// loop — while it holds its session's lock. Each session's history must
+/// still equal its solo serial run, and the `shard_handle` spans of one
+/// session, recorded from whichever threads, must never overlap.
 #[test]
 fn inproc_and_tcp_clients_mixed_on_one_shard_match_their_solo_runs() {
     const EACH: usize = 4;
     let solo: Vec<String> = (0..2 * EACH)
         .map(|i| {
-            let server = HarmonyServer::start_with(1);
+            let server = HarmonyServer::start();
             let history = inproc_history(&server, i, None);
             server.shutdown();
             history
@@ -224,7 +223,6 @@ fn inproc_and_tcp_clients_mixed_on_one_shard_match_their_solo_runs() {
         "127.0.0.1:0",
         64,
         ServerConfig {
-            shards: 1,
             telemetry: telemetry.clone(),
             ..Default::default()
         },
@@ -274,15 +272,15 @@ fn inproc_and_tcp_clients_mixed_on_one_shard_match_their_solo_runs() {
         assert_eq!(solo, mixed, "client {i}: history differs from its solo run");
     }
 
-    let mut spans: Vec<(u64, u64)> = telemetry
+    let mut spans: Vec<(u64, u64, u64)> = telemetry
         .spans()
         .iter()
         .filter(|s| s.kind == SpanKind::ShardHandle)
-        .map(|s| (s.start_us, s.start_us + s.dur_us))
+        .map(|s| (s.track_id, s.start_us, s.start_us + s.dur_us))
         .collect();
     assert_eq!(telemetry.dropped_spans(), 0);
     // Each of the 2·EACH clients measures about 60 trials. An in-process
-    // trial is two shard visits (`Fetch`, `Report`): EACH · 120. A TCP
+    // trial is two session visits (`Fetch`, `Report`): EACH · 120. A TCP
     // trial is one (an `Exchange` reports it and fetches the next):
     // EACH · 60.
     assert!(
@@ -290,11 +288,13 @@ fn inproc_and_tcp_clients_mixed_on_one_shard_match_their_solo_runs() {
         "{} spans",
         spans.len()
     );
+    // Sorted by session, then by start: a session's spans are adjacent.
     spans.sort_unstable();
     for pair in spans.windows(2) {
         assert!(
-            pair[1].0 >= pair[0].1,
-            "shard_handle spans overlap: {:?} then {:?}",
+            pair[1].0 != pair[0].0 || pair[1].1 >= pair[0].2,
+            "shard_handle spans of session {} overlap: {:?} then {:?}",
+            pair[0].0,
             pair[0],
             pair[1]
         );

@@ -61,7 +61,6 @@ fn options(seed: u64) -> SessionOptions {
 
 fn store_server(store: &SharedStore) -> HarmonyServer {
     HarmonyServer::start_with_config(ServerConfig {
-        shards: 2,
         store: Some(store.clone()),
         ..Default::default()
     })
@@ -93,7 +92,7 @@ fn serial_reference(strategy: StrategyKind, seed: u64) -> Trajectory {
 }
 
 fn serial_reference_with(strategy: StrategyKind, options: SessionOptions) -> Trajectory {
-    let server = HarmonyServer::start_with(1);
+    let server = HarmonyServer::start();
     let c = server.connect("det").unwrap();
     declare(&c);
     c.seal(options, strategy).unwrap();

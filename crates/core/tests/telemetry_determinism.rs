@@ -46,7 +46,6 @@ type Observation = (
 fn observed_faulty_run(strategy: StrategyKind, seed: u64, plan: FaultPlan) -> Observation {
     let telemetry = Telemetry::enabled();
     let server = HarmonyServer::start_with_config(ServerConfig {
-        shards: 2,
         telemetry: telemetry.clone(),
         ..Default::default()
     });

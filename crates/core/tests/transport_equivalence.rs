@@ -30,7 +30,7 @@ fn options(seed: u64) -> SessionOptions {
 
 /// Ground truth: one in-process client, no sockets, no faults.
 fn serial_history(strategy: StrategyKind, seed: u64) -> String {
-    let server = HarmonyServer::start_with(1);
+    let server = HarmonyServer::start();
     let c = server.connect("serial").unwrap();
     c.add_param(Param::int("x", 0, 80, 1)).unwrap();
     c.add_param(Param::int("y", -30, 30, 1)).unwrap();

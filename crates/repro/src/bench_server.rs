@@ -1,13 +1,13 @@
 //! `repro bench-server`: throughput of the Harmony tuning server.
 //!
 //! Drives C concurrent clients for I evaluations each against the
-//! in-process server (single-shard baseline vs sharded pool, serial
-//! fetch/report vs batched `FetchBatch`/`ReportBatch`) and against the TCP
-//! transport, then reports ops/sec and per-evaluation latency percentiles.
-//! The figures quantify the two server-side changes of this codebase's
-//! "tuning at scale" layer: shards, each an independent admission lock,
-//! remove the single-dispatcher bottleneck, and batch messages amortize one
-//! round-trip over a whole PRO round of candidates.
+//! in-process server (serial fetch/report vs batched
+//! `FetchBatch`/`ReportBatch`) and against the TCP transport, then reports
+//! ops/sec and per-evaluation latency percentiles. The figures quantify the
+//! two server-side choices of this codebase's "tuning at scale" layer:
+//! every session is its own lock, so concurrent clients do not serialize
+//! behind one another, and batch messages amortize one round-trip over a
+//! whole PRO round of candidates.
 
 use crate::swarm::{IndependentScript, Swarm, SwarmScript};
 use ah_core::param::Param;
@@ -69,11 +69,12 @@ pub struct BenchConfig {
     pub loop_threads: usize,
     /// Run the multi-tenant fair-dispatch scenario with this many tenants
     /// (`0` = skip it). Each tenant drives its own session over TCP under
-    /// its own tenant id, so the deficit-round-robin dispatcher — not the
-    /// connection order — decides who gets served; the report records
-    /// overall throughput plus per-tenant p99 fetch latency. Like the
-    /// swarm, the scenario is recorded but exempt from the relative gate
-    /// (its shape depends on the tenant count, not on regressions).
+    /// its own tenant id; no tenant's request waits behind another's
+    /// session, and the event loop serves one request per connection per
+    /// pass. The report records overall throughput plus per-tenant p99
+    /// fetch latency. Like the swarm, the scenario is recorded but exempt
+    /// from the relative gate (its shape depends on the tenant count, not
+    /// on regressions).
     pub tenants: usize,
 }
 
@@ -172,7 +173,7 @@ fn observer_for(
 /// Measured outcome of one scenario.
 #[derive(Debug, Clone)]
 pub struct Scenario {
-    /// Scenario label, e.g. `"inproc/serial/1-shard"`.
+    /// Scenario label, e.g. `"inproc/serial"`.
     pub name: String,
     /// Evaluations completed across all clients.
     pub total_evals: usize,
@@ -219,7 +220,7 @@ fn summarize(name: String, mut latencies_us: Vec<f64>, wall_secs: f64) -> Scenar
 /// ran, clocked on the client's own thread from the moment it left the
 /// start barrier. A coordinating thread cannot clock the window: it leaves
 /// the barrier whenever the scheduler gets to it, and clients whose
-/// requests are served without blocking (an idle in-process shard) can be
+/// requests are served without blocking (an idle in-process session) can be
 /// done by then.
 struct Timed {
     started: Instant,
@@ -286,16 +287,10 @@ fn drive_batched(client: &ah_core::server::HarmonyClient, iters: usize) -> Vec<f
     lat
 }
 
-fn run_inproc(
-    cfg: &BenchConfig,
-    shards: usize,
-    batched: bool,
-    store: Option<&SharedStore>,
-) -> Scenario {
+fn run_inproc(cfg: &BenchConfig, batched: bool, store: Option<&SharedStore>) -> Scenario {
     let nonce = run_nonce();
     let telemetry = cfg.server_telemetry();
     let server = HarmonyServer::start_with_config(ServerConfig {
-        shards,
         telemetry: telemetry.clone(),
         store: store.cloned(),
         ..Default::default()
@@ -345,7 +340,7 @@ fn run_inproc(
     server.shutdown();
     let mode = if batched { "batched" } else { "serial" };
     summarize(
-        format!("inproc/{mode}/{shards}-shard"),
+        format!("inproc/{mode}"),
         latencies.into_iter().flatten().collect(),
         wall_secs,
     )
@@ -518,9 +513,9 @@ fn run_swarm(cfg: &BenchConfig, store: Option<&SharedStore>) -> Scenario {
 }
 
 /// Multi-tenant fair-dispatch scenario: `cfg.tenants` clients, each under
-/// its own tenant id, tune concurrently over TCP. Deficit-round-robin
-/// dispatch on the shards is what keeps any one tenant from starving the
-/// rest, so besides the aggregate throughput the interesting number is the
+/// its own tenant id, tune concurrently over TCP. No tenant's request ever
+/// waits behind another tenant's session, and the event loop serves one
+/// request per connection per pass, so besides the aggregate throughput the interesting number is the
 /// *spread* of per-tenant p99 fetch latencies — reported alongside the
 /// scenario row. Exempt from the relative gate for the same reason as the
 /// swarm: the shape depends on the tenant count the run simulated.
@@ -641,7 +636,6 @@ fn store_cache_demo(cfg: &BenchConfig, store: &SharedStore) -> serde_json::Value
     let label = format!("store-demo-{}", run_nonce());
     let pass = |tag: &str| -> (f64, usize) {
         let server = HarmonyServer::start_with_config(ServerConfig {
-            shards: 2,
             telemetry: cfg.server_telemetry(),
             store: Some(store.clone()),
             ..Default::default()
@@ -730,7 +724,6 @@ pub fn run(cfg: &BenchConfig) -> serde_json::Value {
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let sharded = host_cores.clamp(2, 8);
     eprintln!(
         "bench-server: {} clients x {} evaluations, host cores: {host_cores}, telemetry: {}, store: {}",
         cfg.clients,
@@ -747,10 +740,8 @@ pub fn run(cfg: &BenchConfig) -> serde_json::Value {
         .map(|p| SharedStore::open(p).expect("open bench store"));
 
     let mut scenarios = vec![
-        run_inproc(cfg, 1, false, store.as_ref()),
-        run_inproc(cfg, sharded, false, store.as_ref()),
-        run_inproc(cfg, 1, true, store.as_ref()),
-        run_inproc(cfg, sharded, true, store.as_ref()),
+        run_inproc(cfg, false, store.as_ref()),
+        run_inproc(cfg, true, store.as_ref()),
         run_tcp(cfg, false, store.as_ref()),
         run_tcp(cfg, true, store.as_ref()),
         run_swarm(cfg, store.as_ref()),
@@ -772,35 +763,6 @@ pub fn run(cfg: &BenchConfig) -> serde_json::Value {
         );
     }
 
-    let by_name = |n: &str| scenarios.iter().find(|s| s.name == n);
-    let serial_1 = by_name("inproc/serial/1-shard").map(|s| s.ops_per_sec);
-    let serial_n = scenarios
-        .iter()
-        .find(|s| s.name.starts_with("inproc/serial/") && !s.name.ends_with("/1-shard"))
-        .map(|s| s.ops_per_sec);
-    let batched_n = scenarios
-        .iter()
-        .find(|s| s.name.starts_with("inproc/batched/") && !s.name.ends_with("/1-shard"))
-        .map(|s| s.ops_per_sec);
-    let speedup_sharded = match (serial_1, serial_n) {
-        (Some(a), Some(b)) if a > 0.0 => b / a,
-        _ => 0.0,
-    };
-    let speedup_batched = match (serial_1, batched_n) {
-        (Some(a), Some(b)) if a > 0.0 => b / a,
-        _ => 0.0,
-    };
-    println!(
-        "sharded vs single dispatcher: {speedup_sharded:.2}x; \
-         sharded+batched vs single serial: {speedup_batched:.2}x"
-    );
-    if host_cores == 1 {
-        println!(
-            "note: single-core host — shards cannot be served in parallel, \
-             so the sharding speedup reflects scheduling overhead only."
-        );
-    }
-
     let mut report = serde_json::json!({
         "host": host_block(host_cores),
         "clients": cfg.clients,
@@ -808,7 +770,6 @@ pub fn run(cfg: &BenchConfig) -> serde_json::Value {
         "iterations_per_client": cfg.iters,
         "telemetry": cfg.telemetry,
         "batch": BATCH,
-        "shards_tested": [1, sharded],
         "scenarios": scenarios.iter().map(|s| serde_json::json!({
             "name": s.name.clone(),
             "total_evals": s.total_evals,
@@ -816,8 +777,6 @@ pub fn run(cfg: &BenchConfig) -> serde_json::Value {
             "p50_us": s.p50_us,
             "p99_us": s.p99_us,
         })).collect::<Vec<_>>(),
-        "speedup_sharded_vs_single_dispatcher": speedup_sharded,
-        "speedup_sharded_batched_vs_single_serial": speedup_batched,
     });
     if let Some(fairness) = fairness {
         if let serde_json::Value::Object(entries) = &mut report {
@@ -834,33 +793,19 @@ pub fn run(cfg: &BenchConfig) -> serde_json::Value {
     report
 }
 
-/// Fold the host-dependent shard count out of a scenario name so reports
-/// from machines with different core counts stay comparable:
-/// `inproc/serial/6-shard` and `inproc/serial/4-shard` both become
-/// `inproc/serial/N-shard` (the 1-shard baseline keeps its name).
-fn canonical_name(name: &str) -> String {
-    match name.strip_suffix("-shard") {
-        Some(prefix) if !prefix.ends_with("/1") => {
-            let (head, _) = prefix.rsplit_once('/').unwrap_or(("", prefix));
-            format!("{head}/N-shard")
-        }
-        _ => name.to_string(),
-    }
-}
-
 /// Relative throughput of every scenario in a report, normalized to the
-/// in-process serial single-shard baseline of the *same* report. Absolute
-/// ops/sec vary wildly across CI runners; the ratios are the stable signal
-/// (how much sharding/batching/TCP costs or buys on this host).
+/// in-process serial baseline (`inproc/serial`) of the *same* report.
+/// Absolute ops/sec vary wildly across CI runners; the ratios are the
+/// stable signal (how much batching/TCP costs or buys on this host).
 fn relative_throughput(report: &serde_json::Value) -> Option<Vec<(String, f64)>> {
     let scenarios = report.get("scenarios")?.as_array()?;
     let baseline = scenarios.iter().find_map(|s| {
-        (s.get("name")?.as_str()? == "inproc/serial/1-shard").then(|| s.get("ops_per_sec"))?
+        (s.get("name")?.as_str()? == "inproc/serial").then(|| s.get("ops_per_sec"))?
     })?;
     let baseline = baseline.as_f64().filter(|v| *v > 0.0)?;
     let mut out = Vec::new();
     for s in scenarios {
-        let name = canonical_name(s.get("name")?.as_str()?);
+        let name = s.get("name")?.as_str()?.to_string();
         if name == "tcp/swarm" || name == "tcp/tenants" {
             // The swarm's ratio depends on how many clients it simulated,
             // and full runs (1000) and quick gate runs (200) deliberately
@@ -897,7 +842,7 @@ pub fn check_regression(
     let mut failures = Vec::new();
     println!(
         "{:<28} {:>10} {:>10} {:>9}",
-        "scenario (vs 1-shard serial)", "baseline", "current", "change"
+        "scenario (vs inproc/serial)", "baseline", "current", "change"
     );
     for (name, base_ratio) in &base {
         let Some((_, cur_ratio)) = cur.iter().find(|(n, _)| n == name) else {
@@ -972,7 +917,7 @@ mod tests {
             assert!(report["host"].get(key).is_some(), "host block lacks {key}");
         }
         let scenarios = report["scenarios"].as_array().unwrap();
-        assert_eq!(scenarios.len(), 7);
+        assert_eq!(scenarios.len(), 5);
         for s in scenarios {
             let want = if s["name"].as_str() == Some("tcp/swarm") {
                 24 * 4
@@ -1004,7 +949,7 @@ mod tests {
             tenants: 0,
         };
         let report = run(&cfg);
-        assert_eq!(report["scenarios"].as_array().unwrap().len(), 7);
+        assert_eq!(report["scenarios"].as_array().unwrap().len(), 5);
         let demo = &report["store"];
         assert_eq!(demo["cold_measured"].as_u64(), Some(25));
         // The warm pass is answered from the store: (almost) nothing runs.
@@ -1027,7 +972,7 @@ mod tests {
         };
         let report = run(&cfg);
         let scenarios = report["scenarios"].as_array().unwrap();
-        assert_eq!(scenarios.len(), 8);
+        assert_eq!(scenarios.len(), 6);
         let tenants = scenarios
             .iter()
             .find(|s| s["name"].as_str() == Some("tcp/tenants"))
@@ -1040,32 +985,15 @@ mod tests {
         // Exempt from the relative gate: a baseline without the scenario
         // neither fails nor reports it missing.
         let base = serde_json::json!({
-            "scenarios": [{"name": "inproc/serial/1-shard", "ops_per_sec": 1000.0}],
+            "scenarios": [{"name": "inproc/serial", "ops_per_sec": 1000.0}],
         });
         let cur = serde_json::json!({
             "scenarios": [
-                {"name": "inproc/serial/1-shard", "ops_per_sec": 1000.0},
+                {"name": "inproc/serial", "ops_per_sec": 1000.0},
                 {"name": "tcp/tenants", "ops_per_sec": 50.0},
             ],
         });
         assert!(check_regression(&cur, &base, 0.25).is_empty());
-    }
-
-    #[test]
-    fn canonical_names_fold_shard_counts() {
-        assert_eq!(
-            canonical_name("inproc/serial/1-shard"),
-            "inproc/serial/1-shard"
-        );
-        assert_eq!(
-            canonical_name("inproc/serial/6-shard"),
-            "inproc/serial/N-shard"
-        );
-        assert_eq!(
-            canonical_name("inproc/batched/4-shard"),
-            "inproc/batched/N-shard"
-        );
-        assert_eq!(canonical_name("tcp/serial"), "tcp/serial");
     }
 
     fn fake_report(ratios: &[(&str, f64)]) -> serde_json::Value {
@@ -1080,8 +1008,8 @@ mod tests {
     #[test]
     fn identical_reports_pass_the_regression_gate() {
         let report = fake_report(&[
-            ("inproc/serial/1-shard", 1.0),
-            ("inproc/serial/4-shard", 2.0),
+            ("inproc/serial", 1.0),
+            ("inproc/batched", 2.0),
             ("tcp/serial", 0.3),
         ]);
         assert!(check_regression(&report, &report, 0.25).is_empty());
@@ -1089,24 +1017,15 @@ mod tests {
 
     #[test]
     fn absolute_speed_changes_do_not_fail_only_ratio_shifts_do() {
-        let base = fake_report(&[
-            ("inproc/serial/1-shard", 1.0),
-            ("inproc/serial/8-shard", 2.0),
-        ]);
+        let base = fake_report(&[("inproc/serial", 1.0), ("inproc/batched", 2.0)]);
         // Twice as fast overall (different runner), same ratios: fine.
-        let faster = fake_report(&[
-            ("inproc/serial/1-shard", 2.0),
-            ("inproc/serial/2-shard", 4.0),
-        ]);
+        let faster = fake_report(&[("inproc/serial", 2.0), ("inproc/batched", 4.0)]);
         assert!(check_regression(&faster, &base, 0.25).is_empty());
-        // Sharding collapsed from 2.0x to 1.2x relative: that is a regression.
-        let collapsed = fake_report(&[
-            ("inproc/serial/1-shard", 1.0),
-            ("inproc/serial/8-shard", 1.2),
-        ]);
+        // Batching collapsed from 2.0x to 1.2x relative: that is a regression.
+        let collapsed = fake_report(&[("inproc/serial", 1.0), ("inproc/batched", 1.2)]);
         let failures = check_regression(&collapsed, &base, 0.25);
         assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("N-shard"), "{failures:?}");
+        assert!(failures[0].contains("inproc/batched"), "{failures:?}");
     }
 
     #[test]
@@ -1115,24 +1034,24 @@ mod tests {
         // swarm sizes, so a wildly different swarm ratio must neither fail
         // the gate nor count as a missing scenario.
         let base = fake_report(&[
-            ("inproc/serial/1-shard", 1.0),
+            ("inproc/serial", 1.0),
             ("tcp/serial", 0.4),
             ("tcp/swarm", 0.9),
         ]);
         let cur = fake_report(&[
-            ("inproc/serial/1-shard", 1.0),
+            ("inproc/serial", 1.0),
             ("tcp/serial", 0.4),
             ("tcp/swarm", 0.05),
         ]);
         assert!(check_regression(&cur, &base, 0.25).is_empty());
-        let no_swarm = fake_report(&[("inproc/serial/1-shard", 1.0), ("tcp/serial", 0.4)]);
+        let no_swarm = fake_report(&[("inproc/serial", 1.0), ("tcp/serial", 0.4)]);
         assert!(check_regression(&no_swarm, &base, 0.25).is_empty());
     }
 
     #[test]
     fn missing_scenarios_are_failures() {
-        let base = fake_report(&[("inproc/serial/1-shard", 1.0), ("tcp/serial", 0.4)]);
-        let cur = fake_report(&[("inproc/serial/1-shard", 1.0)]);
+        let base = fake_report(&[("inproc/serial", 1.0), ("tcp/serial", 0.4)]);
+        let cur = fake_report(&[("inproc/serial", 1.0)]);
         let failures = check_regression(&cur, &base, 0.25);
         assert!(
             failures.iter().any(|f| f.contains("missing from current")),

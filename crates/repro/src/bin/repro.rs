@@ -70,7 +70,6 @@
 //!   --sync-peer ADDRS  serve: comma-separated peer observe addresses to
 //!                      pull /store/log from (anti-entropy)
 //!   --sync-interval-ms N  serve: anti-entropy pull period (default 500)
-//!   --shards N         serve: session-table shards (default 2)
 //!   --tenant-max-sessions N  serve: per-tenant concurrent session cap
 //!   --tenant-max-inflight N  serve: per-tenant in-flight trial cap
 //!   --slo RULE         serve: /healthz SLO rule `metric op thresh[@win_s]`,
@@ -268,7 +267,6 @@ fn main() {
         "--listen",
         "--sync-peer",
         "--sync-interval-ms",
-        "--shards",
         "--tenant-max-sessions",
         "--tenant-max-inflight",
         "--run-for-ms",
@@ -349,7 +347,6 @@ fn main() {
                 "--sync-interval-ms",
                 0,
             ) as u64),
-            shards: parse_usize(&args, "--shards", 2),
             tenant_max_sessions: cap("--tenant-max-sessions"),
             tenant_max_inflight: cap("--tenant-max-inflight"),
             run_for: std::time::Duration::from_millis(parse_usize(&args, "--run-for-ms", 0) as u64),

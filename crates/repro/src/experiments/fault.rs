@@ -42,7 +42,7 @@ fn options(evals: usize, seed: u64) -> SessionOptions {
 }
 
 fn serial_history(strategy: StrategyKind, evals: usize, seed: u64) -> History {
-    let server = HarmonyServer::start_with(1);
+    let server = HarmonyServer::start();
     let c = server.connect("fault-serial").unwrap();
     declare(&c);
     c.seal(options(evals, seed), strategy).unwrap();
@@ -118,7 +118,6 @@ pub(crate) fn faulty_history_with(
     let series = (observe.addr.is_some() || observe.sample_interval.is_some())
         .then(|| ah_core::telemetry::timeseries::TimeSeries::new(telemetry.clone()));
     let server = HarmonyServer::start_with_config(ServerConfig {
-        shards: 2,
         telemetry: telemetry.clone(),
         timeseries: series.clone(),
         slo_rules: ah_core::telemetry::slo::default_rules(),
@@ -485,19 +484,23 @@ mod tests {
                 }
             }
 
-            // One shard's table is served by one thread at a time, whoever
-            // that thread is: the handle spans of a shard track never overlap.
-            for shard in 0..2u64 {
-                let mut handled: Vec<(u64, u64)> = spans
-                    .iter()
-                    .filter(|s| s.kind == SpanKind::ShardHandle && s.track_id == shard)
-                    .map(|s| (s.start_us, s.start_us + s.dur_us))
-                    .collect();
+            // One session is served by one thread at a time, whoever that
+            // thread is: the handle spans of a session's track never overlap.
+            let mut handled: std::collections::HashMap<u64, Vec<(u64, u64)>> =
+                std::collections::HashMap::new();
+            for s in spans.iter().filter(|s| s.kind == SpanKind::ShardHandle) {
+                handled
+                    .entry(s.track_id)
+                    .or_default()
+                    .push((s.start_us, s.start_us + s.dur_us));
+            }
+            prop_assert!(!handled.is_empty());
+            for (session, handled) in &mut handled {
                 handled.sort_unstable();
                 for pair in handled.windows(2) {
                     prop_assert!(
                         pair[1].0 >= pair[0].1,
-                        "shard {shard}: handle spans overlap: {:?} then {:?}",
+                        "session {session}: handle spans overlap: {:?} then {:?}",
                         pair[0],
                         pair[1]
                     );

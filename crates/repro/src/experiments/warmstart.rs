@@ -51,7 +51,6 @@ fn campaign(path: &Path, evals: usize) -> Campaign {
     let telemetry = Telemetry::enabled();
     let store = SharedStore::open_with(path, telemetry.clone()).expect("open store");
     let server = HarmonyServer::start_with_config(ServerConfig {
-        shards: 2,
         store: Some(store.clone()),
         ..Default::default()
     });

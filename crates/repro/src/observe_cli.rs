@@ -9,7 +9,7 @@
 //!   The bound address is printed to stdout as `observe: http://<addr>`.
 //! * `watch` polls a live server's `/status` once per interval and prints
 //!   a one-line progress view per tick: evaluations, best cost, strategy
-//!   phase, simplex spread, pending trials, and per-shard queue depths.
+//!   phase, simplex spread, pending and outstanding trials.
 //!   When the server retains a time-series (`/metrics/history`), a second
 //!   line per tick reports windowed evaluation/report rates; against older
 //!   servers the same rates are derived from successive `/status` counter
@@ -85,22 +85,9 @@ pub(crate) fn pull(addr: &str, path: &str) -> Result<String, String> {
 /// One `/status` document rendered as a single progress line. Multiple
 /// tuning sessions produce one line each.
 fn progress_lines(doc: &Value) -> Vec<String> {
-    let depths: Vec<String> = doc
-        .get("server")
-        .and_then(|s| s.get("queue_depths"))
-        .and_then(Value::as_array)
-        .map(|a| {
-            a.iter()
-                .map(|d| d.as_u64().unwrap_or(0).to_string())
-                .collect()
-        })
-        .unwrap_or_default();
     let sessions = doc.get("sessions").and_then(Value::as_array).unwrap_or(&[]);
     if sessions.is_empty() {
-        return vec![format!(
-            "no sessions yet; shard queues [{}]",
-            depths.join(",")
-        )];
+        return vec!["no sessions yet".to_string()];
     }
     sessions
         .iter()
@@ -136,9 +123,7 @@ fn progress_lines(doc: &Value) -> Vec<String> {
                 .unwrap_or_default();
             format!(
                 "{app}: evals={evals} best={best} phase={phase}{spread} \
-                 pending={pending} outstanding={outstanding} \
-                 queues=[{}]{stopped}",
-                depths.join(",")
+                 pending={pending} outstanding={outstanding}{stopped}"
             )
         })
         .collect()
@@ -285,8 +270,8 @@ fn fleet_lines(doc: &Value) -> Vec<String> {
         u(doc, "fresh")
     )];
     out.push(format!(
-        "{:<24} {:>4} {:>5} {:>6} {:>8} {:>6} {:>7} {:>7} {:>8}",
-        "ADDR", "SELF", "FRESH", "AGE_S", "SESSIONS", "QUEUE", "EVALS", "REPORTS", "REFUSED"
+        "{:<24} {:>4} {:>5} {:>6} {:>8} {:>7} {:>7} {:>8}",
+        "ADDR", "SELF", "FRESH", "AGE_S", "SESSIONS", "EVALS", "REPORTS", "REFUSED"
     ));
     for row in doc.get("rows").and_then(Value::as_array).unwrap_or(&[]) {
         let addr = row.get("addr").and_then(Value::as_str).unwrap_or("?");
@@ -307,13 +292,12 @@ fn fleet_lines(doc: &Value) -> Vec<String> {
             .map(|a| format!("{a:.1}"))
             .unwrap_or_else(|| "-".into());
         out.push(format!(
-            "{:<24} {:>4} {:>5} {:>6} {:>8} {:>6} {:>7} {:>7} {:>8}",
+            "{:<24} {:>4} {:>5} {:>6} {:>8} {:>7} {:>7} {:>8}",
             addr,
             yn("self"),
             yn("fresh"),
             age,
             u(row, "sessions"),
-            u(row, "queue_depth"),
             u(row, "evaluations"),
             u(row, "reports"),
             u(row, "quota_refusals"),

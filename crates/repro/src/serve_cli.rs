@@ -3,7 +3,7 @@
 //! ```text
 //! repro serve --store PATH [--listen ADDR] [--observe ADDR]
 //!             [--sync-peer ADDR[,ADDR...]] [--sync-interval-ms N]
-//!             [--shards N] [--tenant-max-sessions N]
+//!             [--tenant-max-sessions N]
 //!             [--tenant-max-inflight N] [--run-for-ms N]
 //!             [--slo RULE]... [--sample-interval-ms N]
 //! ```
@@ -45,8 +45,6 @@ pub struct ServeConfig {
     pub sync_peers: Vec<String>,
     /// Anti-entropy pull period (zero = server default).
     pub sync_interval: Duration,
-    /// Shard workers.
-    pub shards: usize,
     /// Per-tenant concurrent session cap.
     pub tenant_max_sessions: Option<usize>,
     /// Per-tenant in-flight trial cap.
@@ -90,7 +88,6 @@ pub fn run(cfg: &ServeConfig) -> i32 {
         &cfg.listen,
         ah_core::server::tcp::DEFAULT_MAX_CONNECTIONS,
         ServerConfig {
-            shards: cfg.shards.max(1),
             telemetry: telemetry.clone(),
             store: Some(store.clone()),
             sync_peers: cfg.sync_peers.clone(),
@@ -128,9 +125,8 @@ pub fn run(cfg: &ServeConfig) -> i32 {
     use std::io::Write;
     std::io::stdout().flush().ok();
     eprintln!(
-        "serving store {} ({} shards, {} sync peer(s))",
+        "serving store {} ({} sync peer(s))",
         cfg.store.display(),
-        cfg.shards.max(1),
         cfg.sync_peers.len()
     );
 
@@ -169,7 +165,6 @@ mod tests {
             "127.0.0.1:0",
             16,
             ServerConfig {
-                shards: 1,
                 telemetry,
                 store: Some(shared.clone()),
                 ..Default::default()

@@ -12,7 +12,7 @@
 //! ```
 //!
 //! `demo` runs a deterministic store-backed tuning campaign against a
-//! 2-shard server and is the CLI face of the persistence claim: run it
+//! local server and is the CLI face of the persistence claim: run it
 //! twice against one `--store` and the second invocation is served from
 //! the database instead of being re-measured; `--crash-after`/SIGKILL in
 //! the middle, then a clean re-run, must still produce the byte-identical
@@ -310,7 +310,7 @@ pub fn demo(cfg: &DemoConfig) -> i32 {
     let evals = if cfg.quick { 60 } else { 200 };
     let telemetry = Telemetry::enabled();
     // In remote mode the server at --connect owns the store; locally we
-    // boot a 2-shard server around the --store database.
+    // boot a server around the --store database.
     let (mut client, server, store) = if let Some(addr) = &cfg.connect {
         let addr: std::net::SocketAddr = addr.parse().unwrap_or_else(|_| {
             eprintln!("--connect expects HOST:PORT, got `{addr}`");
@@ -329,7 +329,6 @@ pub fn demo(cfg: &DemoConfig) -> i32 {
             std::process::exit(2);
         });
         let server = HarmonyServer::start_with_config(ServerConfig {
-            shards: 2,
             store: Some(store.clone()),
             ..Default::default()
         });
