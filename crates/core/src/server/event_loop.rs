@@ -1,4 +1,4 @@
-//! Nonblocking readiness event loop: the TCP front-end.
+//! Nonblocking readiness event loop: every inbound socket of a server.
 //!
 //! A thread per connection burns one OS thread (stack, wakeup churn,
 //! scheduler pressure) per tuning client, which caps a server at a few
@@ -7,7 +7,11 @@
 //! multiplexes instead: a small pool of loop threads, each owning
 //! thousands of nonblocking connections and a [`ReadinessPoller`]
 //! (`poll(2)` on unix; see [`super::poll`] for why that is the portable
-//! floor and how `epoll` slots in behind the same trait).
+//! floor and how `epoll` slots in behind the same trait). The loops also
+//! take turns at the listener, so no thread waits in `accept` and new
+//! connections are dealt round-robin among the loops.
+//! What a loop does with a connection's bytes is its [`Service`]: the
+//! tuning protocol on a TCP server, HTTP on the observe plane.
 //!
 //! # Per-connection state machine
 //!
@@ -21,14 +25,15 @@
 //!
 //! # Who serves a request
 //!
-//! The loop thread hands each decoded request to `ServerBus::dispatch`,
-//! which serves it on the loop thread and returns the reply: it is
-//! serialized onto the connection's write buffer and written in the same
-//! pass, with no other thread involved. When the request's session is busy
+//! The loop thread hands each decoded tuning request to
+//! `ServerBus::dispatch`, which serves it on the loop thread and returns the
+//! reply: it is serialized onto the connection's write buffer and written in
+//! the same pass, with no other thread involved. When the request's session is busy
 //! (another loop thread, or an in-process client, is serving one of its
 //! members) the loop thread waits in `dispatch` for the session's lock; a
 //! request of another session never makes it wait. The [`Waker`] pipe is
-//! only for adopting sockets and for stopping: a request never writes it.
+//! only for stopping, passing the accept turn and `/fleet` results: a
+//! request never writes it.
 //!
 //! A loop pass serves at most one request per connection. A peer that
 //! pipelines (writes many requests without waiting) has the rest left in
@@ -46,22 +51,21 @@
 //! reaped exactly like a dead socket: the client departs its session as a
 //! `Leave` would, requeueing its outstanding trials through the existing
 //! eviction path, but the session stays open to the client's rejoin.
-//! Over-capacity connections get the protocol's retryable
-//! `ServerBusy` refusal written from this same nonblocking write path —
-//! no thread is ever spawned per refusal.
+//! Over-capacity connections get the service's refusal (`ServerBusy`, or
+//! HTTP's `503`) after their first request, written from this same
+//! nonblocking write path — no thread is ever spawned per refusal.
 
 use super::poll::{
     poll_fd, waker_pair, Interest, PollFd, PollPoller, Readiness, ReadinessPoller, WakeReceiver,
     Waker,
 };
-use super::protocol::{FrameDecoder, Reply, Request, MAX_FRAME_LEN};
+use super::protocol::{FrameDecoder, FrameTooLong, Reply, Request, MAX_FRAME_LEN};
 use super::ServerBus;
 use crate::telemetry::{Counter, Latency, Telemetry};
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -79,10 +83,10 @@ const IDLE_TICK: Duration = Duration::from_millis(500);
 /// Knobs of the readiness event loop.
 #[derive(Debug, Clone)]
 pub struct EventLoopConfig {
-    /// Loop threads connections are spread across. `0` (default) sizes to
-    /// the host: half the available cores, clamped to `1..=4` — each loop
-    /// is I/O-bound bookkeeping, so a few go a long way even at thousands
-    /// of connections.
+    /// Loop threads, dealt new connections round-robin. `0`
+    /// (default) sizes to the host: half the available cores, clamped to
+    /// `1..=4` — each loop is I/O-bound bookkeeping, so a few go a long way
+    /// even at thousands of connections.
     pub loop_threads: usize,
     /// Reap connections with no inbound traffic for longer than this,
     /// departing their clients (outstanding trials requeue through the
@@ -120,86 +124,93 @@ impl EventLoopConfig {
     }
 }
 
-/// Hands accepted sockets to loop threads round-robin. Cloneable so the
-/// accept thread can own one while the pool keeps the join handles.
-#[derive(Clone)]
-pub(crate) struct Dispatcher {
-    lanes: Arc<Vec<(Sender<TcpStream>, Waker)>>,
-    next: Arc<AtomicU64>,
+/// What a loop does with its connections' bytes.
+pub(crate) trait Service: Send + 'static {
+    /// What the service keeps per connection.
+    type State: Default + Send;
+
+    /// Answer `conn`'s buffered input up to the first request served (or
+    /// parked) onto its write buffer, while [`Conn::may_decode`] holds.
+    /// Returns whether one was; an `Err` closes the connection.
+    fn serve(&mut self, conn: &mut Conn<Self::State>) -> Result<bool, Close>;
+
+    /// `conn` is being torn down.
+    fn closed(&mut self, _conn: &Conn<Self::State>) {}
+
+    /// The loop's waker fired (a helper may have posted for parked
+    /// connections).
+    fn woken(&mut self, _conns: &mut HashMap<u64, Conn<Self::State>>) {}
 }
 
-impl Dispatcher {
-    /// Queue `stream` on the next loop thread and wake it.
-    pub(crate) fn dispatch(&self, stream: TcpStream) {
-        let lane = (self.next.fetch_add(1, Ordering::Relaxed) as usize) % self.lanes.len();
-        let (tx, waker) = &self.lanes[lane];
-        if tx.send(stream).is_ok() {
-            waker.wake();
-        }
-    }
-}
-
-/// A running pool of event-loop threads.
+/// A running pool of event-loop threads. Dropping it stops every loop
+/// thread and waits for it; established connections are dropped (the
+/// server behind them is shutting down with us).
 pub(crate) struct EventLoopPool {
-    dispatcher: Dispatcher,
     stop: Arc<AtomicBool>,
-    handles: Vec<JoinHandle<()>>,
+    wakers: Vec<Arc<Waker>>,
+    threads: Vec<JoinHandle<()>>,
+    /// Connections holding a slot of the ceiling.
+    pub(crate) active: Arc<AtomicUsize>,
 }
 
 impl EventLoopPool {
-    /// Spawn the loop threads.
-    pub(crate) fn start(
-        bus: ServerBus,
+    /// Spawn the loop threads `name-0`, `name-1`, …, which take turns at
+    /// `listener` and serve what they accept with the service `service`
+    /// builds for each from its loop's waker.
+    pub(crate) fn start<S: Service>(
+        name: &str,
+        listener: TcpListener,
         cfg: EventLoopConfig,
         max_connections: usize,
         telemetry: Telemetry,
-        active: Arc<AtomicUsize>,
+        service: impl Fn(&Arc<Waker>) -> S,
     ) -> std::io::Result<EventLoopPool> {
-        let threads = cfg.resolved_threads();
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut lanes = Vec::with_capacity(threads);
-        let mut handles = Vec::with_capacity(threads);
-        for i in 0..threads {
-            let (tx, rx) = channel::<TcpStream>();
-            let (waker, wake_rx) = waker_pair()?;
+        listener.set_nonblocking(true)?;
+        let (wakers, receivers): (Vec<_>, Vec<_>) = (0..cfg.resolved_threads())
+            .map(|_| waker_pair().map(|(waker, rx)| (Arc::new(waker), rx)))
+            .collect::<std::io::Result<Vec<_>>>()?
+            .into_iter()
+            .unzip();
+        let mut pool = EventLoopPool {
+            stop: Arc::default(),
+            wakers,
+            threads: Vec::new(),
+            active: Arc::default(),
+        };
+        let turn = Arc::default();
+        for (index, wake_rx) in receivers.into_iter().enumerate() {
+            let next = (index + 1) % pool.wakers.len();
             let worker = LoopWorker {
-                bus: bus.clone(),
+                service: service(&pool.wakers[index]),
+                listener: Some(Listener {
+                    socket: listener.try_clone()?,
+                    turn: Arc::clone(&turn),
+                    index,
+                    next: (next != index).then(|| (next, Arc::clone(&pool.wakers[next]))),
+                }),
                 cfg: cfg.clone(),
                 max_connections,
                 telemetry: telemetry.clone(),
-                active: Arc::clone(&active),
-                incoming: rx,
+                active: Arc::clone(&pool.active),
                 wake_rx,
-                stop: Arc::clone(&stop),
+                stop: Arc::clone(&pool.stop),
             };
             let handle = std::thread::Builder::new()
-                .name(format!("harmony-evloop-{i}"))
+                .name(format!("{name}-{index}"))
                 .spawn(move || worker.run())?;
-            lanes.push((tx, waker));
-            handles.push(handle);
+            pool.threads.push(handle);
         }
-        Ok(EventLoopPool {
-            dispatcher: Dispatcher {
-                lanes: Arc::new(lanes),
-                next: Arc::new(AtomicU64::new(0)),
-            },
-            stop,
-            handles,
-        })
+        Ok(pool)
     }
+}
 
-    pub(crate) fn dispatcher(&self) -> Dispatcher {
-        self.dispatcher.clone()
-    }
-
-    /// Stop every loop thread and wait for them; established connections
-    /// are dropped (the adaptation controller is shutting down with us).
-    pub(crate) fn shutdown(mut self) {
+impl Drop for EventLoopPool {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        for (_, waker) in self.dispatcher.lanes.iter() {
+        for waker in &self.wakers {
             waker.wake();
         }
-        for h in self.handles.drain(..) {
+        for h in self.threads.drain(..) {
             let _ = h.join();
         }
     }
@@ -208,7 +219,7 @@ impl EventLoopPool {
 /// Why a connection is being torn down (drives churn counters and the
 /// client's departure).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Close {
+pub(crate) enum Close {
     /// Peer closed (EOF, reset, write failure) or said a clean goodbye.
     Peer,
     /// Reaped by the idle timeout.
@@ -221,57 +232,98 @@ enum Close {
 
 /// Lifecycle of one multiplexed connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
+pub(crate) enum Phase {
     /// Serving the protocol.
     Active,
     /// Over capacity: wait (bounded) for the first request, answer it with
-    /// the retryable busy error, then flush and close.
+    /// the service's refusal, then flush and close.
     Refusing,
-    /// Reply queued for a goodbye/refusal/frame-error; close once the
+    /// Answer queued for a goodbye/refusal/frame-error; close once the
     /// write buffer drains.
     Closing,
 }
 
 /// One registered connection.
-struct Conn {
+pub(crate) struct Conn<S> {
     stream: TcpStream,
-    decoder: FrameDecoder,
+    pub(crate) decoder: FrameDecoder,
     /// Serialized replies not yet written (consumed prefix tracked by
     /// `out_pos`, compacted lazily).
-    out: Vec<u8>,
+    pub(crate) out: Vec<u8>,
     out_pos: usize,
-    client_id: u64,
-    departed: bool,
+    /// Unsent bytes at which decoding pauses.
+    cap: usize,
     /// The last pass served a request and left input buffered: service the
     /// connection again next pass without waiting for its socket.
     resume: bool,
     /// Read side saw EOF; drain buffered frames, then close.
-    eof: bool,
+    pub(crate) eof: bool,
     /// The EOF remainder (a final frame with no newline) was processed.
     finished_tail: bool,
     last_activity: Instant,
-    phase: Phase,
+    pub(crate) phase: Phase,
     /// Holds one slot of the connection ceiling.
     counted: bool,
+    /// Waiting on a service's helper: not read or reaped until unparked.
+    pub(crate) parked: bool,
+    /// What the service keeps for this connection.
+    pub(crate) state: S,
+}
+
+impl<S> Conn<S> {
+    /// The next buffered frame. At EOF the unterminated remainder comes
+    /// once, as the blocking reader yields a final line with no newline.
+    pub(crate) fn next_frame(&mut self) -> Result<Option<String>, FrameTooLong> {
+        match self.decoder.next_frame()? {
+            None if self.eof && !self.finished_tail => {
+                self.finished_tail = true;
+                Ok(self.decoder.finish())
+            }
+            frame => Ok(frame),
+        }
+    }
+
+    /// Whether the next buffered frame may be decoded now: the connection
+    /// is not closing or parked, and its unsent replies are under the cap.
+    pub(crate) fn may_decode(&self) -> bool {
+        self.phase != Phase::Closing && !self.parked && self.out.len() - self.out_pos < self.cap
+    }
+
+    /// End a park: the next pass flushes and goes on with buffered input.
+    pub(crate) fn unpark(&mut self) {
+        self.parked = false;
+        self.resume = true;
+    }
+}
+
+/// The pool's listener as one loop sees it: only the loop whose `index` is
+/// in `turn` polls it, and each accept hands the turn to the `next` loop
+/// (`None` when it is the only one) and wakes it.
+struct Listener {
+    socket: TcpListener,
+    turn: Arc<AtomicUsize>,
+    index: usize,
+    next: Option<(usize, Arc<Waker>)>,
 }
 
 /// One event-loop thread: owns its connections outright; nothing here is
-/// shared except the atomic connection count.
-struct LoopWorker {
-    bus: ServerBus,
+/// shared except the listener and the atomic connection count.
+struct LoopWorker<S: Service> {
+    service: S,
+    /// `None` in tests that adopt by hand.
+    listener: Option<Listener>,
     cfg: EventLoopConfig,
     max_connections: usize,
     telemetry: Telemetry,
     active: Arc<AtomicUsize>,
-    incoming: Receiver<TcpStream>,
     wake_rx: WakeReceiver,
     stop: Arc<AtomicBool>,
 }
 
-impl LoopWorker {
-    fn run(self) {
+impl<S: Service> LoopWorker<S> {
+    fn run(mut self) {
         let mut poller = PollPoller::new();
-        let mut conns: HashMap<u64, Conn> = HashMap::new();
+        let mut conns: HashMap<u64, Conn<S::State>> = HashMap::new();
         let mut next_token: u64 = 1;
         let mut sources: Vec<(PollFd, Interest)> = Vec::new();
         let mut tokens: Vec<u64> = Vec::new();
@@ -291,32 +343,35 @@ impl LoopWorker {
                 return;
             }
 
-            // Adopt connections the accept thread handed over.
-            while let Ok(stream) = self.incoming.try_recv() {
-                if let Some(conn) = self.adopt(stream) {
-                    conns.insert(next_token, conn);
-                    next_token += 1;
-                }
-            }
-
-            // Deadlines: idle reaping and the refusal wait bound.
+            // Deadlines (idle reaping, the refusal wait bound) close what is
+            // past them and bound the poll; a connection with buffered
+            // requests to resume makes it not wait at all.
             let now = Instant::now();
-            for (&token, conn) in conns.iter_mut() {
-                let waited = now.duration_since(conn.last_activity);
-                let expired = match conn.phase {
-                    Phase::Refusing if waited > REFUSE_DEADLINE => Some(Close::Refused),
-                    Phase::Active if self.cfg.idle_timeout.is_some_and(|idle| waited > idle) => {
-                        Some(Close::Idle)
-                    }
-                    _ => None,
+            let mut timeout = IDLE_TICK;
+            for (&token, conn) in conns.iter() {
+                if conn.resume {
+                    timeout = Duration::ZERO;
+                }
+                let deadline = match conn.phase {
+                    _ if conn.parked => None,
+                    Phase::Refusing => Some((REFUSE_DEADLINE, Close::Refused)),
+                    _ => self.cfg.idle_timeout.map(|idle| (idle, Close::Idle)),
                 };
-                if let Some(cause) = expired {
-                    closed.push((token, cause));
+                if let Some((limit, cause)) = deadline {
+                    match limit.checked_sub(now.duration_since(conn.last_activity)) {
+                        Some(left) => timeout = timeout.min(left.max(Duration::from_millis(1))),
+                        None => closed.push((token, cause)),
+                    }
                 }
             }
             self.reap(&mut conns, &mut closed);
 
-            // Build the poll set: the waker first, then every connection.
+            // Build the poll set: the waker, every connection, then the
+            // listener on this loop's turn. Last, because `poll` stops
+            // registering to wait on descriptors once one is ready: a ready
+            // connection spares the listener's wait-queue entry: the
+            // listener then adds 13 ns to a `poll` with a timeout, not 92 ns
+            // (2-vCPU x86-64 host).
             sources.clear();
             tokens.clear();
             sources.push((self.wake_rx.fd(), Interest::READ));
@@ -324,8 +379,13 @@ impl LoopWorker {
                 sources.push((poll_fd(&conn.stream), self.interest_of(conn)));
                 tokens.push(token);
             }
+            let listener =
+                (self.listener.as_ref()).filter(|l| l.turn.load(Ordering::SeqCst) == l.index);
+            if let Some(listener) = listener {
+                sources.push((poll_fd(&listener.socket), Interest::READ));
+            }
+            let listening = listener.is_some();
 
-            let timeout = self.poll_timeout(&conns, now);
             self.telemetry
                 .observe(Latency::EventLoopIteration, work_started.elapsed());
             let polled = poller.wait(&sources, &mut ready, timeout);
@@ -337,31 +397,44 @@ impl LoopWorker {
                     continue;
                 }
             };
-            if ready.first().is_some_and(|r| r.readable) {
+            if ready[0].readable {
                 self.wake_rx.drain();
+                self.service.woken(&mut conns);
             }
             if n == 0 && !timeout.is_zero() {
                 continue; // timeout tick: deadlines re-checked above
             }
 
             for (idx, &token) in tokens.iter().enumerate() {
-                let readiness = ready[idx + 1];
+                let readiness = ready[1 + idx];
                 let conn = conns.get_mut(&token).expect("token registered");
                 if !readiness.any() && !conn.resume {
                     continue;
                 }
-                match self.service(conn, readiness, &mut read_buf) {
-                    Ok(()) => {}
-                    Err(cause) => closed.push((token, cause)),
+                if let Err(cause) = self.service(conn, readiness, &mut read_buf) {
+                    closed.push((token, cause));
                 }
             }
             self.reap(&mut conns, &mut closed);
+            let accepted = (self.listener.as_ref())
+                .filter(|_| listening && ready[1 + tokens.len()].readable)
+                .and_then(|l| Some((l, l.socket.accept().ok()?.0)));
+            if let Some((listener, stream)) = accepted {
+                if let Some((next, waker)) = &listener.next {
+                    listener.turn.store(*next, Ordering::SeqCst);
+                    waker.wake();
+                }
+                if let Some(conn) = self.adopt(stream) {
+                    conns.insert(next_token, conn);
+                    next_token += 1;
+                }
+            }
         }
     }
 
     /// Take ownership of a fresh socket: claim a ceiling slot or put the
     /// connection on the nonblocking refusal path.
-    fn adopt(&self, stream: TcpStream) -> Option<Conn> {
+    fn adopt(&self, stream: TcpStream) -> Option<Conn<S::State>> {
         let _ = stream.set_nodelay(true);
         if stream.set_nonblocking(true).is_err() {
             return None;
@@ -387,55 +460,34 @@ impl LoopWorker {
             decoder: FrameDecoder::new(self.cfg.max_frame_len),
             out: Vec::new(),
             out_pos: 0,
-            client_id: 0,
-            departed: false,
+            cap: self.cfg.write_buffer_cap,
             resume: false,
             eof: false,
             finished_tail: false,
             last_activity: Instant::now(),
             phase,
             counted: !over_cap,
+            parked: false,
+            state: S::State::default(),
         })
     }
 
     /// What this connection should be polled for right now.
-    fn interest_of(&self, conn: &Conn) -> Interest {
+    fn interest_of(&self, conn: &Conn<S::State>) -> Interest {
         Interest {
             // Read only what could be decoded: not while the peer is not
             // draining its replies (backpressure), nor while requests are
             // already buffered (the protocol is request-reply serial), nor
             // after EOF.
-            read: self.may_decode(conn) && !conn.resume && !conn.eof,
+            read: conn.may_decode() && !conn.resume && !conn.eof,
             write: conn.out.len() > conn.out_pos,
         }
     }
 
-    /// The nearest deadline any connection is waiting on; zero when a
-    /// connection has buffered requests to resume.
-    fn poll_timeout(&self, conns: &HashMap<u64, Conn>, now: Instant) -> Duration {
-        let mut timeout = IDLE_TICK;
-        for conn in conns.values() {
-            if conn.resume {
-                return Duration::ZERO;
-            }
-            let deadline = match conn.phase {
-                Phase::Refusing => Some(REFUSE_DEADLINE),
-                Phase::Active => self.cfg.idle_timeout,
-                _ => None,
-            };
-            if let Some(d) = deadline {
-                let elapsed = now.duration_since(conn.last_activity);
-                let left = d.checked_sub(elapsed).unwrap_or(Duration::from_millis(1));
-                timeout = timeout.min(left.max(Duration::from_millis(1)));
-            }
-        }
-        timeout
-    }
-
     /// React to readiness on one connection.
     fn service(
-        &self,
-        conn: &mut Conn,
+        &mut self,
+        conn: &mut Conn<S::State>,
         readiness: Readiness,
         read_buf: &mut [u8],
     ) -> Result<(), Close> {
@@ -446,8 +498,8 @@ impl LoopWorker {
     }
 
     /// Drain the kernel's receive buffer into the frame decoder, through
-    /// the loop thread's one read buffer.
-    fn read_some(&self, conn: &mut Conn, buf: &mut [u8]) -> Result<(), Close> {
+    /// the loop thread's one read buffer, until it holds more than a frame.
+    fn read_some(&self, conn: &mut Conn<S::State>, buf: &mut [u8]) -> Result<(), Close> {
         loop {
             match conn.stream.read(buf) {
                 Ok(0) => {
@@ -460,8 +512,9 @@ impl LoopWorker {
                     // One request is served at a time; bytes beyond it
                     // stay buffered in the decoder, so stop pulling more
                     // once a frame boundary is plausible and let advance()
-                    // decide. Keep reading only while the socket has data.
-                    if n < buf.len() {
+                    // decide. Keep reading only while the socket has data,
+                    // and never past a frame's worth.
+                    if n < buf.len() || conn.decoder.buffered() > self.cfg.max_frame_len {
                         return Ok(());
                     }
                 }
@@ -472,33 +525,81 @@ impl LoopWorker {
         }
     }
 
-    /// Whether the next buffered frame may be decoded now: the connection
-    /// is not closing, and its unsent replies are under the cap.
-    fn may_decode(&self, conn: &Conn) -> bool {
-        conn.phase != Phase::Closing && conn.out.len() - conn.out_pos < self.cfg.write_buffer_cap
+    /// Push the state machine one step: flush queued reply bytes, let the
+    /// service answer buffered input up to and including the first request
+    /// served, flush again. Stopping at one served request keeps a
+    /// pipelining peer from monopolising the pass; stopping at the cap
+    /// keeps a non-draining one from growing `out`.
+    fn advance(&mut self, conn: &mut Conn<S::State>) -> Result<(), Close> {
+        flush_out(conn)?;
+        let served = self.service.serve(conn)?;
+        flush_out(conn)?;
+        conn.resume = served
+            && conn.may_decode()
+            && (conn.decoder.buffered() > 0 || (conn.eof && !conn.finished_tail));
+        if conn.out_pos < conn.out.len() {
+            return Ok(());
+        }
+        if conn.phase == Phase::Closing {
+            // Goodbye/refusal fully flushed. The write side is shut before
+            // the stream drops, so the answer is followed by an orderly end
+            // before the reset that closing on unread input causes.
+            let _ = conn.stream.shutdown(Shutdown::Write);
+            return Err(if conn.counted {
+                Close::Peer
+            } else {
+                Close::Refused
+            });
+        }
+        if conn.eof && conn.finished_tail && conn.decoder.buffered() == 0 {
+            return Err(Close::Peer);
+        }
+        Ok(())
     }
 
-    /// Push the state machine one step: flush queued reply bytes, decode
-    /// buffered frames up to and including the first request served,
-    /// flush again. Stopping at one served request
-    /// keeps a pipelining peer from monopolising the pass; stopping at the
-    /// cap keeps a non-draining one from growing `out`.
-    fn advance(&self, conn: &mut Conn) -> Result<(), Close> {
-        flush_out(conn)?;
-        let mut served = false;
-        while !served && self.may_decode(conn) {
-            let frame = match conn.decoder.next_frame() {
-                Ok(Some(frame)) => Some(frame),
-                Ok(None) => {
-                    // At EOF the blocking reader still yields an
-                    // unterminated final line; mirror that exactly once.
-                    if conn.eof && !conn.finished_tail {
-                        conn.finished_tail = true;
-                        conn.decoder.finish()
-                    } else {
-                        None
-                    }
+    /// Tear down every connection queued for closing.
+    fn reap(&mut self, conns: &mut HashMap<u64, Conn<S::State>>, closed: &mut Vec<(u64, Close)>) {
+        for (token, cause) in closed.drain(..) {
+            let Some(conn) = conns.remove(&token) else {
+                continue;
+            };
+            if conn.counted {
+                self.active.fetch_sub(1, Ordering::SeqCst);
+                match cause {
+                    Close::Peer => self.telemetry.inc(Counter::ConnectionsClosedByPeer),
+                    Close::Idle => self.telemetry.inc(Counter::ConnectionsEvictedIdle),
+                    _ => {}
                 }
+            }
+            self.service.closed(&conn);
+        }
+    }
+}
+
+/// The tuning protocol: JSON request frames served by `ServerBus::dispatch`.
+pub(crate) struct TuningService {
+    pub(crate) bus: ServerBus,
+    pub(crate) telemetry: Telemetry,
+    /// The connection ceiling, named in the busy refusal.
+    pub(crate) max_connections: usize,
+}
+
+/// The member a tuning connection speaks for: the id its `Register` or
+/// `Attach` granted (0 before), and whether it sent `Leave`.
+#[derive(Default)]
+pub(crate) struct Member {
+    client_id: u64,
+    departed: bool,
+}
+
+impl Service for TuningService {
+    type State = Member;
+
+    fn serve(&mut self, conn: &mut Conn<Member>) -> Result<bool, Close> {
+        while conn.may_decode() {
+            let frame = match conn.next_frame() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => break,
                 Err(e) => {
                     // Unframeable stream: tell the peer why, then close.
                     queue_reply(&mut conn.out, &Reply::err(format!("protocol error: {e}")));
@@ -506,7 +607,6 @@ impl LoopWorker {
                     continue;
                 }
             };
-            let Some(frame) = frame else { break };
             if conn.phase == Phase::Refusing {
                 // The refusal answers the peer's *first* request — writing
                 // before reading would race the peer's in-flight send: its
@@ -537,11 +637,11 @@ impl LoopWorker {
                 }
                 Ok(req) => {
                     let is_leave = matches!(req, Request::Leave);
-                    let Ok(reply) = self.bus.dispatch(conn.client_id, req) else {
+                    let Ok(reply) = self.bus.dispatch(conn.state.client_id, req) else {
                         return Err(Close::Server);
                     };
                     complete(conn, is_leave, &reply);
-                    served = true;
+                    return Ok(true);
                 }
                 Err(e) => {
                     queue_reply(
@@ -551,59 +651,29 @@ impl LoopWorker {
                 }
             }
         }
-        flush_out(conn)?;
-        conn.resume = served
-            && self.may_decode(conn)
-            && (conn.decoder.buffered() > 0 || (conn.eof && !conn.finished_tail));
-        if conn.phase == Phase::Closing && conn.out_pos == conn.out.len() {
-            // Goodbye/refusal fully flushed.
-            return Err(if conn.counted {
-                Close::Peer
-            } else {
-                Close::Refused
-            });
-        }
-        if conn.eof && conn.finished_tail && conn.decoder.buffered() == 0 {
-            return Err(Close::Peer);
-        }
-        Ok(())
+        Ok(false)
     }
 
-    /// Tear down every connection queued for closing.
-    fn reap(&self, conns: &mut HashMap<u64, Conn>, closed: &mut Vec<(u64, Close)>) {
-        for (token, cause) in closed.drain(..) {
-            let Some(conn) = conns.remove(&token) else {
-                continue;
-            };
-            if conn.counted {
-                self.active.fetch_sub(1, Ordering::SeqCst);
-                match cause {
-                    Close::Peer => self.telemetry.inc(Counter::ConnectionsClosedByPeer),
-                    Close::Idle => self.telemetry.inc(Counter::ConnectionsEvictedIdle),
-                    _ => {}
-                }
-            }
-            if conn.client_id != 0 && !conn.departed {
-                // The connection died with its client still a member:
-                // requeue outstanding trials for the survivors, and keep
-                // the session for the client to rejoin. Nobody reads this
-                // reply.
-                let _ = self.bus.depart(conn.client_id);
-            }
+    fn closed(&mut self, conn: &Conn<Member>) {
+        if conn.state.client_id != 0 && !conn.state.departed {
+            // The connection died with its client still a member: requeue
+            // outstanding trials for the survivors, and keep the session
+            // for the client to rejoin. Nobody reads this reply.
+            let _ = self.bus.depart(conn.state.client_id);
         }
     }
 }
 
 /// Apply a request's reply to its connection: note a completed `Leave` or
 /// a granted client id, and queue the reply frame for writing.
-fn complete(conn: &mut Conn, is_leave: bool, reply: &Reply) {
+fn complete(conn: &mut Conn<Member>, is_leave: bool, reply: &Reply) {
     conn.last_activity = Instant::now();
     if is_leave && matches!(reply, Reply::Ok) {
-        conn.departed = true;
+        conn.state.departed = true;
     }
     if let Reply::Registered { client_id, .. } = reply {
-        conn.client_id = *client_id;
-        conn.departed = false;
+        conn.state.client_id = *client_id;
+        conn.state.departed = false;
     }
     queue_reply(&mut conn.out, reply);
 }
@@ -614,8 +684,11 @@ fn queue_reply(out: &mut Vec<u8>, reply: &Reply) {
     out.push(b'\n');
 }
 
-/// Write as much buffered output as the socket accepts right now.
-fn flush_out(conn: &mut Conn) -> Result<(), Close> {
+/// Write as much buffered output as the socket accepts right now. A write
+/// that leaves bytes behind counts as activity: a large answer to a slow
+/// reader is not idle.
+fn flush_out<S>(conn: &mut Conn<S>) -> Result<(), Close> {
+    let started = conn.out_pos;
     while conn.out_pos < conn.out.len() {
         match conn.stream.write(&conn.out[conn.out_pos..]) {
             Ok(0) => return Err(Close::Peer),
@@ -628,7 +701,12 @@ fn flush_out(conn: &mut Conn) -> Result<(), Close> {
     if conn.out_pos == conn.out.len() {
         conn.out.clear();
         conn.out_pos = 0;
-    } else if conn.out_pos > 64 * 1024 {
+        return Ok(());
+    }
+    if conn.out_pos > started {
+        conn.last_activity = Instant::now();
+    }
+    if conn.out_pos > 64 * 1024 {
         conn.out.drain(..conn.out_pos);
         conn.out_pos = 0;
     }
@@ -649,7 +727,7 @@ mod tests {
         // dropping the waker makes the wake pipe read as closed.
         _server: HarmonyServer,
         _waker: Waker,
-        worker: LoopWorker,
+        worker: LoopWorker<TuningService>,
         poller: PollPoller,
         read_buf: Vec<u8>,
     }
@@ -659,12 +737,16 @@ mod tests {
             let server = HarmonyServer::start();
             let (waker, wake_rx) = waker_pair().unwrap();
             let worker = LoopWorker {
-                bus: server.bus(),
+                service: TuningService {
+                    bus: server.bus(),
+                    telemetry: Telemetry::disabled(),
+                    max_connections: 8,
+                },
+                listener: None,
                 cfg,
                 max_connections: 8,
                 telemetry: Telemetry::disabled(),
                 active: Arc::new(AtomicUsize::new(0)),
-                incoming: channel().1,
                 wake_rx,
                 stop: Arc::new(AtomicBool::new(false)),
             };
@@ -678,7 +760,7 @@ mod tests {
         }
 
         /// A server-side connection and the peer's end of it.
-        fn connect(&self) -> (Conn, TcpStream) {
+        fn connect(&self) -> (Conn<Member>, TcpStream) {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
             let (stream, _) = listener.accept().unwrap();
@@ -688,7 +770,7 @@ mod tests {
         /// What `run` does for one connection in one pass: poll it for
         /// what it wants (not at all when it has requests to resume), then
         /// service it. Returns whether it was serviced.
-        fn pass(&mut self, conn: &mut Conn, wait: Duration) -> bool {
+        fn pass(&mut self, conn: &mut Conn<Member>, wait: Duration) -> bool {
             let wait = if conn.resume { Duration::ZERO } else { wait };
             let source = (poll_fd(&conn.stream), self.worker.interest_of(conn));
             let mut ready = Vec::new();
@@ -718,6 +800,50 @@ mod tests {
         blob.into_bytes()
     }
 
+    /// Answers every line with the name of the loop thread serving it.
+    struct WhoServes;
+
+    impl Service for WhoServes {
+        type State = ();
+
+        fn serve(&mut self, conn: &mut Conn<()>) -> Result<bool, Close> {
+            match conn.next_frame() {
+                Ok(Some(_)) => {
+                    let name = std::thread::current().name().unwrap_or("").to_owned();
+                    conn.out.extend_from_slice(name.as_bytes());
+                    conn.out.push(b'\n');
+                    Ok(true)
+                }
+                Ok(None) => Ok(false),
+                Err(_) => Err(Close::Peer),
+            }
+        }
+    }
+
+    #[test]
+    fn a_burst_of_connections_is_dealt_round_robin() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // The whole burst waits in the accept queue before any loop runs.
+        let peers: Vec<TcpStream> = (0..12).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let cfg = EventLoopConfig {
+            loop_threads: 3,
+            ..Default::default()
+        };
+        let _pool = EventLoopPool::start("deal", listener, cfg, 64, Telemetry::disabled(), |_| {
+            WhoServes
+        })
+        .unwrap();
+        for (i, mut peer) in peers.iter().enumerate() {
+            peer.set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            peer.write_all(b"who\n").unwrap();
+            let mut line = String::new();
+            BufReader::new(peer).read_line(&mut line).unwrap();
+            assert_eq!(line.trim_end(), format!("deal-{}", i % 3), "connection {i}");
+        }
+    }
+
     #[test]
     fn serial_client_on_an_idle_server_never_touches_the_wake_pipe() {
         let mut rig = Rig::new(EventLoopConfig::default());
@@ -741,7 +867,7 @@ mod tests {
             replies.read_line(&mut line).unwrap();
             assert!(line.ends_with('\n'), "{line:?}");
         }
-        assert_ne!(conn.client_id, 0, "the Register reply was applied");
+        assert_ne!(conn.state.client_id, 0, "the Register reply was applied");
         assert!(!rig.woken(Duration::ZERO), "a request never wakes the loop");
     }
 
@@ -806,8 +932,8 @@ mod tests {
             queue_reply(&mut out, &Reply::err(unknown.to_string()));
             out
         };
-        let backlog = |conn: &Conn| conn.out.len() - conn.out_pos;
-        let check = |rig: &mut Rig, conn: &mut Conn, wait: Duration| -> bool {
+        let backlog = |conn: &Conn<Member>| conn.out.len() - conn.out_pos;
+        let check = |rig: &mut Rig, conn: &mut Conn<Member>, wait: Duration| -> bool {
             let (resumed, buffered) = (conn.resume, conn.decoder.buffered());
             let serviced = rig.pass(conn, wait);
             if resumed {

@@ -659,7 +659,9 @@ fn in_span(cfg: &ServerConfig, session: u64, handle: impl FnOnce() -> Reply) -> 
 /// Handle to a running Harmony server: its sessions, plus one anti-entropy
 /// puller thread per [`ServerConfig::sync_peers`] entry. Requests are
 /// served by the threads that send them, so the server runs no other
-/// thread.
+/// thread; a TCP front-end adds its event-loop threads, and
+/// [`observe`](Self::observe) adds one loop thread for all of its HTTP
+/// connections.
 pub struct HarmonyServer {
     bus: ServerBus,
     sync_stop: Arc<AtomicBool>,
@@ -766,10 +768,12 @@ impl HarmonyServer {
     }
 
     /// Start the observability plane: an HTTP responder on `addr` serving
-    /// `/metrics`, `/status`, `/trials` and `/spans` from a dedicated thread.
-    /// Snapshots take each session's lock only briefly; the tuning hot
-    /// path is untouched. Bind to port 0 to let the OS pick; the bound address is on
-    /// the returned [`ObserveHandle`].
+    /// `/metrics`, `/status`, `/fleet` and the other routes of
+    /// [`observe`](mod@observe) from one event-loop thread of its own, which
+    /// accepts and serves every HTTP connection (`/fleet`'s peer reads run
+    /// on a short-lived fan-out thread). Snapshots take each session's lock
+    /// only briefly; the tuning hot path is untouched. Bind to port 0 to let
+    /// the OS pick; the bound address is on the returned [`ObserveHandle`].
     pub fn observe(&self, addr: &str) -> std::io::Result<ObserveHandle> {
         observe::start(addr, self.bus.clone(), self.config().clone())
     }

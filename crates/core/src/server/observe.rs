@@ -3,7 +3,8 @@
 //! [`HarmonyServer`](super::HarmonyServer).
 //!
 //! Started with [`HarmonyServer::observe`](super::HarmonyServer::observe),
-//! the responder runs on its own thread and answers:
+//! the responder is one [`event loop`](super::event_loop) thread running
+//! HTTP as its service, and answers:
 //!
 //! * `GET /metrics` — Prometheus text exposition (version 0.0.4) of every
 //!   telemetry counter and latency histogram.
@@ -27,30 +28,35 @@
 //!   the merge is idempotent. 404 when no store is attached.
 //! * `GET /` — an index of the routes above.
 //!
-//! Everything stays off the tuning hot path: building a response takes each
-//! session's lock only long enough to copy a [`SearchSnapshot`] out, and the
-//! threads serving requests never block on the responder. The implementation is
-//! hand-rolled over [`std::net::TcpListener`] — the repo builds offline
-//! against vendored crates only, so no HTTP dependency is available, and
-//! two GET routes do not justify one.
+//! Everything stays off the tuning hot path: a response takes each session's
+//! lock only long enough to copy a [`SearchSnapshot`] out, and the plane's
+//! own loop keeps a long body (`/store/log`, `/trace`) off the tuning loops.
+//! An idle connection costs a buffer, not a thread. `/fleet`'s blocking peer
+//! reads run on one short-lived fan-out thread. The implementation is
+//! hand-rolled over [`std::net`] — the repo builds offline against vendored
+//! crates only, and a few GET routes do not justify an HTTP dependency.
 //!
 //! [`SearchSnapshot`]: crate::session::SearchSnapshot
 
+use super::event_loop::{Close, Conn, EventLoopConfig, EventLoopPool, Phase, Service};
+use super::poll::Waker;
+use super::tcp::DEFAULT_MAX_CONNECTIONS;
 use super::{ServerBus, ServerConfig, SessionPhase, SessionState, Tuning};
 use crate::lock;
-use crate::telemetry::{slo, Counter};
+use crate::telemetry::{slo, Counter, Telemetry};
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long a single request may dribble in before the responder gives up
-/// on the connection. One slow client must not wedge the plane.
+/// How long a connection may stay silent — mid-head or between keep-alive
+/// requests — before the plane closes it, and how long [`http_get`] waits
+/// to connect or read. One slow client must not wedge the plane.
 const READ_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Most bytes a request's head — request line plus headers — may take.
@@ -86,11 +92,10 @@ pub(crate) struct StoreLogHeader {
 }
 
 /// Handle to a running observability responder. Dropping it (or calling
-/// [`stop`](ObserveHandle::stop)) shuts the responder thread down.
+/// [`stop`](ObserveHandle::stop)) stops the responder's loop thread.
 pub struct ObserveHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    _pool: EventLoopPool,
 }
 
 impl ObserveHandle {
@@ -99,40 +104,20 @@ impl ObserveHandle {
         self.addr
     }
 
-    /// Stop the responder thread and wait for it to exit.
-    pub fn stop(mut self) {
-        self.do_stop();
-    }
-
-    fn do_stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop the same way TcpHarmonyServer does: a
-        // throwaway connection to ourselves.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+    /// Stop the responder's loop thread and wait for it to exit; a `/fleet`
+    /// fan-out still reading its peers ends on its own.
+    pub fn stop(self) {
+        drop(self);
     }
 }
 
-impl Drop for ObserveHandle {
-    fn drop(&mut self) {
-        if self.handle.is_some() {
-            self.do_stop();
-        }
-    }
-}
-
-/// Everything a connection thread needs to answer any route: the bus for
-/// session snapshots, the config for telemetry/store/peers, the last-good
-/// peer snapshot cache behind `/fleet`, this responder's own bound
-/// address (its identity in the fleet view), and the shared stop flag.
+/// Everything a response is built from, and this responder's own address
+/// (its identity in the fleet view).
 struct ObserveCtx {
     bus: ServerBus,
     cfg: ServerConfig,
     fleet: FleetCache,
     local: SocketAddr,
-    stop: Arc<AtomicBool>,
 }
 
 /// Last good `/fleet` snapshot per peer: `(fetched_at, row)`. A peer that
@@ -140,7 +125,7 @@ struct ObserveCtx {
 /// its age — a fleet view must degrade, not blank, when one server blips.
 type FleetCache = Arc<Mutex<HashMap<String, (Instant, Value)>>>;
 
-/// Bind `addr` and start the responder thread.
+/// Bind `addr` and start the responder's loop thread.
 pub(crate) fn start(
     addr: &str,
     bus: ServerBus,
@@ -148,237 +133,227 @@ pub(crate) fn start(
 ) -> std::io::Result<ObserveHandle> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
     let ctx = Arc::new(ObserveCtx {
         bus,
         cfg,
-        fleet: Arc::new(Mutex::new(HashMap::new())),
+        fleet: FleetCache::default(),
         local,
-        stop: Arc::clone(&stop),
     });
-    let stop_accept = Arc::clone(&stop);
-    let handle = std::thread::Builder::new()
-        .name("harmony-observe".into())
-        .spawn(move || {
-            for conn in listener.incoming() {
-                if stop_accept.load(Ordering::SeqCst) {
-                    break;
-                }
-                // One short-lived thread per connection: connections are
-                // keep-alive (a `repro watch` holds one open per tick
-                // interval, Prometheus scrapers pipeline), so serving
-                // inline would let one slow scraper wedge the plane.
-                if let Ok(stream) = conn {
-                    let ctx = Arc::clone(&ctx);
-                    let _ = std::thread::Builder::new()
-                        .name("harmony-observe-conn".into())
-                        .spawn(move || {
-                            let _ = serve_connection(stream, &ctx);
-                        });
-                }
-            }
-        })?;
+    let loop_cfg = EventLoopConfig {
+        loop_threads: 1,
+        idle_timeout: Some(READ_TIMEOUT),
+        max_frame_len: MAX_HEAD_BYTES,
+        ..Default::default()
+    };
+    let pool = EventLoopPool::start(
+        "harmony-observe",
+        listener,
+        loop_cfg,
+        DEFAULT_MAX_CONNECTIONS,
+        // HTTP connections move none of the tuning `connections_*` counters.
+        Telemetry::disabled(),
+        |waker| HttpService {
+            ctx: Arc::clone(&ctx),
+            waker: Arc::clone(waker),
+            fleet: None,
+        },
+    )?;
     Ok(ObserveHandle {
         addr: local,
-        stop,
-        handle: Some(handle),
+        _pool: pool,
     })
 }
 
-/// Serve one connection: requests in a keep-alive loop until the peer
-/// closes, asks to close, errors, or the responder is stopping. Responses
-/// are written through the `BufReader`'s underlying stream so pipelined
-/// request bytes already buffered are never lost.
-fn serve_connection(stream: TcpStream, ctx: &ObserveCtx) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(READ_TIMEOUT))?;
-    let mut reader = BufReader::new(stream);
-    loop {
-        if ctx.stop.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let mut head_left = MAX_HEAD_BYTES;
-        let mut request_line = String::new();
-        match read_head_line(&mut reader, &mut head_left, &mut request_line)? {
-            HeadLine::Eof => return Ok(()), // clean EOF between requests
-            HeadLine::TooLong => return refuse_head(reader.get_mut()),
-            HeadLine::Line => {}
-        }
-        if request_line.trim().is_empty() {
-            continue; // stray CRLF between pipelined requests
-        }
-        // Drain the headers; the only one that changes behavior is an
-        // explicit `Connection: close`.
-        let mut close = false;
-        loop {
-            let mut line = String::new();
-            match read_head_line(&mut reader, &mut head_left, &mut line)? {
-                HeadLine::Eof => {
-                    close = true;
-                    break;
-                }
-                HeadLine::TooLong => return refuse_head(reader.get_mut()),
-                HeadLine::Line => {}
-            }
-            if line == "\r\n" || line == "\n" {
-                break;
-            }
-            let lower = line.to_ascii_lowercase();
-            if lower.starts_with("connection:") && lower.contains("close") {
-                close = true;
-            }
-        }
+/// HTTP as an event-loop service: each request head is read line by line
+/// through the connection's frame decoder and answered from [`ObserveCtx`],
+/// one request per pass, in order.
+struct HttpService {
+    ctx: Arc<ObserveCtx>,
+    /// Wakes the loop when the fan-out thread has posted its document.
+    waker: Arc<Waker>,
+    /// Where the running `/fleet` fan-out posts its document (`None` if
+    /// building it panicked), which every `/fleet` request parked meanwhile
+    /// shares. The thread is never joined: stopping the plane does not wait
+    /// for its peer reads.
+    fleet: Option<Receiver<Option<String>>>,
+}
 
-        let mut parts = request_line.split_whitespace();
-        let method = parts.next().unwrap_or("");
-        let target = parts.next().unwrap_or("");
-        if method != "GET" {
-            // A non-GET may carry a body this loop does not parse; answer
-            // with a correctly-framed 405 and close rather than misread
-            // the body bytes as a next request.
-            respond(
-                reader.get_mut(),
-                405,
-                "text/plain",
-                "method not allowed\n",
-                true,
-            )?;
-            return Ok(());
+/// The request head a connection is reading.
+#[derive(Default)]
+struct Head {
+    /// The request line, once it has arrived.
+    line: Option<String>,
+    /// The client asked for `Connection: close`, or its input ended.
+    close: bool,
+    /// Head bytes taken so far, against [`MAX_HEAD_BYTES`].
+    used: usize,
+}
+
+impl Service for HttpService {
+    type State = Head;
+
+    fn serve(&mut self, conn: &mut Conn<Head>) -> Result<bool, Close> {
+        while conn.may_decode() {
+            conn.decoder
+                .set_max_frame(MAX_HEAD_BYTES.saturating_sub(conn.state.used));
+            let line = match conn.next_frame() {
+                Ok(Some(line)) => line,
+                // The input ended inside a head: answer what arrived.
+                Ok(None) if conn.eof && conn.state.line.is_some() => {
+                    conn.state.close = true;
+                    String::new()
+                }
+                Ok(None) => return Ok(false),
+                Err(_) => {
+                    // The head outgrew its budget: answer, and give the
+                    // connection up with the rest of its input unread.
+                    respond(conn, 431, "text/plain", "request head too large\n", true);
+                    return Ok(true);
+                }
+            };
+            let head = &mut conn.state;
+            head.used += line.len() + 2;
+            if head.line.is_none() {
+                if line.trim().is_empty() {
+                    head.used = 0; // stray CRLF between pipelined requests
+                } else {
+                    head.line = Some(line);
+                }
+            } else if line.is_empty() {
+                let head = std::mem::take(&mut conn.state);
+                self.answer(conn, head);
+                return Ok(true);
+            } else {
+                // The only header that changes behavior is an explicit
+                // `Connection: close`.
+                let lower = line.to_ascii_lowercase();
+                if lower.starts_with("connection:") && lower.contains("close") {
+                    head.close = true;
+                }
+            }
         }
-        let (path, query) = match target.split_once('?') {
-            Some((p, q)) => (p, q),
-            None => (target, ""),
+        Ok(false)
+    }
+
+    fn woken(&mut self, conns: &mut HashMap<u64, Conn<Head>>) {
+        let Some(Ok(body)) = self.fleet.as_ref().map(Receiver::try_recv) else {
+            return;
         };
-        let stream = reader.get_mut();
-        let (bus, cfg) = (&ctx.bus, &ctx.cfg);
-        match path {
-            "/" => respond(
-                stream,
-                200,
-                "application/json",
-                &render(index_json()),
-                close,
-            )?,
-            "/metrics" => respond(
-                stream,
-                200,
-                "text/plain; version=0.0.4; charset=utf-8",
-                &cfg.telemetry.prometheus(),
-                close,
-            )?,
-            "/metrics/history" => match &cfg.timeseries {
-                Some(series) => {
-                    let window =
-                        Duration::from_secs(parse_query(query, "window").unwrap_or(60) as u64);
-                    respond(
-                        stream,
-                        200,
-                        "application/json",
-                        &render(series.history_json(window)),
-                        close,
-                    )?
-                }
-                None => respond(stream, 404, "text/plain", "no timeseries attached\n", close)?,
-            },
-            "/healthz" => {
-                let (code, doc) = healthz_json(cfg);
-                respond(stream, code, "application/json", &render(doc), close)?
+        self.fleet = None;
+        for conn in conns.values_mut().filter(|conn| conn.parked) {
+            let close = std::mem::take(&mut conn.state).close;
+            match &body {
+                Some(body) => respond(conn, 200, "application/json", body, close),
+                None => respond(conn, 503, "text/plain", FLEET_FAILED, close),
             }
-            "/fleet" => respond(
-                stream,
-                200,
-                "application/json",
-                &render(fleet_json(ctx)),
-                close,
-            )?,
-            "/status" => respond(
-                stream,
-                200,
-                "application/json",
-                &render(status_json(bus, cfg)),
-                close,
-            )?,
-            "/trials" => {
-                let events = tail(cfg.telemetry.events(), parse_n(query));
-                let body = serde_json::to_string(&events).unwrap_or_else(|_| "[]".into());
-                respond(stream, 200, "application/json", &format!("{body}\n"), close)?
-            }
-            "/spans" => {
-                let spans = tail(cfg.telemetry.spans(), parse_n(query));
-                let body = serde_json::to_string(&spans).unwrap_or_else(|_| "[]".into());
-                respond(stream, 200, "application/json", &format!("{body}\n"), close)?
-            }
-            "/trace" => respond(
-                stream,
-                200,
-                "application/json",
-                &render(cfg.telemetry.chrome_trace()),
-                close,
-            )?,
-            "/store/log" => match &cfg.store {
-                Some(store) => {
-                    let from = parse_query(query, "from").unwrap_or(0);
-                    let (header, blob) = store.with(|store| {
-                        let (start, blob) = store.encode_log_from(from);
-                        let header = StoreLogHeader {
-                            kind: STORE_LOG_KIND.to_string(),
-                            start,
-                            total: store.len(),
-                            generation: store.generation(),
-                        };
-                        (header, blob)
-                    });
-                    let header = serde_json::to_string(&header).expect("header serialises");
-                    respond(
-                        stream,
-                        200,
-                        "application/x-ndjson",
-                        &format!("{header}\n{blob}"),
-                        close,
-                    )?
-                }
-                None => respond(stream, 404, "text/plain", "no store attached\n", close)?,
-            },
-            _ => respond(stream, 404, "text/plain", "not found\n", close)?,
-        }
-        if close {
-            return Ok(());
+            conn.unpark();
         }
     }
 }
 
-/// What [`read_head_line`] found.
-enum HeadLine {
-    /// The connection ended before another byte.
-    Eof,
-    /// A line (or, at the end of the stream, what there was of one).
-    Line,
-    /// The head's byte budget ran out before the line did.
-    TooLong,
+impl HttpService {
+    /// Queue the answer to a whole request head, or park the connection
+    /// for `/fleet`.
+    fn answer(&mut self, conn: &mut Conn<Head>, head: Head) {
+        let line = head.line.unwrap_or_default();
+        let mut parts = line.split_whitespace();
+        let method = parts.next().unwrap_or("");
+        let target = parts.next().unwrap_or("");
+        let (path, query) = target.split_once('?').unwrap_or((target, ""));
+        let (code, content_type, body, close) = if conn.phase == Phase::Refusing {
+            let body = format!("server at connection capacity ({DEFAULT_MAX_CONNECTIONS})\n");
+            (503, "text/plain", body, true)
+        } else if method != "GET" {
+            // A non-GET may carry a body this plane does not parse; answer
+            // with a correctly-framed 405 and close rather than misread the
+            // body bytes as a next request.
+            (405, "text/plain", "method not allowed\n".into(), true)
+        } else if path == "/fleet" && self.fan_out() {
+            conn.state.close = head.close;
+            conn.parked = true;
+            return;
+        } else if path == "/fleet" {
+            (503, "text/plain", FLEET_FAILED.into(), head.close)
+        } else {
+            let (code, content_type, body) = route(&self.ctx, path, query);
+            (code, content_type, body, head.close)
+        };
+        respond(conn, code, content_type, &body, close);
+    }
+
+    /// Build the `/fleet` document off the loop, unless a build is already
+    /// under way: its peer reads block, and a loop blocked in them could
+    /// not answer a peer's (or its own) `/status` meanwhile. Returns
+    /// whether a build is under way; without a thread there is none, and
+    /// the request is refused rather than built here.
+    fn fan_out(&mut self) -> bool {
+        if self.fleet.is_some() {
+            return true;
+        }
+        let (tx, rx) = channel();
+        let (ctx, waker) = (Arc::clone(&self.ctx), Arc::clone(&self.waker));
+        let spawned = std::thread::Builder::new()
+            .name("harmony-fleet".into())
+            .spawn(move || {
+                let body = catch_unwind(AssertUnwindSafe(|| render(fleet_json(&ctx))));
+                let _ = tx.send(body.ok());
+                waker.wake();
+            });
+        self.fleet = spawned.is_ok().then_some(rx);
+        self.fleet.is_some()
+    }
 }
 
-/// Read one line of a request head into `line`, charging it to `left`, the
-/// bytes the head may still take: never more than that is read.
-fn read_head_line(
-    reader: &mut BufReader<TcpStream>,
-    left: &mut usize,
-    line: &mut String,
-) -> std::io::Result<HeadLine> {
-    let n = reader.by_ref().take(*left as u64).read_line(line)?;
-    *left -= n;
-    Ok(match n {
-        0 if *left > 0 => HeadLine::Eof,
-        _ if *left == 0 && !line.ends_with('\n') => HeadLine::TooLong,
-        _ => HeadLine::Line,
-    })
-}
+/// The `503` body when no `/fleet` document could be built.
+const FLEET_FAILED: &str = "fleet view unavailable\n";
 
-/// Answer an oversized head and give the connection up: the rest of what
-/// the client is sending is never read. The write side is shut before the
-/// stream drops, so the answer is followed by an orderly end before the
-/// reset that closing on unread input causes.
-fn refuse_head(stream: &mut TcpStream) -> std::io::Result<()> {
-    respond(stream, 431, "text/plain", "request head too large\n", true)?;
-    stream.shutdown(Shutdown::Write)
+/// Every route but `/fleet`: `(status code, content type, body)`.
+fn route(ctx: &ObserveCtx, path: &str, query: &str) -> (u16, &'static str, String) {
+    const JSON: &str = "application/json";
+    const TEXT: &str = "text/plain";
+    let (bus, cfg) = (&ctx.bus, &ctx.cfg);
+    match path {
+        "/" => (200, JSON, render(index_json())),
+        "/metrics" => (
+            200,
+            "text/plain; version=0.0.4; charset=utf-8",
+            cfg.telemetry.prometheus(),
+        ),
+        "/metrics/history" => match &cfg.timeseries {
+            Some(series) => {
+                let window = Duration::from_secs(parse_query(query, "window").unwrap_or(60) as u64);
+                (200, JSON, render(series.history_json(window)))
+            }
+            None => (404, TEXT, "no timeseries attached\n".into()),
+        },
+        "/healthz" => {
+            let (code, doc) = healthz_json(cfg);
+            (code, JSON, render(doc))
+        }
+        "/status" => (200, JSON, render(status_json(bus, cfg))),
+        "/trials" => (200, JSON, tail(cfg.telemetry.events(), query)),
+        "/spans" => (200, JSON, tail(cfg.telemetry.spans(), query)),
+        "/trace" => (200, JSON, render(cfg.telemetry.chrome_trace())),
+        "/store/log" => match &cfg.store {
+            Some(store) => {
+                let from = parse_query(query, "from").unwrap_or(0);
+                let (header, blob) = store.with(|store| {
+                    let (start, blob) = store.encode_log_from(from);
+                    let header = StoreLogHeader {
+                        kind: STORE_LOG_KIND.to_string(),
+                        start,
+                        total: store.len(),
+                        generation: store.generation(),
+                    };
+                    (header, blob)
+                });
+                let header = serde_json::to_string(&header).expect("header serialises");
+                (200, "application/x-ndjson", format!("{header}\n{blob}"))
+            }
+            None => (404, TEXT, "no store attached\n".into()),
+        },
+        _ => (404, TEXT, "not found\n".into()),
+    }
 }
 
 /// A JSON document as a newline-terminated response body.
@@ -388,16 +363,9 @@ fn render(v: Value) -> String {
     body
 }
 
-/// Send one response, head and body in a single write: the stream is
-/// unbuffered, and a response split over several writes can lose its tail
-/// to the reset that closing on unread input causes ([`refuse_head`]).
-fn respond(
-    stream: &mut TcpStream,
-    code: u16,
-    content_type: &str,
-    body: &str,
-    close: bool,
-) -> std::io::Result<()> {
+/// Queue one response, head and body, on a connection's write buffer; with
+/// `close`, the connection closes once it is flushed.
+fn respond(conn: &mut Conn<Head>, code: u16, content_type: &str, body: &str, close: bool) {
     let reason = match code {
         200 => "OK",
         404 => "Not Found",
@@ -407,19 +375,16 @@ fn respond(
         _ => "Error",
     };
     let connection = if close { "close" } else { "keep-alive" };
-    let mut response = format!(
+    if close {
+        conn.phase = Phase::Closing;
+    }
+    let _ = write!(
+        conn.out,
         "HTTP/1.1 {code} {reason}\r\nContent-Type: {content_type}\r\n\
          Content-Length: {}\r\nConnection: {connection}\r\n\r\n",
         body.len()
-    )
-    .into_bytes();
-    response.extend_from_slice(body.as_bytes());
-    stream.write_all(&response)
-}
-
-/// The `n` value of a `n=K` query string, if present and numeric.
-fn parse_n(query: &str) -> Option<usize> {
-    parse_query(query, "n")
+    );
+    conn.out.extend_from_slice(body.as_bytes());
 }
 
 /// The numeric value of `key=K` in a query string, if present.
@@ -430,13 +395,12 @@ fn parse_query(query: &str, key: &str) -> Option<usize> {
         .find_map(|(k, v)| (k == key).then(|| v.parse().ok()).flatten())
 }
 
-/// Keep the last `n` items (all of them when `n` is `None`).
-fn tail<T>(mut items: Vec<T>, n: Option<usize>) -> Vec<T> {
-    if let Some(n) = n {
-        let cut = items.len().saturating_sub(n);
-        items.drain(..cut);
-    }
-    items
+/// The last `n` items of a `n=K` query (all of them without one), as a
+/// JSON array body.
+fn tail<T: Serialize>(items: Vec<T>, query: &str) -> String {
+    let n = parse_query(query, "n").unwrap_or(items.len());
+    let body = serde_json::to_string(&items[items.len().saturating_sub(n)..]);
+    format!("{}\n", body.unwrap_or_else(|_| "[]".into()))
 }
 
 fn index_json() -> Value {
@@ -557,13 +521,9 @@ fn fleet_json(ctx: &ObserveCtx) -> Value {
                 Some((at, cached)) => {
                     let mut row = cached.clone();
                     if let Value::Object(fields) = &mut row {
-                        for (k, v) in fields.iter_mut() {
-                            match k.as_str() {
-                                "fresh" => *v = Value::Bool(false),
-                                "age_s" => *v = Value::Float(at.elapsed().as_secs_f64()),
-                                _ => {}
-                            }
-                        }
+                        *entry(fields, "fresh", Value::Null) = Value::Bool(false);
+                        let age = Value::Float(at.elapsed().as_secs_f64());
+                        *entry(fields, "age_s", Value::Null) = age;
                     }
                     row
                 }
@@ -588,47 +548,22 @@ fn fleet_json(ctx: &ObserveCtx) -> Value {
             .filter_map(|r| r.get(key).and_then(Value::as_u64))
             .sum()
     };
-    // Merge every peer's per-tenant series: tenant → metric → summed value.
-    let mut tenant_totals: Vec<(String, Vec<(String, u64)>)> = Vec::new();
-    for row in &rows {
-        let Some(tenants) = row.get("tenants").and_then(Value::as_object) else {
-            continue;
-        };
-        for (tenant, metrics) in tenants {
-            let slot = match tenant_totals.iter_mut().find(|(t, _)| t == tenant) {
-                Some((_, slot)) => slot,
-                None => {
-                    tenant_totals.push((tenant.clone(), Vec::new()));
-                    &mut tenant_totals.last_mut().expect("just pushed").1
-                }
-            };
-            if let Some(fields) = metrics.as_object() {
-                for (metric, value) in fields {
-                    let v = value.as_u64().unwrap_or(0);
-                    match slot.iter_mut().find(|(m, _)| m == metric) {
-                        Some((_, total)) => *total += v,
-                        None => slot.push((metric.clone(), v)),
-                    }
+    // Merge every peer's per-tenant series: tenant → metric → summed value,
+    // each in the order first seen.
+    let mut tenants = Vec::new();
+    for (tenant, metrics) in rows
+        .iter()
+        .filter_map(|r| r.get("tenants")?.as_object())
+        .flatten()
+    {
+        if let Value::Object(slot) = entry(&mut tenants, tenant, Value::Object(Vec::new())) {
+            for (metric, value) in metrics.as_object().unwrap_or_default() {
+                if let Value::UInt(total) = entry(slot, metric, Value::UInt(0)) {
+                    *total += value.as_u64().unwrap_or(0);
                 }
             }
         }
     }
-    let tenants = Value::Object(
-        tenant_totals
-            .into_iter()
-            .map(|(tenant, metrics)| {
-                (
-                    tenant,
-                    Value::Object(
-                        metrics
-                            .into_iter()
-                            .map(|(m, v)| (m, Value::UInt(v)))
-                            .collect(),
-                    ),
-                )
-            })
-            .collect(),
-    );
     json!({
         "peers": rows.len(),
         "fresh": fresh,
@@ -638,9 +573,22 @@ fn fleet_json(ctx: &ObserveCtx) -> Value {
             "sessions": sum("sessions"),
             "quota_refusals": sum("quota_refusals"),
         },
-        "tenants": tenants,
+        "tenants": Value::Object(tenants),
         "rows": Value::Array(rows),
     })
+}
+
+/// The value under `key` in a JSON object's fields, added as `init` if
+/// absent.
+fn entry<'a>(fields: &'a mut Vec<(String, Value)>, key: &str, init: Value) -> &'a mut Value {
+    let at = match fields.iter().position(|(k, _)| k == key) {
+        Some(at) => at,
+        None => {
+            fields.push((key.to_owned(), init));
+            fields.len() - 1
+        }
+    };
+    &mut fields[at].1
 }
 
 /// The `/status` document. Takes each session's lock once, briefly, after
@@ -770,8 +718,18 @@ fn session_json(state: &SessionState) -> Value {
 /// dependency any more than the server wants a framework.
 pub fn http_get(addr: &str, path: &str) -> std::io::Result<(u16, String)> {
     let invalid = |what| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
-    let mut stream = TcpStream::connect(addr)?;
+    // Connect with a deadline too: a peer whose accept queue is full, or
+    // that drops SYNs, would hold the caller for the kernel's SYN retries.
+    let mut stream = Err(std::io::ErrorKind::InvalidInput.into());
+    for resolved in addr.to_socket_addrs()? {
+        stream = TcpStream::connect_timeout(&resolved, READ_TIMEOUT);
+        if stream.is_ok() {
+            break;
+        }
+    }
+    let mut stream = stream?;
     stream.set_read_timeout(Some(READ_TIMEOUT))?;
+    stream.set_write_timeout(Some(READ_TIMEOUT))?;
     write!(
         stream,
         "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"

@@ -218,10 +218,10 @@ type WakePipe = std::os::unix::net::UnixStream;
 #[cfg(not(unix))]
 type WakePipe = std::net::TcpStream;
 
-/// Cross-thread wakeup for a blocked poller: the accept thread handing over
-/// a fresh connection, or a stop, calls [`Waker::wake`], which makes the
-/// paired [`WakeReceiver`] readable and pops the owning loop out of `poll`.
-/// Cheap self-pipe, no signals.
+/// Cross-thread wakeup for a blocked poller: a stop, the accept turn, or a
+/// `/fleet` document calls [`Waker::wake`], which makes the paired
+/// [`WakeReceiver`] readable and pops the owning loop out of `poll`. Cheap
+/// self-pipe, no signals.
 pub struct Waker {
     tx: WakePipe,
 }

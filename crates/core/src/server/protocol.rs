@@ -398,6 +398,12 @@ impl FrameDecoder {
         Some(frame)
     }
 
+    /// Change the cap for the frames still to come: the observe plane
+    /// lowers it as a request head uses up its byte budget.
+    pub(crate) fn set_max_frame(&mut self, max_frame: usize) {
+        self.max_frame = max_frame;
+    }
+
     /// Bytes buffered but not yet returned as frames.
     pub fn buffered(&self) -> usize {
         self.buf.len() - self.pos

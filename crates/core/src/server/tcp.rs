@@ -8,10 +8,10 @@
 //! controller; connections are bridged onto its message bus.
 //!
 //! The bridging is done by the nonblocking readiness
-//! [`event loop`](super::event_loop): an accept thread hands each socket to
-//! one of a few loop threads, which multiplex every connection's reads,
-//! writes, refusals, and idle eviction. A campaign driven over it produces
-//! the bit-identical tuning trajectory of a serial in-process run.
+//! [`event loop`](super::event_loop): a few loop threads take turns at the
+//! listening socket, accept from it themselves, and multiplex every
+//! connection's reads, writes, refusals, and idle eviction. A campaign driven over it
+//! produces the bit-identical tuning trajectory of a serial in-process run.
 //!
 //! A whole batch (`FetchBatch` request, `Configs` reply, `ReportBatch`
 //! request) is one serde frame — one line, one write — so a PRO round of
@@ -40,7 +40,7 @@
 //! that reconnects forgets the trial it held.
 
 use super::client::reply_error;
-use super::event_loop::{EventLoopConfig, EventLoopPool};
+use super::event_loop::{EventLoopConfig, EventLoopPool, TuningService};
 use super::protocol::{FetchedTrial, Reply, Request, StrategyKind, TrialReport};
 use super::HarmonyServer;
 use crate::error::{HarmonyError, Result};
@@ -52,9 +52,7 @@ use crate::space::Configuration;
 use crate::telemetry::{Counter, Latency, SpanKind, Telemetry};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 /// Default cap on simultaneously served connections; beyond it new
@@ -87,11 +85,10 @@ impl Default for TcpTransport {
 /// A Harmony server listening on a TCP socket.
 pub struct TcpHarmonyServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_handle: Option<JoinHandle<()>>,
-    inner: Option<HarmonyServer>,
-    pool: Option<EventLoopPool>,
-    active: Arc<AtomicUsize>,
+    // Fields drop in order: the loops stop (closing the listener and every
+    // connection) before the server behind them shuts down.
+    pool: EventLoopPool,
+    inner: HarmonyServer,
 }
 
 impl TcpHarmonyServer {
@@ -131,38 +128,25 @@ impl TcpHarmonyServer {
         let telemetry = config.telemetry.clone();
         let inner = HarmonyServer::start_with_config(config);
         let bus = inner.bus();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_accept = Arc::clone(&stop);
-        let active = Arc::new(AtomicUsize::new(0));
         let TcpTransport::EventLoop(cfg) = transport;
+        let max_connections = max_connections.max(1);
+        // The loops accept from the listener themselves.
         let pool = EventLoopPool::start(
-            bus,
+            "harmony-evloop",
+            listener,
             cfg,
-            max_connections.max(1),
-            telemetry,
-            Arc::clone(&active),
+            max_connections,
+            telemetry.clone(),
+            |_| TuningService {
+                bus: bus.clone(),
+                telemetry: telemetry.clone(),
+                max_connections,
+            },
         )?;
-        let dispatcher = pool.dispatcher();
-        // The accept thread only hands sockets over; every read, write, and
-        // refusal happens on the loop threads.
-        let accept_handle = std::thread::Builder::new()
-            .name("harmony-tcp-accept".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if stop_accept.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    dispatcher.dispatch(stream);
-                }
-            })?;
         Ok(TcpHarmonyServer {
             addr: local,
-            stop,
-            accept_handle: Some(accept_handle),
-            inner: Some(inner),
-            pool: Some(pool),
-            active,
+            pool,
+            inner,
         })
     }
 
@@ -174,13 +158,13 @@ impl TcpHarmonyServer {
     /// How many connections currently hold a slot of the connection
     /// ceiling.
     pub fn active_connections(&self) -> usize {
-        self.active.load(Ordering::SeqCst)
+        self.pool.active.load(Ordering::SeqCst)
     }
 
     /// The in-process server behind the socket: clients connected through
     /// it share sessions with the TCP clients.
     pub fn inproc(&self) -> &HarmonyServer {
-        self.inner.as_ref().expect("server not shut down")
+        &self.inner
     }
 
     /// Start the observability plane on `addr` (see
@@ -190,31 +174,9 @@ impl TcpHarmonyServer {
     }
 
     /// Stop accepting connections and shut the adaptation controller down.
-    pub fn shutdown(mut self) {
-        self.do_shutdown();
-    }
-
-    fn do_shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        if let Some(pool) = self.pool.take() {
-            pool.shutdown();
-        }
-        if let Some(inner) = self.inner.take() {
-            inner.shutdown();
-        }
-    }
-}
-
-impl Drop for TcpHarmonyServer {
-    fn drop(&mut self) {
-        if self.accept_handle.is_some() {
-            self.do_shutdown();
-        }
+    /// Dropping the server does the same.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 

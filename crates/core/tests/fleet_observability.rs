@@ -1,7 +1,9 @@
 //! `/fleet` cross-server aggregation: two federated servers, each driven
 //! by its own tenant, must show up in one `/fleet` view with per-peer
 //! evaluation counters, merged per-tenant series, and graceful staleness
-//! when a peer goes away.
+//! when a peer goes away. Building `/fleet` waits on no event loop: servers
+//! that ask for each other's `/fleet` at once, or list their own observe
+//! address, see every peer fresh.
 
 use ah_core::param::Param;
 use ah_core::server::observe::http_get;
@@ -12,13 +14,21 @@ use ah_core::session::SessionOptions;
 use ah_core::store::SharedStore;
 use ah_core::telemetry::Telemetry;
 use serde_json::Value;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const EVALS: usize = 12;
 
 fn spawn_server(
     store: &std::path::Path,
     sync_peers: Vec<String>,
+) -> (TcpHarmonyServer, ObserveHandle, String) {
+    spawn_server_at(store, sync_peers, "127.0.0.1:0")
+}
+
+fn spawn_server_at(
+    store: &std::path::Path,
+    sync_peers: Vec<String>,
+    observe_addr: &str,
 ) -> (TcpHarmonyServer, ObserveHandle, String) {
     let telemetry = Telemetry::enabled();
     let shared = SharedStore::open_with(store, telemetry.clone()).unwrap();
@@ -34,7 +44,7 @@ fn spawn_server(
         },
     )
     .unwrap();
-    let observe = server.observe("127.0.0.1:0").unwrap();
+    let observe = server.observe(observe_addr).unwrap();
     let addr = observe.addr().to_string();
     (server, observe, addr)
 }
@@ -217,6 +227,64 @@ fn fleet_marks_never_seen_peers_unreachable() {
         .and_then(|t| t.get("evaluations"))
         .and_then(Value::as_u64);
     assert_eq!(evals, Some(EVALS as u64), "{doc:?}");
+
+    observe_b.stop();
+    server_b.shutdown();
+    observe_a.stop();
+    server_a.shutdown();
+    let _ = std::fs::remove_file(&store_a);
+    let _ = std::fs::remove_file(&store_b);
+}
+
+/// `/fleet` reads its peers off the loop: A and B list each other, B lists
+/// itself too, and both are asked for `/fleet` at once. Had either loop
+/// blocked in its fan-out, the other's `/status` request (or B's own)
+/// would wait out the 2 s read timeout and report that peer stale.
+#[test]
+fn fleets_of_servers_that_ask_each_other_at_once_are_fresh() {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let store_a = dir.join(format!("ah-fleet-mutual-a-{pid}.store"));
+    let store_b = dir.join(format!("ah-fleet-mutual-b-{pid}.store"));
+    let _ = std::fs::remove_file(&store_a);
+    let _ = std::fs::remove_file(&store_b);
+
+    // Reserve two observe ports, so that each server can name the other.
+    let reserved = [(); 2].map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap());
+    let [addr_a, addr_b] = reserved
+        .each_ref()
+        .map(|l| l.local_addr().unwrap().to_string());
+    drop(reserved);
+    let (server_a, observe_a, _) = spawn_server_at(&store_a, vec![addr_b.clone()], &addr_a);
+    let (server_b, observe_b, _) =
+        spawn_server_at(&store_b, vec![addr_a.clone(), addr_b.clone()], &addr_b);
+
+    std::thread::scope(|s| {
+        let asks = [(&addr_a, 2), (&addr_b, 3)].map(|(addr, peers)| {
+            s.spawn(move || {
+                let started = Instant::now();
+                let doc = fleet_doc(addr);
+                (addr, peers, started.elapsed(), doc)
+            })
+        });
+        for ask in asks {
+            let (addr, peers, took, doc) = ask.join().unwrap();
+            assert!(
+                took < Duration::from_secs(1),
+                "{addr}: /fleet took {took:?}"
+            );
+            assert_eq!(
+                doc.get("peers").and_then(Value::as_u64),
+                Some(peers),
+                "{doc:?}"
+            );
+            assert_eq!(
+                doc.get("fresh").and_then(Value::as_u64),
+                Some(peers),
+                "{doc:?}"
+            );
+        }
+    });
 
     observe_b.stop();
     server_b.shutdown();

@@ -17,10 +17,11 @@
 //! for `usize::MAX` trials, one with a `1e999` cost, one for an iteration
 //! never issued.
 //!
-//! The last three are the observer plane, which read whatever it was sent:
+//! The last four are the observer plane, which read whatever it was sent:
 //! a request head with no end, a peer's response with no end (the sync loop
-//! and `/fleet` call every `sync_peers` entry on a timer), and a `/store/log`
-//! body that stops inside a character.
+//! and `/fleet` call every `sync_peers` entry on a timer), a `/store/log`
+//! body that stops inside a character, and a peer whose accept queue is
+//! full, which never answers a connect at all.
 
 use ah_core::error::HarmonyError;
 use ah_core::param::Param;
@@ -607,4 +608,56 @@ fn a_store_log_cut_inside_a_character_still_yields_its_whole_records() {
     std::thread::sleep(Duration::from_millis(50));
     assert_eq!(store.record_count(), 2);
     server.shutdown();
+}
+
+/// A listener nobody accepts from, its accept queue filled: the kernel
+/// drops the SYNs of any further connect. Returned with the connections
+/// that fill it.
+fn full_accept_queue() -> (TcpListener, Vec<TcpStream>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let mut held = Vec::new();
+    while let Ok(stream) = TcpStream::connect_timeout(&addr, Duration::from_millis(200)) {
+        held.push(stream);
+        assert!(held.len() < 4096, "the accept queue never filled");
+    }
+    (listener, held)
+}
+
+/// Run `f` on a helper thread and wait `within` for it: a call that hangs
+/// fails the test by assertion instead of hanging it.
+fn returns_within<T: Send + 'static>(
+    within: Duration,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> Option<T> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(within).ok()
+}
+
+#[test]
+fn a_peer_that_never_accepts_costs_http_get_and_shutdown_a_read_timeout() {
+    // The observer plane's 2 s read timeout, and slack.
+    let within = Duration::from_secs(2 + 3);
+    let (listener, _held) = full_accept_queue();
+    let peer = listener.local_addr().unwrap().to_string();
+
+    let asked = peer.clone();
+    let got = returns_within(within, move || http_get(&asked, "/status").map(|_| ()))
+        .expect("http_get returned");
+    assert!(got.is_err(), "{got:?}");
+
+    // A server pulling from that peer: its puller is in the connect when
+    // the server shuts down, and the shutdown waits for it.
+    let store = SharedStore::open(scratch("unaccepted-puller.store")).unwrap();
+    let server = HarmonyServer::start_with_config(ServerConfig {
+        store: Some(store),
+        sync_peers: vec![peer],
+        sync_interval: Duration::from_millis(10),
+        ..Default::default()
+    });
+    std::thread::sleep(Duration::from_millis(100));
+    returns_within(within, move || server.shutdown()).expect("shutdown returned");
 }
