@@ -100,7 +100,7 @@
 //! `/status`.
 //!
 //! Servers federate through their performance stores: with
-//! [`ServerConfig::sync_peers`] set, a background anti-entropy thread
+//! [`ServerConfig::sync_peers`] set, the server's [`chores`] thread
 //! periodically pulls each peer's record log over the observer HTTP plane
 //! (`GET /store/log?from=SEQ`) and merges it into the local store
 //! ([`crate::store::PerfStore::merge_records`]: first write wins, so the
@@ -109,6 +109,7 @@
 //! what makes fleet-wide warm starts work: a server can answer a
 //! configuration it never measured itself.
 
+mod chores;
 pub mod client;
 pub mod event_loop;
 pub mod observe;
@@ -121,7 +122,6 @@ pub use event_loop::EventLoopConfig;
 pub use observe::ObserveHandle;
 pub use tcp::{TcpClientOptions, TcpHarmonyClient, TcpHarmonyServer, TcpTransport};
 
-use crate::durable_log;
 use crate::error::{HarmonyError, Result};
 use crate::lock;
 use crate::session::{Trial, TuningSession};
@@ -130,19 +130,15 @@ use crate::store::{space_fingerprint, SharedStore, StoreRecord};
 use crate::telemetry::slo::SloRule;
 use crate::telemetry::timeseries::TimeSeries;
 use crate::telemetry::{Counter, Latency, SpanKind, Telemetry, TenantMetric, TrialStage};
+use chores::Chores;
 use protocol::{sanitize_measurement, FetchedTrial, Reply, Request, TrialReport};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The tenant label members get when they declare none.
 pub const DEFAULT_TENANT: &str = "default";
-
-/// Anti-entropy pull period used when [`ServerConfig::sync_interval`] is
-/// left at `Duration::ZERO`.
-const DEFAULT_SYNC_INTERVAL: Duration = Duration::from_millis(500);
 
 /// Map an empty (wire-default) tenant label to [`DEFAULT_TENANT`].
 fn canonical_tenant(tenant: &str) -> &str {
@@ -247,15 +243,18 @@ pub struct ServerConfig {
     /// `/status` + `/metrics` into one fleet view.
     pub sync_peers: Vec<String>,
     /// Anti-entropy pull period; `Duration::ZERO` (default) means 500 ms.
+    /// Each failed pull of a peer in a row doubles it, up to 32 times.
     pub sync_interval: Duration,
     /// Retained time-series over [`telemetry`](Self::telemetry). When set,
-    /// [`HarmonyServer::start_with_config`] registers a `store_unsynced`
-    /// gauge on it (with a store attached), and the observe plane serves
-    /// `GET /metrics/history` and the `GET /healthz` SLO engine from it.
-    /// The caller owns sampling (see
-    /// [`TimeSeries::start_sampler`]). `None` (default) disables both
-    /// endpoints.
+    /// the server samples it every [`sample_interval`](Self::sample_interval)
+    /// and registers a `store_unsynced` gauge on it (with a store
+    /// attached), and the observe plane serves `GET /metrics/history` and
+    /// the `GET /healthz` SLO engine from it. `None` (default) disables
+    /// both endpoints.
     pub timeseries: Option<TimeSeries>,
+    /// Sampling period of [`timeseries`](Self::timeseries);
+    /// `Duration::ZERO` (default) means 1 s.
+    pub sample_interval: Duration,
     /// SLO rules `GET /healthz` evaluates against
     /// [`timeseries`](Self::timeseries) (grammar:
     /// [`crate::telemetry::slo`]). Empty (default) means `/healthz` always
@@ -656,16 +655,15 @@ fn in_span(cfg: &ServerConfig, session: u64, handle: impl FnOnce() -> Reply) -> 
     reply
 }
 
-/// Handle to a running Harmony server: its sessions, plus one anti-entropy
-/// puller thread per [`ServerConfig::sync_peers`] entry. Requests are
-/// served by the threads that send them, so the server runs no other
-/// thread; a TCP front-end adds its event-loop threads, and
-/// [`observe`](Self::observe) adds one loop thread for all of its HTTP
-/// connections.
+/// Handle to a running Harmony server: its sessions, plus one
+/// `harmony-chores` thread for its timed work ([`chores`]) when it has a
+/// time series or sync peers. Requests are served by the threads that send
+/// them, so the server runs no other thread; a TCP front-end adds its
+/// event-loop threads, and [`observe`](Self::observe) adds one loop thread
+/// for all of its HTTP connections.
 pub struct HarmonyServer {
     bus: ServerBus,
-    sync_stop: Arc<AtomicBool>,
-    sync_handles: Vec<JoinHandle<()>>,
+    chores: Option<Chores>,
 }
 
 impl HarmonyServer {
@@ -678,77 +676,19 @@ impl HarmonyServer {
     /// Start the server with full control over per-trial deadlines,
     /// member liveness eviction, quotas, the store and federation.
     pub fn start_with_config(config: ServerConfig) -> Self {
-        let config = Arc::new(config);
-        let sync_stop = Arc::new(AtomicBool::new(false));
-        let mut sync_handles = Vec::new();
-        if let Some(store) = config.store.clone() {
-            let interval = if config.sync_interval.is_zero() {
-                DEFAULT_SYNC_INTERVAL
-            } else {
-                config.sync_interval
-            };
-            for peer in config.sync_peers.iter().cloned() {
-                let store = store.clone();
-                let stop = Arc::clone(&sync_stop);
-                let handle = std::thread::Builder::new()
-                    .name(format!("harmony-sync-{peer}"))
-                    .spawn(move || Self::sync_loop(peer, store, interval, stop))
-                    .expect("spawn harmony sync puller");
-                sync_handles.push(handle);
-            }
-        }
         if let (Some(series), Some(store)) = (&config.timeseries, config.store.clone()) {
             // The stock server gauge: the store's unflushed record count
             // (`store_unsynced`, flush lag).
             series.register_gauge("store_unsynced", move || store.unsynced() as f64);
         }
         HarmonyServer {
+            chores: Chores::start(&config),
             bus: ServerBus {
                 table: Arc::default(),
                 next_id: Arc::new(AtomicU64::new(1)),
                 gate: Arc::default(),
-                cfg: config,
+                cfg: Arc::new(config),
             },
-            sync_stop,
-            sync_handles,
-        }
-    }
-
-    /// Anti-entropy puller for one peer: fetch the peer's store log from
-    /// our high-water mark, merge it (first write wins, so re-pulls are
-    /// harmless), advance the mark to what actually parsed, sleep. A peer
-    /// that is down or speaks garbage just means a retry, and an
-    /// unparseable tail is refetched next round. Our mark is a position in
-    /// one generation of the peer's log; when the header names another (the
-    /// peer compacted or restarted, and records may have moved beneath the
-    /// mark) the next pull starts from 0.
-    fn sync_loop(peer: String, store: SharedStore, interval: Duration, stop: Arc<AtomicBool>) {
-        let mut from = 0usize;
-        let mut generation = None;
-        while !stop.load(Ordering::Relaxed) {
-            if let Ok((200, body)) = observe::http_get(&peer, &format!("/store/log?from={from}")) {
-                // The records up to the first line that is not one (a body
-                // cut short); the rest is refetched next round.
-                let mut records: Vec<StoreRecord> = Vec::new();
-                let scan = durable_log::scan(body.as_bytes(), |record| records.push(record));
-                let header: Option<observe::StoreLogHeader> = scan.ok().map(|(header, _)| header);
-                if let Some(h) = header.filter(|h| h.kind == observe::STORE_LOG_KIND) {
-                    let anchored = h.start == 0 || generation == Some(h.generation);
-                    from = if anchored { h.start + records.len() } else { 0 };
-                    generation = Some(h.generation);
-                    if !records.is_empty() {
-                        let _ = store.merge_records(records);
-                    }
-                }
-            }
-            // Sleep in short ticks so shutdown is never held hostage by a
-            // long interval.
-            let mut slept = Duration::ZERO;
-            while slept < interval && !stop.load(Ordering::Relaxed) {
-                let tick = Duration::from_millis(20).min(interval - slept);
-                std::thread::sleep(tick);
-                slept += tick;
-            }
         }
     }
 
@@ -771,11 +711,12 @@ impl HarmonyServer {
     /// `/metrics`, `/status`, `/fleet` and the other routes of
     /// [`observe`](mod@observe) from one event-loop thread of its own, which
     /// accepts and serves every HTTP connection (`/fleet`'s peer reads run
-    /// on a short-lived fan-out thread). Snapshots take each session's lock
+    /// on the server's chores thread). Snapshots take each session's lock
     /// only briefly; the tuning hot path is untouched. Bind to port 0 to let
     /// the OS pick; the bound address is on the returned [`ObserveHandle`].
     pub fn observe(&self, addr: &str) -> std::io::Result<ObserveHandle> {
-        observe::start(addr, self.bus.clone(), self.config().clone())
+        let chores = self.chores.as_ref().map(Chores::poster).unwrap_or_default();
+        observe::start(addr, self.bus.clone(), self.config().clone(), chores)
     }
 
     /// Connect a new client application (founds a fresh session) under the
@@ -1295,11 +1236,10 @@ impl Tuning {
 
 impl Drop for HarmonyServer {
     fn drop(&mut self) {
-        // Stop the anti-entropy pullers first so nothing merges into the
-        // store while it is being flushed for the last time.
-        self.sync_stop.store(true, Ordering::Relaxed);
-        for h in self.sync_handles.drain(..) {
-            let _ = h.join();
+        // Stop the timed work first so nothing merges into the store while
+        // it is being flushed for the last time.
+        if let Some(chores) = self.chores.take() {
+            chores.stop();
         }
         self.bus.gate.close();
     }

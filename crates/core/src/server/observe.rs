@@ -31,13 +31,14 @@
 //! Everything stays off the tuning hot path: a response takes each session's
 //! lock only long enough to copy a [`SearchSnapshot`] out, and the plane's
 //! own loop keeps a long body (`/store/log`, `/trace`) off the tuning loops.
-//! An idle connection costs a buffer, not a thread. `/fleet`'s blocking peer
-//! reads run on one short-lived fan-out thread. The implementation is
+//! An idle connection costs a buffer, not a thread. A `/fleet` with sync
+//! peers reads them on the server's chores thread. The implementation is
 //! hand-rolled over [`std::net`] — the repo builds offline against vendored
 //! crates only, and a few GET routes do not justify an HTTP dependency.
 //!
 //! [`SearchSnapshot`]: crate::session::SearchSnapshot
 
+use super::chores::Poster;
 use super::event_loop::{Close, Conn, EventLoopConfig, EventLoopPool, Phase, Service};
 use super::poll::Waker;
 use super::tcp::DEFAULT_MAX_CONNECTIONS;
@@ -105,7 +106,7 @@ impl ObserveHandle {
     }
 
     /// Stop the responder's loop thread and wait for it to exit; a `/fleet`
-    /// fan-out still reading its peers ends on its own.
+    /// build already posted to the server's chores thread still runs there.
     pub fn stop(self) {
         drop(self);
     }
@@ -118,6 +119,8 @@ struct ObserveCtx {
     cfg: ServerConfig,
     fleet: FleetCache,
     local: SocketAddr,
+    /// Where a `/fleet` with peers is built.
+    chores: Poster,
 }
 
 /// Last good `/fleet` snapshot per peer: `(fetched_at, row)`. A peer that
@@ -130,6 +133,7 @@ pub(crate) fn start(
     addr: &str,
     bus: ServerBus,
     cfg: ServerConfig,
+    chores: Poster,
 ) -> std::io::Result<ObserveHandle> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
@@ -138,6 +142,7 @@ pub(crate) fn start(
         cfg,
         fleet: FleetCache::default(),
         local,
+        chores,
     });
     let loop_cfg = EventLoopConfig {
         loop_threads: 1,
@@ -169,12 +174,11 @@ pub(crate) fn start(
 /// one request per pass, in order.
 struct HttpService {
     ctx: Arc<ObserveCtx>,
-    /// Wakes the loop when the fan-out thread has posted its document.
+    /// Wakes the loop when the chores thread has built `/fleet`.
     waker: Arc<Waker>,
-    /// Where the running `/fleet` fan-out posts its document (`None` if
+    /// Where the `/fleet` build under way posts its document (`None` if
     /// building it panicked), which every `/fleet` request parked meanwhile
-    /// shares. The thread is never joined: stopping the plane does not wait
-    /// for its peer reads.
+    /// shares. Stopping the plane does not wait for the build.
     fleet: Option<Receiver<Option<String>>>,
 }
 
@@ -253,7 +257,7 @@ impl Service for HttpService {
 
 impl HttpService {
     /// Queue the answer to a whole request head, or park the connection
-    /// for `/fleet`.
+    /// for a `/fleet` with peers.
     fn answer(&mut self, conn: &mut Conn<Head>, head: Head) {
         let line = head.line.unwrap_or_default();
         let mut parts = line.split_whitespace();
@@ -268,11 +272,12 @@ impl HttpService {
             // with a correctly-framed 405 and close rather than misread the
             // body bytes as a next request.
             (405, "text/plain", "method not allowed\n".into(), true)
-        } else if path == "/fleet" && self.fan_out() {
-            conn.state.close = head.close;
-            conn.parked = true;
-            return;
-        } else if path == "/fleet" {
+        } else if path == "/fleet" && !self.ctx.cfg.sync_peers.is_empty() {
+            if self.fan_out() {
+                conn.state.close = head.close;
+                conn.parked = true;
+                return;
+            }
             (503, "text/plain", FLEET_FAILED.into(), head.close)
         } else {
             let (code, content_type, body) = route(&self.ctx, path, query);
@@ -281,25 +286,22 @@ impl HttpService {
         respond(conn, code, content_type, &body, close);
     }
 
-    /// Build the `/fleet` document off the loop, unless a build is already
-    /// under way: its peer reads block, and a loop blocked in them could
-    /// not answer a peer's (or its own) `/status` meanwhile. Returns
-    /// whether a build is under way; without a thread there is none, and
-    /// the request is refused rather than built here.
+    /// Post the `/fleet` build to the server's chores thread, unless a
+    /// build is already under way: its peer reads block, and a loop blocked
+    /// in them could not answer a peer's (or its own) `/status` meanwhile.
+    /// Returns whether a build is under way; with the server gone there is
+    /// none, and the request is refused rather than built here.
     fn fan_out(&mut self) -> bool {
-        if self.fleet.is_some() {
-            return true;
-        }
-        let (tx, rx) = channel();
-        let (ctx, waker) = (Arc::clone(&self.ctx), Arc::clone(&self.waker));
-        let spawned = std::thread::Builder::new()
-            .name("harmony-fleet".into())
-            .spawn(move || {
+        if self.fleet.is_none() {
+            let (tx, rx) = channel();
+            let (ctx, waker) = (Arc::clone(&self.ctx), Arc::clone(&self.waker));
+            let posted = self.ctx.chores.post(move || {
                 let body = catch_unwind(AssertUnwindSafe(|| render(fleet_json(&ctx))));
                 let _ = tx.send(body.ok());
                 waker.wake();
             });
-        self.fleet = spawned.is_ok().then_some(rx);
+            self.fleet = posted.then_some(rx);
+        }
         self.fleet.is_some()
     }
 }
@@ -307,7 +309,7 @@ impl HttpService {
 /// The `503` body when no `/fleet` document could be built.
 const FLEET_FAILED: &str = "fleet view unavailable\n";
 
-/// Every route but `/fleet`: `(status code, content type, body)`.
+/// Every route but a peer-reading `/fleet`: `(code, content type, body)`.
 fn route(ctx: &ObserveCtx, path: &str, query: &str) -> (u16, &'static str, String) {
     const JSON: &str = "application/json";
     const TEXT: &str = "text/plain";
@@ -331,6 +333,7 @@ fn route(ctx: &ObserveCtx, path: &str, query: &str) -> (u16, &'static str, Strin
             (code, JSON, render(doc))
         }
         "/status" => (200, JSON, render(status_json(bus, cfg))),
+        "/fleet" => (200, JSON, render(fleet_json(ctx))),
         "/trials" => (200, JSON, tail(cfg.telemetry.events(), query)),
         "/spans" => (200, JSON, tail(cfg.telemetry.spans(), query)),
         "/trace" => (200, JSON, render(cfg.telemetry.chrome_trace())),

@@ -11,10 +11,8 @@
 //!   precomputed quantiles) is the load-bearing choice: the delta of two
 //!   cumulative histograms is itself a histogram, so any window's p50/p99
 //!   is exact over exactly the observations made inside that window.
-//! * [`Sampler`] is a background thread that calls
-//!   [`TimeSeries::sample_now`] on a fixed interval. It sleeps in short
-//!   slices so shutdown is prompt, and the handle joins the thread on
-//!   `stop()`/drop.
+//! * A server given the series calls [`TimeSeries::sample_now`] on its
+//!   chores thread every `ServerConfig::sample_interval`.
 //! * [`TimeSeries::window`] answers delta/rate/percentile queries over an
 //!   arbitrary trailing window; [`TimeSeries::resolve`] maps a metric name
 //!   (`<counter>`, `<counter>_rate`, `<latency>_p50|_p90|_p99`, or a gauge)
@@ -28,7 +26,6 @@
 use super::{Counter, HistoSnapshot, Latency, Telemetry};
 use crate::lock;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -36,7 +33,7 @@ use std::time::{Duration, Instant};
 /// minutes of history).
 pub const DEFAULT_RING_CAPACITY: usize = 512;
 
-/// Default sampling interval for [`TimeSeries::start_sampler`].
+/// A server's sampling interval when `ServerConfig::sample_interval` is zero.
 pub const DEFAULT_SAMPLE_INTERVAL: Duration = Duration::from_secs(1);
 
 /// A gauge read on every sampling tick: any `Fn() -> f64` closure (queue
@@ -355,62 +352,13 @@ impl TimeSeries {
             "series": Value::Array(series),
         })
     }
-
-    /// Spawn the background sampler thread ticking every `interval`.
-    pub fn start_sampler(&self, interval: Duration) -> Sampler {
-        let series = self.clone();
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = stop.clone();
-        let interval = interval.max(Duration::from_millis(1));
-        let handle = std::thread::Builder::new()
-            .name("ah-sampler".into())
-            .spawn(move || {
-                while !flag.load(Ordering::Relaxed) {
-                    series.sample_now();
-                    // Sleep in short slices so stop() returns promptly even
-                    // with multi-second intervals.
-                    let mut left = interval;
-                    while !flag.load(Ordering::Relaxed) && left > Duration::ZERO {
-                        let nap = left.min(Duration::from_millis(10));
-                        std::thread::sleep(nap);
-                        left = left.saturating_sub(nap);
-                    }
-                }
-            })
-            .expect("spawn sampler thread");
-        Sampler {
-            stop,
-            handle: Some(handle),
-        }
-    }
-}
-
-/// Handle on the background sampling thread. Stops (and joins) on
-/// [`Sampler::stop`] or drop.
-pub struct Sampler {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Sampler {
-    /// Signal the thread to exit and join it.
-    pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Sampler {
-    fn drop(&mut self) {
-        self.stop();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::{HarmonyServer, ServerConfig};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn window_deltas_equal_counter_deltas() {
@@ -518,17 +466,21 @@ mod tests {
     }
 
     #[test]
-    fn sampler_thread_fills_the_ring_and_stops() {
+    fn a_server_samples_its_series_until_it_shuts_down() {
         let series = TimeSeries::new(Telemetry::enabled());
-        let mut sampler = series.start_sampler(Duration::from_millis(5));
+        let server = HarmonyServer::start_with_config(ServerConfig {
+            timeseries: Some(series.clone()),
+            sample_interval: Duration::from_millis(5),
+            ..Default::default()
+        });
         let deadline = Instant::now() + Duration::from_secs(5);
         while series.len() < 3 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        sampler.stop();
+        server.shutdown();
         let n = series.len();
-        assert!(n >= 3, "sampler took {n} samples");
-        // No more samples after stop.
+        assert!(n >= 3, "the server took {n} samples");
+        // No more samples after shutdown.
         std::thread::sleep(Duration::from_millis(30));
         assert_eq!(series.len(), n);
     }

@@ -17,11 +17,12 @@
 //! for `usize::MAX` trials, one with a `1e999` cost, one for an iteration
 //! never issued.
 //!
-//! The last four are the observer plane, which read whatever it was sent:
+//! The last five are the observer plane, which read whatever it was sent:
 //! a request head with no end, a peer's response with no end (the sync loop
 //! and `/fleet` call every `sync_peers` entry on a timer), a `/store/log`
 //! body that stops inside a character, and a peer whose accept queue is
-//! full, which never answers a connect at all.
+//! full, which never answers a connect at all — alone, and beside a live
+//! peer and a time series that share the server's one chores thread.
 
 use ah_core::error::HarmonyError;
 use ah_core::param::Param;
@@ -660,4 +661,55 @@ fn a_peer_that_never_accepts_costs_http_get_and_shutdown_a_read_timeout() {
     });
     std::thread::sleep(Duration::from_millis(100));
     returns_within(within, move || server.shutdown()).expect("shutdown returned");
+}
+
+#[test]
+fn a_peer_that_never_accepts_delays_but_never_starves_the_other_timed_work() {
+    let (listener, _held) = full_accept_queue();
+    let dead = listener.local_addr().unwrap().to_string();
+
+    // A live peer with three records in its store.
+    let space = SearchSpace::builder().int("x", 0, 100, 1).build().unwrap();
+    let fp = space_fingerprint(&space);
+    let source = SharedStore::open(scratch("beside-dead-source.store")).unwrap();
+    let records =
+        [1.0, 2.0, 3.0].map(|x| StoreRecord::new("beside", fp, space.project(&[x]), x, x));
+    source.insert_batch(records.to_vec()).unwrap();
+    let live_server = HarmonyServer::start_with_config(ServerConfig {
+        store: Some(source),
+        ..Default::default()
+    });
+    let live = live_server.observe("127.0.0.1:0").unwrap();
+
+    // The dead peer is pulled first, so each round's connect to it holds
+    // the chores thread for the 2 s connect timeout before anything else.
+    let telemetry = Telemetry::enabled();
+    let series = ah_core::telemetry::timeseries::TimeSeries::new(telemetry.clone());
+    let store = SharedStore::open(scratch("beside-dead-puller.store")).unwrap();
+    let started = Instant::now();
+    let server = HarmonyServer::start_with_config(ServerConfig {
+        telemetry,
+        store: Some(store.clone()),
+        sync_peers: vec![dead, live.addr().to_string()],
+        sync_interval: Duration::from_millis(100),
+        timeseries: Some(series.clone()),
+        sample_interval: Duration::from_millis(50),
+        ..Default::default()
+    });
+    while store.record_count() < 3 {
+        assert!(
+            started.elapsed() < Duration::from_secs(3),
+            "the live peer's records did not arrive within 3 s"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let sampled = series.len();
+    let deadline = Instant::now() + Duration::from_secs(6);
+    while series.len() < sampled + 2 {
+        assert!(Instant::now() < deadline, "the series stopped at {sampled}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    returns_within(Duration::from_secs(5), move || server.shutdown()).expect("shutdown returned");
+    live.stop();
+    live_server.shutdown();
 }

@@ -11,6 +11,7 @@
 
 use crate::swarm::{IndependentScript, Swarm, SwarmScript};
 use ah_core::param::Param;
+use ah_core::server::observe::http_get;
 use ah_core::server::protocol::{StrategyKind, TrialReport};
 use ah_core::server::tcp::{TcpClientOptions, TcpTransport, DEFAULT_MAX_CONNECTIONS};
 use ah_core::server::{
@@ -18,6 +19,7 @@ use ah_core::server::{
 };
 use ah_core::session::SessionOptions;
 use ah_core::store::SharedStore;
+use ah_core::telemetry::timeseries::TimeSeries;
 use ah_core::telemetry::Telemetry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
@@ -133,21 +135,18 @@ impl BenchConfig {
             Telemetry::disabled()
         }
     }
-}
 
-/// The per-scenario observability attachment: the HTTP endpoint plus a
-/// fast time-series sampler over the server's telemetry. Benching with
-/// the sampler thread running is what proves its overhead stays inside
-/// the regression gate's tolerance.
-struct BenchObserver {
-    handle: ObserveHandle,
-    // Stopped (thread joined) when the observer is dropped by `stop`.
-    _sampler: ah_core::telemetry::timeseries::Sampler,
-}
-
-impl BenchObserver {
-    fn stop(self) {
-        self.handle.stop();
+    /// A scenario server's configuration; an observed run's server samples a
+    /// time-series every 100 ms, inside the regression gate's tolerance.
+    fn server_config(&self, store: Option<&SharedStore>) -> ServerConfig {
+        let (telemetry, observed) = (self.server_telemetry(), self.observe.is_some());
+        ServerConfig {
+            timeseries: observed.then(|| TimeSeries::new(telemetry.clone())),
+            sample_interval: Duration::from_millis(100),
+            telemetry,
+            store: store.cloned(),
+            ..Default::default()
+        }
     }
 }
 
@@ -155,19 +154,23 @@ impl BenchObserver {
 /// asks for one.
 fn observer_for(
     cfg: &BenchConfig,
-    telemetry: &Telemetry,
     observe: impl FnOnce(&str) -> std::io::Result<ObserveHandle>,
-) -> Option<BenchObserver> {
+) -> Option<ObserveHandle> {
     cfg.observe.as_deref().map(|addr| {
         let handle = observe(addr).expect("bind bench observer");
-        let series = ah_core::telemetry::timeseries::TimeSeries::new(telemetry.clone());
-        let sampler = series.start_sampler(Duration::from_millis(100));
         eprintln!("bench-server: observing on http://{}", handle.addr());
-        BenchObserver {
-            handle,
-            _sampler: sampler,
-        }
+        handle
     })
+}
+
+/// Check that a scenario's observer serves the server's sampled series,
+/// then stop it.
+fn stop_observer(observer: Option<ObserveHandle>) {
+    let Some(handle) = observer else { return };
+    let addr = handle.addr().to_string();
+    let (code, body) = http_get(&addr, "/metrics/history").expect("GET /metrics/history");
+    assert_eq!(code, 200, "an observed scenario serves its series: {body}");
+    handle.stop();
 }
 
 /// Measured outcome of one scenario.
@@ -289,13 +292,8 @@ fn drive_batched(client: &ah_core::server::HarmonyClient, iters: usize) -> Vec<f
 
 fn run_inproc(cfg: &BenchConfig, batched: bool, store: Option<&SharedStore>) -> Scenario {
     let nonce = run_nonce();
-    let telemetry = cfg.server_telemetry();
-    let server = HarmonyServer::start_with_config(ServerConfig {
-        telemetry: telemetry.clone(),
-        store: store.cloned(),
-        ..Default::default()
-    });
-    let observer = observer_for(cfg, &telemetry, |addr| server.observe(addr));
+    let server = HarmonyServer::start_with_config(cfg.server_config(store));
+    let observer = observer_for(cfg, |addr| server.observe(addr));
     let barrier = Barrier::new(cfg.clients);
     let (latencies, wall_secs) = std::thread::scope(|s| {
         let handles: Vec<_> = (0..cfg.clients)
@@ -334,9 +332,7 @@ fn run_inproc(cfg: &BenchConfig, batched: bool, store: Option<&SharedStore>) -> 
                 .collect(),
         )
     });
-    if let Some(handle) = observer {
-        handle.stop();
-    }
+    stop_observer(observer);
     server.shutdown();
     let mode = if batched { "batched" } else { "serial" };
     summarize(
@@ -348,19 +344,14 @@ fn run_inproc(cfg: &BenchConfig, batched: bool, store: Option<&SharedStore>) -> 
 
 fn run_tcp(cfg: &BenchConfig, batched: bool, store: Option<&SharedStore>) -> Scenario {
     let nonce = run_nonce();
-    let telemetry = cfg.server_telemetry();
     let server = TcpHarmonyServer::bind_with_transport(
         "127.0.0.1:0",
         DEFAULT_MAX_CONNECTIONS,
-        ServerConfig {
-            telemetry: telemetry.clone(),
-            store: store.cloned(),
-            ..Default::default()
-        },
+        cfg.server_config(store),
         cfg.event_loop_transport(),
     )
     .expect("bind");
-    let observer = observer_for(cfg, &telemetry, |a| server.observe(a));
+    let observer = observer_for(cfg, |a| server.observe(a));
     let addr = server.local_addr();
     let client_opts = TcpClientOptions {
         telemetry: cfg.server_telemetry(),
@@ -433,9 +424,7 @@ fn run_tcp(cfg: &BenchConfig, batched: bool, store: Option<&SharedStore>) -> Sce
                 .collect(),
         )
     });
-    if let Some(handle) = observer {
-        handle.stop();
-    }
+    stop_observer(observer);
     server.shutdown();
     let mode = if batched { "batched" } else { "serial" };
     summarize(
@@ -453,19 +442,14 @@ fn run_tcp(cfg: &BenchConfig, batched: bool, store: Option<&SharedStore>) -> Sce
 /// relative regression gate.
 fn run_swarm(cfg: &BenchConfig, store: Option<&SharedStore>) -> Scenario {
     let nonce = run_nonce();
-    let telemetry = cfg.server_telemetry();
     let server = TcpHarmonyServer::bind_with_transport(
         "127.0.0.1:0",
         DEFAULT_MAX_CONNECTIONS.max(cfg.swarm_clients + 16),
-        ServerConfig {
-            telemetry: telemetry.clone(),
-            store: store.cloned(),
-            ..Default::default()
-        },
+        cfg.server_config(store),
         cfg.event_loop_transport(),
     )
     .expect("bind");
-    let observer = observer_for(cfg, &telemetry, |a| server.observe(a));
+    let observer = observer_for(cfg, |a| server.observe(a));
     let scripts: Vec<IndependentScript> = (0..cfg.swarm_clients)
         .map(|i| {
             IndependentScript::new(
@@ -501,9 +485,7 @@ fn run_swarm(cfg: &BenchConfig, store: Option<&SharedStore>) -> Scenario {
     let t0 = Instant::now();
     let mut scripts = swarm.drive();
     let wall_secs = t0.elapsed().as_secs_f64();
-    if let Some(handle) = observer {
-        handle.stop();
-    }
+    stop_observer(observer);
     server.shutdown();
     let latencies: Vec<f64> = scripts
         .iter_mut()
@@ -521,19 +503,14 @@ fn run_swarm(cfg: &BenchConfig, store: Option<&SharedStore>) -> Scenario {
 /// swarm: the shape depends on the tenant count the run simulated.
 fn run_tenants(cfg: &BenchConfig, store: Option<&SharedStore>) -> (Scenario, serde_json::Value) {
     let nonce = run_nonce();
-    let telemetry = cfg.server_telemetry();
     let server = TcpHarmonyServer::bind_with_transport(
         "127.0.0.1:0",
         DEFAULT_MAX_CONNECTIONS.max(cfg.tenants + 16),
-        ServerConfig {
-            telemetry: telemetry.clone(),
-            store: store.cloned(),
-            ..Default::default()
-        },
+        cfg.server_config(store),
         cfg.event_loop_transport(),
     )
     .expect("bind");
-    let observer = observer_for(cfg, &telemetry, |a| server.observe(a));
+    let observer = observer_for(cfg, |a| server.observe(a));
     let addr = server.local_addr();
     let barrier = Barrier::new(cfg.tenants);
     let (per_tenant, wall_secs) = std::thread::scope(|s| {
@@ -595,9 +572,7 @@ fn run_tenants(cfg: &BenchConfig, store: Option<&SharedStore>) -> (Scenario, ser
                 .collect(),
         )
     });
-    if let Some(handle) = observer {
-        handle.stop();
-    }
+    stop_observer(observer);
     server.shutdown();
     let p99s: Vec<f64> = per_tenant
         .iter()

@@ -17,6 +17,7 @@ use ah_core::prelude::*;
 use ah_core::server::protocol::TrialReport;
 use ah_core::server::{HarmonyClient, ServerConfig};
 use std::collections::{HashMap, HashSet};
+use std::time::Duration;
 
 /// The experiment.
 pub struct Fault;
@@ -115,23 +116,19 @@ pub(crate) fn faulty_history_with(
     // A live observer gets the full fleet-observability plane: a sampled
     // time-series ring (fast cadence — observed campaigns are short) and
     // the default SLO rule set behind `/healthz`.
-    let series = (observe.addr.is_some() || observe.sample_interval.is_some())
-        .then(|| ah_core::telemetry::timeseries::TimeSeries::new(telemetry.clone()));
+    let series = (observe.addr.is_some() || observe.sample_interval.is_some()).then(|| {
+        let series = ah_core::telemetry::timeseries::TimeSeries::new(telemetry.clone());
+        // One synchronous pre-campaign sample pins the window's left edge
+        // at zero fault counters before any churn starts.
+        series.sample_now();
+        series
+    });
     let server = HarmonyServer::start_with_config(ServerConfig {
         telemetry: telemetry.clone(),
         timeseries: series.clone(),
+        sample_interval: observe.sample_interval.unwrap_or(Duration::from_millis(50)),
         slo_rules: ah_core::telemetry::slo::default_rules(),
         ..Default::default()
-    });
-    let sampler = series.as_ref().map(|s| {
-        // One synchronous pre-campaign sample pins the window's left edge
-        // at zero fault counters before any churn starts.
-        s.sample_now();
-        s.start_sampler(
-            observe
-                .sample_interval
-                .unwrap_or(std::time::Duration::from_millis(50)),
-        )
     });
     let observer = observe.addr.as_deref().map(|addr| {
         let handle = server.observe(addr).unwrap_or_else(|e| {
@@ -256,15 +253,12 @@ pub(crate) fn faulty_history_with(
         }
         handle.stop();
     }
-    if let Some(mut sampler) = sampler {
-        sampler.stop();
-    }
+    server.shutdown();
     if let Some(series) = &series {
         // Final synchronous sample: the window's right edge sees the whole
-        // campaign regardless of where the sampler thread stopped.
+        // campaign regardless of where the server's sampling stopped.
         series.sample_now();
     }
-    server.shutdown();
     FaultyOutcome {
         history,
         crashes,

@@ -12,18 +12,17 @@
 //! plane up, prints both bound addresses on stdout (one `listen ADDR` /
 //! `observe ADDR` line each, so scripts can scrape the OS-assigned
 //! ports), then parks until killed. Each `--sync-peer` names another
-//! server's *observe* address; an anti-entropy thread pulls its
-//! `/store/log` every `--sync-interval-ms` and merges the records, which
-//! is how a second server warm-starts campaigns it never measured. The
-//! store is flushed on a short idle cadence so a `kill` loses at most the
-//! last tick.
+//! server's *observe* address; the server pulls its `/store/log` every
+//! `--sync-interval-ms` and merges the records, which is how a second
+//! server warm-starts campaigns it never measured. The store is flushed on
+//! a short idle cadence so a `kill` loses at most the last tick.
 //!
-//! A background sampler snapshots every telemetry counter, gauge, and
-//! histogram into a bounded time-series ring once per
-//! `--sample-interval-ms`. The ring feeds `/metrics/history` (windowed
-//! deltas and rates) and `/healthz`, whose SLO rules come from repeated
-//! `--slo "metric op threshold[@window_s]"` flags (a built-in default
-//! rule set is used when none are given).
+//! The server snapshots every telemetry counter, gauge, and histogram into
+//! a bounded time-series ring once per `--sample-interval-ms`, beside the
+//! pulls on its one chores thread. The ring feeds `/metrics/history`
+//! (windowed deltas and rates) and `/healthz`, whose SLO rules come from
+//! repeated `--slo "metric op threshold[@window_s]"` flags (a built-in
+//! default rule set is used when none are given).
 
 use ah_core::server::{ServerConfig, TcpHarmonyServer};
 use ah_core::store::SharedStore;
@@ -83,7 +82,6 @@ pub fn run(cfg: &ServeConfig) -> i32 {
             return 2;
         }
     };
-    let series = TimeSeries::new(telemetry.clone());
     let server = match TcpHarmonyServer::bind_with(
         &cfg.listen,
         ah_core::server::tcp::DEFAULT_MAX_CONNECTIONS,
@@ -94,7 +92,8 @@ pub fn run(cfg: &ServeConfig) -> i32 {
             sync_interval: cfg.sync_interval,
             tenant_max_sessions: cfg.tenant_max_sessions,
             tenant_max_inflight: cfg.tenant_max_inflight,
-            timeseries: Some(series.clone()),
+            timeseries: Some(TimeSeries::new(telemetry.clone())),
+            sample_interval: cfg.sample_interval,
             slo_rules,
             ..Default::default()
         },
@@ -112,12 +111,6 @@ pub fn run(cfg: &ServeConfig) -> i32 {
             return 2;
         }
     };
-    let interval = if cfg.sample_interval.is_zero() {
-        ah_core::telemetry::timeseries::DEFAULT_SAMPLE_INTERVAL
-    } else {
-        cfg.sample_interval
-    };
-    let mut sampler = series.start_sampler(interval);
     // Machine-scrapable address lines: harness scripts read these to learn
     // the OS-assigned ports.
     println!("listen {}", server.local_addr());
@@ -140,7 +133,6 @@ pub fn run(cfg: &ServeConfig) -> i32 {
             break;
         }
     }
-    sampler.stop();
     observe.stop();
     server.shutdown();
     let _ = store.flush();
