@@ -90,7 +90,7 @@ impl SlesProblem {
         if let Some(it) = self.cached_iterations {
             return it;
         }
-        let out = cg_solve(&self.matrix, &self.rhs, self.tol, self.max_iters, 1);
+        let out = cg_solve(&self.matrix, &self.rhs, self.tol, self.max_iters);
         let it = out.iterations.max(1);
         self.cached_iterations = Some(it);
         it

@@ -71,7 +71,7 @@ pub fn newton_solve<P: NonlinearProblem>(
         let j = problem.jacobian(&u);
         // Solve J δ = −F.
         let rhs: Vec<f64> = f.iter().map(|v| -v).collect();
-        let lin = cg_solve(&j, &rhs, 1e-10, 10 * n, 1);
+        let lin = cg_solve(&j, &rhs, 1e-10, 10 * n);
         linear_iterations += lin.iterations;
         for (ui, di) in u.iter_mut().zip(&lin.x) {
             *ui += di;

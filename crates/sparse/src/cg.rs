@@ -17,9 +17,7 @@ pub struct CgOutcome {
 }
 
 /// Solve `A x = b` by conjugate gradients from a zero initial guess.
-///
-/// `threads` selects the SpMV parallelism (1 = serial).
-pub fn cg_solve(a: &CsrMatrix, b: &[f64], tol: f64, max_iters: usize, threads: usize) -> CgOutcome {
+pub fn cg_solve(a: &CsrMatrix, b: &[f64], tol: f64, max_iters: usize) -> CgOutcome {
     assert_eq!(a.rows(), a.cols(), "CG needs a square matrix");
     assert_eq!(b.len(), a.rows());
     let n = b.len();
@@ -32,7 +30,7 @@ pub fn cg_solve(a: &CsrMatrix, b: &[f64], tol: f64, max_iters: usize, threads: u
     let mut iterations = 0;
     let mut converged = rsold.sqrt() / bnorm <= tol;
     while !converged && iterations < max_iters {
-        a.par_spmv(&p, &mut ap, threads);
+        a.spmv(&p, &mut ap);
         let pap = dot(&p, &ap);
         if pap <= 0.0 {
             break; // not SPD (or breakdown); bail out with current iterate
@@ -51,7 +49,7 @@ pub fn cg_solve(a: &CsrMatrix, b: &[f64], tol: f64, max_iters: usize, threads: u
     }
     // True residual for reporting.
     let mut ax = vec![0.0; n];
-    a.par_spmv(&x, &mut ax, threads);
+    a.spmv(&x, &mut ax);
     let res: Vec<f64> = b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect();
     CgOutcome {
         x,
@@ -64,13 +62,13 @@ pub fn cg_solve(a: &CsrMatrix, b: &[f64], tol: f64, max_iters: usize, threads: u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{laplacian_2d, ones, random_rhs};
+    use crate::gen::{laplacian_2d, ones};
 
     #[test]
     fn solves_laplacian_to_tolerance() {
         let a = laplacian_2d(12, 12);
         let b = ones(a.rows());
-        let out = cg_solve(&a, &b, 1e-8, 1000, 1);
+        let out = cg_solve(&a, &b, 1e-8, 1000);
         assert!(out.converged, "iters={}", out.iterations);
         assert!(out.relative_residual < 1e-7);
         // Verify the solution: A x ≈ b.
@@ -82,22 +80,10 @@ mod tests {
     }
 
     #[test]
-    fn threaded_solve_matches_serial() {
-        let a = laplacian_2d(15, 10);
-        let b = random_rhs(a.rows(), 3);
-        let s1 = cg_solve(&a, &b, 1e-10, 1000, 1);
-        let s4 = cg_solve(&a, &b, 1e-10, 1000, 4);
-        assert_eq!(s1.iterations, s4.iterations);
-        for (x1, x4) in s1.x.iter().zip(&s4.x) {
-            assert!((x1 - x4).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn iteration_budget_is_respected() {
         let a = laplacian_2d(30, 30);
         let b = ones(a.rows());
-        let out = cg_solve(&a, &b, 1e-14, 5, 1);
+        let out = cg_solve(&a, &b, 1e-14, 5);
         assert!(!out.converged);
         assert_eq!(out.iterations, 5);
     }
@@ -105,7 +91,7 @@ mod tests {
     #[test]
     fn zero_rhs_converges_immediately() {
         let a = laplacian_2d(4, 4);
-        let out = cg_solve(&a, &[0.0; 16], 1e-10, 100, 1);
+        let out = cg_solve(&a, &[0.0; 16], 1e-10, 100);
         assert_eq!(out.iterations, 0);
         assert!(out.converged);
         assert!(out.x.iter().all(|&v| v == 0.0));
@@ -115,7 +101,7 @@ mod tests {
     fn clustered_matrix_is_solvable() {
         let a = crate::gen::clustered_blocks(&[20, 60, 20], 0.6, 5);
         let b = ones(a.rows());
-        let out = cg_solve(&a, &b, 1e-8, 2000, 2);
+        let out = cg_solve(&a, &b, 1e-8, 2000);
         assert!(out.converged, "residual={}", out.relative_residual);
     }
 }

@@ -77,7 +77,7 @@ impl CsrMatrix {
         self.row_ptr[r + 1] - self.row_ptr[r]
     }
 
-    /// `y = A·x` (serial).
+    /// `y = A·x`.
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "x length mismatch");
         assert_eq!(y.len(), self.rows, "y length mismatch");
@@ -89,35 +89,6 @@ impl CsrMatrix {
             }
             *yr = acc;
         }
-    }
-
-    /// `y = A·x` computed with `threads` worker threads over disjoint row
-    /// blocks (scoped threads; falls back to serial for 1 thread).
-    pub fn par_spmv(&self, x: &[f64], y: &mut [f64], threads: usize) {
-        assert_eq!(x.len(), self.cols, "x length mismatch");
-        assert_eq!(y.len(), self.rows, "y length mismatch");
-        let threads = threads.clamp(1, self.rows.max(1));
-        if threads == 1 || self.rows < 2 * threads {
-            self.spmv(x, y);
-            return;
-        }
-        let chunk = self.rows.div_ceil(threads);
-        std::thread::scope(|s| {
-            for (block, y_block) in y.chunks_mut(chunk).enumerate() {
-                let start = block * chunk;
-                s.spawn(move || {
-                    for (i, yv) in y_block.iter_mut().enumerate() {
-                        let r = start + i;
-                        let (cols, vals) = self.row(r);
-                        let mut acc = 0.0;
-                        for (&c, &v) in cols.iter().zip(vals) {
-                            acc += v * x[c];
-                        }
-                        *yv = acc;
-                    }
-                });
-            }
-        });
     }
 
     /// Iterate all `(row, col, value)` triplets.
@@ -189,20 +160,6 @@ mod tests {
         let mut y = [0.0; 3];
         a.spmv(&x, &mut y);
         assert_eq!(y, [0.0, 0.0, 4.0]);
-    }
-
-    #[test]
-    fn par_spmv_matches_serial() {
-        let n = 500;
-        let a = crate::gen::laplacian_2d(20, 25);
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut y1 = vec![0.0; n];
-        let mut y4 = vec![0.0; n];
-        a.spmv(&x, &mut y1);
-        a.par_spmv(&x, &mut y4, 4);
-        for (a, b) in y1.iter().zip(&y4) {
-            assert!((a - b).abs() < 1e-12);
-        }
     }
 
     #[test]

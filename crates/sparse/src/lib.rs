@@ -5,12 +5,12 @@
 //! experiments without PETSc/MPI, this crate provides real sparse matrices
 //! and solvers:
 //!
-//! * [`csr::CsrMatrix`] — compressed sparse row storage with (optionally
-//!   threaded) sparse matrix–vector products;
+//! * [`csr::CsrMatrix`] — compressed sparse row storage with sparse
+//!   matrix–vector products;
 //! * [`gen`] — matrix generators: the 2-D five-point Laplacian used for the
 //!   paper's 21,025² and 90,601² problems, and clustered block matrices in
 //!   the shape of Figure 2(a);
-//! * [`cg`] / [`gmres`] — conjugate-gradient and restarted-GMRES solvers;
+//! * [`cg`] — the conjugate-gradient solver;
 //! * [`partition`] — row partitions defined by boundary lists, with the two
 //!   quantities decomposition tuning trades off: per-partition work (load
 //!   balance) and off-partition nonzeros (communication volume).
@@ -20,13 +20,9 @@
 pub mod cg;
 pub mod csr;
 pub mod gen;
-pub mod gmres;
 pub mod partition;
-pub mod pcg;
 pub mod vec_ops;
 
 pub use cg::{cg_solve, CgOutcome};
 pub use csr::CsrMatrix;
-pub use gmres::{gmres_solve, GmresOutcome};
 pub use partition::RowPartition;
-pub use pcg::{pcg_solve, PcgOutcome};
