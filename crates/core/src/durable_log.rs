@@ -10,9 +10,9 @@
 //! `\n`: a file that stops after a complete `{…}` holds a write cut one
 //! byte short, and counting it would let the next append share its line.
 //!
-//! **Recovery.** [`scan`] reads the bytes once; records count up to the
-//! first line that is not one — not UTF-8, not JSON of the record type, or
-//! not newline-terminated. A readable record *after* that line means damage
+//! **Recovery.** [`scan`] streams the file through one buffer, once;
+//! records count up to the first line that is not one — not UTF-8, not
+//! JSON of the record type, or not newline-terminated. A readable record *after* that line means damage
 //! in the middle of the log, which [`DurableLog::open`] refuses by line
 //! number; otherwise the rest is the tail of an append a crash cut short,
 //! and open truncates it, so an opened log always ends in `\n`.
@@ -26,7 +26,7 @@
 use crate::error::{HarmonyError, Result};
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, Read, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -48,46 +48,60 @@ pub(crate) fn has_content(path: &Path) -> bool {
     std::fs::metadata(path).is_ok_and(|m| m.len() > 0)
 }
 
-/// Move the next line of `rest` into `buf`: `Ok` with its text, less the
-/// line ending, or `Err` with why it is not a line. `None` at the end.
+/// Bytes [`DurableLog::open`] reads the file in at a time: the scan holds
+/// this and the longest line, never the whole log.
+const READ_BUFFER: usize = 64 * 1024;
+
+/// Move the next line of `reader` into `buf`: `Ok` with how many bytes it
+/// took and its text, less the line ending, or with why it is not a line.
+/// `None` at the end.
 fn next_line<'a>(
-    rest: &mut &[u8],
+    reader: &mut impl BufRead,
     buf: &'a mut Vec<u8>,
-) -> Option<std::result::Result<&'a str, String>> {
+) -> std::io::Result<Option<(usize, std::result::Result<&'a str, String>)>> {
     buf.clear();
     // `read_until` for its newline search, which is several times faster
     // than a loop over the bytes; open is a benchmark's whole set-up.
-    if rest.read_until(b'\n', buf).expect("memory reads") == 0 {
-        return None;
+    let taken = reader.read_until(b'\n', buf)?;
+    if taken == 0 {
+        return Ok(None);
     }
-    Some(match buf.last() {
+    let line = match buf.last() {
         Some(b'\n') => std::str::from_utf8(buf)
             .map(str::trim_end)
             .map_err(|_| "invalid UTF-8".into()),
         _ => Err("no trailing newline".into()),
-    })
+    };
+    Ok(Some((taken, line)))
 }
 
-/// The one reader of header-plus-records JSON lines, with or without a file
-/// under them. Every record up to the first line that is not one goes to
-/// `keep`, in order; blank lines are skipped. Returns the header, for the
-/// caller to check, and the offset just past the last record kept; `Err`
-/// says why line 1 is not a header, or which line has a readable record
-/// *after* it and so is damage mid-log, not the end of the last append.
+/// The one reader of header-plus-records JSON lines, from a file or from
+/// bytes already in memory. Every record up to the first line that is not
+/// one goes to `keep`, in order; blank lines are skipped. Returns the
+/// header, for the caller to check, and the offset just past the last
+/// record kept; the inner `Err` says why line 1 is not a header, or which
+/// line has a readable record *after* it and so is damage mid-log, not the
+/// end of the last append. The outer `Err` is a read that failed, which
+/// says nothing about the log.
 pub(crate) fn scan<H: Deserialize, R: Deserialize>(
-    bytes: &[u8],
+    mut reader: impl BufRead,
     mut keep: impl FnMut(R),
-) -> std::result::Result<(H, usize), String> {
-    let (mut rest, mut buf) = (bytes, Vec::new());
-    let header: H = next_line(&mut rest, &mut buf)
-        .ok_or("empty log has no header")?
-        .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
-        .map_err(|e| format!("bad header: {e}"))?;
-    let mut good_end = bytes.len() - rest.len();
+) -> std::io::Result<std::result::Result<(H, usize), String>> {
+    let mut buf = Vec::new();
+    let Some((mut consumed, line)) = next_line(&mut reader, &mut buf)? else {
+        return Ok(Err("empty log has no header".into()));
+    };
+    let header = line.and_then(|text| serde_json::from_str::<H>(text).map_err(|e| e.to_string()));
+    let header = match header {
+        Ok(header) => header,
+        Err(why) => return Ok(Err(format!("bad header: {why}"))),
+    };
+    let mut good_end = consumed;
     // The first line that is not a record: its number, and why.
     let mut bad: Option<(usize, String)> = None;
     let mut line_no = 1;
-    while let Some(line) = next_line(&mut rest, &mut buf) {
+    while let Some((taken, line)) = next_line(&mut reader, &mut buf)? {
+        consumed += taken;
         line_no += 1;
         let record = match line {
             Ok("") => continue,
@@ -97,16 +111,16 @@ pub(crate) fn scan<H: Deserialize, R: Deserialize>(
         match (record, &bad) {
             (Ok(record), None) => {
                 keep(record);
-                good_end = bytes.len() - rest.len();
+                good_end = consumed;
             }
             (Ok(_), Some((line, error))) => {
-                return Err(format!("unreadable record at line {line}: {error}"))
+                return Ok(Err(format!("unreadable record at line {line}: {error}")))
             }
             (Err(error), None) => bad = Some((line_no, error)),
             (Err(_), Some(_)) => {}
         }
     }
-    Ok((header, good_end))
+    Ok(Ok((header, good_end)))
 }
 
 /// An open log file; see the [module docs](self).
@@ -177,18 +191,24 @@ impl DurableLog {
             .write(true)
             .open(path)
             .map_err(unread)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes).map_err(unread)?;
+        let mut reader = BufReader::with_capacity(READ_BUFFER, &file);
+        let scanned = scan::<H, R>(&mut reader, keep).map_err(unread)?;
+        // The scan reads to the end, so where the reader stands is the
+        // file's length as read.
+        let len = reader.stream_position().map_err(unread)?;
         let refuse = |what: String| corrupt(format!("{}: {what}", path.display()));
-        let (header, good_end) = scan::<H, R>(&bytes, keep).map_err(refuse)?;
+        let (header, good_end) = scanned.map_err(refuse)?;
         check(&header).map_err(refuse)?;
-        let torn = good_end < bytes.len();
+        let torn = (good_end as u64) < len;
         if torn {
             // Off the disk, not merely skipped: the next append must start
             // a line of its own.
             cut(&mut file, good_end as u64)
                 .and_then(|()| file.sync_data())
                 .map_err(|e| io_err("truncate torn tail of", path, e))?;
+        } else {
+            file.seek(SeekFrom::Start(good_end as u64))
+                .map_err(unread)?;
         }
         Ok((Self::new(path, file, good_end), header, torn))
     }
@@ -342,7 +362,8 @@ mod tests {
         let header_len = bytes.len();
         bytes.extend_from_slice(body);
         let mut seen = Vec::new();
-        let end = match scan::<Head, _>(&bytes, |r: Rec| seen.push(r.n)) {
+        let scanned = scan::<Head, _>(&bytes[..], |r: Rec| seen.push(r.n));
+        let end = match scanned.expect("memory reads") {
             Ok((_, good_end)) => Ok(good_end - header_len),
             Err(what) => {
                 let rest = what
@@ -416,6 +437,7 @@ mod tests {
     fn line_one_must_be_a_whole_header() {
         let refused = |bytes: &[u8]| {
             scan::<Head, Rec>(bytes, |_| {})
+                .expect("memory reads")
                 .map(|_| ())
                 .expect_err("refused")
         };
@@ -522,5 +544,84 @@ mod tests {
         let fresh = log.pending_sync(Duration::ZERO).expect("2 unsynced");
         log.mark_synced(fresh().unwrap());
         assert_eq!(log.unsynced(), 0);
+    }
+
+    /// A record with text that is mostly two-byte characters.
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Text {
+        n: u32,
+        text: String,
+    }
+
+    #[test]
+    fn a_streamed_open_keeps_what_the_byte_scan_keeps_across_buffer_boundaries() {
+        let mut bytes = Vec::new();
+        push_line(&head(), &mut bytes);
+        let mut n = 0;
+        while bytes.len() < 200 * 1024 {
+            // Lines of 24 to 1 200 bytes, an odd ASCII prefix before the
+            // two-byte characters: lines and characters fall across the
+            // reader's buffer boundaries at every offset.
+            let text = format!(
+                "{}{}",
+                "a".repeat(n as usize % 3),
+                "é".repeat(n as usize * 37 % 600)
+            );
+            push_line(&Text { n, text }, &mut bytes);
+            n += 1;
+        }
+        let boundaries: Vec<usize> = (1..=bytes.len() / READ_BUFFER)
+            .map(|k| k * READ_BUFFER)
+            .collect();
+        assert!(
+            boundaries.iter().any(|&b| bytes[b] & 0xc0 == 0x80),
+            "a character of a whole record straddles a boundary"
+        );
+        // A torn tail from before the next boundary to just after it, cut
+        // after the first byte of a two-byte character.
+        let next = (bytes.len() / READ_BUFFER + 1) * READ_BUFFER;
+        let mut torn = b"{\"n\":99,\"text\":\"".to_vec();
+        while bytes.len() + torn.len() < next + 2 {
+            torn.extend_from_slice("é".as_bytes());
+        }
+        torn.push(0xc3);
+        bytes.extend_from_slice(&torn);
+        assert!(bytes.len() > next, "the torn tail crosses a boundary");
+
+        let mut by_slice = Vec::new();
+        let (_, good_end) = scan::<Head, Text>(&bytes[..], |r| by_slice.push(r))
+            .expect("memory reads")
+            .expect("a torn tail is not damage");
+        assert_eq!(good_end, bytes.len() - torn.len());
+        assert_eq!(by_slice.len(), n as usize);
+
+        let path = temp_path("streamed-open");
+        std::fs::write(&path, &bytes).unwrap();
+        let mut streamed = Vec::new();
+        let (mut log, _, truncated) = DurableLog::open(
+            &path,
+            HarmonyError::StoreCorrupt,
+            |_: &Head| Ok(()),
+            |r: Text| streamed.push(r),
+        )
+        .unwrap();
+        assert_eq!(streamed, by_slice);
+        assert!(truncated);
+        assert_eq!(log.len(), good_end as u64);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), good_end as u64);
+        // The next append lands where the kept records end.
+        let mut appended = Vec::new();
+        push_line(
+            &Text {
+                n: 100,
+                text: "ü".into(),
+            },
+            &mut appended,
+        );
+        log.append(&appended, 1).unwrap();
+        drop(log);
+        let mut want = bytes[..good_end].to_vec();
+        want.extend_from_slice(&appended);
+        assert_eq!(std::fs::read(&path).unwrap(), want);
     }
 }

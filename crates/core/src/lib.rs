@@ -48,6 +48,7 @@
 #![warn(missing_docs)]
 
 pub mod constraint;
+mod digest_index;
 mod durable_log;
 pub mod error;
 pub mod history;

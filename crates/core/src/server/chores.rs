@@ -50,7 +50,9 @@ fn pull(peer: String, store: SharedStore, every: Duration, get: Get) -> Job {
     Box::new(move || {
         let mut records: Vec<StoreRecord> = Vec::new();
         let scanned = match get(&peer, &format!("/store/log?from={from}")) {
-            Ok((200, body)) => durable_log::scan(body.as_bytes(), |r| records.push(r)).ok(),
+            Ok((200, body)) => durable_log::scan(body.as_bytes(), |r| records.push(r))
+                .expect("memory reads")
+                .ok(),
             _ => None,
         };
         let header: Option<StoreLogHeader> = scanned.map(|(header, _)| header);

@@ -12,14 +12,12 @@
 //!
 //! The cache is a flat memo. Keys sit back to back in one `Vec<i64>`, one
 //! stride (the space's dimension) each, with their costs in a parallel
-//! `Vec<f64>`. A map from a key's 64-bit digest to its newest slot, and a
-//! chain through the slots whose digests collide, find a key again. A
-//! digest only narrows the search: every hit compares the stored key with
-//! the probe, so a collision costs one more compare and never a wrong cost.
-//! The digest is seeded once per process; nothing iterates the memo, so
-//! the seed cannot move a trajectory. Filling the memo allocates per
-//! growth, not per key, and freeing a session frees a handful of buffers
-//! however many points it measured.
+//! `Vec<f64>`. The crate's digest index (a map from a key's seeded 64-bit
+//! digest to its newest slot, and a chain through the slots whose digests
+//! collide) finds a key again; every hit compares the stored key with the
+//! probe, so a collision costs one more compare and never a wrong cost.
+//! Filling the memo allocates per growth, not per key, and freeing a
+//! session frees a handful of buffers however many points it measured.
 //!
 //! Costs known from outside the session — the persistent performance store
 //! — are resolved inside it too: [`TuningSession::suggest_batch_with`] asks
@@ -28,6 +26,7 @@
 //! a trial. The Harmony server and the off-line tuner both serve their
 //! stores this way.
 
+use crate::digest_index::DigestIndex;
 use crate::error::{HarmonyError, Result};
 use crate::history::{Evaluation, History};
 use crate::space::{Configuration, SearchSpace};
@@ -35,10 +34,7 @@ use crate::strategy::{SearchStrategy, StrategySnapshot};
 use crate::telemetry::{Counter, Telemetry, TrialStage};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::hash_map::RandomState;
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
-use std::sync::OnceLock;
+use std::collections::VecDeque;
 
 /// Why a session stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,9 +131,6 @@ struct PendingTrial {
     from_store: bool,
 }
 
-/// End of a memo chain.
-const NO_SLOT: u32 = u32::MAX;
-
 /// The session's evaluation memo: cost by cache key, laid out flat (see
 /// the [module docs](self)).
 struct Memo {
@@ -147,47 +140,33 @@ struct Memo {
     keys: Vec<i64>,
     /// Slot `i`'s cost.
     costs: Vec<f64>,
-    /// The next older slot whose key has slot `i`'s digest, or `NO_SLOT`.
-    next: Vec<u32>,
-    /// Digest → newest slot with that digest.
-    heads: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
-    seed: u64,
-    digest: fn(u64, &[i64]) -> u64,
+    /// Digest → slots.
+    index: DigestIndex,
 }
 
 impl Memo {
     fn new(stride: usize) -> Self {
-        Self::with_digest(stride, mix)
+        Self::with_index(stride, DigestIndex::new())
     }
 
-    fn with_digest(stride: usize, digest: fn(u64, &[i64]) -> u64) -> Self {
-        static SEED: OnceLock<u64> = OnceLock::new();
+    fn with_index(stride: usize, index: DigestIndex) -> Self {
         Memo {
             stride,
             keys: Vec::new(),
             costs: Vec::new(),
-            next: Vec::new(),
-            heads: HashMap::default(),
-            seed: *SEED.get_or_init(|| RandomState::new().build_hasher().finish()),
-            digest,
+            index,
         }
     }
 
-    /// The slot holding `key`, whose digest is `hash`.
-    fn slot(&self, hash: u64, key: &[i64]) -> Option<usize> {
-        let mut slot = *self.heads.get(&hash)?;
-        while slot != NO_SLOT {
-            let i = slot as usize;
-            if self.keys[i * self.stride..(i + 1) * self.stride] == *key {
-                return Some(i);
-            }
-            slot = self.next[i];
-        }
-        None
+    /// The slot holding `key`, whose digest is `digest`.
+    fn slot(&self, digest: u64, key: &[i64]) -> Option<usize> {
+        let stride = self.stride;
+        self.index
+            .find(digest, |i| self.keys[i * stride..(i + 1) * stride] == *key)
     }
 
     fn get(&self, key: &[i64]) -> Option<f64> {
-        let slot = self.slot((self.digest)(self.seed, key), key)?;
+        let slot = self.slot(self.index.digest(key.iter().copied()), key)?;
         Some(self.costs[slot])
     }
 
@@ -198,49 +177,14 @@ impl Memo {
         if key.len() != self.stride {
             return;
         }
-        let hash = (self.digest)(self.seed, key);
-        if let Some(slot) = self.slot(hash, key) {
+        let digest = self.index.digest(key.iter().copied());
+        if let Some(slot) = self.slot(digest, key) {
             self.costs[slot] = cost;
             return;
         }
-        let slot = u32::try_from(self.costs.len())
-            .ok()
-            .filter(|&slot| slot != NO_SLOT)
-            .expect("a memo holds fewer than 2^32 - 1 keys");
-        let older = self.heads.insert(hash, slot);
-        self.next.push(older.unwrap_or(NO_SLOT));
+        self.index.push(Some(digest));
         self.keys.extend_from_slice(key);
         self.costs.push(cost);
-    }
-}
-
-/// The memo's digest: a multiply–xorshift mix of the key's values.
-fn mix(seed: u64, key: &[i64]) -> u64 {
-    const K: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut h = seed;
-    for &v in key {
-        h = (h ^ v as u64).wrapping_mul(K);
-        h ^= h >> 32;
-    }
-    h
-}
-
-/// Hands a `u64` digest to the memo's map as its hash: the digest is
-/// already mixed.
-#[derive(Default)]
-struct PassThrough(u64);
-
-impl Hasher for PassThrough {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("the memo's map hashes only u64 digests")
-    }
-
-    fn write_u64(&mut self, digest: u64) {
-        self.0 = digest;
     }
 }
 
@@ -808,6 +752,7 @@ mod tests {
         Annealing, Exhaustive, Genetic, GreedyFrom, GreedyOptions, GridSearch, NelderMead,
         ParallelRankOrder, RandomSearch, Surrogate,
     };
+    use std::collections::HashMap;
 
     fn space() -> SearchSpace {
         SearchSpace::builder()
@@ -1455,9 +1400,10 @@ mod tests {
         assert_eq!(memo.keys.len(), 3 * reference.len());
     }
 
-    /// Every key collides: each lookup walks the whole chain.
-    fn one_digest(_: u64, _: &[i64]) -> u64 {
-        7
+    /// A memo under which every key collides: each lookup walks the whole
+    /// chain.
+    fn colliding(stride: usize) -> Memo {
+        Memo::with_index(stride, DigestIndex::colliding())
     }
 
     proptest::proptest! {
@@ -1476,7 +1422,7 @@ mod tests {
                 .map(|((&insert, key), cost)| (insert == 1, key, cost))
                 .collect();
             memo_matches_a_hash_map(Memo::new(3), &steps);
-            memo_matches_a_hash_map(Memo::with_digest(3, one_digest), &steps);
+            memo_matches_a_hash_map(colliding(3), &steps);
         }
     }
 
@@ -1506,7 +1452,7 @@ mod tests {
     #[test]
     fn a_preloaded_point_is_replayed_at_its_last_cost_whatever_the_digest() {
         let want = preloaded_campaign(Memo::new(2));
-        let got = preloaded_campaign(Memo::with_digest(2, one_digest));
+        let got = preloaded_campaign(colliding(2));
         let rows = |r: &TuningResult| -> Vec<(Vec<i64>, u64, bool)> {
             let rows = r.history.evaluations().iter();
             rows.map(|e| (e.config.cache_key(), e.cost.to_bits(), e.cached))

@@ -46,6 +46,32 @@
 //! [`generation`](PerfStore::generation): a peer pulling the log by
 //! position re-pulls from 0 when the generation it last saw is gone.
 //!
+//! # In memory
+//!
+//! The records are kept with no heap object per record. Each is one
+//! fixed-size row: an interned app id, the fingerprint, cost and wall
+//! bits, session and iteration, the `requeued`/`replayed`/`live` flags
+//! packed in a byte, a shape id, and an offset into one `Vec<i64>` that
+//! holds every record's cache key back to back, each followed by the
+//! label ids of its `Enum` values. A *shape* is a parameter name table
+//! plus each value's variant (`Int`, `Real`, `Enum`), interned once, so
+//! the records of one space share one name table; app labels and enum
+//! labels are interned strings. A [`StoreRecord`] is built from its row on
+//! demand ([`live_records`](PerfStore::live_records),
+//! [`encode_log_from`](PerfStore::encode_log_from), compaction, the priors
+//! view) and is exactly the record that was stored: a `Real` keeps its
+//! bits and an `Enum` its index and label, so every line re-encodes
+//! byte-identically.
+//!
+//! One index finds a key: a seeded digest of `(app id, fingerprint, cache
+//! key)` maps to the newest live record with that digest, and a chain
+//! links it to the older ones (the crate's digest index, which the
+//! session's memo uses too). The seed is drawn per process, because peer
+//! records are input a remote server chose; every hit is verified
+//! against the row and its key, so a collision costs a compare, never a
+//! wrong cost. Open streams the log (see `durable_log`) and builds the
+//! rows as the lines arrive, so it never holds the file's bytes.
+//!
 //! # Cache semantics
 //!
 //! Lookup is *first write wins*: the first recorded cost for a key is the
@@ -58,13 +84,15 @@
 //! A replay asks for records in the order the cold run wrote them, so
 //! `lookup_after` first checks the record after the caller's last hit and
 //! serves it when it is the live record for the key — same app,
-//! fingerprint and cache key, and not a superseded re-measurement. Only
-//! otherwise does it probe the index. The position is a guess that is
-//! always verified, never a cache that could go stale: after a compaction,
-//! on another application's record, or where two sessions' batches
-//! interleave in the log, the guess fails and the index answers.
+//! fingerprint and cache key (one slice compare against the row's values),
+//! and not a superseded re-measurement. Only otherwise does it probe the
+//! index. The position is a guess that is always verified, never a cache
+//! that could go stale: after a compaction, on another application's
+//! record, or where two sessions' batches interleave in the log, the guess
+//! fails and the index answers.
 //! [`lookup`](PerfStore::lookup) is the same body without a position.
 
+use crate::digest_index::DigestIndex;
 use crate::durable_log::{self, push_line, DurableLog};
 use crate::error::{HarmonyError, Result};
 use crate::lock;
@@ -73,7 +101,7 @@ use crate::space::{Configuration, SearchSpace};
 use crate::telemetry::{Counter, Latency, SpanKind, Telemetry};
 use crate::value::ParamValue;
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::{Entry, RandomState};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 use std::path::Path;
@@ -314,16 +342,6 @@ fn check_header(h: &StoreHeader) -> std::result::Result<(), String> {
     }
 }
 
-/// Let `record` share its predecessor's name table when they spell the same
-/// names. Every record decoded from a line or a peer arrives with a table
-/// of its own; a log written over one space would otherwise hold one copy
-/// of the parameter names per record.
-fn share_names(prev: Option<&StoreRecord>, record: &mut StoreRecord) {
-    if let Some(prev) = prev {
-        record.config.adopt_names(prev.config.names_table());
-    }
-}
-
 /// A log generation no other open or rewrite is likely to have drawn:
 /// `RandomState` is seeded per process and steps per instance, so hashing
 /// nothing with a new one yields a fresh 64-bit value without a clock or
@@ -332,39 +350,306 @@ fn fresh_generation() -> u64 {
     RandomState::new().build_hasher().finish()
 }
 
-/// `app → fingerprint → cache_key → position in the record list` of the
-/// first (live) record for that key. Nested (rather than keyed by an
-/// `(app, fingerprint)` tuple) so the per-proposal hot path can probe
-/// with a borrowed `&str` instead of allocating a composite key.
-type Index = HashMap<String, HashMap<u64, HashMap<Vec<i64>, usize>>>;
-
-/// The index's keys under `(app, fingerprint)`, made if absent. The app is
-/// probed borrowed first: `HashMap::entry` would demand an owned `String`
-/// even in the steady state where the app is already indexed.
-fn keys_of<'a>(
-    index: &'a mut Index,
-    app: &str,
-    fingerprint: u64,
-) -> &'a mut HashMap<Vec<i64>, usize> {
-    if !index.contains_key(app) {
-        index.insert(app.to_string(), HashMap::new());
-    }
-    let by_fingerprint = index.get_mut(app).expect("app entry ensured above");
-    by_fingerprint.entry(fingerprint).or_default()
+/// Strings kept once each, by a dense id.
+#[derive(Default)]
+struct Interner {
+    strings: Vec<Arc<str>>,
+    ids: HashMap<Arc<str>, u32>,
 }
 
-/// The durable performance database: an append-only JSON-lines log plus an
-/// in-memory first-write-wins index. See the [module docs](self) for format,
-/// fsync policy, and cache semantics.
+impl Interner {
+    fn id(&self, s: &str) -> Option<u32> {
+        self.ids.get(s).copied()
+    }
+
+    fn intern(&mut self, s: &str) -> u32 {
+        if let Some(id) = self.id(s) {
+            return id;
+        }
+        let id = u32::try_from(self.strings.len()).expect("fewer than 2^32 distinct strings");
+        let s: Arc<str> = s.into();
+        self.strings.push(Arc::clone(&s));
+        self.ids.insert(s, id);
+        id
+    }
+
+    fn get(&self, id: u32) -> &str {
+        &self.strings[id as usize]
+    }
+
+    fn len(&self) -> usize {
+        self.strings.len()
+    }
+}
+
+/// A value's variant, which its cache key does not tell.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Kind {
+    Int,
+    Real,
+    Enum,
+}
+
+impl Kind {
+    fn of(value: &ParamValue) -> Kind {
+        match value {
+            ParamValue::Int(_) => Kind::Int,
+            ParamValue::Real(_) => Kind::Real,
+            ParamValue::Enum { .. } => Kind::Enum,
+        }
+    }
+}
+
+/// What a configuration is beyond its cache key: the parameter names and
+/// each value's variant. Records of one space share one.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct Shape {
+    names: Arc<[String]>,
+    kinds: Box<[Kind]>,
+}
+
+/// `Row::flags` bits.
+const REQUEUED: u8 = 1;
+const REPLAYED: u8 = 2;
+/// The index serves this record for its key; clear only for a
+/// re-measurement appended for provenance.
+const LIVE: u8 = 4;
+
+/// A record's fixed-size fields. Its values are in [`Records::vals`].
+struct Row {
+    fingerprint: u64,
+    cost_bits: u64,
+    wall_bits: u64,
+    session: u64,
+    iteration: u64,
+    /// Where the record's cache key starts in `vals`. The label ids of
+    /// its `Enum` values follow the key.
+    offset: usize,
+    app: u32,
+    shape: u32,
+    flags: u8,
+}
+
+/// The log's records in memory, in file order, with no heap object per
+/// record (see the [module docs](self#in-memory)).
+struct Records {
+    rows: Vec<Row>,
+    /// Every record's cache key, then the label ids of its `Enum` values,
+    /// back to back.
+    vals: Vec<i64>,
+    apps: Interner,
+    labels: Interner,
+    shapes: Vec<Shape>,
+    shape_ids: HashMap<Shape, u32>,
+    /// Digest of `(app id, fingerprint, key)` → the live records.
+    index: DigestIndex,
+    /// Live records.
+    live: usize,
+}
+
+impl Records {
+    fn new(index: DigestIndex) -> Self {
+        Records {
+            rows: Vec::new(),
+            vals: Vec::new(),
+            apps: Interner::default(),
+            labels: Interner::default(),
+            shapes: Vec::new(),
+            shape_ids: HashMap::new(),
+            index,
+            live: 0,
+        }
+    }
+
+    /// No records, and this index's digest.
+    fn emptied(&self) -> Self {
+        Self::new(self.index.emptied())
+    }
+
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// The cache key of the record at `pos`.
+    #[inline]
+    fn key(&self, pos: usize) -> &[i64] {
+        let row = &self.rows[pos];
+        let len = self.shapes[row.shape as usize].kinds.len();
+        &self.vals[row.offset..row.offset + len]
+    }
+
+    fn digest(&self, app: u32, fingerprint: u64, key: impl Iterator<Item = i64>) -> u64 {
+        let head = [app as i64, fingerprint as i64];
+        self.index.digest(head.into_iter().chain(key))
+    }
+
+    /// Position of the live record for `(app, fingerprint, key)`, if any.
+    /// Alloc-free: the app is probed borrowed, the key as it comes.
+    fn find(
+        &self,
+        app: &str,
+        fingerprint: u64,
+        key: impl Iterator<Item = i64> + Clone,
+    ) -> Option<usize> {
+        let app = self.app_id(app)?;
+        let digest = self.digest(app, fingerprint, key.clone());
+        self.index.find(digest, |pos| {
+            let row = &self.rows[pos];
+            row.app == app
+                && row.fingerprint == fingerprint
+                && self.key(pos).iter().copied().eq(key.clone())
+        })
+    }
+
+    /// `app`'s id: the last record's when it is the same app, as it is
+    /// along a run of one session's records, else the interned one.
+    fn app_id(&self, app: &str) -> Option<u32> {
+        match self.rows.last() {
+            Some(row) if self.apps.get(row.app) == app => Some(row.app),
+            _ => self.apps.id(app),
+        }
+    }
+
+    /// [`find`](Self::find) for `record`'s key.
+    fn find_record(&self, record: &StoreRecord) -> Option<usize> {
+        let key = record.config.values().iter().map(ParamValue::cache_key);
+        self.find(&record.app, record.fingerprint, key)
+    }
+
+    /// The position after `last_hit`, if the record there is the live one
+    /// for `(app, fingerprint, key)`: then it is what [`find`](Self::find)
+    /// would answer, without the hash probe.
+    #[inline]
+    fn next_if_live(
+        &self,
+        app: &str,
+        fingerprint: u64,
+        key: &[i64],
+        last_hit: Option<usize>,
+    ) -> Option<usize> {
+        let next = last_hit?.checked_add(1)?;
+        let row = self.rows.get(next)?;
+        let served = row.flags & LIVE != 0
+            && row.fingerprint == fingerprint
+            && self.key(next) == key
+            && self.apps.get(row.app) == app;
+        served.then_some(next)
+    }
+
+    /// The shape of `config`: the previous record's when they agree, else
+    /// the one interned for it, else a new one.
+    fn shape_of(&mut self, config: &Configuration) -> u32 {
+        let kinds = || config.values().iter().map(Kind::of);
+        let agrees = |shape: &Shape| {
+            shape.names == *config.names_table() && shape.kinds.iter().copied().eq(kinds())
+        };
+        if let Some(row) = self.rows.last() {
+            if agrees(&self.shapes[row.shape as usize]) {
+                return row.shape;
+            }
+        }
+        let shape = Shape {
+            names: Arc::clone(config.names_table()),
+            kinds: kinds().collect(),
+        };
+        if let Some(&id) = self.shape_ids.get(&shape) {
+            return id;
+        }
+        let id = u32::try_from(self.shapes.len()).expect("fewer than 2^32 shapes");
+        self.shapes.push(shape.clone());
+        self.shape_ids.insert(shape, id);
+        id
+    }
+
+    /// Append `record`, served by the index for its key when `live`.
+    fn push(&mut self, record: &StoreRecord, live: bool) {
+        let app = match self.app_id(&record.app) {
+            Some(app) => app,
+            None => self.apps.intern(&record.app),
+        };
+        let shape = self.shape_of(&record.config);
+        let values = record.config.values();
+        let key = values.iter().map(ParamValue::cache_key);
+        self.index
+            .push(live.then(|| self.digest(app, record.fingerprint, key.clone())));
+        let offset = self.vals.len();
+        self.vals.extend(key);
+        for value in values {
+            if let ParamValue::Enum { label, .. } = value {
+                let label = self.labels.intern(label);
+                self.vals.push(label as i64);
+            }
+        }
+        self.live += usize::from(live);
+        let flag = |on: bool, bit: u8| if on { bit } else { 0 };
+        self.rows.push(Row {
+            fingerprint: record.fingerprint,
+            cost_bits: record.cost_bits,
+            wall_bits: record.wall_bits,
+            session: record.session,
+            iteration: record.iteration as u64,
+            offset,
+            app,
+            shape,
+            flags: flag(record.requeued, REQUEUED)
+                | flag(record.replayed, REPLAYED)
+                | flag(live, LIVE),
+        });
+    }
+
+    /// The record at `pos`, as it was pushed.
+    fn record(&self, pos: usize) -> StoreRecord {
+        let row = &self.rows[pos];
+        let shape = &self.shapes[row.shape as usize];
+        let (key, rest) = self.vals[row.offset..].split_at(shape.kinds.len());
+        let mut labels = rest.iter();
+        let values = shape.kinds.iter().zip(key).map(|(kind, &v)| match kind {
+            Kind::Int => ParamValue::Int(v),
+            Kind::Real => ParamValue::Real(f64::from_bits(v as u64)),
+            Kind::Enum => {
+                let label = *labels.next().expect("an enum value has a label");
+                ParamValue::Enum {
+                    index: v as usize,
+                    label: self.labels.get(label as u32).to_string(),
+                }
+            }
+        });
+        StoreRecord {
+            app: self.apps.get(row.app).to_string(),
+            fingerprint: row.fingerprint,
+            config: Configuration::with_table(Arc::clone(&shape.names), values.collect()),
+            cost_bits: row.cost_bits,
+            wall_bits: row.wall_bits,
+            session: row.session,
+            iteration: row.iteration as usize,
+            requeued: row.flags & REQUEUED != 0,
+            replayed: row.flags & REPLAYED != 0,
+        }
+    }
+
+    /// Positions of the live records, in file order.
+    fn live_positions(&self) -> impl Iterator<Item = usize> + '_ {
+        let live = self.rows.iter().map(|row| row.flags & LIVE != 0);
+        live.enumerate()
+            .filter_map(|(pos, live)| live.then_some(pos))
+    }
+
+    /// Give back the spare capacity growth left.
+    fn shrink_to_fit(&mut self) {
+        self.rows.shrink_to_fit();
+        self.vals.shrink_to_fit();
+        self.index.shrink_to_fit();
+    }
+}
+
+/// The durable performance database: an append-only JSON-lines log plus its
+/// records in memory under a first-write-wins index. See the [module
+/// docs](self) for format, fsync policy, and cache semantics.
 pub struct PerfStore {
     log: DurableLog,
     telemetry: Telemetry,
     /// Every log record in file order (compaction rewrites this).
-    records: Vec<StoreRecord>,
-    /// `live[pos]`: the index serves `records[pos]` for its key. False
-    /// only for a re-measurement appended for provenance.
-    live: Vec<bool>,
-    index: Index,
+    records: Records,
     /// Drawn afresh at open and at every rewrite: the record positions a
     /// `/store/log` puller holds are positions in this generation.
     generation: u64,
@@ -397,12 +682,16 @@ impl PerfStore {
     /// [`open`](Self::open) recording hits/misses/inserts/compactions and
     /// lookup / append+fsync latencies on `telemetry`.
     pub fn open_with(path: impl AsRef<Path>, telemetry: Telemetry) -> Result<Self> {
-        let path = path.as_ref();
-        let mut records: Vec<StoreRecord> = Vec::new();
+        Self::open_indexed(path.as_ref(), telemetry, DigestIndex::new())
+    }
+
+    /// [`open_with`](Self::open_with) under `index`'s digest.
+    fn open_indexed(path: &Path, telemetry: Telemetry, index: DigestIndex) -> Result<Self> {
+        let mut records = Records::new(index);
         let (log, torn_tail_truncated) = if durable_log::has_content(path) {
-            let keep = |mut r: StoreRecord| {
-                share_names(records.last(), &mut r);
-                records.push(r);
+            let keep = |r: StoreRecord| {
+                let live = records.find_record(&r).is_none();
+                records.push(&r, live);
             };
             let (log, _, torn) =
                 DurableLog::open(path, HarmonyError::StoreCorrupt, check_header, keep)?;
@@ -413,37 +702,15 @@ impl PerfStore {
         if torn_tail_truncated {
             telemetry.inc(Counter::StoreTornTails);
         }
-        let (index, live) = Self::build_index(&records);
+        records.shrink_to_fit();
         Ok(PerfStore {
             log,
             telemetry,
             records,
-            live,
-            index,
             generation: fresh_generation(),
             sync_every: DEFAULT_SYNC_EVERY,
             torn_tail_truncated,
         })
-    }
-
-    /// The first-write-wins index over `records`, and their `live` flags.
-    fn build_index(records: &[StoreRecord]) -> (Index, Vec<bool>) {
-        let mut index = Index::new();
-        let live = records
-            .iter()
-            .enumerate()
-            .map(|(pos, rec)| {
-                let keys = keys_of(&mut index, &rec.app, rec.fingerprint);
-                match keys.entry(rec.config.cache_key()) {
-                    Entry::Occupied(_) => false,
-                    Entry::Vacant(slot) => {
-                        slot.insert(pos);
-                        true
-                    }
-                }
-            })
-            .collect();
-        (index, live)
     }
 
     /// Backing file path.
@@ -458,16 +725,12 @@ impl PerfStore {
 
     /// True when no record has ever been appended.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.records.len() == 0
     }
 
     /// Unique live `(app, fingerprint, configuration)` keys.
     pub fn live_configs(&self) -> usize {
-        self.index
-            .values()
-            .flat_map(|by_fp| by_fp.values())
-            .map(|m| m.len())
-            .sum()
+        self.records.live
     }
 
     /// Look up the first-recorded cost for a configuration. Counts a
@@ -499,16 +762,17 @@ impl PerfStore {
             .telemetry
             .span_begin(SpanKind::StoreLookup, 0, "store", 0);
         let pos = self
+            .records
             .next_if_live(app, fingerprint, key, *last_hit)
-            .or_else(|| self.live_pos(app, fingerprint, key));
+            .or_else(|| self.records.find(app, fingerprint, key.iter().copied()));
         if pos.is_some() {
             *last_hit = pos;
         }
         let hit = pos.map(|pos| {
-            let rec = &self.records[pos];
+            let row = &self.records.rows[pos];
             StoredCost {
-                cost: rec.cost(),
-                wall_time: rec.wall_time(),
+                cost: f64::from_bits(row.cost_bits),
+                wall_time: f64::from_bits(row.wall_bits),
             }
         });
         self.telemetry.span_end(span);
@@ -522,40 +786,6 @@ impl PerfStore {
             Counter::StoreMisses
         });
         hit
-    }
-
-    /// Position of the live (first-recorded) record for a key, if any.
-    /// Alloc-free: every level of the index probes with a borrow.
-    fn live_pos(&self, app: &str, fingerprint: u64, key: &[i64]) -> Option<usize> {
-        self.index
-            .get(app)
-            .and_then(|by_fp| by_fp.get(&fingerprint))
-            .and_then(|m| m.get(key))
-            .copied()
-    }
-
-    /// The position after `last_hit`, if the record there is the live one
-    /// for `(app, fingerprint, key)` — then it is what
-    /// [`live_pos`](Self::live_pos) would answer, without the hash probe.
-    fn next_if_live(
-        &self,
-        app: &str,
-        fingerprint: u64,
-        key: &[i64],
-        last_hit: Option<usize>,
-    ) -> Option<usize> {
-        let next = last_hit?.checked_add(1)?;
-        let rec = self.records.get(next)?;
-        let served = self.live[next]
-            && rec.fingerprint == fingerprint
-            && rec.app == app
-            && rec
-                .config
-                .values()
-                .iter()
-                .map(ParamValue::cache_key)
-                .eq(key.iter().copied());
-        served.then_some(next)
     }
 
     /// Append one measured record. Returns `Ok(true)` when the record was
@@ -577,34 +807,20 @@ impl PerfStore {
     pub fn insert_batch(&mut self, records: Vec<StoreRecord>) -> Result<usize> {
         let mut blob = Vec::with_capacity(records.len() * 192);
         let before = self.records.len();
-        for mut record in records {
-            share_names(self.records.last(), &mut record);
-            let key = record.config.cache_key();
-            // One `entry` probe decides dedup *and* performs the index
-            // insert — the key (a `Vec<i64>`) is hashed exactly once per
-            // record, and a duplicate earlier in this same batch is
-            // caught by the same probe because the index is updated as
-            // we go.
-            let live = match keys_of(&mut self.index, &record.app, record.fingerprint).entry(key) {
-                Entry::Occupied(live) => {
-                    // Same key, same cost: a true duplicate, skipped.
-                    // Same key, new cost (noisy objective): appended to
-                    // the log for provenance, but the index keeps
-                    // serving the first-recorded cost.
-                    if self.records[*live.get()].cost_bits == record.cost_bits {
-                        continue;
-                    }
-                    false
-                }
-                Entry::Vacant(slot) => {
-                    slot.insert(self.records.len());
-                    true
-                }
+        for record in records {
+            // Same key, same cost: a true duplicate, skipped. Same key, new
+            // cost (noisy objective): appended to the log for provenance,
+            // but the index keeps serving the first-recorded cost. The
+            // index is updated as we go, so a duplicate earlier in this
+            // same batch is met the same way.
+            let live = match self.records.find_record(&record) {
+                Some(pos) if self.records.rows[pos].cost_bits == record.cost_bits => continue,
+                Some(_) => false,
+                None => true,
             };
             push_line(&record, &mut blob);
             self.telemetry.inc(Counter::StoreInserts);
-            self.records.push(record);
-            self.live.push(live);
+            self.records.push(&record, live);
         }
         let written = self.records.len() - before;
         self.append(&blob, written)?;
@@ -648,27 +864,22 @@ impl PerfStore {
     pub fn merge_records(&mut self, records: Vec<StoreRecord>) -> Result<MergeStats> {
         let mut stats = MergeStats::default();
         let mut blob = Vec::with_capacity(records.len().min(4096) * 192);
-        for mut record in records {
+        for record in records {
             stats.scanned += 1;
-            let key = record.config.cache_key();
-            if let Some(pos) = self.live_pos(&record.app, record.fingerprint, &key) {
+            if let Some(pos) = self.records.find_record(&record) {
                 stats.skipped += 1;
-                if self.records[pos].cost_bits != record.cost_bits {
+                if self.records.rows[pos].cost_bits != record.cost_bits {
                     stats.conflicts += 1;
                     self.telemetry.inc(Counter::StoreMergeConflicts);
                 }
                 continue;
             }
-            share_names(self.records.last(), &mut record);
             // The index is updated as we go, so a duplicate key later in
             // this same batch resolves first-write-wins within the batch too.
-            keys_of(&mut self.index, &record.app, record.fingerprint)
-                .insert(key, self.records.len());
             push_line(&record, &mut blob);
             self.telemetry.inc(Counter::StoreMergedRecords);
             stats.merged += 1;
-            self.records.push(record);
-            self.live.push(true);
+            self.records.push(&record, true);
         }
         self.append(&blob, stats.merged)?;
         Ok(stats)
@@ -678,27 +889,24 @@ impl PerfStore {
     /// writing anything (`repro store merge --dry-run`).
     pub fn merge_preview(&self, records: &[StoreRecord]) -> MergeStats {
         let mut stats = MergeStats::default();
-        // Cost bits of the records the merge would append, by key: a later
-        // duplicate in the batch meets them as the merge meets its own
-        // appends.
-        let mut fresh: HashMap<(&str, u64, Vec<i64>), u64> = HashMap::new();
+        // The records the merge would append: a later duplicate in the
+        // batch meets them as the merge meets its own appends.
+        let mut fresh = self.records.emptied();
         for record in records {
             stats.scanned += 1;
-            let key = record.config.cache_key();
-            let live = match self.live_pos(&record.app, record.fingerprint, &key) {
-                Some(pos) => self.records[pos].cost_bits,
-                None => match fresh.entry((record.app.as_str(), record.fingerprint, key)) {
-                    Entry::Occupied(first) => *first.get(),
-                    Entry::Vacant(slot) => {
-                        slot.insert(record.cost_bits);
-                        stats.merged += 1;
-                        continue;
-                    }
-                },
+            let served = |records: &Records| {
+                let pos = records.find_record(record)?;
+                Some(records.rows[pos].cost_bits)
             };
-            stats.skipped += 1;
-            if live != record.cost_bits {
-                stats.conflicts += 1;
+            match served(&self.records).or_else(|| served(&fresh)) {
+                Some(cost_bits) => {
+                    stats.skipped += 1;
+                    stats.conflicts += usize::from(cost_bits != record.cost_bits);
+                }
+                None => {
+                    fresh.push(record, true);
+                    stats.merged += 1;
+                }
             }
         }
         stats
@@ -707,8 +915,7 @@ impl PerfStore {
     /// Merge every live record of `peer` into this store; see
     /// [`merge_records`](Self::merge_records) for the algebra.
     pub fn merge_from(&mut self, peer: &PerfStore) -> Result<MergeStats> {
-        let records: Vec<StoreRecord> = peer.live_records().into_iter().cloned().collect();
-        self.merge_records(records)
+        self.merge_records(peer.live_records())
     }
 
     /// Serialize the replication log from record position `from` onward,
@@ -720,10 +927,11 @@ impl PerfStore {
     /// without shortening the log that far; only the
     /// [`generation`](Self::generation) tells the puller that.
     pub fn encode_log_from(&self, from: usize) -> (usize, String) {
-        let start = if from <= self.records.len() { from } else { 0 };
-        let mut blob = Vec::with_capacity((self.records.len() - start) * 192);
-        for rec in &self.records[start..] {
-            push_line(rec, &mut blob);
+        let len = self.records.len();
+        let start = if from <= len { from } else { 0 };
+        let mut blob = Vec::with_capacity((len - start) * 192);
+        for pos in start..len {
+            push_line(&self.records.record(pos), &mut blob);
         }
         (
             start,
@@ -754,46 +962,22 @@ impl PerfStore {
         &self.telemetry
     }
 
-    /// Positions of the live records, in file order.
-    fn live_positions(&self) -> impl Iterator<Item = usize> + '_ {
-        self.live
-            .iter()
-            .enumerate()
-            .filter_map(|(pos, &live)| live.then_some(pos))
-    }
-
-    /// [`live_positions`](Self::live_positions) from the index instead of
-    /// the flags: the oracle the flags are tested against.
-    #[cfg(test)]
-    fn live_positions_by_index(&self) -> Vec<usize> {
-        let mut live: Vec<usize> = self
-            .index
-            .values()
-            .flat_map(|by_fp| by_fp.values())
-            .flat_map(|m| m.values().copied())
-            .collect();
-        live.sort_unstable();
-        live
-    }
-
     /// Rewrite the log keeping only records for which `keep` returns true
     /// among the live set.
     fn rewrite(&mut self, keep: impl Fn(&StoreRecord) -> bool) -> Result<CompactionStats> {
         let bytes_before = self.log.len();
         let records_before = self.records.len();
-        let kept: Vec<StoreRecord> = self
-            .live_positions()
-            .map(|pos| &self.records[pos])
-            .filter(|r| keep(r))
-            .cloned()
-            .collect();
-        let mut blob = Vec::with_capacity(kept.len() * 192);
+        let mut kept = self.records.emptied();
+        let mut blob = Vec::with_capacity(self.records.live * 192);
         push_line(&header(), &mut blob);
-        for rec in &kept {
-            push_line(rec, &mut blob);
+        for pos in self.records.live_positions() {
+            let record = self.records.record(pos);
+            if keep(&record) {
+                push_line(&record, &mut blob);
+                kept.push(&record, true);
+            }
         }
         self.log.rewrite(&blob)?;
-        (self.index, self.live) = Self::build_index(&kept);
         self.records = kept;
         self.generation = fresh_generation();
         self.telemetry.inc(Counter::StoreCompactions);
@@ -825,15 +1009,16 @@ impl PerfStore {
 
     /// Size and composition snapshot (serializable for `repro store stats`).
     pub fn stats(&self) -> StoreStats {
-        let mut per_app: HashMap<&str, usize> = HashMap::new();
-        for (app, by_fp) in self.index.iter() {
-            *per_app.entry(app.as_str()).or_default() +=
-                by_fp.values().map(|m| m.len()).sum::<usize>();
+        let mut per_app = vec![0; self.records.apps.len()];
+        for pos in self.records.live_positions() {
+            per_app[self.records.rows[pos].app as usize] += 1;
         }
         let mut apps: Vec<AppStats> = per_app
             .into_iter()
-            .map(|(app, configs)| AppStats {
-                app: app.to_string(),
+            .enumerate()
+            .filter(|&(_, configs)| configs > 0)
+            .map(|(id, configs)| AppStats {
+                app: self.records.apps.get(id as u32).to_string(),
                 configs,
             })
             .collect();
@@ -848,10 +1033,12 @@ impl PerfStore {
         }
     }
 
-    /// The live records, in file order (inspection / `repro store inspect`).
-    pub fn live_records(&self) -> Vec<&StoreRecord> {
-        self.live_positions()
-            .map(|pos| &self.records[pos])
+    /// The live records, in file order (inspection / `repro store inspect`),
+    /// each built from the columns.
+    pub fn live_records(&self) -> Vec<StoreRecord> {
+        self.records
+            .live_positions()
+            .map(|pos| self.records.record(pos))
             .collect()
     }
 
@@ -859,19 +1046,21 @@ impl PerfStore {
     /// (see [`PriorRunDb`] — since the store subsumed it, that type is the
     /// query layer and this is its constructor).
     pub fn priors(&self) -> PriorRunDb {
-        let mut db = PriorRunDb::new();
-        for rec in self.live_records() {
-            db.record(rec.app.clone(), rec.config.clone(), rec.cost());
-        }
-        db
+        self.priors_where(|_| true)
     }
 
     /// [`priors`](Self::priors) filtered to one application label.
     pub fn priors_for(&self, app: &str) -> PriorRunDb {
+        self.priors_where(|rec| rec.app == app)
+    }
+
+    fn priors_where(&self, keep: impl Fn(&StoreRecord) -> bool) -> PriorRunDb {
         let mut db = PriorRunDb::new();
-        for rec in self.live_records() {
-            if rec.app == app {
-                db.record(rec.app.clone(), rec.config.clone(), rec.cost());
+        for pos in self.records.live_positions() {
+            let rec = self.records.record(pos);
+            if keep(&rec) {
+                let cost = rec.cost();
+                db.record(rec.app, rec.config, cost);
             }
         }
         db
@@ -1172,11 +1361,11 @@ mod tests {
     #[test]
     fn records_of_one_space_share_one_name_table() {
         let one_table = |store: &PerfStore| {
-            let first = store.records[0].config.names_table();
-            store
-                .records
-                .iter()
-                .all(|r| Arc::ptr_eq(r.config.names_table(), first))
+            let first = store.records.record(0);
+            (0..store.len()).all(|pos| {
+                let names = store.records.record(pos).config;
+                Arc::ptr_eq(names.names_table(), first.config.names_table())
+            })
         };
         let path = temp_path("one-table");
         let _ = std::fs::remove_file(&path);
@@ -1206,7 +1395,7 @@ mod tests {
         let other = SearchSpace::builder().int("z", 0, 9, 1).build().unwrap();
         let odd = StoreRecord::new("app", fp ^ 1, other.center(), 1.0, 1.0);
         store.insert(odd).unwrap();
-        assert_eq!(store.records[40].config.names(), ["z".to_string()]);
+        assert_eq!(store.records.record(40).config.names(), ["z".to_string()]);
     }
 
     #[test]
@@ -1500,8 +1689,7 @@ mod tests {
         b.insert(rec("app", 1, 2.0, 2.0, 99.0)).unwrap(); // conflicting cost
         b.insert(rec("app", 1, 3.0, 3.0, 30.0)).unwrap();
         // Dry run predicts exactly what the real merge does.
-        let peer: Vec<StoreRecord> = b.live_records().into_iter().cloned().collect();
-        let preview = a.merge_preview(&peer);
+        let preview = a.merge_preview(&b.live_records());
         let stats = a.merge_from(&b).unwrap();
         assert_eq!(stats.scanned, 2);
         assert_eq!(stats.merged, 1);
@@ -1570,43 +1758,206 @@ mod tests {
         assert_eq!(blob.lines().count(), src.len());
     }
 
-    /// A record over two apps × two fingerprints × four keys, one in four
-    /// with a cost the key's first record may not have: small enough that
-    /// the record after any position is often a neighbour of the key
-    /// looked up — same key under another app or fingerprint, or a
-    /// superseded re-measurement of it.
+    /// A record over two apps × two fingerprints × four keys of three
+    /// shapes, one in four with a cost the key's first record may not have:
+    /// small enough that the record after any position is often a
+    /// neighbour of the key looked up — same key under another app or
+    /// fingerprint, or a superseded re-measurement of it. Bits 0–1 pick the
+    /// app and fingerprint, 2–3 the key, 4–5 the shape, 6 the label, 7 the
+    /// noise. The shapes are two ints; a real and an enum; three ints, so
+    /// one fingerprint holds keys of two lengths. The enum's index is the
+    /// key's low bit and its label bit 6: two labels for one index, of
+    /// which the first recorded is the one kept.
     fn record_from(bits: u64) -> StoreRecord {
         let app = ["a", "b"][(bits & 1) as usize];
         let fingerprint = 1 + (bits >> 1 & 1);
-        let x = (bits >> 2 & 3) as f64;
-        let noise = if bits >> 4 & 3 == 0 { 0.5 } else { 0.0 };
-        rec(app, fingerprint, x, 0.0, x + noise)
+        let x = (bits >> 2 & 3) as i64;
+        let cost = x as f64 + if bits >> 7 & 1 == 1 { 0.5 } else { 0.0 };
+        let (names, values): (&[&str], Vec<ParamValue>) = match bits >> 4 & 3 {
+            0 | 1 => (&["x", "y"], vec![ParamValue::Int(x), ParamValue::Int(0)]),
+            2 => (
+                &["tol", "layout"],
+                vec![
+                    ParamValue::Real(-0.25 * x as f64),
+                    ParamValue::Enum {
+                        index: (x & 1) as usize,
+                        label: ["row", "col\nmajor é"][(bits >> 6 & 1) as usize].into(),
+                    },
+                ],
+            ),
+            _ => (
+                &["x", "y", "z"],
+                vec![ParamValue::Int(x), ParamValue::Int(0), ParamValue::Int(0)],
+            ),
+        };
+        let names = names.iter().map(|n| n.to_string()).collect();
+        StoreRecord::new(
+            app,
+            fingerprint,
+            Configuration::new(names, values),
+            cost,
+            cost,
+        )
+        .with_provenance(bits >> 8 & 3, (bits >> 10 & 3) as usize)
+        .with_flags(bits >> 12 & 1 == 1, bits >> 13 & 1 == 1)
     }
 
-    /// Apply one random operation: bits 0–2 pick it, bits 3–4 a batch
-    /// size of 1–4, and each record of the batch takes 5 more bits.
-    fn apply(store: &mut PerfStore, path: &Path, op: u64) {
-        let batch = (0..1 + (op >> 3 & 3))
-            .map(|i| record_from(op >> (5 + 5 * i)))
+    /// What the store must behave as: its log as a list of records, and a
+    /// first-write-wins map from `(app, fingerprint, cache key)` to the
+    /// position of the record served for it.
+    #[derive(Default)]
+    struct Model {
+        log: Vec<StoreRecord>,
+        served: HashMap<(String, u64, Vec<i64>), usize>,
+    }
+
+    impl Model {
+        fn key_of(r: &StoreRecord) -> (String, u64, Vec<i64>) {
+            (r.app.clone(), r.fingerprint, r.config.cache_key())
+        }
+
+        fn append(&mut self, r: &StoreRecord) {
+            self.served.entry(Self::key_of(r)).or_insert(self.log.len());
+            self.log.push(r.clone());
+        }
+
+        fn insert(&mut self, r: &StoreRecord) {
+            match self.served.get(&Self::key_of(r)) {
+                Some(&pos) if self.log[pos].cost_bits == r.cost_bits => {}
+                _ => self.append(r),
+            }
+        }
+
+        fn merge(&mut self, r: &StoreRecord) {
+            if !self.served.contains_key(&Self::key_of(r)) {
+                self.append(r);
+            }
+        }
+
+        fn live(&self) -> Vec<&StoreRecord> {
+            let mut live: Vec<usize> = self.served.values().copied().collect();
+            live.sort_unstable();
+            live.into_iter().map(|pos| &self.log[pos]).collect()
+        }
+
+        fn rewrite(&mut self, keep: impl Fn(&StoreRecord) -> bool) {
+            let kept: Vec<StoreRecord> = self
+                .live()
+                .into_iter()
+                .filter(|r| keep(r))
+                .cloned()
+                .collect();
+            *self = Model::default();
+            kept.iter().for_each(|r| self.append(r));
+        }
+    }
+
+    /// Records as their log lines, which must be byte-identical.
+    fn lines<'a>(records: impl IntoIterator<Item = &'a StoreRecord>) -> Vec<u8> {
+        let mut blob = Vec::new();
+        records.into_iter().for_each(|r| push_line(r, &mut blob));
+        blob
+    }
+
+    /// Apply one random operation to the store and the model: bits 0–2
+    /// pick it, bits 3–4 a batch size of 1–4, and each record of the batch
+    /// takes 14 more bits. A reopen reopens under `index`'s digest.
+    fn apply(store: &mut PerfStore, model: &mut Model, path: &Path, op: u64) {
+        let batch: Vec<StoreRecord> = (0..1 + (op >> 3 & 3))
+            .map(|i| record_from(op >> (5 + 14 * i)))
             .collect();
         match op & 7 {
             0..=2 => {
+                batch.iter().for_each(|r| model.insert(r));
                 store.insert_batch(batch).unwrap();
             }
             3 | 4 => {
+                batch.iter().for_each(|r| model.merge(r));
                 store.merge_records(batch).unwrap();
             }
             5 => {
+                model.rewrite(|_| true);
                 store.compact().unwrap();
             }
             6 => {
-                store.gc(Some(["a", "b"][(op >> 3 & 1) as usize])).unwrap();
+                let app = ["a", "b"][(op >> 3 & 1) as usize];
+                model.rewrite(|r| r.app == app);
+                store.gc(Some(app)).unwrap();
             }
             _ => {
                 store.flush().unwrap();
-                *store = PerfStore::open(path).unwrap();
+                let index = store.records.index.emptied();
+                *store = PerfStore::open_indexed(path, Telemetry::disabled(), index).unwrap();
             }
         }
+    }
+
+    /// Every answer the store gives, against the model's.
+    fn assert_answers_as_the_model(store: &PerfStore, model: &Model) {
+        assert_eq!(lines(&store.live_records()), lines(model.live()));
+        assert_eq!(store.encode_log_from(0).1.as_bytes(), lines(&model.log));
+        let stats = store.stats();
+        assert_eq!(
+            (stats.records, stats.live_configs),
+            (model.log.len(), model.served.len())
+        );
+        let mut per_app: Vec<(String, usize)> = Vec::new();
+        for r in model.live() {
+            match per_app.iter_mut().find(|(app, _)| *app == r.app) {
+                Some((_, configs)) => *configs += 1,
+                None => per_app.push((r.app.clone(), 1)),
+            }
+        }
+        per_app.sort();
+        let apps: Vec<(String, usize)> =
+            stats.apps.into_iter().map(|a| (a.app, a.configs)).collect();
+        assert_eq!(apps, per_app);
+        // Every key the generator makes, under every app and fingerprint
+        // and one of neither, from every position a caller can hold: none,
+        // each record (the next may be another app's, another
+        // fingerprint's, a superseded duplicate), the last, past the end.
+        let mut keys: Vec<Vec<i64>> = (0..16u64)
+            .map(|bits| record_from(bits << 2).config.cache_key())
+            .collect();
+        keys.sort();
+        keys.dedup();
+        let positions = std::iter::once(None)
+            .chain((0..store.len() + 2).map(Some))
+            .chain([Some(usize::MAX)]);
+        for last_hit in positions {
+            for app in ["a", "b", "c"] {
+                for fingerprint in 1..=3 {
+                    for key in &keys {
+                        let want = model
+                            .served
+                            .get(&(app.to_string(), fingerprint, key.clone()));
+                        let cost = want.map(|&pos| model.log[pos].cost_bits);
+                        let mut at = last_hit;
+                        let got = store.lookup_after(app, fingerprint, key, &mut at);
+                        assert_eq!(got.map(|c| c.cost.to_bits()), cost);
+                        assert_eq!(at, want.copied().or(last_hit));
+                        if last_hit.is_none() {
+                            assert_eq!(store.lookup(app, fingerprint, key), got);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Run `ops` against a store opened under `index`'s digest and the
+    /// model, comparing every answer after each.
+    fn store_answers_as_the_model(ops: &[u64], index: DigestIndex, tag: &str) {
+        let path = temp_path(tag);
+        let _ = std::fs::remove_file(&path);
+        let mut store = PerfStore::open_indexed(&path, Telemetry::disabled(), index).unwrap();
+        let mut model = Model::default();
+        for &op in ops {
+            apply(&mut store, &mut model, &path, op);
+            assert_answers_as_the_model(&store, &model);
+        }
+        drop(store);
+        let _ = std::fs::remove_file(&path);
     }
 
     proptest::proptest! {
@@ -1616,41 +1967,14 @@ mod tests {
         fn lookup_after_answers_what_the_index_answers_from_any_position(
             ops in proptest::collection::vec(0u64..u64::MAX, 1..24)
         ) {
-            let path = temp_path("lookup-after-prop");
-            let _ = std::fs::remove_file(&path);
-            let mut store = PerfStore::open(&path).unwrap();
-            for op in ops {
-                apply(&mut store, &path, op);
-                proptest::prop_assert_eq!(
-                    store.live_positions().collect::<Vec<_>>(),
-                    store.live_positions_by_index()
-                );
-                // Every position a caller can hold: none, each record (the
-                // next may be another app's, another fingerprint's, a
-                // superseded duplicate), the last, past the end.
-                let positions = std::iter::once(None)
-                    .chain((0..store.len() + 2).map(Some))
-                    .chain([Some(usize::MAX)]);
-                for last_hit in positions {
-                    for app in ["a", "b", "c"] {
-                        for fingerprint in 1..=3 {
-                            for x in 0..4 {
-                                let key = [x, 0];
-                                let want = store.live_pos(app, fingerprint, &key);
-                                let mut at = last_hit;
-                                let got = store.lookup_after(app, fingerprint, &key, &mut at);
-                                proptest::prop_assert_eq!(
-                                    got.map(|c| c.cost.to_bits()),
-                                    want.map(|p| store.records[p].cost_bits)
-                                );
-                                proptest::prop_assert_eq!(at, want.or(last_hit));
-                            }
-                        }
-                    }
-                }
-            }
-            drop(store);
-            let _ = std::fs::remove_file(&path);
+            store_answers_as_the_model(&ops, DigestIndex::new(), "model");
+        }
+
+        #[test]
+        fn a_store_whose_every_digest_collides_answers_what_the_model_answers(
+            ops in proptest::collection::vec(0u64..u64::MAX, 1..24)
+        ) {
+            store_answers_as_the_model(&ops, DigestIndex::colliding(), "model-colliding");
         }
     }
 
@@ -1668,11 +1992,14 @@ mod tests {
         let replay = |store: &PerfStore| {
             let mut last_hit = None;
             let mut guessed = Vec::new();
-            for (pos, r) in store.records.iter().enumerate() {
-                let key = r.config.cache_key();
-                let guess = store.next_if_live(&r.app, r.fingerprint, &key, last_hit);
+            for pos in 0..store.len() {
+                let r = store.records.record(pos);
+                let key = store.records.key(pos);
+                let guess = store
+                    .records
+                    .next_if_live(&r.app, r.fingerprint, key, last_hit);
                 assert!(store
-                    .lookup_after(&r.app, r.fingerprint, &key, &mut last_hit)
+                    .lookup_after(&r.app, r.fingerprint, key, &mut last_hit)
                     .is_some());
                 assert_eq!(last_hit, Some(pos));
                 guessed.push(guess);
@@ -1697,10 +2024,13 @@ mod tests {
         }
         let mut last_hit = None;
         let mut misses = 0;
-        for r in store.records.iter().filter(|r| r.app == "a") {
-            let key = r.config.cache_key();
-            misses += store.next_if_live("a", 1, &key, last_hit).map_or(1, |_| 0);
-            store.lookup_after("a", 1, &key, &mut last_hit).unwrap();
+        for pos in (0..store.len()).filter(|&pos| store.records.record(pos).app == "a") {
+            let key = store.records.key(pos);
+            misses += store
+                .records
+                .next_if_live("a", 1, key, last_hit)
+                .map_or(1, |_| 0);
+            store.lookup_after("a", 1, key, &mut last_hit).unwrap();
         }
         assert_eq!(misses, 10, "one index probe per run of four");
     }

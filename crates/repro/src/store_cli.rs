@@ -36,7 +36,7 @@ use ah_core::server::tcp::{TcpClientOptions, TcpHarmonyClient};
 use ah_core::server::{HarmonyClient, HarmonyServer, ServerConfig};
 use ah_core::session::SessionOptions;
 use ah_core::space::Configuration;
-use ah_core::store::{MergeStats, PerfStore, SharedStore, StoreRecord};
+use ah_core::store::{MergeStats, PerfStore, SharedStore};
 use ah_core::telemetry::{Counter, Telemetry};
 use std::path::PathBuf;
 
@@ -183,8 +183,7 @@ fn merge(args: &[String]) -> i32 {
         );
     };
     if args.iter().any(|a| a == "--dry-run") {
-        let peer: Vec<StoreRecord> = src.live_records().into_iter().cloned().collect();
-        let stats = dst.merge_preview(&peer);
+        let stats = dst.merge_preview(&src.live_records());
         report("would merge", &stats);
         return 0;
     }
@@ -197,7 +196,7 @@ fn merge(args: &[String]) -> i32 {
     let stats = if let Some(n) = crash_after {
         // Record-at-a-time with a flush per record, so the abort leaves a
         // genuinely partial (possibly torn) log for the durability tests.
-        let peer: Vec<StoreRecord> = src.live_records().into_iter().cloned().collect();
+        let peer = src.live_records();
         let mut total = MergeStats::default();
         for (done, rec) in peer.into_iter().enumerate() {
             if done >= n {
@@ -504,6 +503,7 @@ pub fn run(args: &[String], quick: bool) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ah_core::store::StoreRecord;
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("ah-store-cli-{}-{name}", std::process::id()))

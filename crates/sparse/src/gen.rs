@@ -84,12 +84,6 @@ pub fn ones(n: usize) -> Vec<f64> {
     vec![1.0; n]
 }
 
-/// A deterministic pseudo-random right-hand side.
-pub fn random_rhs(n: usize, seed: u64) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,8 +140,5 @@ mod tests {
     #[test]
     fn rhs_generators() {
         assert_eq!(ones(3), vec![1.0, 1.0, 1.0]);
-        let r = random_rhs(100, 7);
-        assert_eq!(r.len(), 100);
-        assert_eq!(r, random_rhs(100, 7));
     }
 }

@@ -27,13 +27,6 @@ pub fn xpby(x: &[f64], b: f64, y: &mut [f64]) {
     }
 }
 
-/// `x ← a·x`.
-pub fn scale(a: f64, x: &mut [f64]) {
-    for xi in x {
-        *xi *= a;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,12 +50,5 @@ mod tests {
         let mut p = vec![1.0, 2.0];
         xpby(&[10.0, 20.0], 0.5, &mut p);
         assert_eq!(p, vec![10.5, 21.0]);
-    }
-
-    #[test]
-    fn scale_works() {
-        let mut x = vec![2.0, -4.0];
-        scale(0.5, &mut x);
-        assert_eq!(x, vec![1.0, -2.0]);
     }
 }
