@@ -12,10 +12,13 @@
 //!
 //! **Recovery.** [`scan`] streams the file through one buffer, once;
 //! records count up to the first line that is not one — not UTF-8, not
-//! JSON of the record type, or not newline-terminated. A readable record *after* that line means damage
-//! in the middle of the log, which [`DurableLog::open`] refuses by line
-//! number; otherwise the rest is the tail of an append a crash cut short,
-//! and open truncates it, so an opened log always ends in `\n`.
+//! newline-terminated, or refused by the caller's [`LineReader`], which
+//! decodes each line into state of its own (the WAL's and a peer pull's
+//! through the derive, [`each`]; the store's in place). A readable record
+//! *after* that line means damage in the middle of the log, which
+//! [`DurableLog::open`] refuses by line number; otherwise the rest is the
+//! tail of an append a crash cut short, and open truncates it, so an
+//! opened log always ends in `\n`.
 //!
 //! **Appends** go in whole lines at the log's committed length, and a write
 //! that fails half way (a full disk) is truncated back to it. They are
@@ -75,24 +78,80 @@ fn next_line<'a>(
     Ok(Some((taken, line)))
 }
 
+/// How a log's record lines become records: the decode is the caller's.
+/// [`scan`] hands every line to [`decode`](Self::decode), which reads it
+/// into state of the reader's own, and then, while no line before it was
+/// refused, to [`keep`](Self::keep), which takes the record from that state.
+pub(crate) trait LineReader {
+    /// Read `line` (the text less its line ending), or say why it is not a
+    /// record.
+    fn decode(&mut self, line: &str) -> std::result::Result<(), String>;
+    /// Take the record of `line`, which [`decode`](Self::decode) has just
+    /// accepted.
+    fn keep(&mut self, line: &str);
+}
+
+/// A [`LineReader`] that decodes each line with `decode` into a value of
+/// its own and hands the kept ones to `keep`, in order.
+pub(crate) struct Each<R, D, K> {
+    decoded: Option<R>,
+    decode: D,
+    keep: K,
+}
+
+/// Read each line with `decode` ([`derived`] for a type's derive) and hand
+/// every kept record to `keep`.
+pub(crate) fn each<R, D, K>(decode: D, keep: K) -> Each<R, D, K>
+where
+    D: FnMut(&str) -> std::result::Result<R, String>,
+    K: FnMut(R),
+{
+    Each {
+        decoded: None,
+        decode,
+        keep,
+    }
+}
+
+impl<R, D, K> LineReader for Each<R, D, K>
+where
+    D: FnMut(&str) -> std::result::Result<R, String>,
+    K: FnMut(R),
+{
+    fn decode(&mut self, line: &str) -> std::result::Result<(), String> {
+        self.decoded = Some((self.decode)(line)?);
+        Ok(())
+    }
+
+    fn keep(&mut self, _: &str) {
+        if let Some(record) = self.decoded.take() {
+            (self.keep)(record);
+        }
+    }
+}
+
+/// The derive's decode of one line as an `R`.
+pub(crate) fn derived<R: Deserialize>(line: &str) -> std::result::Result<R, String> {
+    serde_json::from_str(line).map_err(|e| e.to_string())
+}
+
 /// The one reader of header-plus-records JSON lines, from a file or from
-/// bytes already in memory. Every record up to the first line that is not
-/// one goes to `keep`, in order; blank lines are skipped. Returns the
-/// header, for the caller to check, and the offset just past the last
-/// record kept; the inner `Err` says why line 1 is not a header, or which
-/// line has a readable record *after* it and so is damage mid-log, not the
-/// end of the last append. The outer `Err` is a read that failed, which
-/// says nothing about the log.
-pub(crate) fn scan<H: Deserialize, R: Deserialize>(
+/// bytes already in memory. Every line goes through `lines`, and every
+/// record up to the first line that is not one is kept, in order; blank
+/// lines are skipped. Returns the header, for the caller to check, and the
+/// offset just past the last record kept; the inner `Err` says why line 1
+/// is not a header, or which line has a readable record *after* it and so
+/// is damage mid-log, not the end of the last append. The outer `Err` is a
+/// read that failed, which says nothing about the log.
+pub(crate) fn scan<H: Deserialize>(
     mut reader: impl BufRead,
-    mut keep: impl FnMut(R),
+    lines: &mut impl LineReader,
 ) -> std::io::Result<std::result::Result<(H, usize), String>> {
     let mut buf = Vec::new();
     let Some((mut consumed, line)) = next_line(&mut reader, &mut buf)? else {
         return Ok(Err("empty log has no header".into()));
     };
-    let header = line.and_then(|text| serde_json::from_str::<H>(text).map_err(|e| e.to_string()));
-    let header = match header {
+    let header = match line.and_then(derived::<H>) {
         Ok(header) => header,
         Err(why) => return Ok(Err(format!("bad header: {why}"))),
     };
@@ -103,17 +162,17 @@ pub(crate) fn scan<H: Deserialize, R: Deserialize>(
     while let Some((taken, line)) = next_line(&mut reader, &mut buf)? {
         consumed += taken;
         line_no += 1;
-        let record = match line {
+        let (text, decoded) = match line {
             Ok("") => continue,
-            Ok(text) => serde_json::from_str::<R>(text).map_err(|e| e.to_string()),
-            Err(why) => Err(why),
+            Ok(text) => (text, lines.decode(text)),
+            Err(why) => ("", Err(why)),
         };
-        match (record, &bad) {
-            (Ok(record), None) => {
-                keep(record);
+        match (decoded, &bad) {
+            (Ok(()), None) => {
+                lines.keep(text);
                 good_end = consumed;
             }
-            (Ok(_), Some((line, error))) => {
+            (Ok(()), Some((line, error))) => {
                 return Ok(Err(format!("unreadable record at line {line}: {error}")))
             }
             (Err(error), None) => bad = Some((line_no, error)),
@@ -176,14 +235,14 @@ impl DurableLog {
     }
 
     /// Open the log at `path` and recover it: the header goes through
-    /// `check` and is returned, every record goes to `keep`, a torn tail is
-    /// truncated off the file and reported. A refused header or damage
-    /// mid-log is the error `corrupt` makes of `"{path}: {what}"`.
-    pub(crate) fn open<H: Deserialize, R: Deserialize>(
+    /// `check` and is returned, every line through `lines` (see [`scan`]),
+    /// a torn tail is truncated off the file and reported. A refused header
+    /// or damage mid-log is the error `corrupt` makes of `"{path}: {what}"`.
+    pub(crate) fn open<H: Deserialize>(
         path: &Path,
         corrupt: fn(String) -> HarmonyError,
         check: impl FnOnce(&H) -> std::result::Result<(), String>,
-        keep: impl FnMut(R),
+        lines: &mut impl LineReader,
     ) -> Result<(Self, H, bool)> {
         let unread = |e| io_err("read", path, e);
         let mut file = OpenOptions::new()
@@ -192,7 +251,7 @@ impl DurableLog {
             .open(path)
             .map_err(unread)?;
         let mut reader = BufReader::with_capacity(READ_BUFFER, &file);
-        let scanned = scan::<H, R>(&mut reader, keep).map_err(unread)?;
+        let scanned = scan::<H>(&mut reader, lines).map_err(unread)?;
         // The scan reads to the end, so where the reader stands is the
         // file's length as read.
         let len = reader.stream_position().map_err(unread)?;
@@ -347,9 +406,13 @@ mod tests {
     /// Open `path`: the log, the `n` of every record, a torn tail dropped.
     fn reopen(path: &Path) -> Result<(DurableLog, Vec<u32>, bool)> {
         let mut seen = Vec::new();
-        let keep = |r: Rec| seen.push(r.n);
-        let (log, header, torn) =
-            DurableLog::open(path, HarmonyError::StoreCorrupt, |_: &Head| Ok(()), keep)?;
+        let mut lines = each(derived, |r: Rec| seen.push(r.n));
+        let (log, header, torn) = DurableLog::open(
+            path,
+            HarmonyError::StoreCorrupt,
+            |_: &Head| Ok(()),
+            &mut lines,
+        )?;
         assert_eq!(header, head());
         Ok((log, seen, torn))
     }
@@ -362,7 +425,7 @@ mod tests {
         let header_len = bytes.len();
         bytes.extend_from_slice(body);
         let mut seen = Vec::new();
-        let scanned = scan::<Head, _>(&bytes[..], |r: Rec| seen.push(r.n));
+        let scanned = scan::<Head>(&bytes[..], &mut each(derived, |r: Rec| seen.push(r.n)));
         let end = match scanned.expect("memory reads") {
             Ok((_, good_end)) => Ok(good_end - header_len),
             Err(what) => {
@@ -436,7 +499,7 @@ mod tests {
     #[test]
     fn line_one_must_be_a_whole_header() {
         let refused = |bytes: &[u8]| {
-            scan::<Head, Rec>(bytes, |_| {})
+            scan::<Head>(bytes, &mut each(derived::<Rec>, drop))
                 .expect("memory reads")
                 .map(|_| ())
                 .expect_err("refused")
@@ -487,7 +550,8 @@ mod tests {
         bytes.truncate(good as usize - 3);
         std::fs::write(&path, &bytes).unwrap();
         let not_mine = |h: &Head| Err(format!("not mine: {}", h.kind));
-        match DurableLog::open(&path, HarmonyError::WalCorrupt, not_mine, |_: Rec| {}) {
+        let mut lines = each(derived::<Rec>, drop);
+        match DurableLog::open(&path, HarmonyError::WalCorrupt, not_mine, &mut lines) {
             Err(HarmonyError::WalCorrupt(msg)) => assert!(msg.ends_with(": not mine: t"), "{msg}"),
             other => panic!("expected a refusal, got {:?}", other.map(|(_, h, _)| h)),
         }
@@ -589,9 +653,10 @@ mod tests {
         assert!(bytes.len() > next, "the torn tail crosses a boundary");
 
         let mut by_slice = Vec::new();
-        let (_, good_end) = scan::<Head, Text>(&bytes[..], |r| by_slice.push(r))
-            .expect("memory reads")
-            .expect("a torn tail is not damage");
+        let (_, good_end) =
+            scan::<Head>(&bytes[..], &mut each(derived, |r: Text| by_slice.push(r)))
+                .expect("memory reads")
+                .expect("a torn tail is not damage");
         assert_eq!(good_end, bytes.len() - torn.len());
         assert_eq!(by_slice.len(), n as usize);
 
@@ -602,7 +667,7 @@ mod tests {
             &path,
             HarmonyError::StoreCorrupt,
             |_: &Head| Ok(()),
-            |r: Text| streamed.push(r),
+            &mut each(derived, |r: Text| streamed.push(r)),
         )
         .unwrap();
         assert_eq!(streamed, by_slice);

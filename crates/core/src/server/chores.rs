@@ -10,7 +10,7 @@
 use super::observe::{http_get, StoreLogHeader, STORE_LOG_KIND};
 use super::ServerConfig;
 use crate::durable_log;
-use crate::store::{SharedStore, StoreRecord};
+use crate::store::{self, SharedStore, StoreRecord};
 use crate::telemetry::timeseries::DEFAULT_SAMPLE_INTERVAL;
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::{Arc, Weak};
@@ -50,9 +50,12 @@ fn pull(peer: String, store: SharedStore, every: Duration, get: Get) -> Job {
     Box::new(move || {
         let mut records: Vec<StoreRecord> = Vec::new();
         let scanned = match get(&peer, &format!("/store/log?from={from}")) {
-            Ok((200, body)) => durable_log::scan(body.as_bytes(), |r| records.push(r))
-                .expect("memory reads")
-                .ok(),
+            Ok((200, body)) => {
+                let mut lines = durable_log::each(store::read_record, |r| records.push(r));
+                durable_log::scan(body.as_bytes(), &mut lines)
+                    .expect("memory reads")
+                    .ok()
+            }
             _ => None,
         };
         let header: Option<StoreLogHeader> = scanned.map(|(header, _)| header);
@@ -153,12 +156,52 @@ impl Poster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     thread_local! {
         /// Whether the stand-in peer answers.
         static UP: Cell<bool> = const { Cell::new(false) };
+        /// The records [`serving`] answers with.
+        static BODY: RefCell<String> = const { RefCell::new(String::new()) };
+    }
+
+    /// A peer whose log, from 0, is the lines in [`BODY`].
+    fn serving(_: &str, _: &str) -> std::io::Result<(u16, String)> {
+        let header =
+            format!("{{\"kind\":\"{STORE_LOG_KIND}\",\"start\":0,\"total\":3,\"generation\":1}}\n");
+        Ok((200, BODY.with(|body| format!("{header}{}", body.borrow()))))
+    }
+
+    #[test]
+    fn a_pull_stops_at_a_record_whose_names_and_values_differ_in_number() {
+        let line = |x: i64, values: &str| {
+            format!(
+                "{{\"app\":\"a\",\"fingerprint\":1,\"config\":{{\"names\":[\"x\"],\"values\":[{values}]}},\
+                 \"cost_bits\":{x},\"wall_bits\":0,\"session\":0,\"iteration\":0,\"requeued\":false,\"replayed\":false}}\n"
+            )
+        };
+        let odd = line(2, "{\"Int\":2},{\"Int\":3}");
+        let path = std::env::temp_dir().join(format!("ah-chores-odd-{}.store", std::process::id()));
+        let every = Duration::from_millis(100);
+        // As the peer's last line: the records before it merge.
+        for (body, merged) in [
+            (format!("{}{odd}", line(1, "{\"Int\":1}")), 1),
+            // Followed by a record: damage, and nothing merges.
+            (
+                format!("{}{odd}{}", line(1, "{\"Int\":1}"), line(3, "{\"Int\":3}")),
+                0,
+            ),
+        ] {
+            let _ = std::fs::remove_file(&path);
+            let store = SharedStore::open(&path).unwrap();
+            BODY.with(|b| *b.borrow_mut() = body);
+            let now = Instant::now();
+            let mut jobs = vec![(now, pull("peer".into(), store.clone(), every, serving))];
+            run_due(&mut jobs, now);
+            assert_eq!(store.record_count(), merged);
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     /// A peer with an empty log while [`UP`], refusing connections

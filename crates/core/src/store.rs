@@ -16,8 +16,8 @@
 //! sits on too (DESIGN.md, "Durable log") — with that module's JSON lines,
 //! recovery ([`Counter::StoreTornTails`], [`HarmonyError::StoreCorrupt`]),
 //! append and rewrite. Line 1 is a [`StoreHeader`] (`kind` + format
-//! version); each following line is one [`StoreRecord`], written and read
-//! by its derived serializer. Costs are stored as `u64` bit patterns
+//! version); each following line is one [`StoreRecord`], written by its
+//! derived serializer. Costs are stored as `u64` bit patterns
 //! (`f64::to_bits`), so a cost served from the store is *exactly* the one
 //! measured — bit-identical memoization, no decimal round-trip. The bytes
 //! are pinned by golden lines (`records_encode_to_their_golden_lines`) and
@@ -70,7 +70,15 @@
 //! records are input a remote server chose; every hit is verified
 //! against the row and its key, so a collision costs a compare, never a
 //! wrong cost. Open streams the log (see `durable_log`) and builds the
-//! rows as the lines arrive, so it never holds the file's bytes.
+//! rows as the lines arrive, so it never holds the file's bytes. It reads
+//! each line itself, straight into a row and the value column: a reused
+//! line reader takes the exact bytes the encoder writes, and the row is
+//! pushed from it, so a steady open allocates nothing per line. A line in
+//! any other layout — spaced, reordered, escaped — it declines, and the
+//! derive reads that one into a [`StoreRecord`] first; the reader takes
+//! only lines the derive takes, into the same row. A record whose line
+//! could not be read back (a non-finite `Real`, written as `null`) is
+//! never appended, and a line that decodes to one is not a record.
 //!
 //! # Cache semantics
 //!
@@ -93,7 +101,7 @@
 //! [`lookup`](PerfStore::lookup) is the same body without a position.
 
 use crate::digest_index::DigestIndex;
-use crate::durable_log::{self, push_line, DurableLog};
+use crate::durable_log::{self, push_line, DurableLog, LineReader};
 use crate::error::{HarmonyError, Result};
 use crate::lock;
 use crate::priors::PriorRunDb;
@@ -416,6 +424,7 @@ const REPLAYED: u8 = 2;
 const LIVE: u8 = 4;
 
 /// A record's fixed-size fields. Its values are in [`Records::vals`].
+#[derive(Clone, Copy, Default)]
 struct Row {
     fingerprint: u64,
     cost_bits: u64,
@@ -428,6 +437,19 @@ struct Row {
     app: u32,
     shape: u32,
     flags: u8,
+}
+
+/// The `Row::flags` bits of a record's `requeued` and `replayed`.
+fn flags(requeued: bool, replayed: bool) -> u8 {
+    let flag = |on: bool, bit: u8| if on { bit } else { 0 };
+    flag(requeued, REQUEUED) | flag(replayed, REPLAYED)
+}
+
+/// Where [`Records::push`] puts a record: its app's id, and the digest the
+/// index finds it under when it is live.
+struct Slot {
+    app: u32,
+    digest: u64,
 }
 
 /// The log's records in memory, in file order, with no heap object per
@@ -483,6 +505,19 @@ impl Records {
         self.index.digest(head.into_iter().chain(key))
     }
 
+    /// Whether the record at `pos` has `app`, `fingerprint` and `key`.
+    #[inline]
+    fn holds(
+        &self,
+        pos: usize,
+        app: u32,
+        fingerprint: u64,
+        key: impl Iterator<Item = i64>,
+    ) -> bool {
+        let row = &self.rows[pos];
+        row.app == app && row.fingerprint == fingerprint && self.key(pos).iter().copied().eq(key)
+    }
+
     /// Position of the live record for `(app, fingerprint, key)`, if any.
     /// Alloc-free: the app is probed borrowed, the key as it comes.
     fn find(
@@ -493,12 +528,8 @@ impl Records {
     ) -> Option<usize> {
         let app = self.app_id(app)?;
         let digest = self.digest(app, fingerprint, key.clone());
-        self.index.find(digest, |pos| {
-            let row = &self.rows[pos];
-            row.app == app
-                && row.fingerprint == fingerprint
-                && self.key(pos).iter().copied().eq(key.clone())
-        })
+        self.index
+            .find(digest, |pos| self.holds(pos, app, fingerprint, key.clone()))
     }
 
     /// `app`'s id: the last record's when it is the same app, as it is
@@ -514,6 +545,33 @@ impl Records {
     fn find_record(&self, record: &StoreRecord) -> Option<usize> {
         let key = record.config.values().iter().map(ParamValue::cache_key);
         self.find(&record.app, record.fingerprint, key)
+    }
+
+    /// Where a record with `(app, fingerprint, key)` goes, `app` interned
+    /// now: its slot, and the position of the live record for that key if
+    /// there is one, found under the slot's digest. A push takes the slot,
+    /// so a record's digest is computed once.
+    fn slot(
+        &mut self,
+        app: &str,
+        fingerprint: u64,
+        key: impl Iterator<Item = i64> + Clone,
+    ) -> (Slot, Option<usize>) {
+        let app = match self.app_id(app) {
+            Some(app) => app,
+            None => self.apps.intern(app),
+        };
+        let digest = self.digest(app, fingerprint, key.clone());
+        let found = self
+            .index
+            .find(digest, |pos| self.holds(pos, app, fingerprint, key.clone()));
+        (Slot { app, digest }, found)
+    }
+
+    /// [`slot`](Self::slot) for `record`'s key.
+    fn slot_of(&mut self, record: &StoreRecord) -> (Slot, Option<usize>) {
+        let key = record.config.values().iter().map(ParamValue::cache_key);
+        self.slot(&record.app, record.fingerprint, key)
     }
 
     /// The position after `last_hit`, if the record there is the live one
@@ -536,22 +594,16 @@ impl Records {
         served.then_some(next)
     }
 
-    /// The shape of `config`: the previous record's when they agree, else
-    /// the one interned for it, else a new one.
-    fn shape_of(&mut self, config: &Configuration) -> u32 {
-        let kinds = || config.values().iter().map(Kind::of);
-        let agrees = |shape: &Shape| {
-            shape.names == *config.names_table() && shape.kinds.iter().copied().eq(kinds())
-        };
+    /// A shape's id: the previous record's when `agrees` says they are the
+    /// same, as along a run of one space's records, else the interned one
+    /// equal to `shape()`, else that shape newly interned.
+    fn shape_id(&mut self, agrees: impl Fn(&Shape) -> bool, shape: impl FnOnce() -> Shape) -> u32 {
         if let Some(row) = self.rows.last() {
             if agrees(&self.shapes[row.shape as usize]) {
                 return row.shape;
             }
         }
-        let shape = Shape {
-            names: Arc::clone(config.names_table()),
-            kinds: kinds().collect(),
-        };
+        let shape = shape();
         if let Some(&id) = self.shape_ids.get(&shape) {
             return id;
         }
@@ -561,40 +613,81 @@ impl Records {
         id
     }
 
-    /// Append `record`, served by the index for its key when `live`.
-    fn push(&mut self, record: &StoreRecord, live: bool) {
-        let app = match self.app_id(&record.app) {
-            Some(app) => app,
-            None => self.apps.intern(&record.app),
-        };
-        let shape = self.shape_of(&record.config);
-        let values = record.config.values();
-        let key = values.iter().map(ParamValue::cache_key);
-        self.index
-            .push(live.then(|| self.digest(app, record.fingerprint, key.clone())));
-        let offset = self.vals.len();
+    /// Append `row` (its `offset` and `LIVE` bit are set here) with its
+    /// cache key and the labels of its `Enum` values, in order. Live, and
+    /// found by the index, when it has a digest.
+    fn push_row<'l>(
+        &mut self,
+        mut row: Row,
+        digest: Option<u64>,
+        key: impl Iterator<Item = i64>,
+        labels: impl Iterator<Item = &'l str>,
+    ) {
+        self.index.push(digest);
+        row.offset = self.vals.len();
         self.vals.extend(key);
-        for value in values {
-            if let ParamValue::Enum { label, .. } = value {
-                let label = self.labels.intern(label);
-                self.vals.push(label as i64);
-            }
+        for label in labels {
+            let label = self.labels.intern(label);
+            self.vals.push(label as i64);
         }
-        self.live += usize::from(live);
-        let flag = |on: bool, bit: u8| if on { bit } else { 0 };
-        self.rows.push(Row {
+        if digest.is_some() {
+            row.flags |= LIVE;
+            self.live += 1;
+        }
+        self.rows.push(row);
+    }
+
+    /// Append `record` in `slot` (from [`slot_of`](Self::slot_of)), served
+    /// by the index for its key when `live`.
+    fn push(&mut self, record: &StoreRecord, slot: Slot, live: bool) {
+        let config = &record.config;
+        let kinds = || config.values().iter().map(Kind::of);
+        let shape = self.shape_id(
+            |shape| shape.names == *config.names_table() && shape.kinds.iter().copied().eq(kinds()),
+            || Shape {
+                names: Arc::clone(config.names_table()),
+                kinds: kinds().collect(),
+            },
+        );
+        let labels = config.values().iter().filter_map(ParamValue::as_enum);
+        let row = Row {
             fingerprint: record.fingerprint,
             cost_bits: record.cost_bits,
             wall_bits: record.wall_bits,
             session: record.session,
             iteration: record.iteration as u64,
-            offset,
-            app,
+            offset: 0,
+            app: slot.app,
             shape,
-            flags: flag(record.requeued, REQUEUED)
-                | flag(record.replayed, REPLAYED)
-                | flag(live, LIVE),
-        });
+            flags: flags(record.requeued, record.replayed),
+        };
+        let key = config.values().iter().map(ParamValue::cache_key);
+        self.push_row(row, live.then_some(slot.digest), key, labels);
+    }
+
+    /// Append the record [`Line::read`] read from `text`, live unless the
+    /// index already serves its key.
+    fn push_read(&mut self, line: &Line, text: &str) {
+        let at = |(start, end): Span| &text[start..end];
+        let key = line.key.iter().copied();
+        let (slot, found) = self.slot(at(line.app), line.row.fingerprint, key.clone());
+        let names = || line.names.iter().map(|&span| at(span));
+        let shape = self.shape_id(
+            |shape| {
+                *shape.kinds == *line.kinds && shape.names.iter().map(String::as_str).eq(names())
+            },
+            || Shape {
+                names: names().map(str::to_string).collect(),
+                kinds: line.kinds.as_slice().into(),
+            },
+        );
+        let labels = line.labels.iter().map(|&span| at(span));
+        let row = Row {
+            app: slot.app,
+            shape,
+            ..line.row
+        };
+        self.push_row(row, found.is_none().then_some(slot.digest), key, labels);
     }
 
     /// The record at `pos`, as it was pushed.
@@ -639,6 +732,274 @@ impl Records {
         self.rows.shrink_to_fit();
         self.vals.shrink_to_fit();
         self.index.shrink_to_fit();
+    }
+}
+
+/// A string's place in a line: byte offsets of its text, between the
+/// quotes.
+type Span = (usize, usize);
+
+/// A record line in the layout [`push_line`] writes, read in place by
+/// [`read`](Self::read): its strings as spans of the text, each value's
+/// kind and cache key, and its fixed-size fields as a row. One is reused
+/// from line to line, so a steady open allocates nothing per line.
+#[derive(Default)]
+struct Line {
+    /// Every field but `offset`, `app` and `shape`, which the push sets.
+    row: Row,
+    app: Span,
+    names: Vec<Span>,
+    kinds: Vec<Kind>,
+    key: Vec<i64>,
+    /// The labels of the `Enum` values, in order.
+    labels: Vec<Span>,
+}
+
+impl Line {
+    /// Read `text` if it is a record exactly as the encoder writes one —
+    /// its keys in field order, no whitespace, no escape in a string, no
+    /// leading zero, `-0` or out-of-range integer, as many names as values
+    /// — else decline (`false`) and leave the line to the derive. A line
+    /// read here is one the derive reads too, into the same record.
+    fn read(&mut self, text: &str) -> bool {
+        self.names.clear();
+        self.kinds.clear();
+        self.key.clear();
+        self.labels.clear();
+        let mut at = Cursor {
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        self.fields(&mut at).is_some() && at.pos == text.len() && self.names.len() == self.key.len()
+    }
+
+    fn fields(&mut self, at: &mut Cursor) -> Option<()> {
+        at.expect(b"{\"app\":")?;
+        self.app = at.string()?;
+        at.expect(b",\"fingerprint\":")?;
+        self.row.fingerprint = at.u64()?;
+        at.expect(b",\"config\":{\"names\":[")?;
+        if !at.eat(b"]") {
+            loop {
+                self.names.push(at.string()?);
+                if at.eat(b"]") {
+                    break;
+                }
+                at.expect(b",")?;
+            }
+        }
+        at.expect(b",\"values\":[")?;
+        if !at.eat(b"]") {
+            loop {
+                self.value(at)?;
+                if at.eat(b"]") {
+                    break;
+                }
+                at.expect(b",")?;
+            }
+        }
+        at.expect(b"},\"cost_bits\":")?;
+        self.row.cost_bits = at.u64()?;
+        at.expect(b",\"wall_bits\":")?;
+        self.row.wall_bits = at.u64()?;
+        at.expect(b",\"session\":")?;
+        self.row.session = at.u64()?;
+        at.expect(b",\"iteration\":")?;
+        self.row.iteration = at.usize()? as u64;
+        at.expect(b",\"requeued\":")?;
+        let requeued = at.bool()?;
+        at.expect(b",\"replayed\":")?;
+        self.row.flags = flags(requeued, at.bool()?);
+        at.expect(b"}")
+    }
+
+    /// One value: its kind, and its key as [`ParamValue::cache_key`] makes
+    /// it.
+    fn value(&mut self, at: &mut Cursor) -> Option<()> {
+        let (kind, key) = if at.eat(b"{\"Int\":") {
+            (Kind::Int, at.i64()?)
+        } else if at.eat(b"{\"Real\":") {
+            (Kind::Real, at.f64()?.to_bits() as i64)
+        } else {
+            at.expect(b"{\"Enum\":{\"index\":")?;
+            let index = at.usize()?;
+            at.expect(b",\"label\":")?;
+            self.labels.push(at.string()?);
+            at.expect(b"}")?;
+            (Kind::Enum, index as i64)
+        };
+        self.kinds.push(kind);
+        self.key.push(key);
+        at.expect(b"}")
+    }
+}
+
+/// A cursor over a line's bytes for [`Line::read`]. `None` is a decline.
+struct Cursor<'t> {
+    bytes: &'t [u8],
+    pos: usize,
+}
+
+impl Cursor<'_> {
+    /// Step over `literal` if it comes next.
+    #[inline]
+    fn eat(&mut self, literal: &[u8]) -> bool {
+        let found = self.bytes[self.pos..].starts_with(literal);
+        if found {
+            self.pos += literal.len();
+        }
+        found
+    }
+
+    #[inline]
+    fn expect(&mut self, literal: &[u8]) -> Option<()> {
+        self.eat(literal).then_some(())
+    }
+
+    /// A string without an escape, as the span of its text: the derive
+    /// reads the same bytes, borrowed.
+    fn string(&mut self) -> Option<Span> {
+        self.expect(b"\"")?;
+        let start = self.pos;
+        let len = self.bytes[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')?;
+        self.pos = start + len;
+        self.expect(b"\"")?;
+        Some((start, start + len))
+    }
+
+    /// An unsigned integer: one or more digits, the first not a `0` unless
+    /// it is the only one, that fit a `u64`.
+    fn u64(&mut self) -> Option<u64> {
+        let start = self.pos;
+        let mut n: u64 = 0;
+        while let Some(&digit @ b'0'..=b'9') = self.bytes.get(self.pos) {
+            n = n.checked_mul(10)?.checked_add(u64::from(digit - b'0'))?;
+            self.pos += 1;
+        }
+        match self.pos - start {
+            0 => None,
+            1 => Some(n),
+            _ => (self.bytes[start] != b'0').then_some(n),
+        }
+    }
+
+    fn usize(&mut self) -> Option<usize> {
+        usize::try_from(self.u64()?).ok()
+    }
+
+    /// A signed integer that fits an `i64`; `-0` declines.
+    fn i64(&mut self) -> Option<i64> {
+        if !self.eat(b"-") {
+            return i64::try_from(self.u64()?).ok();
+        }
+        let magnitude = self.u64()?;
+        // 2^63 becomes `i64::MIN`, which negates to itself.
+        (magnitude != 0 && magnitude <= 1 << 63).then(|| (magnitude as i64).wrapping_neg())
+    }
+
+    /// A finite real as the derive reads one: the same run of bytes (a `-`
+    /// or a digit first, then digits, `.`, `e`, `E`, `+` and `-`) through
+    /// the same `str::parse`. A run of digits alone, which the derive reads
+    /// as an integer first, declines.
+    fn f64(&mut self) -> Option<f64> {
+        let start = self.pos;
+        if !matches!(self.bytes.get(start), Some(b'-' | b'0'..=b'9')) {
+            return None;
+        }
+        self.pos += 1;
+        while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = self.bytes.get(self.pos) {
+            self.pos += 1;
+        }
+        let run = &self.bytes[start..self.pos];
+        if run[1..].iter().all(u8::is_ascii_digit) {
+            return None;
+        }
+        let real: f64 = std::str::from_utf8(run).ok()?.parse().ok()?;
+        real.is_finite().then_some(real)
+    }
+
+    fn bool(&mut self) -> Option<bool> {
+        if self.eat(b"true") {
+            Some(true)
+        } else {
+            self.expect(b"false").map(|()| false)
+        }
+    }
+}
+
+/// The derive's decode of a record line: for the lines the store's own
+/// reader declines, and for a peer's `/store/log`. A record the log could
+/// not hold (see [`storable`]) is not one.
+pub(crate) fn read_record(line: &str) -> std::result::Result<StoreRecord, String> {
+    let record: StoreRecord = durable_log::derived(line)?;
+    storable(&record)?;
+    Ok(record)
+}
+
+/// Whether the log can hold `record`, as a line that reads back as it, or
+/// why not: names and values must be as many, and a non-finite `Real` is
+/// written as `null`, which no reader takes for a number (a literal such
+/// as `1e999` reads as one, and a compaction would write it back so).
+fn storable(record: &StoreRecord) -> std::result::Result<(), String> {
+    let (names, values) = (record.config.names().len(), record.config.values());
+    if names != values.len() {
+        return Err(format!(
+            "{names} parameter names for {} values",
+            values.len()
+        ));
+    }
+    if values
+        .iter()
+        .any(|v| matches!(v, ParamValue::Real(x) if !x.is_finite()))
+    {
+        return Err("a non-finite real, which a log line cannot hold".into());
+    }
+    Ok(())
+}
+
+/// The store's [`LineReader`] at open: a line in the encoder's layout is
+/// read in place ([`Line::read`]) and pushed from there, and any other
+/// line goes through the derive ([`read_record`]) and [`Records::push`].
+struct Opening {
+    records: Records,
+    line: Line,
+    /// The record of the last line the derive read.
+    derived: Option<StoreRecord>,
+    /// Whether lines are read in place; off only for the tests that hold
+    /// the two paths to each other.
+    in_place: bool,
+}
+
+impl Opening {
+    fn new(index: DigestIndex, in_place: bool) -> Self {
+        Opening {
+            records: Records::new(index),
+            line: Line::default(),
+            derived: None,
+            in_place,
+        }
+    }
+}
+
+impl LineReader for Opening {
+    fn decode(&mut self, text: &str) -> std::result::Result<(), String> {
+        self.derived = None;
+        if !(self.in_place && self.line.read(text)) {
+            self.derived = Some(read_record(text)?);
+        }
+        Ok(())
+    }
+
+    fn keep(&mut self, text: &str) {
+        match self.derived.take() {
+            Some(record) => {
+                let (slot, found) = self.records.slot_of(&record);
+                self.records.push(&record, slot, found.is_none());
+            }
+            None => self.records.push_read(&self.line, text),
+        }
     }
 }
 
@@ -687,18 +1048,26 @@ impl PerfStore {
 
     /// [`open_with`](Self::open_with) under `index`'s digest.
     fn open_indexed(path: &Path, telemetry: Telemetry, index: DigestIndex) -> Result<Self> {
-        let mut records = Records::new(index);
+        Self::open_reading(path, telemetry, index, true)
+    }
+
+    /// [`open_indexed`](Self::open_indexed), reading the lines in place
+    /// unless told not to (see [`Opening`]).
+    fn open_reading(
+        path: &Path,
+        telemetry: Telemetry,
+        index: DigestIndex,
+        in_place: bool,
+    ) -> Result<Self> {
+        let mut opening = Opening::new(index, in_place);
         let (log, torn_tail_truncated) = if durable_log::has_content(path) {
-            let keep = |r: StoreRecord| {
-                let live = records.find_record(&r).is_none();
-                records.push(&r, live);
-            };
             let (log, _, torn) =
-                DurableLog::open(path, HarmonyError::StoreCorrupt, check_header, keep)?;
+                DurableLog::open(path, HarmonyError::StoreCorrupt, check_header, &mut opening)?;
             (log, torn)
         } else {
             (DurableLog::create(path, &header())?, false)
         };
+        let mut records = opening.records;
         if torn_tail_truncated {
             telemetry.inc(Counter::StoreTornTails);
         }
@@ -803,24 +1172,27 @@ impl PerfStore {
     /// `ReportBatch` costs one store lock and one syscall instead of one
     /// per trial. Dedup semantics are identical to serial inserts — a
     /// bit-for-bit duplicate of the live entry (including one earlier in
-    /// this same batch) is skipped. Returns how many records were written.
+    /// this same batch) is skipped. So is a record the log cannot hold: a
+    /// configuration with a non-finite `Real`, whose line would not read
+    /// back. Returns how many records were written.
     pub fn insert_batch(&mut self, records: Vec<StoreRecord>) -> Result<usize> {
         let mut blob = Vec::with_capacity(records.len() * 192);
         let before = self.records.len();
-        for record in records {
+        for record in records.into_iter().filter(|r| storable(r).is_ok()) {
             // Same key, same cost: a true duplicate, skipped. Same key, new
             // cost (noisy objective): appended to the log for provenance,
             // but the index keeps serving the first-recorded cost. The
             // index is updated as we go, so a duplicate earlier in this
             // same batch is met the same way.
-            let live = match self.records.find_record(&record) {
+            let (slot, found) = self.records.slot_of(&record);
+            let live = match found {
                 Some(pos) if self.records.rows[pos].cost_bits == record.cost_bits => continue,
                 Some(_) => false,
                 None => true,
             };
             push_line(&record, &mut blob);
             self.telemetry.inc(Counter::StoreInserts);
-            self.records.push(&record, live);
+            self.records.push(&record, slot, live);
         }
         let written = self.records.len() - before;
         self.append(&blob, written)?;
@@ -860,13 +1232,19 @@ impl PerfStore {
     /// order-insensitive: every merge order converges on the same live
     /// set, with each key served by whichever record reached this store
     /// first. A skipped record whose cost differs from the local one is
-    /// counted as a conflict ([`Counter::StoreMergeConflicts`]).
+    /// counted as a conflict ([`Counter::StoreMergeConflicts`]). A record
+    /// the log cannot hold (see [`insert_batch`](Self::insert_batch)) is
+    /// scanned, and neither merged nor skipped.
     pub fn merge_records(&mut self, records: Vec<StoreRecord>) -> Result<MergeStats> {
         let mut stats = MergeStats::default();
         let mut blob = Vec::with_capacity(records.len().min(4096) * 192);
         for record in records {
             stats.scanned += 1;
-            if let Some(pos) = self.records.find_record(&record) {
+            if storable(&record).is_err() {
+                continue;
+            }
+            let (slot, found) = self.records.slot_of(&record);
+            if let Some(pos) = found {
                 stats.skipped += 1;
                 if self.records.rows[pos].cost_bits != record.cost_bits {
                     stats.conflicts += 1;
@@ -879,7 +1257,7 @@ impl PerfStore {
             push_line(&record, &mut blob);
             self.telemetry.inc(Counter::StoreMergedRecords);
             stats.merged += 1;
-            self.records.push(&record, true);
+            self.records.push(&record, slot, true);
         }
         self.append(&blob, stats.merged)?;
         Ok(stats)
@@ -894,19 +1272,25 @@ impl PerfStore {
         let mut fresh = self.records.emptied();
         for record in records {
             stats.scanned += 1;
-            let served = |records: &Records| {
-                let pos = records.find_record(record)?;
-                Some(records.rows[pos].cost_bits)
+            if storable(record).is_err() {
+                continue;
+            }
+            let served = match self.records.find_record(record) {
+                Some(pos) => Some(self.records.rows[pos].cost_bits),
+                None => {
+                    let (slot, found) = fresh.slot_of(record);
+                    if found.is_none() {
+                        fresh.push(record, slot, true);
+                    }
+                    found.map(|pos| fresh.rows[pos].cost_bits)
+                }
             };
-            match served(&self.records).or_else(|| served(&fresh)) {
+            match served {
                 Some(cost_bits) => {
                     stats.skipped += 1;
                     stats.conflicts += usize::from(cost_bits != record.cost_bits);
                 }
-                None => {
-                    fresh.push(record, true);
-                    stats.merged += 1;
-                }
+                None => stats.merged += 1,
             }
         }
         stats
@@ -974,7 +1358,8 @@ impl PerfStore {
             let record = self.records.record(pos);
             if keep(&record) {
                 push_line(&record, &mut blob);
-                kept.push(&record, true);
+                let (slot, _) = kept.slot_of(&record);
+                kept.push(&record, slot, true);
             }
         }
         self.log.rewrite(&blob)?;
@@ -1307,18 +1692,24 @@ mod tests {
     fn records_encode_to_their_golden_lines() {
         // The lines below were written by the encoder this store had
         // before it used the derive's; every path that writes a record —
-        // append, merge, peer pull, compaction — must produce them.
+        // append, merge, peer pull, compaction — must produce them. The
+        // record with non-finite reals still encodes to its line, but no
+        // path writes it to a log, which could not read it back.
         let path = temp_path("golden-lines");
         let peer_path = temp_path("golden-lines-peer");
         for p in [&path, &peer_path] {
             let _ = std::fs::remove_file(p);
         }
         let (records, lines): (Vec<StoreRecord>, Vec<&str>) = golden_records().into_iter().unzip();
+        for (record, line) in records.iter().zip(&lines) {
+            assert_eq!(self::lines([record]), format!("{line}\n").into_bytes());
+        }
+        let lines: Vec<&str> = lines.into_iter().filter(|&l| l != GOLDEN_REALS).collect();
         let log: String = lines.iter().map(|l| format!("{l}\n")).collect();
         let header = "{\"kind\":\"ah-store\",\"version\":1}\n";
 
         let mut store = PerfStore::open(&path).unwrap();
-        assert_eq!(store.insert_batch(records.clone()).unwrap(), records.len());
+        assert_eq!(store.insert_batch(records.clone()).unwrap(), lines.len());
         assert_eq!(store.encode_log_from(0), (0, log.clone()));
         store.flush().unwrap();
         assert_eq!(
@@ -1975,6 +2366,483 @@ mod tests {
             ops in proptest::collection::vec(0u64..u64::MAX, 1..24)
         ) {
             store_answers_as_the_model(&ops, DigestIndex::colliding(), "model-colliding");
+        }
+    }
+
+    #[test]
+    fn a_record_with_a_non_finite_real_is_not_written() {
+        let path = temp_path("non-finite");
+        let peer_path = temp_path("non-finite-peer");
+        for p in [&path, &peer_path] {
+            let _ = std::fs::remove_file(p);
+        }
+        let real = |r: f64, cost: f64| {
+            let config = Configuration::new(vec!["r".into()], vec![ParamValue::Real(r)]);
+            StoreRecord::new("a", 1, config, cost, cost)
+        };
+        let batch = vec![
+            real(0.5, 1.0),
+            real(f64::NAN, 2.0),
+            real(f64::NEG_INFINITY, 3.0),
+            real(f64::INFINITY, 4.0),
+            real(-0.25, 5.0),
+        ];
+        let mut store = PerfStore::open(&path).unwrap();
+        assert_eq!(store.insert_batch(batch.clone()).unwrap(), 2);
+        assert_eq!((store.len(), store.live_configs()), (2, 2));
+        let mut peer = PerfStore::open(&peer_path).unwrap();
+        let preview = peer.merge_preview(&batch);
+        let merged = peer.merge_records(batch).unwrap();
+        assert_eq!((merged.scanned, merged.merged, merged.skipped), (5, 2, 0));
+        assert_eq!(
+            (preview.scanned, preview.merged, preview.skipped),
+            (5, 2, 0)
+        );
+        for (store, p) in [(store, &path), (peer, &peer_path)] {
+            let (_, written) = store.encode_log_from(0);
+            drop(store);
+            let store = PerfStore::open(p).unwrap();
+            assert!(!store.stats().torn_tail_truncated);
+            let costs: Vec<f64> = store.live_records().iter().map(StoreRecord::cost).collect();
+            assert_eq!(costs, [1.0, 5.0]);
+            assert_eq!(store.encode_log_from(0).1, written);
+        }
+        // A literal too large for an `f64` reads as an infinity, which a
+        // compaction would write back as `null`: not a record either.
+        let huge = "{\"app\":\"a\",\"fingerprint\":1,\"config\":{\"names\":[\"r\"],\"values\":[{\"Real\":1e999}]},\
+                    \"cost_bits\":0,\"wall_bits\":0,\"session\":0,\"iteration\":0,\"requeued\":false,\"replayed\":false}\n";
+        let mut log = std::fs::read(&path).unwrap();
+        log.extend_from_slice(huge.as_bytes());
+        std::fs::write(&path, &log).unwrap();
+        let mut store = PerfStore::open(&path).unwrap();
+        assert_eq!((store.len(), store.stats().torn_tail_truncated), (2, true));
+        store.compact().unwrap();
+        drop(store);
+        assert_eq!(PerfStore::open(&path).unwrap().len(), 2);
+    }
+
+    /// A line in the encoder's layout with one name and two values.
+    const NAMES_FOR_VALUES: &str = r#"{"app":"a","fingerprint":1,"config":{"names":["x"],"values":[{"Int":1},{"Int":2}]},"cost_bits":0,"wall_bits":0,"session":0,"iteration":0,"requeued":false,"replayed":false}"#;
+
+    #[test]
+    fn a_line_whose_names_and_values_differ_in_number_is_not_a_record() {
+        assert!(!Line::default().read(NAMES_FOR_VALUES));
+        assert_eq!(
+            read_record(NAMES_FOR_VALUES).unwrap_err(),
+            "1 parameter names for 2 values"
+        );
+        let path = temp_path("names-for-values");
+        let good = lines(&[rec("a", 1, 1.0, 1.0, 1.0), rec("a", 1, 2.0, 2.0, 2.0)]);
+        let (first, second) = good.split_at(good.iter().position(|&b| b == b'\n').unwrap() + 1);
+        let header = b"{\"kind\":\"ah-store\",\"version\":1}\n";
+        let odd = format!("{NAMES_FOR_VALUES}\n").into_bytes();
+        for in_place in [true, false] {
+            let open = || {
+                PerfStore::open_reading(&path, Telemetry::disabled(), DigestIndex::new(), in_place)
+            };
+            // As the tail: truncated.
+            std::fs::write(&path, [&header[..], &good, &odd].concat()).unwrap();
+            let store = open().unwrap();
+            assert_eq!((store.len(), store.stats().torn_tail_truncated), (2, true));
+            drop(store);
+            assert_eq!(std::fs::read(&path).unwrap(), [&header[..], &good].concat());
+            // Followed by a record: refused by its line number.
+            std::fs::write(&path, [&header[..], first, &odd, second].concat()).unwrap();
+            match open() {
+                Err(HarmonyError::StoreCorrupt(msg)) => assert!(
+                    msg.ends_with("unreadable record at line 3: 1 parameter names for 2 values"),
+                    "{msg}"
+                ),
+                other => panic!("expected StoreCorrupt, got {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// splitmix64: the differential test's records and mutations.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<T: Clone>(&mut self, items: &[T]) -> T {
+            items[self.below(items.len())].clone()
+        }
+
+        /// Up to three pieces of text that need escapes, or are not ASCII,
+        /// or look like JSON.
+        fn text(&mut self) -> String {
+            let pieces = [
+                "x",
+                "tile",
+                "é",
+                "ü✓😀",
+                "a\"b",
+                "c\\d",
+                "\n",
+                "\u{1}",
+                "\u{7f}",
+                "/",
+                ",:{}[]",
+                "0",
+                "007",
+                " ",
+            ];
+            (0..self.below(4)).map(|_| self.pick(&pieces)).collect()
+        }
+
+        fn record(&mut self) -> StoreRecord {
+            let big = self.next();
+            let n = self.below(4);
+            let names = (0..n).map(|_| self.text()).collect();
+            let values = (0..n)
+                .map(|_| match self.below(3) {
+                    0 => {
+                        ParamValue::Int(self.pick(&[0, 1, -1, -64, i64::MIN, i64::MAX, big as i64]))
+                    }
+                    1 => ParamValue::Real(self.pick(&[
+                        0.0,
+                        -0.0,
+                        0.5,
+                        -0.25,
+                        1e21,
+                        1e-7,
+                        1e300,
+                        5e-324,
+                        f64::MAX,
+                        f64::from_bits(big >> 2),
+                        f64::NAN,
+                    ])),
+                    _ => ParamValue::Enum {
+                        index: self.pick(&[0, 1, 2, usize::MAX, 1 << 63, big as usize]),
+                        label: self.text(),
+                    },
+                })
+                .collect();
+            let wide = [0, 1, u64::MAX, 1 << 63, big];
+            StoreRecord {
+                app: self.text(),
+                fingerprint: self.pick(&wide),
+                config: Configuration::new(names, values),
+                cost_bits: self.pick(&wide),
+                wall_bits: self.pick(&wide),
+                session: self.pick(&wide),
+                iteration: self.pick(&wide) as usize,
+                requeued: self.below(2) == 1,
+                replayed: self.below(2) == 1,
+            }
+        }
+
+        /// `record`'s line as the encoder writes it, or as a hand or
+        /// another writer might: spaced, reordered, with a key twice or one
+        /// unknown, a leading zero, a number past `u64` or `i64`, a real
+        /// without its fraction, text after the object.
+        fn line(&mut self, record: &StoreRecord) -> String {
+            let text = String::from_utf8(lines([record]))
+                .unwrap()
+                .trim_end()
+                .to_string();
+            fn at(text: &str, what: impl Fn(usize, char) -> bool, g: &mut Gen) -> Option<usize> {
+                let places: Vec<usize> = text
+                    .char_indices()
+                    .filter(|&(i, c)| what(i, c))
+                    .map(|(i, _)| i)
+                    .collect();
+                (!places.is_empty()).then(|| places[g.below(places.len())])
+            }
+            // The top-level object or the configuration's.
+            type Members = Vec<(String, serde_json::Value)>;
+            let object = |g: &mut Gen, f: &mut dyn FnMut(&mut Members, &mut Gen)| {
+                let mut value = serde_json::to_value(record).unwrap();
+                let serde_json::Value::Object(members) = &mut value else {
+                    unreachable!()
+                };
+                if g.below(2) == 0 {
+                    f(members, g);
+                } else if let serde_json::Value::Object(config) = &mut members[2].1 {
+                    f(config, g);
+                }
+                serde_json::to_string(&value).unwrap()
+            };
+            let digits_start = |i: usize, c: char| {
+                c.is_ascii_digit() && !text[..i].ends_with(|p: char| p.is_ascii_digit())
+            };
+            match self.below(10) {
+                0 => {
+                    let Some(i) = at(&text, |_, c| c == ':' || c == ',', self) else {
+                        return text;
+                    };
+                    format!("{} {}", &text[..=i], &text[i + 1..])
+                }
+                1 => object(self, &mut |m, g| {
+                    let (i, j) = (g.below(m.len()), g.below(m.len()));
+                    m.swap(i, j);
+                }),
+                2 => object(self, &mut |m, g| {
+                    let copy = m[g.below(m.len())].clone();
+                    m.insert(g.below(m.len() + 1), copy);
+                }),
+                3 => object(self, &mut |m, g| {
+                    let unknown = ("zz".to_string(), serde_json::Value::Int(1));
+                    m.insert(g.below(m.len() + 1), unknown);
+                }),
+                4 => match at(&text, digits_start, self) {
+                    Some(i) => format!("{}0{}", &text[..i], &text[i..]),
+                    None => text,
+                },
+                5 => match at(&text, digits_start, self) {
+                    Some(i) => {
+                        let end = text[i..]
+                            .find(|c: char| !c.is_ascii_digit())
+                            .map_or(text.len(), |n| i + n);
+                        let wide = self.pick(&[
+                            "99999999999999999999",
+                            "18446744073709551615",
+                            "9223372036854775808",
+                        ]);
+                        format!("{}{wide}{}", &text[..i], &text[end..])
+                    }
+                    None => text,
+                },
+                6 => match at(
+                    &text,
+                    |i, c| c == '.' && text[i + 1..].starts_with(|d: char| d.is_ascii_digit()),
+                    self,
+                ) {
+                    Some(i) => {
+                        let end = text[i + 1..]
+                            .find(|c: char| !c.is_ascii_digit())
+                            .map_or(text.len(), |n| i + 1 + n);
+                        format!("{}{}", &text[..i], &text[end..])
+                    }
+                    None => text,
+                },
+                7 => format!("{text}}}"),
+                _ => text,
+            }
+        }
+    }
+
+    /// Everything a `Records` holds that an answer reads, comparably.
+    #[derive(Debug, PartialEq)]
+    struct Contents<'r> {
+        /// Each row's fields, ids and offset included.
+        rows: Vec<[u64; 9]>,
+        vals: &'r [i64],
+        apps: Vec<&'r str>,
+        labels: Vec<&'r str>,
+        shapes: Vec<(&'r [String], Vec<u8>)>,
+        live: usize,
+        /// What the index finds for each row's key.
+        found: Vec<Option<usize>>,
+    }
+
+    fn contents(records: &Records) -> Contents<'_> {
+        fn strings(i: &Interner) -> Vec<&str> {
+            (0..i.len() as u32).map(|id| i.get(id)).collect()
+        }
+        let rows = records.rows.iter().map(|r| {
+            let (offset, app, shape, flags) = (
+                r.offset as u64,
+                r.app.into(),
+                r.shape.into(),
+                r.flags.into(),
+            );
+            [
+                r.fingerprint,
+                r.cost_bits,
+                r.wall_bits,
+                r.session,
+                r.iteration,
+                offset,
+                app,
+                shape,
+                flags,
+            ]
+        });
+        let shapes = records.shapes.iter();
+        let found = (0..records.len()).map(|pos| {
+            let row = &records.rows[pos];
+            let key = records.key(pos).iter().copied();
+            records.find(records.apps.get(row.app), row.fingerprint, key)
+        });
+        Contents {
+            rows: rows.collect(),
+            vals: &records.vals,
+            apps: strings(&records.apps),
+            labels: strings(&records.labels),
+            shapes: shapes
+                .map(|s| (&s.names[..], s.kinds.iter().map(|&k| k as u8).collect()))
+                .collect(),
+            live: records.live,
+            found: found.collect(),
+        }
+    }
+
+    /// Read `lines` through the store's reader and through the derive
+    /// alone, line by line in step: the same verdict on every line, and the
+    /// same records after every kept one; the reader takes only what the
+    /// derive takes.
+    fn reads_as_the_derive(lines: &[&str]) {
+        let opening = |in_place| Opening::new(DigestIndex::new(), in_place);
+        let (mut fast, mut derive) = (opening(true), opening(false));
+        for &text in lines {
+            let verdict = fast.decode(text);
+            assert_eq!(verdict, derive.decode(text), "{text}");
+            if verdict.is_ok() {
+                fast.keep(text);
+                derive.keep(text);
+                assert_eq!(contents(&fast.records), contents(&derive.records), "{text}");
+            }
+        }
+    }
+
+    /// Open a log of `lines` in place and through the derive alone: the
+    /// same log, stats and torn verdict, or the same error.
+    fn opens_as_the_derive(lines: &[&str], tag: &str) {
+        let path = temp_path(tag);
+        let mut log = b"{\"kind\":\"ah-store\",\"version\":1}\n".to_vec();
+        for line in lines {
+            log.extend_from_slice(line.as_bytes());
+            log.push(b'\n');
+        }
+        let open = |in_place| {
+            std::fs::write(&path, &log).unwrap();
+            let opened =
+                PerfStore::open_reading(&path, Telemetry::disabled(), DigestIndex::new(), in_place);
+            opened
+                .map(|store| {
+                    let stats = store.stats();
+                    let apps: Vec<(String, usize)> =
+                        stats.apps.into_iter().map(|a| (a.app, a.configs)).collect();
+                    let counts = (
+                        stats.records,
+                        stats.live_configs,
+                        stats.torn_tail_truncated,
+                        stats.file_bytes,
+                    );
+                    (store.encode_log_from(0).1, apps, counts)
+                })
+                .map_err(|e| e.to_string())
+        };
+        assert_eq!(open(true), open(false));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn the_line_reader_reads_every_number_as_the_derive_does() {
+        let numbers = [
+            "0",
+            "-0",
+            "00",
+            "007",
+            "1",
+            "-1",
+            "-.5",
+            ".5",
+            ".5e1",
+            "+1",
+            "+1.5",
+            "-",
+            "1-",
+            "1.0",
+            "-0.0",
+            "1e3",
+            "1E-3",
+            "1.5e+2",
+            "1e999",
+            "9223372036854775807",
+            "9223372036854775808",
+            "-9223372036854775808",
+            "-9223372036854775809",
+            "18446744073709551615",
+            "18446744073709551616",
+            "99999999999999999999",
+            "00000000000000000000001",
+        ];
+        let template = r#"{"app":"a","fingerprint":#F,"config":{"names":["i","r","e"],"values":[{"Int":#I},{"Real":#R},{"Enum":{"index":#E,"label":"l"}}]},"cost_bits":#C,"wall_bits":0,"session":0,"iteration":#N,"requeued":false,"replayed":true}"#;
+        let mut read_in_place = 0;
+        for field in ["#F", "#I", "#R", "#E", "#C", "#N"] {
+            for number in numbers {
+                let mut text = template.replace(field, number);
+                for (other, ok) in [
+                    ("#F", "7"),
+                    ("#I", "-3"),
+                    ("#R", "0.5"),
+                    ("#E", "2"),
+                    ("#C", "9"),
+                    ("#N", "4"),
+                ] {
+                    text = text.replace(other, ok);
+                }
+                read_in_place += usize::from(Line::default().read(&text));
+                reads_as_the_derive(&[&text, &text]);
+            }
+        }
+        // Five of the texts are integers each integer field holds, and six
+        // are finite reals: the rest are left to the derive.
+        assert_eq!(read_in_place, 5 * 5 + 6);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn the_line_reader_reads_what_the_derive_reads(seed in 0u64..u64::MAX) {
+            let mut g = Gen(seed);
+            let records: Vec<StoreRecord> = (0..1 + g.below(6)).map(|_| g.record()).collect();
+            // Half the cases repeat the first record's app and shape, as a
+            // campaign's records do.
+            let records: Vec<StoreRecord> = if seed % 2 == 0 {
+                let first = records[0].clone();
+                records
+                    .into_iter()
+                    .map(|r| StoreRecord {
+                        app: first.app.clone(),
+                        config: first.config.clone(),
+                        ..r
+                    })
+                    .collect()
+            } else {
+                records
+            };
+            // Every line in the encoder's layout is read in place, unless a
+            // string in it has an escape or a real is not finite.
+            for r in &records {
+                let text = String::from_utf8(lines([r])).unwrap();
+                let text = text.trim_end();
+                let in_place = !text.contains('\\') && storable(r).is_ok();
+                assert_eq!(Line::default().read(text), in_place, "{text}");
+            }
+            let texts: Vec<String> = records.iter().map(|r| g.line(r)).collect();
+            let texts: Vec<&str> = texts.iter().map(String::as_str).collect();
+            reads_as_the_derive(&texts);
+            opens_as_the_derive(&texts, "differential");
+            // Cut after every byte (every character, as a torn tail that is
+            // text), last in a log.
+            let last = texts[texts.len() - 1];
+            for (cut, _) in last.char_indices().skip(1) {
+                let mut cut_log = texts.clone();
+                *cut_log.last_mut().unwrap() = &last[..cut];
+                reads_as_the_derive(&cut_log);
+            }
+            // Cut half way: as the tail, and before the lines again.
+            let half = last.char_indices().nth(last.chars().count() / 2).map_or(0, |(i, _)| i);
+            let cut: &[&str] = &[&last[..half]];
+            let torn = [&texts[..texts.len() - 1], cut].concat();
+            opens_as_the_derive(&torn, "differential-torn");
+            let damaged = [&texts[..], cut, &texts[..]].concat();
+            opens_as_the_derive(&damaged, "differential-damaged");
         }
     }
 

@@ -226,7 +226,7 @@ impl WalSession {
                 WAL_VERSION => Ok(()),
                 v => Err(format!("log version {v} (this build reads {WAL_VERSION})")),
             },
-            |record| records.push(record),
+            &mut durable_log::each(durable_log::derived, |record| records.push(record)),
         )?;
         if torn {
             telemetry.inc(Counter::WalTornTails);

@@ -12,6 +12,10 @@
 //!   most 1 MiB. An open that reads the whole file into memory first holds
 //!   the log's ≈ 2.7 MB while it builds the records, and fails: that store
 //!   peaked 1.8 MB above what it kept.
+//! - **Allocator calls during `open`** (`alloc`, `alloc_zeroed` and
+//!   `realloc`) may number at most 200: the growth of the store's vectors
+//!   and tables, and nothing per line. The open that decoded every line
+//!   into a whole `StoreRecord` made 80 070 calls here, ≈ 8 per line.
 //!
 //! One test only: the counters see every thread of the process, so a second
 //! test running beside it would be counted too.
@@ -25,6 +29,7 @@ struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static CALLS: AtomicUsize = AtomicUsize::new(0);
 
 fn grew(bytes: usize) {
     let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
@@ -33,6 +38,7 @@ fn grew(bytes: usize) {
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Relaxed);
         let p = System.alloc(layout);
         if !p.is_null() {
             grew(layout.size());
@@ -41,6 +47,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Relaxed);
         let p = System.alloc_zeroed(layout);
         if !p.is_null() {
             grew(layout.size());
@@ -54,6 +61,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Relaxed);
         let q = System.realloc(p, layout, new_size);
         if !q.is_null() {
             match new_size.checked_sub(layout.size()) {
@@ -75,6 +83,10 @@ const RECORDS: usize = 10_000;
 /// Live heap bytes per record the record-per-heap-object store held after
 /// `open`, measured by this test on that store.
 const BEFORE_COLUMNS_BYTES_PER_RECORD: usize = 407;
+
+/// Allocator calls an open of the log may make: the vectors' and tables'
+/// growth. The open that built a `StoreRecord` per line made 80 070.
+const MAX_OPEN_ALLOCATIONS: usize = 200;
 
 #[test]
 fn an_opened_store_holds_half_the_heap_and_never_the_whole_file() {
@@ -104,7 +116,9 @@ fn an_opened_store_holds_half_the_heap_and_never_the_whole_file() {
 
     let before = LIVE.load(Relaxed);
     PEAK.store(before, Relaxed);
+    let calls_before = CALLS.load(Relaxed);
     let store = PerfStore::open(&path).unwrap();
+    let calls = CALLS.load(Relaxed) - calls_before;
     let after = LIVE.load(Relaxed);
     let peak = PEAK.load(Relaxed);
     assert_eq!(store.len(), RECORDS);
@@ -113,7 +127,7 @@ fn an_opened_store_holds_half_the_heap_and_never_the_whole_file() {
     let overshoot = peak - after;
     eprintln!(
         "log {file_bytes} B; after open {per_record} B per record live, \
-         peak {overshoot} B above it"
+         peak {overshoot} B above it, {calls} allocator calls"
     );
     assert!(
         per_record <= BEFORE_COLUMNS_BYTES_PER_RECORD / 2,
@@ -123,6 +137,10 @@ fn an_opened_store_holds_half_the_heap_and_never_the_whole_file() {
     assert!(
         overshoot <= 1 << 20,
         "open peaked {overshoot} B above what it kept ({file_bytes} B log)"
+    );
+    assert!(
+        calls <= MAX_OPEN_ALLOCATIONS,
+        "open made {calls} allocator calls for {RECORDS} records (at most {MAX_OPEN_ALLOCATIONS})"
     );
     drop(store);
     let _ = std::fs::remove_file(&path);
