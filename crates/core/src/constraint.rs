@@ -56,7 +56,7 @@ impl ConstraintSpec {
     /// `None` for [`Opaque`](Self::Opaque): opaque constraints stay outside
     /// the fingerprint, exactly as all constraints were before the space
     /// compiler existed.
-    pub fn fingerprint_token(&self) -> Option<String> {
+    pub(crate) fn fingerprint_token(&self) -> Option<String> {
         match self {
             ConstraintSpec::Opaque => None,
             ConstraintSpec::Chain(dims) => {

@@ -4,7 +4,7 @@
 //! transport conditions (lost connection, timeout, server at capacity) that
 //! a client may safely retry with backoff, while *fatal* errors are protocol
 //! or state violations that retrying can never fix. The TCP client's
-//! retry/backoff loop keys off [`HarmonyError::is_retryable`].
+//! retry/backoff loop keys off `HarmonyError::is_retryable`.
 
 use std::fmt;
 
@@ -89,7 +89,7 @@ impl HarmonyError {
     }
 
     /// True if a client may retry the failed operation with backoff.
-    pub fn is_retryable(&self) -> bool {
+    pub(crate) fn is_retryable(&self) -> bool {
         self.class() == ErrorClass::Retryable
     }
 }

@@ -66,18 +66,6 @@ impl History {
         self.evals.iter().min_by(|a, b| a.cost.total_cmp(&b.cost))
     }
 
-    /// The running best cost after each evaluation (a convergence curve).
-    pub fn best_curve(&self) -> Vec<f64> {
-        let mut best = f64::INFINITY;
-        self.evals
-            .iter()
-            .map(|e| {
-                best = best.min(e.cost);
-                best
-            })
-            .collect()
-    }
-
     /// First iteration (1-based) whose cost is within `factor` of the final
     /// best (e.g. `1.05` = within 5%).
     pub fn iterations_to_within(&self, factor: f64) -> Option<usize> {
@@ -170,32 +158,6 @@ impl History {
         }
         rows
     }
-
-    /// Render the history as CSV (`iteration,cost,cached,cumulative_time,
-    /// param1,param2,…`).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        if let Some(first) = self.evals.first() {
-            out.push_str("iteration,cost,cached,cumulative_time");
-            for name in first.config.names() {
-                out.push(',');
-                out.push_str(name);
-            }
-            out.push('\n');
-        }
-        for e in &self.evals {
-            out.push_str(&format!(
-                "{},{},{},{}",
-                e.iteration, e.cost, e.cached, e.cumulative_time
-            ));
-            for v in e.config.values() {
-                out.push(',');
-                out.push_str(&v.to_string());
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// One improvement step in a [`History::parameter_change_trace`].
@@ -252,7 +214,6 @@ mod tests {
         h.push(eval(2, 6, 0.0, 12.0));
         h.push(eval(3, 3, 1.0, 7.0));
         assert_eq!(h.best().unwrap().cost, 7.0);
-        assert_eq!(h.best_curve(), vec![10.0, 10.0, 7.0]);
         assert_eq!(h.runs(), 3);
     }
 
@@ -300,24 +261,10 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_header_and_rows() {
-        let mut h = History::new();
-        h.push(eval(1, 5, 0.0, 10.0));
-        let csv = h.to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(
-            lines.next().unwrap(),
-            "iteration,cost,cached,cumulative_time,x,m"
-        );
-        assert!(lines.next().unwrap().starts_with("1,10,"));
-    }
-
-    #[test]
     fn empty_history_is_safe() {
         let h = History::new();
         assert!(h.best().is_none());
         assert!(h.is_empty());
-        assert_eq!(h.to_csv(), "");
         assert!(h.parameter_change_trace().is_empty());
         assert_eq!(h.iterations_to_within(1.1), None);
     }

@@ -16,10 +16,10 @@
 //!   one *representative short run* of the application; the application is
 //!   reconfigured and restarted between iterations, and restart/warm-up costs
 //!   are charged to the tuning budget.
-//! * **On-line tuning** ([`server`], [`online`]): a long-running application
-//!   connects to the Harmony server, registers its tunable variables, and
-//!   fetches fresh parameter values / reports observed performance from
-//!   inside its run loop without restarting.
+//! * **On-line tuning** ([`server`]): a long-running application connects
+//!   to the Harmony server, registers its tunable variables, and fetches
+//!   fresh parameter values / reports observed performance from inside its
+//!   run loop without restarting.
 //!
 //! ## Quick example
 //!
@@ -55,7 +55,6 @@ pub mod history;
 pub mod meta;
 pub mod objective;
 pub mod offline;
-pub mod online;
 pub mod param;
 pub mod priors;
 pub mod report;
@@ -89,9 +88,8 @@ pub mod prelude {
         MetaAnnealing, MetaGenetic, MetaNelderMead, MetaOptions, MetaOutcome, MetaSurrogate,
         MetaTrial, MetaTunable, MetaTuner,
     };
-    pub use crate::objective::{Objective, PenalizedObjective, TradeoffObjective};
+    pub use crate::objective::{Objective, TradeoffObjective};
     pub use crate::offline::{OfflineTuner, RunMeasurement, ShortRunApp};
-    pub use crate::online::OnlineTuner;
     pub use crate::param::Param;
     pub use crate::priors::PriorRunDb;
     pub use crate::report::TuningReport;

@@ -60,7 +60,6 @@ use crate::strategy::{
     Annealing, AnnealingOptions, Genetic, GeneticOptions, NelderMead, NelderMeadOptions,
     SearchStrategy, StartPoint, Surrogate, SurrogateOptions,
 };
-use crate::telemetry::{Counter, Telemetry};
 use serde::Serialize;
 
 /// A strategy whose hyper-parameters can themselves be tuned.
@@ -338,28 +337,17 @@ impl MetaOutcome {
 pub struct MetaTuner {
     opts: MetaOptions,
     store: Option<SharedStore>,
-    telemetry: Telemetry,
 }
 
 impl MetaTuner {
     /// Create a meta-tuner with the given options and no store.
     pub fn new(opts: MetaOptions) -> Self {
-        MetaTuner {
-            opts,
-            store: None,
-            telemetry: Telemetry::disabled(),
-        }
+        MetaTuner { opts, store: None }
     }
 
     /// Memoize campaign scores in (and replay them from) `store`.
     pub fn with_store(mut self, store: SharedStore) -> Self {
         self.store = Some(store);
-        self
-    }
-
-    /// Record meta-tuning counters on `telemetry`.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
         self
     }
 
@@ -425,7 +413,6 @@ impl MetaTuner {
                 } else {
                     2.0 * self.opts.inner_budget as f64
                 };
-                self.telemetry.inc(Counter::MetaInnerCampaigns);
             }
             let score = total / self.opts.campaigns_per_score.max(1) as f64;
             *fresh += 1;
@@ -617,22 +604,6 @@ mod tests {
         assert!(second.inner_evaluations < first.inner_evaluations);
         assert_eq!(second.memoized_campaigns, first.trace.len());
         assert_eq!(second.best_score, first.best_score);
-    }
-
-    #[test]
-    fn counts_inner_campaigns_on_telemetry() {
-        let telemetry = Telemetry::enabled();
-        let o = MetaTuner::new(MetaOptions {
-            outer_evaluations: 3,
-            campaigns_per_score: 2,
-            ..opts()
-        })
-        .with_telemetry(telemetry.clone())
-        .tune(&mut Bowl, "bowl", &MetaNelderMead);
-        assert_eq!(
-            telemetry.counter(Counter::MetaInnerCampaigns),
-            (o.fresh_campaigns * 2) as u64
-        );
     }
 
     #[test]

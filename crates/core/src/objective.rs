@@ -49,13 +49,6 @@ where
         assert!(weight >= 0.0, "fidelity weight must be non-negative");
         TradeoffObjective { time, loss, weight }
     }
-
-    /// The components of the last scoring, for reporting.
-    pub fn score_parts(&mut self, cfg: &Configuration) -> (f64, f64, f64) {
-        let t = (self.time)(cfg);
-        let l = (self.loss)(cfg);
-        (t, l, t * (1.0 + self.weight * l))
-    }
 }
 
 impl<T, L> Objective for TradeoffObjective<T, L>
@@ -67,46 +60,6 @@ where
         let t = (self.time)(cfg);
         let l = (self.loss)(cfg);
         t * (1.0 + self.weight * l)
-    }
-}
-
-/// A hard validity wall: configurations failing `accept` score
-/// `penalty × inner`, keeping the search away without making the landscape
-/// discontinuous at infinity.
-pub struct PenalizedObjective<O, A> {
-    inner: O,
-    accept: A,
-    penalty: f64,
-}
-
-impl<O, A> PenalizedObjective<O, A>
-where
-    O: Objective,
-    A: FnMut(&Configuration) -> bool,
-{
-    /// Wrap `inner`, multiplying by `penalty` whenever `accept` is false.
-    pub fn new(inner: O, accept: A, penalty: f64) -> Self {
-        assert!(penalty >= 1.0, "penalty must not reward invalid points");
-        PenalizedObjective {
-            inner,
-            accept,
-            penalty,
-        }
-    }
-}
-
-impl<O, A> Objective for PenalizedObjective<O, A>
-where
-    O: Objective,
-    A: FnMut(&Configuration) -> bool,
-{
-    fn evaluate(&mut self, cfg: &Configuration) -> f64 {
-        let base = self.inner.evaluate(cfg);
-        if (self.accept)(cfg) {
-            base
-        } else {
-            base * self.penalty
-        }
     }
 }
 
@@ -173,25 +126,7 @@ mod tests {
         let mut obj =
             TradeoffObjective::new(|_: &Configuration| 10.0, |_: &Configuration| 0.5, 1.0);
         let cfg = space().project(&[8.0]);
-        let (t, l, s) = obj.score_parts(&cfg);
-        assert_eq!((t, l), (10.0, 0.5));
-        assert_eq!(s, 15.0);
+        // time 10 s, loss 0.5, weight 1: 10 · (1 + 1 · 0.5).
         assert_eq!(obj.evaluate(&cfg), 15.0);
-    }
-
-    #[test]
-    fn penalty_repels_invalid_points() {
-        let inner = |cfg: &Configuration| cfg.int("res").unwrap() as f64;
-        let mut obj = PenalizedObjective::new(inner, |cfg| cfg.int("res").unwrap() >= 4, 100.0);
-        let bad = space().project(&[1.0]);
-        let good = space().project(&[4.0]);
-        assert!(obj.evaluate(&bad) > obj.evaluate(&good));
-    }
-
-    #[test]
-    #[should_panic(expected = "penalty")]
-    fn rewarding_penalty_is_rejected() {
-        let inner = |_: &Configuration| 1.0;
-        let _ = PenalizedObjective::new(inner, |_| true, 0.5);
     }
 }

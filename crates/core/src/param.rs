@@ -225,7 +225,7 @@ impl Param {
 
     /// A value by label (enums) or parse (ints/reals); convenience for tests
     /// and configuration files.
-    pub fn value_from_str(&self, s: &str) -> Result<ParamValue> {
+    pub(crate) fn value_from_str(&self, s: &str) -> Result<ParamValue> {
         let mismatch = |expected: String| HarmonyError::TypeMismatch {
             name: self.name().to_string(),
             expected,

@@ -8,21 +8,19 @@
 //!
 //! Since the persistent performance database landed, [`PriorRunDb`] is the
 //! in-memory *query layer* over it rather than a storage format of its own:
-//! [`PerfStore::priors`](crate::store::PerfStore::priors) /
-//! [`priors_for`](crate::store::PerfStore::priors_for) materialize one from
-//! the store's live records, and the warm-start surfaces
+//! `PerfStore::priors_for` materializes one from the store's live records
+//! of one application, and the warm-start surfaces
 //! ([`PerfStore::seed_for`](crate::store::PerfStore::seed_for),
 //! [`PerfStore::narrowed_space`](crate::store::PerfStore::narrowed_space))
-//! delegate through it. Hand-built databases (e.g. from a [`History`]
-//! (crate::history::History) via [`PriorRunDb::record_history`]) keep
-//! working unchanged.
+//! delegate through it. Hand-built databases (e.g. from a
+//! [`History`](crate::history::History) via
+//! [`PriorRunDb::record_history`]) keep working unchanged.
 
 use crate::space::{Configuration, SearchSpace};
 use crate::strategy::StartPoint;
-use serde::{Deserialize, Serialize};
 
 /// A remembered `(configuration, cost)` outcome of a prior tuning run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PriorRun {
     /// Label of the application/problem the run belongs to.
     pub app: String,
@@ -33,7 +31,7 @@ pub struct PriorRun {
 }
 
 /// A small database of prior tuning results, queryable by application label.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PriorRunDb {
     runs: Vec<PriorRun>,
 }
@@ -73,7 +71,7 @@ impl PriorRunDb {
     }
 
     /// The `k` best prior configurations for `app`, best first.
-    pub fn best_for(&self, app: &str, k: usize) -> Vec<&PriorRun> {
+    pub(crate) fn best_for(&self, app: &str, k: usize) -> Vec<&PriorRun> {
         let mut matches: Vec<&PriorRun> = self.runs.iter().filter(|r| r.app == app).collect();
         matches.sort_by(|a, b| {
             a.cost
@@ -120,18 +118,6 @@ impl PriorRunDb {
             points.push(coords);
         }
         StartPoint::Simplex(points)
-    }
-
-    /// Serialize the database to JSON (e.g. to persist tuning knowledge
-    /// between sessions, as the SC'04 technique assumes).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("prior-run db serializes")
-    }
-
-    /// Load a database from JSON.
-    pub fn from_json(s: &str) -> crate::error::Result<Self> {
-        serde_json::from_str(s)
-            .map_err(|e| crate::error::HarmonyError::Protocol(format!("bad prior-run db: {e}")))
     }
 
     /// Narrow an integer/real space around the prior-good region: for every
@@ -315,19 +301,6 @@ mod tests {
         let db = PriorRunDb::new();
         let same = db.narrowed_space("a", &s, 0.1).unwrap();
         assert_eq!(same.cardinality(), s.cardinality());
-    }
-
-    #[test]
-    fn db_roundtrips_through_json() {
-        let s = space();
-        let mut db = PriorRunDb::new();
-        db.record("gs2", s.project(&[10.0, 20.0]), 55.06);
-        db.record("pop", s.project(&[30.0, 40.0]), 1.23);
-        let json = db.to_json();
-        let back = PriorRunDb::from_json(&json).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back.best_for("gs2", 1)[0].cost, 55.06);
-        assert!(PriorRunDb::from_json("not json").is_err());
     }
 
     #[test]

@@ -49,12 +49,6 @@ pub fn percentile_rank(samples: &[f64], value: f64) -> f64 {
     100.0 * below as f64 / samples.len() as f64
 }
 
-/// Fraction (0–100) of samples strictly below a threshold — the paper's
-/// "less than 2% of configurations run under 200 seconds" observation.
-pub fn fraction_below_pct(samples: &[f64], threshold: f64) -> f64 {
-    percentile_rank(samples, threshold)
-}
-
 /// Histogram of a cost distribution with `bins` equal-width buckets, for
 /// regenerating Figure 6. Returns `(bucket_upper_bounds, counts)`.
 pub fn histogram(samples: &[f64], bins: usize) -> (Vec<f64>, Vec<usize>) {
@@ -75,40 +69,6 @@ pub fn histogram(samples: &[f64], bins: usize) -> (Vec<f64>, Vec<usize>) {
     }
     let bounds = (1..=bins).map(|i| lo + width * i as f64).collect();
     (bounds, counts)
-}
-
-/// Basic descriptive statistics of a sample set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SampleStats {
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Median (average of middle two for even counts).
-    pub median: f64,
-}
-
-/// Compute [`SampleStats`]; returns `None` for an empty slice.
-pub fn sample_stats(samples: &[f64]) -> Option<SampleStats> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let n = sorted.len();
-    let median = if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        0.5 * (sorted[n / 2 - 1] + sorted[n / 2])
-    };
-    Some(SampleStats {
-        min: sorted[0],
-        max: sorted[n - 1],
-        mean: sorted.iter().sum::<f64>() / n as f64,
-        median,
-    })
 }
 
 #[cfg(test)]
@@ -151,15 +111,5 @@ mod tests {
         let samples = vec![5.0; 7];
         let (_, counts) = histogram(&samples, 4);
         assert_eq!(counts.iter().sum::<usize>(), 7);
-    }
-
-    #[test]
-    fn stats_are_correct() {
-        let s = sample_stats(&[4.0, 1.0, 3.0, 2.0]).unwrap();
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        assert_eq!(s.mean, 2.5);
-        assert_eq!(s.median, 2.5);
-        assert!(sample_stats(&[]).is_none());
     }
 }

@@ -53,15 +53,6 @@ impl RetryPolicy {
         }
     }
 
-    /// A policy with `max_attempts` tries and its jitter sequence seeded.
-    pub fn with_seed(max_attempts: u32, seed: u64) -> Self {
-        RetryPolicy {
-            max_attempts: max_attempts.max(1),
-            seed,
-            ..Default::default()
-        }
-    }
-
     /// The sleep before retry number `retry` (0-based: the delay after the
     /// first failed attempt is `delay(0)`). Exponential growth capped at
     /// `max_delay`, with the jitter fraction carved off deterministically
@@ -89,7 +80,7 @@ impl RetryPolicy {
     /// [`run`](Self::run), with each backoff sleep recorded on `telemetry`
     /// (a [`Counter::RetryBackoffs`] tick and a
     /// [`Latency::RetryBackoffSleep`] observation per sleep).
-    pub fn run_observed<T, F>(&self, telemetry: &Telemetry, mut op: F) -> Result<T>
+    pub(crate) fn run_observed<T, F>(&self, telemetry: &Telemetry, mut op: F) -> Result<T>
     where
         F: FnMut() -> Result<T>,
     {

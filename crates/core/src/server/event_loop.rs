@@ -10,7 +10,7 @@
 //! floor and how `epoll` slots in behind the same trait). The loops also
 //! take turns at the listener, so no thread waits in `accept` and new
 //! connections are dealt round-robin among the loops.
-//! What a loop does with a connection's bytes is its [`Service`]: the
+//! What a loop does with a connection's bytes is its `Service`: the
 //! tuning protocol on a TCP server, HTTP on the observe plane.
 //!
 //! # Per-connection state machine

@@ -100,7 +100,7 @@
 //! `/status`.
 //!
 //! Servers federate through their performance stores: with
-//! [`ServerConfig::sync_peers`] set, the server's [`chores`] thread
+//! [`ServerConfig::sync_peers`] set, the server's `chores` thread
 //! periodically pulls each peer's record log over the observer HTTP plane
 //! (`GET /store/log?from=SEQ`) and merges it into the local store
 //! ([`crate::store::PerfStore::merge_records`]: first write wins, so the
@@ -138,7 +138,7 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGua
 use std::time::{Duration, Instant};
 
 /// The tenant label members get when they declare none.
-pub const DEFAULT_TENANT: &str = "default";
+pub(crate) const DEFAULT_TENANT: &str = "default";
 
 /// Map an empty (wire-default) tenant label to [`DEFAULT_TENANT`].
 fn canonical_tenant(tenant: &str) -> &str {
@@ -216,7 +216,7 @@ pub struct ServerConfig {
     /// Shared performance store ([`crate::store`]). When set, every session
     /// consults it before dispatching a trial — a configuration whose cost
     /// is already on record is answered inside the session
-    /// ([`TuningSession::suggest_batch_with`]) without a round trip to any
+    /// (`TuningSession::suggest_batch_with`) without a round trip to any
     /// client — and records every fresh measurement into it.
     pub store: Option<SharedStore>,
     /// Most sessions one tenant may hold open at once; a `Register` past
@@ -656,7 +656,7 @@ fn in_span(cfg: &ServerConfig, session: u64, handle: impl FnOnce() -> Reply) -> 
 }
 
 /// Handle to a running Harmony server: its sessions, plus one
-/// `harmony-chores` thread for its timed work ([`chores`]) when it has a
+/// `harmony-chores` thread for its timed work (`chores`) when it has a
 /// time series or sync peers. Requests are served by the threads that send
 /// them, so the server runs no other thread; a TCP front-end adds its
 /// event-loop threads, and [`observe`](Self::observe) adds one loop thread
@@ -747,7 +747,11 @@ impl HarmonyServer {
     /// is carried for the wire format's sake only: a member belongs to the
     /// tenant its session was founded under, for accounting and for quotas
     /// alike.
-    pub fn attach_as(&self, session: u64, tenant: impl Into<String>) -> Result<HarmonyClient> {
+    pub(crate) fn attach_as(
+        &self,
+        session: u64,
+        tenant: impl Into<String>,
+    ) -> Result<HarmonyClient> {
         HarmonyClient::attach(self.bus(), session, tenant.into())
     }
 
@@ -865,7 +869,10 @@ impl HarmonyServer {
                         Reply::Ok
                     }
                     Request::Seal { options, strategy } => {
-                        let b = builder.take().expect("builder present while building");
+                        // Built from a copy: a refused `Seal` (say, a chain
+                        // naming an unknown parameter) leaves the builder in
+                        // place, so the next request is refused the same way.
+                        let b = builder.clone().expect("builder present while building");
                         match b.build() {
                             Ok(space) => {
                                 let fingerprint = space_fingerprint(&space);

@@ -29,16 +29,8 @@ pub struct Interest {
 
 impl Interest {
     /// Read-only interest.
-    pub const READ: Interest = Interest {
+    pub(crate) const READ: Interest = Interest {
         read: true,
-        write: false,
-    };
-
-    /// No interest: the descriptor stays registered (errors still surface)
-    /// but neither direction wakes the loop. This is how backpressure
-    /// parks a connection.
-    pub const NONE: Interest = Interest {
-        read: false,
         write: false,
     };
 }
@@ -116,11 +108,11 @@ mod sys {
     #[cfg(not(target_os = "linux"))]
     pub type nfds_t = u32;
 
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-    pub const POLLNVAL: i16 = 0x020;
+    pub(crate) const POLLIN: i16 = 0x001;
+    pub(crate) const POLLOUT: i16 = 0x004;
+    pub(crate) const POLLERR: i16 = 0x008;
+    pub(crate) const POLLHUP: i16 = 0x010;
+    pub(crate) const POLLNVAL: i16 = 0x020;
 
     extern "C" {
         pub fn poll(fds: *mut pollfd, nfds: nfds_t, timeout: std::ffi::c_int) -> std::ffi::c_int;
@@ -265,7 +257,7 @@ impl WakeReceiver {
 }
 
 /// Build a connected waker pair, both ends nonblocking.
-pub fn waker_pair() -> io::Result<(Waker, WakeReceiver)> {
+pub(crate) fn waker_pair() -> io::Result<(Waker, WakeReceiver)> {
     #[cfg(unix)]
     let (tx, rx) = WakePipe::pair()?;
     #[cfg(not(unix))]
@@ -336,6 +328,8 @@ mod tests {
         assert_eq!(server.read(&mut buf).unwrap(), 4);
     }
 
+    /// The event loop polls a connection it may not read from and has
+    /// nothing to write to with no interest at all (`interest_of`).
     #[test]
     fn no_interest_never_wakes_for_data() {
         if !cfg!(unix) {
@@ -350,7 +344,7 @@ mod tests {
         let mut out = Vec::new();
         let n = poller
             .wait(
-                &[(poll_fd(&server), Interest::NONE)],
+                &[(poll_fd(&server), Interest::default())],
                 &mut out,
                 Duration::from_millis(20),
             )

@@ -107,8 +107,9 @@ pub enum Request {
         /// Tuning algorithm to use.
         strategy: StrategyKind,
     },
-    /// Ask for the next configuration to run: a [`FetchBatch`]
-    /// (Self::FetchBatch) of one, answered in the [`Reply::Config`] shape.
+    /// Ask for the next configuration to run: a
+    /// [`FetchBatch`](Self::FetchBatch) of one, answered in the
+    /// [`Reply::Config`] shape.
     Fetch,
     /// Report the measured cost of the last fetched configuration: a
     /// one-entry [`ReportBatch`](Self::ReportBatch) for the caller's oldest
@@ -254,7 +255,7 @@ pub enum Reply {
 /// and `ReportBatch` before a session sees the values — a hostile or buggy
 /// client must not be able to corrupt the shared trajectory. Note the wire
 /// format makes this reachable: raw JSON like `1e999` parses to `+inf`.
-pub fn sanitize_measurement(cost: f64, wall_time: f64) -> (f64, f64, bool) {
+pub(crate) fn sanitize_measurement(cost: f64, wall_time: f64) -> (f64, f64, bool) {
     let clamped = !cost.is_finite() || !wall_time.is_finite();
     (
         if cost.is_finite() {

@@ -4,7 +4,7 @@
 //! compute nodes connected to. This module puts the same serde
 //! [`protocol`](super::protocol) on a socket: one JSON message per line,
 //! one tuning client per connection. The in-process
-//! [`HarmonyServer`](super::HarmonyServer) remains the adaptation
+//! [`HarmonyServer`] remains the adaptation
 //! controller; connections are bridged onto its message bus.
 //!
 //! The bridging is done by the nonblocking readiness
@@ -334,7 +334,11 @@ impl TcpHarmonyClient {
     }
 
     /// [`attach`](Self::attach) with explicit retry/timeout options.
-    pub fn attach_with(addr: SocketAddr, session: u64, opts: TcpClientOptions) -> Result<Self> {
+    pub(crate) fn attach_with(
+        addr: SocketAddr,
+        session: u64,
+        opts: TcpClientOptions,
+    ) -> Result<Self> {
         let mut client = TcpHarmonyClient {
             addr,
             opts,

@@ -20,7 +20,7 @@
 //! session frees a handful of buffers however many points it measured.
 //!
 //! Costs known from outside the session — the persistent performance store
-//! — are resolved inside it too: [`TuningSession::suggest_batch_with`] asks
+//! — are resolved inside it too: `TuningSession::suggest_batch_with` asks
 //! a memo about each new proposal's cache key, and a hit is applied on the
 //! spot (a `cached` history row that charges no time) instead of leaving as
 //! a trial. The Harmony server and the off-line tuner both serve their
@@ -190,7 +190,7 @@ impl Memo {
 
 /// Live introspection snapshot of a session, for the observability plane.
 ///
-/// A lock-brief copy: [`TuningSession::search_snapshot`] clones the small
+/// A lock-brief copy: `TuningSession::search_snapshot` clones the small
 /// pieces (best configuration, simplex vertex costs) and nothing else, so
 /// it is safe to call from an observer thread while the session is being
 /// driven.
@@ -234,25 +234,6 @@ pub struct TuningResult {
     pub history: History,
     /// Name of the strategy that produced the result.
     pub strategy: &'static str,
-}
-
-impl TuningResult {
-    /// Improvement of the best cost relative to a baseline cost, as a
-    /// fraction in `[0, 1)` (paper reports `(default − tuned) / default`).
-    pub fn improvement_over(&self, baseline_cost: f64) -> f64 {
-        if baseline_cost <= 0.0 {
-            return 0.0;
-        }
-        (baseline_cost - self.best_cost) / baseline_cost
-    }
-
-    /// Speedup factor `baseline / tuned` (the paper's "5.1× faster").
-    pub fn speedup_over(&self, baseline_cost: f64) -> f64 {
-        if self.best_cost <= 0.0 {
-            return f64::INFINITY;
-        }
-        baseline_cost / self.best_cost
-    }
 }
 
 /// The adaptation-controller loop around one application's search space.
@@ -315,7 +296,7 @@ impl TuningSession {
     /// Proposed / Measured / Reported / Replayed lifecycle events and their
     /// counters on it. Recording is a pure observer — it never influences
     /// the trajectory.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+    pub(crate) fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.strategy.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
     }
@@ -343,7 +324,7 @@ impl TuningSession {
     /// Lock-brief introspection snapshot for the observability plane: the
     /// strategy's live search state (simplex geometry, move counts,
     /// convergence spread) plus the session's own progress bookkeeping.
-    pub fn search_snapshot(&self) -> SearchSnapshot {
+    pub(crate) fn search_snapshot(&self) -> SearchSnapshot {
         SearchSnapshot {
             strategy: self.strategy.name(),
             evaluations: self.fresh_evals,
@@ -363,7 +344,7 @@ impl TuningSession {
 
     /// Pre-load a known measurement (e.g. the default configuration's cost
     /// from a previous production run) without consuming budget.
-    pub fn preload(&mut self, config: &Configuration, cost: f64) {
+    pub(crate) fn preload(&mut self, config: &Configuration, cost: f64) {
         self.cache.insert(&config.cache_key(), cost);
         self.update_best(config, cost);
     }
@@ -426,7 +407,7 @@ impl TuningSession {
     /// tracking, strategy feedback and stop checks advance as for a
     /// measurement. Served proposals never become trials and do not count
     /// towards `max`; `None` hands the proposal out as a trial.
-    pub fn suggest_batch_with<M>(&mut self, max: usize, mut memo: M) -> Vec<Trial>
+    pub(crate) fn suggest_batch_with<M>(&mut self, max: usize, mut memo: M) -> Vec<Trial>
     where
         M: FnMut(usize, &[i64]) -> Option<f64>,
     {
@@ -553,7 +534,7 @@ impl TuningSession {
     /// charged to the cumulative tuning time (nothing actually ran).
     ///
     /// A caller that can answer from a memo before the trial leaves the
-    /// session should pass it to [`suggest_batch_with`](Self::suggest_batch_with)
+    /// session should pass it to `suggest_batch_with`
     /// instead: same outcome, without building the trial.
     pub fn report_stored(&mut self, trial: Trial, cost: f64) -> Result<()> {
         if self.stopped.is_some() {
@@ -707,21 +688,6 @@ impl TuningSession {
     {
         while let Some(trial) = self.suggest() {
             let cost = objective(&trial.config);
-            self.report(trial, cost)
-                .expect("session accepts report for its own trial");
-        }
-        self.result()
-    }
-
-    /// Drive the session against any [`Objective`](crate::objective::Objective)
-    /// implementation (composite time/fidelity objectives, penalised
-    /// objectives, …).
-    pub fn run_objective(
-        &mut self,
-        objective: &mut dyn crate::objective::Objective,
-    ) -> TuningResult {
-        while let Some(trial) = self.suggest() {
-            let cost = objective.evaluate(&trial.config);
             self.report(trial, cost)
                 .expect("session accepts report for its own trial");
         }
@@ -927,24 +893,9 @@ mod tests {
     }
 
     #[test]
-    fn improvement_and_speedup_math() {
-        let mut s = TuningSession::new(
-            space(),
-            Box::new(RandomSearch::new()),
-            SessionOptions {
-                max_evaluations: 3,
-                seed: 8,
-                ..Default::default()
-            },
-        );
-        let r = s.run(|_| 50.0);
-        assert!((r.improvement_over(100.0) - 0.5).abs() < 1e-12);
-        assert!((r.speedup_over(100.0) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn run_objective_drives_composite_objectives() {
-        let mut obj = crate::objective::TradeoffObjective::new(
+        use crate::objective::{Objective, TradeoffObjective};
+        let mut obj = TradeoffObjective::new(
             |cfg: &Configuration| bowl(cfg),
             |cfg: &Configuration| (cfg.int("x").unwrap() as f64 - 31.0).abs() / 40.0,
             0.5,
@@ -958,7 +909,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let r = s.run_objective(&mut obj);
+        let r = s.run(|cfg| obj.evaluate(cfg));
         assert!(r.best_cost <= 12.0, "best={}", r.best_cost);
     }
 

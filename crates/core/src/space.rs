@@ -222,7 +222,7 @@ impl SearchSpace {
     }
 
     /// Index of a parameter by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
+    pub(crate) fn index_of(&self, name: &str) -> Option<usize> {
         self.params.iter().position(|p| p.name() == name)
     }
 
@@ -395,7 +395,7 @@ impl SearchSpace {
     }
 
     /// A uniformly random continuous point inside the box (pre-repair).
-    pub fn sample_coords<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
+    pub(crate) fn sample_coords<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
         self.params
             .iter()
             .map(|p| {
@@ -468,7 +468,7 @@ impl SearchSpace {
 }
 
 /// Incremental builder for [`SearchSpace`].
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct SearchSpaceBuilder {
     params: Vec<Param>,
     constraints: Vec<Arc<dyn Constraint>>,
@@ -512,7 +512,7 @@ impl SearchSpaceBuilder {
     /// [`SearchSpace::constraints`]), as it is: a space derived from
     /// another keeps its constraints' specs, and so its fingerprint and
     /// its compiled propagation.
-    pub fn shared_constraint(mut self, c: Arc<dyn Constraint>) -> Self {
+    pub(crate) fn shared_constraint(mut self, c: Arc<dyn Constraint>) -> Self {
         self.constraints.push(c);
         self
     }

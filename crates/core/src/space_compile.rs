@@ -59,7 +59,7 @@
 //!
 //! # One walk, two scores
 //!
-//! The walk minimises a [`Separable`] score: a root value plus one term
+//! The walk minimises a `Separable` score: a root value plus one term
 //! per dimension, each a function of that dimension's lattice index alone.
 //! It descends the enumeration tree in order, carrying the root plus the
 //! prefix's terms, and skips a subtree when that sum, plus a lower bound on
@@ -277,8 +277,6 @@ pub struct PointCursor {
     scratch: Option<Configuration>,
     /// Lattice points skipped by subtree pruning so far.
     pruned: u64,
-    /// Valid points yielded so far.
-    yielded: u64,
     /// Prefix checks performed so far: the walk's unit of work, whichever
     /// of enumeration, counting or snapping drove it.
     checks: u64,
@@ -286,7 +284,7 @@ pub struct PointCursor {
 
 impl PointCursor {
     /// Lattice indices of the current point (valid after
-    /// [`CompiledSpace::next_point`] returned `true`).
+    /// `CompiledSpace::next_point` returned `true`).
     pub fn indices(&self) -> &[u64] {
         &self.idx
     }
@@ -294,11 +292,6 @@ impl PointCursor {
     /// Lattice points skipped by subtree pruning so far.
     pub fn pruned(&self) -> u64 {
         self.pruned
-    }
-
-    /// Valid points yielded so far.
-    pub fn yielded(&self) -> u64 {
-        self.yielded
     }
 
     /// Prefix checks performed so far.
@@ -648,7 +641,6 @@ impl CompiledSpace {
             limit0: band.last,
             scratch: None,
             pruned: 0,
-            yielded: 0,
             checks: 0,
         }
     }
@@ -688,7 +680,7 @@ impl CompiledSpace {
     /// Candidates stream in lexicographic (mixed-radix, dimension 0 most
     /// significant) order; subtrees whose prefix provably cannot be
     /// completed are skipped without being visited.
-    pub fn next_point(&self, cur: &mut PointCursor) -> bool {
+    pub(crate) fn next_point(&self, cur: &mut PointCursor) -> bool {
         if cur.done {
             return false;
         }
@@ -738,7 +730,6 @@ impl CompiledSpace {
                     }
                 }
             }
-            cur.yielded += 1;
             return true;
         }
     }
@@ -1293,7 +1284,7 @@ fn lower_hi(dim: &mut CompiledDim, ceil: f64) -> bool {
     }
 }
 
-/// Iterator sugar over [`CompiledSpace::next_point`].
+/// Iterator sugar over `CompiledSpace::next_point`.
 #[derive(Debug)]
 pub struct ValidPoints<'a> {
     cs: &'a CompiledSpace,

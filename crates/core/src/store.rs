@@ -43,7 +43,7 @@
 //! log with them, so the file cannot grow without bound;
 //! [`PerfStore::gc`] is compaction filtered to one application's records.
 //! A rewrite moves records to new positions, so it also starts a new
-//! [`generation`](PerfStore::generation): a peer pulling the log by
+//! `generation`: a peer pulling the log by
 //! position re-pulls from 0 when the generation it last saw is gone.
 //!
 //! # In memory
@@ -86,8 +86,8 @@
 //! one served forever after, which is what makes a warm run against the
 //! store replay the cold run's trajectory bit-identically. Sessions are
 //! served inside their own proposal loop: the server and the off-line
-//! tuner pass [`lookup_after`](PerfStore::lookup_after) as the memo of
-//! [`TuningSession::suggest_batch_with`](crate::session::TuningSession::suggest_batch_with).
+//! tuner pass `lookup_after` as the memo of
+//! `TuningSession::suggest_batch_with`.
 //!
 //! A replay asks for records in the order the cold run wrote them, so
 //! `lookup_after` first checks the record after the caller's last hit and
@@ -170,9 +170,9 @@ pub struct StoreRecord {
 }
 
 impl StoreRecord {
-    /// A record with zeroed provenance; chain [`with_provenance`]
-    /// (Self::with_provenance) and [`with_flags`](Self::with_flags) to fill
-    /// it in.
+    /// A record with zeroed provenance; chain
+    /// [`with_provenance`](Self::with_provenance) and
+    /// [`with_flags`](Self::with_flags) to fill it in.
     pub fn new(
         app: impl Into<String>,
         fingerprint: u64,
@@ -298,7 +298,7 @@ pub struct CompactionStats {
 ///
 /// FNV-1a over the serde_json encoding of the parameter list — hand-rolled
 /// and version-stable, unlike `DefaultHasher`. Constraints that expose a
-/// canonical [`fingerprint_token`](crate::constraint::ConstraintSpec::fingerprint_token)
+/// canonical `fingerprint_token`
 /// are folded in *order-insensitively* (each token hashed independently,
 /// combined with a commutative wrapping sum), so two spaces that differ
 /// only in constraint ordering fingerprint identically. Spaces with no
@@ -1119,7 +1119,7 @@ impl PerfStore {
     /// to pass — stale, past the end, on another key — because the guess
     /// is verified before it is served. Answers exactly what `lookup`
     /// answers, and counts and times the same.
-    pub fn lookup_after(
+    pub(crate) fn lookup_after(
         &self,
         app: &str,
         fingerprint: u64,
@@ -1309,7 +1309,7 @@ impl PerfStore {
     /// from 0 — merges are idempotent, so over-serving is harmless. A
     /// compaction can also move records *beneath* a puller's `from`
     /// without shortening the log that far; only the
-    /// [`generation`](Self::generation) tells the puller that.
+    /// `generation` tells the puller that.
     pub fn encode_log_from(&self, from: usize) -> (usize, String) {
         let len = self.records.len();
         let start = if from <= len { from } else { 0 };
@@ -1327,7 +1327,7 @@ impl PerfStore {
     /// when the store is opened and at every compaction, so a puller that
     /// holds a position from another generation knows to re-pull from 0.
     /// Not stored on disk.
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
 
@@ -1337,7 +1337,7 @@ impl PerfStore {
     }
 
     /// Appends not yet covered by a sync.
-    pub fn unsynced(&self) -> usize {
+    pub(crate) fn unsynced(&self) -> usize {
         self.log.unsynced()
     }
 
@@ -1427,23 +1427,15 @@ impl PerfStore {
             .collect()
     }
 
-    /// Materialize the in-memory prior-run view over every live record
-    /// (see [`PriorRunDb`] — since the store subsumed it, that type is the
-    /// query layer and this is its constructor).
-    pub fn priors(&self) -> PriorRunDb {
-        self.priors_where(|_| true)
-    }
-
-    /// [`priors`](Self::priors) filtered to one application label.
-    pub fn priors_for(&self, app: &str) -> PriorRunDb {
-        self.priors_where(|rec| rec.app == app)
-    }
-
-    fn priors_where(&self, keep: impl Fn(&StoreRecord) -> bool) -> PriorRunDb {
+    /// Materialize the in-memory prior-run view over the live records of
+    /// one application label (see [`PriorRunDb`] — since the store
+    /// subsumed it, that type is the query layer and this is its
+    /// constructor).
+    pub(crate) fn priors_for(&self, app: &str) -> PriorRunDb {
         let mut db = PriorRunDb::new();
         for pos in self.records.live_positions() {
             let rec = self.records.record(pos);
-            if keep(&rec) {
+            if rec.app == app {
                 let cost = rec.cost();
                 db.record(rec.app, rec.config, cost);
             }
@@ -1490,8 +1482,8 @@ const FLUSH_QUIESCENCE: std::time::Duration = std::time::Duration::from_millis(5
 /// more, and paying it while holding the store lock stalls every
 /// session's report path (visible as p99 spikes and throughput collapse
 /// in the bench regression gate). Instead a background flusher thread
-/// polls every [`FLUSH_INTERVAL`] and group-commits once the append
-/// path has been quiet for [`FLUSH_QUIESCENCE`], syncing on a cloned
+/// polls every `FLUSH_INTERVAL` and group-commits once the append
+/// path has been quiet for `FLUSH_QUIESCENCE`, syncing on a cloned
 /// file descriptor *outside* the lock. When the last handle drops, the
 /// store's log still syncs the tail synchronously.
 #[derive(Clone)]
@@ -1556,7 +1548,7 @@ impl SharedStore {
     }
 
     /// Locked [`PerfStore::lookup_after`].
-    pub fn lookup_after(
+    pub(crate) fn lookup_after(
         &self,
         app: &str,
         fingerprint: u64,
@@ -1599,7 +1591,7 @@ impl SharedStore {
 
     /// Locked [`PerfStore::unsynced`]: appended records not yet fsynced —
     /// the flush-lag gauge the SLO engine watches.
-    pub fn unsynced(&self) -> usize {
+    pub(crate) fn unsynced(&self) -> usize {
         lock(&self.0).unsynced()
     }
 

@@ -71,9 +71,6 @@ struct SynergyPair {
 /// Genetic algorithm with synergy-pair seeding.
 pub struct Genetic {
     opts: GeneticOptions,
-    /// Externally provided seed points (e.g. best configurations mined
-    /// from a performance store) injected into generation 0.
-    seeds: Vec<Vec<f64>>,
     /// Current generation's batch, proposed in order.
     batch: Vec<Vec<f64>>,
     proposed: usize,
@@ -105,7 +102,6 @@ impl Genetic {
                 tournament: opts.tournament.max(2),
                 ..opts
             },
-            seeds: Vec::new(),
             batch: Vec::new(),
             proposed: 0,
             answered: 0,
@@ -117,13 +113,6 @@ impl Genetic {
             best: f64::INFINITY,
             started: false,
         }
-    }
-
-    /// Inject prior-run points (e.g. low-cost configurations from a
-    /// performance store) into the initial population.
-    pub fn with_seeds(mut self, seeds: Vec<Vec<f64>>) -> Self {
-        self.seeds = seeds;
-        self
     }
 
     /// The lattice point of `coords` ([`SearchSpace::snap`]) as its cache
@@ -166,12 +155,6 @@ impl Genetic {
 
     fn seed_generation(&mut self, space: &SearchSpace, rng: &mut StdRng) {
         self.batch.clear();
-        let seeds = std::mem::take(&mut self.seeds);
-        for s in &seeds {
-            if self.batch.len() < self.opts.population {
-                self.admit(space, s);
-            }
-        }
         while self.batch.len() < self.opts.population {
             self.admit_random(space, rng);
         }
@@ -489,17 +472,6 @@ mod tests {
             stream
         };
         assert_eq!(serial, batched);
-    }
-
-    #[test]
-    fn seeds_enter_generation_zero() {
-        let space = space2d();
-        let seed = vec![40.0, 40.0];
-        let mut s = Genetic::default().with_seeds(vec![seed.clone()]);
-        let mut rng = StdRng::seed_from_u64(1);
-        s.init(&space, &mut rng);
-        let first = s.propose(&space, &mut rng).unwrap();
-        assert_eq!(first, seed);
     }
 
     #[test]

@@ -17,8 +17,8 @@ use std::collections::HashSet;
 /// *skipped* (and points whose per-dimension lattice snap collides with an
 /// already-proposed point are deduplicated) rather than repaired into
 /// duplicate configurations; the number of proposals may therefore fall
-/// short of [`planned_samples`](Self::planned_samples). Unconstrained
-/// spaces keep the exact historical stream.
+/// short of the planned `∏ lᵢ`. Unconstrained spaces keep the exact
+/// historical stream.
 #[derive(Debug)]
 pub struct GridSearch {
     target: usize,
@@ -41,16 +41,6 @@ impl GridSearch {
             proposed: HashSet::new(),
             done: false,
             started: false,
-        }
-    }
-
-    /// The exact number of grid points that will be proposed (available
-    /// after `init`).
-    pub fn planned_samples(&self) -> usize {
-        if self.levels.is_empty() {
-            0
-        } else {
-            self.levels.iter().map(Vec::len).product()
         }
     }
 
@@ -174,13 +164,17 @@ mod tests {
             .unwrap()
     }
 
+    /// Every proposal of a grid over `s`, counted to exhaustion.
+    fn proposals(s: &SearchSpace, target: usize) -> usize {
+        let mut g = GridSearch::new(target);
+        let mut rng = StdRng::seed_from_u64(0);
+        g.init(s, &mut rng);
+        std::iter::from_fn(|| g.propose(s, &mut rng)).count()
+    }
+
     #[test]
     fn planned_samples_close_to_target() {
-        let s = space();
-        let mut g = GridSearch::new(36);
-        let mut rng = StdRng::seed_from_u64(0);
-        g.init(&s, &mut rng);
-        let n = g.planned_samples();
+        let n = proposals(&space(), 36);
         assert!((25..=36).contains(&n), "planned={n}");
     }
 
@@ -198,7 +192,7 @@ mod tests {
             count += 1;
             assert!(count <= 25, "grid overshot its budget");
         }
-        assert_eq!(count, g.planned_samples());
+        assert_eq!(count, 25, "a 5×5 grid");
         assert_eq!(seen.len(), count, "grid points projected onto duplicates");
         assert!(g.converged());
     }
@@ -210,12 +204,10 @@ mod tests {
             .int("n", 0, 99, 1)
             .build()
             .unwrap();
-        let mut g = GridSearch::new(1000);
-        let mut rng = StdRng::seed_from_u64(0);
-        g.init(&s, &mut rng);
         // 2 levels max on the enum; remaining budget goes to `n`.
-        assert!(g.planned_samples() <= 1000);
-        assert!(g.planned_samples() >= 2 * 100); // n fully expands to 100 levels
+        let n = proposals(&s, 1000);
+        assert!(n <= 1000);
+        assert!(n >= 2 * 100); // n fully expands to 100 levels
     }
 
     #[test]

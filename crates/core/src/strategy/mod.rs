@@ -189,8 +189,7 @@ pub trait SearchStrategy: Send {
     /// Attach a telemetry handle (optional). Strategies that record their
     /// own counters or latencies (e.g. [`Surrogate`]) override this;
     /// recording is a pure observer and never influences the trajectory.
-    /// The session forwards its own handle here on
-    /// [`set_telemetry`](crate::session::TuningSession::set_telemetry).
+    /// The session forwards its own handle here on its `set_telemetry`.
     fn set_telemetry(&mut self, _telemetry: Telemetry) {}
 }
 

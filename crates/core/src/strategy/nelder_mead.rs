@@ -148,14 +148,6 @@ impl NelderMead {
         }
     }
 
-    /// Convenience: a simplex search seeded from explicit start coordinates.
-    pub fn from_start(coords: Vec<f64>) -> Self {
-        Self::new(NelderMeadOptions {
-            start: StartPoint::Coords(coords),
-            ..Default::default()
-        })
-    }
-
     /// Number of times the simplex collapsed and was re-seeded.
     pub fn restarts(&self) -> usize {
         self.restarts

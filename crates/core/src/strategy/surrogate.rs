@@ -300,7 +300,7 @@ impl Surrogate {
     }
 
     /// Surrogate over an explicit inner strategy.
-    pub fn with_inner(opts: SurrogateOptions, inner: Box<dyn SearchStrategy>) -> Self {
+    pub(crate) fn with_inner(opts: SurrogateOptions, inner: Box<dyn SearchStrategy>) -> Self {
         Surrogate {
             opts,
             inner,
@@ -313,13 +313,6 @@ impl Surrogate {
             model_proposals: 0,
             telemetry: Telemetry::disabled(),
         }
-    }
-
-    /// Pre-seed the sample set with prior measurements (e.g. performance
-    /// store records) so the first fit happens sooner.
-    pub fn with_prior_samples(mut self, samples: Vec<(Vec<f64>, f64)>) -> Self {
-        self.samples = samples;
-        self
     }
 
     fn min_samples(&self, dims: usize) -> usize {
@@ -1079,7 +1072,10 @@ mod tests {
                 (c, cost)
             })
             .collect();
-        let mut s = Surrogate::default().with_prior_samples(priors);
+        let mut s = Surrogate {
+            samples: priors,
+            ..Surrogate::default()
+        };
         s.init(&space, &mut rng);
         let _ = s.propose(&space, &mut rng);
         assert!(
@@ -1089,24 +1085,6 @@ mod tests {
             "the model is trusted, so the argmin was asked"
         );
         assert_eq!((s.model_proposals, s.fallbacks), (0, 1));
-    }
-
-    #[test]
-    fn prior_samples_accelerate_the_first_fit() {
-        let space = bowl_space();
-        let mut rng = StdRng::seed_from_u64(9);
-        let priors: Vec<(Vec<f64>, f64)> = (0..12)
-            .map(|_| {
-                let c = space.sample_coords(&mut rng);
-                let cost = bowl(&space.project(&c));
-                (c, cost)
-            })
-            .collect();
-        let mut s = Surrogate::default().with_prior_samples(priors);
-        let mut rng2 = StdRng::seed_from_u64(10);
-        s.init(&space, &mut rng2);
-        let _ = s.propose(&space, &mut rng2).unwrap();
-        assert!(s.model.is_some(), "prior samples should enable a fit");
     }
 
     #[test]

@@ -59,17 +59,17 @@ use std::time::{Duration, Instant};
 
 /// Default capacity of the bounded event ring (events beyond it evict the
 /// oldest and bump [`Telemetry::dropped_events`]).
-pub const DEFAULT_EVENT_CAPACITY: usize = 65_536;
+pub(crate) const DEFAULT_EVENT_CAPACITY: usize = 65_536;
 
 /// Most distinct tenant labels the per-tenant counter table will hold.
 /// Labels past the cap are folded into [`TENANT_OVERFLOW_LABEL`], so a
 /// tenant-id flood (a client minting a fresh label per request) cannot
 /// grow the exposition or the sampler's memory without bound.
-pub const MAX_TENANT_LABELS: usize = 64;
+pub(crate) const MAX_TENANT_LABELS: usize = 64;
 
 /// The aggregate label tenants are folded into once [`MAX_TENANT_LABELS`]
 /// distinct labels exist.
-pub const TENANT_OVERFLOW_LABEL: &str = "__overflow__";
+pub(crate) const TENANT_OVERFLOW_LABEL: &str = "__overflow__";
 
 /// Lifecycle stage of a trial (or member) event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
@@ -182,16 +182,13 @@ pub enum Counter {
     /// Chunks served by compiled-space enumeration
     /// ([`CompiledSpace::next_chunk`](crate::space_compile::CompiledSpace::next_chunk)).
     SpaceChunksEnumerated,
-    /// Inner tuning campaigns launched by the meta-tuning harness (fresh
-    /// runs only — store-memoized campaigns don't count).
-    MetaInnerCampaigns,
     /// Surrogate-strategy proposals that fell back to the inner strategy
     /// (model unfit or its argmin already evaluated).
     SurrogateFallbacks,
 }
 
 /// Number of [`Counter`] variants (size of the per-handle counter array).
-const COUNTER_COUNT: usize = 32;
+const COUNTER_COUNT: usize = 31;
 
 impl Counter {
     /// Every counter, in rendering order.
@@ -226,7 +223,6 @@ impl Counter {
         Counter::StoreMergeConflicts,
         Counter::SpacePointsPruned,
         Counter::SpaceChunksEnumerated,
-        Counter::MetaInnerCampaigns,
         Counter::SurrogateFallbacks,
     ];
 
@@ -264,16 +260,14 @@ impl Counter {
             Counter::StoreMergeConflicts => "store_merge_conflicts",
             Counter::SpacePointsPruned => "space_points_pruned",
             Counter::SpaceChunksEnumerated => "space_chunks_enumerated",
-            Counter::MetaInnerCampaigns => "meta_inner_campaigns",
             Counter::SurrogateFallbacks => "surrogate_fallbacks",
         }
     }
 
+    /// Position in [`ALL`](Self::ALL), which lists the variants in
+    /// declaration order.
     fn idx(&self) -> usize {
-        Counter::ALL
-            .iter()
-            .position(|c| c == self)
-            .expect("every counter is in ALL")
+        *self as usize
     }
 }
 
@@ -316,7 +310,7 @@ const LATENCY_COUNT: usize = 11;
 
 /// Log2 bucket count per histogram: upper bounds 1µs, 2µs, … 2^24µs
 /// (~16.8s), plus a +Inf overflow bucket.
-pub const HISTO_BUCKETS: usize = 26;
+pub(crate) const HISTO_BUCKETS: usize = 26;
 
 /// The hot counters that are additionally sliced per tenant. Each renders
 /// as one labeled Prometheus family `ah_<name>_total{tenant="..."}`.
@@ -337,7 +331,7 @@ pub enum TenantMetric {
 }
 
 /// Number of [`TenantMetric`] variants (columns of the per-tenant table).
-pub const TENANT_METRIC_COUNT: usize = 4;
+pub(crate) const TENANT_METRIC_COUNT: usize = 4;
 
 impl TenantMetric {
     /// Every per-tenant metric, in rendering order.
@@ -359,11 +353,10 @@ impl TenantMetric {
         }
     }
 
+    /// Position in [`ALL`](Self::ALL), which lists the variants in
+    /// declaration order.
     fn idx(&self) -> usize {
-        TenantMetric::ALL
-            .iter()
-            .position(|m| m == self)
-            .expect("every tenant metric is in ALL")
+        *self as usize
     }
 }
 
@@ -401,11 +394,10 @@ impl Latency {
         }
     }
 
+    /// Position in [`ALL`](Self::ALL), which lists the variants in
+    /// declaration order.
     fn idx(&self) -> usize {
-        Latency::ALL
-            .iter()
-            .position(|l| l == self)
-            .expect("every latency is in ALL")
+        *self as usize
     }
 }
 
@@ -603,7 +595,7 @@ impl HistoSnapshot {
     /// snapshot is empty and `+Inf` when the rank falls in the overflow
     /// bucket — both make SLO comparisons behave sensibly (no data is not
     /// a breach; an overflow tail always is).
-    pub fn percentile_us(&self, q: f64) -> Option<f64> {
+    pub(crate) fn percentile_us(&self, q: f64) -> Option<f64> {
         if self.count == 0 {
             return None;
         }
@@ -623,13 +615,13 @@ impl HistoSnapshot {
     }
 
     /// Mean observation, in microseconds (`None` when empty).
-    pub fn mean_us(&self) -> Option<f64> {
+    pub(crate) fn mean_us(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum_us as f64 / self.count as f64)
     }
 
     /// Compact JSON summary (`p50`/`p99`/`mean` in microseconds + `count`)
     /// for history endpoints — raw buckets stay internal to the ring.
-    pub fn summary_json(&self) -> serde_json::Value {
+    pub(crate) fn summary_json(&self) -> serde_json::Value {
         serde_json::json!({
             "count": self.count,
             "p50_us": self.percentile_us(0.50),
@@ -683,7 +675,7 @@ impl Telemetry {
         Telemetry(None)
     }
 
-    /// An enabled handle with the [`DEFAULT_EVENT_CAPACITY`] event ring.
+    /// An enabled handle with the `DEFAULT_EVENT_CAPACITY` event ring.
     pub fn enabled() -> Self {
         Self::with_capacity(DEFAULT_EVENT_CAPACITY)
     }
@@ -709,7 +701,7 @@ impl Telemetry {
     }
 
     /// True when this handle actually records.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.0.is_some()
     }
 
@@ -763,7 +755,7 @@ impl Telemetry {
     /// labels are bounded by [`MAX_TENANT_LABELS`]; once the table is full,
     /// new labels aggregate into [`TENANT_OVERFLOW_LABEL`] so unbounded
     /// tenant-id churn cannot grow the exposition.
-    pub fn tenant_add(&self, tenant: &str, metric: TenantMetric, n: u64) {
+    pub(crate) fn tenant_add(&self, tenant: &str, metric: TenantMetric, n: u64) {
         let Some(inner) = &self.0 else { return };
         let mut table = lock(&inner.tenants);
         let label = if table.iter().any(|(t, _)| t == tenant) || table.len() < MAX_TENANT_LABELS {
@@ -781,22 +773,9 @@ impl Telemetry {
         }
     }
 
-    /// Current value of one tenant-sliced counter (0 when disabled or the
-    /// tenant was never recorded).
-    pub fn tenant_counter(&self, tenant: &str, metric: TenantMetric) -> u64 {
-        match &self.0 {
-            Some(inner) => lock(&inner.tenants)
-                .iter()
-                .find(|(t, _)| t == tenant)
-                .map(|(_, row)| row[metric.idx()])
-                .unwrap_or(0),
-            None => 0,
-        }
-    }
-
     /// Snapshot of the per-tenant table, in first-seen order: one
     /// `(tenant, [value per TenantMetric::ALL])` row per label.
-    pub fn tenant_counters(&self) -> Vec<(String, [u64; TENANT_METRIC_COUNT])> {
+    pub(crate) fn tenant_counters(&self) -> Vec<(String, [u64; TENANT_METRIC_COUNT])> {
         match &self.0 {
             Some(inner) => lock(&inner.tenants).clone(),
             None => Vec::new(),
@@ -805,7 +784,7 @@ impl Telemetry {
 
     /// The per-tenant table as JSON: `{tenant: {metric: value, ...}, ...}`
     /// in first-seen order (shared by `/status` and `repro fleet`).
-    pub fn tenant_counters_json(&self) -> serde_json::Value {
+    pub(crate) fn tenant_counters_json(&self) -> serde_json::Value {
         serde_json::Value::Object(
             self.tenant_counters()
                 .into_iter()
@@ -1429,6 +1408,21 @@ mod tests {
         assert_eq!(v["store_hits"].as_u64(), Some(1));
     }
 
+    /// `idx` is the discriminant, so each `ALL` must list its enum in
+    /// declaration order.
+    #[test]
+    fn every_all_array_is_in_declaration_order() {
+        for (i, c) in Counter::ALL.iter().enumerate() {
+            assert_eq!(c.idx(), i, "{c:?}");
+        }
+        for (i, l) in Latency::ALL.iter().enumerate() {
+            assert_eq!(l.idx(), i, "{l:?}");
+        }
+        for (i, m) in TenantMetric::ALL.iter().enumerate() {
+            assert_eq!(m.idx(), i, "{m:?}");
+        }
+    }
+
     /// Exposition conformance: every `# TYPE` line is matched by samples of
     /// the declared kind, histogram `+Inf` buckets equal `_count`, no
     /// metric is declared twice, and the labeled per-tenant families carry
@@ -1575,11 +1569,11 @@ mod tests {
         let table = t.tenant_counters();
         // MAX distinct labels plus the single overflow row.
         assert_eq!(table.len(), MAX_TENANT_LABELS + 1);
-        assert_eq!(t.tenant_counter("tenant-0", TenantMetric::Evaluations), 5);
-        assert_eq!(
-            t.tenant_counter(TENANT_OVERFLOW_LABEL, TenantMetric::Evaluations),
-            10
-        );
+        let evaluations = |tenant: &str| {
+            table.iter().find(|(t, _)| t == tenant).unwrap().1[TenantMetric::Evaluations.idx()]
+        };
+        assert_eq!(evaluations("tenant-0"), 5);
+        assert_eq!(evaluations(TENANT_OVERFLOW_LABEL), 10);
         // The total is conserved across the fold.
         let total: u64 = table
             .iter()
@@ -1617,7 +1611,6 @@ mod tests {
         let t = Telemetry::disabled();
         t.tenant_add("acme", TenantMetric::Reports, 3);
         assert!(t.tenant_counters().is_empty());
-        assert_eq!(t.tenant_counter("acme", TenantMetric::Reports), 0);
         assert_eq!(t.histogram(Latency::FetchBatchRtt), HistoSnapshot::zero());
     }
 }

@@ -15,7 +15,7 @@
 //! * `op` — `<`, `<=`, `>`, `>=`. The rule *holds* (is healthy) when
 //!   `value op threshold` is true.
 //! * `window_s` — evaluation window in (possibly fractional) seconds;
-//!   defaults to [`DEFAULT_WINDOW`].
+//!   defaults to `DEFAULT_WINDOW`.
 //!
 //! Examples: `report_batch_rtt_p99<0.5@30`, `store_unsynced<10000`,
 //! `quota_refusals_rate<100@60`, `open_spans<100000`.
@@ -33,7 +33,7 @@ use super::timeseries::TimeSeries;
 use std::time::Duration;
 
 /// Default evaluation window when a rule omits `@window_s`.
-pub const DEFAULT_WINDOW: Duration = Duration::from_secs(60);
+pub(crate) const DEFAULT_WINDOW: Duration = Duration::from_secs(60);
 
 /// Comparison operator of an SLO rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,7 +50,7 @@ pub enum SloOp {
 
 impl SloOp {
     /// The operator's source token.
-    pub fn symbol(&self) -> &'static str {
+    pub(crate) fn symbol(&self) -> &'static str {
         match self {
             SloOp::Lt => "<",
             SloOp::Le => "<=",
@@ -97,7 +97,7 @@ impl SloRule {
 }
 
 /// Parse one rule from the grammar in the [module docs](self).
-pub fn parse_rule(spec: &str) -> Result<SloRule, String> {
+pub(crate) fn parse_rule(spec: &str) -> Result<SloRule, String> {
     let spec = spec.trim();
     let (op_at, op, op_len) = ["<=", ">=", "<", ">"]
         .iter()

@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 pub const DEFAULT_RING_CAPACITY: usize = 512;
 
 /// A server's sampling interval when `ServerConfig::sample_interval` is zero.
-pub const DEFAULT_SAMPLE_INTERVAL: Duration = Duration::from_secs(1);
+pub(crate) const DEFAULT_SAMPLE_INTERVAL: Duration = Duration::from_secs(1);
 
 /// A gauge read on every sampling tick: any `Fn() -> f64` closure (queue
 /// depths, unsynced store records, open spans, ...).
@@ -133,7 +133,7 @@ impl TimeSeries {
     }
 
     /// Register (or replace) a gauge read on every sampling tick.
-    pub fn register_gauge(&self, name: &str, f: impl Fn() -> f64 + Send + Sync + 'static) {
+    pub(crate) fn register_gauge(&self, name: &str, f: impl Fn() -> f64 + Send + Sync + 'static) {
         let mut gauges = lock(&self.inner.gauges);
         match gauges.iter_mut().find(|(n, _)| n == name) {
             Some((_, slot)) => *slot = Box::new(f),
@@ -182,13 +182,13 @@ impl TimeSeries {
     }
 
     /// The newest sample, if any.
-    pub fn latest(&self) -> Option<Sample> {
+    pub(crate) fn latest(&self) -> Option<Sample> {
         lock(&self.inner.ring).back().cloned()
     }
 
     /// The retained samples whose age (relative to the newest sample) is
     /// within `window`, oldest first.
-    pub fn samples_within(&self, window: Duration) -> Vec<Sample> {
+    pub(crate) fn samples_within(&self, window: Duration) -> Vec<Sample> {
         let ring = lock(&self.inner.ring);
         let Some(last) = ring.back() else {
             return Vec::new();
@@ -277,7 +277,7 @@ impl TimeSeries {
     /// The `/metrics/history` document: windowed rates, deltas, latency
     /// summaries, gauge values, and the raw sample series (counters +
     /// gauges per tick; histogram buckets stay internal).
-    pub fn history_json(&self, window: Duration) -> serde_json::Value {
+    pub(crate) fn history_json(&self, window: Duration) -> serde_json::Value {
         use serde_json::Value;
         let samples = self.samples_within(window);
         let stats = self.window(window);

@@ -35,7 +35,7 @@ impl ParamValue {
     }
 
     /// The real payload, if this is a [`ParamValue::Real`].
-    pub fn as_real(&self) -> Option<f64> {
+    pub(crate) fn as_real(&self) -> Option<f64> {
         match self {
             ParamValue::Real(v) => Some(*v),
             _ => None,
@@ -43,7 +43,7 @@ impl ParamValue {
     }
 
     /// The selected categorical label, if this is an [`ParamValue::Enum`].
-    pub fn as_enum(&self) -> Option<&str> {
+    pub(crate) fn as_enum(&self) -> Option<&str> {
         match self {
             ParamValue::Enum { label, .. } => Some(label),
             _ => None,

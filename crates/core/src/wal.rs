@@ -58,13 +58,13 @@ use std::path::Path;
 use std::time::Instant;
 
 /// Current log format version (line 1 of every log).
-pub const WAL_VERSION: u32 = 1;
+pub(crate) const WAL_VERSION: u32 = 1;
 
 /// Everything needed to rebuild a tuning session from scratch: the first
 /// line of every write-ahead log.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WalHeader {
-    /// Log format version ([`WAL_VERSION`]).
+    /// Log format version (`WAL_VERSION`).
     pub version: u32,
     /// Application label (informational; carried into results).
     pub app: String,
@@ -79,7 +79,7 @@ pub struct WalHeader {
 }
 
 impl WalHeader {
-    /// Convenience constructor stamping the current [`WAL_VERSION`].
+    /// Convenience constructor stamping the current `WAL_VERSION`.
     pub fn new(
         app: impl Into<String>,
         params: Vec<Param>,
@@ -185,7 +185,7 @@ impl WalSession {
 
     /// [`create`](Self::create), recording WAL appends and session
     /// lifecycle events on `telemetry`.
-    pub fn create_with(
+    pub(crate) fn create_with(
         path: impl AsRef<Path>,
         header: &WalHeader,
         telemetry: Telemetry,
@@ -292,7 +292,7 @@ impl WalSession {
 
     /// [`open_or_create`](Self::open_or_create) with a telemetry handle
     /// threaded into whichever path is taken.
-    pub fn open_or_create_with(
+    pub(crate) fn open_or_create_with(
         path: impl AsRef<Path>,
         header: &WalHeader,
         telemetry: Telemetry,

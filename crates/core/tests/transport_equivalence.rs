@@ -230,3 +230,134 @@ fn pro_batches_are_transport_invariant() {
     let event_loop = tcp_history(StrategyKind::Pro, 4242, &plan);
     assert_eq!(event_loop, want);
 }
+
+/// Load imbalance of a four-way split of 40 rows at the boundaries
+/// `b0 ≤ b1 ≤ b2`: the slowest part's weighted row count.
+fn imbalance(cfg: &Configuration) -> f64 {
+    let b: Vec<i64> = ["b0", "b1", "b2"]
+        .iter()
+        .map(|n| cfg.int(n).expect("boundary"))
+        .collect();
+    let edges = [0, b[0], b[1], b[2], 40];
+    let weights = [1.0, 1.5, 0.8, 1.2];
+    (0..4)
+        .map(|i| weights[i] * (edges[i + 1] - edges[i]) as f64)
+        .fold(0.0, f64::max)
+}
+
+fn boundaries() -> Vec<Param> {
+    ["b0", "b1", "b2"]
+        .iter()
+        .map(|n| Param::int(*n, 1, 39, 1))
+        .collect()
+}
+
+fn chained(cfg: &Configuration) -> bool {
+    let b = |n| cfg.int(n).expect("boundary");
+    b("b0") <= b("b1") && b("b1") <= b("b2")
+}
+
+/// `(iteration, configuration, cost bits, cached)` per evaluation.
+fn rows(h: &History) -> Vec<(usize, Vec<i64>, u64, bool)> {
+    h.evaluations()
+        .iter()
+        .map(|e| {
+            (
+                e.iteration,
+                e.config.cache_key(),
+                e.cost.to_bits(),
+                e.cached,
+            )
+        })
+        .collect()
+}
+
+/// A monotone chain declared through either client is the chain a local
+/// session tunes under: every fetched configuration satisfies it and the
+/// history is the local one to the bit. A chain naming a parameter the
+/// session does not have is refused at `Seal` with a typed error, and the
+/// session answers later requests with errors, not a panic.
+#[test]
+fn a_declared_monotone_chain_is_served_as_a_local_session_tunes_it() {
+    for strategy in [StrategyKind::NelderMead, StrategyKind::Genetic] {
+        let space = boundaries()
+            .into_iter()
+            .fold(SearchSpace::builder(), |b, p| b.param(p))
+            .constraint(MonotoneChain::new(["b0", "b1", "b2"]))
+            .build()
+            .unwrap();
+        let want = rows(
+            &TuningSession::new(space, strategy.build(), options(17))
+                .run(imbalance)
+                .history,
+        );
+
+        let server = HarmonyServer::start();
+        let c = server.connect("chain").unwrap();
+        for p in boundaries() {
+            c.add_param(p).unwrap();
+        }
+        c.add_monotone_chain(["b0", "b1", "b2"]).unwrap();
+        c.seal(options(17), strategy.clone()).unwrap();
+        loop {
+            let f = c.fetch().unwrap();
+            assert!(chained(&f.config), "{strategy:?} fetched {}", f.config);
+            if f.finished {
+                break;
+            }
+            c.report(imbalance(&f.config)).unwrap();
+        }
+        assert_eq!(
+            rows(&c.history().unwrap().0),
+            want,
+            "{strategy:?} in-process"
+        );
+        server.shutdown();
+
+        let server = TcpHarmonyServer::bind_with_limit("127.0.0.1:0", 4).expect("bind");
+        let mut c = TcpHarmonyClient::connect(server.local_addr(), "chain").unwrap();
+        for p in boundaries() {
+            c.add_param(p).unwrap();
+        }
+        c.add_monotone_chain(["b0", "b1", "b2"]).unwrap();
+        c.seal(options(17), strategy.clone()).unwrap();
+        loop {
+            let (config, finished) = c.fetch().unwrap();
+            assert!(chained(&config), "{strategy:?} fetched {config} over TCP");
+            if finished {
+                break;
+            }
+            c.report(imbalance(&config)).unwrap();
+        }
+        assert_eq!(rows(&c.history().unwrap().0), want, "{strategy:?} over TCP");
+        c.close();
+        server.shutdown();
+    }
+
+    let refused = |e: HarmonyError| match e {
+        HarmonyError::Protocol(m) => assert!(m.contains("b9"), "{m}"),
+        other => panic!("expected a protocol error naming b9, got {other:?}"),
+    };
+    let server = HarmonyServer::start();
+    let c = server.connect("bad-chain").unwrap();
+    for p in boundaries() {
+        c.add_param(p).unwrap();
+    }
+    c.add_monotone_chain(["b0", "b9"]).unwrap();
+    refused(c.seal(options(17), StrategyKind::NelderMead).unwrap_err());
+    refused(c.seal(options(17), StrategyKind::NelderMead).unwrap_err());
+    assert!(matches!(c.fetch(), Err(HarmonyError::Protocol(_))));
+    server.shutdown();
+
+    let server = TcpHarmonyServer::bind_with_limit("127.0.0.1:0", 4).expect("bind");
+    let mut c = TcpHarmonyClient::connect(server.local_addr(), "bad-chain").unwrap();
+    for p in boundaries() {
+        c.add_param(p).unwrap();
+    }
+    c.add_monotone_chain(["b0", "b9"]).unwrap();
+    refused(c.seal(options(17), StrategyKind::NelderMead).unwrap_err());
+    refused(c.seal(options(17), StrategyKind::NelderMead).unwrap_err());
+    assert!(matches!(c.fetch(), Err(HarmonyError::Protocol(_))));
+    c.close();
+    server.shutdown();
+}

@@ -22,6 +22,7 @@ use ah_core::space::Configuration;
 use ah_core::store::SharedStore;
 use ah_core::telemetry::{Counter, Telemetry};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The experiment.
 pub struct Warmstart;
@@ -118,18 +119,27 @@ impl Experiment for Warmstart {
         let evals = if quick { 60 } else { 200 };
         // With an explicit --store the database persists across
         // invocations (the file is never cleared here); otherwise use a
-        // throwaway path and start genuinely cold.
+        // throwaway file, start genuinely cold and remove it after.
         let path: PathBuf = match &ctx.store {
             Some(p) => p.clone(),
             None => {
-                let p =
-                    std::env::temp_dir().join(format!("ah-warmstart-{}.store", std::process::id()));
+                static RUNS: AtomicUsize = AtomicUsize::new(0);
+                let run = RUNS.fetch_add(1, Ordering::Relaxed);
+                let name = format!("ah-warmstart-{}-{run}.store", std::process::id());
+                let p = std::env::temp_dir().join(name);
                 let _ = std::fs::remove_file(&p);
                 p
             }
         };
         let cold = campaign(&path, evals);
         let warm = campaign(&path, evals);
+        let store = match &ctx.store {
+            Some(p) => p.display().to_string(),
+            None => {
+                let _ = std::fs::remove_file(&path);
+                "a throwaway store".to_string()
+            }
+        };
 
         let served = warm.evaluations.saturating_sub(warm.measured);
         let served_fraction = served as f64 / warm.evaluations.max(1) as f64;
@@ -141,7 +151,7 @@ impl Experiment for Warmstart {
             "App `{APP}`, {evals}-evaluation Nelder-Mead campaigns, store: {}\n\
              cold: measured {}/{} evaluations ({} store hits)\n\
              warm: measured {}/{} evaluations ({} store hits, {:.1}% served)\n",
-            path.display(),
+            store,
             cold.measured,
             cold.evaluations,
             cold.store_hits,
@@ -208,10 +218,11 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let ctx = RunCtx {
             quick: true,
-            store: Some(path),
+            store: Some(path.clone()),
         };
         let first = Warmstart.run(&ctx);
         let second = Warmstart.run(&ctx);
+        std::fs::remove_file(&path).unwrap();
         // Second invocation starts warm: even its first campaign hits.
         assert_eq!(first.data["cold_store_hits"].as_u64(), Some(0));
         assert!(second.data["cold_store_hits"].as_u64().unwrap() > 0);

@@ -6,7 +6,7 @@
 //! at a fixed fraction of the demonstrably achievable improvement.
 //! Campaigns that exhaust their budget without reaching the target score
 //! `2 × budget` (a finite "did not finish" penalty that still orders
-//! near-misses by their remaining gap — see [`score`]).
+//! near-misses by their remaining gap — see `score`).
 //!
 //! The race covers the paper's three application families (POP block
 //! sizes, POP namelist parameters, PETSc SLES decomposition boundaries —

@@ -41,28 +41,46 @@ fn main() {
     let offline = tuner.tune(&mut app, Box::new(NelderMead::default()));
 
     // --- On-line: continuous run, distribution re-chosen per interval. ---
+    // The application registers the boundaries and their ordering with the
+    // Harmony server, then fetches and reports between intervals.
     let cavity = DrivenCavity::new(50, ny, hetero_p4_p2(), 2); // 2-sweep intervals
-    let mut online = OnlineTuner::new(
-        boundary_space(ny, 4),
-        Box::new(NelderMead::default()),
-        SessionOptions {
-            max_evaluations: evals,
-            seed: 91,
-            ..Default::default()
-        },
-    );
-    let mut online_wall = WARMUP; // started once, warmed up once
-    while !online.settled() {
-        let cfg = online.fetch();
-        let dist = partition_from_config(&cfg, ny, 4);
-        let t = cavity.run_time(&dist);
-        online_wall += t;
-        online.report(t);
+    let server = HarmonyServer::start();
+    let client = server.connect("cavity").expect("server reachable");
+    let space = boundary_space(ny, 4);
+    for param in space.params() {
+        client.add_param(param.clone()).expect("declare boundary");
     }
-    let (online_best_cfg, _) = online.best().expect("online produced measurements");
+    client
+        .add_monotone_chain(space.params().iter().map(Param::name))
+        .expect("declare boundary order");
+    client
+        .seal(
+            SessionOptions {
+                max_evaluations: evals,
+                seed: 91,
+                ..Default::default()
+            },
+            StrategyKind::NelderMead,
+        )
+        .expect("start tuning");
+    let mut online_wall = WARMUP; // started once, warmed up once
+    loop {
+        let fetched = client.fetch().expect("server reachable");
+        if fetched.finished {
+            break;
+        }
+        let t = cavity.run_time(&partition_from_config(&fetched.config, ny, 4));
+        online_wall += t;
+        client.report(t).expect("server reachable");
+    }
+    let (online_best_cfg, _) = client
+        .best()
+        .expect("server reachable")
+        .expect("online produced measurements");
+    server.shutdown();
     // Score both winners on the same 20-sweep yardstick.
     let yardstick = DrivenCavity::new(50, ny, hetero_p4_p2(), 20);
-    let online_final = yardstick.run_time(&partition_from_config(online_best_cfg, ny, 4));
+    let online_final = yardstick.run_time(&partition_from_config(&online_best_cfg, ny, 4));
     let offline_final =
         yardstick.run_time(&partition_from_config(&offline.result.best_config, ny, 4));
 

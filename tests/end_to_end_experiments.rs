@@ -10,6 +10,7 @@ use ah_repro::{all_experiments, RunCtx};
 
 #[test]
 fn every_experiment_runs_in_quick_mode_and_renders() {
+    let temp = std::env::temp_dir();
     for e in all_experiments() {
         let report = e.run(&RunCtx::quick(true));
         assert_eq!(report.id, e.id());
@@ -22,9 +23,26 @@ fn every_experiment_runs_in_quick_mode_and_renders() {
             "experiment {} mismatched in quick mode:\n{rendered}",
             e.id()
         );
-        // The JSON payload must serialize (the CLI dumps it).
+        // The JSON payload must serialize (the CLI dumps it), and must not
+        // name a scratch file: the reports are compared byte for byte
+        // across invocations.
         let blob = serde_json::to_string(&report).expect("report serializes");
         assert!(blob.len() > 2);
+        assert!(
+            !blob.contains(&*temp.to_string_lossy()),
+            "{} names the temporary directory {}",
+            e.id(),
+            temp.display()
+        );
+    }
+    // No throwaway store outlives its run.
+    let leftover = format!("ah-warmstart-{}", std::process::id());
+    for entry in std::fs::read_dir(&temp).unwrap() {
+        let name = entry.unwrap().file_name();
+        assert!(
+            !name.to_string_lossy().starts_with(&leftover),
+            "{name:?} was left behind"
+        );
     }
 }
 

@@ -128,17 +128,30 @@ fn online_tuner_converges_on_simulated_sles_interval() {
     let mut problem = ah_petsc::SlesProblem::new(a, ones(100), machine);
     problem.set_iterations(50);
 
+    // It declares the boundaries and their ordering to the Harmony server.
     let space = ah_petsc::tunable::boundary_space(100, 4);
-    let mut tuner = OnlineTuner::new(space, Box::new(NelderMead::default()), opts(60, 9));
+    let server = HarmonyServer::start();
+    let client = server.connect("sles").unwrap();
+    for param in space.params() {
+        client.add_param(param.clone()).unwrap();
+    }
+    client
+        .add_monotone_chain(space.params().iter().map(Param::name))
+        .unwrap();
+    client.seal(opts(60, 9), StrategyKind::NelderMead).unwrap();
     let default_time = problem.solve(&RowPartition::even(100, 4)).time;
     let mut best_seen = f64::INFINITY;
-    while !tuner.settled() {
-        let cfg = tuner.fetch();
-        let part = ah_petsc::tunable::partition_from_config(&cfg, 100, 4);
+    loop {
+        let fetched = client.fetch().unwrap();
+        if fetched.finished {
+            break;
+        }
+        let part = ah_petsc::tunable::partition_from_config(&fetched.config, 100, 4);
         let t = problem.solve(&part).time;
         best_seen = best_seen.min(t);
-        tuner.report(t);
+        client.report(t).unwrap();
     }
+    server.shutdown();
     assert!(best_seen <= default_time * 1.001);
 }
 
