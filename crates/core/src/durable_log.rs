@@ -397,10 +397,8 @@ mod tests {
         out
     }
 
-    fn temp_path(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("ah-log-tests-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("{tag}.log"))
+    fn temp_path(tag: &str) -> crate::TempPath {
+        crate::TempPath::new(&format!("log-{tag}.log"))
     }
 
     /// Open `path`: the log, the `n` of every record, a torn tail dropped.

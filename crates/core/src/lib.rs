@@ -118,6 +118,47 @@ pub mod prelude {
     pub use crate::wal::{WalHeader, WalSession};
 }
 
+/// A file path of a unit test's own, `<tmp>/ah-<pid>-<file>/<file>`: its
+/// directory is made empty on creation and removed, with whatever the test
+/// left in it, when the guard drops. Derefs to the file's path.
+#[cfg(test)]
+struct TempPath(std::path::PathBuf);
+
+#[cfg(test)]
+impl TempPath {
+    fn new(file: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("ah-{}-{file}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        TempPath(dir.join(file))
+    }
+}
+
+#[cfg(test)]
+impl std::ops::Deref for TempPath {
+    type Target = std::path::Path;
+
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+#[cfg(test)]
+impl AsRef<std::path::Path> for TempPath {
+    fn as_ref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+#[cfg(test)]
+impl Drop for TempPath {
+    fn drop(&mut self) {
+        if let Some(dir) = self.0.parent() {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::lock;

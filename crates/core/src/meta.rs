@@ -575,10 +575,8 @@ mod tests {
         }
     }
 
-    fn temp_store(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("ah-meta-tests-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("{tag}.store"))
+    fn temp_store(tag: &str) -> crate::TempPath {
+        crate::TempPath::new(&format!("meta-{tag}.store"))
     }
 
     #[test]

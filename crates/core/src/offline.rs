@@ -334,9 +334,7 @@ mod tests {
 
     #[test]
     fn store_backed_retune_serves_everything_and_charges_nothing() {
-        let dir = std::env::temp_dir().join(format!("ah-offline-store-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("retune.store");
+        let path = crate::TempPath::new("offline-retune.store");
         let _ = std::fs::remove_file(&path);
         let store = SharedStore::open(&path).unwrap();
         let opts = SessionOptions {

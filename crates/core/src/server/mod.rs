@@ -24,7 +24,7 @@
 //! (`Table`, behind a read-write lock) maps session ids and member client
 //! ids to cells. A request takes the read lock only to clone its cell's
 //! `Arc`, then locks the cell and is served there: tenant accounting, the
-//! queue-wait sample, the `shard_handle` span, `handle`. Requests of
+//! `session_wait` sample, the `session_serve` span, `handle`. Requests of
 //! different sessions never wait for each other. Requests of one session —
 //! its members, all of one tenant — take turns at its cell, and since
 //! reports apply in proposal order, their order cannot move the search
@@ -32,10 +32,9 @@
 //! connection, a TTL eviction) take the table's write lock briefly, after
 //! the cell's.
 //!
-//! The serving metrics keep their names: `shard_queue_wait` (and a
-//! tenant's `queue_wait_us`) is the wait for a session's cell, and a
-//! `shard_handle` span (track `session`, id = the session id) is the
-//! service of one request on it.
+//! `session_wait` (and a tenant's `session_wait_us`) is the wait for a
+//! session's cell, and a `session_serve` span (track `session`, id = the
+//! session id) is the service of one request on it.
 //!
 //! # Sessions, members, and fault tolerance
 //!
@@ -95,9 +94,10 @@
 //! [`ServerConfig::tenant_max_sessions`] /
 //! [`ServerConfig::tenant_max_inflight`] bound what any one tenant can hold
 //! open — refusals are the typed [`Reply::QuotaExceeded`], which clients
-//! treat as retryable backpressure. Per-tenant accounting lives in the
-//! shared [`TenantRegistry`] the observability plane snapshots for
-//! `/status`.
+//! treat as retryable backpressure. Per-tenant accounting is relaxed atomics
+//! on the tenant's [`TenantStats`], which a request already holds, so it
+//! takes no lock; the observability plane reads the shared
+//! [`TenantRegistry`] for `/status` and `/metrics`.
 //!
 //! Servers federate through their performance stores: with
 //! [`ServerConfig::sync_peers`] set, the server's `chores` thread
@@ -129,7 +129,10 @@ use crate::space::SearchSpaceBuilder;
 use crate::store::{space_fingerprint, SharedStore, StoreRecord};
 use crate::telemetry::slo::SloRule;
 use crate::telemetry::timeseries::TimeSeries;
-use crate::telemetry::{Counter, Latency, SpanKind, Telemetry, TenantMetric, TrialStage};
+use crate::telemetry::{
+    Counter, Latency, SpanKind, Telemetry, TenantMetric, TenantRow, TrialStage, MAX_TENANT_LABELS,
+    TENANT_METRIC_COUNT, TENANT_OVERFLOW_LABEL,
+};
 use chores::Chores;
 use protocol::{sanitize_measurement, FetchedTrial, Reply, Request, TrialReport};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -151,7 +154,7 @@ fn canonical_tenant(tenant: &str) -> &str {
 
 /// Live accounting for one tenant, shared between its sessions, quota
 /// checks, and the observability plane. All counters are relaxed: they
-/// gate quotas and feed `/status`, neither of which needs ordering.
+/// gate quotas and feed the observe plane, neither of which needs ordering.
 #[derive(Debug, Default)]
 pub struct TenantStats {
     /// Sessions with at least one live member.
@@ -160,20 +163,58 @@ pub struct TenantStats {
     pub inflight: AtomicU64,
     /// Requests served to completion since the server started.
     pub served: AtomicU64,
+    /// One counter per [`TenantMetric`].
+    metrics: [AtomicU64; TENANT_METRIC_COUNT],
+}
+
+impl TenantStats {
+    fn add(&self, metric: TenantMetric, n: u64) {
+        self.metrics[metric.idx()].fetch_add(n, Ordering::Relaxed);
+    }
 }
 
 /// Registry of per-tenant stats, shared by the sessions, the server's
 /// configuration and the observability plane. The mutex guards only the
-/// name→stats map; the stats themselves are lock-free atomics.
+/// map of names to arrival order and stats; the stats are lock-free atomics.
 #[derive(Debug, Clone, Default)]
 pub struct TenantRegistry {
-    inner: Arc<Mutex<HashMap<String, Arc<TenantStats>>>>,
+    inner: Arc<Mutex<Tenants>>,
 }
+
+type Tenants = HashMap<String, (usize, Arc<TenantStats>)>;
 
 impl TenantRegistry {
     /// The stats cell for `tenant`, created on first use.
     pub fn stats(&self, tenant: &str) -> Arc<TenantStats> {
-        Arc::clone(lock(&self.inner).entry(tenant.to_string()).or_default())
+        let mut map = lock(&self.inner);
+        if let Some((_, stats)) = map.get(tenant) {
+            return Arc::clone(stats);
+        }
+        let stats = Arc::<TenantStats>::default();
+        let arrival = map.len();
+        map.insert(tenant.to_string(), (arrival, Arc::clone(&stats)));
+        stats
+    }
+
+    /// Every tenant's [`TenantMetric`] counters in arrival order: the first
+    /// [`MAX_TENANT_LABELS`] under their own labels, the rest summed into
+    /// one [`TENANT_OVERFLOW_LABEL`] row.
+    pub(crate) fn metric_rows(&self) -> Vec<TenantRow> {
+        let map = lock(&self.inner);
+        let mut rows = vec![TenantRow::default(); map.len().min(MAX_TENANT_LABELS + 1)];
+        for (name, (arrival, stats)) in map.iter() {
+            let (label, sums) = &mut rows[(*arrival).min(MAX_TENANT_LABELS)];
+            if *arrival < MAX_TENANT_LABELS {
+                label.clone_from(name);
+            }
+            for (sum, metric) in sums.iter_mut().zip(&stats.metrics) {
+                *sum += metric.load(Ordering::Relaxed);
+            }
+        }
+        if let Some((label, _)) = rows.get_mut(MAX_TENANT_LABELS) {
+            *label = TENANT_OVERFLOW_LABEL.to_string();
+        }
+        rows
     }
 
     /// Snapshot of every tenant ever seen, sorted by name:
@@ -181,7 +222,7 @@ impl TenantRegistry {
     pub fn snapshot(&self) -> Vec<(String, u64, u64, u64)> {
         let mut rows: Vec<_> = lock(&self.inner)
             .iter()
-            .map(|(name, s)| {
+            .map(|(name, (_, s))| {
                 (
                     name.clone(),
                     s.sessions.load(Ordering::Relaxed),
@@ -260,6 +301,25 @@ pub struct ServerConfig {
     /// [`crate::telemetry::slo`]). Empty (default) means `/healthz` always
     /// answers 200 with zero rules.
     pub slo_rules: Vec<SloRule>,
+}
+
+impl ServerConfig {
+    /// The server's Prometheus exposition, as `GET /metrics` serves it:
+    /// every counter and histogram of its [`telemetry`](Self::telemetry)
+    /// and, when that is enabled, one `ah_tenant_<metric>_total` family per
+    /// [`TenantMetric`] from its [`tenants`](Self::tenants).
+    pub fn prometheus(&self) -> String {
+        self.telemetry.prometheus(&self.tenant_rows())
+    }
+
+    /// The registry's per-tenant rows when telemetry is enabled, else none.
+    pub(crate) fn tenant_rows(&self) -> Vec<TenantRow> {
+        if self.telemetry.is_enabled() {
+            self.tenants.metric_rows()
+        } else {
+            Vec::new()
+        }
+    }
 }
 
 /// Upper bound on the work of one fetch request: on the trials it may
@@ -484,7 +544,7 @@ impl ServerBus {
         let tenant = canonical_tenant(tenant).to_string();
         let stats = cfg.tenants.stats(&tenant);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        account(cfg, &tenant, &stats, arrived);
+        account(cfg, &stats, arrived);
         in_span(cfg, id, || {
             // Claim-then-check keeps the cap exact when registers race.
             let prior = stats.sessions.fetch_add(1, Ordering::Relaxed);
@@ -494,8 +554,7 @@ impl ServerBus {
             {
                 stats.sessions.fetch_sub(1, Ordering::Relaxed);
                 cfg.telemetry.inc(Counter::QuotaRefusals);
-                cfg.telemetry
-                    .tenant_add(&tenant, TenantMetric::QuotaRefusals, 1);
+                stats.add(TenantMetric::QuotaRefusals, 1);
                 return Reply::QuotaExceeded { tenant };
             }
             let founder = Member {
@@ -534,7 +593,7 @@ impl ServerBus {
             stranger(cfg, arrived);
             return Reply::err(format!("unknown session {session}"));
         };
-        account(cfg, &state.tenant, &state.tenant_stats, arrived);
+        account(cfg, &state.tenant_stats, arrived);
         in_span(cfg, session, || {
             let client = self.next_id.fetch_add(1, Ordering::Relaxed);
             if state.members.is_empty() {
@@ -566,7 +625,7 @@ impl ServerBus {
             stranger(cfg, arrived);
             return Reply::err(HarmonyError::UnknownClient(client).to_string());
         };
-        account(cfg, &state.tenant, &state.tenant_stats, arrived);
+        account(cfg, &state.tenant_stats, arrived);
         let state = &mut *state;
         in_span(cfg, state.id, || {
             let now = Instant::now();
@@ -626,30 +685,28 @@ impl ServerBus {
 
 /// Account a request that found no session to [`DEFAULT_TENANT`].
 fn stranger(cfg: &ServerConfig, arrived: Instant) {
-    let stats = cfg.tenants.stats(DEFAULT_TENANT);
-    account(cfg, DEFAULT_TENANT, &stats, arrived);
+    account(cfg, &cfg.tenants.stats(DEFAULT_TENANT), arrived);
 }
 
 /// Count a request to its tenant and sample how long it waited for its
 /// session's cell.
-fn account(cfg: &ServerConfig, tenant: &str, stats: &TenantStats, arrived: Instant) {
+fn account(cfg: &ServerConfig, stats: &TenantStats, arrived: Instant) {
     stats.served.fetch_add(1, Ordering::Relaxed);
     let wait = arrived.elapsed();
-    cfg.telemetry.observe(Latency::ShardQueueWait, wait);
-    cfg.telemetry.tenant_add(
-        tenant,
-        TenantMetric::QueueWaitUs,
+    cfg.telemetry.observe(Latency::SessionWait, wait);
+    stats.add(
+        TenantMetric::SessionWaitUs,
         u64::try_from(wait.as_micros()).unwrap_or(u64::MAX),
     );
 }
 
-/// Run `handle` inside a `shard_handle` span on `session`'s track. It runs
+/// Run `handle` inside a `session_serve` span on `session`'s track. It runs
 /// while the caller holds the session's cell, so the spans of one session
 /// never overlap, whichever threads record them.
 fn in_span(cfg: &ServerConfig, session: u64, handle: impl FnOnce() -> Reply) -> Reply {
     let span = cfg
         .telemetry
-        .span_begin(SpanKind::ShardHandle, 0, "session", session);
+        .span_begin(SpanKind::SessionServe, 0, "session", session);
     let reply = handle();
     cfg.telemetry.span_end(span);
     reply
@@ -990,7 +1047,6 @@ impl Tuning {
         let Caller {
             cfg,
             app,
-            tenant,
             stats,
             session_id,
             ..
@@ -1027,12 +1083,12 @@ impl Tuning {
                     }
                     let config = cfg.store.as_ref().map(|_| t.trial.config.clone());
                     let iteration = t.trial.iteration;
-                    telemetry.tenant_add(tenant, TenantMetric::Reports, 1);
+                    stats.add(TenantMetric::Reports, 1);
                     if let Err(e) = session.report_timed(t.trial, cost, wall_time) {
                         failed = Some(e.to_string());
                         break;
                     }
-                    telemetry.tenant_add(tenant, TenantMetric::Evaluations, 1);
+                    stats.add(TenantMetric::Evaluations, 1);
                     if let Some(config) = config {
                         recorded.push(
                             StoreRecord::new(app, *fingerprint, config, cost, wall_time)
@@ -1047,7 +1103,7 @@ impl Tuning {
                 // configuration, so dropping the echo is lossless.
                 None if r.iteration <= *issued_high => {
                     telemetry.inc(Counter::StaleReportsDropped);
-                    telemetry.tenant_add(tenant, TenantMetric::Reports, 1);
+                    stats.add(TenantMetric::Reports, 1);
                 }
                 None => {
                     failed = Some(
@@ -1210,9 +1266,8 @@ impl Tuning {
             refused,
         } = top;
         if refused {
-            let telemetry = &caller.cfg.telemetry;
-            telemetry.inc(Counter::QuotaRefusals);
-            telemetry.tenant_add(caller.tenant, TenantMetric::QuotaRefusals, 1);
+            caller.cfg.telemetry.inc(Counter::QuotaRefusals);
+            caller.stats.add(TenantMetric::QuotaRefusals, 1);
             return Reply::QuotaExceeded {
                 tenant: caller.tenant.to_string(),
             };
@@ -1673,9 +1728,7 @@ mod tests {
 
     #[test]
     fn warm_store_serves_a_second_run_without_remeasurement() {
-        let dir = std::env::temp_dir().join(format!("ah-server-store-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("warm.store");
+        let path = crate::TempPath::new("server-warm.store");
         let _ = std::fs::remove_file(&path);
         let cost_of = |cfg: &crate::space::Configuration| {
             let x = cfg.int("x").unwrap() as f64;
@@ -1760,9 +1813,7 @@ mod tests {
         // run will visit, via a half-budget cold run; the full-budget run
         // must then mix server-side hits with dispatched trials and still
         // match a storeless full run bit-for-bit.
-        let dir = std::env::temp_dir().join(format!("ah-server-store-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("partial.store");
+        let path = crate::TempPath::new("server-partial.store");
         let _ = std::fs::remove_file(&path);
         let cost_of = |cfg: &crate::space::Configuration| {
             let x = cfg.int("x").unwrap() as f64;
@@ -1828,19 +1879,18 @@ mod tests {
         assert!(mixed.evaluations().iter().any(|e| e.cached));
     }
 
-    /// A store at a fresh temporary path, and the fingerprint of the
-    /// two-parameter space `declare_xy` seals.
-    fn fresh_store(tag: &str) -> (SharedStore, u64) {
-        let dir = std::env::temp_dir().join(format!("ah-server-store-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{tag}.store"));
+    /// A store at a fresh temporary path, the fingerprint of the
+    /// two-parameter space `declare_xy` seals, and the path's guard.
+    fn fresh_store(tag: &str) -> (SharedStore, u64, crate::TempPath) {
+        let path = crate::TempPath::new(&format!("server-{tag}.store"));
         let _ = std::fs::remove_file(&path);
         let space = crate::space::SearchSpace::builder()
             .param(Param::int("x", 0, 200, 1))
             .param(Param::int("y", 0, 200, 1))
             .build()
             .unwrap();
-        (SharedStore::open(&path).unwrap(), space_fingerprint(&space))
+        let store = SharedStore::open(&path).unwrap();
+        (store, space_fingerprint(&space), path)
     }
 
     fn declare_xy(client: &HarmonyClient, max_evaluations: usize) {
@@ -1862,7 +1912,7 @@ mod tests {
 
     #[test]
     fn a_report_batch_that_fails_partway_still_records_what_it_applied() {
-        let (store, fingerprint) = fresh_store("partway");
+        let (store, fingerprint, _path) = fresh_store("partway");
         let server = HarmonyServer::start_with_config(ServerConfig {
             store: Some(store.clone()),
             ..Default::default()
@@ -1911,7 +1961,7 @@ mod tests {
 
         // The store knows every point but the first, so one request hands
         // out iteration 1 and serves 2..=6 behind it.
-        let (store, fingerprint) = fresh_store("served");
+        let (store, fingerprint, _path) = fresh_store("served");
         for e in &reference.evaluations()[1..] {
             let record = StoreRecord::new("served", fingerprint, e.config.clone(), e.cost, 1.0);
             store.insert(record).unwrap();
@@ -2172,10 +2222,8 @@ mod tests {
 
     #[test]
     fn sync_peer_replicates_and_warm_starts_from_peer_records() {
-        let dir = std::env::temp_dir().join(format!("ah-server-sync-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path_a = dir.join("a.store");
-        let path_b = dir.join("b.store");
+        let path_a = crate::TempPath::new("server-sync-a.store");
+        let path_b = crate::TempPath::new("server-sync-b.store");
         let _ = std::fs::remove_file(&path_a);
         let _ = std::fs::remove_file(&path_b);
         let cost_of = |cfg: &crate::space::Configuration| {
@@ -2259,9 +2307,8 @@ mod tests {
 
     #[test]
     fn a_puller_repulls_records_a_compaction_moved_beneath_its_mark() {
-        let dir = std::env::temp_dir().join(format!("ah-server-resync-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let (path_a, path_b) = (dir.join("a.store"), dir.join("b.store"));
+        let path_a = crate::TempPath::new("server-resync-a.store");
+        let path_b = crate::TempPath::new("server-resync-b.store");
         for path in [&path_a, &path_b] {
             let _ = std::fs::remove_file(path);
         }

@@ -7,7 +7,7 @@
 //! HTTP as its service, and answers:
 //!
 //! * `GET /metrics` — Prometheus text exposition (version 0.0.4) of every
-//!   telemetry counter and latency histogram.
+//!   telemetry counter, per-tenant counter and latency histogram.
 //! * `GET /status` — JSON: per-session strategy, best-so-far cost and
 //!   configuration, simplex vertex costs and spread, evaluations done,
 //!   pending/outstanding/requeued trial counts, per-tenant holdings,
@@ -44,7 +44,7 @@ use super::poll::Waker;
 use super::tcp::DEFAULT_MAX_CONNECTIONS;
 use super::{ServerBus, ServerConfig, SessionPhase, SessionState, Tuning};
 use crate::lock;
-use crate::telemetry::{slo, Counter, Telemetry};
+use crate::telemetry::{slo, Counter, Telemetry, TenantMetric};
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use std::collections::HashMap;
@@ -319,7 +319,7 @@ fn route(ctx: &ObserveCtx, path: &str, query: &str) -> (u16, &'static str, Strin
         "/metrics" => (
             200,
             "text/plain; version=0.0.4; charset=utf-8",
-            cfg.telemetry.prometheus(),
+            cfg.prometheus(),
         ),
         "/metrics/history" => match &cfg.timeseries {
             Some(series) => {
@@ -500,7 +500,7 @@ fn fleet_json(ctx: &ObserveCtx) -> Value {
     // Self: build the same row from local state, no HTTP round trip.
     let self_addr = ctx.local.to_string();
     let status = status_json(&ctx.bus, &ctx.cfg);
-    let metrics = ctx.cfg.telemetry.prometheus();
+    let metrics = ctx.cfg.prometheus();
     rows.push(fleet_row(&self_addr, true, true, 0.0, &status, &metrics));
 
     for peer in &ctx.cfg.sync_peers {
@@ -629,6 +629,11 @@ fn status_json(bus: &ServerBus, cfg: &ServerConfig) -> Value {
             })
         })
         .collect();
+    let tenant_metrics = cfg.tenant_rows().into_iter().map(|(tenant, row)| {
+        let fields = TenantMetric::ALL.iter().zip(row);
+        let fields = fields.map(|(m, v)| (m.name().to_string(), Value::UInt(v)));
+        (tenant, Value::Object(fields.collect()))
+    });
     json!({
         "server": {
             "clients": bus.client_count(),
@@ -663,7 +668,7 @@ fn status_json(bus: &ServerBus, cfg: &ServerConfig) -> Value {
             "spans_dropped": t.dropped_spans(),
         },
         "counters": t.counters_json(),
-        "tenant_metrics": t.tenant_counters_json(),
+        "tenant_metrics": Value::Object(tenant_metrics.collect()),
         "slo": {
             "timeseries": cfg.timeseries.is_some(),
             "retained_samples": cfg.timeseries.as_ref().map(|s| s.len()),
@@ -856,10 +861,10 @@ mod tests {
             .get("traceEvents")
             .and_then(Value::as_array)
             .expect("trace has traceEvents");
-        // Serving produced a ShardHandle span for every request.
+        // Serving produced a SessionServe span for every request.
         assert!(events
             .iter()
-            .any(|e| { e.get("name").and_then(Value::as_str) == Some("shard_handle") }));
+            .any(|e| { e.get("name").and_then(Value::as_str) == Some("session_serve") }));
 
         let (code, _) = http_get(&addr, "/nope").unwrap();
         assert_eq!(code, 404);

@@ -1613,12 +1613,9 @@ mod tests {
     use crate::value::ParamValue;
     use std::fs::OpenOptions;
     use std::io::Write;
-    use std::path::PathBuf;
 
-    fn temp_path(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("ah-store-tests-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("{tag}.store"))
+    fn temp_path(tag: &str) -> crate::TempPath {
+        crate::TempPath::new(&format!("store-{tag}.store"))
     }
 
     fn space() -> SearchSpace {

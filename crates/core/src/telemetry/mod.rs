@@ -35,9 +35,10 @@
 //! `Default`) is `None`: every record call is one branch on a niche-encoded
 //! option and returns — no allocation, no atomics, no locking. Enabled
 //! recording is a relaxed atomic add for counters/histograms and a short
-//! mutex-protected ring push for events. The `bench-server --check` CI gate
-//! runs with telemetry enabled to keep the overhead inside the regression
-//! tolerance.
+//! mutex-protected ring push for an event or a closed span; the only locks
+//! are those two rings'. An open span is its [`SpanToken`], which carries
+//! its own start. The `bench-server --check` CI gate runs with telemetry
+//! enabled to keep the overhead inside the regression tolerance.
 //!
 //! # Determinism
 //!
@@ -52,7 +53,7 @@ pub mod timeseries;
 
 use crate::lock;
 use serde::Serialize;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -61,10 +62,10 @@ use std::time::{Duration, Instant};
 /// oldest and bump [`Telemetry::dropped_events`]).
 pub(crate) const DEFAULT_EVENT_CAPACITY: usize = 65_536;
 
-/// Most distinct tenant labels the per-tenant counter table will hold.
-/// Labels past the cap are folded into [`TENANT_OVERFLOW_LABEL`], so a
-/// tenant-id flood (a client minting a fresh label per request) cannot
-/// grow the exposition or the sampler's memory without bound.
+/// Most distinct tenant labels an exposition carries: the first this many
+/// tenants a server saw keep their labels, and later ones are folded into
+/// [`TENANT_OVERFLOW_LABEL`], so a tenant-id flood (a client minting a
+/// fresh label per request) cannot grow the exposition without bound.
 pub(crate) const MAX_TENANT_LABELS: usize = 64;
 
 /// The aggregate label tenants are folded into once [`MAX_TENANT_LABELS`]
@@ -275,10 +276,9 @@ impl Counter {
 /// `ah_<name>_seconds`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Latency {
-    /// Time a request waited for its session (the name is historical):
-    /// near zero when the session was free, the wait for the member ahead
-    /// of it when it was busy.
-    ShardQueueWait,
+    /// Time a request waited for its session: near zero when the session
+    /// was free, the wait for the member ahead of it when it was busy.
+    SessionWait,
     /// TCP client `FetchBatch` round-trip.
     FetchBatchRtt,
     /// TCP client `ReportBatch` round-trip.
@@ -312,8 +312,9 @@ const LATENCY_COUNT: usize = 11;
 /// (~16.8s), plus a +Inf overflow bucket.
 pub(crate) const HISTO_BUCKETS: usize = 26;
 
-/// The hot counters that are additionally sliced per tenant. Each renders
-/// as one labeled Prometheus family `ah_<name>_total{tenant="..."}`.
+/// The hot counters that are additionally sliced per tenant, kept on each
+/// tenant's [`TenantStats`](crate::server::TenantStats). Each renders as
+/// one labeled Prometheus family `ah_tenant_<name>_total{tenant="..."}`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TenantMetric {
     /// Trials evaluated (reports applied to a session history) on behalf
@@ -324,7 +325,7 @@ pub enum TenantMetric {
     Reports,
     /// Microseconds the tenant's requests waited for their sessions (a
     /// sum — divide by `reports` for a mean).
-    QueueWaitUs,
+    SessionWaitUs,
     /// Requests refused because the tenant hit its session or in-flight
     /// quota.
     QuotaRefusals,
@@ -338,7 +339,7 @@ impl TenantMetric {
     pub const ALL: [TenantMetric; TENANT_METRIC_COUNT] = [
         TenantMetric::Evaluations,
         TenantMetric::Reports,
-        TenantMetric::QueueWaitUs,
+        TenantMetric::SessionWaitUs,
         TenantMetric::QuotaRefusals,
     ];
 
@@ -348,22 +349,26 @@ impl TenantMetric {
         match self {
             TenantMetric::Evaluations => "evaluations",
             TenantMetric::Reports => "reports",
-            TenantMetric::QueueWaitUs => "queue_wait_us",
+            TenantMetric::SessionWaitUs => "session_wait_us",
             TenantMetric::QuotaRefusals => "quota_refusals",
         }
     }
 
     /// Position in [`ALL`](Self::ALL), which lists the variants in
     /// declaration order.
-    fn idx(&self) -> usize {
+    pub(crate) fn idx(&self) -> usize {
         *self as usize
     }
 }
 
+/// One tenant's row of an exposition: its label and its value per
+/// [`TenantMetric::ALL`].
+pub(crate) type TenantRow = (String, [u64; TENANT_METRIC_COUNT]);
+
 impl Latency {
     /// Every histogram, in rendering order.
     pub const ALL: [Latency; LATENCY_COUNT] = [
-        Latency::ShardQueueWait,
+        Latency::SessionWait,
         Latency::FetchBatchRtt,
         Latency::ReportBatchRtt,
         Latency::RetryBackoffSleep,
@@ -380,7 +385,7 @@ impl Latency {
     /// `ah_<name>_seconds`).
     pub fn name(&self) -> &'static str {
         match self {
-            Latency::ShardQueueWait => "shard_queue_wait",
+            Latency::SessionWait => "session_wait",
             Latency::FetchBatchRtt => "fetch_batch_rtt",
             Latency::ReportBatchRtt => "report_batch_rtt",
             Latency::RetryBackoffSleep => "retry_backoff_sleep",
@@ -441,9 +446,8 @@ pub enum SpanKind {
     Measure,
     /// Client-side report/`ReportBatch` round-trip.
     Report,
-    /// One request served while its caller holds its session (the name
-    /// is historical).
-    ShardHandle,
+    /// One request served while its caller holds its session.
+    SessionServe,
     /// WAL record append + flush + fsync.
     WalAppend,
     /// Performance-store index lookup.
@@ -457,7 +461,7 @@ impl SpanKind {
             SpanKind::Fetch => "fetch",
             SpanKind::Measure => "measure",
             SpanKind::Report => "report",
-            SpanKind::ShardHandle => "shard_handle",
+            SpanKind::SessionServe => "session_serve",
             SpanKind::WalAppend => "wal_append",
             SpanKind::StoreLookup => "store_lookup",
         }
@@ -465,10 +469,10 @@ impl SpanKind {
 }
 
 /// One completed (or fault-terminated) span. Begin/end pairing is enforced
-/// by construction: a [`SpanEvent`] only exists once its
+/// by construction: a [`SpanEvent`] only reaches the span ring once its
 /// [`SpanToken`] was closed by [`Telemetry::span_end`] or
-/// [`Telemetry::span_fault`]; unclosed spans stay in the open table and are
-/// countable via [`Telemetry::open_spans`].
+/// [`Telemetry::span_fault`]; a token never closed still counts in
+/// [`Telemetry::open_spans`].
 #[derive(Debug, Clone, Serialize)]
 pub struct SpanEvent {
     /// Unique span id (monotonic, 1-based; 0 is the disabled token).
@@ -494,28 +498,50 @@ pub struct SpanEvent {
     pub cause: Option<&'static str>,
 }
 
-/// Handle returned by [`Telemetry::span_begin`], closed by
-/// [`Telemetry::span_end`] or [`Telemetry::span_fault`]. The zero token is
-/// the disabled no-op (returned by a disabled handle); closing it does
-/// nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// An open span, returned by [`Telemetry::span_begin`] and closed by
+/// [`Telemetry::span_end`] or [`Telemetry::span_fault`], which take it by
+/// value: a token is closed at most once. It carries the span's id, kind,
+/// iteration, track and start; closing it stamps the duration and cause.
+/// A disabled handle's token is empty, and closing it does nothing.
+#[derive(Debug)]
 #[must_use = "a span token should be closed with span_end or span_fault"]
-pub struct SpanToken(u64);
+pub struct SpanToken(Option<SpanEvent>);
 
-impl SpanToken {
-    /// The no-op token of a disabled handle.
-    pub fn disabled() -> Self {
-        SpanToken(0)
-    }
+/// A bounded FIFO that evicts its oldest item when full and counts the
+/// evictions: the event ring and the span ring.
+struct Ring<T> {
+    capacity: usize,
+    items: Mutex<VecDeque<T>>,
+    dropped: AtomicU64,
 }
 
-/// A begun-but-not-ended span, keyed by its token id.
-struct OpenSpan {
-    kind: SpanKind,
-    iteration: usize,
-    track: &'static str,
-    track_id: u64,
-    start_us: u64,
+impl<T: Clone> Ring<T> {
+    fn new(capacity: usize) -> Self {
+        Ring {
+            capacity,
+            items: Mutex::new(VecDeque::new()),
+            dropped: AtomicU64::new(0),
+        }
+    }
+
+    fn push(&self, item: T) {
+        let mut items = lock(&self.items);
+        if items.len() >= self.capacity {
+            items.pop_front();
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+        items.push_back(item);
+    }
+
+    /// The items, oldest first.
+    fn snapshot(&self) -> Vec<T> {
+        lock(&self.items).iter().cloned().collect()
+    }
+
+    /// Items evicted because the ring was full.
+    fn dropped(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
+    }
 }
 
 /// One log2-bucketed latency histogram (microsecond resolution).
@@ -633,21 +659,21 @@ impl HistoSnapshot {
 
 struct Inner {
     start: Instant,
-    capacity: usize,
     seq: AtomicU64,
-    dropped: AtomicU64,
     counters: [AtomicU64; COUNTER_COUNT],
     latencies: [Histo; LATENCY_COUNT],
-    ring: Mutex<VecDeque<TrialEvent>>,
-    // Span ids start at 1 so token 0 can stay the disabled no-op.
-    span_seq: AtomicU64,
-    span_dropped: AtomicU64,
-    open_spans: Mutex<HashMap<u64, OpenSpan>>,
-    spans: Mutex<VecDeque<SpanEvent>>,
-    // Per-tenant hot-counter table, insertion-ordered so expositions and
-    // snapshots are stable. Bounded at MAX_TENANT_LABELS distinct labels;
-    // later tenants fold into the TENANT_OVERFLOW_LABEL row.
-    tenants: Mutex<Vec<(String, [u64; TENANT_METRIC_COUNT])>>,
+    events: Ring<TrialEvent>,
+    /// Spans begun, which is the last one's id (ids are 1-based).
+    spans_begun: AtomicU64,
+    spans_closed: AtomicU64,
+    spans: Ring<SpanEvent>,
+}
+
+impl Inner {
+    /// Microseconds since the handle was created.
+    fn now_us(&self) -> u64 {
+        u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX)
+    }
 }
 
 /// A cheap, cloneable recording handle. See the [module docs](self) for
@@ -661,8 +687,8 @@ impl std::fmt::Debug for Telemetry {
             None => f.write_str("Telemetry(disabled)"),
             Some(inner) => f
                 .debug_struct("Telemetry")
-                .field("events", &lock(&inner.ring).len())
-                .field("dropped", &inner.dropped.load(Ordering::Relaxed))
+                .field("events", &lock(&inner.events.items).len())
+                .field("dropped", &inner.events.dropped())
                 .finish_non_exhaustive(),
         }
     }
@@ -684,19 +710,16 @@ impl Telemetry {
     /// (older events are evicted, counted by
     /// [`dropped_events`](Self::dropped_events)).
     pub fn with_capacity(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         Telemetry(Some(Arc::new(Inner {
             start: Instant::now(),
-            capacity: capacity.max(1),
             seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             latencies: std::array::from_fn(|_| Histo::new()),
-            ring: Mutex::new(VecDeque::new()),
-            span_seq: AtomicU64::new(1),
-            span_dropped: AtomicU64::new(0),
-            open_spans: Mutex::new(HashMap::new()),
-            spans: Mutex::new(VecDeque::new()),
-            tenants: Mutex::new(Vec::new()),
+            events: Ring::new(capacity),
+            spans_begun: AtomicU64::new(0),
+            spans_closed: AtomicU64::new(0),
+            spans: Ring::new(capacity),
         })))
     }
 
@@ -715,21 +738,14 @@ impl Telemetry {
     ) {
         let Some(inner) = &self.0 else { return };
         let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-        let at_us = u64::try_from(inner.start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let ev = TrialEvent {
+        inner.events.push(TrialEvent {
             seq,
-            at_us,
+            at_us: inner.now_us(),
             stage,
             iteration,
             client,
             cause,
-        };
-        let mut ring = lock(&inner.ring);
-        if ring.len() >= inner.capacity {
-            ring.pop_front();
-            inner.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(ev);
+        });
     }
 
     /// Increment a counter by one (no-op when disabled).
@@ -749,54 +765,6 @@ impl Telemetry {
         if let Some(inner) = &self.0 {
             inner.latencies[latency.idx()].observe(d);
         }
-    }
-
-    /// Add `n` to one tenant-sliced counter (no-op when disabled). Distinct
-    /// labels are bounded by [`MAX_TENANT_LABELS`]; once the table is full,
-    /// new labels aggregate into [`TENANT_OVERFLOW_LABEL`] so unbounded
-    /// tenant-id churn cannot grow the exposition.
-    pub(crate) fn tenant_add(&self, tenant: &str, metric: TenantMetric, n: u64) {
-        let Some(inner) = &self.0 else { return };
-        let mut table = lock(&inner.tenants);
-        let label = if table.iter().any(|(t, _)| t == tenant) || table.len() < MAX_TENANT_LABELS {
-            tenant
-        } else {
-            TENANT_OVERFLOW_LABEL
-        };
-        match table.iter_mut().find(|(t, _)| t == label) {
-            Some((_, row)) => row[metric.idx()] += n,
-            None => {
-                let mut row = [0u64; TENANT_METRIC_COUNT];
-                row[metric.idx()] = n;
-                table.push((label.to_string(), row));
-            }
-        }
-    }
-
-    /// Snapshot of the per-tenant table, in first-seen order: one
-    /// `(tenant, [value per TenantMetric::ALL])` row per label.
-    pub(crate) fn tenant_counters(&self) -> Vec<(String, [u64; TENANT_METRIC_COUNT])> {
-        match &self.0 {
-            Some(inner) => lock(&inner.tenants).clone(),
-            None => Vec::new(),
-        }
-    }
-
-    /// The per-tenant table as JSON: `{tenant: {metric: value, ...}, ...}`
-    /// in first-seen order (shared by `/status` and `repro fleet`).
-    pub(crate) fn tenant_counters_json(&self) -> serde_json::Value {
-        serde_json::Value::Object(
-            self.tenant_counters()
-                .into_iter()
-                .map(|(tenant, row)| {
-                    let fields = TenantMetric::ALL
-                        .iter()
-                        .map(|m| (m.name().to_string(), serde_json::Value::UInt(row[m.idx()])))
-                        .collect();
-                    (tenant, serde_json::Value::Object(fields))
-                })
-                .collect(),
-        )
     }
 
     /// Point-in-time copy of one latency histogram's raw buckets (the
@@ -827,10 +795,10 @@ impl Telemetry {
 
     /// Snapshot of the event ring, oldest first (empty when disabled).
     pub fn events(&self) -> Vec<TrialEvent> {
-        match &self.0 {
-            Some(inner) => lock(&inner.ring).iter().cloned().collect(),
-            None => Vec::new(),
-        }
+        self.0
+            .as_ref()
+            .map(|inner| inner.events.snapshot())
+            .unwrap_or_default()
     }
 
     /// Deterministic projection of the event ring: the
@@ -841,10 +809,7 @@ impl Telemetry {
 
     /// Events evicted from the ring because it was full.
     pub fn dropped_events(&self) -> u64 {
-        match &self.0 {
-            Some(inner) => inner.dropped.load(Ordering::Relaxed),
-            None => 0,
-        }
+        self.0.as_ref().map_or(0, |inner| inner.events.dropped())
     }
 
     /// Begin a span (no-op token when disabled). Close the returned token
@@ -858,24 +823,21 @@ impl Telemetry {
         track_id: u64,
     ) -> SpanToken {
         let Some(inner) = &self.0 else {
-            return SpanToken(0);
+            return SpanToken(None);
         };
-        let id = inner.span_seq.fetch_add(1, Ordering::Relaxed);
-        let start_us = u64::try_from(inner.start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        lock(&inner.open_spans).insert(
-            id,
-            OpenSpan {
-                kind,
-                iteration,
-                track,
-                track_id,
-                start_us,
-            },
-        );
-        SpanToken(id)
+        SpanToken(Some(SpanEvent {
+            id: inner.spans_begun.fetch_add(1, Ordering::Relaxed) + 1,
+            kind,
+            iteration,
+            track,
+            track_id,
+            start_us: inner.now_us(),
+            dur_us: 0,
+            cause: None,
+        }))
     }
 
-    /// End a span normally (no-op for the disabled/unknown token).
+    /// End a span normally (no-op for a disabled handle's token).
     pub fn span_end(&self, token: SpanToken) {
         self.close_span(token, None);
     }
@@ -887,56 +849,40 @@ impl Telemetry {
     }
 
     fn close_span(&self, token: SpanToken, cause: Option<&'static str>) {
-        let Some(inner) = &self.0 else { return };
-        if token.0 == 0 {
-            return;
-        }
-        let Some(open) = lock(&inner.open_spans).remove(&token.0) else {
+        let (Some(inner), Some(mut span)) = (&self.0, token.0) else {
             return;
         };
-        let now_us = u64::try_from(inner.start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let ev = SpanEvent {
-            id: token.0,
-            kind: open.kind,
-            iteration: open.iteration,
-            track: open.track,
-            track_id: open.track_id,
-            start_us: open.start_us,
-            dur_us: now_us.saturating_sub(open.start_us),
-            cause,
-        };
-        let mut spans = lock(&inner.spans);
-        if spans.len() >= inner.capacity {
-            spans.pop_front();
-            inner.span_dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        spans.push_back(ev);
+        span.dur_us = inner.now_us().saturating_sub(span.start_us);
+        span.cause = cause;
+        inner.spans_closed.fetch_add(1, Ordering::Relaxed);
+        inner.spans.push(span);
     }
 
     /// Snapshot of the completed-span ring, in completion order (empty when
     /// disabled).
     pub fn spans(&self) -> Vec<SpanEvent> {
-        match &self.0 {
-            Some(inner) => lock(&inner.spans).iter().cloned().collect(),
-            None => Vec::new(),
-        }
+        self.0
+            .as_ref()
+            .map(|inner| inner.spans.snapshot())
+            .unwrap_or_default()
     }
 
-    /// Number of begun-but-not-closed spans. Zero after a well-paired run:
-    /// every begin had an end or a fault cause.
+    /// Number of begun-but-not-closed spans, tokens dropped unclosed
+    /// included. Zero after a well-paired run: every begin had an end or a
+    /// fault cause.
     pub fn open_spans(&self) -> usize {
-        match &self.0 {
-            Some(inner) => lock(&inner.open_spans).len(),
-            None => 0,
-        }
+        self.0.as_ref().map_or(0, |inner| {
+            // Closed first: every span counted closed was begun before, so
+            // the difference read this way is never short of a close.
+            let closed = inner.spans_closed.load(Ordering::Relaxed);
+            let begun = inner.spans_begun.load(Ordering::Relaxed);
+            begun.saturating_sub(closed) as usize
+        })
     }
 
     /// Completed spans evicted from the bounded ring.
     pub fn dropped_spans(&self) -> u64 {
-        match &self.0 {
-            Some(inner) => inner.span_dropped.load(Ordering::Relaxed),
-            None => 0,
-        }
+        self.0.as_ref().map_or(0, |inner| inner.spans.dropped())
     }
 
     /// Every counter as one JSON object `{name: value, ...}` in stable
@@ -963,8 +909,11 @@ impl Telemetry {
     /// Render every counter and histogram in the Prometheus text exposition
     /// format (version 0.0.4): `# HELP`/`# TYPE` comments, counters as
     /// `ah_<name>_total`, histograms as `ah_<name>_seconds` with cumulative
-    /// `_bucket{le=...}` lines plus `_sum` and `_count`.
-    pub fn prometheus(&self) -> String {
+    /// `_bucket{le=...}` lines plus `_sum` and `_count`. After the counters
+    /// come the labeled per-tenant families, one sample per row of
+    /// `tenants` (a server's rows come from its tenant registry:
+    /// [`ServerConfig::prometheus`](crate::server::ServerConfig::prometheus)).
+    pub(crate) fn prometheus(&self, tenants: &[TenantRow]) -> String {
         let mut out = String::new();
         for c in Counter::ALL.iter() {
             let name = c.name();
@@ -975,10 +924,9 @@ impl Telemetry {
                 self.counter(*c)
             ));
         }
-        // Labeled per-tenant families. Emitted only when at least one
-        // tenant was recorded: a `# TYPE` with zero samples is an orphan
-        // header, which the conformance validator rejects.
-        let tenants = self.tenant_counters();
+        // Labeled per-tenant families. Emitted only when there is a tenant
+        // row: a `# TYPE` with zero samples is an orphan header, which the
+        // conformance validator rejects.
         if !tenants.is_empty() {
             for m in TenantMetric::ALL.iter() {
                 let name = m.name();
@@ -988,7 +936,7 @@ impl Telemetry {
                      # TYPE ah_tenant_{name}_total counter\n",
                     name.replace('_', " ")
                 ));
-                for (tenant, row) in &tenants {
+                for (tenant, row) in tenants {
                     out.push_str(&format!(
                         "ah_tenant_{name}_total{{tenant=\"{}\"}} {}\n",
                         tenant.replace('\\', "\\\\").replace('"', "\\\""),
@@ -1021,22 +969,9 @@ impl Telemetry {
                 "# HELP ah_{name}_seconds Latency of {}.\n# TYPE ah_{name}_seconds histogram\n",
                 name.replace('_', " ")
             ));
-            let (buckets, sum_us, count) = match &self.0 {
-                Some(inner) => {
-                    let h = &inner.latencies[l.idx()];
-                    (
-                        h.buckets
-                            .iter()
-                            .map(|b| b.load(Ordering::Relaxed))
-                            .collect::<Vec<u64>>(),
-                        h.sum_us.load(Ordering::Relaxed),
-                        h.count.load(Ordering::Relaxed),
-                    )
-                }
-                None => (vec![0; HISTO_BUCKETS], 0, 0),
-            };
+            let histogram = self.histogram(*l);
             let mut cumulative = 0u64;
-            for (i, n) in buckets.iter().enumerate() {
+            for (i, n) in histogram.buckets.iter().enumerate() {
                 cumulative += n;
                 let le = if i == HISTO_BUCKETS - 1 {
                     "+Inf".to_string()
@@ -1049,8 +984,9 @@ impl Telemetry {
                 ));
             }
             out.push_str(&format!(
-                "ah_{name}_seconds_sum {}\nah_{name}_seconds_count {count}\n",
-                sum_us as f64 / 1e6
+                "ah_{name}_seconds_sum {}\nah_{name}_seconds_count {}\n",
+                histogram.sum_us as f64 / 1e6,
+                histogram.count
             ));
         }
         out
@@ -1201,6 +1137,7 @@ pub fn validate_exposition(text: &str) -> Result<Vec<(String, String)>, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn disabled_handle_records_nothing() {
@@ -1212,6 +1149,7 @@ mod tests {
         assert_eq!(t.counter(Counter::TrialsProposed), 0);
         assert!(t.events().is_empty());
         assert_eq!(t.dropped_events(), 0);
+        assert_eq!(t.histogram(Latency::FetchBatchRtt), HistoSnapshot::zero());
     }
 
     #[test]
@@ -1255,7 +1193,7 @@ mod tests {
         t.observe(Latency::WalAppendFsync, Duration::from_micros(1));
         t.observe(Latency::WalAppendFsync, Duration::from_micros(3));
         t.observe(Latency::WalAppendFsync, Duration::from_secs(100)); // overflow
-        let text = t.prometheus();
+        let text = t.prometheus(&[]);
         // 1µs lands in the first bucket (le=1e-6 seconds = 0.000001).
         assert!(
             text.contains("ah_wal_append_fsync_seconds_bucket{le=\"0.000001\"} 1"),
@@ -1276,8 +1214,8 @@ mod tests {
     fn prometheus_text_is_parseable() {
         let t = Telemetry::enabled();
         t.inc(Counter::TrialsReported);
-        t.observe(Latency::ShardQueueWait, Duration::from_micros(50));
-        for line in t.prometheus().lines() {
+        t.observe(Latency::SessionWait, Duration::from_micros(50));
+        for line in t.prometheus(&[]).lines() {
             if line.starts_with('#') {
                 assert!(
                     line.starts_with("# HELP ") || line.starts_with("# TYPE "),
@@ -1316,17 +1254,12 @@ mod tests {
         assert_eq!(spans[1].kind, SpanKind::Measure);
         assert_eq!(spans[1].cause, Some("crash"));
         assert!(spans.iter().all(|s| s.start_us <= s.start_us + s.dur_us));
-        // Closing a token twice (or a bogus one) is a no-op.
-        t.span_end(a);
-        t.span_end(SpanToken::disabled());
-        assert_eq!(t.spans().len(), 2);
     }
 
     #[test]
     fn disabled_handle_spans_are_noops() {
         let t = Telemetry::disabled();
         let tok = t.span_begin(SpanKind::Report, 1, "client", 1);
-        assert_eq!(tok, SpanToken::disabled());
         t.span_end(tok);
         assert_eq!(t.open_spans(), 0);
         assert!(t.spans().is_empty());
@@ -1341,7 +1274,7 @@ mod tests {
         }
         assert_eq!(t.spans().len(), 3);
         assert_eq!(t.dropped_spans(), 5);
-        let text = t.prometheus();
+        let text = t.prometheus(&[]);
         assert!(text.contains("ah_spans_dropped_total 5"), "{text}");
         assert!(text.contains("ah_spans_open 0"), "{text}");
     }
@@ -1440,12 +1373,12 @@ mod tests {
         t.observe(Latency::StoreLookup, Duration::from_micros(12));
         t.observe(Latency::WalAppendFsync, Duration::from_secs(120));
         t.observe(Latency::EventLoopIteration, Duration::from_micros(180));
-        t.tenant_add("acme", TenantMetric::Evaluations, 7);
-        t.tenant_add("acme", TenantMetric::QueueWaitUs, 1234);
-        t.tenant_add("globex", TenantMetric::QuotaRefusals, 2);
         let tok = t.span_begin(SpanKind::Fetch, 1, "client", 1);
         t.span_end(tok);
-        let text = t.prometheus();
+        let text = t.prometheus(&[
+            ("acme".to_string(), [7, 0, 1234, 0]),
+            ("globex".to_string(), [0, 0, 0, 2]),
+        ]);
 
         let declared = validate_exposition(&text).expect("exposition validates");
         let mut samples: HashMap<String, Vec<(String, f64)>> = HashMap::new();
@@ -1519,7 +1452,7 @@ mod tests {
             "ah_event_loop_iteration_seconds_count 1",
             "ah_tenant_evaluations_total{tenant=\"acme\"} 7",
             "ah_tenant_evaluations_total{tenant=\"globex\"} 0",
-            "ah_tenant_queue_wait_us_total{tenant=\"acme\"} 1234",
+            "ah_tenant_session_wait_us_total{tenant=\"acme\"} 1234",
             "ah_tenant_quota_refusals_total{tenant=\"globex\"} 2",
         ] {
             assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
@@ -1530,7 +1463,7 @@ mod tests {
     fn exposition_without_tenants_has_no_orphan_tenant_headers() {
         let t = Telemetry::enabled();
         t.inc(Counter::TrialsReported);
-        let text = t.prometheus();
+        let text = t.prometheus(&[]);
         assert!(!text.contains("ah_tenant_"), "{text}");
         validate_exposition(&text).expect("tenant-free exposition validates");
     }
@@ -1559,30 +1492,6 @@ mod tests {
     }
 
     #[test]
-    fn tenant_labels_are_bounded_with_overflow_aggregation() {
-        let t = Telemetry::enabled();
-        for i in 0..(MAX_TENANT_LABELS + 10) {
-            t.tenant_add(&format!("tenant-{i}"), TenantMetric::Evaluations, 1);
-        }
-        // A label seen before the cap keeps counting under its own name.
-        t.tenant_add("tenant-0", TenantMetric::Evaluations, 4);
-        let table = t.tenant_counters();
-        // MAX distinct labels plus the single overflow row.
-        assert_eq!(table.len(), MAX_TENANT_LABELS + 1);
-        let evaluations = |tenant: &str| {
-            table.iter().find(|(t, _)| t == tenant).unwrap().1[TenantMetric::Evaluations.idx()]
-        };
-        assert_eq!(evaluations("tenant-0"), 5);
-        assert_eq!(evaluations(TENANT_OVERFLOW_LABEL), 10);
-        // The total is conserved across the fold.
-        let total: u64 = table
-            .iter()
-            .map(|(_, row)| row[TenantMetric::Evaluations.idx()])
-            .sum();
-        assert_eq!(total, (MAX_TENANT_LABELS + 10 + 4) as u64);
-    }
-
-    #[test]
     fn histogram_snapshot_percentiles_and_deltas() {
         let t = Telemetry::enabled();
         for _ in 0..99 {
@@ -1604,13 +1513,5 @@ mod tests {
         // Empty snapshot has no percentile.
         assert_eq!(HistoSnapshot::zero().percentile_us(0.99), None);
         assert_eq!(HistoSnapshot::zero().mean_us(), None);
-    }
-
-    #[test]
-    fn disabled_handle_tenant_table_is_empty() {
-        let t = Telemetry::disabled();
-        t.tenant_add("acme", TenantMetric::Reports, 3);
-        assert!(t.tenant_counters().is_empty());
-        assert_eq!(t.histogram(Latency::FetchBatchRtt), HistoSnapshot::zero());
     }
 }

@@ -378,12 +378,9 @@ mod tests {
     use super::*;
     use std::fs::OpenOptions;
     use std::io::Write;
-    use std::path::PathBuf;
 
-    fn temp_path(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("ah-wal-tests-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("{tag}.wal"))
+    fn temp_path(tag: &str) -> crate::TempPath {
+        crate::TempPath::new(&format!("wal-{tag}.wal"))
     }
 
     fn header(strategy: StrategyKind, max_evaluations: usize, seed: u64) -> WalHeader {

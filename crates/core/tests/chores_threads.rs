@@ -9,12 +9,15 @@
 //! while it counts.
 #![cfg(target_os = "linux")]
 
+mod common;
+
 use ah_core::server::{
     EventLoopConfig, HarmonyServer, ObserveHandle, ServerConfig, TcpHarmonyServer, TcpTransport,
 };
 use ah_core::store::SharedStore;
 use ah_core::telemetry::timeseries::TimeSeries;
 use ah_core::telemetry::Telemetry;
+use common::Scratch;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -48,20 +51,21 @@ fn voluntary_switches(name: &str) -> u64 {
     found[0]
 }
 
-fn scratch_store(name: &str) -> SharedStore {
-    let path = std::env::temp_dir().join(format!("ah-chores-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    SharedStore::open(path).expect("open store")
+/// A store at a temporary path of its own, and the path's guard.
+fn scratch_store(name: &str) -> (SharedStore, Scratch) {
+    let path = Scratch::new(&format!("chores-{name}.store"));
+    (SharedStore::open(&path).expect("open store"), path)
 }
 
 /// A peer: an in-process server with a store, serving its observe plane.
-fn peer(name: &str) -> (HarmonyServer, ObserveHandle) {
+fn peer(name: &str) -> (HarmonyServer, ObserveHandle, Scratch) {
+    let (store, path) = scratch_store(name);
     let server = HarmonyServer::start_with_config(ServerConfig {
-        store: Some(scratch_store(name)),
+        store: Some(store),
         ..Default::default()
     });
     let observe = server.observe("127.0.0.1:0").expect("peer observe");
-    (server, observe)
+    (server, observe, path)
 }
 
 /// A config with a store, a series and both peers, both intervals at 10 s.
@@ -90,9 +94,9 @@ fn settles_to(baseline: usize, what: &str) {
 #[test]
 fn a_server_runs_its_timed_work_on_one_sleeping_thread() {
     let peers = [peer("peer-a"), peer("peer-b")];
-    let addrs: Vec<String> = peers.iter().map(|(_, o)| o.addr().to_string()).collect();
+    let addrs: Vec<String> = peers.iter().map(|(_, o, _)| o.addr().to_string()).collect();
     // The store's flusher is a thread of its own, started at open.
-    let store = scratch_store("local");
+    let (store, _path) = scratch_store("local");
     let baseline = threads();
 
     let server = TcpHarmonyServer::bind_with_transport(

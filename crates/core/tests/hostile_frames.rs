@@ -24,6 +24,8 @@
 //! full, which never answers a connect at all — alone, and beside a live
 //! peer and a time series that share the server's one chores thread.
 
+mod common;
+
 use ah_core::error::HarmonyError;
 use ah_core::param::Param;
 use ah_core::server::observe::http_get;
@@ -37,10 +39,10 @@ use ah_core::space::SearchSpace;
 use ah_core::store::{space_fingerprint, PerfStore, SharedStore, StoreRecord};
 use ah_core::telemetry::{Counter, Telemetry};
 use ah_core::wal::{WalHeader, WalSession};
+use common::Scratch;
 use proptest::Gen;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -50,12 +52,8 @@ use std::time::{Duration, Instant};
 const DEPTH: usize = 1 << 20;
 const _: () = assert!(DEPTH < MAX_FRAME_LEN);
 
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ah-hostile-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let path = dir.join(name);
-    let _ = std::fs::remove_file(&path);
-    path
+fn scratch(name: &str) -> Scratch {
+    Scratch::new(&format!("hostile-{name}"))
 }
 
 /// A bare socket to `addr`: send one frame, read and decode one reply.
@@ -571,7 +569,8 @@ fn a_store_log_cut_inside_a_character_still_yields_its_whole_records() {
     // A peer's `/store/log` body — header line, three records — that stops
     // one byte into the `é` of the third record.
     let (blob, total) = {
-        let mut source = PerfStore::open(scratch("cut-source.store")).unwrap();
+        let source_path = scratch("cut-source.store");
+        let mut source = PerfStore::open(&source_path).unwrap();
         let records = [3.0, 7.0, 9.0]
             .map(|x| StoreRecord::new("café", fp, space.project(&[x]), x, x))
             .to_vec();
@@ -595,7 +594,8 @@ fn a_store_log_cut_inside_a_character_still_yields_its_whole_records() {
 
     // And the puller that calls it, end to end: the two whole records are
     // merged; the torn third is refetched (and torn again) every round.
-    let store = SharedStore::open(scratch("cut-puller.store")).unwrap();
+    let path = scratch("cut-puller.store");
+    let store = SharedStore::open(&path).unwrap();
     let server = HarmonyServer::start_with_config(ServerConfig {
         store: Some(store.clone()),
         sync_peers: vec![addr.to_string()],
@@ -652,7 +652,8 @@ fn a_peer_that_never_accepts_costs_http_get_and_shutdown_a_read_timeout() {
 
     // A server pulling from that peer: its puller is in the connect when
     // the server shuts down, and the shutdown waits for it.
-    let store = SharedStore::open(scratch("unaccepted-puller.store")).unwrap();
+    let path = scratch("unaccepted-puller.store");
+    let store = SharedStore::open(&path).unwrap();
     let server = HarmonyServer::start_with_config(ServerConfig {
         store: Some(store),
         sync_peers: vec![peer],

@@ -11,14 +11,15 @@
 //! damage to any one line that has a readable line after it must be refused
 //! by name, whatever the damage is.
 
+mod common;
+
 use ah_core::prelude::*;
 use ah_core::session::Trial;
-use std::path::{Path, PathBuf};
+use common::Scratch;
+use std::path::Path;
 
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ah-log-recovery-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir.join(name)
+fn scratch(name: &str) -> Scratch {
+    Scratch::new(&format!("log-recovery-{name}"))
 }
 
 /// The byte offset just past each `\n` of `bytes`.

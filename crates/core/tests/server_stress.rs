@@ -204,7 +204,7 @@ fn inproc_history(server: &HarmonyServer, i: usize, start: Option<&Barrier>) -> 
 /// In-process and TCP clients on one server at once: every request is
 /// served by the thread that sent it — an application thread or the event
 /// loop — while it holds its session's lock. Each session's history must
-/// still equal its solo serial run, and the `shard_handle` spans of one
+/// still equal its solo serial run, and the `session_serve` spans of one
 /// session, recorded from whichever threads, must never overlap.
 #[test]
 fn inproc_and_tcp_clients_mixed_on_one_shard_match_their_solo_runs() {
@@ -275,7 +275,7 @@ fn inproc_and_tcp_clients_mixed_on_one_shard_match_their_solo_runs() {
     let mut spans: Vec<(u64, u64, u64)> = telemetry
         .spans()
         .iter()
-        .filter(|s| s.kind == SpanKind::ShardHandle)
+        .filter(|s| s.kind == SpanKind::SessionServe)
         .map(|s| (s.track_id, s.start_us, s.start_us + s.dur_us))
         .collect();
     assert_eq!(telemetry.dropped_spans(), 0);
@@ -293,7 +293,7 @@ fn inproc_and_tcp_clients_mixed_on_one_shard_match_their_solo_runs() {
     for pair in spans.windows(2) {
         assert!(
             pair[1].0 != pair[0].0 || pair[1].1 >= pair[0].2,
-            "shard_handle spans of session {} overlap: {:?} then {:?}",
+            "session_serve spans of session {} overlap: {:?} then {:?}",
             pair[0].0,
             pair[0],
             pair[1]

@@ -20,8 +20,11 @@
 //! One test only: the counters see every thread of the process, so a second
 //! test running beside it would be counted too.
 
+mod common;
+
 use ah_core::space::SearchSpace;
 use ah_core::store::{space_fingerprint, PerfStore, StoreRecord};
+use common::Scratch;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -90,10 +93,7 @@ const MAX_OPEN_ALLOCATIONS: usize = 200;
 
 #[test]
 fn an_opened_store_holds_half_the_heap_and_never_the_whole_file() {
-    let dir = std::env::temp_dir().join(format!("ah-store-footprint-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("footprint.store");
-    let _ = std::fs::remove_file(&path);
+    let path = Scratch::new("footprint.store");
     let space = SearchSpace::builder()
         .int("a", 0, 9, 1)
         .int("b", 0, 9, 1)
@@ -142,6 +142,4 @@ fn an_opened_store_holds_half_the_heap_and_never_the_whole_file() {
         calls <= MAX_OPEN_ALLOCATIONS,
         "open made {calls} allocator calls for {RECORDS} records (at most {MAX_OPEN_ALLOCATIONS})"
     );
-    drop(store);
-    let _ = std::fs::remove_file(&path);
 }

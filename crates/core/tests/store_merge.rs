@@ -18,14 +18,41 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static SEQ: AtomicU64 = AtomicU64::new(0);
 
-fn temp_store(tag: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!(
-        "ah-merge-prop-{}-{}-{tag}.store",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_file(&path);
-    path
+/// The directory of one test case's stores, removed with them when dropped.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new() -> Self {
+        let dir = std::env::temp_dir().join(format!(
+            "ah-merge-prop-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        Scratch(dir)
+    }
+
+    fn path(&self, tag: &str) -> PathBuf {
+        self.0.join(format!("{tag}.store"))
+    }
+
+    fn open(&self, tag: &str) -> PerfStore {
+        PerfStore::open(self.path(tag)).unwrap()
+    }
+
+    fn store_with(&self, tag: &str, keys: &[(i64, i64)]) -> PerfStore {
+        let mut s = self.open(tag);
+        for &k in keys {
+            s.insert(record(k, cost_of(k))).unwrap();
+        }
+        s
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn space() -> SearchSpace {
@@ -45,14 +72,6 @@ fn cost_of(key: (i64, i64)) -> f64 {
 fn record(key: (i64, i64), cost: f64) -> StoreRecord {
     let cfg = space().project(&[key.0 as f64, key.1 as f64]);
     StoreRecord::new("merge-prop", 7, cfg, cost, cost)
-}
-
-fn store_with(tag: &str, keys: &[(i64, i64)]) -> PerfStore {
-    let mut s = PerfStore::open(temp_store(tag)).unwrap();
-    for &k in keys {
-        s.insert(record(k, cost_of(k))).unwrap();
-    }
-    s
 }
 
 /// The live mapping a store serves: cache key → first-recorded cost bits.
@@ -79,9 +98,10 @@ proptest! {
 
     #[test]
     fn merge_is_idempotent(a in key_strategy(), b in key_strategy()) {
+        let dir = Scratch::new();
         let (a, b) = (unpack(&a), unpack(&b));
-        let mut dst = store_with("idem-dst", &a);
-        let peer = store_with("idem-peer", &b);
+        let mut dst = dir.store_with("idem-dst", &a);
+        let peer = dir.store_with("idem-peer", &b);
         dst.merge_from(&peer).unwrap();
         let once = live_map(&dst);
         let len_once = dst.len();
@@ -98,6 +118,7 @@ proptest! {
         b in key_strategy(),
         c in key_strategy(),
     ) {
+        let dir = Scratch::new();
         let (a, b, c) = (unpack(&a), unpack(&b), unpack(&c));
         // With agreeing costs, every grouping and order of the three
         // fleets' stores converges to the identical live mapping.
@@ -108,15 +129,15 @@ proptest! {
         ];
         let mut maps = Vec::new();
         for (i, order) in orders.iter().enumerate() {
-            let mut dst = store_with(&format!("comm-{i}"), order[0]);
-            dst.merge_from(&store_with(&format!("comm-{i}-1"), order[1])).unwrap();
-            dst.merge_from(&store_with(&format!("comm-{i}-2"), order[2])).unwrap();
+            let mut dst = dir.store_with(&format!("comm-{i}"), order[0]);
+            dst.merge_from(&dir.store_with(&format!("comm-{i}-1"), order[1])).unwrap();
+            dst.merge_from(&dir.store_with(&format!("comm-{i}-2"), order[2])).unwrap();
             maps.push(live_map(&dst));
         }
         // Associativity: pre-merge (b ⊕ c), then fold into a.
-        let mut bc = store_with("assoc-bc", &b);
-        bc.merge_from(&store_with("assoc-c", &c)).unwrap();
-        let mut grouped = store_with("assoc-a", &a);
+        let mut bc = dir.store_with("assoc-bc", &b);
+        bc.merge_from(&dir.store_with("assoc-c", &c)).unwrap();
+        let mut grouped = dir.store_with("assoc-a", &a);
         grouped.merge_from(&bc).unwrap();
         maps.push(live_map(&grouped));
         for m in &maps[1..] {
@@ -129,6 +150,7 @@ proptest! {
         keys in key_strategy(),
         seed in 0u64..u64::MAX,
     ) {
+        let dir = Scratch::new();
         let keys = unpack(&keys);
         let mut records: Vec<StoreRecord> =
             keys.iter().map(|&k| record(k, cost_of(k))).collect();
@@ -138,11 +160,11 @@ proptest! {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             records.swap(i, (state >> 33) as usize % (i + 1));
         }
-        let mut clean = PerfStore::open(temp_store("shuffle-clean")).unwrap();
+        let mut clean = dir.open("shuffle-clean");
         clean
             .merge_records(keys.iter().map(|&k| record(k, cost_of(k))).collect())
             .unwrap();
-        let mut chunked = PerfStore::open(temp_store("shuffle-chunked")).unwrap();
+        let mut chunked = dir.open("shuffle-chunked");
         for chunk in records.chunks(3) {
             chunked.merge_records(chunk.to_vec()).unwrap();
         }
@@ -154,9 +176,10 @@ proptest! {
         keys in key_strategy(),
         delta in 1.0f64..100.0,
     ) {
+        let dir = Scratch::new();
         let keys = unpack(&keys);
-        let mut dst = store_with("fww-dst", &keys);
-        let mut peer = PerfStore::open(temp_store("fww-peer")).unwrap();
+        let mut dst = dir.store_with("fww-dst", &keys);
+        let mut peer = dir.open("fww-peer");
         for &k in &keys {
             peer.insert(record(k, cost_of(k) + delta)).unwrap();
         }
@@ -170,7 +193,7 @@ proptest! {
         // The losing side is deterministic in the other direction too: a
         // store built from the peer keeps the *peer's* costs when dst's
         // records arrive second.
-        let mut other = PerfStore::open(temp_store("fww-other")).unwrap();
+        let mut other = dir.open("fww-other");
         other.merge_from(&peer).unwrap();
         let peer_view = live_map(&other);
         other.merge_from(&dst).unwrap();
@@ -182,6 +205,7 @@ proptest! {
         local in proptest::collection::vec(0i64..8, 0..6),
         incoming in proptest::collection::vec(0i64..24, 0..40),
     ) {
+        let dir = Scratch::new();
         // Eight keys, three possible costs each: a raw peer log, with
         // superseded duplicates, conflicting costs and keys already here.
         let local: Vec<(i64, i64)> = local.iter().map(|&k| (k, 0)).collect();
@@ -189,7 +213,7 @@ proptest! {
             .iter()
             .map(|&k| record((k % 8, 0), cost_of((k % 8, 0)) + (k / 8) as f64))
             .collect();
-        let mut dst = store_with("preview", &local);
+        let mut dst = dir.store_with("preview", &local);
         let p = dst.merge_preview(&records);
         let m = dst.merge_records(records).unwrap();
         prop_assert_eq!(
@@ -201,7 +225,8 @@ proptest! {
 
 #[test]
 fn torn_tail_peer_merges_its_intact_prefix() {
-    let path = temp_store("torn-peer");
+    let dir = Scratch::new();
+    let path = dir.path("torn-peer");
     let mut peer = PerfStore::open(&path).unwrap();
     for i in 0..5 {
         peer.insert(record((i, i), cost_of((i, i)))).unwrap();
@@ -213,12 +238,12 @@ fn torn_tail_peer_merges_its_intact_prefix() {
     std::fs::write(&path, &blob[..blob.len() - 7]).unwrap();
     let peer = PerfStore::open(&path).unwrap();
     assert_eq!(peer.live_configs(), 4, "torn tail truncates one record");
-    let mut dst = PerfStore::open(temp_store("torn-dst")).unwrap();
+    let mut dst = dir.open("torn-dst");
     let stats = dst.merge_from(&peer).unwrap();
     assert_eq!(stats.merged, 4);
     assert_eq!(live_map(&dst).len(), 4);
     // The re-measured tail arrives on a later pull and merges cleanly.
-    let mut again = PerfStore::open(temp_store("torn-again")).unwrap();
+    let mut again = dir.open("torn-again");
     again.insert(record((4, 4), cost_of((4, 4)))).unwrap();
     dst.merge_from(&again).unwrap();
     assert_eq!(live_map(&dst).len(), 5);

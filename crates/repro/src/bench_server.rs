@@ -908,10 +908,8 @@ mod tests {
 
     #[test]
     fn store_enabled_bench_reports_a_warm_demo() {
-        let dir = std::env::temp_dir().join(format!("ah-bench-store-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::TempDir::new("bench-store");
         let path = dir.join("bench.store");
-        let _ = std::fs::remove_file(&path);
         let cfg = BenchConfig {
             clients: 2,
             iters: 25,

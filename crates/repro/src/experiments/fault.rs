@@ -65,12 +65,11 @@ pub(crate) struct FaultyOutcome {
     pub(crate) lost: usize,
     pub(crate) stragglers: usize,
     pub(crate) rejoins: usize,
-    /// The run's telemetry handle — counters and the full event trace of
-    /// exactly this faulted campaign.
-    pub(crate) telemetry: Telemetry,
-    /// The sampled time-series ring, when the run was observed or sampling
-    /// was requested explicitly.
-    pub(crate) timeseries: Option<ah_core::telemetry::timeseries::TimeSeries>,
+    /// What the run's server was started with: its telemetry handle
+    /// (counters and the full event trace of exactly this faulted
+    /// campaign), its tenant registry, and the sampled time-series ring
+    /// when the run was observed or sampling was requested explicitly.
+    pub(crate) server: ServerConfig,
 }
 
 /// Live-observation knobs for [`faulty_history_with`]: where to serve the
@@ -130,6 +129,7 @@ pub(crate) fn faulty_history_with(
         slo_rules: ah_core::telemetry::slo::default_rules(),
         ..Default::default()
     });
+    let config = server.config().clone();
     let observer = observe.addr.as_deref().map(|addr| {
         let handle = server.observe(addr).unwrap_or_else(|e| {
             eprintln!("cannot bind observer on {addr}: {e}");
@@ -265,8 +265,7 @@ pub(crate) fn faulty_history_with(
         lost,
         stragglers,
         rejoins,
-        telemetry,
-        timeseries: series,
+        server: config,
     }
 }
 
@@ -322,7 +321,7 @@ impl Experiment for Fault {
             // The history holds fresh evaluations *and* cache-replayed
             // duplicates (a strategy revisiting a configuration), so the
             // two counters together must account for every entry.
-            let t = &got.telemetry;
+            let t = &got.server.telemetry;
             let accounted = t.counter(Counter::TrialsReported) + t.counter(Counter::CacheReplays);
             let agrees = t.counter(Counter::FaultsCrash) == got.crashes as u64
                 && t.counter(Counter::FaultsLostReport) == got.lost as u64
@@ -459,7 +458,7 @@ mod tests {
         ) {
             let plan = FaultPlan::new(seed, crash, lost, straggler);
             let got = faulty_history(StrategyKind::NelderMead, 25, seed, &plan, 3);
-            let t = &got.telemetry;
+            let t = &got.server.telemetry;
 
             // Every begin was closed, and closed exactly once (unique ids).
             prop_assert_eq!(t.open_spans(), 0);
@@ -482,7 +481,7 @@ mod tests {
             // thread is: the handle spans of a session's track never overlap.
             let mut handled: std::collections::HashMap<u64, Vec<(u64, u64)>> =
                 std::collections::HashMap::new();
-            for s in spans.iter().filter(|s| s.kind == SpanKind::ShardHandle) {
+            for s in spans.iter().filter(|s| s.kind == SpanKind::SessionServe) {
                 handled
                     .entry(s.track_id)
                     .or_default()
@@ -547,7 +546,7 @@ mod tests {
             };
             let got =
                 faulty_history_with(StrategyKind::NelderMead, 25, seed, &plan, 3, &opts);
-            let series = got.timeseries.as_ref().unwrap();
+            let series = got.server.timeseries.as_ref().unwrap();
             // The ring must not have wrapped, or the pre-campaign sample
             // (the window's zero baseline) is gone.
             prop_assert!(

@@ -166,14 +166,10 @@ pub fn run(cfg: &FaultWalConfig) -> i32 {
 mod tests {
     use super::*;
 
-    fn tmp(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("ah-fault-wal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(tag)
-    }
-
     #[test]
     fn clean_and_interrupted_runs_write_identical_results() {
+        let dir = crate::TempDir::new("fault-wal");
+        let tmp = |tag: &str| dir.join(tag);
         let clean_out = tmp("clean.json");
         let code = run(&FaultWalConfig {
             wal: tmp("clean.wal"),

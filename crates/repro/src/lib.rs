@@ -27,3 +27,29 @@ pub mod table;
 pub mod telemetry_cli;
 
 pub use experiment::{all_experiments, ExpReport, Experiment, Finding, RunCtx};
+
+/// A directory of one unit test's own under the temporary directory,
+/// removed with everything in it when dropped.
+#[cfg(test)]
+struct TempDir(std::path::PathBuf);
+
+#[cfg(test)]
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("ah-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+
+    fn join(&self, name: &str) -> std::path::PathBuf {
+        self.0.join(name)
+    }
+}
+
+#[cfg(test)]
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}

@@ -49,6 +49,7 @@ pub fn serve(quick: bool, addr: &str, tick_delay_ms: u64, linger_ms: u64) -> i32
     // The campaign ran with the sampler attached; close with the whole-run
     // rates the time-series retained.
     if let Some(w) = outcome
+        .server
         .timeseries
         .as_ref()
         .and_then(|s| s.window(Duration::from_secs(3600)))

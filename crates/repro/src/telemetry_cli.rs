@@ -33,8 +33,9 @@ use ah_core::prelude::*;
 
 /// The instrumented campaign both subcommands observe: same workload,
 /// seeds, and fault probabilities as the `fault` experiment's Nelder–Mead
-/// row, so its numbers line up with that experiment's report.
-fn observed_run(quick: bool) -> Telemetry {
+/// row, so its numbers line up with that experiment's report. Returns what
+/// its server was started with, telemetry and tenant registry included.
+fn observed_run(quick: bool) -> ServerConfig {
     let evals = if quick { 40 } else { 120 };
     let plan = FaultPlan::new(2026, 0.12, 0.08, 0.18);
     let outcome = fault::faulty_history(StrategyKind::NelderMead, evals, 62, &plan, 3);
@@ -45,7 +46,7 @@ fn observed_run(quick: bool) -> Telemetry {
         outcome.lost,
         outcome.stragglers
     );
-    outcome.telemetry
+    outcome.server
 }
 
 /// Write `blob` to `out` when given, otherwise to stdout.
@@ -128,7 +129,7 @@ pub fn trace(quick: bool, out: Option<&str>, format: &str, from: Option<&str>) -
             }
         };
     }
-    let telemetry = observed_run(quick);
+    let telemetry = observed_run(quick).telemetry;
     if format == "chrome" {
         let blob = serde_json::to_string_pretty(&telemetry.chrome_trace())
             .expect("chrome trace serializes");
@@ -233,7 +234,7 @@ mod tests {
 
     #[test]
     fn trace_of_a_quick_faulted_run_is_complete() {
-        let telemetry = observed_run(true);
+        let telemetry = observed_run(true).telemetry;
         let events = telemetry.events();
         assert!(telemetry.dropped_events() == 0, "quick run overflowed ring");
         let proposed: std::collections::HashSet<usize> = events
@@ -260,8 +261,7 @@ mod tests {
 
     #[test]
     fn metrics_exposition_is_parseable_prometheus_text() {
-        let telemetry = observed_run(true);
-        let text = telemetry.prometheus();
+        let text = observed_run(true).prometheus();
         assert!(text.contains("ah_trials_reported_total 40"), "{text}");
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let value = line.rsplit(' ').next().unwrap();
