@@ -24,6 +24,7 @@ use std::sync::OnceLock;
 const NO_SLOT: u32 = u32::MAX;
 
 /// Digest → newest position, plus one chain link per position.
+#[derive(Clone)]
 pub(crate) struct DigestIndex {
     /// Digest → newest position indexed under it.
     heads: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
@@ -102,6 +103,16 @@ impl DigestIndex {
             .expect("an index holds fewer than 2^32 - 1 positions");
         let older = digest.and_then(|digest| self.heads.insert(digest, slot));
         self.next.push(older.unwrap_or(NO_SLOT));
+    }
+
+    /// Forget the newest position, which was pushed under `digest`.
+    pub(crate) fn pop(&mut self, digest: Option<u64>) {
+        let older = self.next.pop().expect("a position to forget");
+        match (digest, older) {
+            (Some(digest), NO_SLOT) => _ = self.heads.remove(&digest),
+            (Some(digest), older) => _ = self.heads.insert(digest, older),
+            (None, _) => {}
+        }
     }
 
     /// Give back the spare capacity of the chain links.

@@ -10,26 +10,27 @@
 //! `\n`: a file that stops after a complete `{…}` holds a write cut one
 //! byte short, and counting it would let the next append share its line.
 //!
-//! **Recovery.** [`scan`] streams the file through one buffer, once;
+//! **Recovery.** [`scan`] streams the file through one buffer, once. The
+//! header goes through the caller's check before any record line is read;
 //! records count up to the first line that is not one — not UTF-8, not
 //! newline-terminated, or refused by the caller's [`LineReader`], which
-//! decodes each line into state of its own (the WAL's and a peer pull's
-//! through the derive, [`each`]; the store's in place). A readable record
-//! *after* that line means damage in the middle of the log, which
-//! [`DurableLog::open`] refuses by line number; otherwise the rest is the
-//! tail of an append a crash cut short, and open truncates it, so an
-//! opened log always ends in `\n`.
+//! decodes each line into state of its own (the WAL's through the derive,
+//! the store's in place). A readable record *after* that line means damage
+//! in the middle of the log, which [`DurableLog::open`] refuses by line
+//! number; otherwise the rest is the tail of an append a crash cut short,
+//! and open truncates it, so an opened log always ends in `\n`.
 //!
 //! **Appends** go in whole lines at the log's committed length, and a write
 //! that fails half way (a full disk) is truncated back to it. They are
 //! durable after the next [`sync`](DurableLog::sync), the caller's call to
-//! make. **[`rewrite`](DurableLog::rewrite)** replaces the file through a
-//! temp file and a rename: a crash leaves the old log or the new.
+//! make. **[`rewrite`](DurableLog::rewrite)** streams a new file from the
+//! old one through a temp file, a rename and a sync of the directory: a
+//! crash leaves the old log or the new.
 
 use crate::error::{HarmonyError, Result};
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -38,8 +39,9 @@ fn io_err(what: &str, path: &Path, e: std::io::Error) -> HarmonyError {
 }
 
 /// Append `value`'s JSON line — what the derive writes, and a newline — to
-/// `out`. Every line of either log is made here: a header, a batch's
-/// records into the batch's one buffer, a peer's pull, a compaction.
+/// `out`. Every line of either log is made here, or read by the store's
+/// own reader from a line made here: a header, a batch's records into the
+/// batch's one buffer, a merged record the reader declined.
 pub(crate) fn push_line<T: Serialize>(value: &T, out: &mut Vec<u8>) {
     serde_json::to_writer(out, value).expect("log lines serialize");
     out.push(b'\n');
@@ -79,55 +81,12 @@ fn next_line<'a>(
 }
 
 /// How a log's record lines become records: the decode is the caller's.
-/// [`scan`] hands every line to [`decode`](Self::decode), which reads it
-/// into state of the reader's own, and then, while no line before it was
-/// refused, to [`keep`](Self::keep), which takes the record from that state.
+/// [`scan`] hands every line to [`read`](Self::read), and says whether to
+/// keep its record: only while no line before it was refused.
 pub(crate) trait LineReader {
-    /// Read `line` (the text less its line ending), or say why it is not a
-    /// record.
-    fn decode(&mut self, line: &str) -> std::result::Result<(), String>;
-    /// Take the record of `line`, which [`decode`](Self::decode) has just
-    /// accepted.
-    fn keep(&mut self, line: &str);
-}
-
-/// A [`LineReader`] that decodes each line with `decode` into a value of
-/// its own and hands the kept ones to `keep`, in order.
-pub(crate) struct Each<R, D, K> {
-    decoded: Option<R>,
-    decode: D,
-    keep: K,
-}
-
-/// Read each line with `decode` ([`derived`] for a type's derive) and hand
-/// every kept record to `keep`.
-pub(crate) fn each<R, D, K>(decode: D, keep: K) -> Each<R, D, K>
-where
-    D: FnMut(&str) -> std::result::Result<R, String>,
-    K: FnMut(R),
-{
-    Each {
-        decoded: None,
-        decode,
-        keep,
-    }
-}
-
-impl<R, D, K> LineReader for Each<R, D, K>
-where
-    D: FnMut(&str) -> std::result::Result<R, String>,
-    K: FnMut(R),
-{
-    fn decode(&mut self, line: &str) -> std::result::Result<(), String> {
-        self.decoded = Some((self.decode)(line)?);
-        Ok(())
-    }
-
-    fn keep(&mut self, _: &str) {
-        if let Some(record) = self.decoded.take() {
-            (self.keep)(record);
-        }
-    }
+    /// Read `line` (the text less its line ending), taking its record when
+    /// `keep`, or say why it is not a record.
+    fn read(&mut self, line: &str, keep: bool) -> std::result::Result<(), String>;
 }
 
 /// The derive's decode of one line as an `R`.
@@ -136,15 +95,17 @@ pub(crate) fn derived<R: Deserialize>(line: &str) -> std::result::Result<R, Stri
 }
 
 /// The one reader of header-plus-records JSON lines, from a file or from
-/// bytes already in memory. Every line goes through `lines`, and every
-/// record up to the first line that is not one is kept, in order; blank
-/// lines are skipped. Returns the header, for the caller to check, and the
-/// offset just past the last record kept; the inner `Err` says why line 1
-/// is not a header, or which line has a readable record *after* it and so
-/// is damage mid-log, not the end of the last append. The outer `Err` is a
-/// read that failed, which says nothing about the log.
+/// bytes already in memory. Line 1 goes through `check` before any other
+/// line is read; then every line goes through `lines`, and every record up
+/// to the first line that is not one is kept, in order; blank lines are
+/// skipped. Returns the header and the offset just past the last record
+/// kept; the inner `Err` says why line 1 is not a header or was refused,
+/// or which line has a readable record *after* it and so is damage mid-log,
+/// not the end of the last append. The outer `Err` is a read that failed,
+/// which says nothing about the log.
 pub(crate) fn scan<H: Deserialize>(
     mut reader: impl BufRead,
+    check: impl FnOnce(&H) -> std::result::Result<(), String>,
     lines: &mut impl LineReader,
 ) -> std::io::Result<std::result::Result<(H, usize), String>> {
     let mut buf = Vec::new();
@@ -155,6 +116,9 @@ pub(crate) fn scan<H: Deserialize>(
         Ok(header) => header,
         Err(why) => return Ok(Err(format!("bad header: {why}"))),
     };
+    if let Err(why) = check(&header) {
+        return Ok(Err(why));
+    }
     let mut good_end = consumed;
     // The first line that is not a record: its number, and why.
     let mut bad: Option<(usize, String)> = None;
@@ -162,16 +126,13 @@ pub(crate) fn scan<H: Deserialize>(
     while let Some((taken, line)) = next_line(&mut reader, &mut buf)? {
         consumed += taken;
         line_no += 1;
-        let (text, decoded) = match line {
+        let read = match line {
             Ok("") => continue,
-            Ok(text) => (text, lines.decode(text)),
-            Err(why) => ("", Err(why)),
+            Ok(text) => lines.read(text, bad.is_none()),
+            Err(why) => Err(why),
         };
-        match (decoded, &bad) {
-            (Ok(()), None) => {
-                lines.keep(text);
-                good_end = consumed;
-            }
+        match (read, &bad) {
+            (Ok(()), None) => good_end = consumed,
             (Ok(()), Some((line, error))) => {
                 return Ok(Err(format!("unreadable record at line {line}: {error}")))
             }
@@ -198,14 +159,6 @@ pub(crate) struct DurableLog {
     last_append: Instant,
 }
 
-/// A handle at the end of a fresh, synced file at `path` holding `contents`.
-fn write_new(path: &Path, contents: &[u8]) -> std::io::Result<File> {
-    let mut file = File::create(path)?;
-    file.write_all(contents)?;
-    file.sync_data()?;
-    Ok(file)
-}
-
 /// Cut `file` back to `len` bytes and leave its cursor there. No handle of
 /// a log is in append mode (ext4 serves an `O_APPEND` write ≈ 0.8 µs slower
 /// than one at the cursor), so the cursor is where the next append lands.
@@ -230,7 +183,12 @@ impl DurableLog {
     pub(crate) fn create(path: &Path, header: &impl Serialize) -> Result<Self> {
         let mut line = Vec::new();
         push_line(header, &mut line);
-        let file = write_new(path, &line).map_err(|e| io_err("create", path, e))?;
+        let file = File::create(path)
+            .and_then(|mut file| {
+                file.write_all(&line)?;
+                file.sync_data().map(|()| file)
+            })
+            .map_err(|e| io_err("create", path, e))?;
         Ok(Self::new(path, file, line.len()))
     }
 
@@ -251,13 +209,12 @@ impl DurableLog {
             .open(path)
             .map_err(unread)?;
         let mut reader = BufReader::with_capacity(READ_BUFFER, &file);
-        let scanned = scan::<H>(&mut reader, lines).map_err(unread)?;
-        // The scan reads to the end, so where the reader stands is the
-        // file's length as read.
-        let len = reader.stream_position().map_err(unread)?;
+        let scanned = scan::<H>(&mut reader, check, lines).map_err(unread)?;
         let refuse = |what: String| corrupt(format!("{}: {what}", path.display()));
         let (header, good_end) = scanned.map_err(refuse)?;
-        check(&header).map_err(refuse)?;
+        // The scan read to the end, so where the reader stands is the
+        // file's length as read.
+        let len = reader.stream_position().map_err(unread)?;
         let torn = (good_end as u64) < len;
         if torn {
             // Off the disk, not merely skipped: the next append must start
@@ -352,17 +309,36 @@ impl DurableLog {
         self.synced = self.synced.max(position);
     }
 
-    /// Replace the whole log with `contents` (a header line and record
-    /// lines), atomically: temp file, sync, rename over the log.
-    pub(crate) fn rewrite(&mut self, contents: &[u8]) -> Result<()> {
+    /// Replace the whole log, atomically, with what `copy` writes (a
+    /// header line and record lines) while it reads the log as it stands
+    /// through a handle of its own: temp file, sync, rename over the log,
+    /// sync of the directory, so that the new entry is as durable as the
+    /// bytes. `Err` when a step before the rename fails, with the log as it
+    /// was; once the new file is the log, `Ok` with the directory sync's
+    /// outcome.
+    pub(crate) fn rewrite(
+        &mut self,
+        copy: impl FnOnce(BufReader<File>, &mut BufWriter<File>) -> Result<()>,
+    ) -> Result<Result<()>> {
         let tmp = self.path.with_extension("compact");
-        let file = write_new(&tmp, contents).map_err(|e| io_err("write", &tmp, e))?;
+        let wrote = |e| io_err("write", &tmp, e);
+        let log = File::open(&self.path).map_err(|e| io_err("read", &self.path, e))?;
+        let written = File::create(&tmp).map_err(wrote).and_then(|file| {
+            let mut out = BufWriter::with_capacity(READ_BUFFER, file);
+            copy(BufReader::with_capacity(READ_BUFFER, log), &mut out)?;
+            let file = out.into_inner().map_err(|e| wrote(e.into_error()))?;
+            file.sync_data().map_err(wrote)?;
+            // The cursor is at the end, where the next append lands.
+            let len = (&file).stream_position().map_err(wrote)?;
+            Ok((file, len))
+        });
+        let (file, len) = written.inspect_err(|_| _ = std::fs::remove_file(&tmp))?;
         std::fs::rename(&tmp, &self.path).map_err(|e| io_err("rename over", &self.path, e))?;
         // The handle follows the file through the rename.
-        self.file = file;
-        self.committed = contents.len() as u64;
-        self.synced = self.appended;
-        Ok(())
+        (self.file, self.committed, self.synced) = (file, len, self.appended);
+        let dir = self.path.parent().filter(|dir| !dir.as_os_str().is_empty());
+        let synced = File::open(dir.unwrap_or(Path::new("."))).and_then(|dir| dir.sync_all());
+        Ok(synced.map_err(|e| io_err("sync the directory of", &self.path, e)))
     }
 }
 
@@ -401,18 +377,49 @@ mod tests {
         crate::TempPath::new(&format!("log-{tag}.log"))
     }
 
+    /// A [`LineReader`] that decodes each line with the derive and keeps
+    /// the records in `.0`, in order.
+    struct Derived<R>(Vec<R>);
+
+    impl<R> Default for Derived<R> {
+        fn default() -> Self {
+            Derived(Vec::new())
+        }
+    }
+
+    impl<R: Deserialize> LineReader for Derived<R> {
+        fn read(&mut self, line: &str, keep: bool) -> std::result::Result<(), String> {
+            let record = derived(line)?;
+            if keep {
+                self.0.push(record);
+            }
+            Ok(())
+        }
+    }
+
+    fn ns(lines: Derived<Rec>) -> Vec<u32> {
+        lines.0.iter().map(|r| r.n).collect()
+    }
+
+    fn any_header(_: &Head) -> std::result::Result<(), String> {
+        Ok(())
+    }
+
     /// Open `path`: the log, the `n` of every record, a torn tail dropped.
     fn reopen(path: &Path) -> Result<(DurableLog, Vec<u32>, bool)> {
-        let mut seen = Vec::new();
-        let mut lines = each(derived, |r: Rec| seen.push(r.n));
-        let (log, header, torn) = DurableLog::open(
-            path,
-            HarmonyError::StoreCorrupt,
-            |_: &Head| Ok(()),
-            &mut lines,
-        )?;
+        let mut lines = Derived::default();
+        let (log, header, torn) =
+            DurableLog::open(path, HarmonyError::StoreCorrupt, any_header, &mut lines)?;
         assert_eq!(header, head());
-        Ok((log, seen, torn))
+        Ok((log, ns(lines), torn))
+    }
+
+    /// Rewrite `log` to hold `contents`.
+    fn rewrite_to(log: &mut DurableLog, contents: &[u8]) -> Result<()> {
+        log.rewrite(|_, out| {
+            out.write_all(contents)
+                .map_err(|e| HarmonyError::Io(e.to_string()))
+        })?
     }
 
     /// `scan` over `body` after a good header: the records kept, and either
@@ -422,8 +429,8 @@ mod tests {
         push_line(&head(), &mut bytes);
         let header_len = bytes.len();
         bytes.extend_from_slice(body);
-        let mut seen = Vec::new();
-        let scanned = scan::<Head>(&bytes[..], &mut each(derived, |r: Rec| seen.push(r.n)));
+        let mut lines = Derived::default();
+        let scanned = scan::<Head>(&bytes[..], any_header, &mut lines);
         let end = match scanned.expect("memory reads") {
             Ok((_, good_end)) => Ok(good_end - header_len),
             Err(what) => {
@@ -433,7 +440,7 @@ mod tests {
                 Err(rest.split_once(": ").expect(&what).0.parse().expect(&what))
             }
         };
-        (seen, end)
+        (ns(lines), end)
     }
 
     #[test]
@@ -497,7 +504,7 @@ mod tests {
     #[test]
     fn line_one_must_be_a_whole_header() {
         let refused = |bytes: &[u8]| {
-            scan::<Head>(bytes, &mut each(derived::<Rec>, drop))
+            scan::<Head>(bytes, any_header, &mut Derived::<Rec>::default())
                 .expect("memory reads")
                 .map(|_| ())
                 .expect_err("refused")
@@ -548,7 +555,7 @@ mod tests {
         bytes.truncate(good as usize - 3);
         std::fs::write(&path, &bytes).unwrap();
         let not_mine = |h: &Head| Err(format!("not mine: {}", h.kind));
-        let mut lines = each(derived::<Rec>, drop);
+        let mut lines = Derived::<Rec>::default();
         match DurableLog::open(&path, HarmonyError::WalCorrupt, not_mine, &mut lines) {
             Err(HarmonyError::WalCorrupt(msg)) => assert!(msg.ends_with(": not mine: t"), "{msg}"),
             other => panic!("expected a refusal, got {:?}", other.map(|(_, h, _)| h)),
@@ -565,12 +572,33 @@ mod tests {
         let mut contents = Vec::new();
         push_line(&head(), &mut contents);
         contents.extend(line(3));
-        log.rewrite(&contents).unwrap();
+        rewrite_to(&mut log, &contents).unwrap();
         assert_eq!((log.len(), log.unsynced()), (contents.len() as u64, 0));
         assert!(!path.with_extension("compact").exists());
         log.append(&line(4), 1).unwrap();
         drop(log);
         assert_eq!(reopen(&path).unwrap().1, [3, 4]);
+    }
+
+    #[test]
+    fn a_rewrite_reads_the_log_as_it_stands_and_a_failed_one_changes_nothing() {
+        let path = temp_path("rewrite-copy");
+        let mut log = DurableLog::create(&path, &head()).unwrap();
+        log.append(&[line(1), line(2)].concat(), 2).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        let failed = log.rewrite(|mut old, out| {
+            let mut seen = Vec::new();
+            std::io::Read::read_to_end(&mut old, &mut seen).unwrap();
+            assert_eq!(seen, before);
+            out.write_all(&seen[..3]).unwrap();
+            Err(HarmonyError::Io("full".into()))
+        });
+        assert!(matches!(failed, Err(HarmonyError::Io(_))));
+        assert!(!path.with_extension("compact").exists());
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        log.append(&line(3), 1).unwrap();
+        drop(log);
+        assert_eq!(reopen(&path).unwrap().1, [1, 2, 3]);
     }
 
     #[test]
@@ -583,7 +611,7 @@ mod tests {
         let mut contents = Vec::new();
         push_line(&head(), &mut contents);
         contents.extend(line(3));
-        log.rewrite(&contents).unwrap();
+        rewrite_to(&mut log, &contents).unwrap();
         log.append(&[line(4), line(5)].concat(), 2).unwrap();
         // The flusher's sync ran on the replaced file: the two appends to
         // the new one are still unsynced, so the next flush must sync.
@@ -650,25 +678,20 @@ mod tests {
         bytes.extend_from_slice(&torn);
         assert!(bytes.len() > next, "the torn tail crosses a boundary");
 
-        let mut by_slice = Vec::new();
-        let (_, good_end) =
-            scan::<Head>(&bytes[..], &mut each(derived, |r: Text| by_slice.push(r)))
-                .expect("memory reads")
-                .expect("a torn tail is not damage");
+        let mut by_slice = Derived::<Text>::default();
+        let (_, good_end) = scan::<Head>(&bytes[..], any_header, &mut by_slice)
+            .expect("memory reads")
+            .expect("a torn tail is not damage");
+        let by_slice = by_slice.0;
         assert_eq!(good_end, bytes.len() - torn.len());
         assert_eq!(by_slice.len(), n as usize);
 
         let path = temp_path("streamed-open");
         std::fs::write(&path, &bytes).unwrap();
-        let mut streamed = Vec::new();
-        let (mut log, _, truncated) = DurableLog::open(
-            &path,
-            HarmonyError::StoreCorrupt,
-            |_: &Head| Ok(()),
-            &mut each(derived, |r: Text| streamed.push(r)),
-        )
-        .unwrap();
-        assert_eq!(streamed, by_slice);
+        let mut streamed = Derived::<Text>::default();
+        let (mut log, _, truncated) =
+            DurableLog::open(&path, HarmonyError::StoreCorrupt, any_header, &mut streamed).unwrap();
+        assert_eq!(streamed.0, by_slice);
         assert!(truncated);
         assert_eq!(log.len(), good_end as u64);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), good_end as u64);

@@ -118,6 +118,56 @@ pub mod prelude {
     pub use crate::wal::{WalHeader, WalSession};
 }
 
+/// The unit tests' allocator: the system's, counting the calls (`alloc`,
+/// `alloc_zeroed`, `realloc`) each thread makes, so that a test can hold a
+/// path to a number of calls that does not grow with its input while other
+/// tests run beside it.
+#[cfg(test)]
+mod counting {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        static CALLS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Allocator calls this thread has made.
+    pub(crate) fn calls() -> usize {
+        CALLS.with(Cell::get)
+    }
+
+    fn count() {
+        // Not during the thread's own set-up or teardown.
+        let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
+    }
+
+    struct Counting;
+
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count();
+            System.alloc(layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            count();
+            System.alloc_zeroed(layout)
+        }
+
+        unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+            System.dealloc(p, layout)
+        }
+
+        unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count();
+            System.realloc(p, layout, new_size)
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: Counting = Counting;
+}
+
 /// A file path of a unit test's own, `<tmp>/ah-<pid>-<file>/<file>`: its
 /// directory is made empty on creation and removed, with whatever the test
 /// left in it, when the guard drops. Derefs to the file's path.

@@ -9,8 +9,7 @@
 
 use super::observe::{http_get, StoreLogHeader, STORE_LOG_KIND};
 use super::ServerConfig;
-use crate::durable_log;
-use crate::store::{self, SharedStore, StoreRecord};
+use crate::store::SharedStore;
 use crate::telemetry::timeseries::DEFAULT_SAMPLE_INTERVAL;
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::{Arc, Weak};
@@ -38,9 +37,10 @@ pub(crate) fn run_due(jobs: &mut Vec<(Instant, Job)>, now: Instant) -> Option<In
 type Get = fn(&str, &str) -> std::io::Result<(u16, String)>;
 
 /// The anti-entropy pull of `peer`, as a job: fetch its store log from our
-/// high-water mark, merge it (first write wins, so re-pulls are harmless),
-/// and advance the mark to what actually parsed; an unparseable tail is
-/// refetched next round. The mark is a position in one generation of the
+/// high-water mark, merge it under the store lock through the store's own
+/// reader (first write wins, so re-pulls are harmless), and advance the
+/// mark past the records the body held; an unparseable tail is refetched
+/// next round. The mark is a position in one generation of the
 /// peer's log; when the header names another (the peer compacted or
 /// restarted, and records may have moved beneath the mark) the next pull
 /// starts from 0. A peer that is down or speaks garbage means a retry,
@@ -48,25 +48,19 @@ type Get = fn(&str, &str) -> std::io::Result<(u16, String)>;
 fn pull(peer: String, store: SharedStore, every: Duration, get: Get) -> Job {
     let (mut from, mut generation, mut failures) = (0, None, 0);
     Box::new(move || {
-        let mut records: Vec<StoreRecord> = Vec::new();
-        let scanned = match get(&peer, &format!("/store/log?from={from}")) {
-            Ok((200, body)) => {
-                let mut lines = durable_log::each(store::read_record, |r| records.push(r));
-                durable_log::scan(body.as_bytes(), &mut lines)
-                    .expect("memory reads")
-                    .ok()
-            }
+        let check = |h: &StoreLogHeader| match h.kind.as_str() {
+            STORE_LOG_KIND => Ok(()),
+            kind => Err(format!("not a store log (kind {kind:?})")),
+        };
+        let merged = match get(&peer, &format!("/store/log?from={from}")) {
+            Ok((200, body)) => store.with(|store| store.merge_log(body.as_bytes(), check)),
             _ => None,
         };
-        let header: Option<StoreLogHeader> = scanned.map(|(header, _)| header);
-        failures = match header.filter(|h| h.kind == STORE_LOG_KIND) {
-            Some(h) => {
+        failures = match merged {
+            Some((h, stats, _)) => {
                 let anchored = h.start == 0 || generation == Some(h.generation);
-                from = if anchored { h.start + records.len() } else { 0 };
+                from = if anchored { h.start + stats.scanned } else { 0 };
                 generation = Some(h.generation);
-                if !records.is_empty() {
-                    let _ = store.merge_records(records);
-                }
                 0
             }
             None => (failures + 1).min(MAX_DOUBLINGS),
@@ -156,6 +150,8 @@ impl Poster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable_log::push_line;
+    use crate::store::StoreRecord;
     use std::cell::{Cell, RefCell};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -164,10 +160,13 @@ mod tests {
         static UP: Cell<bool> = const { Cell::new(false) };
         /// The records [`serving`] answers with.
         static BODY: RefCell<String> = const { RefCell::new(String::new()) };
+        /// The paths [`serving`] was asked for.
+        static ASKED: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
     }
 
     /// A peer whose log, from 0, is the lines in [`BODY`].
-    fn serving(_: &str, _: &str) -> std::io::Result<(u16, String)> {
+    fn serving(_: &str, path: &str) -> std::io::Result<(u16, String)> {
+        ASKED.with(|asked| asked.borrow_mut().push(path.to_string()));
         let header =
             format!("{{\"kind\":\"{STORE_LOG_KIND}\",\"start\":0,\"total\":3,\"generation\":1}}\n");
         Ok((200, BODY.with(|body| format!("{header}{}", body.borrow()))))
@@ -201,6 +200,61 @@ mod tests {
             run_due(&mut jobs, now);
             assert_eq!(store.record_count(), merged);
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_pull_re_encodes_the_lines_the_reader_declines_and_its_mark_stops_before_a_bad_one() {
+        let line = |app: &str, real: &str, rest: &str| {
+            format!(
+                "{{\"app\":{app},\"fingerprint\":1,\"config\":{{\"names\":[\"r\"],\"values\":[{{\"Real\":{real}}}]}},\
+                 \"cost_bits\":1,\"wall_bits\":2,\"session\":3,\"iteration\":4,{rest}\"requeued\":false,\"replayed\":true}}"
+            )
+        };
+        // An escaped label, a space after a comma, a real that is not in
+        // its shortest form: each one the store's reader declines.
+        let declined = [
+            line("\"a\\\"b\"", "0.5", ""),
+            line("\"a\"", "0.25", " "),
+            line("\"a\"", "1.50", ""),
+        ];
+        let body = format!("{}\n{{\"not\":\"a record\"}}\n", declined.join("\n"));
+        let path =
+            std::env::temp_dir().join(format!("ah-chores-declined-{}.store", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let store = SharedStore::open(&path).unwrap();
+        BODY.with(|b| *b.borrow_mut() = body);
+        ASKED.with(|asked| asked.borrow_mut().clear());
+        let every = Duration::from_millis(100);
+        let now = Instant::now();
+        let mut jobs = vec![(now, pull("peer".into(), store.clone(), every, serving))];
+        run_due(&mut jobs, now);
+        // The three records merge, as the derive reads them, each line as
+        // the encoder writes that record.
+        let records: Vec<StoreRecord> = declined
+            .iter()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        let mut want = b"{\"kind\":\"ah-store\",\"version\":1}\n".to_vec();
+        records.iter().for_each(|r| push_line(r, &mut want));
+        let mut live = Vec::new();
+        store
+            .with(|s| s.live_records())
+            .iter()
+            .for_each(|r| push_line(r, &mut live));
+        assert_eq!(
+            live,
+            want[want.iter().position(|&b| b == b'\n').unwrap() + 1..]
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), want);
+        let file = String::from_utf8(want).unwrap();
+        assert!(file.contains("a\\\"b") && file.contains("\"Real\":1.5}"));
+        assert!(!file.contains(", ") && !file.contains("1.50"));
+        // The mark stops before the line that is not a record.
+        run_due(&mut jobs, now + every);
+        let asked = ASKED.with(|asked| asked.borrow().clone());
+        assert_eq!(asked, ["/store/log?from=0", "/store/log?from=3"]);
+        assert_eq!(store.record_count(), 3, "a re-pull merges nothing new");
         let _ = std::fs::remove_file(&path);
     }
 

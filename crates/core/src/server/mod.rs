@@ -102,8 +102,9 @@
 //! Servers federate through their performance stores: with
 //! [`ServerConfig::sync_peers`] set, the server's `chores` thread
 //! periodically pulls each peer's record log over the observer HTTP plane
-//! (`GET /store/log?from=SEQ`) and merges it into the local store
-//! ([`crate::store::PerfStore::merge_records`]: first write wins, so the
+//! (`GET /store/log?from=SEQ`) and merges it into the local store, line by
+//! line through the store's own reader, under the algebra of
+//! [`crate::store::PerfStore::merge_records`] (first write wins, so the
 //! pull is idempotent and peers may sync each other in any order). Merged
 //! records feed the same read-through cache as local measurements, which is
 //! what makes fleet-wide warm starts work: a server can answer a

@@ -35,16 +35,31 @@
 //! background thread once appends go quiet, and both on
 //! [`PerfStore::flush`] / drop.
 //!
+//! # Merging
+//!
+//! Records from another log — a peer's `/store/log` body, the lines
+//! [`merge_records`](PerfStore::merge_records) encodes, the store's own
+//! file at compaction — enter through the reader open uses (see "In
+//! memory"), with one rule open does not have: a record whose key the store
+//! already serves is skipped, and is a conflict when its cost differs. A
+//! merged line the reader read in place is appended as it came, one it
+//! declined is re-encoded, so every line of a store file is one the encoder
+//! could have written. The dry run
+//! ([`merge_preview`](PerfStore::merge_preview)) merges into a copy.
+//!
 //! # Compaction
 //!
 //! The log is append-only; re-measurements of a known configuration under a
 //! noisy objective append rather than rewrite. [`PerfStore::compact`]
-//! snapshots the live (first-recorded) records and atomically rewrites the
-//! log with them, so the file cannot grow without bound;
-//! [`PerfStore::gc`] is compaction filtered to one application's records.
-//! A rewrite moves records to new positions, so it also starts a new
-//! `generation`: a peer pulling the log by
-//! position re-pulls from 0 when the generation it last saw is gone.
+//! rewrites it atomically with only the live (first-recorded) records, so
+//! the file cannot grow without bound; [`PerfStore::gc`] keeps one
+//! application's. It merges the log's own file, read afresh, into no
+//! records: each key's first line is the live record's, and the kept lines
+//! stream to the new file. A record whose append failed (a full disk) is
+//! served from memory, but its line is not in the file, so a compaction
+//! drops it, as a reopen does. A rewrite moves records to new positions, so
+//! it also starts a new `generation`: a peer pulling the log by position
+//! re-pulls from 0 when the generation it last saw is gone.
 //!
 //! # In memory
 //!
@@ -56,12 +71,14 @@
 //! label ids of its `Enum` values. A *shape* is a parameter name table
 //! plus each value's variant (`Int`, `Real`, `Enum`), interned once, so
 //! the records of one space share one name table; app labels and enum
-//! labels are interned strings. A [`StoreRecord`] is built from its row on
-//! demand ([`live_records`](PerfStore::live_records),
-//! [`encode_log_from`](PerfStore::encode_log_from), compaction, the priors
-//! view) and is exactly the record that was stored: a `Real` keeps its
-//! bits and an `Enum` its index and label, so every line re-encodes
-//! byte-identically.
+//! labels are interned strings. A [`StoreRecord`] exists only at the API's
+//! edge: [`insert_batch`](PerfStore::insert_batch) and
+//! [`merge_records`](PerfStore::merge_records) take them, one is built from
+//! its row for [`live_records`](PerfStore::live_records),
+//! [`encode_log_from`](PerfStore::encode_log_from) and the priors view, and
+//! the derive reads a line the store's reader declines into one. A record
+//! built from a row is the one stored: a `Real` keeps its bits and an `Enum`
+//! its index and label, so every line re-encodes byte-identically.
 //!
 //! One index finds a key: a seeded digest of `(app id, fingerprint, cache
 //! key)` maps to the newest live record with that digest, and a chain
@@ -74,11 +91,12 @@
 //! each line itself, straight into a row and the value column: a reused
 //! line reader takes the exact bytes the encoder writes, and the row is
 //! pushed from it, so a steady open allocates nothing per line. A line in
-//! any other layout — spaced, reordered, escaped — it declines, and the
-//! derive reads that one into a [`StoreRecord`] first; the reader takes
-//! only lines the derive takes, into the same row. A record whose line
-//! could not be read back (a non-finite `Real`, written as `null`) is
-//! never appended, and a line that decodes to one is not a record.
+//! any other layout — spaced, reordered, escaped, a real not in its
+//! shortest form — it declines, and the derive reads that one into a
+//! [`StoreRecord`] first; the reader takes only lines the derive takes,
+//! into the same row. A record whose line could not be read back (a
+//! non-finite `Real`, written as `null`) is never appended, and a line that
+//! decodes to one is not a record.
 //!
 //! # Cache semantics
 //!
@@ -112,6 +130,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
+use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -359,7 +378,7 @@ fn fresh_generation() -> u64 {
 }
 
 /// Strings kept once each, by a dense id.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Interner {
     strings: Vec<Arc<str>>,
     ids: HashMap<Arc<str>, u32>,
@@ -387,6 +406,13 @@ impl Interner {
 
     fn len(&self) -> usize {
         self.strings.len()
+    }
+
+    /// Forget the strings interned after the first `len`.
+    fn truncate(&mut self, len: usize) {
+        for s in self.strings.drain(len..) {
+            self.ids.remove(&s);
+        }
     }
 }
 
@@ -454,6 +480,7 @@ struct Slot {
 
 /// The log's records in memory, in file order, with no heap object per
 /// record (see the [module docs](self#in-memory)).
+#[derive(Clone)]
 struct Records {
     rows: Vec<Row>,
     /// Every record's cache key, then the label ids of its `Enum` values,
@@ -539,12 +566,6 @@ impl Records {
             Some(row) if self.apps.get(row.app) == app => Some(row.app),
             _ => self.apps.id(app),
         }
-    }
-
-    /// [`find`](Self::find) for `record`'s key.
-    fn find_record(&self, record: &StoreRecord) -> Option<usize> {
-        let key = record.config.values().iter().map(ParamValue::cache_key);
-        self.find(&record.app, record.fingerprint, key)
     }
 
     /// Where a record with `(app, fingerprint, key)` goes, `app` interned
@@ -665,12 +686,10 @@ impl Records {
         self.push_row(row, live.then_some(slot.digest), key, labels);
     }
 
-    /// Append the record [`Line::read`] read from `text`, live unless the
-    /// index already serves its key.
-    fn push_read(&mut self, line: &Line, text: &str) {
+    /// Append the record [`Line::read`] read from `text` in `slot`, served
+    /// by the index for its key when `live`.
+    fn push_read(&mut self, line: &Line, text: &str, slot: Slot, live: bool) {
         let at = |(start, end): Span| &text[start..end];
-        let key = line.key.iter().copied();
-        let (slot, found) = self.slot(at(line.app), line.row.fingerprint, key.clone());
         let names = || line.names.iter().map(|&span| at(span));
         let shape = self.shape_id(
             |shape| {
@@ -687,7 +706,36 @@ impl Records {
             shape,
             ..line.row
         };
-        self.push_row(row, found.is_none().then_some(slot.digest), key, labels);
+        let key = line.key.iter().copied();
+        self.push_row(row, live.then_some(slot.digest), key, labels);
+    }
+
+    /// How far the records and what they interned reach, for a
+    /// [`roll_back`](Self::roll_back) to.
+    fn mark(&self) -> [usize; 4] {
+        let (rows, shapes) = (self.rows.len(), self.shapes.len());
+        [rows, self.apps.len(), self.labels.len(), shapes]
+    }
+
+    /// Drop what was pushed and interned since `mark`, newest first, as if
+    /// it had never been.
+    fn roll_back(&mut self, [len, apps, labels, shapes]: [usize; 4]) {
+        while self.rows.len() > len {
+            let pos = self.rows.len() - 1;
+            let row = self.rows[pos];
+            let live = row.flags & LIVE != 0;
+            let digest =
+                live.then(|| self.digest(row.app, row.fingerprint, self.key(pos).iter().copied()));
+            self.index.pop(digest);
+            self.live -= usize::from(live);
+            self.vals.truncate(row.offset);
+            self.rows.pop();
+        }
+        self.apps.truncate(apps);
+        self.labels.truncate(labels);
+        for shape in self.shapes.drain(shapes..) {
+            self.shape_ids.remove(&shape);
+        }
     }
 
     /// The record at `pos`, as it was pushed.
@@ -753,14 +801,18 @@ struct Line {
     key: Vec<i64>,
     /// The labels of the `Enum` values, in order.
     labels: Vec<Span>,
+    /// The text the encoder writes a real as, to hold a real to.
+    real: Vec<u8>,
 }
 
 impl Line {
     /// Read `text` if it is a record exactly as the encoder writes one —
-    /// its keys in field order, no whitespace, no escape in a string, no
-    /// leading zero, `-0` or out-of-range integer, as many names as values
-    /// — else decline (`false`) and leave the line to the derive. A line
-    /// read here is one the derive reads too, into the same record.
+    /// its keys in field order, no whitespace, no escape or control
+    /// character in a string, no leading zero, `-0` or out-of-range
+    /// integer, each real in its shortest form, as many names as values —
+    /// else decline (`false`) and leave the line to the derive. A line read
+    /// here is one the derive reads too, into the same record, and one the
+    /// encoder writes byte for byte.
     fn read(&mut self, text: &str) -> bool {
         self.names.clear();
         self.kinds.clear();
@@ -819,7 +871,7 @@ impl Line {
         let (kind, key) = if at.eat(b"{\"Int\":") {
             (Kind::Int, at.i64()?)
         } else if at.eat(b"{\"Real\":") {
-            (Kind::Real, at.f64()?.to_bits() as i64)
+            (Kind::Real, at.f64(&mut self.real)?.to_bits() as i64)
         } else {
             at.expect(b"{\"Enum\":{\"index\":")?;
             let index = at.usize()?;
@@ -856,14 +908,14 @@ impl Cursor<'_> {
         self.eat(literal).then_some(())
     }
 
-    /// A string without an escape, as the span of its text: the derive
-    /// reads the same bytes, borrowed.
+    /// A string without an escape or a control character, as the span of
+    /// its text: the derive reads the same bytes, borrowed.
     fn string(&mut self) -> Option<Span> {
         self.expect(b"\"")?;
         let start = self.pos;
         let len = self.bytes[start..]
             .iter()
-            .position(|&b| b == b'"' || b == b'\\')?;
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)?;
         self.pos = start + len;
         self.expect(b"\"")?;
         Some((start, start + len))
@@ -899,25 +951,23 @@ impl Cursor<'_> {
         (magnitude != 0 && magnitude <= 1 << 63).then(|| (magnitude as i64).wrapping_neg())
     }
 
-    /// A finite real as the derive reads one: the same run of bytes (a `-`
-    /// or a digit first, then digits, `.`, `e`, `E`, `+` and `-`) through
-    /// the same `str::parse`. A run of digits alone, which the derive reads
-    /// as an integer first, declines.
-    fn f64(&mut self) -> Option<f64> {
+    /// A finite real as the derive reads one, the run of bytes that can
+    /// make a number through the same `str::parse`, and written as the
+    /// encoder writes it: `Display`'s shortest text, `.0` after a whole
+    /// number (checked against that text, made in `written`).
+    fn f64(&mut self, written: &mut Vec<u8>) -> Option<f64> {
         let start = self.pos;
-        if !matches!(self.bytes.get(start), Some(b'-' | b'0'..=b'9')) {
-            return None;
-        }
-        self.pos += 1;
         while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = self.bytes.get(self.pos) {
             self.pos += 1;
         }
         let run = &self.bytes[start..self.pos];
-        if run[1..].iter().all(u8::is_ascii_digit) {
-            return None;
-        }
         let real: f64 = std::str::from_utf8(run).ok()?.parse().ok()?;
-        real.is_finite().then_some(real)
+        written.clear();
+        write!(written, "{real}").expect("writing to a Vec does not fail");
+        if !written.contains(&b'.') {
+            written.extend_from_slice(b".0");
+        }
+        (real.is_finite() && *written == run).then_some(real)
     }
 
     fn bool(&mut self) -> Option<bool> {
@@ -929,10 +979,10 @@ impl Cursor<'_> {
     }
 }
 
-/// The derive's decode of a record line: for the lines the store's own
-/// reader declines, and for a peer's `/store/log`. A record the log could
-/// not hold (see [`storable`]) is not one.
-pub(crate) fn read_record(line: &str) -> std::result::Result<StoreRecord, String> {
+/// The derive's decode of a record line, for the lines the store's own
+/// reader declines. A record the log could not hold (see [`storable`]) is
+/// not one.
+fn read_record(line: &str) -> std::result::Result<StoreRecord, String> {
     let record: StoreRecord = durable_log::derived(line)?;
     storable(&record)?;
     Ok(record)
@@ -959,47 +1009,104 @@ fn storable(record: &StoreRecord) -> std::result::Result<(), String> {
     Ok(())
 }
 
-/// The store's [`LineReader`] at open: a line in the encoder's layout is
-/// read in place ([`Line::read`]) and pushed from there, and any other
-/// line goes through the derive ([`read_record`]) and [`Records::push`].
-struct Opening {
-    records: Records,
+/// The store's one [`LineReader`] (see the [module docs](self#merging)): a
+/// line in the encoder's layout is read in place ([`Line::read`]), any other
+/// through the derive ([`read_record`]), and the record goes into `records`.
+struct Reader<'r> {
+    records: &'r mut Records,
     line: Line,
-    /// The record of the last line the derive read.
-    derived: Option<StoreRecord>,
     /// Whether lines are read in place; off only for the tests that hold
     /// the two paths to each other.
     in_place: bool,
+    /// In a merge, where the line of each record merged goes; `None` at
+    /// open.
+    out: Option<&'r mut dyn Write>,
+    /// The one application whose records a merge takes, when one is named.
+    app: Option<&'r str>,
+    stats: MergeStats,
+    /// The first write to `out` that failed.
+    failed: Option<std::io::Error>,
 }
 
-impl Opening {
-    fn new(index: DigestIndex, in_place: bool) -> Self {
-        Opening {
-            records: Records::new(index),
+impl<'r> Reader<'r> {
+    fn new(records: &'r mut Records, out: Option<&'r mut dyn Write>, app: Option<&'r str>) -> Self {
+        Reader {
+            records,
             line: Line::default(),
-            derived: None,
-            in_place,
+            in_place: true,
+            out,
+            app,
+            stats: MergeStats::default(),
+            failed: None,
+        }
+    }
+
+    /// Merge `records` as the lines the encoder writes them as. A record
+    /// the log cannot hold (see [`storable`]) is scanned, and neither
+    /// merged nor skipped.
+    fn feed(&mut self, records: &[StoreRecord]) {
+        let mut line = Vec::new();
+        for record in records {
+            if storable(record).is_err() {
+                self.stats.scanned += 1;
+                continue;
+            }
+            line.clear();
+            push_line(record, &mut line);
+            let text = std::str::from_utf8(&line[..line.len() - 1]).expect("lines are UTF-8");
+            self.read(text, true)
+                .expect("a storable record's line reads back");
+        }
+    }
+
+    /// Take the record of `text`: the one the derive read from it, else the
+    /// one [`Line::read`] just read.
+    fn keep(&mut self, text: &str, derived: Option<StoreRecord>) {
+        let line = &self.line;
+        let (app, cost_bits) = match &derived {
+            Some(record) => (record.app.as_str(), record.cost_bits),
+            None => (&text[line.app.0..line.app.1], line.row.cost_bits),
+        };
+        self.stats.scanned += 1;
+        if self.app.is_some_and(|kept| kept != app) {
+            return;
+        }
+        let (slot, found) = match &derived {
+            Some(record) => self.records.slot_of(record),
+            None => self
+                .records
+                .slot(app, line.row.fingerprint, line.key.iter().copied()),
+        };
+        if let Some(out) = &mut self.out {
+            if let Some(pos) = found {
+                self.stats.skipped += 1;
+                self.stats.conflicts += usize::from(self.records.rows[pos].cost_bits != cost_bits);
+                return;
+            }
+            self.stats.merged += 1;
+            let encoded = derived
+                .as_ref()
+                .map(|r| serde_json::to_string(r).expect("encodes"));
+            let wrote = writeln!(out, "{}", encoded.as_deref().unwrap_or(text));
+            self.failed = self.failed.take().or(wrote.err());
+        }
+        match &derived {
+            Some(record) => self.records.push(record, slot, found.is_none()),
+            None => self.records.push_read(line, text, slot, found.is_none()),
         }
     }
 }
 
-impl LineReader for Opening {
-    fn decode(&mut self, text: &str) -> std::result::Result<(), String> {
-        self.derived = None;
-        if !(self.in_place && self.line.read(text)) {
-            self.derived = Some(read_record(text)?);
+impl LineReader for Reader<'_> {
+    fn read(&mut self, text: &str, keep: bool) -> std::result::Result<(), String> {
+        let derived = match self.in_place && self.line.read(text) {
+            true => None,
+            false => Some(read_record(text)?),
+        };
+        if keep {
+            self.keep(text, derived);
         }
         Ok(())
-    }
-
-    fn keep(&mut self, text: &str) {
-        match self.derived.take() {
-            Some(record) => {
-                let (slot, found) = self.records.slot_of(&record);
-                self.records.push(&record, slot, found.is_none());
-            }
-            None => self.records.push_read(&self.line, text),
-        }
     }
 }
 
@@ -1043,31 +1150,29 @@ impl PerfStore {
     /// [`open`](Self::open) recording hits/misses/inserts/compactions and
     /// lookup / append+fsync latencies on `telemetry`.
     pub fn open_with(path: impl AsRef<Path>, telemetry: Telemetry) -> Result<Self> {
-        Self::open_indexed(path.as_ref(), telemetry, DigestIndex::new())
+        Self::open_reading(path.as_ref(), telemetry, DigestIndex::new(), true)
     }
 
-    /// [`open_with`](Self::open_with) under `index`'s digest.
-    fn open_indexed(path: &Path, telemetry: Telemetry, index: DigestIndex) -> Result<Self> {
-        Self::open_reading(path, telemetry, index, true)
-    }
-
-    /// [`open_indexed`](Self::open_indexed), reading the lines in place
-    /// unless told not to (see [`Opening`]).
+    /// [`open_with`](Self::open_with) under `index`'s digest, reading the
+    /// lines in place unless told not to (see [`Reader`]).
     fn open_reading(
         path: &Path,
         telemetry: Telemetry,
         index: DigestIndex,
         in_place: bool,
     ) -> Result<Self> {
-        let mut opening = Opening::new(index, in_place);
+        let mut records = Records::new(index);
+        let mut reader = Reader {
+            in_place,
+            ..Reader::new(&mut records, None, None)
+        };
         let (log, torn_tail_truncated) = if durable_log::has_content(path) {
             let (log, _, torn) =
-                DurableLog::open(path, HarmonyError::StoreCorrupt, check_header, &mut opening)?;
+                DurableLog::open(path, HarmonyError::StoreCorrupt, check_header, &mut reader)?;
             (log, torn)
         } else {
             (DurableLog::create(path, &header())?, false)
         };
-        let mut records = opening.records;
         if torn_tail_truncated {
             telemetry.inc(Counter::StoreTornTails);
         }
@@ -1234,66 +1339,57 @@ impl PerfStore {
     /// first. A skipped record whose cost differs from the local one is
     /// counted as a conflict ([`Counter::StoreMergeConflicts`]). A record
     /// the log cannot hold (see [`insert_batch`](Self::insert_batch)) is
-    /// scanned, and neither merged nor skipped.
+    /// scanned, and neither merged nor skipped. Each record is merged as
+    /// its line, through the store's own reader (see the [module
+    /// docs](self#merging)).
     pub fn merge_records(&mut self, records: Vec<StoreRecord>) -> Result<MergeStats> {
-        let mut stats = MergeStats::default();
-        let mut blob = Vec::with_capacity(records.len().min(4096) * 192);
-        for record in records {
-            stats.scanned += 1;
-            if storable(&record).is_err() {
-                continue;
-            }
-            let (slot, found) = self.records.slot_of(&record);
-            if let Some(pos) = found {
-                stats.skipped += 1;
-                if self.records.rows[pos].cost_bits != record.cost_bits {
-                    stats.conflicts += 1;
-                    self.telemetry.inc(Counter::StoreMergeConflicts);
-                }
-                continue;
-            }
-            // The index is updated as we go, so a duplicate key later in
-            // this same batch resolves first-write-wins within the batch too.
-            push_line(&record, &mut blob);
-            self.telemetry.inc(Counter::StoreMergedRecords);
-            stats.merged += 1;
-            self.records.push(&record, slot, true);
-        }
-        self.append(&blob, stats.merged)?;
-        Ok(stats)
+        let mut lines = Vec::new();
+        let mut reader = Reader::new(&mut self.records, Some(&mut lines), None);
+        reader.feed(&records);
+        let stats = reader.stats;
+        self.merged(&lines, stats).map(|()| stats)
+    }
+
+    /// Merge a log held in `body`, as a peer's `/store/log` serves one: a
+    /// header `check` accepts, then record lines, each merged as
+    /// [`merge_records`](Self::merge_records) merges a record. Returns the
+    /// header, the stats (`scanned` counts the records before the body's
+    /// first line that is not one) and the append's outcome; `None`, with
+    /// nothing merged, when the header is refused or a record follows such
+    /// a line.
+    pub(crate) fn merge_log<H: Deserialize>(
+        &mut self,
+        body: &[u8],
+        check: impl FnOnce(&H) -> std::result::Result<(), String>,
+    ) -> Option<(H, MergeStats, Result<()>)> {
+        let (before, mut lines) = (self.records.mark(), Vec::new());
+        let mut reader = Reader::new(&mut self.records, Some(&mut lines), None);
+        let scanned = durable_log::scan(body, check, &mut reader).expect("memory reads");
+        let stats = reader.stats;
+        let Ok((header, _)) = scanned else {
+            self.records.roll_back(before);
+            return None;
+        };
+        Some((header, stats, self.merged(&lines, stats)))
+    }
+
+    /// Count a merge's `stats` and append the `lines` of the records it
+    /// merged.
+    fn merged(&mut self, lines: &[u8], stats: MergeStats) -> Result<()> {
+        let (merged, conflicts) = (stats.merged as u64, stats.conflicts as u64);
+        self.telemetry.add(Counter::StoreMergedRecords, merged);
+        self.telemetry.add(Counter::StoreMergeConflicts, conflicts);
+        self.append(lines, stats.merged)
     }
 
     /// What [`merge_records`](Self::merge_records) *would* do, without
-    /// writing anything (`repro store merge --dry-run`).
+    /// writing anything (`repro store merge --dry-run`): the same merge, on
+    /// a copy of the records.
     pub fn merge_preview(&self, records: &[StoreRecord]) -> MergeStats {
-        let mut stats = MergeStats::default();
-        // The records the merge would append: a later duplicate in the
-        // batch meets them as the merge meets its own appends.
-        let mut fresh = self.records.emptied();
-        for record in records {
-            stats.scanned += 1;
-            if storable(record).is_err() {
-                continue;
-            }
-            let served = match self.records.find_record(record) {
-                Some(pos) => Some(self.records.rows[pos].cost_bits),
-                None => {
-                    let (slot, found) = fresh.slot_of(record);
-                    if found.is_none() {
-                        fresh.push(record, slot, true);
-                    }
-                    found.map(|pos| fresh.rows[pos].cost_bits)
-                }
-            };
-            match served {
-                Some(cost_bits) => {
-                    stats.skipped += 1;
-                    stats.conflicts += usize::from(cost_bits != record.cost_bits);
-                }
-                None => stats.merged += 1,
-            }
-        }
-        stats
+        let (mut copy, mut sink) = (self.records.clone(), std::io::sink());
+        let mut reader = Reader::new(&mut copy, Some(&mut sink), None);
+        reader.feed(records);
+        reader.stats
     }
 
     /// Merge every live record of `peer` into this store; see
@@ -1346,26 +1442,28 @@ impl PerfStore {
         &self.telemetry
     }
 
-    /// Rewrite the log keeping only records for which `keep` returns true
-    /// among the live set.
-    fn rewrite(&mut self, keep: impl Fn(&StoreRecord) -> bool) -> Result<CompactionStats> {
-        let bytes_before = self.log.len();
-        let records_before = self.records.len();
+    /// Rewrite the log with its live records, only `app`'s when one is
+    /// named: a merge of the log's own file into no records, whose kept
+    /// lines stream to the new file (see the [module docs](self#compaction)).
+    fn rewrite(&mut self, app: Option<&str>) -> Result<CompactionStats> {
+        let (records_before, bytes_before) = (self.records.len(), self.log.len());
         let mut kept = self.records.emptied();
-        let mut blob = Vec::with_capacity(self.records.live * 192);
-        push_line(&header(), &mut blob);
-        for pos in self.records.live_positions() {
-            let record = self.records.record(pos);
-            if keep(&record) {
-                push_line(&record, &mut blob);
-                let (slot, _) = kept.slot_of(&record);
-                kept.push(&record, slot, true);
-            }
-        }
-        self.log.rewrite(&blob)?;
+        let path = self.log.path().display().to_string();
+        let failed = |e: std::io::Error| HarmonyError::Io(format!("compact {path}: {e}"));
+        let synced = self.log.rewrite(|log, out| {
+            let head = serde_json::to_string(&header()).expect("a header encodes");
+            writeln!(out, "{head}").map_err(failed)?;
+            let mut reader = Reader::new(&mut kept, Some(out), app);
+            let scanned = durable_log::scan(log, check_header, &mut reader).map_err(failed)?;
+            reader.failed.map_or(Ok(()), |e| Err(failed(e)))?;
+            let corrupt = |what| HarmonyError::StoreCorrupt(format!("{path}: {what}"));
+            scanned.map(drop).map_err(corrupt)
+        })?;
+        // The new file is the log: its records, its numbering.
         self.records = kept;
         self.generation = fresh_generation();
         self.telemetry.inc(Counter::StoreCompactions);
+        synced?;
         Ok(CompactionStats {
             records_before,
             records_after: self.records.len(),
@@ -1377,19 +1475,13 @@ impl PerfStore {
     /// Snapshot the live records to a fresh log, atomically, dropping
     /// superseded duplicates. Lookups are unchanged.
     pub fn compact(&mut self) -> Result<CompactionStats> {
-        self.rewrite(|_| true)
+        self.rewrite(None)
     }
 
     /// Compaction that additionally drops every record not belonging to
     /// `keep_app` (`None` keeps all applications — plain compaction).
     pub fn gc(&mut self, keep_app: Option<&str>) -> Result<CompactionStats> {
-        match keep_app {
-            None => self.compact(),
-            Some(app) => {
-                let app = app.to_string();
-                self.rewrite(move |r| r.app == app)
-            }
-        }
+        self.rewrite(keep_app)
     }
 
     /// Size and composition snapshot (serializable for `repro store stats`).
@@ -1433,12 +1525,11 @@ impl PerfStore {
     /// constructor).
     pub(crate) fn priors_for(&self, app: &str) -> PriorRunDb {
         let mut db = PriorRunDb::new();
-        for pos in self.records.live_positions() {
+        let (id, live) = (self.records.apps.id(app), self.records.live_positions());
+        for pos in live.filter(|&pos| Some(self.records.rows[pos].app) == id) {
             let rec = self.records.record(pos);
-            if rec.app == app {
-                let cost = rec.cost();
-                db.record(rec.app, rec.config, cost);
-            }
+            let cost = rec.cost();
+            db.record(rec.app, rec.config, cost);
         }
         db
     }
@@ -1566,11 +1657,6 @@ impl SharedStore {
     /// Locked [`PerfStore::insert_batch`].
     pub fn insert_batch(&self, records: Vec<StoreRecord>) -> Result<usize> {
         lock(&self.0).insert_batch(records)
-    }
-
-    /// Locked [`PerfStore::merge_records`].
-    pub fn merge_records(&self, records: Vec<StoreRecord>) -> Result<MergeStats> {
-        lock(&self.0).merge_records(records)
     }
 
     /// Locked [`PerfStore::encode_log_from`].
@@ -2232,6 +2318,9 @@ mod tests {
         }
     }
 
+    /// A store file's line 1.
+    const HEADER: &[u8] = b"{\"kind\":\"ah-store\",\"version\":1}\n";
+
     /// Records as their log lines, which must be byte-identical.
     fn lines<'a>(records: impl IntoIterator<Item = &'a StoreRecord>) -> Vec<u8> {
         let mut blob = Vec::new();
@@ -2267,7 +2356,7 @@ mod tests {
             _ => {
                 store.flush().unwrap();
                 let index = store.records.index.emptied();
-                *store = PerfStore::open_indexed(path, Telemetry::disabled(), index).unwrap();
+                *store = PerfStore::open_reading(path, Telemetry::disabled(), index, true).unwrap();
             }
         }
     }
@@ -2276,6 +2365,12 @@ mod tests {
     fn assert_answers_as_the_model(store: &PerfStore, model: &Model) {
         assert_eq!(lines(&store.live_records()), lines(model.live()));
         assert_eq!(store.encode_log_from(0).1.as_bytes(), lines(&model.log));
+        // The file holds every line the encoder writes for the model's log:
+        // its live records' alone after a compaction, which leaves the
+        // model's log as its live records.
+        let mut file = HEADER.to_vec();
+        file.extend(lines(&model.log));
+        assert_eq!(std::fs::read(store.path()).unwrap(), file);
         let stats = store.stats();
         assert_eq!(
             (stats.records, stats.live_configs),
@@ -2330,7 +2425,7 @@ mod tests {
     fn store_answers_as_the_model(ops: &[u64], index: DigestIndex, tag: &str) {
         let path = temp_path(tag);
         let _ = std::fs::remove_file(&path);
-        let mut store = PerfStore::open_indexed(&path, Telemetry::disabled(), index).unwrap();
+        let mut store = PerfStore::open_reading(&path, Telemetry::disabled(), index, true).unwrap();
         let mut model = Model::default();
         for &op in ops {
             apply(&mut store, &mut model, &path, op);
@@ -2423,20 +2518,19 @@ mod tests {
         let path = temp_path("names-for-values");
         let good = lines(&[rec("a", 1, 1.0, 1.0, 1.0), rec("a", 1, 2.0, 2.0, 2.0)]);
         let (first, second) = good.split_at(good.iter().position(|&b| b == b'\n').unwrap() + 1);
-        let header = b"{\"kind\":\"ah-store\",\"version\":1}\n";
         let odd = format!("{NAMES_FOR_VALUES}\n").into_bytes();
         for in_place in [true, false] {
             let open = || {
                 PerfStore::open_reading(&path, Telemetry::disabled(), DigestIndex::new(), in_place)
             };
             // As the tail: truncated.
-            std::fs::write(&path, [&header[..], &good, &odd].concat()).unwrap();
+            std::fs::write(&path, [HEADER, &good, &odd].concat()).unwrap();
             let store = open().unwrap();
             assert_eq!((store.len(), store.stats().torn_tail_truncated), (2, true));
             drop(store);
-            assert_eq!(std::fs::read(&path).unwrap(), [&header[..], &good].concat());
+            assert_eq!(std::fs::read(&path).unwrap(), [HEADER, &good].concat());
             // Followed by a record: refused by its line number.
-            std::fs::write(&path, [&header[..], first, &odd, second].concat()).unwrap();
+            std::fs::write(&path, [HEADER, first, &odd, second].concat()).unwrap();
             match open() {
                 Err(HarmonyError::StoreCorrupt(msg)) => assert!(
                     msg.ends_with("unreadable record at line 3: 1 parameter names for 2 values"),
@@ -2683,15 +2777,20 @@ mod tests {
     /// same records after every kept one; the reader takes only what the
     /// derive takes.
     fn reads_as_the_derive(lines: &[&str]) {
-        let opening = |in_place| Opening::new(DigestIndex::new(), in_place);
-        let (mut fast, mut derive) = (opening(true), opening(false));
+        let (mut fast, mut derive) = (
+            Records::new(DigestIndex::new()),
+            Records::new(DigestIndex::new()),
+        );
+        let mut fast = Reader::new(&mut fast, None, None);
+        let mut derive = Reader {
+            in_place: false,
+            ..Reader::new(&mut derive, None, None)
+        };
         for &text in lines {
-            let verdict = fast.decode(text);
-            assert_eq!(verdict, derive.decode(text), "{text}");
+            let verdict = fast.read(text, true);
+            assert_eq!(verdict, derive.read(text, true), "{text}");
             if verdict.is_ok() {
-                fast.keep(text);
-                derive.keep(text);
-                assert_eq!(contents(&fast.records), contents(&derive.records), "{text}");
+                assert_eq!(contents(fast.records), contents(derive.records), "{text}");
             }
         }
     }
@@ -2700,7 +2799,7 @@ mod tests {
     /// same log, stats and torn verdict, or the same error.
     fn opens_as_the_derive(lines: &[&str], tag: &str) {
         let path = temp_path(tag);
-        let mut log = b"{\"kind\":\"ah-store\",\"version\":1}\n".to_vec();
+        let mut log = HEADER.to_vec();
         for line in lines {
             log.extend_from_slice(line.as_bytes());
             log.push(b'\n');
@@ -2778,9 +2877,11 @@ mod tests {
                 reads_as_the_derive(&[&text, &text]);
             }
         }
-        // Five of the texts are integers each integer field holds, and six
-        // are finite reals: the rest are left to the derive.
-        assert_eq!(read_in_place, 5 * 5 + 6);
+        // Five of the texts are integers each integer field holds, and two
+        // (`1.0`, `-0.0`) are reals as the encoder writes them; the four
+        // other finite reals (`-.5`, `1e3`, `1E-3`, `1.5e+2`) and the rest
+        // are left to the derive.
+        assert_eq!(read_in_place, 5 * 5 + 2);
     }
 
     proptest::proptest! {
@@ -2928,5 +3029,77 @@ mod tests {
         assert_eq!(t.counter(Counter::StoreHits), 1);
         assert_eq!(t.counter(Counter::StoreMisses), 1);
         assert_eq!(t.counter(Counter::StoreCompactions), 1);
+    }
+
+    /// A store's log as a peer serves it: line 1 a store header, then
+    /// every record line.
+    fn peer_body(store: &PerfStore) -> Vec<u8> {
+        [HEADER, store.encode_log_from(0).1.as_bytes()].concat()
+    }
+
+    #[test]
+    fn merging_a_body_allocates_nothing_per_record() {
+        let (source, dst) = (temp_path("body-source"), temp_path("body-dst"));
+        let mut peer = PerfStore::open(&source).unwrap();
+        let records =
+            (0..10_000).map(|i| rec("a", 1, (i % 100) as f64, (i / 100) as f64, i as f64));
+        peer.insert_batch(records.collect()).unwrap();
+        let body = peer_body(&peer);
+        let mut store = PerfStore::open(&dst).unwrap();
+        let before = crate::counting::calls();
+        let (_, stats, _) = store.merge_log(&body, check_header).unwrap();
+        let calls = crate::counting::calls() - before;
+        assert_eq!((stats.scanned, stats.merged), (10_000, 10_000));
+        // The vectors' and tables' growth, and nothing per line: the pull
+        // that decoded each line into a `StoreRecord` and merged those made
+        // 60 080 calls here.
+        assert!(
+            calls <= 200,
+            "{calls} allocator calls to merge 10 000 lines"
+        );
+        assert_eq!(std::fs::read(&dst).unwrap(), body);
+    }
+
+    #[test]
+    fn a_damaged_body_merges_nothing_and_leaves_the_store_as_it_was() {
+        let (source, dst) = (temp_path("damaged-source"), temp_path("damaged-dst"));
+        let mut peer = PerfStore::open(&source).unwrap();
+        // First a record of a new app, shape and label, then four of the
+        // store's app and shape, one a key the store serves at another cost.
+        let label = ParamValue::Enum {
+            index: 1,
+            label: "col".into(),
+        };
+        let config = Configuration::new(vec!["layout".into()], vec![label]);
+        peer.insert(StoreRecord::new("b", 2, config, 7.0, 7.0))
+            .unwrap();
+        let keys = [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0)];
+        let records = keys.iter().map(|&(x, y)| rec("a", 1, x, y, x + y + 0.5));
+        peer.insert_batch(records.collect()).unwrap();
+        let t = Telemetry::enabled();
+        let mut store = PerfStore::open_with(&dst, t.clone()).unwrap();
+        store.insert(rec("a", 1, 1.0, 1.0, 9.0)).unwrap();
+        let seen = |store: &PerfStore| format!("{:?}", contents(&store.records));
+        let before = seen(&store);
+        // A line that is not a record, with a record after it.
+        let body = peer_body(&peer);
+        let mut ends = body.iter().enumerate().filter(|&(_, &b)| b == b'\n');
+        let cut = ends.nth(3).unwrap().0 + 1;
+        let damaged = [&body[..cut], b"not a record\n", &body[cut..]].concat();
+        assert!(store
+            .merge_log::<StoreHeader>(&damaged, check_header)
+            .is_none());
+        let refused = |h: &StoreHeader| Err(format!("not {}", h.kind));
+        assert!(store.merge_log::<StoreHeader>(&body, refused).is_none());
+        assert_eq!(seen(&store), before);
+        assert_eq!(t.counter(Counter::StoreMergedRecords), 0);
+        assert_eq!(t.counter(Counter::StoreMergeConflicts), 0);
+        // The index forgot the records it was shown: the whole body merges.
+        let (_, stats, _) = store.merge_log::<StoreHeader>(&body, check_header).unwrap();
+        assert_eq!((stats.merged, stats.skipped, stats.conflicts), (4, 1, 1));
+        assert_eq!(store.live_configs(), 5);
+        let key = space().project(&[1.0, 1.0]).cache_key();
+        assert_eq!(store.lookup("a", 1, &key).unwrap().cost, 9.0);
+        assert_eq!(t.counter(Counter::StoreMergedRecords), 4);
     }
 }

@@ -45,7 +45,7 @@
 //! append is real corruption and surfaces as [`HarmonyError::WalCorrupt`].
 
 use crate::constraint::MonotoneChain;
-use crate::durable_log::{self, DurableLog};
+use crate::durable_log::{self, DurableLog, LineReader};
 use crate::error::{HarmonyError, Result};
 use crate::param::Param;
 use crate::server::protocol::StrategyKind;
@@ -123,6 +123,17 @@ struct EvalRecord {
     iteration: usize,
     cost_bits: u64,
     wall_bits: u64,
+}
+
+/// The log's records, read through the derive.
+impl LineReader for Vec<EvalRecord> {
+    fn read(&mut self, line: &str, keep: bool) -> std::result::Result<(), String> {
+        let record = durable_log::derived(line)?;
+        if keep {
+            self.push(record);
+        }
+        Ok(())
+    }
 }
 
 /// A [`TuningSession`] whose evaluations are logged to disk before they are
@@ -226,7 +237,7 @@ impl WalSession {
                 WAL_VERSION => Ok(()),
                 v => Err(format!("log version {v} (this build reads {WAL_VERSION})")),
             },
-            &mut durable_log::each(durable_log::derived, |record| records.push(record)),
+            &mut records,
         )?;
         if torn {
             telemetry.inc(Counter::WalTornTails);

@@ -16,9 +16,13 @@
 //!   `realloc`) may number at most 200: the growth of the store's vectors
 //!   and tables, and nothing per line. The open that decoded every line
 //!   into a whole `StoreRecord` made 80 070 calls here, ≈ 8 per line.
+//! - **Allocator calls during `compact`** of that store may number at most
+//!   200 too: a compaction streams the log's lines to the new file. The
+//!   compaction that built a `StoreRecord` per live record and encoded the
+//!   new log into one buffer made 20 064 calls here.
 //!
-//! One test only: the counters see every thread of the process, so a second
-//! test running beside it would be counted too.
+//! The tests take turns: the counters see every thread of the process, so
+//! a test running beside another would be counted too.
 
 mod common;
 
@@ -26,7 +30,9 @@ use ah_core::space::SearchSpace;
 use ah_core::store::{space_fingerprint, PerfStore, StoreRecord};
 use common::Scratch;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard};
 
 struct Counting;
 
@@ -91,9 +97,18 @@ const BEFORE_COLUMNS_BYTES_PER_RECORD: usize = 407;
 /// growth. The open that built a `StoreRecord` per line made 80 070.
 const MAX_OPEN_ALLOCATIONS: usize = 200;
 
-#[test]
-fn an_opened_store_holds_half_the_heap_and_never_the_whole_file() {
-    let path = Scratch::new("footprint.store");
+/// Allocator calls a compaction of the log may make. The compaction that
+/// built a `StoreRecord` per live record made 20 064.
+const MAX_COMPACT_ALLOCATIONS: usize = 200;
+
+/// Held by each test for its whole run, so that no other is counted.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Write a log of `RECORDS` records over four int parameters at `path`.
+fn write_log(path: &Path) {
     let space = SearchSpace::builder()
         .int("a", 0, 9, 1)
         .int("b", 0, 9, 1)
@@ -102,16 +117,21 @@ fn an_opened_store_holds_half_the_heap_and_never_the_whole_file() {
         .build()
         .unwrap();
     let fingerprint = space_fingerprint(&space);
-    {
-        let mut store = PerfStore::open(&path).unwrap();
-        let records = (0..RECORDS).map(|i| {
-            let digits = [i % 10, i / 10 % 10, i / 100 % 10, i / 1000 % 10].map(|d| d as f64);
-            let cost = i as f64 * 0.25;
-            StoreRecord::new("footprint", fingerprint, space.project(&digits), cost, cost)
-                .with_provenance(1 + i as u64 % 4, i)
-        });
-        assert_eq!(store.insert_batch(records.collect()).unwrap(), RECORDS);
-    }
+    let mut store = PerfStore::open(path).unwrap();
+    let records = (0..RECORDS).map(|i| {
+        let digits = [i % 10, i / 10 % 10, i / 100 % 10, i / 1000 % 10].map(|d| d as f64);
+        let cost = i as f64 * 0.25;
+        StoreRecord::new("footprint", fingerprint, space.project(&digits), cost, cost)
+            .with_provenance(1 + i as u64 % 4, i)
+    });
+    assert_eq!(store.insert_batch(records.collect()).unwrap(), RECORDS);
+}
+
+#[test]
+fn an_opened_store_holds_half_the_heap_and_never_the_whole_file() {
+    let _turn = one_at_a_time();
+    let path = Scratch::new("footprint.store");
+    write_log(&path);
     let file_bytes = std::fs::metadata(&path).unwrap().len() as usize;
 
     let before = LIVE.load(Relaxed);
@@ -142,4 +162,23 @@ fn an_opened_store_holds_half_the_heap_and_never_the_whole_file() {
         calls <= MAX_OPEN_ALLOCATIONS,
         "open made {calls} allocator calls for {RECORDS} records (at most {MAX_OPEN_ALLOCATIONS})"
     );
+}
+
+#[test]
+fn a_compaction_allocates_nothing_per_record() {
+    let _turn = one_at_a_time();
+    let path = Scratch::new("footprint-compact.store");
+    write_log(&path);
+    let before = std::fs::read(&path).unwrap();
+    let mut store = PerfStore::open(&path).unwrap();
+    let calls_before = CALLS.load(Relaxed);
+    let compacted = store.compact().unwrap();
+    let calls = CALLS.load(Relaxed) - calls_before;
+    assert_eq!(compacted.records_after, RECORDS);
+    eprintln!("compaction of {RECORDS} records: {calls} allocator calls");
+    assert!(
+        calls <= MAX_COMPACT_ALLOCATIONS,
+        "compaction made {calls} allocator calls for {RECORDS} records (at most {MAX_COMPACT_ALLOCATIONS})"
+    );
+    assert_eq!(std::fs::read(&path).unwrap(), before, "nothing to drop");
 }
