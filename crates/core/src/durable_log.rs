@@ -30,7 +30,8 @@
 use crate::error::{HarmonyError, Result};
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -167,6 +168,52 @@ fn cut(file: &mut File, len: u64) -> std::io::Result<()> {
     file.seek(SeekFrom::Start(len)).map(|_| ())
 }
 
+/// A log's bytes up to its committed length when [`DurableLog::committed`]
+/// took it. It reads a duplicate of the append handle only with positional
+/// reads, so it never moves the cursor where appends land, and it reads the
+/// file it was taken from whatever is later appended, renamed over the path
+/// or unlinked.
+pub(crate) struct Committed {
+    file: File,
+    at: u64,
+    end: u64,
+}
+
+impl Committed {
+    /// The committed length: where reads stop.
+    pub(crate) fn end(&self) -> u64 {
+        self.end
+    }
+
+    /// Read on from byte `at`.
+    pub(crate) fn at(&mut self, at: u64) -> &mut Self {
+        self.at = at;
+        self
+    }
+}
+
+impl Read for Committed {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = usize::try_from(self.end.saturating_sub(self.at)).unwrap_or(usize::MAX);
+        let want = left.min(buf.len());
+        let n = self.file.read_at(&mut buf[..want], self.at)?;
+        self.at += n as u64;
+        Ok(n)
+    }
+}
+
+/// `File::create`, but readable too: a log's own handle is what
+/// [`DurableLog::committed`] duplicates.
+fn create_readable(path: &Path) -> std::io::Result<File> {
+    let mut options = OpenOptions::new();
+    options
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(path)
+}
+
 impl DurableLog {
     fn new(path: &Path, file: File, committed: usize) -> Self {
         DurableLog {
@@ -183,7 +230,7 @@ impl DurableLog {
     pub(crate) fn create(path: &Path, header: &impl Serialize) -> Result<Self> {
         let mut line = Vec::new();
         push_line(header, &mut line);
-        let file = File::create(path)
+        let file = create_readable(path)
             .and_then(|mut file| {
                 file.write_all(&line)?;
                 file.sync_data().map(|()| file)
@@ -299,6 +346,14 @@ impl DurableLog {
         Some(move || file.sync_data().map(|()| position))
     }
 
+    /// The log as it stands, to read without the lock around this log held:
+    /// its bytes up to the committed length, on a duplicate of the file
+    /// handle (see [`Committed`]).
+    pub(crate) fn committed(&self) -> std::io::Result<Committed> {
+        let (file, end) = (self.file.try_clone()?, self.committed);
+        Ok(Committed { file, at: 0, end })
+    }
+
     /// Credit the appends up to `position` as synced. A credit is a
     /// position, not a count, because the log may have moved on while the
     /// sync ran: a `sync` or a [`rewrite`](Self::rewrite) in between
@@ -323,7 +378,7 @@ impl DurableLog {
         let tmp = self.path.with_extension("compact");
         let wrote = |e| io_err("write", &tmp, e);
         let log = File::open(&self.path).map_err(|e| io_err("read", &self.path, e))?;
-        let written = File::create(&tmp).map_err(wrote).and_then(|file| {
+        let written = create_readable(&tmp).map_err(wrote).and_then(|file| {
             let mut out = BufWriter::with_capacity(READ_BUFFER, file);
             copy(BufReader::with_capacity(READ_BUFFER, log), &mut out)?;
             let file = out.into_inner().map_err(|e| wrote(e.into_error()))?;

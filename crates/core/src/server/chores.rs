@@ -37,29 +37,32 @@ pub(crate) fn run_due(jobs: &mut Vec<(Instant, Job)>, now: Instant) -> Option<In
 type Get = fn(&str, &str) -> std::io::Result<(u16, String)>;
 
 /// The anti-entropy pull of `peer`, as a job: fetch its store log from our
-/// high-water mark, merge it under the store lock through the store's own
-/// reader (first write wins, so re-pulls are harmless), and advance the
-/// mark past the records the body held; an unparseable tail is refetched
-/// next round. The mark is a position in one generation of the
-/// peer's log; when the header names another (the peer compacted or
+/// byte mark, merge it under the store lock through the store's own reader
+/// (first write wins, so re-pulls are harmless), and advance the mark past
+/// the record lines the body held; an unparseable or cut tail is refetched
+/// next round. The mark is a byte offset into one generation of the peer's
+/// log file; when the header names another (the peer compacted or
 /// restarted, and records may have moved beneath the mark) the next pull
 /// starts from 0. A peer that is down or speaks garbage means a retry,
 /// later each time it fails again.
 fn pull(peer: String, store: SharedStore, every: Duration, get: Get) -> Job {
-    let (mut from, mut generation, mut failures) = (0, None, 0);
+    let (mut at, mut generation, mut failures) = (0, None, 0);
     Box::new(move || {
         let check = |h: &StoreLogHeader| match h.kind.as_str() {
             STORE_LOG_KIND => Ok(()),
             kind => Err(format!("not a store log (kind {kind:?})")),
         };
-        let merged = match get(&peer, &format!("/store/log?from={from}")) {
-            Ok((200, body)) => store.with(|store| store.merge_log(body.as_bytes(), check)),
+        let merged = match get(&peer, &format!("/store/log?at={at}")) {
+            Ok((200, body)) => store
+                .with(|store| store.merge_log(body.as_bytes(), check))
+                .map(|(h, end, _, _)| (h, end - body.find('\n').map_or(0, |i| i + 1))),
             _ => None,
         };
         failures = match merged {
-            Some((h, stats, _)) => {
+            // `read`: the bytes of the peer's record lines, less our header.
+            Some((h, read)) => {
                 let anchored = h.start == 0 || generation == Some(h.generation);
-                from = if anchored { h.start + stats.scanned } else { 0 };
+                at = if anchored { h.start + read as u64 } else { 0 };
                 generation = Some(h.generation);
                 0
             }
@@ -167,8 +170,7 @@ mod tests {
     /// A peer whose log, from 0, is the lines in [`BODY`].
     fn serving(_: &str, path: &str) -> std::io::Result<(u16, String)> {
         ASKED.with(|asked| asked.borrow_mut().push(path.to_string()));
-        let header =
-            format!("{{\"kind\":\"{STORE_LOG_KIND}\",\"start\":0,\"total\":3,\"generation\":1}}\n");
+        let header = format!("{{\"kind\":\"{STORE_LOG_KIND}\",\"start\":0,\"generation\":1}}\n");
         Ok((200, BODY.with(|body| format!("{header}{}", body.borrow()))))
     }
 
@@ -250,10 +252,15 @@ mod tests {
         let file = String::from_utf8(want).unwrap();
         assert!(file.contains("a\\\"b") && file.contains("\"Real\":1.5}"));
         assert!(!file.contains(", ") && !file.contains("1.50"));
-        // The mark stops before the line that is not a record.
+        // The mark stops before the line that is not a record: past the
+        // bytes of the three lines as served, not as re-encoded.
         run_due(&mut jobs, now + every);
         let asked = ASKED.with(|asked| asked.borrow().clone());
-        assert_eq!(asked, ["/store/log?from=0", "/store/log?from=3"]);
+        let mark: usize = declined.iter().map(|l| l.len() + 1).sum();
+        assert_eq!(
+            asked,
+            ["/store/log?at=0".into(), format!("/store/log?at={mark}")]
+        );
         assert_eq!(store.record_count(), 3, "a re-pull merges nothing new");
         let _ = std::fs::remove_file(&path);
     }
@@ -262,7 +269,7 @@ mod tests {
     /// otherwise.
     fn stand_in(_: &str, _: &str) -> std::io::Result<(u16, String)> {
         if UP.with(Cell::get) {
-            let log = format!("{{\"kind\":\"{STORE_LOG_KIND}\",\"start\":0,\"total\":0}}\n");
+            let log = format!("{{\"kind\":\"{STORE_LOG_KIND}\",\"start\":0}}\n");
             Ok((200, log))
         } else {
             Err(std::io::ErrorKind::ConnectionRefused.into())

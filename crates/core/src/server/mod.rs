@@ -101,11 +101,11 @@
 //!
 //! Servers federate through their performance stores: with
 //! [`ServerConfig::sync_peers`] set, the server's `chores` thread
-//! periodically pulls each peer's record log over the observer HTTP plane
-//! (`GET /store/log?from=SEQ`) and merges it into the local store, line by
-//! line through the store's own reader, under the algebra of
-//! [`crate::store::PerfStore::merge_records`] (first write wins, so the
-//! pull is idempotent and peers may sync each other in any order). Merged
+//! periodically pulls each peer's log file, as its bytes, over the observer
+//! HTTP plane (`GET /store/log?at=B`, from a byte mark) and merges it into
+//! the local store, line by line through the store's own reader, under the
+//! algebra of [`crate::store::PerfStore::merge_from`] (first write wins, so
+//! the pull is idempotent and peers may sync each other in any order). Merged
 //! records feed the same read-through cache as local measurements, which is
 //! what makes fleet-wide warm starts work: a server can answer a
 //! configuration it never measured itself.
@@ -2320,11 +2320,12 @@ mod tests {
         let fp = space_fingerprint(&space);
         let record =
             |x: f64, cost: f64| StoreRecord::new("resync", fp, space.project(&[x]), cost, cost);
-        // Ten records and a noisy re-measurement of the first: eleven in
-        // A's log, ten of them live.
+        // Ten records and a noisy re-measurement of the first: eleven lines
+        // in A's log, ten of them live. Every `x` has two digits and every
+        // cost's bits nineteen, so every line is as long as every other.
         let store_a = SharedStore::open(&path_a).unwrap();
-        let mut seeded: Vec<StoreRecord> = (0..10).map(|x| record(x as f64, x as f64)).collect();
-        seeded.push(record(0.0, 0.5));
+        let mut seeded: Vec<StoreRecord> = (10..20).map(|x| record(x as f64, x as f64)).collect();
+        seeded.push(record(10.0, 10.5));
         store_a.insert_batch(seeded).unwrap();
         let server_a = HarmonyServer::start_with_config(ServerConfig {
             store: Some(store_a.clone()),
@@ -2349,18 +2350,36 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(5));
             }
         };
-        // B has merged the first pull, so its mark is 11.
+        let lines = || {
+            let file = std::fs::read_to_string(&path_a).unwrap();
+            let starts = file.split_inclusive('\n').skip(1).scan(0, |at, line| {
+                let start = *at;
+                *at += line.len();
+                Some((start, line.to_string()))
+            });
+            starts.collect::<Vec<_>>()
+        };
+        // B has merged the first pull, so its mark is the end of A's
+        // eleventh line.
         wait_for("the first pull", &|| store_b.record_count() == 10);
+        let mark = lines().iter().map(|(_, line)| line.len()).sum::<usize>();
         // In one step under A's lock, so that no pull sees it half done:
-        // x=50 and x=51 land at 11 and 12, the compaction drops the
-        // duplicate and moves them to 10 and 11, and x=52 lands at 12. A
-        // pull from 11 now starts at x=51.
+        // x=50 and x=51 land after the duplicate, the compaction drops it and
+        // moves them up a line, and x=52 lands last. The old mark is now the
+        // start of x=51's line: a pull from it that did not know the file
+        // changed beneath it would merge x=51 and x=52 and never see x=50.
         store_a.with(|a| {
             a.insert_batch(vec![record(50.0, 50.0), record(51.0, 51.0)])
                 .unwrap();
             a.compact().unwrap();
             a.insert(record(52.0, 52.0)).unwrap();
         });
+        let at_mark = lines().into_iter().find(|(start, _)| *start == mark);
+        assert!(
+            at_mark.is_some_and(|(_, line)| line.contains(r#"{"Int":51}"#)),
+            "the old mark {mark} must start x=51's line in {:?}",
+            lines()
+        );
         wait_for("x=52 replicated", &|| has(52.0));
         wait_for("x=50, moved beneath the mark, replicated", &|| has(50.0));
         assert!(has(51.0));

@@ -17,15 +17,18 @@
 //! * `GET /spans?n=K` — the last `K` completed timing spans.
 //! * `GET /trace` — the completed spans as Chrome trace-event JSON,
 //!   loadable in Perfetto (`repro trace --from <addr>` pulls this).
-//! * `GET /store/log?from=SEQ` — the attached performance store's record
-//!   log from sequence `SEQ` on: a JSON header line
-//!   (`{"kind":"ah-store-log","start":S,"total":T,"generation":G}`)
-//!   followed by one record per line in the store's own on-disk encoding.
-//!   This is the replication feed peer servers pull on their anti-entropy
-//!   interval ([`ServerConfig::sync_peers`]); a `from` past the end
-//!   re-serves the whole log, and a generation the puller has not seen
-//!   (the peer compacted or reopened its store) makes it re-pull from 0 —
-//!   the merge is idempotent. 404 when no store is attached.
+//! * `GET /store/log?at=B` — the attached performance store's log file from
+//!   `B` bytes past its header line, as it is on disk, after a JSON header
+//!   line (`{"kind":"ah-store-log","start":S,"generation":G}`): the feed
+//!   peer servers pull on their anti-entropy interval
+//!   ([`ServerConfig::sync_peers`]). `S` is the `B` served, 0 for one past
+//!   the end or inside a line; a generation the puller has not seen (the
+//!   peer compacted or reopened its store) makes it re-pull from 0 — the
+//!   merge is idempotent. The file is read after the store lock is
+//!   released, through a handle on the file the store appends to, so a path
+//!   renamed or unlinked beneath a running server changes nothing served. A
+//!   record whose append failed is in no file, and not served. 404 when no
+//!   store is attached.
 //! * `GET /` — an index of the routes above.
 //!
 //! Everything stays off the tuning hot path: a response takes each session's
@@ -43,12 +46,14 @@ use super::event_loop::{Close, Conn, EventLoopConfig, EventLoopPool, Phase, Serv
 use super::poll::Waker;
 use super::tcp::DEFAULT_MAX_CONNECTIONS;
 use super::{ServerBus, ServerConfig, SessionPhase, SessionState, Tuning};
+use crate::durable_log::push_line;
 use crate::lock;
+use crate::store::SharedStore;
 use crate::telemetry::{slo, Counter, Telemetry, TenantMetric};
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver};
@@ -67,27 +72,26 @@ const READ_TIMEOUT: Duration = Duration::from_secs(2);
 const MAX_HEAD_BYTES: usize = 8 * 1024;
 
 /// Most bytes [`http_get`] takes from a responder, head included. Room for
-/// a full event ring as `/trace` (some 15 MiB); a `/store/log` longer than
-/// this arrives cut, which the sync loop already treats as "the rest next
-/// round". A peer that never stops sending costs this much and no more.
+/// a full event ring as `/trace` (some 15 MiB); a `/store/log` reply is cut
+/// to fit, after a whole line, and the sync loop asks for the rest next
+/// round. A peer that never stops sending costs this much and no more.
 const MAX_RESPONSE_BYTES: usize = 32 << 20;
 
 /// `kind` value of the [`StoreLogHeader`] a `/store/log` response leads
 /// with, so a puller never mistakes an arbitrary HTTP body for a log.
 pub(crate) const STORE_LOG_KIND: &str = "ah-store-log";
 
-/// First line of a `/store/log` response: which slice of the peer's record
-/// log follows. `start` is where the slice begins (0 when the requested
-/// `from` is past the end), `total` is the peer's record count, i.e. the
-/// next `from` to ask for, and `generation` names the numbering both are
-/// in ([`PerfStore::generation`](crate::store::PerfStore::generation)): a
-/// compaction renumbers, and a puller that sees a new generation re-pulls
-/// from 0.
+/// First line of a `/store/log` response: which slice of the peer's log
+/// file follows. `start` is the byte offset, counted from the file's first
+/// record line, the slice begins at (0 when the requested `at` is past the
+/// end or inside a line), and `generation` names the file the offset is in
+/// ([`PerfStore::generation`](crate::store::PerfStore::generation)): a
+/// compaction rewrites the file, and a puller that sees a new generation
+/// re-pulls from 0.
 #[derive(Debug, Serialize, Deserialize)]
 pub(crate) struct StoreLogHeader {
     pub kind: String,
-    pub start: usize,
-    pub total: usize,
+    pub start: u64,
     #[serde(default)]
     pub generation: u64,
 }
@@ -339,24 +343,54 @@ fn route(ctx: &ObserveCtx, path: &str, query: &str) -> (u16, &'static str, Strin
         "/trace" => (200, JSON, render(cfg.telemetry.chrome_trace())),
         "/store/log" => match &cfg.store {
             Some(store) => {
-                let from = parse_query(query, "from").unwrap_or(0);
-                let (header, blob) = store.with(|store| {
-                    let (start, blob) = store.encode_log_from(from);
-                    let header = StoreLogHeader {
-                        kind: STORE_LOG_KIND.to_string(),
-                        start,
-                        total: store.len(),
-                        generation: store.generation(),
-                    };
-                    (header, blob)
-                });
-                let header = serde_json::to_string(&header).expect("header serialises");
-                (200, "application/x-ndjson", format!("{header}\n{blob}"))
+                let at = parse_query(query, "at").unwrap_or(0) as u64;
+                // A reply's head is far shorter than a request's may be.
+                match store_log(store, at, MAX_RESPONSE_BYTES - MAX_HEAD_BYTES) {
+                    Ok(body) => (200, "application/x-ndjson", body),
+                    Err(e) => (500, TEXT, format!("store log unreadable: {e}\n")),
+                }
             }
             None => (404, TEXT, "no store attached\n".into()),
         },
         _ => (404, TEXT, "not found\n".into()),
     }
+}
+
+/// The `/store/log?at=B` body: a [`StoreLogHeader`] line, then `store`'s
+/// log file from `B` bytes past its header line to its committed end, cut
+/// after the last whole line within `cap` bytes. The store lock is held
+/// only for the generation and [`committed_log`], a handle on the file the
+/// store appends to, read after the lock is released.
+///
+/// [`committed_log`]: crate::store::PerfStore::committed_log
+pub(crate) fn store_log(store: &SharedStore, at: u64, cap: usize) -> std::io::Result<String> {
+    let (generation, log) = store.with(|store| (store.generation(), store.committed_log()));
+    let mut log = log?;
+    let len = log.end();
+    let first = BufReader::new(&mut log).read_until(b'\n', &mut Vec::new())? as u64;
+    let end = len.saturating_sub(first);
+    // `B` starts a line when the byte before it ends one.
+    let mut before = [b'\n'];
+    if (1..=end).contains(&at) {
+        log.at(first + at - 1).read_exact(&mut before)?;
+    }
+    let served = at <= end && before == [b'\n'];
+    let header = StoreLogHeader {
+        kind: STORE_LOG_KIND.into(),
+        start: if served { at } else { 0 },
+        generation,
+    };
+    let mut body = Vec::new();
+    push_line(&header, &mut body);
+    let want = (end - header.start).min(cap.saturating_sub(body.len()) as u64);
+    body.reserve_exact(want as usize);
+    log.at(first + header.start)
+        .take(want)
+        .read_to_end(&mut body)?;
+    // A whole log ends in a line's end; one the cap cut short is cut there.
+    let whole = body.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    body.truncate(whole);
+    String::from_utf8(body).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 /// A JSON document as a newline-terminated response body.
@@ -417,7 +451,7 @@ fn index_json() -> Value {
             "/trials?n=K",
             "/spans?n=K",
             "/trace",
-            "/store/log?from=SEQ",
+            "/store/log?at=B",
         ],
     })
 }
@@ -956,5 +990,66 @@ mod tests {
 
         observe.stop();
         server.shutdown();
+    }
+
+    #[test]
+    fn serving_the_store_log_allocates_nothing_per_record() {
+        use crate::space::Configuration;
+        use crate::store::StoreRecord;
+        use crate::value::ParamValue;
+        let path = crate::TempPath::new("observe-store-log.store");
+        let store = SharedStore::open(&path).unwrap();
+        let config = |i: i64| {
+            let values = vec![ParamValue::Int(i % 100), ParamValue::Int(i / 100)];
+            Configuration::new(vec!["x".into(), "y".into()], values)
+        };
+        let records = (0..10_000).map(|i| StoreRecord::new("a", 1, config(i), i as f64, 0.0));
+        assert_eq!(store.insert_batch(records.collect()).unwrap(), 10_000);
+        let before = crate::counting::calls();
+        let body = store_log(&store, 0, usize::MAX).unwrap();
+        let calls = crate::counting::calls() - before;
+        // The file's read buffer, the header line and the reply, and
+        // nothing per record: the route that encoded a `StoreRecord` built
+        // from each row, under the store lock, made 20 002 calls here.
+        assert!(
+            calls <= 16,
+            "{calls} allocator calls to serve 10 000 records"
+        );
+        let file = std::fs::read(&path).unwrap();
+        let first = file.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let (header, log) = body.split_once('\n').unwrap();
+        assert!(
+            header.starts_with(r#"{"kind":"ah-store-log","start":0,"generation":"#),
+            "{header}"
+        );
+        assert_eq!(log.as_bytes(), &file[first..]);
+    }
+
+    #[test]
+    fn serving_the_store_log_moves_no_append_cursor_and_outlives_its_path() {
+        use crate::space::Configuration;
+        use crate::store::StoreRecord;
+        use crate::value::ParamValue;
+        let path = crate::TempPath::new("observe-store-log-unlinked.store");
+        let store = SharedStore::open(&path).unwrap();
+        let record = |x: i64| {
+            let config = Configuration::new(vec!["x".into()], vec![ParamValue::Int(x)]);
+            StoreRecord::new("a", 1, config, x as f64, 0.0)
+        };
+        store.insert_batch((0..10).map(record).collect()).unwrap();
+        let records = |body: &str| body.lines().skip(1).map(String::from).collect::<Vec<_>>();
+        // A reply cut short stops reading mid-file; the next append must
+        // still land at the file's end.
+        assert!(records(&store_log(&store, 0, 400).unwrap()).len() < 10);
+        store.insert(record(10)).unwrap();
+        let file = std::fs::read_to_string(&path).unwrap();
+        let on_disk: Vec<String> = file.lines().skip(1).map(String::from).collect();
+        assert_eq!(on_disk.len(), 11, "{file}");
+        assert_eq!(records(&store_log(&store, 0, usize::MAX).unwrap()), on_disk);
+        // With the path gone, the store appends to and serves its open file.
+        std::fs::remove_file(&path).unwrap();
+        store.insert(record(11)).unwrap();
+        let served = records(&store_log(&store, 0, usize::MAX).unwrap());
+        assert_eq!((served.len(), &served[..11]), (12, &on_disk[..]));
     }
 }

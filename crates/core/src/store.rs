@@ -37,14 +37,17 @@
 //!
 //! # Merging
 //!
-//! Records from another log — a peer's `/store/log` body, the lines
-//! [`merge_records`](PerfStore::merge_records) encodes, the store's own
-//! file at compaction — enter through the reader open uses (see "In
-//! memory"), with one rule open does not have: a record whose key the store
-//! already serves is skipped, and is a conflict when its cost differs. A
-//! merged line the reader read in place is appended as it came, one it
-//! declined is re-encoded, so every line of a store file is one the encoder
-//! could have written. The dry run
+//! Records from another log — a peer's `/store/log` body, a peer store's
+//! file ([`merge_from`](PerfStore::merge_from)), the store's own file at
+//! compaction — enter through the reader open uses (see "In memory"), with
+//! one rule open does not have: a record whose key the store already serves
+//! is skipped, and is a conflict when its cost differs. That holds for a
+//! peer's superseded lines too, which are scanned and skipped. A merged
+//! line the reader read in place is appended as it came, one it declined
+//! is re-encoded, so every line of a store file is one the encoder could
+//! have written. A merge takes a log, never a peer's memory: a record whose
+//! append failed is served by its store but is in no log, so no merge takes
+//! it, as no reopen or compaction does. The dry run
 //! ([`merge_preview`](PerfStore::merge_preview)) merges into a copy.
 //!
 //! # Compaction
@@ -57,8 +60,8 @@
 //! records: each key's first line is the live record's, and the kept lines
 //! stream to the new file. A record whose append failed (a full disk) is
 //! served from memory, but its line is not in the file, so a compaction
-//! drops it, as a reopen does. A rewrite moves records to new positions, so
-//! it also starts a new `generation`: a peer pulling the log by position
+//! drops it, as a reopen does. A rewrite moves records to new offsets, so
+//! it also starts a new `generation`: a peer pulling the log by byte mark
 //! re-pulls from 0 when the generation it last saw is gone.
 //!
 //! # In memory
@@ -72,13 +75,12 @@
 //! plus each value's variant (`Int`, `Real`, `Enum`), interned once, so
 //! the records of one space share one name table; app labels and enum
 //! labels are interned strings. A [`StoreRecord`] exists only at the API's
-//! edge: [`insert_batch`](PerfStore::insert_batch) and
-//! [`merge_records`](PerfStore::merge_records) take them, one is built from
-//! its row for [`live_records`](PerfStore::live_records),
-//! [`encode_log_from`](PerfStore::encode_log_from) and the priors view, and
-//! the derive reads a line the store's reader declines into one. A record
-//! built from a row is the one stored: a `Real` keeps its bits and an `Enum`
-//! its index and label, so every line re-encodes byte-identically.
+//! edge: [`insert_batch`](PerfStore::insert_batch) takes them, one is built
+//! from its row for [`live_records`](PerfStore::live_records) and the
+//! priors view, and the derive reads a line the store's reader declines
+//! into one. A record built from a row is the one stored: a `Real` keeps
+//! its bits and an `Enum` its index and label, so every line re-encodes
+//! byte-identically.
 //!
 //! One index finds a key: a seeded digest of `(app id, fingerprint, cache
 //! key)` maps to the newest live record with that digest, and a chain
@@ -119,7 +121,7 @@
 //! [`lookup`](PerfStore::lookup) is the same body without a position.
 
 use crate::digest_index::DigestIndex;
-use crate::durable_log::{self, push_line, DurableLog, LineReader};
+use crate::durable_log::{self, push_line, Committed, DurableLog, LineReader};
 use crate::error::{HarmonyError, Result};
 use crate::lock;
 use crate::priors::PriorRunDb;
@@ -130,7 +132,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -272,11 +274,11 @@ pub struct StoreStats {
     pub torn_tail_truncated: bool,
 }
 
-/// Outcome of a federation merge ([`PerfStore::merge_records`] /
-/// [`PerfStore::merge_from`]).
+/// Outcome of a federation merge ([`PerfStore::merge_from`], a peer's
+/// pull).
 #[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct MergeStats {
-    /// Peer records examined.
+    /// Peer record lines examined, superseded ones included.
     pub scanned: usize,
     /// Novel records appended into the local log.
     pub merged: usize,
@@ -287,16 +289,6 @@ pub struct MergeStats {
     /// both sides measured the key independently and the local first
     /// write won ([`Counter::StoreMergeConflicts`]).
     pub conflicts: usize,
-}
-
-impl MergeStats {
-    /// Accumulate another merge outcome (chunked merges sum their stats).
-    pub fn absorb(&mut self, other: MergeStats) {
-        self.scanned += other.scanned;
-        self.merged += other.merged;
-        self.skipped += other.skipped;
-        self.conflicts += other.conflicts;
-    }
 }
 
 /// Outcome of a [`PerfStore::compact`] or [`PerfStore::gc`].
@@ -781,6 +773,25 @@ impl Records {
         self.vals.shrink_to_fit();
         self.index.shrink_to_fit();
     }
+
+    /// Merge the log `log` reads through the store's reader, the line of
+    /// each record merged to `out`: [`durable_log::scan`]'s outcome, with
+    /// the stats, and on an inner `Err` the records as they were.
+    fn merge<H: Deserialize>(
+        &mut self,
+        log: impl BufRead,
+        check: impl FnOnce(&H) -> std::result::Result<(), String>,
+        out: &mut dyn Write,
+    ) -> std::io::Result<std::result::Result<(H, usize, MergeStats), String>> {
+        let before = self.mark();
+        let mut reader = Reader::new(self, Some(out), None);
+        let scanned = durable_log::scan(log, check, &mut reader);
+        let stats = reader.stats;
+        if !matches!(scanned, Ok(Ok(_))) {
+            self.roll_back(before);
+        }
+        scanned.map(|scanned| scanned.map(|(header, end)| (header, end, stats)))
+    }
 }
 
 /// A string's place in a line: byte offsets of its text, between the
@@ -1041,24 +1052,6 @@ impl<'r> Reader<'r> {
         }
     }
 
-    /// Merge `records` as the lines the encoder writes them as. A record
-    /// the log cannot hold (see [`storable`]) is scanned, and neither
-    /// merged nor skipped.
-    fn feed(&mut self, records: &[StoreRecord]) {
-        let mut line = Vec::new();
-        for record in records {
-            if storable(record).is_err() {
-                self.stats.scanned += 1;
-                continue;
-            }
-            line.clear();
-            push_line(record, &mut line);
-            let text = std::str::from_utf8(&line[..line.len() - 1]).expect("lines are UTF-8");
-            self.read(text, true)
-                .expect("a storable record's line reads back");
-        }
-    }
-
     /// Take the record of `text`: the one the derive read from it, else the
     /// one [`Line::read`] just read.
     fn keep(&mut self, text: &str, derived: Option<StoreRecord>) {
@@ -1118,8 +1111,8 @@ pub struct PerfStore {
     telemetry: Telemetry,
     /// Every log record in file order (compaction rewrites this).
     records: Records,
-    /// Drawn afresh at open and at every rewrite: the record positions a
-    /// `/store/log` puller holds are positions in this generation.
+    /// Drawn afresh at open and at every rewrite: the byte marks a
+    /// `/store/log` puller holds are offsets into this generation's file.
     generation: u64,
     /// Inline sync cadence in appends. The store is a cache, not a
     /// correctness log: an unsynced tail lost to a crash just gets
@@ -1326,7 +1319,10 @@ impl PerfStore {
         Ok(())
     }
 
-    /// Merge peer records into this store (anti-entropy replication).
+    /// Merge the log `peer` has committed into this store (anti-entropy
+    /// replication, `repro store merge`): the pull done in-process, its
+    /// file read afresh through the store's own reader (see the [module
+    /// docs](self#merging)).
     ///
     /// Unlike [`insert_batch`](Self::insert_batch) — which appends a
     /// re-measurement with a different cost for provenance — a merge is a
@@ -1337,40 +1333,50 @@ impl PerfStore {
     /// order-insensitive: every merge order converges on the same live
     /// set, with each key served by whichever record reached this store
     /// first. A skipped record whose cost differs from the local one is
-    /// counted as a conflict ([`Counter::StoreMergeConflicts`]). A record
-    /// the log cannot hold (see [`insert_batch`](Self::insert_batch)) is
-    /// scanned, and neither merged nor skipped. Each record is merged as
-    /// its line, through the store's own reader (see the [module
-    /// docs](self#merging)).
-    pub fn merge_records(&mut self, records: Vec<StoreRecord>) -> Result<MergeStats> {
+    /// counted as a conflict ([`Counter::StoreMergeConflicts`]). A peer
+    /// file damaged mid-log is [`HarmonyError::StoreCorrupt`] and merges
+    /// nothing.
+    pub fn merge_from(&mut self, peer: &PerfStore) -> Result<MergeStats> {
         let mut lines = Vec::new();
-        let mut reader = Reader::new(&mut self.records, Some(&mut lines), None);
-        reader.feed(&records);
-        let stats = reader.stats;
+        let stats = peer.merge_into(&mut self.records, &mut lines)?;
         self.merged(&lines, stats).map(|()| stats)
     }
 
+    /// What [`merge_from`](Self::merge_from) *would* do, without writing
+    /// anything (`repro store merge --dry-run`): the same merge, on a copy
+    /// of the records.
+    pub fn merge_preview(&self, peer: &PerfStore) -> Result<MergeStats> {
+        peer.merge_into(&mut self.records.clone(), &mut std::io::sink())
+    }
+
+    /// Merge this store's committed log, read afresh, into `records`, the
+    /// line of each record merged to `out`.
+    fn merge_into(&self, records: &mut Records, out: &mut dyn Write) -> Result<MergeStats> {
+        let path = self.path().display();
+        let unread = |e| HarmonyError::Io(format!("read {path}: {e}"));
+        let log = self.committed_log().map_err(unread)?;
+        let merged = records.merge(BufReader::new(log), check_header, out);
+        let corrupt = |what| HarmonyError::StoreCorrupt(format!("{path}: {what}"));
+        let (_, _, stats) = merged.map_err(unread)?.map_err(corrupt)?;
+        Ok(stats)
+    }
+
     /// Merge a log held in `body`, as a peer's `/store/log` serves one: a
-    /// header `check` accepts, then record lines, each merged as
-    /// [`merge_records`](Self::merge_records) merges a record. Returns the
-    /// header, the stats (`scanned` counts the records before the body's
-    /// first line that is not one) and the append's outcome; `None`, with
-    /// nothing merged, when the header is refused or a record follows such
-    /// a line.
+    /// header `check` accepts, then record lines, merged as
+    /// [`merge_from`](Self::merge_from) merges a peer's file. Returns the
+    /// header, the offset in `body` just past the last record line merged
+    /// (the records before the body's first line that is not one), the
+    /// stats and the append's outcome; `None`, with nothing merged, when the
+    /// header is refused or a record follows such a line.
     pub(crate) fn merge_log<H: Deserialize>(
         &mut self,
         body: &[u8],
         check: impl FnOnce(&H) -> std::result::Result<(), String>,
-    ) -> Option<(H, MergeStats, Result<()>)> {
-        let (before, mut lines) = (self.records.mark(), Vec::new());
-        let mut reader = Reader::new(&mut self.records, Some(&mut lines), None);
-        let scanned = durable_log::scan(body, check, &mut reader).expect("memory reads");
-        let stats = reader.stats;
-        let Ok((header, _)) = scanned else {
-            self.records.roll_back(before);
-            return None;
-        };
-        Some((header, stats, self.merged(&lines, stats)))
+    ) -> Option<(H, usize, MergeStats, Result<()>)> {
+        let mut lines = Vec::new();
+        let merged = self.records.merge(body, check, &mut lines);
+        let (header, end, stats) = merged.expect("memory reads").ok()?;
+        Some((header, end, stats, self.merged(&lines, stats)))
     }
 
     /// Count a merge's `stats` and append the `lines` of the records it
@@ -1382,47 +1388,17 @@ impl PerfStore {
         self.append(lines, stats.merged)
     }
 
-    /// What [`merge_records`](Self::merge_records) *would* do, without
-    /// writing anything (`repro store merge --dry-run`): the same merge, on
-    /// a copy of the records.
-    pub fn merge_preview(&self, records: &[StoreRecord]) -> MergeStats {
-        let (mut copy, mut sink) = (self.records.clone(), std::io::sink());
-        let mut reader = Reader::new(&mut copy, Some(&mut sink), None);
-        reader.feed(records);
-        reader.stats
+    /// The log as it stands, to read after the lock is released: its
+    /// bytes up to the committed length, whatever is appended, renamed over
+    /// the path or unlinked later.
+    pub(crate) fn committed_log(&self) -> std::io::Result<Committed> {
+        self.log.committed()
     }
 
-    /// Merge every live record of `peer` into this store; see
-    /// [`merge_records`](Self::merge_records) for the algebra.
-    pub fn merge_from(&mut self, peer: &PerfStore) -> Result<MergeStats> {
-        self.merge_records(peer.live_records())
-    }
-
-    /// Serialize the replication log from record position `from` onward,
-    /// in the byte-identical on-disk record encoding, for the
-    /// `/store/log` anti-entropy endpoint. Returns `(start, blob)`: when
-    /// `from` points past the end of the log, the whole log is re-served
-    /// from 0 — merges are idempotent, so over-serving is harmless. A
-    /// compaction can also move records *beneath* a puller's `from`
-    /// without shortening the log that far; only the
-    /// `generation` tells the puller that.
-    pub fn encode_log_from(&self, from: usize) -> (usize, String) {
-        let len = self.records.len();
-        let start = if from <= len { from } else { 0 };
-        let mut blob = Vec::with_capacity((len - start) * 192);
-        for pos in start..len {
-            push_line(&self.records.record(pos), &mut blob);
-        }
-        (
-            start,
-            String::from_utf8(blob).expect("JSON lines are UTF-8"),
-        )
-    }
-
-    /// Which numbering of the log record positions refer to. Drawn afresh
-    /// when the store is opened and at every compaction, so a puller that
-    /// holds a position from another generation knows to re-pull from 0.
-    /// Not stored on disk.
+    /// Which file a puller's byte mark is an offset into. Drawn afresh when
+    /// the store is opened and at every compaction, so a puller that holds
+    /// a mark from another generation knows to re-pull from 0. Not stored
+    /// on disk.
     pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
@@ -1659,13 +1635,7 @@ impl SharedStore {
         lock(&self.0).insert_batch(records)
     }
 
-    /// Locked [`PerfStore::encode_log_from`].
-    pub fn encode_log_from(&self, from: usize) -> (usize, String) {
-        lock(&self.0).encode_log_from(from)
-    }
-
-    /// Locked [`PerfStore::len`] — total log records, for replication
-    /// high-water marks and `/status`.
+    /// Locked [`PerfStore::len`] — total log records, for `/status`.
     pub fn record_count(&self) -> usize {
         lock(&self.0).len()
     }
@@ -1784,8 +1754,8 @@ mod tests {
         let header = "{\"kind\":\"ah-store\",\"version\":1}\n";
 
         let mut store = PerfStore::open(&path).unwrap();
-        assert_eq!(store.insert_batch(records.clone()).unwrap(), lines.len());
-        assert_eq!(store.encode_log_from(0), (0, log.clone()));
+        assert_eq!(store.insert_batch(records).unwrap(), lines.len());
+        assert_eq!(rows(&store), log.as_bytes());
         store.flush().unwrap();
         assert_eq!(
             std::fs::read_to_string(&path).unwrap(),
@@ -1793,7 +1763,7 @@ mod tests {
         );
 
         let mut peer = PerfStore::open(&peer_path).unwrap();
-        assert_eq!(peer.merge_records(records).unwrap().merged, lines.len());
+        assert_eq!(peer.merge_from(&store).unwrap().merged, lines.len());
         peer.compact().unwrap();
         drop(peer);
         assert_eq!(
@@ -1836,8 +1806,8 @@ mod tests {
         let path = temp_path("one-table");
         let _ = std::fs::remove_file(&path);
         let fp = space_fingerprint(&space());
-        // `rec` builds its space anew, so every record arrives with a table
-        // of its own, as records decoded from a peer's log do.
+        // `rec` builds its space anew, so every inserted record arrives with
+        // a table of its own.
         let batch = |from: usize| -> Vec<StoreRecord> {
             (from..from + 20)
                 .map(|i| rec("app", fp, i as f64, 1.0, i as f64))
@@ -1850,7 +1820,7 @@ mod tests {
         {
             let mut store = PerfStore::open(&path).unwrap();
             store.insert_batch(batch(0)).unwrap();
-            store.merge_records(batch(20)).unwrap();
+            merge(&mut store, &batch(20));
             assert_eq!(store.len(), 40);
             assert!(one_table(&store), "inserted and merged records");
         }
@@ -2155,7 +2125,7 @@ mod tests {
         b.insert(rec("app", 1, 2.0, 2.0, 99.0)).unwrap(); // conflicting cost
         b.insert(rec("app", 1, 3.0, 3.0, 30.0)).unwrap();
         // Dry run predicts exactly what the real merge does.
-        let preview = a.merge_preview(&b.live_records());
+        let preview = a.merge_preview(&b).unwrap();
         let stats = a.merge_from(&b).unwrap();
         assert_eq!(stats.scanned, 2);
         assert_eq!(stats.merged, 1);
@@ -2184,44 +2154,45 @@ mod tests {
 
     #[test]
     fn replication_log_roundtrips_into_an_equal_store() {
+        use crate::server::observe::{store_log, StoreLogHeader};
         let src_path = temp_path("log-src");
         let dst_path = temp_path("log-dst");
         let _ = std::fs::remove_file(&src_path);
         let _ = std::fs::remove_file(&dst_path);
-        let mut src = PerfStore::open(&src_path).unwrap();
+        let src = SharedStore::open(&src_path).unwrap();
         for i in 0..6 {
             src.insert(rec("app", 1, i as f64, 0.0, i as f64 + 0.5))
                 .unwrap();
         }
-        // Pull in two increments, like the SyncPeers task does.
+        let file = std::fs::read(&src_path).unwrap();
+        let log = &file[HEADER.len()..];
+        // Pull in increments, like the SyncPeers task does when a log
+        // outgrows a reply: a header line of at most 100 bytes, and room
+        // for three and a half lines after it.
+        let cap = 100 + 7 * log.len() / 6 / 2;
         let mut dst = PerfStore::open(&dst_path).unwrap();
-        let mut from = 0;
-        for _ in 0..2 {
-            let (start, blob) = src.encode_log_from(from);
-            assert_eq!(start, from);
-            let records: Vec<StoreRecord> = blob
-                .lines()
-                .map(|l| serde_json::from_str(l).unwrap())
-                .collect();
-            from = start + records.len();
-            dst.merge_records(records).unwrap();
+        let (mut at, mut pulls) = (0, 0);
+        while at < log.len() as u64 {
+            let body = store_log(&src, at, cap).unwrap();
+            assert!(body.len() <= cap && body.ends_with('\n'), "{body}");
+            let head = body.find('\n').unwrap() + 1;
+            let merged = dst.merge_log::<StoreLogHeader>(body.as_bytes(), |_| Ok(()));
+            let (header, end, stats, appended) = merged.unwrap();
+            appended.unwrap();
+            assert_eq!((header.start, stats.merged), (at, 3));
+            at += (end - head) as u64;
+            pulls += 1;
         }
-        assert_eq!(from, src.len());
-        let live_src: Vec<(Vec<i64>, u64)> = src
-            .live_records()
-            .iter()
-            .map(|r| (r.config.cache_key(), r.cost_bits))
-            .collect();
-        let live_dst: Vec<(Vec<i64>, u64)> = dst
-            .live_records()
-            .iter()
-            .map(|r| (r.config.cache_key(), r.cost_bits))
-            .collect();
-        assert_eq!(live_src, live_dst);
-        // A high-water mark past the end (peer compacted) re-serves from 0.
-        let (start, blob) = src.encode_log_from(from + 10);
-        assert_eq!(start, 0);
-        assert_eq!(blob.lines().count(), src.len());
+        assert_eq!((at, pulls), (log.len() as u64, 2));
+        drop(dst);
+        assert_eq!(std::fs::read(&dst_path).unwrap(), file);
+        // A mark past the end, or inside a line, re-serves the whole log.
+        for at in [at + 10, 1] {
+            let body = store_log(&src, at, usize::MAX).unwrap();
+            let (header, records) = body.split_once('\n').unwrap();
+            assert!(header.contains("\"start\":0,"), "{header}");
+            assert_eq!(records.as_bytes(), log);
+        }
     }
 
     /// A record over two apps × two fingerprints × four keys of three
@@ -2328,6 +2299,21 @@ mod tests {
         blob
     }
 
+    /// Every record the store holds, superseded ones included, built from
+    /// its row and encoded: the lines of its log.
+    fn rows(store: &PerfStore) -> Vec<u8> {
+        let records = (0..store.len()).map(|pos| store.records.record(pos));
+        lines(&records.collect::<Vec<_>>())
+    }
+
+    /// Merge `records` as a peer's body of their lines, which must merge.
+    fn merge(store: &mut PerfStore, records: &[StoreRecord]) -> MergeStats {
+        let body = [HEADER, &lines(records)].concat();
+        let (_, _, stats, appended) = store.merge_log(&body, check_header).unwrap();
+        appended.unwrap();
+        stats
+    }
+
     /// Apply one random operation to the store and the model: bits 0–2
     /// pick it, bits 3–4 a batch size of 1–4, and each record of the batch
     /// takes 14 more bits. A reopen reopens under `index`'s digest.
@@ -2340,9 +2326,19 @@ mod tests {
                 batch.iter().for_each(|r| model.insert(r));
                 store.insert_batch(batch).unwrap();
             }
-            3 | 4 => {
+            3 => {
                 batch.iter().for_each(|r| model.merge(r));
-                store.merge_records(batch).unwrap();
+                merge(store, &batch);
+            }
+            4 => {
+                // The pull done in-process, from a store of the batch.
+                batch.iter().for_each(|r| model.merge(r));
+                let peer_path = path.with_extension("peer");
+                let mut peer = PerfStore::open(&peer_path).unwrap();
+                peer.insert_batch(batch).unwrap();
+                store.merge_from(&peer).unwrap();
+                drop(peer);
+                std::fs::remove_file(&peer_path).unwrap();
             }
             5 => {
                 model.rewrite(|_| true);
@@ -2364,7 +2360,7 @@ mod tests {
     /// Every answer the store gives, against the model's.
     fn assert_answers_as_the_model(store: &PerfStore, model: &Model) {
         assert_eq!(lines(&store.live_records()), lines(model.live()));
-        assert_eq!(store.encode_log_from(0).1.as_bytes(), lines(&model.log));
+        assert_eq!(rows(store), lines(&model.log));
         // The file holds every line the encoder writes for the model's log:
         // its live records' alone after a compaction, which leaves the
         // model's log as its live records.
@@ -2475,21 +2471,25 @@ mod tests {
         assert_eq!(store.insert_batch(batch.clone()).unwrap(), 2);
         assert_eq!((store.len(), store.live_configs()), (2, 2));
         let mut peer = PerfStore::open(&peer_path).unwrap();
-        let preview = peer.merge_preview(&batch);
-        let merged = peer.merge_records(batch).unwrap();
-        assert_eq!((merged.scanned, merged.merged, merged.skipped), (5, 2, 0));
+        let preview = peer.merge_preview(&store).unwrap();
+        let merged = peer.merge_from(&store).unwrap();
+        assert_eq!((merged.scanned, merged.merged, merged.skipped), (2, 2, 0));
         assert_eq!(
             (preview.scanned, preview.merged, preview.skipped),
-            (5, 2, 0)
+            (2, 2, 0)
         );
+        // In a peer's body, such a record's line (`null` for the real) is
+        // not a record: with records after it, the body merges nothing.
+        let body = [HEADER, &lines(&batch)].concat();
+        assert!(peer.merge_log::<StoreHeader>(&body, check_header).is_none());
         for (store, p) in [(store, &path), (peer, &peer_path)] {
-            let (_, written) = store.encode_log_from(0);
+            let written = rows(&store);
             drop(store);
             let store = PerfStore::open(p).unwrap();
             assert!(!store.stats().torn_tail_truncated);
             let costs: Vec<f64> = store.live_records().iter().map(StoreRecord::cost).collect();
             assert_eq!(costs, [1.0, 5.0]);
-            assert_eq!(store.encode_log_from(0).1, written);
+            assert_eq!(rows(&store), written);
         }
         // A literal too large for an `f64` reads as an infinity, which a
         // compaction would write back as `null`: not a record either.
@@ -2819,7 +2819,7 @@ mod tests {
                         stats.torn_tail_truncated,
                         stats.file_bytes,
                     );
-                    (store.encode_log_from(0).1, apps, counts)
+                    (rows(&store), apps, counts)
                 })
                 .map_err(|e| e.to_string())
         };
@@ -3001,9 +3001,7 @@ mod tests {
         let opened = store.generation();
         store.insert(rec("a", 1, 1.0, 0.0, 1.0)).unwrap();
         store.insert(rec("a", 1, 1.0, 0.0, 2.0)).unwrap();
-        store
-            .merge_records(vec![rec("a", 1, 2.0, 0.0, 2.0)])
-            .unwrap();
+        merge(&mut store, &[rec("a", 1, 2.0, 0.0, 2.0)]);
         assert_eq!(store.generation(), opened, "appends keep the numbering");
         store.compact().unwrap();
         let compacted = store.generation();
@@ -3034,7 +3032,7 @@ mod tests {
     /// A store's log as a peer serves it: line 1 a store header, then
     /// every record line.
     fn peer_body(store: &PerfStore) -> Vec<u8> {
-        [HEADER, store.encode_log_from(0).1.as_bytes()].concat()
+        std::fs::read(store.path()).unwrap()
     }
 
     #[test]
@@ -3047,7 +3045,7 @@ mod tests {
         let body = peer_body(&peer);
         let mut store = PerfStore::open(&dst).unwrap();
         let before = crate::counting::calls();
-        let (_, stats, _) = store.merge_log(&body, check_header).unwrap();
+        let (_, _, stats, _) = store.merge_log(&body, check_header).unwrap();
         let calls = crate::counting::calls() - before;
         assert_eq!((stats.scanned, stats.merged), (10_000, 10_000));
         // The vectors' and tables' growth, and nothing per line: the pull
@@ -3058,6 +3056,38 @@ mod tests {
             "{calls} allocator calls to merge 10 000 lines"
         );
         assert_eq!(std::fs::read(&dst).unwrap(), body);
+    }
+
+    #[test]
+    fn merging_a_peer_store_allocates_nothing_per_record() {
+        let (source, dst) = (temp_path("peer-source"), temp_path("peer-dst"));
+        let mut peer = PerfStore::open(&source).unwrap();
+        let records =
+            (0..10_000).map(|i| rec("a", 1, (i % 100) as f64, (i / 100) as f64, i as f64));
+        peer.insert_batch(records.collect()).unwrap();
+        let mut store = PerfStore::open(&dst).unwrap();
+        let before = crate::counting::calls();
+        let preview = store.merge_preview(&peer).unwrap();
+        let previewed = crate::counting::calls() - before;
+        let stats = store.merge_from(&peer).unwrap();
+        let merged = crate::counting::calls() - before - previewed;
+        assert_eq!((stats.scanned, stats.merged), (10_000, 10_000));
+        assert_eq!((preview.scanned, preview.merged), (10_000, 10_000));
+        // The reader's buffer and the vectors' and tables' growth, and
+        // nothing per record: the merge that built the peer's live records
+        // as `StoreRecord`s and merged those made 20 100 calls here, its dry
+        // run 20 085.
+        for (what, calls) in [("dry run", previewed), ("merge", merged)] {
+            assert!(
+                calls <= 200,
+                "{calls} allocator calls for the {what} of 10 000 records"
+            );
+        }
+        drop(store);
+        assert_eq!(
+            std::fs::read(&dst).unwrap(),
+            std::fs::read(&source).unwrap()
+        );
     }
 
     #[test]
@@ -3095,7 +3125,7 @@ mod tests {
         assert_eq!(t.counter(Counter::StoreMergedRecords), 0);
         assert_eq!(t.counter(Counter::StoreMergeConflicts), 0);
         // The index forgot the records it was shown: the whole body merges.
-        let (_, stats, _) = store.merge_log::<StoreHeader>(&body, check_header).unwrap();
+        let (_, _, stats, _) = store.merge_log::<StoreHeader>(&body, check_header).unwrap();
         assert_eq!((stats.merged, stats.skipped, stats.conflicts), (4, 1, 1));
         assert_eq!(store.live_configs(), 5);
         let key = space().project(&[1.0, 1.0]).cache_key();

@@ -17,12 +17,14 @@
 //! for `usize::MAX` trials, one with a `1e999` cost, one for an iteration
 //! never issued.
 //!
-//! The last five are the observer plane, which read whatever it was sent:
+//! The last six are the observer plane, which read whatever it was sent:
 //! a request head with no end, a peer's response with no end (the sync loop
 //! and `/fleet` call every `sync_peers` entry on a timer), a `/store/log`
-//! body that stops inside a character, and a peer whose accept queue is
-//! full, which never answers a connect at all — alone, and beside a live
-//! peer and a time series that share the server's one chores thread.
+//! body that stops inside a character, a `/store/log` asked for at a byte
+//! mark that is no line's start, no number or past `u64`, and a peer whose
+//! accept queue is full, which never answers a connect at all — alone, and
+//! beside a live peer and a time series that share the server's one chores
+//! thread.
 
 mod common;
 
@@ -568,17 +570,18 @@ fn a_store_log_cut_inside_a_character_still_yields_its_whole_records() {
     let fp = space_fingerprint(&space);
     // A peer's `/store/log` body — header line, three records — that stops
     // one byte into the `é` of the third record.
-    let (blob, total) = {
+    let blob = {
         let source_path = scratch("cut-source.store");
         let mut source = PerfStore::open(&source_path).unwrap();
         let records = [3.0, 7.0, 9.0]
             .map(|x| StoreRecord::new("café", fp, space.project(&[x]), x, x))
             .to_vec();
         assert_eq!(source.insert_batch(records).unwrap(), 3);
-        (source.encode_log_from(0).1, source.len())
+        let file = std::fs::read_to_string(&source_path).unwrap();
+        file.split_once('\n').unwrap().1.to_string()
     };
     let mut body =
-        format!("{{\"kind\":\"ah-store-log\",\"start\":0,\"total\":{total}}}\n{blob}").into_bytes();
+        format!("{{\"kind\":\"ah-store-log\",\"start\":0,\"generation\":1}}\n{blob}").into_bytes();
     let cut = body.iter().rposition(|&b| b == 0xc3).expect("an é") + 1;
     body.truncate(cut);
     let whole = String::from_utf8(body[..cut - 1].to_vec()).expect("whole up to the cut");
@@ -588,7 +591,7 @@ fn a_store_log_cut_inside_a_character_still_yields_its_whole_records() {
         let _ = stream.write_all(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n");
         let _ = stream.write_all(&body);
     });
-    let (code, got) = http_get(&addr.to_string(), "/store/log?from=0")
+    let (code, got) = http_get(&addr.to_string(), "/store/log?at=0")
         .expect("a cut body is a short body, not an error");
     assert_eq!((code, got.as_str()), (200, whole.as_str()));
 
@@ -609,6 +612,75 @@ fn a_store_log_cut_inside_a_character_still_yields_its_whole_records() {
     std::thread::sleep(Duration::from_millis(50));
     assert_eq!(store.record_count(), 2);
     server.shutdown();
+}
+
+#[test]
+fn a_store_log_asked_for_at_a_hostile_mark_is_served_whole_and_a_pull_copies_it() {
+    let space = SearchSpace::builder().int("x", 0, 100, 1).build().unwrap();
+    let fp = space_fingerprint(&space);
+    let path_a = scratch("hostile-mark-a.store");
+    let store_a = SharedStore::open(&path_a).unwrap();
+    let records = (0..20).map(|x| {
+        let x = x as f64;
+        StoreRecord::new("café", fp, space.project(&[x]), x, 1.0)
+    });
+    assert_eq!(store_a.insert_batch(records.collect()).unwrap(), 20);
+    let server_a = HarmonyServer::start_with_config(ServerConfig {
+        store: Some(store_a.clone()),
+        ..Default::default()
+    });
+    let observe_a = server_a.observe("127.0.0.1:0").unwrap();
+    let addr = observe_a.addr().to_string();
+    let file = std::fs::read_to_string(&path_a).unwrap();
+    let log = file.split_once('\n').unwrap().1;
+    let line = log.find('\n').unwrap() + 1;
+    let served = |at: &str| {
+        let (code, body) = http_get(&addr, &format!("/store/log?at={at}")).expect("served");
+        assert_eq!(code, 200, "at={at}");
+        let (header, records) = body.split_once('\n').expect("a header line");
+        let start = header.split("\"start\":").nth(1).expect(header);
+        (
+            start.split(',').next().unwrap().to_string(),
+            records.to_string(),
+        )
+    };
+    for at in [
+        (line / 2).to_string(),
+        (line + 3).to_string(),
+        (log.len() + 1).to_string(),
+        u64::MAX.to_string(),
+        "18446744073709551616".into(),
+        "99999999999999999999999".into(),
+        "-1".into(),
+        "x7".into(),
+        "0x10".into(),
+        String::new(),
+    ] {
+        assert_eq!(served(&at), ("0".into(), log.into()), "at={at}");
+    }
+    // A mark at a line's start serves the rest, and one at the end nothing.
+    let rest = served(&line.to_string());
+    assert_eq!(rest, (line.to_string(), log[line..].into()));
+    assert_eq!(served(&log.len().to_string()).1, "");
+
+    // A pull over the plane copies the peer's lines into the puller's file.
+    let path_b = scratch("hostile-mark-b.store");
+    let store_b = SharedStore::open(&path_b).unwrap();
+    let server_b = HarmonyServer::start_with_config(ServerConfig {
+        store: Some(store_b.clone()),
+        sync_peers: vec![addr],
+        sync_interval: Duration::from_millis(10),
+        ..Default::default()
+    });
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while store_b.record_count() < 20 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    server_b.shutdown();
+    store_b.flush().unwrap();
+    assert_eq!(std::fs::read_to_string(&path_b).unwrap(), file);
+    observe_a.stop();
+    server_a.shutdown();
 }
 
 /// A listener nobody accepts from, its accept queue filled: the kernel

@@ -47,6 +47,14 @@ impl Scratch {
         }
         s
     }
+
+    /// A peer store holding `records`, written as one batch: a duplicate of
+    /// a key at another cost is in its log, superseded.
+    fn peer(&self, tag: &str, records: &[StoreRecord]) -> PerfStore {
+        let mut s = self.open(tag);
+        s.insert_batch(records.to_vec()).unwrap();
+        s
+    }
 }
 
 impl Drop for Scratch {
@@ -160,13 +168,12 @@ proptest! {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             records.swap(i, (state >> 33) as usize % (i + 1));
         }
+        let in_order: Vec<StoreRecord> = keys.iter().map(|&k| record(k, cost_of(k))).collect();
         let mut clean = dir.open("shuffle-clean");
-        clean
-            .merge_records(keys.iter().map(|&k| record(k, cost_of(k))).collect())
-            .unwrap();
+        clean.merge_from(&dir.peer("shuffle-all", &in_order)).unwrap();
         let mut chunked = dir.open("shuffle-chunked");
-        for chunk in records.chunks(3) {
-            chunked.merge_records(chunk.to_vec()).unwrap();
+        for (i, chunk) in records.chunks(3).enumerate() {
+            chunked.merge_from(&dir.peer(&format!("shuffle-{i}"), chunk)).unwrap();
         }
         prop_assert_eq!(live_map(&chunked), live_map(&clean));
     }
@@ -214,13 +221,34 @@ proptest! {
             .map(|&k| record((k % 8, 0), cost_of((k % 8, 0)) + (k / 8) as f64))
             .collect();
         let mut dst = dir.store_with("preview", &local);
-        let p = dst.merge_preview(&records);
-        let m = dst.merge_records(records).unwrap();
+        let peer = dir.peer("preview-peer", &records);
+        let p = dst.merge_preview(&peer).unwrap();
+        let m = dst.merge_from(&peer).unwrap();
         prop_assert_eq!(
             (p.scanned, p.merged, p.skipped, p.conflicts),
             (m.scanned, m.merged, m.skipped, m.conflicts)
         );
     }
+}
+
+#[test]
+fn a_peers_superseded_lines_are_scanned_skipped_and_counted_as_conflicts() {
+    let dir = Scratch::new();
+    // Two live records, and a re-measurement of the first at another cost
+    // that the peer's log keeps for provenance.
+    let records = [
+        record((1, 1), 1.0),
+        record((2, 2), 2.0),
+        record((1, 1), 9.0),
+    ];
+    let peer = dir.peer("superseded-peer", &records);
+    assert_eq!((peer.len(), peer.live_configs()), (3, 2));
+    let mut dst = dir.open("superseded-dst");
+    let stats = dst.merge_from(&peer).unwrap();
+    let counts = (stats.scanned, stats.merged, stats.skipped, stats.conflicts);
+    assert_eq!(counts, (3, 2, 1, 1));
+    assert_eq!(live_map(&dst), live_map(&peer));
+    assert_eq!(dst.len(), 2, "the superseded line is not copied");
 }
 
 #[test]

@@ -47,7 +47,9 @@
 //!   --app LABEL        store inspect/gc: application label filter
 //!   --limit N          store inspect: max records shown (default 20)
 //!   --resume           fault-wal: resume from an existing log
-//!   --crash-after N    fault-wal / store demo: abort() after N evaluations
+//!   --crash-after N    fault-wal / store demo: abort() after N evaluations;
+//!                      store merge: merge the peer's first N live records,
+//!                      then abort()
 //!   --eval-delay-ms N  fault-wal / store demo: sleep per evaluation
 //!                      (for SIGKILL tests)
 //!   --format F         trace: `events` (default) or `chrome` (Perfetto-
@@ -62,13 +64,15 @@
 //!   --interval-ms N    watch: poll interval (default 1000)
 //!   --ticks N          watch: stop after N polls (default 0 = poll until
 //!                      every session reports a stop reason)
-//!   --from PATH        store merge: the peer database folded into --store
+//!   --from PATH        store merge: the peer database whose file is folded
+//!                      into --store, as a server folds a peer's /store/log
 //!   --dry-run          store merge: report what would merge, write nothing
 //!   --connect ADDR     store demo: drive the campaign over TCP against a
 //!                      live server instead of an in-process one
 //!   --listen ADDR      serve: TCP client address (default 127.0.0.1:0)
 //!   --sync-peer ADDRS  serve: comma-separated peer observe addresses to
-//!                      pull /store/log from (anti-entropy)
+//!                      pull /store/log from (anti-entropy: the peer's
+//!                      log file's bytes, from a byte mark)
 //!   --sync-interval-ms N  serve: anti-entropy pull period (default 500)
 //!   --tenant-max-sessions N  serve: per-tenant concurrent session cap
 //!   --tenant-max-inflight N  serve: per-tenant in-flight trial cap

@@ -12,8 +12,9 @@
 //! plane up, prints both bound addresses on stdout (one `listen ADDR` /
 //! `observe ADDR` line each, so scripts can scrape the OS-assigned
 //! ports), then parks until killed. Each `--sync-peer` names another
-//! server's *observe* address; the server pulls its `/store/log` every
-//! `--sync-interval-ms` and merges the records, which is how a second
+//! server's *observe* address; every `--sync-interval-ms` the server pulls
+//! its `/store/log` — the peer's log file's bytes from the byte mark the
+//! last pull reached — and merges the records, which is how a second
 //! server warm-starts campaigns it never measured. The store is flushed on
 //! a short idle cadence so a `kill` loses at most the last tick.
 //!

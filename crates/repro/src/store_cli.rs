@@ -22,9 +22,11 @@
 //! two servers and diffs the `--out` files.
 //!
 //! `merge` folds a peer database into `--store` with the federation
-//! first-write-wins algebra; `--dry-run` prints what would happen without
-//! writing, `--crash-after N` aborts mid-merge after N records for the
-//! crash-durability tests.
+//! first-write-wins algebra, reading the peer's file as a server reads a
+//! peer's `/store/log`; `--dry-run` prints what would happen without
+//! writing, `--crash-after N` merges only the peer's first N live records,
+//! then aborts, for the crash-durability tests (a peer with no more than N
+//! merges whole).
 //!
 //! `--out` holds only run-deterministic data (trajectory and best point as
 //! cost bits and cache keys); the volatile cache accounting (hits, misses,
@@ -182,41 +184,36 @@ fn merge(args: &[String]) -> i32 {
             s.conflicts,
         );
     };
-    if args.iter().any(|a| a == "--dry-run") {
-        let stats = dst.merge_preview(&src.live_records());
-        report("would merge", &stats);
-        return 0;
-    }
-    let crash_after: Option<usize> = flag_value(args, "--crash-after").map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--crash-after expects a positive integer, got `{v}`");
-            std::process::exit(2);
-        })
-    });
-    let stats = if let Some(n) = crash_after {
-        // Record-at-a-time with a flush per record, so the abort leaves a
-        // genuinely partial (possibly torn) log for the durability tests.
-        let peer = src.live_records();
-        let mut total = MergeStats::default();
-        for (done, rec) in peer.into_iter().enumerate() {
-            if done >= n {
-                eprintln!("store merge: simulated crash after {done} records");
-                std::process::abort();
-            }
-            let step = dst.merge_records(vec![rec]).unwrap_or_else(|e| {
-                eprintln!("merge failed: {e}");
-                std::process::exit(2);
-            });
-            total.absorb(step);
-            dst.flush().ok();
-        }
-        total
-    } else {
-        dst.merge_from(&src).unwrap_or_else(|e| {
+    let merged = |stats: ah_core::error::Result<MergeStats>| {
+        stats.unwrap_or_else(|e| {
             eprintln!("merge failed: {e}");
             std::process::exit(2);
         })
     };
+    if args.iter().any(|a| a == "--dry-run") {
+        report("would merge", &merged(dst.merge_preview(&src)));
+        return 0;
+    }
+    let crash_after =
+        flag_value(args, "--crash-after").map(|_| parse_usize(args, "--crash-after", 0));
+    let live = crash_after.map(|_| src.live_records()).unwrap_or_default();
+    if let Some(n) = crash_after.filter(|&n| live.len() > n) {
+        // A peer of the source's first N live records, merged and flushed,
+        // leaves a genuinely partial log for the durability tests. A peer
+        // file an earlier crash left behind is not reopened.
+        let peer_path = dst_path.with_extension("crash-peer");
+        let _ = std::fs::remove_file(&peer_path);
+        let stats = PerfStore::open(&peer_path).and_then(|mut peer| {
+            peer.insert_batch(live.into_iter().take(n).collect())?;
+            dst.merge_from(&peer)
+        });
+        let _ = std::fs::remove_file(&peer_path);
+        merged(stats);
+        dst.flush().ok();
+        eprintln!("store merge: simulated crash after {n} records");
+        std::process::abort();
+    }
+    let stats = merged(dst.merge_from(&src));
     if let Err(e) = dst.flush() {
         eprintln!("flush failed: {e}");
         return 2;
