@@ -132,7 +132,7 @@ impl OfflineTuner {
         let mut last_hit = None;
         let mut lookup = |key: &[i64]| -> Option<f64> {
             let (store, label) = self.store.as_ref()?;
-            let hit = store.lookup_after(label, fingerprint, key, &mut last_hit)?;
+            let hit = store.with(|s| s.lookup_after(label, fingerprint, key, &mut last_hit))?;
             store_hits += 1;
             Some(hit.cost)
         };

@@ -127,7 +127,7 @@ use crate::error::{HarmonyError, Result};
 use crate::lock;
 use crate::session::{Trial, TuningSession};
 use crate::space::SearchSpaceBuilder;
-use crate::store::{space_fingerprint, SharedStore, StoreRecord};
+use crate::store::{space_fingerprint, PerfStore, RecordView, SharedStore};
 use crate::telemetry::slo::SloRule;
 use crate::telemetry::timeseries::TimeSeries;
 use crate::telemetry::{
@@ -371,7 +371,7 @@ struct Tuning {
     /// key alongside the application label.
     fingerprint: u64,
     /// Store position of the session's last served hit, where a warm
-    /// replay's next lookup looks first ([`SharedStore::lookup_after`]).
+    /// replay's next lookup looks first ([`PerfStore::lookup_after`]).
     last_hit: Option<usize>,
 }
 
@@ -1060,10 +1060,13 @@ impl Tuning {
             fingerprint,
             ..
         } = self;
-        // Accumulated store writes for the whole batch: one locked append
-        // instead of one per trial, so attaching a store does not
-        // un-amortize what batching bought.
-        let mut recorded: Vec<StoreRecord> = Vec::new();
+        // The applied trials with their measurements, appended to the store
+        // as one locked write of borrowed records instead of one per trial,
+        // so attaching a store does not un-amortize what batching bought.
+        let mut recorded = match cfg.store {
+            Some(_) => Vec::with_capacity(reports.len()),
+            None => Vec::new(),
+        };
         let mut failed: Option<String> = None;
         for r in reports {
             if session.stop_reason().is_some() {
@@ -1082,20 +1085,14 @@ impl Tuning {
                     if clamped {
                         telemetry.inc(Counter::NonFiniteCostsSanitized);
                     }
-                    let config = cfg.store.as_ref().map(|_| t.trial.config.clone());
-                    let iteration = t.trial.iteration;
                     stats.add(TenantMetric::Reports, 1);
-                    if let Err(e) = session.report_timed(t.trial, cost, wall_time) {
+                    if let Err(e) = session.report_iteration(t.trial.iteration, cost, wall_time) {
                         failed = Some(e.to_string());
                         break;
                     }
                     stats.add(TenantMetric::Evaluations, 1);
-                    if let Some(config) = config {
-                        recorded.push(
-                            StoreRecord::new(app, *fingerprint, config, cost, wall_time)
-                                .with_provenance(session_id, iteration)
-                                .with_flags(t.requeued, false),
-                        );
+                    if cfg.store.is_some() {
+                        recorded.push((t, cost, wall_time));
                     }
                 }
                 // Stale duplicate: the trial was requeued after an
@@ -1116,9 +1113,20 @@ impl Tuning {
             }
         }
         if let (Some(store), false) = (&cfg.store, recorded.is_empty()) {
+            let records = recorded.iter().map(|(t, cost, wall_time)| RecordView {
+                app,
+                fingerprint: *fingerprint,
+                config: &t.trial.config,
+                cost_bits: cost.to_bits(),
+                wall_bits: wall_time.to_bits(),
+                session: session_id,
+                iteration: t.trial.iteration,
+                requeued: t.requeued,
+                replayed: false,
+            });
             // Advisory write: a full disk must not fail reports the
             // session already accepted.
-            let _ = store.insert_batch(recorded);
+            let _ = store.with(|store| store.insert_views(records));
         }
         if session.stop_reason().is_some() {
             drain_outstanding(outstanding, stats);
@@ -1213,17 +1221,24 @@ impl Tuning {
             })
             .expect("the update never declines");
         let reserved = room(prior);
-        let store = cfg.store.as_ref();
         let mut served = 0usize;
-        let batch = session.suggest_batch_with(reserved as usize, |iteration, key| {
-            if served == MAX_SERVED_PER_REQUEST {
-                return None;
-            }
-            let hit = store?.lookup_after(app, *fingerprint, key, last_hit)?;
-            served += 1;
-            *issued_high = (*issued_high).max(iteration);
-            Some(hit.cost)
-        });
+        let mut propose = |store: Option<&PerfStore>| {
+            session.suggest_batch_with(reserved as usize, |iteration, key| {
+                if served == MAX_SERVED_PER_REQUEST {
+                    return None;
+                }
+                let hit = store?.lookup_after(app, *fingerprint, key, last_hit)?;
+                served += 1;
+                *issued_high = (*issued_high).max(iteration);
+                Some(hit.cost)
+            })
+        };
+        // The request's proposals meet the store under one lock, not one
+        // lock per proposal.
+        let batch = match &cfg.store {
+            Some(store) => store.with(|store| propose(Some(store))),
+            None => propose(None),
+        };
         stats
             .inflight
             .fetch_sub(reserved - batch.len() as u64, Ordering::Relaxed);
@@ -1314,6 +1329,7 @@ mod tests {
     use crate::param::Param;
     use crate::server::protocol::{StrategyKind, TrialReport};
     use crate::session::SessionOptions;
+    use crate::store::StoreRecord;
 
     #[test]
     fn single_client_tunes_a_bowl() {
@@ -1878,6 +1894,88 @@ mod tests {
             assert_eq!(a.cost.to_bits(), b.cost.to_bits());
         }
         assert!(mixed.evaluations().iter().any(|e| e.cached));
+    }
+
+    /// A sealed session's rules over four ints, as `Seal` builds them, for
+    /// `max_evaluations` trials of Random search.
+    fn four_int_tuning() -> Tuning {
+        let mut space = crate::space::SearchSpace::builder();
+        for name in ["tile", "unroll", "block", "depth"] {
+            space = space.param(Param::int(name, 0, 1_000_000, 1));
+        }
+        let space = space.build().unwrap();
+        let fingerprint = space_fingerprint(&space);
+        let options = SessionOptions {
+            max_evaluations: 1 << 20,
+            seed: 3,
+            ..Default::default()
+        };
+        Tuning {
+            session: Box::new(TuningSession::new(
+                space,
+                StrategyKind::Random.build(),
+                options,
+            )),
+            outstanding: VecDeque::new(),
+            issued_high: 0,
+            fingerprint,
+            last_hit: None,
+        }
+    }
+
+    #[test]
+    fn a_report_batch_reaches_the_store_with_no_allocation_per_record() {
+        let (store, _, _path) = fresh_store("allocations");
+        let stored = ServerConfig {
+            store: Some(store.clone()),
+            ..Default::default()
+        };
+        let bare = ServerConfig::default();
+        let stats = TenantStats::default();
+        // Fetch a batch of `max`, then count the allocator calls of
+        // reporting it.
+        let report_calls = |tuning: &mut Tuning, cfg: &ServerConfig, max: usize| {
+            let caller = Caller {
+                cfg,
+                app: "allocations",
+                tenant: "",
+                stats: &stats,
+                client: 1,
+                session_id: 1,
+                now: Instant::now(),
+            };
+            let trials = tuning.top_up(&caller, max).trials;
+            let reports: Vec<TrialReport> = trials
+                .iter()
+                .map(|t| TrialReport {
+                    iteration: t.iteration,
+                    cost: t.config.int("tile").unwrap() as f64,
+                    wall_time: 0.0,
+                })
+                .collect();
+            let before = crate::counting::calls();
+            tuning.apply_reports(&caller, reports).unwrap();
+            crate::counting::calls() - before
+        };
+        // Twin sessions, one with a store: what the session does allocates
+        // alike in both, so the difference is the store's append.
+        let (mut with, mut without) = (four_int_tuning(), four_int_tuning());
+        let mut appended = 0;
+        for (round, max) in [16, 16, 16, 16, 64, 16, 16].into_iter().enumerate() {
+            let calls = report_calls(&mut with, &stored, max);
+            let twin = report_calls(&mut without, &bare, max);
+            let store_calls = calls - twin;
+            eprintln!("batch of {max}: {calls} allocator calls, {store_calls} for the store");
+            appended += max;
+            // The first batch interns the app and the shape.
+            if round > 0 {
+                assert!(
+                    store_calls <= 10,
+                    "{store_calls} calls for a batch of {max}"
+                );
+            }
+        }
+        assert_eq!(store.record_count(), appended);
     }
 
     /// A store at a fresh temporary path, the fingerprint of the

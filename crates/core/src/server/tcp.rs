@@ -13,13 +13,17 @@
 //! connection's reads, writes, refusals, and idle eviction. A campaign driven over it
 //! produces the bit-identical tuning trajectory of a serial in-process run.
 //!
-//! A whole batch (`FetchBatch` request, `Configs` reply, `ReportBatch`
-//! request) is one serde frame — one line, one write — so a PRO round of
-//! candidates costs a single round-trip. The serial loop costs one
-//! round-trip per trial: [`TcpHarmonyClient::report`] sends an
-//! [`Request::Exchange`] that reports the trial and fetches the next one,
-//! and the following [`TcpHarmonyClient::fetch`] returns that trial without
-//! touching the socket. Sockets run with `TCP_NODELAY` and buffered
+//! A whole batch (a request, its `Configs` reply) is one serde frame — one
+//! line, one write — and every report fetches what comes next in the same
+//! round trip: [`TcpHarmonyClient::report`] and
+//! [`TcpHarmonyClient::report_batch`] send an [`Request::Exchange`] that
+//! reports the measurements and asks for the next trial, or for as many
+//! as the last [`fetch_batch`](TcpHarmonyClient::fetch_batch) did, and the
+//! following `fetch` or `fetch_batch` returns them without touching the
+//! socket. So the serial loop costs one round trip per trial, and a PRO
+//! round of candidates, or a batch of 16, one per batch: only a session's
+//! first fetch, and a fetch the kept trials cannot answer, is a `Fetch` or
+//! `FetchBatch` of its own. Sockets run with `TCP_NODELAY` and buffered
 //! writers: frames are small and latency-bound, so waiting for Nagle
 //! coalescing only delays the tuning loop.
 //!
@@ -34,10 +38,10 @@
 //! which the server treats idempotently — a retried report whose first
 //! copy did arrive is a tolerated duplicate. When a connection dies, the
 //! server front-end departs its client from the session as a
-//! [`Request::Leave`] would, requeueing the client's outstanding trials, a
-//! prefetched one included, for the surviving members, but it keeps the
+//! [`Request::Leave`] would, requeueing the client's outstanding trials,
+//! prefetched ones included, for the surviving members, but it keeps the
 //! session for the client to rejoin even when no member is left; a client
-//! that reconnects forgets the trial it held.
+//! that reconnects forgets the trials it held.
 
 use super::client::reply_error;
 use super::event_loop::{EventLoopConfig, EventLoopPool, TuningService};
@@ -266,11 +270,19 @@ pub struct TcpHarmonyClient {
     /// Iteration token of the last unanswered plain fetch; reports ride
     /// `Exchange` with this token so a retried report is idempotent.
     last_fetch: Option<usize>,
-    /// The trial the last report's `Exchange` brought back, which the next
-    /// plain fetch returns without a round trip. Dropped on a reconnect
-    /// (the dead connection's departure requeues it for the new client id) and by
-    /// `fetch_batch`, `report_batch` and `leave`.
-    prefetched: Option<FetchedTrial>,
+    /// The trials the last report's `Exchange` brought back — one for a
+    /// [`report`](Self::report), up to `batch` for a
+    /// [`report_batch`](Self::report_batch) — which the next `fetch`, or a
+    /// `fetch_batch` of at most as many, returns without a round trip. They
+    /// are held for this client on the server until reported. A fetch they
+    /// cannot answer drops them (the server serves a client's unreported
+    /// trials first, so its request gets them back), and so do a reconnect
+    /// (the dead connection's departure requeues them for the new client
+    /// id) and `leave`.
+    prefetched: Vec<FetchedTrial>,
+    /// The `max` of the last [`fetch_batch`](Self::fetch_batch), which
+    /// `report_batch`'s exchange asks for.
+    batch: usize,
 }
 
 impl std::fmt::Debug for TcpHarmonyClient {
@@ -310,7 +322,8 @@ impl TcpHarmonyClient {
             client_id: 0,
             session: 0,
             last_fetch: None,
-            prefetched: None,
+            prefetched: Vec::new(),
+            batch: 0,
         };
         let policy = client.opts.retry.clone();
         let attempts = policy.max_attempts.max(1);
@@ -346,7 +359,8 @@ impl TcpHarmonyClient {
             client_id: 0,
             session,
             last_fetch: None,
-            prefetched: None,
+            prefetched: Vec::new(),
+            batch: 0,
         };
         let policy = client.opts.retry.clone();
         let attempts = policy.max_attempts.max(1);
@@ -389,9 +403,9 @@ impl TcpHarmonyClient {
                 "cannot reconnect before registering".into(),
             ));
         }
-        // The old connection's departure requeues the held trial; the new
-        // client id fetches it, or another member claims it.
-        self.prefetched = None;
+        // The old connection's departure requeues the held trials; the new
+        // client id fetches them, or another member claims them.
+        self.prefetched.clear();
         let mut conn = Conn::open(self.addr, self.opts.io_timeout)?;
         match conn.call(&Request::Attach {
             session: self.session,
@@ -512,7 +526,7 @@ impl TcpHarmonyClient {
     /// brought back, with no round trip; otherwise (the first fetch, after
     /// `finished` or a quota refusal, after a reconnect) it is a `Fetch`.
     pub fn fetch(&mut self) -> Result<(Configuration, bool)> {
-        if let Some(t) = self.prefetched.take() {
+        if let Some(t) = std::mem::take(&mut self.prefetched).into_iter().next() {
             self.last_fetch = Some(t.iteration);
             return Ok((t.config, false));
         }
@@ -552,7 +566,7 @@ impl TcpHarmonyClient {
             // An empty batch (finished, or refused by the quota) leaves the
             // next fetch to ask, and to be told.
             Ok(Reply::Configs { trials, .. }) => {
-                self.prefetched = trials.into_iter().next();
+                self.prefetched = trials;
                 Ok(())
             }
             Ok(_) => Err(HarmonyError::Protocol(
@@ -566,12 +580,21 @@ impl TcpHarmonyClient {
         }
     }
 
-    /// Fetch up to `max` configurations in one round-trip — one request
-    /// frame out, one reply frame back. Returns `(trials, finished)`.
+    /// Fetch up to `max` configurations. Returns `(trials, finished)`.
+    /// After a [`report_batch`](Self::report_batch) whose exchange brought
+    /// back at least `max` trials, these are the first `max` of them, with
+    /// no round trip. Otherwise (the first fetch, a larger `max`, a short
+    /// or empty batch, after a reconnect) it is a `FetchBatch`: one request
+    /// frame out, one reply frame back, which serves this client's
+    /// unreported trials first — the kept ones among them — then fresh
+    /// ones.
     pub fn fetch_batch(&mut self, max: usize) -> Result<(Vec<FetchedTrial>, bool)> {
-        // The server serves this client's unreported trials first, the
-        // prefetched one among them.
-        self.prefetched = None;
+        self.batch = max;
+        let mut kept = std::mem::take(&mut self.prefetched);
+        if max > 0 && kept.len() >= max {
+            kept.truncate(max);
+            return Ok((kept, false));
+        }
         let req = Request::FetchBatch { max };
         match self.observed_call(SpanKind::Fetch, Latency::FetchBatchRtt, req)? {
             Reply::Configs { trials, finished } => Ok((trials, finished)),
@@ -581,14 +604,27 @@ impl TcpHarmonyClient {
         }
     }
 
-    /// Report measured costs for any subset of outstanding trials in one
-    /// round-trip (one frame each way). Safe to retry: duplicates are
-    /// dropped by iteration token on the server.
+    /// Report measured costs for any subset of outstanding trials, and
+    /// fetch the next batch in the same round trip (one frame each way): an
+    /// `Exchange` asking for as many trials as the last
+    /// [`fetch_batch`](Self::fetch_batch), which the next `fetch_batch`
+    /// returns. Safe to retry: duplicates are dropped by iteration token on
+    /// the server.
     pub fn report_batch(&mut self, reports: Vec<TrialReport>) -> Result<()> {
-        self.prefetched = None;
-        let req = Request::ReportBatch { reports };
-        self.observed_call(SpanKind::Report, Latency::ReportBatchRtt, req)
-            .map(|_| ())
+        self.prefetched.clear();
+        let req = Request::Exchange {
+            reports,
+            max: self.batch,
+        };
+        match self.observed_call(SpanKind::Report, Latency::ReportBatchRtt, req)? {
+            Reply::Configs { trials, .. } => {
+                self.prefetched = trials;
+                Ok(())
+            }
+            _ => Err(HarmonyError::Protocol(
+                "unexpected reply to Exchange".into(),
+            )),
+        }
     }
 
     /// Best `(configuration, cost)` so far.
@@ -616,13 +652,13 @@ impl TcpHarmonyClient {
     }
 
     /// Depart from the session, requeueing outstanding trials, the
-    /// prefetched one included, for the remaining members. When this
+    /// prefetched ones included, for the remaining members. When this
     /// client is the last member the session ends: the server frees it,
     /// returns its trials' in-flight quota to the tenant, and refuses a
     /// later [`attach`](Self::attach) to it. (Unless a member that lost its
     /// connection has not rejoined yet: then the session waits for it.)
     pub fn leave(&mut self) -> Result<()> {
-        self.prefetched = None;
+        self.prefetched.clear();
         self.call_once(Request::Leave).map(|_| ())
     }
 
@@ -1067,7 +1103,7 @@ mod tests {
     }
 
     fn held(client: &TcpHarmonyClient) -> usize {
-        let trial = client.prefetched.as_ref();
+        let trial = client.prefetched.first();
         trial.expect("the exchange brought a trial back").iteration
     }
 
@@ -1116,7 +1152,7 @@ mod tests {
         let stats = server.inproc().config().tenants.stats("team");
         stats.inflight.fetch_add(1, Ordering::Relaxed);
         client.report(1.0).unwrap();
-        assert!(client.prefetched.is_none());
+        assert!(client.prefetched.is_empty());
         assert_eq!(client.history().unwrap().0.len(), 1, "the report counted");
         let quota = HarmonyError::QuotaExceeded {
             tenant: "team".into(),
@@ -1141,7 +1177,7 @@ mod tests {
         worker.report(1.0).unwrap();
         let prefetched = held(&worker);
         worker.leave().unwrap();
-        assert!(worker.prefetched.is_none());
+        assert!(worker.prefetched.is_empty());
         let (claimed, finished) = founder.fetch_batch(1).unwrap();
         assert!(!finished);
         let iterations: Vec<usize> = claimed.iter().map(|t| t.iteration).collect();
@@ -1162,7 +1198,7 @@ mod tests {
             assert!(!finished);
             client.report(cost).unwrap();
         }
-        assert!(client.prefetched.is_none());
+        assert!(client.prefetched.is_empty());
         let (config, finished) = client.fetch().unwrap();
         assert!(finished);
         let (best, cost) = client.best().unwrap().expect("three evaluations");
@@ -1186,7 +1222,7 @@ mod tests {
         client.conn = None;
         client.heartbeat().unwrap();
         assert_ne!(client.id(), old_id);
-        assert!(client.prefetched.is_none());
+        assert!(client.prefetched.is_empty());
         // The dead connection's departure requeues the held trial. Nelder–Mead
         // proposes nothing else meanwhile, so until then a fetch is busy.
         let fetches = telemetry.histogram(Latency::FetchBatchRtt).count;
@@ -1202,6 +1238,147 @@ mod tests {
         }
         assert_eq!(client.last_fetch, Some(prefetched));
         assert!(telemetry.histogram(Latency::FetchBatchRtt).count > fetches);
+        server.shutdown();
+    }
+
+    /// Report every trial of `trials` at cost `x`, the batch's iterations.
+    fn report_all(client: &mut TcpHarmonyClient, trials: &[FetchedTrial]) -> Vec<usize> {
+        let reports = trials
+            .iter()
+            .map(|t| TrialReport {
+                iteration: t.iteration,
+                cost: t.config.int("x").unwrap() as f64,
+                wall_time: 0.0,
+            })
+            .collect();
+        client.report_batch(reports).unwrap();
+        trials.iter().map(|t| t.iteration).collect()
+    }
+
+    #[test]
+    fn exchange_batch_session_makes_one_fetch_and_an_exchange_per_batch() {
+        let telemetry = Telemetry::enabled();
+        let opts = TcpClientOptions {
+            telemetry: telemetry.clone(),
+            ..Default::default()
+        };
+        let (server, mut client) = sealed(Default::default(), opts, StrategyKind::Random, 1_000);
+        let mut proposed = Vec::new();
+        for _ in 0..25 {
+            let (trials, finished) = client.fetch_batch(16).unwrap();
+            assert!(!finished);
+            assert_eq!(trials.len(), 16);
+            report_all(&mut client, &trials);
+            proposed.extend(trials.into_iter().map(|t| t.config));
+        }
+        // 400 trials: the first batch is fetched, every other one comes
+        // back with the report of the batch before it.
+        assert_eq!(telemetry.histogram(Latency::FetchBatchRtt).count, 1);
+        assert_eq!(telemetry.histogram(Latency::ReportBatchRtt).count, 25);
+        assert_eq!(client.prefetched.len(), 16, "the last exchange's batch");
+        // The same session, fetched and reported one trial at a time in
+        // process, proposes the same 400 configurations.
+        let inproc = crate::server::HarmonyServer::start();
+        let serial = inproc.connect("x").unwrap();
+        serial.add_param(Param::int("x", 0, 1_000_000, 1)).unwrap();
+        let options = SessionOptions {
+            max_evaluations: 1_000,
+            seed: 17,
+            ..Default::default()
+        };
+        serial.seal(options, StrategyKind::Random).unwrap();
+        let expected: Vec<Configuration> = (0..400)
+            .map(|_| {
+                let fetched = serial.fetch().unwrap();
+                serial
+                    .report(fetched.config.int("x").unwrap() as f64)
+                    .unwrap();
+                fetched.config
+            })
+            .collect();
+        assert_eq!(proposed, expected);
+        server.shutdown();
+    }
+
+    #[test]
+    fn exchange_batch_kept_is_served_again_after_a_reconnect() {
+        let telemetry = Telemetry::enabled();
+        let opts = TcpClientOptions {
+            telemetry: telemetry.clone(),
+            ..Default::default()
+        };
+        let (server, mut client) = sealed(Default::default(), opts, StrategyKind::Random, 100);
+        let (trials, _) = client.fetch_batch(8).unwrap();
+        report_all(&mut client, &trials);
+        let kept: Vec<usize> = client.prefetched.iter().map(|t| t.iteration).collect();
+        assert_eq!(kept.len(), 8);
+        // The socket dies; the next call reconnects under a new client id
+        // and forgets the kept batch, which the dead connection's departure
+        // requeues.
+        client.conn = None;
+        client.heartbeat().unwrap();
+        assert!(client.prefetched.is_empty());
+        await_members(&server, 1);
+        let fetches = telemetry.histogram(Latency::FetchBatchRtt).count;
+        let (again, finished) = client.fetch_batch(8).unwrap();
+        assert!(!finished);
+        assert_eq!(
+            telemetry.histogram(Latency::FetchBatchRtt).count,
+            fetches + 1
+        );
+        let again: Vec<usize> = again.iter().map(|t| t.iteration).collect();
+        assert_eq!(again, kept);
+        server.shutdown();
+    }
+
+    #[test]
+    fn exchange_batch_kept_by_a_leaving_member_is_requeued() {
+        let (server, mut founder) = sealed(
+            Default::default(),
+            Default::default(),
+            StrategyKind::Random,
+            100,
+        );
+        let mut worker =
+            TcpHarmonyClient::attach(server.local_addr(), founder.session_id()).unwrap();
+        let (trials, _) = worker.fetch_batch(8).unwrap();
+        report_all(&mut worker, &trials);
+        let kept: Vec<usize> = worker.prefetched.iter().map(|t| t.iteration).collect();
+        assert_eq!(kept.len(), 8);
+        worker.leave().unwrap();
+        assert!(worker.prefetched.is_empty());
+        let (claimed, finished) = founder.fetch_batch(8).unwrap();
+        assert!(!finished);
+        let claimed: Vec<usize> = claimed.iter().map(|t| t.iteration).collect();
+        assert_eq!(claimed, kept);
+        server.shutdown();
+    }
+
+    #[test]
+    fn exchange_batch_larger_fetch_gets_the_kept_trials_then_fresh_ones() {
+        let telemetry = Telemetry::enabled();
+        let opts = TcpClientOptions {
+            telemetry: telemetry.clone(),
+            ..Default::default()
+        };
+        let (server, mut client) = sealed(Default::default(), opts, StrategyKind::Random, 100);
+        let (trials, _) = client.fetch_batch(4).unwrap();
+        let reported = report_all(&mut client, &trials);
+        let kept: Vec<usize> = client.prefetched.iter().map(|t| t.iteration).collect();
+        assert_eq!(kept.len(), 4);
+        let (trials, finished) = client.fetch_batch(8).unwrap();
+        assert!(!finished);
+        assert_eq!(telemetry.histogram(Latency::FetchBatchRtt).count, 2);
+        let got: Vec<usize> = trials.iter().map(|t| t.iteration).collect();
+        assert_eq!(got[..4], kept[..]);
+        let high = reported.iter().chain(&kept).max().copied().unwrap();
+        assert!(got[4..].iter().all(|&i| i > high), "{got:?} after {high}");
+        assert_eq!(got.len(), 8);
+        // A smaller fetch after the next exchange is answered locally.
+        report_all(&mut client, &trials);
+        let (local, _) = client.fetch_batch(3).unwrap();
+        assert_eq!(local.len(), 3);
+        assert_eq!(telemetry.histogram(Latency::FetchBatchRtt).count, 2);
         server.shutdown();
     }
 

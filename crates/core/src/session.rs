@@ -505,11 +505,23 @@ impl TuningSession {
     /// measurement itself consumed (run + restart + warm-up in off-line
     /// mode); the time is charged to the session's cumulative tuning time.
     pub fn report_timed(&mut self, trial: Trial, cost: f64, wall_time: f64) -> Result<()> {
+        self.report_iteration(trial.iteration, cost, wall_time)
+    }
+
+    /// [`report_timed`](Self::report_timed) by the trial's iteration token,
+    /// for a caller that keeps the trial: the server, whose store appends
+    /// the measured configuration after the session has taken the cost.
+    pub(crate) fn report_iteration(
+        &mut self,
+        iteration: usize,
+        cost: f64,
+        wall_time: f64,
+    ) -> Result<()> {
         if self.stopped.is_some() {
             return Err(HarmonyError::SessionFinished);
         }
         let Some(entry) = self.pending.iter_mut().find(|e| {
-            e.kind == PendingKind::Fresh && e.outcome.is_none() && e.iteration == trial.iteration
+            e.kind == PendingKind::Fresh && e.outcome.is_none() && e.iteration == iteration
         }) else {
             return Err(HarmonyError::Protocol(
                 "report() without an outstanding trial".into(),
@@ -518,7 +530,7 @@ impl TuningSession {
         entry.outcome = Some((cost, wall_time));
         self.telemetry.inc(Counter::TrialsMeasured);
         self.telemetry
-            .event(TrialStage::Measured, trial.iteration, 0, None);
+            .event(TrialStage::Measured, iteration, 0, None);
         self.flush_pending();
         Ok(())
     }

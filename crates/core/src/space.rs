@@ -14,6 +14,7 @@ use crate::space_compile::CompiledSpace;
 use crate::value::ParamValue;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -40,12 +41,70 @@ const SNAP_SCAN_CAP: u64 = 65_536;
 ///
 /// **Wire and log form** does not know about the sharing: an `Arc<[String]>`
 /// serializes as the sequence it points at, so the derive writes the JSON
-/// object `{"names":[…],"values":[…]}`, names spelled out in every record,
-/// and reads one back into a table of its own.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// object `{"names":[…],"values":[…]}`, names spelled out in every record.
+/// A decoded configuration reads them back into the table its thread
+/// decoded last when they spell it, so the trials of one `Configs` frame
+/// (and of the next) share one table, and into a table of its own
+/// otherwise.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Configuration {
     names: Arc<[String]>,
     values: Vec<ParamValue>,
+}
+
+thread_local! {
+    /// The name table this thread decoded last (see [`read_names`]).
+    static DECODED_NAMES: RefCell<Arc<[String]>> = RefCell::new(Arc::new([]));
+}
+
+/// A configuration's `names`, read as the derive reads an `Arc<[String]>`
+/// (the same calls, so the same errors), each name compared borrowed
+/// against the thread's last decoded table and copied only from the first
+/// that differs.
+fn read_names(
+    reader: &mut serde::de::Reader<'_>,
+) -> std::result::Result<Arc<[String]>, serde::Error> {
+    DECODED_NAMES.with(|last| {
+        let mut last = last.borrow_mut();
+        reader.begin_array()?;
+        // The names so far equal `last`'s first `same`, until `own` starts.
+        let mut same = 0;
+        let mut own: Option<Vec<String>> = None;
+        while reader.next_element()? {
+            let name = reader.string()?;
+            match &mut own {
+                None if last.get(same).is_some_and(|n| *n == *name) => same += 1,
+                None => own = Some([&last[..same], &[name.into_owned()]].concat()),
+                Some(own) => own.push(name.into_owned()),
+            }
+        }
+        if own.is_none() && same == last.len() {
+            return Ok(Arc::clone(&last));
+        }
+        let table: Arc<[String]> = own.unwrap_or_else(|| last[..same].to_vec()).into();
+        *last = Arc::clone(&table);
+        Ok(table)
+    })
+}
+
+/// The derive's reading of the object, with `read_names` for the names.
+impl Deserialize for Configuration {
+    fn deserialize(reader: &mut serde::de::Reader<'_>) -> std::result::Result<Self, serde::Error> {
+        let (mut names, mut values) = (None, None);
+        reader.begin_object("Configuration object")?;
+        while let Some(key) = reader.next_key()? {
+            match &*key {
+                "names" if names.is_none() => names = Some(read_names(reader)?),
+                "values" if values.is_none() => values = Some(Vec::deserialize(reader)?),
+                _ => reader.skip_value()?,
+            }
+        }
+        let missing = |field| serde::de::missing_field("Configuration", field);
+        Ok(Configuration {
+            names: names.ok_or_else(|| missing("names"))?,
+            values: values.ok_or_else(|| missing("values"))?,
+        })
+    }
 }
 
 impl Configuration {
@@ -755,6 +814,36 @@ mod tests {
         other.adopt_names(table);
         assert!(!Arc::ptr_eq(other.names_table(), table));
         assert_ne!(other, decoded);
+    }
+
+    #[test]
+    fn decoded_configurations_share_a_table_while_the_names_repeat() {
+        let decode = |names: &[&str]| {
+            let values = vec![ParamValue::Int(1); names.len()];
+            let names = names.iter().map(|n| n.to_string()).collect();
+            let json = serde_json::to_string(&Configuration::new(names, values)).unwrap();
+            serde_json::from_str::<Configuration>(&json).unwrap()
+        };
+        let first = decode(&["tile", "tol", "lay\"out"]);
+        let again = decode(&["tile", "tol", "lay\"out"]);
+        assert!(Arc::ptr_eq(first.names_table(), again.names_table()));
+        // A prefix, a longer list, other names and no names each read what
+        // they spell, into a table of their own.
+        for names in [
+            &["tile", "tol"][..],
+            &["tile", "tol", "lay\"out", "x"],
+            &["tile", "tol", "other"],
+            &[],
+            &["tile", "tol", "lay\"out"],
+        ] {
+            let cfg = decode(names);
+            assert_eq!(cfg.names(), names);
+            assert!(!Arc::ptr_eq(cfg.names_table(), first.names_table()));
+        }
+        // A names array refused half way leaves the next decode right.
+        let bad = r#"{"names":["tile",3],"values":[]}"#;
+        assert!(serde_json::from_str::<Configuration>(bad).is_err());
+        assert_eq!(decode(&["tile", "x"]).names(), ["tile", "x"]);
     }
 
     /// A configuration's values bit for bit: the cache key holds a real's

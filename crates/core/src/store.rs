@@ -16,8 +16,8 @@
 //! sits on too (DESIGN.md, "Durable log") — with that module's JSON lines,
 //! recovery ([`Counter::StoreTornTails`], [`HarmonyError::StoreCorrupt`]),
 //! append and rewrite. Line 1 is a [`StoreHeader`] (`kind` + format
-//! version); each following line is one [`StoreRecord`], written by its
-//! derived serializer. Costs are stored as `u64` bit patterns
+//! version); each following line is one [`StoreRecord`], its fields in
+//! declaration order (`RecordView` writes them). Costs are stored as `u64` bit patterns
 //! (`f64::to_bits`), so a cost served from the store is *exactly* the one
 //! measured — bit-identical memoization, no decimal round-trip. The bytes
 //! are pinned by golden lines (`records_encode_to_their_golden_lines`) and
@@ -74,8 +74,10 @@
 //! label ids of its `Enum` values. A *shape* is a parameter name table
 //! plus each value's variant (`Int`, `Real`, `Enum`), interned once, so
 //! the records of one space share one name table; app labels and enum
-//! labels are interned strings. A [`StoreRecord`] exists only at the API's
-//! edge: [`insert_batch`](PerfStore::insert_batch) takes them, one is built
+//! labels are interned strings. A record is written and stored from a
+//! `RecordView`, its fields borrowed: the server's reports are views of
+//! the trials it holds. A [`StoreRecord`] exists only at the API's edge:
+//! [`insert_batch`](PerfStore::insert_batch) takes them, one is built
 //! from its row for [`live_records`](PerfStore::live_records) and the
 //! priors view, and the derive reads a line the store's reader declines
 //! into one. A record built from a row is the one stored: a `Real` keeps
@@ -165,8 +167,9 @@ pub struct StoreHeader {
     pub version: u32,
 }
 
-/// One measured cost with its provenance. Serialized as one JSON line.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One measured cost with its provenance. Serialized as one JSON line,
+/// through its borrowed view (`RecordView`).
+#[derive(Debug, Clone, Deserialize)]
 pub struct StoreRecord {
     /// Application label the measurement belongs to.
     pub app: String,
@@ -236,6 +239,71 @@ impl StoreRecord {
     /// The measurement's wall-clock time.
     pub fn wall_time(&self) -> f64 {
         f64::from_bits(self.wall_bits)
+    }
+
+    /// The record borrowed, as it is written and stored.
+    pub(crate) fn view(&self) -> RecordView<'_> {
+        RecordView {
+            app: &self.app,
+            fingerprint: self.fingerprint,
+            config: &self.config,
+            cost_bits: self.cost_bits,
+            wall_bits: self.wall_bits,
+            session: self.session,
+            iteration: self.iteration,
+            requeued: self.requeued,
+            replayed: self.replayed,
+        }
+    }
+}
+
+impl Serialize for StoreRecord {
+    fn serialize<S: serde::ser::Sink>(&self, sink: &mut S) {
+        self.view().serialize(sink);
+    }
+}
+
+/// A record's fields borrowed from wherever they are: the one layout of a
+/// record line, and what [`Records::push`] stores. The server appends its
+/// reports as views of the trials it holds, so no [`StoreRecord`] (no app
+/// `String`, no copied configuration) is built per report.
+#[derive(Clone, Copy)]
+pub(crate) struct RecordView<'a> {
+    pub(crate) app: &'a str,
+    pub(crate) fingerprint: u64,
+    pub(crate) config: &'a Configuration,
+    pub(crate) cost_bits: u64,
+    pub(crate) wall_bits: u64,
+    pub(crate) session: u64,
+    pub(crate) iteration: usize,
+    pub(crate) requeued: bool,
+    pub(crate) replayed: bool,
+}
+
+/// By hand, as the derive writes [`StoreRecord`]'s fields (the derive
+/// takes no lifetimes); the golden lines pin the bytes.
+impl Serialize for RecordView<'_> {
+    fn serialize<S: serde::ser::Sink>(&self, sink: &mut S) {
+        sink.begin_object();
+        sink.key("app");
+        sink.str(self.app);
+        sink.key("fingerprint");
+        sink.u64(self.fingerprint);
+        sink.key("config");
+        self.config.serialize(sink);
+        sink.key("cost_bits");
+        sink.u64(self.cost_bits);
+        sink.key("wall_bits");
+        sink.u64(self.wall_bits);
+        sink.key("session");
+        sink.u64(self.session);
+        sink.key("iteration");
+        sink.u64(self.iteration as u64);
+        sink.key("requeued");
+        sink.bool(self.requeued);
+        sink.key("replayed");
+        sink.bool(self.replayed);
+        sink.end_object();
     }
 }
 
@@ -582,9 +650,9 @@ impl Records {
     }
 
     /// [`slot`](Self::slot) for `record`'s key.
-    fn slot_of(&mut self, record: &StoreRecord) -> (Slot, Option<usize>) {
+    fn slot_of(&mut self, record: RecordView) -> (Slot, Option<usize>) {
         let key = record.config.values().iter().map(ParamValue::cache_key);
-        self.slot(&record.app, record.fingerprint, key)
+        self.slot(record.app, record.fingerprint, key)
     }
 
     /// The position after `last_hit`, if the record there is the live one
@@ -652,8 +720,8 @@ impl Records {
 
     /// Append `record` in `slot` (from [`slot_of`](Self::slot_of)), served
     /// by the index for its key when `live`.
-    fn push(&mut self, record: &StoreRecord, slot: Slot, live: bool) {
-        let config = &record.config;
+    fn push(&mut self, record: RecordView, slot: Slot, live: bool) {
+        let config = record.config;
         let kinds = || config.values().iter().map(Kind::of);
         let shape = self.shape_id(
             |shape| shape.names == *config.names_table() && shape.kinds.iter().copied().eq(kinds()),
@@ -995,7 +1063,7 @@ impl Cursor<'_> {
 /// not one.
 fn read_record(line: &str) -> std::result::Result<StoreRecord, String> {
     let record: StoreRecord = durable_log::derived(line)?;
-    storable(&record)?;
+    storable(record.view())?;
     Ok(record)
 }
 
@@ -1003,7 +1071,7 @@ fn read_record(line: &str) -> std::result::Result<StoreRecord, String> {
 /// why not: names and values must be as many, and a non-finite `Real` is
 /// written as `null`, which no reader takes for a number (a literal such
 /// as `1e999` reads as one, and a compaction would write it back so).
-fn storable(record: &StoreRecord) -> std::result::Result<(), String> {
+fn storable(record: RecordView) -> std::result::Result<(), String> {
     let (names, values) = (record.config.names().len(), record.config.values());
     if names != values.len() {
         return Err(format!(
@@ -1018,6 +1086,21 @@ fn storable(record: &StoreRecord) -> std::result::Result<(), String> {
         return Err("a non-finite real, which a log line cannot hold".into());
     }
     Ok(())
+}
+
+/// Merge the store log at `path`, read afresh, into `records`, the line of
+/// each record merged to `out`; nothing when `path` holds no log.
+fn merge_file(path: &Path, records: &mut Records, out: &mut dyn Write) -> Result<MergeStats> {
+    if !durable_log::has_content(path) {
+        return Ok(MergeStats::default());
+    }
+    let shown = path.display();
+    let unread = |e| HarmonyError::Io(format!("read {shown}: {e}"));
+    let log = std::fs::File::open(path).map_err(unread)?;
+    let merged = records.merge(BufReader::new(log), check_header, out);
+    let corrupt = |what| HarmonyError::StoreCorrupt(format!("{shown}: {what}"));
+    let (_, _, stats) = merged.map_err(unread)?.map_err(corrupt)?;
+    Ok(stats)
 }
 
 /// The store's one [`LineReader`] (see the [module docs](self#merging)): a
@@ -1065,7 +1148,7 @@ impl<'r> Reader<'r> {
             return;
         }
         let (slot, found) = match &derived {
-            Some(record) => self.records.slot_of(record),
+            Some(record) => self.records.slot_of(record.view()),
             None => self
                 .records
                 .slot(app, line.row.fingerprint, line.key.iter().copied()),
@@ -1084,7 +1167,7 @@ impl<'r> Reader<'r> {
             self.failed = self.failed.take().or(wrote.err());
         }
         match &derived {
-            Some(record) => self.records.push(record, slot, found.is_none()),
+            Some(record) => self.records.push(record.view(), slot, found.is_none()),
             None => self.records.push_read(line, text, slot, found.is_none()),
         }
     }
@@ -1274,15 +1357,24 @@ impl PerfStore {
     /// configuration with a non-finite `Real`, whose line would not read
     /// back. Returns how many records were written.
     pub fn insert_batch(&mut self, records: Vec<StoreRecord>) -> Result<usize> {
+        self.insert_views(records.iter().map(StoreRecord::view))
+    }
+
+    /// [`insert_batch`](Self::insert_batch) from borrowed records: each is
+    /// encoded into the batch's one buffer and stored, and none is copied.
+    pub(crate) fn insert_views<'a>(
+        &mut self,
+        records: impl ExactSizeIterator<Item = RecordView<'a>>,
+    ) -> Result<usize> {
         let mut blob = Vec::with_capacity(records.len() * 192);
         let before = self.records.len();
-        for record in records.into_iter().filter(|r| storable(r).is_ok()) {
+        for record in records.filter(|&r| storable(r).is_ok()) {
             // Same key, same cost: a true duplicate, skipped. Same key, new
             // cost (noisy objective): appended to the log for provenance,
             // but the index keeps serving the first-recorded cost. The
             // index is updated as we go, so a duplicate earlier in this
             // same batch is met the same way.
-            let (slot, found) = self.records.slot_of(&record);
+            let (slot, found) = self.records.slot_of(record);
             let live = match found {
                 Some(pos) if self.records.rows[pos].cost_bits == record.cost_bits => continue,
                 Some(_) => false,
@@ -1290,7 +1382,7 @@ impl PerfStore {
             };
             push_line(&record, &mut blob);
             self.telemetry.inc(Counter::StoreInserts);
-            self.records.push(&record, slot, live);
+            self.records.push(record, slot, live);
         }
         let written = self.records.len() - before;
         self.append(&blob, written)?;
@@ -1319,10 +1411,12 @@ impl PerfStore {
         Ok(())
     }
 
-    /// Merge the log `peer` has committed into this store (anti-entropy
-    /// replication, `repro store merge`): the pull done in-process, its
-    /// file read afresh through the store's own reader (see the [module
-    /// docs](self#merging)).
+    /// Merge the store log at `peer` into this store (anti-entropy
+    /// replication, `repro store merge`): the pull done in-process, the
+    /// file's committed records read through the store's own reader (see
+    /// the [module docs](self#merging)), with no store opened on it. A torn
+    /// last line is not a record, as an open would truncate it, and a path
+    /// with no log holds none.
     ///
     /// Unlike [`insert_batch`](Self::insert_batch) — which appends a
     /// re-measurement with a different cost for provenance — a merge is a
@@ -1334,31 +1428,23 @@ impl PerfStore {
     /// set, with each key served by whichever record reached this store
     /// first. A skipped record whose cost differs from the local one is
     /// counted as a conflict ([`Counter::StoreMergeConflicts`]). A peer
-    /// file damaged mid-log is [`HarmonyError::StoreCorrupt`] and merges
-    /// nothing.
-    pub fn merge_from(&mut self, peer: &PerfStore) -> Result<MergeStats> {
+    /// file damaged mid-log, or one whose header is not a store's, is
+    /// [`HarmonyError::StoreCorrupt`] and merges nothing.
+    pub fn merge_from(&mut self, peer: impl AsRef<Path>) -> Result<MergeStats> {
         let mut lines = Vec::new();
-        let stats = peer.merge_into(&mut self.records, &mut lines)?;
+        let stats = merge_file(peer.as_ref(), &mut self.records, &mut lines)?;
         self.merged(&lines, stats).map(|()| stats)
     }
 
     /// What [`merge_from`](Self::merge_from) *would* do, without writing
     /// anything (`repro store merge --dry-run`): the same merge, on a copy
     /// of the records.
-    pub fn merge_preview(&self, peer: &PerfStore) -> Result<MergeStats> {
-        peer.merge_into(&mut self.records.clone(), &mut std::io::sink())
-    }
-
-    /// Merge this store's committed log, read afresh, into `records`, the
-    /// line of each record merged to `out`.
-    fn merge_into(&self, records: &mut Records, out: &mut dyn Write) -> Result<MergeStats> {
-        let path = self.path().display();
-        let unread = |e| HarmonyError::Io(format!("read {path}: {e}"));
-        let log = self.committed_log().map_err(unread)?;
-        let merged = records.merge(BufReader::new(log), check_header, out);
-        let corrupt = |what| HarmonyError::StoreCorrupt(format!("{path}: {what}"));
-        let (_, _, stats) = merged.map_err(unread)?.map_err(corrupt)?;
-        Ok(stats)
+    pub fn merge_preview(&self, peer: impl AsRef<Path>) -> Result<MergeStats> {
+        merge_file(
+            peer.as_ref(),
+            &mut self.records.clone(),
+            &mut std::io::sink(),
+        )
     }
 
     /// Merge a log held in `body`, as a peer's `/store/log` serves one: a
@@ -1614,17 +1700,6 @@ impl SharedStore {
         lock(&self.0).lookup(app, fingerprint, key)
     }
 
-    /// Locked [`PerfStore::lookup_after`].
-    pub(crate) fn lookup_after(
-        &self,
-        app: &str,
-        fingerprint: u64,
-        key: &[i64],
-        last_hit: &mut Option<usize>,
-    ) -> Option<StoredCost> {
-        lock(&self.0).lookup_after(app, fingerprint, key, last_hit)
-    }
-
     /// Locked [`PerfStore::insert`].
     pub fn insert(&self, record: StoreRecord) -> Result<bool> {
         lock(&self.0).insert(record)
@@ -1763,7 +1838,7 @@ mod tests {
         );
 
         let mut peer = PerfStore::open(&peer_path).unwrap();
-        assert_eq!(peer.merge_from(&store).unwrap().merged, lines.len());
+        assert_eq!(peer.merge_from(store.path()).unwrap().merged, lines.len());
         peer.compact().unwrap();
         drop(peer);
         assert_eq!(
@@ -2125,8 +2200,8 @@ mod tests {
         b.insert(rec("app", 1, 2.0, 2.0, 99.0)).unwrap(); // conflicting cost
         b.insert(rec("app", 1, 3.0, 3.0, 30.0)).unwrap();
         // Dry run predicts exactly what the real merge does.
-        let preview = a.merge_preview(&b).unwrap();
-        let stats = a.merge_from(&b).unwrap();
+        let preview = a.merge_preview(b.path()).unwrap();
+        let stats = a.merge_from(b.path()).unwrap();
         assert_eq!(stats.scanned, 2);
         assert_eq!(stats.merged, 1);
         assert_eq!(stats.skipped, 1);
@@ -2142,7 +2217,7 @@ mod tests {
         assert_eq!(a.lookup("app", 1, &key).unwrap().cost, 20.0);
         // Idempotent: merging the same peer again changes nothing.
         let len = a.len();
-        let again = a.merge_from(&b).unwrap();
+        let again = a.merge_from(b.path()).unwrap();
         assert_eq!(again.merged, 0);
         assert_eq!(a.len(), len);
         // And the merged store survives reopen with the same live set.
@@ -2336,7 +2411,7 @@ mod tests {
                 let peer_path = path.with_extension("peer");
                 let mut peer = PerfStore::open(&peer_path).unwrap();
                 peer.insert_batch(batch).unwrap();
-                store.merge_from(&peer).unwrap();
+                store.merge_from(peer.path()).unwrap();
                 drop(peer);
                 std::fs::remove_file(&peer_path).unwrap();
             }
@@ -2471,8 +2546,8 @@ mod tests {
         assert_eq!(store.insert_batch(batch.clone()).unwrap(), 2);
         assert_eq!((store.len(), store.live_configs()), (2, 2));
         let mut peer = PerfStore::open(&peer_path).unwrap();
-        let preview = peer.merge_preview(&store).unwrap();
-        let merged = peer.merge_from(&store).unwrap();
+        let preview = peer.merge_preview(store.path()).unwrap();
+        let merged = peer.merge_from(store.path()).unwrap();
         assert_eq!((merged.scanned, merged.merged, merged.skipped), (2, 2, 0));
         assert_eq!(
             (preview.scanned, preview.merged, preview.skipped),
@@ -2884,8 +2959,56 @@ mod tests {
         assert_eq!(read_in_place, 5 * 5 + 2);
     }
 
+    /// [`StoreRecord`] as the derive wrote it before its fields were
+    /// written by hand: the oracle of [`RecordView`]'s encoder.
+    #[derive(Serialize)]
+    struct DerivedRecord {
+        app: String,
+        fingerprint: u64,
+        config: Configuration,
+        cost_bits: u64,
+        wall_bits: u64,
+        session: u64,
+        iteration: usize,
+        requeued: bool,
+        replayed: bool,
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn a_view_appends_the_line_the_derive_writes(seed in 0u64..u64::MAX) {
+            let mut g = Gen(seed);
+            // Distinct fingerprints make every key new, so every record the
+            // log can hold is appended; `requeued` alternates.
+            let records: Vec<StoreRecord> = (0..1 + g.below(8))
+                .map(|i| StoreRecord {
+                    fingerprint: i as u64,
+                    requeued: i % 2 == 0,
+                    ..g.record()
+                })
+                .collect();
+            let derived = |r: &StoreRecord| {
+                let mut line = Vec::new();
+                let StoreRecord { app, fingerprint, config, cost_bits, wall_bits, session, iteration, requeued, replayed } = r.clone();
+                let oracle = DerivedRecord { app, fingerprint, config, cost_bits, wall_bits, session, iteration, requeued, replayed };
+                push_line(&oracle, &mut line);
+                line
+            };
+            for r in &records {
+                assert_eq!(lines([r]), derived(r));
+            }
+            let path = temp_path("view-lines");
+            let mut store = PerfStore::open(&path).unwrap();
+            let storable: Vec<&StoreRecord> =
+                records.iter().filter(|r| storable(r.view()).is_ok()).collect();
+            let written = store.insert_views(records.iter().map(StoreRecord::view)).unwrap();
+            assert_eq!(written, storable.len());
+            let log = std::fs::read(&*path).unwrap();
+            let want: Vec<u8> = storable.into_iter().flat_map(derived).collect();
+            assert_eq!(&log[HEADER.len()..], &want[..]);
+        }
 
         #[test]
         fn the_line_reader_reads_what_the_derive_reads(seed in 0u64..u64::MAX) {
@@ -2911,7 +3034,7 @@ mod tests {
             for r in &records {
                 let text = String::from_utf8(lines([r])).unwrap();
                 let text = text.trim_end();
-                let in_place = !text.contains('\\') && storable(r).is_ok();
+                let in_place = !text.contains('\\') && storable(r.view()).is_ok();
                 assert_eq!(Line::default().read(text), in_place, "{text}");
             }
             let texts: Vec<String> = records.iter().map(|r| g.line(r)).collect();
@@ -3067,9 +3190,9 @@ mod tests {
         peer.insert_batch(records.collect()).unwrap();
         let mut store = PerfStore::open(&dst).unwrap();
         let before = crate::counting::calls();
-        let preview = store.merge_preview(&peer).unwrap();
+        let preview = store.merge_preview(peer.path()).unwrap();
         let previewed = crate::counting::calls() - before;
-        let stats = store.merge_from(&peer).unwrap();
+        let stats = store.merge_from(peer.path()).unwrap();
         let merged = crate::counting::calls() - before - previewed;
         assert_eq!((stats.scanned, stats.merged), (10_000, 10_000));
         assert_eq!((preview.scanned, preview.merged), (10_000, 10_000));

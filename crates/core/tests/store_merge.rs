@@ -110,10 +110,10 @@ proptest! {
         let (a, b) = (unpack(&a), unpack(&b));
         let mut dst = dir.store_with("idem-dst", &a);
         let peer = dir.store_with("idem-peer", &b);
-        dst.merge_from(&peer).unwrap();
+        dst.merge_from(peer.path()).unwrap();
         let once = live_map(&dst);
         let len_once = dst.len();
-        let again = dst.merge_from(&peer).unwrap();
+        let again = dst.merge_from(peer.path()).unwrap();
         // A re-merge must append nothing.
         prop_assert_eq!(again.merged, 0);
         prop_assert_eq!(dst.len(), len_once);
@@ -138,15 +138,15 @@ proptest! {
         let mut maps = Vec::new();
         for (i, order) in orders.iter().enumerate() {
             let mut dst = dir.store_with(&format!("comm-{i}"), order[0]);
-            dst.merge_from(&dir.store_with(&format!("comm-{i}-1"), order[1])).unwrap();
-            dst.merge_from(&dir.store_with(&format!("comm-{i}-2"), order[2])).unwrap();
+            dst.merge_from(dir.store_with(&format!("comm-{i}-1"), order[1]).path()).unwrap();
+            dst.merge_from(dir.store_with(&format!("comm-{i}-2"), order[2]).path()).unwrap();
             maps.push(live_map(&dst));
         }
         // Associativity: pre-merge (b ⊕ c), then fold into a.
         let mut bc = dir.store_with("assoc-bc", &b);
-        bc.merge_from(&dir.store_with("assoc-c", &c)).unwrap();
+        bc.merge_from(dir.store_with("assoc-c", &c).path()).unwrap();
         let mut grouped = dir.store_with("assoc-a", &a);
-        grouped.merge_from(&bc).unwrap();
+        grouped.merge_from(bc.path()).unwrap();
         maps.push(live_map(&grouped));
         for m in &maps[1..] {
             prop_assert_eq!(m, &maps[0]);
@@ -170,10 +170,10 @@ proptest! {
         }
         let in_order: Vec<StoreRecord> = keys.iter().map(|&k| record(k, cost_of(k))).collect();
         let mut clean = dir.open("shuffle-clean");
-        clean.merge_from(&dir.peer("shuffle-all", &in_order)).unwrap();
+        clean.merge_from(dir.peer("shuffle-all", &in_order).path()).unwrap();
         let mut chunked = dir.open("shuffle-chunked");
         for (i, chunk) in records.chunks(3).enumerate() {
-            chunked.merge_from(&dir.peer(&format!("shuffle-{i}"), chunk)).unwrap();
+            chunked.merge_from(dir.peer(&format!("shuffle-{i}"), chunk).path()).unwrap();
         }
         prop_assert_eq!(live_map(&chunked), live_map(&clean));
     }
@@ -192,7 +192,7 @@ proptest! {
         }
         let before = live_map(&dst);
         let unique = before.len();
-        let stats = dst.merge_from(&peer).unwrap();
+        let stats = dst.merge_from(peer.path()).unwrap();
         // Every peer record collides; the local first write survives.
         prop_assert_eq!(stats.merged, 0);
         prop_assert_eq!(stats.conflicts, unique);
@@ -201,9 +201,9 @@ proptest! {
         // store built from the peer keeps the *peer's* costs when dst's
         // records arrive second.
         let mut other = dir.open("fww-other");
-        other.merge_from(&peer).unwrap();
+        other.merge_from(peer.path()).unwrap();
         let peer_view = live_map(&other);
-        other.merge_from(&dst).unwrap();
+        other.merge_from(dst.path()).unwrap();
         prop_assert_eq!(live_map(&other), peer_view);
     }
 
@@ -222,8 +222,8 @@ proptest! {
             .collect();
         let mut dst = dir.store_with("preview", &local);
         let peer = dir.peer("preview-peer", &records);
-        let p = dst.merge_preview(&peer).unwrap();
-        let m = dst.merge_from(&peer).unwrap();
+        let p = dst.merge_preview(peer.path()).unwrap();
+        let m = dst.merge_from(peer.path()).unwrap();
         prop_assert_eq!(
             (p.scanned, p.merged, p.skipped, p.conflicts),
             (m.scanned, m.merged, m.skipped, m.conflicts)
@@ -244,7 +244,7 @@ fn a_peers_superseded_lines_are_scanned_skipped_and_counted_as_conflicts() {
     let peer = dir.peer("superseded-peer", &records);
     assert_eq!((peer.len(), peer.live_configs()), (3, 2));
     let mut dst = dir.open("superseded-dst");
-    let stats = dst.merge_from(&peer).unwrap();
+    let stats = dst.merge_from(peer.path()).unwrap();
     let counts = (stats.scanned, stats.merged, stats.skipped, stats.conflicts);
     assert_eq!(counts, (3, 2, 1, 1));
     assert_eq!(live_map(&dst), live_map(&peer));
@@ -267,12 +267,12 @@ fn torn_tail_peer_merges_its_intact_prefix() {
     let peer = PerfStore::open(&path).unwrap();
     assert_eq!(peer.live_configs(), 4, "torn tail truncates one record");
     let mut dst = dir.open("torn-dst");
-    let stats = dst.merge_from(&peer).unwrap();
+    let stats = dst.merge_from(peer.path()).unwrap();
     assert_eq!(stats.merged, 4);
     assert_eq!(live_map(&dst).len(), 4);
     // The re-measured tail arrives on a later pull and merges cleanly.
     let mut again = dir.open("torn-again");
     again.insert(record((4, 4), cost_of((4, 4)))).unwrap();
-    dst.merge_from(&again).unwrap();
+    dst.merge_from(again.path()).unwrap();
     assert_eq!(live_map(&dst).len(), 5);
 }

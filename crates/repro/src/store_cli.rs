@@ -165,10 +165,6 @@ fn merge(args: &[String]) -> i32 {
             std::process::exit(2);
         })
         .into();
-    let src = PerfStore::open(&src_path).unwrap_or_else(|e| {
-        eprintln!("cannot open peer store {}: {e}", src_path.display());
-        std::process::exit(2);
-    });
     let mut dst = PerfStore::open(&dst_path).unwrap_or_else(|e| {
         eprintln!("cannot open store {}: {e}", dst_path.display());
         std::process::exit(2);
@@ -190,13 +186,22 @@ fn merge(args: &[String]) -> i32 {
             std::process::exit(2);
         })
     };
+    // The source's file is merged as it stands; no store is opened on it.
     if args.iter().any(|a| a == "--dry-run") {
-        report("would merge", &merged(dst.merge_preview(&src)));
+        report("would merge", &merged(dst.merge_preview(&src_path)));
         return 0;
     }
     let crash_after =
         flag_value(args, "--crash-after").map(|_| parse_usize(args, "--crash-after", 0));
-    let live = crash_after.map(|_| src.live_records()).unwrap_or_default();
+    let live = crash_after
+        .map(|_| match PerfStore::open(&src_path) {
+            Ok(src) => src.live_records(),
+            Err(e) => {
+                eprintln!("cannot open peer store {}: {e}", src_path.display());
+                std::process::exit(2);
+            }
+        })
+        .unwrap_or_default();
     if let Some(n) = crash_after.filter(|&n| live.len() > n) {
         // A peer of the source's first N live records, merged and flushed,
         // leaves a genuinely partial log for the durability tests. A peer
@@ -205,7 +210,7 @@ fn merge(args: &[String]) -> i32 {
         let _ = std::fs::remove_file(&peer_path);
         let stats = PerfStore::open(&peer_path).and_then(|mut peer| {
             peer.insert_batch(live.into_iter().take(n).collect())?;
-            dst.merge_from(&peer)
+            dst.merge_from(peer.path())
         });
         let _ = std::fs::remove_file(&peer_path);
         merged(stats);
@@ -213,7 +218,7 @@ fn merge(args: &[String]) -> i32 {
         eprintln!("store merge: simulated crash after {n} records");
         std::process::abort();
     }
-    let stats = merged(dst.merge_from(&src));
+    let stats = merged(dst.merge_from(&src_path));
     if let Err(e) = dst.flush() {
         eprintln!("flush failed: {e}");
         return 2;

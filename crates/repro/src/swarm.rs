@@ -251,12 +251,20 @@ enum IndState {
     Registering,
     DeclaringParam,
     Sealing,
-    Fetching { t0: Instant },
-    Reporting { t0: Instant, count: usize },
+    Fetching {
+        t0: Instant,
+    },
+    /// `count` trials reported, in a batch whose round began at `t0`.
+    Exchanging {
+        t0: Instant,
+        count: usize,
+    },
 }
 
 /// Every client founds and tunes its own session: `Register` → declare →
-/// `Seal` → `iters` evaluations through `FetchBatch`/`ReportBatch`.
+/// `Seal` → one `FetchBatch`, then `iters` evaluations through `Exchange`s,
+/// each reporting a batch and bringing back the next (none after the
+/// last).
 pub struct IndependentScript {
     app: String,
     tenant: String,
@@ -290,11 +298,9 @@ impl IndependentScript {
         self
     }
 
-    fn fetch(&mut self) -> Request {
-        self.state = IndState::Fetching { t0: Instant::now() };
-        Request::FetchBatch {
-            max: self.batch.min(self.iters - self.done_evals),
-        }
+    /// How many trials to ask for once `pending` more are reported.
+    fn wanted(&self, pending: usize) -> usize {
+        self.batch.min(self.iters - self.done_evals - pending)
     }
 }
 
@@ -328,10 +334,29 @@ impl SwarmScript for IndependentScript {
                     strategy: StrategyKind::Random,
                 })
             }
-            (IndState::Sealing, Reply::Ok) => Some(self.fetch()),
-            (IndState::Fetching { t0 }, Reply::Configs { trials, finished }) => {
+            (IndState::Sealing, Reply::Ok) => {
+                self.state = IndState::Fetching { t0: Instant::now() };
+                Some(Request::FetchBatch {
+                    max: self.wanted(0),
+                })
+            }
+            (&IndState::Fetching { t0 }, Reply::Configs { trials, finished })
+            | (&IndState::Exchanging { t0, .. }, Reply::Configs { trials, finished }) => {
+                // An exchange's reply closes the round of the batch it
+                // reported, and the next batch's round begins.
+                let t0 = match self.state {
+                    IndState::Exchanging { count, .. } => {
+                        let per_eval = t0.elapsed().as_secs_f64() * 1e6 / count as f64;
+                        self.latencies.extend(std::iter::repeat_n(per_eval, count));
+                        self.done_evals += count;
+                        if self.done_evals == self.iters {
+                            return None;
+                        }
+                        Instant::now()
+                    }
+                    _ => t0,
+                };
                 assert!(!finished && !trials.is_empty(), "swarm session ended early");
-                let t0 = *t0;
                 let reports: Vec<TrialReport> = trials
                     .iter()
                     .map(|t| TrialReport {
@@ -341,18 +366,11 @@ impl SwarmScript for IndependentScript {
                     })
                     .collect();
                 let count = reports.len();
-                self.state = IndState::Reporting { t0, count };
-                Some(Request::ReportBatch { reports })
-            }
-            (&IndState::Reporting { t0, count }, Reply::Ok) => {
-                let per_eval = t0.elapsed().as_secs_f64() * 1e6 / count as f64;
-                self.latencies.extend(std::iter::repeat_n(per_eval, count));
-                self.done_evals += count;
-                if self.done_evals < self.iters {
-                    Some(self.fetch())
-                } else {
-                    None
-                }
+                self.state = IndState::Exchanging { t0, count };
+                Some(Request::Exchange {
+                    reports,
+                    max: self.wanted(count),
+                })
             }
             (_, reply) => panic!("swarm[{}]: unexpected reply {reply:?}", self.app),
         }
@@ -363,8 +381,9 @@ impl SwarmScript for IndependentScript {
     }
 }
 
-/// A worker in one shared session: `Attach` → fetch/report until the
-/// session finishes. With a deterministic objective the shared trajectory
+/// A worker in one shared session: `Attach` → `FetchBatch`, then an
+/// `Exchange` per batch (reporting it, fetching the next) until the session
+/// finishes. With a deterministic objective the shared trajectory
 /// is bit-identical however many of these run concurrently.
 pub struct SharedWorkerScript {
     session: u64,
@@ -426,9 +445,11 @@ impl SwarmScript for SharedWorkerScript {
                         wall_time: 0.0,
                     })
                     .collect();
-                Some(Request::ReportBatch { reports })
+                Some(Request::Exchange {
+                    reports,
+                    max: self.batch,
+                })
             }
-            Reply::Ok => Some(Request::FetchBatch { max: self.batch }),
             other => panic!("swarm worker: unexpected reply {other:?}"),
         }
     }
