@@ -70,7 +70,7 @@ pub enum HarmonyError {
     /// namelist parse produced a point outside the feasible region).
     ConstraintViolated(String),
     /// A protocol message arrived in a state where it is not legal
-    /// (e.g. `Fetch` before the space was sealed).
+    /// (e.g. an `Exchange` before the space was sealed).
     Protocol(String),
     /// A session was asked to continue after it already finished.
     SessionFinished,

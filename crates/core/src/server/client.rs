@@ -16,16 +16,48 @@ use crate::history::History;
 use crate::param::Param;
 use crate::session::SessionOptions;
 use crate::space::Configuration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// The result of a [`HarmonyClient::fetch`].
 #[derive(Debug, Clone)]
 pub struct Fetched {
     /// Configuration to run next (or the final best when `finished`).
     pub config: Configuration,
-    /// 1-based evaluation index.
+    /// The trial's 1-based iteration token; 0 once `finished` (no reply
+    /// carries the history length a finished fetch used to be stamped
+    /// with: [`HarmonyClient::history`] has it).
     pub iteration: usize,
     /// True once tuning has stopped.
     pub finished: bool,
+}
+
+impl Fetched {
+    /// A finished fetch: the session's best configuration.
+    pub(crate) fn finished(best: Option<(Configuration, f64)>) -> Result<Fetched> {
+        let (config, _) = best
+            .ok_or_else(|| HarmonyError::Protocol("session finished with no evaluations".into()))?;
+        Ok(Fetched {
+            config,
+            iteration: 0,
+            finished: true,
+        })
+    }
+}
+
+/// What a serial fetch makes of the batch of one it asked for, in both
+/// clients: the trial; `None` once the session has finished (the caller
+/// then asks for the best configuration, [`Fetched::finished`]); and
+/// [`HarmonyError::ServerBusy`] while the strategy waits on another
+/// member's report, which the TCP client backs off and retries.
+pub(crate) fn one_trial(trials: Vec<FetchedTrial>, finished: bool) -> Result<Option<FetchedTrial>> {
+    match trials.into_iter().next() {
+        Some(trial) => Ok(Some(trial)),
+        None if finished => Ok(None),
+        None => Err(HarmonyError::ServerBusy(
+            "no trial available until outstanding reports arrive".into(),
+        )),
+    }
 }
 
 /// A connection from one application to the Harmony server.
@@ -38,6 +70,10 @@ pub struct HarmonyClient {
     session: u64,
     app: String,
     bus: ServerBus,
+    /// Iteration token of the last [`fetch`](Self::fetch), 0 once it is
+    /// reported (or the fetch finished); shared by the clones, so a fetch
+    /// on one thread is reported from another.
+    last_fetch: Arc<AtomicUsize>,
 }
 
 impl std::fmt::Debug for HarmonyClient {
@@ -75,6 +111,7 @@ impl HarmonyClient {
                 session,
                 app,
                 bus,
+                last_fetch: Arc::default(),
             }),
             Reply::QuotaExceeded { tenant } => Err(HarmonyError::QuotaExceeded { tenant }),
             Reply::Error { message, retryable } => Err(reply_error(message, retryable)),
@@ -90,6 +127,7 @@ impl HarmonyClient {
                 session,
                 app: String::new(),
                 bus,
+                last_fetch: Arc::default(),
             }),
             Reply::QuotaExceeded { tenant } => Err(HarmonyError::QuotaExceeded { tenant }),
             Reply::Error { message, retryable } => Err(reply_error(message, retryable)),
@@ -145,21 +183,23 @@ impl HarmonyClient {
         self.call(Request::Seal { options, strategy }).map(|_| ())
     }
 
-    /// Get the next configuration to run. Returns the same configuration
-    /// until [`report`](Self::report) answers it.
+    /// Get the next configuration to run: a [`fetch_batch`](Self::fetch_batch)
+    /// of one. Returns the same configuration until [`report`](Self::report)
+    /// answers it; [`HarmonyError::ServerBusy`] while the strategy waits on
+    /// another member's report; once the session has finished, its best
+    /// configuration, with `finished` set.
     pub fn fetch(&self) -> Result<Fetched> {
-        match self.call(Request::Fetch)? {
-            Reply::Config {
-                config,
-                iteration,
-                finished,
-            } => Ok(Fetched {
-                config,
-                iteration,
-                finished,
-            }),
-            _ => Err(HarmonyError::Protocol("unexpected reply to Fetch".into())),
-        }
+        let (trials, finished) = self.fetch_batch(1)?;
+        let fetched = match one_trial(trials, finished)? {
+            Some(t) => Fetched {
+                config: t.config,
+                iteration: t.iteration,
+                finished: false,
+            },
+            None => Fetched::finished(self.best()?)?,
+        };
+        self.last_fetch.store(fetched.iteration, Ordering::Relaxed);
+        Ok(fetched)
     }
 
     /// Report a measured cost whose measurement wall time equals the cost.
@@ -167,30 +207,52 @@ impl HarmonyClient {
         self.report_timed(cost, cost)
     }
 
-    /// Report a measured cost and the wall time spent measuring it.
+    /// Report a measured cost and the wall time spent measuring it, for the
+    /// last fetched trial: a [`report_batch`](Self::report_batch) of its
+    /// iteration token. A report that fails keeps the token, so it may be
+    /// retried.
     pub fn report_timed(&self, cost: f64, wall_time: f64) -> Result<()> {
-        self.call(Request::Report { cost, wall_time }).map(|_| ())
+        let iteration = self.last_fetch.swap(0, Ordering::Relaxed);
+        if iteration == 0 {
+            return Err(HarmonyError::Protocol(
+                "report without an outstanding fetch".into(),
+            ));
+        }
+        let report = TrialReport {
+            iteration,
+            cost,
+            wall_time,
+        };
+        self.report_batch(vec![report])
+            .inspect_err(|_| self.last_fetch.store(iteration, Ordering::Relaxed))
     }
 
     /// Get up to `max` configurations to measure in one round-trip (a whole
-    /// PRO round, for example). Returns `(trials, finished)`; still-
-    /// unreported trials from earlier fetches are served again first, then
-    /// requeued trials of departed members, then fresh proposals.
+    /// PRO round, for example): an `Exchange` that reports nothing. Returns
+    /// `(trials, finished)`; still-unreported trials from earlier fetches
+    /// are served again first, then requeued trials of departed members,
+    /// then fresh proposals.
     pub fn fetch_batch(&self, max: usize) -> Result<(Vec<FetchedTrial>, bool)> {
-        match self.call(Request::FetchBatch { max })? {
-            Reply::Configs { trials, finished } => Ok((trials, finished)),
-            _ => Err(HarmonyError::Protocol(
-                "unexpected reply to FetchBatch".into(),
-            )),
-        }
+        self.exchange(Vec::new(), max)
     }
 
     /// Report measured costs for any subset of outstanding trials in one
-    /// round-trip. Each entry echoes the trial's iteration token; a stale
-    /// duplicate (the trial was requeued and already re-measured) is
-    /// tolerated, so retrying a possibly-delivered report is safe.
+    /// round-trip: an `Exchange` that asks for nothing (`max: 0`). Each
+    /// entry echoes the trial's iteration token; a stale duplicate (the
+    /// trial was requeued and already re-measured) is tolerated, so
+    /// retrying a possibly-delivered report is safe, and so is a report
+    /// that arrives after the session stopped.
     pub fn report_batch(&self, reports: Vec<TrialReport>) -> Result<()> {
-        self.call(Request::ReportBatch { reports }).map(|_| ())
+        self.exchange(reports, 0).map(|_| ())
+    }
+
+    fn exchange(&self, reports: Vec<TrialReport>, max: usize) -> Result<(Vec<FetchedTrial>, bool)> {
+        match self.call(Request::Exchange { reports, max })? {
+            Reply::Configs { trials, finished } => Ok((trials, finished)),
+            _ => Err(HarmonyError::Protocol(
+                "unexpected reply to Exchange".into(),
+            )),
+        }
     }
 
     /// The best `(configuration, cost)` found so far, if any.

@@ -65,21 +65,21 @@
 //! # One fetch path, one report path
 //!
 //! The on-line conversation — fetch a configuration, run it, report the
-//! time — has three request shapes and two rules, each in one function.
+//! time — is one request, `Exchange { reports, max }`, answered by one
+//! reply, `Configs`, and two rules, each in one function.
 //! The fetch rule (`Tuning::top_up`) serves the caller's own unreported
 //! trials first (so a re-fetch after a lost reply converges), then claims
 //! requeued trials, then tops up with fresh proposals under the tenant's
 //! in-flight quota, answering store-known proposals server-side on the
 //! way. The report rule (`Tuning::apply_reports`) matches results to
 //! trials by iteration token, sanitises non-finite measurements, applies
-//! them, and appends them to the store in one write. `FetchBatch` is the
-//! fetch rule and `ReportBatch` the report rule; `Exchange` is the report
-//! rule then the fetch rule, in one session visit, which is how a serial TCP
-//! client spends one round trip per trial. A serial `Fetch` is a
-//! `FetchBatch` of one and a serial `Report` is a one-entry `ReportBatch`
-//! for the caller's oldest outstanding trial; only the reply is reshaped
-//! (`Config` instead of `Configs`, the best configuration once finished, a
-//! retryable busy error while another member holds the round).
+//! them, and appends them to the store in one write. An `Exchange` is the
+//! report rule then the fetch rule, in one session visit: a batch client
+//! reports one batch and fetches the next in one round trip, and a serial
+//! client is the batch of one. What a serial fetch makes of an empty
+//! batch — a busy error, or the best configuration once finished — is the
+//! clients' business (`client.rs`), not the server's. The retired `Fetch`
+//! and `ReportBatch` frames are refused with a protocol error.
 //!
 //! # Tenancy and federation
 //!
@@ -268,9 +268,9 @@ pub struct ServerConfig {
     /// Most fetched-but-unreported trials one tenant may hold across its
     /// sessions. A fetch has its fresh top-up clamped to the cap and is
     /// refused with [`Reply::QuotaExceeded`] only when it gathered nothing
-    /// at all — for a serial `Fetch`, whenever it would need a fresh trial.
-    /// An `Exchange` is clamped the same way but answers an empty batch
-    /// instead of refusing, since its reports were applied. Re-fetches
+    /// at all and reported nothing — for a serial fetch, whenever it would
+    /// need a fresh trial. An `Exchange` that did report answers an empty
+    /// batch instead of refusing, since its reports were applied. Re-fetches
     /// and requeue claims are always exempt — they never grow the tenant's
     /// holdings. `None` (default) leaves issuance unbounded.
     pub tenant_max_inflight: Option<usize>,
@@ -324,7 +324,7 @@ impl ServerConfig {
 }
 
 /// Upper bound on the work of one fetch request: on the trials it may
-/// return (a `FetchBatch.max` off the wire is clamped to it) and on the
+/// return (an `Exchange`'s `max` off the wire is clamped to it) and on the
 /// store-served trials it may resolve. A warm store plus a generous
 /// evaluation budget could otherwise keep one request serving cached costs
 /// for the session's whole remaining budget while the client waits; past
@@ -885,9 +885,8 @@ impl HarmonyServer {
 
     /// Serve one request of a session member. A session still declaring
     /// its space takes declarations; a sealed one serves the tuning loop,
-    /// whose three shapes share two rules: `Report`, `ReportBatch` and
-    /// `Exchange` apply reports through [`Tuning::apply_reports`], and
-    /// `Fetch`, `FetchBatch` and `Exchange` gather trials through
+    /// whose one request, `Exchange`, applies reports through
+    /// [`Tuning::apply_reports`] and gathers trials through
     /// [`Tuning::top_up`].
     fn handle_for_session(
         state: &mut SessionState,
@@ -896,8 +895,17 @@ impl HarmonyServer {
         req: Request,
         now: Instant,
     ) -> Reply {
-        if matches!(req, Request::Heartbeat) {
-            return Reply::Ok; // last_seen already refreshed by the caller
+        match req {
+            Request::Heartbeat => return Reply::Ok, // last_seen already refreshed by the caller
+            Request::Fetch | Request::ReportBatch { .. } => {
+                return Reply::err(
+                    HarmonyError::Protocol(
+                        "Fetch and ReportBatch are retired: send Exchange { reports, max }".into(),
+                    )
+                    .to_string(),
+                )
+            }
+            _ => {}
         }
         // Disjoint borrows: the store key (`app`) and tenant accounting are
         // read while `phase` is borrowed mutably.
@@ -950,12 +958,7 @@ impl HarmonyServer {
                         }
                     }
                     Request::QueryBest => Reply::Best { best: None },
-                    Request::Fetch
-                    | Request::Report { .. }
-                    | Request::FetchBatch { .. }
-                    | Request::ReportBatch { .. }
-                    | Request::Exchange { .. }
-                    | Request::QueryHistory => Reply::err(
+                    Request::Exchange { .. } | Request::QueryHistory => Reply::err(
                         HarmonyError::Protocol("space not sealed yet".into()).to_string(),
                     ),
                     _ => {
@@ -974,44 +977,29 @@ impl HarmonyServer {
             now,
         };
         match req {
-            Request::Fetch => {
-                let top = tuning.top_up(&caller, 1);
-                tuning.fetch_reply(&caller, top, true)
-            }
-            Request::FetchBatch { max } => {
-                let top = tuning.top_up(&caller, max);
-                tuning.fetch_reply(&caller, top, false)
-            }
-            // A serial report answers the caller's oldest outstanding trial.
-            Request::Report { cost, wall_time } => {
-                let Some(t) = tuning.outstanding.iter().find(|t| t.owner == client) else {
-                    return Reply::err("report without an outstanding fetch");
-                };
-                let report = TrialReport {
-                    iteration: t.trial.iteration,
-                    cost,
-                    wall_time,
-                };
-                tuning
-                    .apply_reports(&caller, vec![report])
-                    .map_or_else(Reply::err, |()| Reply::Ok)
-            }
-            Request::ReportBatch { reports } => tuning
-                .apply_reports(&caller, reports)
-                .map_or_else(Reply::err, |()| Reply::Ok),
-            Request::Exchange { reports, max } => match tuning.apply_reports(&caller, reports) {
+            Request::Exchange { reports, max } => {
+                let fetch_only = reports.is_empty();
                 // A failed report prefetches nothing.
-                Err(e) => Reply::err(e),
-                // A top-up the in-flight quota refuses is an empty batch, not
-                // `QuotaExceeded`: the reports counted, and the refusal is
-                // met by the caller's next fetch.
-                Ok(()) => {
-                    let TopUp {
-                        trials, finished, ..
-                    } = tuning.top_up(&caller, max);
-                    Reply::Configs { trials, finished }
+                if let Err(e) = tuning.apply_reports(&caller, reports) {
+                    return Reply::err(e);
                 }
-            },
+                let TopUp {
+                    trials,
+                    finished,
+                    refused,
+                } = tuning.top_up(&caller, max);
+                // Empty-handed under the quota is the typed refusal, counted,
+                // unless reports came with the request: they counted, and the
+                // refusal is met by the caller's next fetch.
+                if refused && fetch_only {
+                    cfg.telemetry.inc(Counter::QuotaRefusals);
+                    caller.stats.add(TenantMetric::QuotaRefusals, 1);
+                    return Reply::QuotaExceeded {
+                        tenant: caller.tenant.to_string(),
+                    };
+                }
+                Reply::Configs { trials, finished }
+            }
             Request::QueryBest => {
                 let best = tuning.session.best().map(|(c, v)| (c.clone(), v));
                 Reply::Best { best }
@@ -1234,10 +1222,11 @@ impl Tuning {
             })
         };
         // The request's proposals meet the store under one lock, not one
-        // lock per proposal.
+        // lock per proposal; a request with no room for any (a report's
+        // `max: 0`) takes none.
         let batch = match &cfg.store {
-            Some(store) => store.with(|store| propose(Some(store))),
-            None => propose(None),
+            Some(store) if reserved > 0 => store.with(|store| propose(Some(store))),
+            _ => propose(None),
         };
         stats
             .inflight
@@ -1268,48 +1257,6 @@ impl Tuning {
             refused,
         }
     }
-
-    /// Shape what the fetch rule gathered for a `Fetch` or `FetchBatch`.
-    /// Empty-handed under the quota is the typed `QuotaExceeded`, counted.
-    /// A `FetchBatch` gets the `Configs` frame as is; a serial `Fetch` gets
-    /// its one trial as a `Config`, the best configuration found once the
-    /// session has finished, and a retryable busy error while the strategy
-    /// waits on another member's report.
-    fn fetch_reply(&self, caller: &Caller, top: TopUp, serial: bool) -> Reply {
-        let TopUp {
-            mut trials,
-            finished,
-            refused,
-        } = top;
-        if refused {
-            caller.cfg.telemetry.inc(Counter::QuotaRefusals);
-            caller.stats.add(TenantMetric::QuotaRefusals, 1);
-            return Reply::QuotaExceeded {
-                tenant: caller.tenant.to_string(),
-            };
-        }
-        if !serial {
-            return Reply::Configs { trials, finished };
-        }
-        if let Some(t) = trials.pop() {
-            return Reply::Config {
-                config: t.config,
-                iteration: t.iteration,
-                finished: false,
-            };
-        }
-        if !finished {
-            return Reply::busy("no trial available until outstanding reports arrive");
-        }
-        match self.session.best() {
-            Some((cfg, _)) => Reply::Config {
-                config: cfg.clone(),
-                iteration: self.session.history().len(),
-                finished: true,
-            },
-            None => Reply::err("session finished with no evaluations"),
-        }
-    }
 }
 
 impl Drop for HarmonyServer {
@@ -1328,6 +1275,7 @@ mod tests {
     use super::*;
     use crate::param::Param;
     use crate::server::protocol::{StrategyKind, TrialReport};
+    use crate::server::tcp::tests::serial_pairs;
     use crate::session::SessionOptions;
     use crate::store::StoreRecord;
 
@@ -1454,77 +1402,63 @@ mod tests {
 
     #[test]
     fn serial_replies_keep_their_shape_through_the_batch_arms() {
-        let server = HarmonyServer::start();
-        let founder = server.connect("shapes").unwrap();
-        founder.add_param(Param::int("n", 0, 100, 1)).unwrap();
-        founder
-            .seal(
-                SessionOptions {
-                    max_evaluations: 12,
-                    seed: 3,
-                    ..Default::default()
-                },
-                StrategyKind::NelderMead,
-            )
-            .unwrap();
-        let worker = server.attach(founder.session_id()).unwrap();
-        // Nelder–Mead proposes one point at a time: while the founder holds
-        // it, the worker's empty batch of one is the retryable busy error.
-        let held = founder.fetch().unwrap();
-        assert!(!held.finished);
-        assert!(matches!(worker.fetch(), Err(HarmonyError::ServerBusy(_))));
-        founder
-            .report(held.config.int("n").unwrap() as f64)
-            .unwrap();
-        loop {
-            let f = founder.fetch().unwrap();
-            if f.finished {
-                // A finished fetch carries the best configuration, stamped
-                // with the history length.
-                let (best, _) = founder.best().unwrap().unwrap();
-                let (h, _) = founder.history().unwrap();
-                assert_eq!(f.config, best);
-                assert_eq!(f.iteration, h.len());
-                break;
+        // Over the in-process and the TCP client alike. Nelder–Mead
+        // proposes one point at a time: while the founder holds it, the
+        // worker's empty batch of one is the retryable busy error. A
+        // finished fetch carries the best configuration.
+        let n = |c: &crate::space::Configuration| c.int("n").unwrap() as f64;
+        let server = crate::server::tcp::TcpHarmonyServer::bind("127.0.0.1:0").expect("bind");
+        let options = SessionOptions {
+            max_evaluations: 12,
+            seed: 3,
+            ..Default::default()
+        };
+        for (mut founder, mut worker, client) in
+            serial_pairs(&server, options, StrategyKind::NelderMead)
+        {
+            let (held, finished) = founder.fetch_one().unwrap();
+            assert!(!finished, "{client}");
+            let busy = worker.fetch_one();
+            assert!(
+                matches!(busy, Err(HarmonyError::ServerBusy(_))),
+                "{client}: {busy:?}"
+            );
+            founder.report_one(n(&held)).unwrap();
+            loop {
+                let (config, finished) = founder.fetch_one().unwrap();
+                if finished {
+                    assert_eq!(config, founder.best_config(), "{client}");
+                    break;
+                }
+                founder.report_one(n(&config)).unwrap();
             }
-            founder.report(f.config.int("n").unwrap() as f64).unwrap();
+            assert!(worker.fetch_one().unwrap().1, "{client}");
         }
-        assert!(worker.fetch().unwrap().finished);
         server.shutdown();
     }
 
     #[test]
     fn serial_report_after_the_session_stopped_has_no_outstanding_fetch() {
-        // At the parent of the fold the answer depended on who noticed the
-        // stop first: "tuning session already finished" when the stopping
-        // report came through the serial arm (which left the queue alone),
-        // "report without an outstanding fetch" once a batch report or any
-        // fetch had drained it. The one report arm drains on every stop, so
-        // the second answer is the one kept: a stopped session holds no
-        // fetch of anybody's.
-        let server = HarmonyServer::start();
-        let founder = server.connect("late").unwrap();
-        founder.add_param(Param::int("n", 0, 100, 1)).unwrap();
-        founder
-            .seal(
-                SessionOptions {
-                    target_cost: Some(0.5),
-                    seed: 9,
-                    ..Default::default()
-                },
-                StrategyKind::Random,
-            )
-            .unwrap();
-        let worker = server.attach(founder.session_id()).unwrap();
-        assert!(!founder.fetch().unwrap().finished);
-        assert!(!worker.fetch().unwrap().finished);
-        founder.report(0.0).unwrap(); // reaches the target: the session stops
-        let err = worker.report(1.0).unwrap_err();
-        assert_eq!(
-            err,
-            HarmonyError::Protocol("report without an outstanding fetch".into())
-        );
-        assert!(worker.fetch().unwrap().finished);
+        // Over the in-process and the TCP client alike: a report that
+        // arrives after another member's report stopped the session is
+        // dropped, not refused, and the stopped session holds no fetch of
+        // the late reporter's — its next fetch is the finished answer.
+        let server = crate::server::tcp::TcpHarmonyServer::bind("127.0.0.1:0").expect("bind");
+        let options = SessionOptions {
+            target_cost: Some(0.5),
+            seed: 9,
+            ..Default::default()
+        };
+        for (mut founder, mut worker, client) in
+            serial_pairs(&server, options, StrategyKind::Random)
+        {
+            assert!(!founder.fetch_one().unwrap().1, "{client}");
+            assert!(!worker.fetch_one().unwrap().1, "{client}");
+            founder.report_one(0.0).unwrap(); // reaches the target
+            let late = worker.report_one(1.0);
+            assert!(late.is_ok(), "{client}: {late:?}");
+            assert!(worker.fetch_one().unwrap().1, "{client}");
+        }
         server.shutdown();
     }
 
@@ -2766,7 +2700,10 @@ mod tests {
                             4 => std::thread::sleep(Duration::from_millis(3)),
                             _ => {
                                 let client = mine[next(mine.len())];
-                                let req = Request::FetchBatch { max: 2 };
+                                let req = Request::Exchange {
+                                    reports: Vec::new(),
+                                    max: 2,
+                                };
                                 if let Reply::Configs { trials, .. } = call(bus, client, req) {
                                     let reports = trials
                                         .iter()
@@ -2777,7 +2714,7 @@ mod tests {
                                             wall_time: 0.0,
                                         })
                                         .collect();
-                                    call(bus, client, Request::ReportBatch { reports });
+                                    call(bus, client, Request::Exchange { reports, max: 0 });
                                 }
                             }
                         }

@@ -107,44 +107,27 @@ pub enum Request {
         /// Tuning algorithm to use.
         strategy: StrategyKind,
     },
-    /// Ask for the next configuration to run: a
-    /// [`FetchBatch`](Self::FetchBatch) of one, answered in the
-    /// [`Reply::Config`] shape.
+    /// Retired: the server answers it with a non-retryable protocol error
+    /// naming [`Exchange`](Self::Exchange). The variant stays because the
+    /// frozen `benchmark/` crate builds it to time frame encoding.
     Fetch,
-    /// Report the measured cost of the last fetched configuration: a
-    /// one-entry [`ReportBatch`](Self::ReportBatch) for the caller's oldest
-    /// outstanding trial.
-    Report {
-        /// Measured objective (e.g. execution time in seconds).
-        cost: f64,
-        /// Wall-clock spent obtaining the measurement.
-        wall_time: f64,
-    },
-    /// Ask for up to `max` configurations in one round-trip. Still-unreported
-    /// trials from earlier fetches are re-served first (oldest first), then
-    /// the session tops the batch up with fresh proposals — for PRO this
-    /// surfaces a whole round of independent candidates in one message.
-    FetchBatch {
-        /// Upper bound on the number of trials returned; the server clamps
-        /// it to 1024.
-        max: usize,
-    },
-    /// Report measured costs for any subset of outstanding trials, in one
-    /// round-trip. Reports are matched to trials by iteration token, so
-    /// order does not matter and partial reports are fine.
+    /// Retired like [`Fetch`](Self::Fetch), and kept for the same reason.
     ReportBatch {
         /// One entry per measured trial.
         reports: Vec<TrialReport>,
     },
-    /// Report measured costs and fetch the next trials in one round-trip:
-    /// `reports` are applied exactly as a [`ReportBatch`](Self::ReportBatch)
-    /// applies them, then up to `max` trials are gathered exactly as a
-    /// [`FetchBatch`](Self::FetchBatch) gathers them, answered as
-    /// [`Reply::Configs`]. A report that fails is the reply, and nothing is
-    /// fetched. A top-up the tenant's in-flight quota refuses is an empty
-    /// `Configs` (the reports still count); a report that finishes the
-    /// session is answered with an empty `Configs` marked `finished`. A
-    /// serial client's report carries its next fetch this way.
+    /// The one request that moves trials: report measured costs, then ask
+    /// for up to `max` trials, answered as [`Reply::Configs`]. Reports are
+    /// matched to trials by iteration token, so order does not matter and
+    /// partial reports are fine; a report that fails is the reply, and
+    /// nothing is fetched. The trials are the caller's own unreported ones
+    /// first (oldest first), then requeued trials of departed members, then
+    /// fresh proposals — for PRO a whole round of independent candidates.
+    /// An `Exchange` that reports nothing and whose top-up the tenant's
+    /// in-flight quota refuses is [`Reply::QuotaExceeded`]; one that did
+    /// report gets an empty `Configs` (its reports still count). Once the
+    /// session has stopped, the reply is an empty `Configs` marked
+    /// `finished`. The serial loop is the batch of one.
     Exchange {
         /// One entry per measured trial; may be empty.
         reports: Vec<TrialReport>,
@@ -162,8 +145,7 @@ pub enum Request {
     Shutdown,
 }
 
-/// One measured result inside a [`Request::ReportBatch`] or a
-/// [`Request::Exchange`].
+/// One measured result inside a [`Request::Exchange`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrialReport {
     /// Iteration token of the fetched trial this result belongs to.
@@ -197,18 +179,18 @@ pub enum Reply {
     },
     /// Request succeeded with nothing to return.
     Ok,
-    /// A configuration to run (or, when `finished`, the final best).
+    /// Never sent: the server answers every trial request with
+    /// [`Configs`](Self::Configs). The variant stays because the frozen
+    /// `benchmark/` crate builds it to time frame encoding.
     Config {
         /// The configuration.
         config: Configuration,
         /// 1-based evaluation index.
         iteration: usize,
-        /// True once the session has stopped — `config` is then the best
-        /// found and no further `Report` is expected.
+        /// True once the session has stopped.
         finished: bool,
     },
-    /// A batch of configurations to run (reply to [`Request::FetchBatch`]
-    /// and [`Request::Exchange`]).
+    /// A batch of configurations to run (reply to [`Request::Exchange`]).
     Configs {
         /// The trials to measure; may be fewer than requested (strategy
         /// waiting on outstanding reports) or empty with `finished`.
@@ -251,8 +233,8 @@ pub enum Reply {
 /// becomes `+inf` (NaN would scramble cost ordering; `-inf` would become an
 /// unbeatable false best) and a non-finite wall time becomes `0.0` (it
 /// would poison the history's cumulative-time column). Returns the
-/// sanitized pair and whether anything was clamped. Applied to `Report`
-/// and `ReportBatch` before a session sees the values — a hostile or buggy
+/// sanitized pair and whether anything was clamped. Applied to every
+/// reported measurement before a session sees the values — a hostile or buggy
 /// client must not be able to corrupt the shared trajectory. Note the wire
 /// format makes this reachable: raw JSON like `1e999` parses to `+inf`.
 pub(crate) fn sanitize_measurement(cost: f64, wall_time: f64) -> (f64, f64, bool) {
@@ -291,7 +273,7 @@ impl Reply {
 }
 
 /// Ceiling on one wire frame (one newline-terminated JSON line) accepted by
-/// the nonblocking front-end. Generous: a `ReportBatch` entry is tens of
+/// the nonblocking front-end. Generous: an `Exchange` report is tens of
 /// bytes, so this covers batches tens of thousands of trials deep. The cap
 /// exists so a peer streaming garbage (or a length-prefix-style binary
 /// blob) without ever sending `\n` produces a clean protocol error instead
@@ -549,11 +531,6 @@ mod tests {
                 strategy: StrategyKind::Grid { target: 100 },
             },
             Request::Fetch,
-            Request::Report {
-                cost: 55.06,
-                wall_time: 60.0,
-            },
-            Request::FetchBatch { max: 9 },
             Request::ReportBatch {
                 reports: vec![
                     TrialReport {

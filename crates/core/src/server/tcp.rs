@@ -13,17 +13,19 @@
 //! connection's reads, writes, refusals, and idle eviction. A campaign driven over it
 //! produces the bit-identical tuning trajectory of a serial in-process run.
 //!
-//! A whole batch (a request, its `Configs` reply) is one serde frame — one
-//! line, one write — and every report fetches what comes next in the same
-//! round trip: [`TcpHarmonyClient::report`] and
-//! [`TcpHarmonyClient::report_batch`] send an [`Request::Exchange`] that
-//! reports the measurements and asks for the next trial, or for as many
-//! as the last [`fetch_batch`](TcpHarmonyClient::fetch_batch) did, and the
-//! following `fetch` or `fetch_batch` returns them without touching the
-//! socket. So the serial loop costs one round trip per trial, and a PRO
+//! Trials move by one request, [`Request::Exchange`], and a whole batch (an
+//! `Exchange`, its `Configs` reply) is one serde frame — one line, one
+//! write. Every report fetches what comes next in the same round trip:
+//! [`TcpHarmonyClient::report_batch`] sends an `Exchange` that reports the
+//! measurements and asks for as many trials as the last
+//! [`fetch_batch`](TcpHarmonyClient::fetch_batch) did, and the following
+//! `fetch_batch` returns them without touching the socket. The serial loop
+//! is the batch of one ([`fetch`](TcpHarmonyClient::fetch) is a
+//! `fetch_batch(1)`, [`report`](TcpHarmonyClient::report) a `report_batch`
+//! of the fetched trial), so it costs one round trip per trial, and a PRO
 //! round of candidates, or a batch of 16, one per batch: only a session's
-//! first fetch, and a fetch the kept trials cannot answer, is a `Fetch` or
-//! `FetchBatch` of its own. Sockets run with `TCP_NODELAY` and buffered
+//! first fetch, and a fetch the kept trials cannot answer, is an
+//! `Exchange` that reports nothing. Sockets run with `TCP_NODELAY` and buffered
 //! writers: frames are small and latency-bound, so waiting for Nagle
 //! coalescing only delays the tuning loop.
 //!
@@ -43,7 +45,7 @@
 //! session for the client to rejoin even when no member is left; a client
 //! that reconnects forgets the trials it held.
 
-use super::client::reply_error;
+use super::client::{one_trial, reply_error, Fetched};
 use super::event_loop::{EventLoopConfig, EventLoopPool, TuningService};
 use super::protocol::{FetchedTrial, Reply, Request, StrategyKind, TrialReport};
 use super::HarmonyServer;
@@ -267,13 +269,13 @@ pub struct TcpHarmonyClient {
     conn: Option<Conn>,
     client_id: u64,
     session: u64,
-    /// Iteration token of the last unanswered plain fetch; reports ride
-    /// `Exchange` with this token so a retried report is idempotent.
+    /// Iteration token of the last unanswered [`fetch`](Self::fetch); a
+    /// [`report`](Self::report) carries it, so a retried report is
+    /// idempotent.
     last_fetch: Option<usize>,
-    /// The trials the last report's `Exchange` brought back — one for a
-    /// [`report`](Self::report), up to `batch` for a
-    /// [`report_batch`](Self::report_batch) — which the next `fetch`, or a
-    /// `fetch_batch` of at most as many, returns without a round trip. They
+    /// The trials the last [`report_batch`](Self::report_batch)'s
+    /// `Exchange` brought back, up to `batch`, which the next `fetch_batch`
+    /// of at most as many returns without a round trip. They
     /// are held for this client on the server until reported. A fetch they
     /// cannot answer drops them (the server serves a client's unreported
     /// trials first, so its request gets them back), and so do a reconnect
@@ -444,14 +446,15 @@ impl TcpHarmonyClient {
     }
 
     /// Retry loop for idempotent requests: fetches and queries have no
-    /// side effect to duplicate, and batch reports are deduplicated by
-    /// iteration token on the server.
-    fn call_retrying(&mut self, req: Request) -> Result<Reply> {
+    /// side effect to duplicate, and reports are deduplicated by iteration
+    /// token on the server. Each attempt's reply goes through `shape`, so a
+    /// retryable error it makes of a reply is retried too.
+    fn call_retrying<T>(&mut self, req: &Request, shape: impl Fn(Reply) -> Result<T>) -> Result<T> {
         let policy = self.opts.retry.clone();
         let attempts = policy.max_attempts.max(1);
         let mut attempt = 0;
         loop {
-            match self.try_call(&req) {
+            match self.try_call(req).and_then(&shape) {
                 Err(e) if e.is_retryable() && attempt + 1 < attempts => {
                     observed_backoff(&self.opts.telemetry, &policy, attempt);
                     attempt += 1;
@@ -502,16 +505,30 @@ impl TcpHarmonyClient {
             .map(|_| ())
     }
 
-    /// One observed round trip of the tuning loop: a client span of `kind`
-    /// around the retrying call (faulted if it fails) and an `rtt` sample of
-    /// how long the caller waited.
-    fn observed_call(&mut self, kind: SpanKind, rtt: Latency, req: Request) -> Result<Reply> {
+    /// One observed round trip of the tuning loop: an `Exchange` of
+    /// `reports` asking for `max` trials, with a client span of `kind`
+    /// around the retrying call (faulted if it fails) and an `rtt` sample
+    /// of how long the caller waited. `shape` sees each attempt's trials.
+    fn observed_exchange<T>(
+        &mut self,
+        kind: SpanKind,
+        rtt: Latency,
+        reports: Vec<TrialReport>,
+        max: usize,
+        shape: impl Fn(Vec<FetchedTrial>, bool) -> Result<T>,
+    ) -> Result<T> {
         let started = Instant::now();
         let span = self
             .opts
             .telemetry
             .span_begin(kind, 0, "client", self.client_id);
-        let reply = self.call_retrying(req);
+        let req = Request::Exchange { reports, max };
+        let reply = self.call_retrying(&req, |reply| match reply {
+            Reply::Configs { trials, finished } => shape(trials, finished),
+            _ => Err(HarmonyError::Protocol(
+                "unexpected reply to Exchange".into(),
+            )),
+        });
         match &reply {
             Ok(_) => self.opts.telemetry.span_end(span),
             Err(_) => self.opts.telemetry.span_fault(span, "rpc_failed"),
@@ -521,87 +538,75 @@ impl TcpHarmonyClient {
     }
 
     /// Fetch the next configuration (same semantics as the in-process
-    /// client: repeats until reported; `finished` carries the final best).
-    /// After a [`report`](Self::report) this is the trial its exchange
-    /// brought back, with no round trip; otherwise (the first fetch, after
-    /// `finished` or a quota refusal, after a reconnect) it is a `Fetch`.
+    /// client: repeats until reported; `finished` carries the final best):
+    /// a [`fetch_batch`](Self::fetch_batch) of one. After a
+    /// [`report`](Self::report) this is the trial its exchange brought
+    /// back, with no round trip. An empty batch is retried with backoff
+    /// while the strategy waits on another member's report, and once the
+    /// session has finished it is one `QueryBest` for the best
+    /// configuration.
     pub fn fetch(&mut self) -> Result<(Configuration, bool)> {
-        if let Some(t) = std::mem::take(&mut self.prefetched).into_iter().next() {
-            self.last_fetch = Some(t.iteration);
-            return Ok((t.config, false));
-        }
-        match self.observed_call(SpanKind::Fetch, Latency::FetchBatchRtt, Request::Fetch)? {
-            Reply::Config {
-                config,
-                iteration,
-                finished,
-            } => {
-                self.last_fetch = if finished { None } else { Some(iteration) };
-                Ok((config, finished))
-            }
-            _ => Err(HarmonyError::Protocol("unexpected reply to Fetch".into())),
+        let trial = self.fetch_shaped(1, one_trial)?;
+        self.last_fetch = trial.as_ref().map(|t| t.iteration);
+        match trial {
+            Some(t) => Ok((t.config, false)),
+            None => Ok((Fetched::finished(self.best()?)?.config, true)),
         }
     }
 
     /// Report the measured cost of the last fetched configuration, and
-    /// fetch the next one in the same round trip: one `Exchange` carrying
-    /// the fetched iteration token (so a retry after a lost reply cannot
-    /// double-count the measurement) and asking for one trial, which the
-    /// next [`fetch`](Self::fetch) returns.
+    /// fetch the next one in the same round trip: a
+    /// [`report_batch`](Self::report_batch) of the fetched iteration token
+    /// (so a retry after a lost reply cannot double-count the
+    /// measurement), whose trial the next [`fetch`](Self::fetch) returns.
     pub fn report(&mut self, cost: f64) -> Result<()> {
         let Some(iteration) = self.last_fetch.take() else {
             return Err(HarmonyError::Protocol(
                 "report without an outstanding fetch".into(),
             ));
         };
-        let req = Request::Exchange {
-            reports: vec![TrialReport {
-                iteration,
-                cost,
-                wall_time: cost,
-            }],
-            max: 1,
+        let report = TrialReport {
+            iteration,
+            cost,
+            wall_time: cost,
         };
-        match self.observed_call(SpanKind::Report, Latency::ReportBatchRtt, req) {
-            // An empty batch (finished, or refused by the quota) leaves the
-            // next fetch to ask, and to be told.
-            Ok(Reply::Configs { trials, .. }) => {
-                self.prefetched = trials;
-                Ok(())
-            }
-            Ok(_) => Err(HarmonyError::Protocol(
-                "unexpected reply to Exchange".into(),
-            )),
-            Err(e) => {
-                // Keep the token: the caller may retry the report.
-                self.last_fetch = Some(iteration);
-                Err(e)
-            }
-        }
+        // Keep the token on failure: the caller may retry the report.
+        self.report_batch(vec![report])
+            .inspect_err(|_| self.last_fetch = Some(iteration))
     }
 
     /// Fetch up to `max` configurations. Returns `(trials, finished)`.
     /// After a [`report_batch`](Self::report_batch) whose exchange brought
     /// back at least `max` trials, these are the first `max` of them, with
     /// no round trip. Otherwise (the first fetch, a larger `max`, a short
-    /// or empty batch, after a reconnect) it is a `FetchBatch`: one request
-    /// frame out, one reply frame back, which serves this client's
-    /// unreported trials first — the kept ones among them — then fresh
-    /// ones.
+    /// or empty batch, after a reconnect) it is an `Exchange` that reports
+    /// nothing: one request frame out, one reply frame back, which serves
+    /// this client's unreported trials first — the kept ones among them —
+    /// then fresh ones.
     pub fn fetch_batch(&mut self, max: usize) -> Result<(Vec<FetchedTrial>, bool)> {
+        self.fetch_shaped(max, |trials, finished| Ok((trials, finished)))
+    }
+
+    /// [`fetch_batch`](Self::fetch_batch), with `shape` applied to the
+    /// batch inside the retry loop.
+    fn fetch_shaped<T>(
+        &mut self,
+        max: usize,
+        shape: impl Fn(Vec<FetchedTrial>, bool) -> Result<T>,
+    ) -> Result<T> {
         self.batch = max;
         let mut kept = std::mem::take(&mut self.prefetched);
         if max > 0 && kept.len() >= max {
             kept.truncate(max);
-            return Ok((kept, false));
+            return shape(kept, false);
         }
-        let req = Request::FetchBatch { max };
-        match self.observed_call(SpanKind::Fetch, Latency::FetchBatchRtt, req)? {
-            Reply::Configs { trials, finished } => Ok((trials, finished)),
-            _ => Err(HarmonyError::Protocol(
-                "unexpected reply to FetchBatch".into(),
-            )),
-        }
+        self.observed_exchange(
+            SpanKind::Fetch,
+            Latency::FetchBatchRtt,
+            Vec::new(),
+            max,
+            shape,
+        )
     }
 
     /// Report measured costs for any subset of outstanding trials, and
@@ -612,43 +617,39 @@ impl TcpHarmonyClient {
     /// the server.
     pub fn report_batch(&mut self, reports: Vec<TrialReport>) -> Result<()> {
         self.prefetched.clear();
-        let req = Request::Exchange {
+        let max = self.batch;
+        self.prefetched = self.observed_exchange(
+            SpanKind::Report,
+            Latency::ReportBatchRtt,
             reports,
-            max: self.batch,
-        };
-        match self.observed_call(SpanKind::Report, Latency::ReportBatchRtt, req)? {
-            Reply::Configs { trials, .. } => {
-                self.prefetched = trials;
-                Ok(())
-            }
-            _ => Err(HarmonyError::Protocol(
-                "unexpected reply to Exchange".into(),
-            )),
-        }
+            max,
+            |trials, _| Ok(trials),
+        )?;
+        Ok(())
     }
 
     /// Best `(configuration, cost)` so far.
     pub fn best(&mut self) -> Result<Option<(Configuration, f64)>> {
-        match self.call_retrying(Request::QueryBest)? {
+        self.call_retrying(&Request::QueryBest, |reply| match reply {
             Reply::Best { best } => Ok(best),
             _ => Err(HarmonyError::Protocol("unexpected reply".into())),
-        }
+        })
     }
 
     /// The full evaluation history of the session, and whether it finished.
     pub fn history(&mut self) -> Result<(History, bool)> {
-        match self.call_retrying(Request::QueryHistory)? {
+        self.call_retrying(&Request::QueryHistory, |reply| match reply {
             Reply::History { history, finished } => Ok((history, finished)),
             _ => Err(HarmonyError::Protocol(
                 "unexpected reply to QueryHistory".into(),
             )),
-        }
+        })
     }
 
     /// Refresh liveness during a long measurement (see
     /// [`ServerConfig::client_ttl`](super::ServerConfig::client_ttl)).
     pub fn heartbeat(&mut self) -> Result<()> {
-        self.call_retrying(Request::Heartbeat).map(|_| ())
+        self.call_retrying(&Request::Heartbeat, |_| Ok(()))
     }
 
     /// Depart from the session, requeueing outstanding trials, the
@@ -673,7 +674,7 @@ impl TcpHarmonyClient {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
 
     #[test]
@@ -855,7 +856,11 @@ mod tests {
             },
             strategy: StrategyKind::Random,
         }));
-        let Reply::Configs { trials, .. } = call(frame(&Request::FetchBatch { max: 4 })) else {
+        let fetch = Request::Exchange {
+            reports: Vec::new(),
+            max: 4,
+        };
+        let Reply::Configs { trials, .. } = call(frame(&fetch)) else {
             panic!("expected Configs");
         };
         assert_eq!(trials.len(), 4);
@@ -863,8 +868,8 @@ mod tests {
         // non-finite measurement); the rest report finite costs.
         let poisoned = trials[0].iteration;
         call(format!(
-            "{{\"ReportBatch\":{{\"reports\":[{{\"iteration\":{poisoned},\
-             \"cost\":1e999,\"wall_time\":0.0}}]}}}}"
+            "{{\"Exchange\":{{\"reports\":[{{\"iteration\":{poisoned},\
+             \"cost\":1e999,\"wall_time\":0.0}}],\"max\":0}}}}"
         ));
         let reports: Vec<String> = trials[1..]
             .iter()
@@ -877,7 +882,7 @@ mod tests {
             })
             .collect();
         call(format!(
-            "{{\"ReportBatch\":{{\"reports\":[{}]}}}}",
+            "{{\"Exchange\":{{\"reports\":[{}],\"max\":0}}}}",
             reports.join(",")
         ));
         let Reply::Best { best } = call(frame(&Request::QueryBest)) else {
@@ -925,7 +930,7 @@ mod tests {
             .unwrap();
         let conn = client.conn.as_mut().expect("connected");
         conn.writer
-            .write_all(b"{\"FetchBatch\":{\"max\":18446744073709551615}}\n")
+            .write_all(b"{\"Exchange\":{\"reports\":[],\"max\":18446744073709551615}}\n")
             .unwrap();
         conn.writer.flush().unwrap();
         let mut line = String::new();
@@ -1203,6 +1208,103 @@ mod tests {
         assert!(finished);
         let (best, cost) = client.best().unwrap().expect("three evaluations");
         assert_eq!((config, cost), (best, 1.0));
+        server.shutdown();
+    }
+
+    /// The serial loop of either client, so that one test holds both to
+    /// the same answers.
+    pub(crate) trait Serial {
+        fn fetch_one(&mut self) -> Result<(Configuration, bool)>;
+        fn report_one(&mut self, cost: f64) -> Result<()>;
+        fn best_config(&mut self) -> Configuration;
+    }
+
+    impl Serial for crate::server::HarmonyClient {
+        fn fetch_one(&mut self) -> Result<(Configuration, bool)> {
+            self.fetch().map(|f| (f.config, f.finished))
+        }
+        fn report_one(&mut self, cost: f64) -> Result<()> {
+            self.report(cost)
+        }
+        fn best_config(&mut self) -> Configuration {
+            self.best().unwrap().expect("evaluated").0
+        }
+    }
+
+    impl Serial for TcpHarmonyClient {
+        fn fetch_one(&mut self) -> Result<(Configuration, bool)> {
+            self.fetch()
+        }
+        fn report_one(&mut self, cost: f64) -> Result<()> {
+            self.report(cost)
+        }
+        fn best_config(&mut self) -> Configuration {
+            self.best().unwrap().expect("evaluated").0
+        }
+    }
+
+    /// A session's founder, an attached worker, and their tenant.
+    pub(crate) type Pair = (Box<dyn Serial>, Box<dyn Serial>, &'static str);
+
+    /// The [`Pair`] of one sealed session over `n` on `server`: in process
+    /// under tenant `inproc`, then over TCP under tenant `tcp`, whose
+    /// clients retry nothing, so that a refusal comes back as it is.
+    pub(crate) fn serial_pairs(
+        server: &TcpHarmonyServer,
+        options: SessionOptions,
+        strategy: StrategyKind,
+    ) -> Vec<Pair> {
+        let n = || Param::int("n", 0, 100, 1);
+        let inproc = server.inproc();
+        let founder = inproc.connect_as("serial", "inproc").unwrap();
+        founder.add_param(n()).unwrap();
+        founder.seal(options.clone(), strategy.clone()).unwrap();
+        let worker = inproc.attach_as(founder.session_id(), "inproc").unwrap();
+        let opts = || TcpClientOptions {
+            tenant: "tcp".into(),
+            retry: RetryPolicy::none(),
+            ..Default::default()
+        };
+        let addr = server.local_addr();
+        let mut tcp = TcpHarmonyClient::connect_with(addr, "serial", opts()).unwrap();
+        tcp.add_param(n()).unwrap();
+        tcp.seal(options, strategy).unwrap();
+        let tcp_worker = TcpHarmonyClient::attach_with(addr, tcp.session_id(), opts()).unwrap();
+        vec![
+            (Box::new(founder), Box::new(worker), "inproc"),
+            (Box::new(tcp), Box::new(tcp_worker), "tcp"),
+        ]
+    }
+
+    #[test]
+    fn exchange_serial_answers_agree_over_both_clients() {
+        // A fetch that needs a fresh trial while the founder holds the
+        // tenant's one is the typed quota refusal, counted. The busy,
+        // finished and late-report answers are `server::tests::serial_*`.
+        let telemetry = Telemetry::enabled();
+        let config = crate::server::ServerConfig {
+            tenant_max_inflight: Some(1),
+            telemetry: telemetry.clone(),
+            ..Default::default()
+        };
+        let server = TcpHarmonyServer::bind_with("127.0.0.1:0", 64, config).expect("bind");
+        let options = SessionOptions {
+            max_evaluations: 12,
+            seed: 3,
+            ..Default::default()
+        };
+        let pairs = serial_pairs(&server, options, StrategyKind::Random);
+        for (refusals, (mut founder, mut worker, tenant)) in (1..).zip(pairs) {
+            assert!(!founder.fetch_one().unwrap().1, "{tenant}");
+            let quota = HarmonyError::QuotaExceeded {
+                tenant: tenant.into(),
+            };
+            assert_eq!(worker.fetch_one().unwrap_err(), quota);
+            assert_eq!(telemetry.counter(Counter::QuotaRefusals), refusals);
+            let stats = server.inproc().config().tenants.stats(tenant);
+            let counted = &stats.metrics[crate::telemetry::TenantMetric::QuotaRefusals.idx()];
+            assert_eq!(counted.load(Ordering::Relaxed), 1, "{tenant}");
+        }
         server.shutdown();
     }
 

@@ -1350,7 +1350,7 @@ impl PerfStore {
 
     /// Batched [`insert`](Self::insert): every novel record of the batch is
     /// encoded into one buffer and appended with a single write, so a whole
-    /// `ReportBatch` costs one store lock and one syscall instead of one
+    /// report batch costs one store lock and one syscall instead of one
     /// per trial. Dedup semantics are identical to serial inserts — a
     /// bit-for-bit duplicate of the live entry (including one earlier in
     /// this same batch) is skipped. So is a record the log cannot hold: a

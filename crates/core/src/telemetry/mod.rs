@@ -279,9 +279,10 @@ pub enum Latency {
     /// Time a request waited for its session: near zero when the session
     /// was free, the wait for the member ahead of it when it was busy.
     SessionWait,
-    /// TCP client `FetchBatch` round-trip.
+    /// TCP client fetch round-trip: an `Exchange` that reports nothing.
     FetchBatchRtt,
-    /// TCP client `ReportBatch` round-trip.
+    /// TCP client report round-trip: an `Exchange` that reports, and
+    /// brings the next trials back.
     ReportBatchRtt,
     /// Sleep taken before a retry attempt.
     RetryBackoffSleep,
@@ -440,11 +441,11 @@ impl TrialEvent {
 /// the Chrome trace export.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum SpanKind {
-    /// Client-side fetch/`FetchBatch` round-trip.
+    /// Client-side fetch round-trip (an `Exchange` that reports nothing).
     Fetch,
     /// One trial's measurement (objective run) on a worker.
     Measure,
-    /// Client-side report/`ReportBatch` round-trip.
+    /// Client-side report round-trip (an `Exchange` that reports).
     Report,
     /// One request served while its caller holds its session.
     SessionServe,

@@ -2,12 +2,13 @@
 //! produces the *bit-identical* trajectory of the serial
 //! `suggest`/`report` loop, for any seed and batch size. This is the
 //! contract that lets the server hand a whole round of candidates to a
-//! client in one `FetchBatch` frame without changing what gets explored.
+//! client in one `Configs` frame without changing what gets explored.
 //!
-//! The same holds one layer up: the server answers a serial `Fetch`/`Report`
-//! through its batch arms, so a session driven by `fetch`/`report`, by
-//! `fetch_batch(1)`/`report_batch` and a bare [`TuningSession`] must agree
-//! row for row, with or without a performance store answering some trials.
+//! The same holds one layer up: every client request that moves trials is
+//! an `Exchange`, and a serial `fetch`/`report` is its batch of one, so a
+//! session driven by `fetch`/`report`, by `fetch_batch(1)`/`report_batch`
+//! and a bare [`TuningSession`] must agree row for row, with or without a
+//! performance store answering some trials.
 
 use ah_core::prelude::*;
 use ah_core::server::protocol::TrialReport;

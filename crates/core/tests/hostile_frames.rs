@@ -10,12 +10,14 @@
 //! any client handed such a reply. At the commit before the nesting limit
 //! each of them aborts this test binary.
 //!
-//! The fourth test is the first piece of ROADMAP item 3's hostile-input
-//! half: a seeded run of 10⁵ garbage frames through the server's own
-//! framing and request decoding. The fifth sends the serial loop's
-//! `Exchange` what a hostile client would: one before the seal, one asking
-//! for `usize::MAX` trials, one with a `1e999` cost, one for an iteration
-//! never issued.
+//! The fourth test is the first piece of the hostile-input fuzzer, part (c)
+//! of ROADMAP "Whole-fabric deterministic simulation as the single
+//! correctness harness": a seeded run of 10⁵ garbage frames through the
+//! server's own framing and request decoding. The fifth sends `Exchange`,
+//! the one request that moves trials, what a hostile client would: one
+//! before the seal, one asking for `usize::MAX` trials, one with a `1e999`
+//! cost, one for an iteration never issued. The sixth sends the retired
+//! `Fetch` and `ReportBatch` frames, before and after the seal.
 //!
 //! The last six are the observer plane, which read whatever it was sent:
 //! a request head with no end, a peer's response with no end (the sync loop
@@ -92,9 +94,9 @@ fn a_megabyte_of_brackets_is_a_malformed_request_not_a_dead_server() {
     // Nested objects, and nesting inside a key no request has.
     for frame in [
         "{\"a\":".repeat(DEPTH / 8),
-        format!("{{\"Fetch\":null,\"x\":{}", "[".repeat(DEPTH)),
+        format!("{{\"Heartbeat\":null,\"x\":{}", "[".repeat(DEPTH)),
         format!(
-            "{{\"FetchBatch\":{{\"max\":1,\"x\":{}",
+            "{{\"Exchange\":{{\"max\":1,\"x\":{}",
             "[{\"k\":".repeat(DEPTH / 8)
         ),
     ] {
@@ -133,19 +135,21 @@ fn a_megabyte_of_brackets_is_a_malformed_request_not_a_dead_server() {
         .as_bytes(),
     );
     assert!(matches!(sealed, Reply::Ok), "{sealed:?}");
+    // The serial loop: each `Exchange` reports the trial before it.
+    let mut reports = Vec::new();
     for _ in 0..5 {
-        let Reply::Config { config, .. } = exchange(frame(&Request::Fetch).as_bytes()) else {
-            panic!("expected a configuration");
+        let Reply::Configs { trials, .. } =
+            exchange(frame(&Request::Exchange { reports, max: 1 }).as_bytes())
+        else {
+            panic!("expected a batch");
         };
-        let cost = (config.int("x").expect("x is declared") - 42).abs() as f64;
-        let reported = exchange(
-            frame(&Request::Report {
-                cost,
-                wall_time: cost,
-            })
-            .as_bytes(),
-        );
-        assert!(matches!(reported, Reply::Ok), "{reported:?}");
+        let trial = trials.first().expect("a trial");
+        let cost = (trial.config.int("x").expect("x is declared") - 42).abs() as f64;
+        reports = vec![TrialReport {
+            iteration: trial.iteration,
+            cost,
+            wall_time: cost,
+        }];
     }
 
     // … and a second client is served.
@@ -285,7 +289,7 @@ fn garbage(rng: &mut Gen, real: &[Vec<u8>]) -> Vec<u8> {
         _ => {
             let depth = [1, 127, 128, 129, 1000][below(rng, 5)];
             let (open, close) =
-                [("[", "]"), ("{\"Fetch\":", "}"), ("{\"x\":[", "]}")][below(rng, 3)];
+                [("[", "]"), ("{\"Exchange\":", "}"), ("{\"x\":[", "]}")][below(rng, 3)];
             let core = String::from_utf8_lossy(&real[below(rng, real.len())]).into_owned();
             let close = if below(rng, 2) == 0 { close } else { "" };
             format!("{}{core}{}", open.repeat(depth), close.repeat(depth)).into_bytes()
@@ -310,14 +314,17 @@ fn a_hundred_thousand_garbage_frames_are_each_a_request_or_an_error() {
             options: SessionOptions::default(),
             strategy: StrategyKind::Grid { target: 9 },
         },
-        Request::Fetch,
-        Request::FetchBatch { max: 16 },
-        Request::ReportBatch {
+        Request::Exchange {
+            reports: vec![],
+            max: 16,
+        },
+        Request::Exchange {
             reports: vec![TrialReport {
                 iteration: 4,
                 cost: 1.25,
                 wall_time: 2.5,
             }],
+            max: 1,
         },
     ]
     .iter()
@@ -455,6 +462,99 @@ fn hostile_exchanges_are_each_a_typed_error_or_a_counted_clamp() {
         panic!("expected a best");
     };
     assert_eq!(cost, 5.0);
+    server.shutdown();
+}
+
+#[test]
+fn retired_fetch_and_report_batch_frames_are_refused_and_change_nothing() {
+    let telemetry = Telemetry::enabled();
+    let config = ServerConfig {
+        telemetry: telemetry.clone(),
+        ..Default::default()
+    };
+    let server = TcpHarmonyServer::bind_with("127.0.0.1:0", 64, config).expect("bind");
+    let mut call = raw_connection(server.local_addr());
+    let mut exchange = |req: &Request| call(serde_json::to_string(req).unwrap().as_bytes());
+    let report = |iteration| TrialReport {
+        iteration,
+        cost: 1.0,
+        wall_time: 1.0,
+    };
+    let retired = |iteration| {
+        [
+            Request::Fetch,
+            Request::ReportBatch {
+                reports: vec![report(iteration)],
+            },
+        ]
+    };
+    let refused = |reply: &Reply| {
+        matches!(reply, Reply::Error { message, retryable: false }
+            if message.starts_with("protocol error:") && message.contains("send Exchange"))
+    };
+    let registered = exchange(&Request::Register {
+        app: "retired".into(),
+        tenant: String::new(),
+    });
+    assert!(matches!(registered, Reply::Registered { .. }));
+    let declared = exchange(&Request::AddParam {
+        param: Param::int("x", 0, 1_000_000, 1),
+    });
+    assert!(matches!(declared, Reply::Ok), "{declared:?}");
+
+    // Before the seal: refused, and the declaration is untouched.
+    for req in retired(1) {
+        let reply = exchange(&req);
+        assert!(refused(&reply), "{req:?}: {reply:?}");
+    }
+    let sealed = exchange(&Request::Seal {
+        options: SessionOptions {
+            max_evaluations: 100,
+            ..Default::default()
+        },
+        strategy: StrategyKind::Random,
+    });
+    assert!(matches!(sealed, Reply::Ok), "{sealed:?}");
+    let fetch = Request::Exchange {
+        reports: vec![],
+        max: 2,
+    };
+    let Reply::Configs { trials, .. } = exchange(&fetch) else {
+        panic!("expected a batch");
+    };
+    let held: Vec<usize> = trials.iter().map(|t| t.iteration).collect();
+    assert_eq!(held, [1, 2]);
+
+    // After the seal: refused, no report is applied and no trial issued.
+    let fetched = telemetry.counter(Counter::TrialsFetched);
+    for req in retired(held[0]) {
+        let reply = exchange(&req);
+        assert!(refused(&reply), "{req:?}: {reply:?}");
+    }
+    assert_eq!(telemetry.counter(Counter::TrialsFetched), fetched);
+    let Reply::History { history, .. } = exchange(&Request::QueryHistory) else {
+        panic!("expected the history");
+    };
+    assert!(history.is_empty(), "a refused report was applied");
+    let Reply::Configs { trials, .. } = exchange(&fetch) else {
+        panic!("expected a batch");
+    };
+    let again: Vec<usize> = trials.iter().map(|t| t.iteration).collect();
+    assert_eq!(again, held, "the held trials are still the only ones out");
+
+    // The connection still tunes.
+    let reply = exchange(&Request::Exchange {
+        reports: held.iter().map(|&i| report(i)).collect(),
+        max: 1,
+    });
+    let Reply::Configs { trials, .. } = reply else {
+        panic!("expected a batch, got {reply:?}");
+    };
+    assert_eq!(trials[0].iteration, 3);
+    let Reply::History { history, .. } = exchange(&Request::QueryHistory) else {
+        panic!("expected the history");
+    };
+    assert_eq!(history.len(), 2);
     server.shutdown();
 }
 

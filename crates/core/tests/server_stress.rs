@@ -280,7 +280,8 @@ fn inproc_and_tcp_clients_mixed_on_one_shard_match_their_solo_runs() {
         .collect();
     assert_eq!(telemetry.dropped_spans(), 0);
     // Each of the 2·EACH clients measures about 60 trials. An in-process
-    // trial is two session visits (`Fetch`, `Report`): EACH · 120. A TCP
+    // trial is two session visits (an `Exchange` that fetches, one that
+    // reports): EACH · 120. A TCP
     // trial is one (an `Exchange` reports it and fetches the next):
     // EACH · 60.
     assert!(
@@ -429,12 +430,13 @@ fn frame(
 }
 
 /// The acceptance property of the batch protocol: one PRO round of K
-/// candidates crosses the wire as exactly one `FetchBatch` request frame
-/// (answered by one `Configs` frame carrying all K) and one `ReportBatch`
-/// request frame (answered by one `Ok`). Counting is structural — every
-/// `frame()` call is one line out, one line in.
+/// candidates crosses the wire as exactly one `Exchange` request frame
+/// that fetches it (answered by one `Configs` frame carrying all K) and one
+/// that reports it (answered by one `Configs` frame carrying the next
+/// round). Counting is structural — every `frame()` call is one line out,
+/// one line in.
 #[test]
-fn pro_round_is_one_fetchbatch_and_one_reportbatch() {
+fn pro_round_is_one_exchange_frame_each_way() {
     let server = TcpHarmonyServer::bind("127.0.0.1:0").expect("bind");
     let mut writer = TcpStream::connect(server.local_addr()).expect("connect");
     let mut reader = BufReader::new(writer.try_clone().expect("clone"));
@@ -464,13 +466,13 @@ fn pro_round_is_one_fetchbatch_and_one_reportbatch() {
     );
     assert_eq!(reply, serde_json::json!("Ok"), "{reply:?}");
 
-    // Frame 1: FetchBatch with room to spare returns the whole round — PRO
-    // proposes its entire simplex before needing any feedback, and the
+    // Frame 1: an `Exchange` with room to spare returns the whole round —
+    // PRO proposes its entire simplex before needing any feedback, and the
     // session will not run ahead into the next round.
     let reply = frame(
         &mut writer,
         &mut reader,
-        serde_json::json!({"FetchBatch": {"max": 64}}),
+        serde_json::json!({"Exchange": {"reports": [], "max": 64}}),
     );
     let round = reply["Configs"]["trials"]
         .as_array()
@@ -484,7 +486,7 @@ fn pro_round_is_one_fetchbatch_and_one_reportbatch() {
         .collect();
     assert_eq!(iterations.len(), k, "iteration tokens are distinct");
 
-    // Frame 2: one ReportBatch answers all K candidates.
+    // Frame 2: one `Exchange` answers all K candidates.
     let reports: Vec<serde_json::Value> = round
         .iter()
         .map(|t| {
@@ -502,19 +504,12 @@ fn pro_round_is_one_fetchbatch_and_one_reportbatch() {
             })
         })
         .collect();
+    // The round advanced: its reply serves fresh trials, none reusing a
+    // consumed iteration token.
     let reply = frame(
         &mut writer,
         &mut reader,
-        serde_json::json!({"ReportBatch": {"reports": reports}}),
-    );
-    assert_eq!(reply, serde_json::json!("Ok"), "{reply:?}");
-
-    // The round advanced: the next fetch serves fresh trials, none reusing
-    // a consumed iteration token.
-    let reply = frame(
-        &mut writer,
-        &mut reader,
-        serde_json::json!({"FetchBatch": {"max": 64}}),
+        serde_json::json!({"Exchange": {"reports": reports, "max": 64}}),
     );
     let next = reply["Configs"]["trials"]
         .as_array()

@@ -222,7 +222,7 @@ proptest! {
 
 #[test]
 fn pro_batches_are_transport_invariant() {
-    // PRO serves whole rounds through FetchBatch — the largest frames the
+    // PRO serves whole rounds through one `Exchange` — the largest frames the
     // protocol produces, a good workout for the incremental decoder and
     // the event loop's write buffering.
     let want = serial_history(StrategyKind::Pro, 4242);

@@ -2,7 +2,8 @@
 //!
 //! Drives C concurrent clients for I evaluations each against the
 //! in-process server (serial fetch/report vs batched
-//! `FetchBatch`/`ReportBatch`) and against the TCP transport, then reports
+//! `fetch_batch`/`report_batch`, each an `Exchange`) and against the TCP
+//! transport, then reports
 //! ops/sec and per-evaluation latency percentiles. The figures quantify the
 //! two server-side choices of this codebase's "tuning at scale" layer:
 //! every session is its own lock, so concurrent clients do not serialize

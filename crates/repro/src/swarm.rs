@@ -262,9 +262,9 @@ enum IndState {
 }
 
 /// Every client founds and tunes its own session: `Register` → declare →
-/// `Seal` → one `FetchBatch`, then `iters` evaluations through `Exchange`s,
-/// each reporting a batch and bringing back the next (none after the
-/// last).
+/// `Seal` → one `Exchange` that reports nothing, then `iters` evaluations
+/// through `Exchange`s, each reporting a batch and bringing back the next
+/// (none after the last).
 pub struct IndependentScript {
     app: String,
     tenant: String,
@@ -336,7 +336,8 @@ impl SwarmScript for IndependentScript {
             }
             (IndState::Sealing, Reply::Ok) => {
                 self.state = IndState::Fetching { t0: Instant::now() };
-                Some(Request::FetchBatch {
+                Some(Request::Exchange {
+                    reports: Vec::new(),
                     max: self.wanted(0),
                 })
             }
@@ -381,9 +382,8 @@ impl SwarmScript for IndependentScript {
     }
 }
 
-/// A worker in one shared session: `Attach` → `FetchBatch`, then an
-/// `Exchange` per batch (reporting it, fetching the next) until the session
-/// finishes. With a deterministic objective the shared trajectory
+/// A worker in one shared session: `Attach`, then an `Exchange` per batch
+/// (reporting the last one, fetching the next) until the session finishes. With a deterministic objective the shared trajectory
 /// is bit-identical however many of these run concurrently.
 pub struct SharedWorkerScript {
     session: u64,
@@ -422,35 +422,29 @@ impl SwarmScript for SharedWorkerScript {
     }
 
     fn next(&mut self, reply: Reply) -> Option<Request> {
-        match reply {
+        // An empty batch (the strategy waits on reports other members
+        // hold) reports nothing and asks again, as the first fetch does.
+        let trials = match reply {
             Reply::Registered { .. } => {
                 self.attached = true;
-                Some(Request::FetchBatch { max: self.batch })
+                Vec::new()
             }
-            Reply::Configs { trials, finished } => {
-                if finished {
-                    return None;
-                }
-                if trials.is_empty() {
-                    // Strategy is waiting on outstanding reports held by
-                    // other members; ask again.
-                    return Some(Request::FetchBatch { max: self.batch });
-                }
-                self.measured += trials.len();
-                let reports = trials
-                    .iter()
-                    .map(|t| TrialReport {
-                        iteration: t.iteration,
-                        cost: swarm_objective(&t.config),
-                        wall_time: 0.0,
-                    })
-                    .collect();
-                Some(Request::Exchange {
-                    reports,
-                    max: self.batch,
-                })
-            }
+            Reply::Configs { finished: true, .. } => return None,
+            Reply::Configs { trials, .. } => trials,
             other => panic!("swarm worker: unexpected reply {other:?}"),
-        }
+        };
+        self.measured += trials.len();
+        let reports = trials
+            .iter()
+            .map(|t| TrialReport {
+                iteration: t.iteration,
+                cost: swarm_objective(&t.config),
+                wall_time: 0.0,
+            })
+            .collect();
+        Some(Request::Exchange {
+            reports,
+            max: self.batch,
+        })
     }
 }

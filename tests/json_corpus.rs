@@ -228,21 +228,6 @@ fn corpus() -> Vec<Case> {
         ),
         entry("req.fetch", Request::Fetch),
         entry(
-            "req.report",
-            Request::Report {
-                cost: 55.06,
-                wall_time: 60.0,
-            },
-        ),
-        write_only(
-            "req.report.non-finite",
-            Request::Report {
-                cost: f64::NAN,
-                wall_time: f64::INFINITY,
-            },
-        ),
-        entry("req.fetch-batch", Request::FetchBatch { max: usize::MAX }),
-        entry(
             "req.report-batch",
             Request::ReportBatch {
                 reports: vec![
@@ -279,6 +264,28 @@ fn corpus() -> Vec<Case> {
             Request::Exchange {
                 reports: vec![],
                 max: usize::MAX,
+            },
+        ),
+        entry(
+            "req.exchange.serial",
+            Request::Exchange {
+                reports: vec![TrialReport {
+                    iteration: 7,
+                    cost: 55.06,
+                    wall_time: 60.0,
+                }],
+                max: 1,
+            },
+        ),
+        write_only(
+            "req.exchange.non-finite",
+            Request::Exchange {
+                reports: vec![TrialReport {
+                    iteration: 7,
+                    cost: f64::NAN,
+                    wall_time: f64::INFINITY,
+                }],
+                max: 1,
             },
         ),
         entry("req.query-best", Request::QueryBest),
@@ -917,9 +924,9 @@ fn integer_fields_are_range_checked_by_their_type() {
     assert!(ok(r#"{"Attach":{"session":18446744073709551615}}"#));
     assert!(!ok(r#"{"Attach":{"session":18446744073709551616}}"#));
     assert!(!ok(r#"{"Attach":{"session":-1}}"#));
-    assert!(!ok(r#"{"FetchBatch":{"max":-1}}"#));
-    assert!(ok(r#"{"FetchBatch":{"max":0}}"#));
-    assert!(ok(r#"{"FetchBatch":{"max":007}}"#));
+    assert!(!ok(r#"{"Exchange":{"reports":[],"max":-1}}"#));
+    assert!(ok(r#"{"Exchange":{"reports":[],"max":0}}"#));
+    assert!(ok(r#"{"Exchange":{"reports":[],"max":007}}"#));
     assert!(reencode::<StoreHeader>(r#"{"kind":"k","version":4294967295}"#).is_ok());
     assert!(reencode::<StoreHeader>(r#"{"kind":"k","version":4294967296}"#).is_err());
     assert!(reencode::<ParamValue>(r#"{"Int":-9223372036854775808}"#).is_ok());
@@ -957,7 +964,7 @@ fn enums_are_a_string_or_exactly_one_key() {
         Ok(r#""Pro""#)
     );
     // A variant with fields is never a bare string.
-    assert!(req(r#""FetchBatch""#).is_err());
+    assert!(req(r#""Exchange""#).is_err());
     assert!(req(r#""Nope""#).is_err());
     assert!(req(r#"{"Nope":null}"#).is_err());
     assert!(req("{}").is_err());
@@ -1043,10 +1050,13 @@ fn unicode_escapes_decode_as_they_always_have() {
     assert!(s("\"\\u004").is_err());
     assert!(s("\"\\").is_err());
     // Keys are strings like any other.
-    let key = format!("{{{}:{{\"max\":9}}}}", q(&["0046", "etchBatch"]));
+    let key = format!(
+        "{{{}:{{\"reports\":[],\"max\":9}}}}",
+        q(&["0045", "xchange"])
+    );
     assert_eq!(
         reencode::<Request>(&key).as_deref(),
-        Ok(r#"{"FetchBatch":{"max":9}}"#)
+        Ok(r#"{"Exchange":{"reports":[],"max":9}}"#)
     );
 }
 
