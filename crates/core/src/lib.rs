@@ -52,6 +52,7 @@ mod digest_index;
 mod durable_log;
 pub mod error;
 pub mod history;
+mod key;
 pub mod meta;
 pub mod objective;
 pub mod offline;
@@ -97,7 +98,7 @@ pub mod prelude {
     pub use crate::server::protocol::StrategyKind;
     pub use crate::server::{HarmonyClient, HarmonyServer, ServerConfig};
     pub use crate::session::{SearchSnapshot, SessionOptions, TuningResult, TuningSession};
-    pub use crate::space::{Configuration, SearchSpace};
+    pub use crate::space::{CacheKey, Configuration, SearchSpace};
     pub use crate::space_compile::{
         Band, CompileStats, CompiledSpace, FeasibleCount, PointCursor, SpaceCursor, ValidPoints,
     };

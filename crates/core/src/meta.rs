@@ -54,7 +54,7 @@
 
 use crate::offline::ShortRunApp;
 use crate::session::{SessionOptions, StopReason, TuningSession};
-use crate::space::{Configuration, SearchSpace};
+use crate::space::{CacheKey, Configuration, SearchSpace};
 use crate::store::{space_fingerprint, SharedStore, StoreRecord};
 use crate::strategy::{
     Annealing, AnnealingOptions, Genetic, GeneticOptions, NelderMead, NelderMeadOptions,
@@ -289,7 +289,7 @@ impl Default for MetaOptions {
 #[derive(Debug, Clone, Serialize)]
 pub struct MetaTrial {
     /// Cache key of the hyper-configuration in the hyper space.
-    pub hyper_key: Vec<i64>,
+    pub hyper_key: CacheKey,
     /// Mean evaluations-to-target across the seeded campaigns.
     pub score: f64,
     /// The score was replayed from the store (no inner campaigns ran).

@@ -180,12 +180,22 @@ impl Param {
             }
             Param::Real { min, max, .. } => ParamValue::Real(coord.clamp(*min, *max)),
             Param::Enum { choices, .. } => {
-                let idx = coord.round().clamp(0.0, (choices.len() - 1) as f64) as usize;
+                let idx = choice_index(choices, coord);
                 ParamValue::Enum {
                     index: idx,
                     label: choices[idx].clone(),
                 }
             }
+        }
+    }
+
+    /// The [cache key](ParamValue::cache_key) of
+    /// [`project(coord)`](Self::project), without the value: an enum's
+    /// choice index, not its label cloned.
+    pub(crate) fn project_key(&self, coord: f64) -> i64 {
+        match self {
+            Param::Enum { choices, .. } => choice_index(choices, coord) as i64,
+            Param::Int { .. } | Param::Real { .. } => self.project(coord).cache_key(),
         }
     }
 
@@ -249,6 +259,11 @@ impl Param {
                 .ok_or_else(|| mismatch(format!("one of {choices:?}"))),
         }
     }
+}
+
+/// The choice nearest `coord`, an enum's embedded coordinate.
+fn choice_index(choices: &[String], coord: f64) -> usize {
+    coord.round().clamp(0.0, (choices.len() - 1) as f64) as usize
 }
 
 #[cfg(test)]

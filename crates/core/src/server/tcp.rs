@@ -282,6 +282,10 @@ pub struct TcpHarmonyClient {
     /// (the dead connection's departure requeues them for the new client
     /// id) and `leave`.
     prefetched: Vec<FetchedTrial>,
+    /// The last `report_batch`'s exchange said the session has finished:
+    /// the next fetch learns it from here, with no round trip, and a
+    /// serial [`fetch`](Self::fetch) goes straight to `QueryBest`.
+    finished: bool,
     /// The `max` of the last [`fetch_batch`](Self::fetch_batch), which
     /// `report_batch`'s exchange asks for.
     batch: usize,
@@ -325,6 +329,7 @@ impl TcpHarmonyClient {
             session: 0,
             last_fetch: None,
             prefetched: Vec::new(),
+            finished: false,
             batch: 0,
         };
         let policy = client.opts.retry.clone();
@@ -362,6 +367,7 @@ impl TcpHarmonyClient {
             session,
             last_fetch: None,
             prefetched: Vec::new(),
+            finished: false,
             batch: 0,
         };
         let policy = client.opts.retry.clone();
@@ -408,6 +414,7 @@ impl TcpHarmonyClient {
         // The old connection's departure requeues the held trials; the new
         // client id fetches them, or another member claims them.
         self.prefetched.clear();
+        self.finished = false;
         let mut conn = Conn::open(self.addr, self.opts.io_timeout)?;
         match conn.call(&Request::Attach {
             session: self.session,
@@ -544,7 +551,8 @@ impl TcpHarmonyClient {
     /// back, with no round trip. An empty batch is retried with backoff
     /// while the strategy waits on another member's report, and once the
     /// session has finished it is one `QueryBest` for the best
-    /// configuration.
+    /// configuration (the only round trip, when the report's exchange
+    /// said so).
     pub fn fetch(&mut self) -> Result<(Configuration, bool)> {
         let trial = self.fetch_shaped(1, one_trial)?;
         self.last_fetch = trial.as_ref().map(|t| t.iteration);
@@ -578,8 +586,10 @@ impl TcpHarmonyClient {
     /// Fetch up to `max` configurations. Returns `(trials, finished)`.
     /// After a [`report_batch`](Self::report_batch) whose exchange brought
     /// back at least `max` trials, these are the first `max` of them, with
-    /// no round trip. Otherwise (the first fetch, a larger `max`, a short
-    /// or empty batch, after a reconnect) it is an `Exchange` that reports
+    /// no round trip; so is the empty, finished answer after one whose
+    /// exchange said the session has finished. Otherwise (the first fetch,
+    /// a larger `max`, a short or empty batch, after a reconnect) it is an
+    /// `Exchange` that reports
     /// nothing: one request frame out, one reply frame back, which serves
     /// this client's unreported trials first — the kept ones among them —
     /// then fresh ones.
@@ -596,9 +606,10 @@ impl TcpHarmonyClient {
     ) -> Result<T> {
         self.batch = max;
         let mut kept = std::mem::take(&mut self.prefetched);
-        if max > 0 && kept.len() >= max {
+        let finished = std::mem::take(&mut self.finished);
+        if max > 0 && (finished || kept.len() >= max) {
             kept.truncate(max);
-            return shape(kept, false);
+            return shape(kept, finished);
         }
         self.observed_exchange(
             SpanKind::Fetch,
@@ -617,13 +628,14 @@ impl TcpHarmonyClient {
     /// the server.
     pub fn report_batch(&mut self, reports: Vec<TrialReport>) -> Result<()> {
         self.prefetched.clear();
+        self.finished = false;
         let max = self.batch;
-        self.prefetched = self.observed_exchange(
+        (self.prefetched, self.finished) = self.observed_exchange(
             SpanKind::Report,
             Latency::ReportBatchRtt,
             reports,
             max,
-            |trials, _| Ok(trials),
+            |trials, finished| Ok((trials, finished)),
         )?;
         Ok(())
     }
@@ -660,6 +672,7 @@ impl TcpHarmonyClient {
     /// connection has not rejoined yet: then the session waits for it.)
     pub fn leave(&mut self) -> Result<()> {
         self.prefetched.clear();
+        self.finished = false;
         self.call_once(Request::Leave).map(|_| ())
     }
 
@@ -710,16 +723,16 @@ pub(super) mod tests {
         }
         // A serial client is as visible as a batching one: every round trip
         // is one sample and one closed span. Each report is an exchange that
-        // brings the next trial back, so only two fetches leave the client:
-        // the first, and the one that learns the session `finished`.
-        assert_eq!(telemetry.histogram(Latency::FetchBatchRtt).count, 2);
+        // brings the next trial back, or the news that the session has
+        // finished, so one fetch leaves the client: the first.
+        assert_eq!(telemetry.histogram(Latency::FetchBatchRtt).count, 1);
         assert_eq!(telemetry.histogram(Latency::ReportBatchRtt).count, reports);
         let fetch_spans = telemetry
             .spans()
             .iter()
             .filter(|s| s.kind == SpanKind::Fetch)
             .count();
-        assert_eq!(fetch_spans, 2);
+        assert_eq!(fetch_spans, 1);
         let (best, cost) = client.best().unwrap().unwrap();
         assert!(cost <= 4.0, "best {best} cost {cost}");
         assert!((best.int("x").unwrap() - 33).abs() <= 2);

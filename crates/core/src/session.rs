@@ -10,6 +10,11 @@
 //! cache: in off-line tuning one evaluation is one application run, so cache
 //! hits are free iterations.
 //!
+//! A proposal's key is its [`CacheKey`]: the lattice values as integers,
+//! held in place up to ten values (every space the benchmark tunes) and on
+//! the heap beyond, so keying a proposal, queueing it and probing the memo
+//! or the store with it takes no allocator call on those spaces.
+//!
 //! The cache is a flat memo. Keys sit back to back in one `Vec<i64>`, one
 //! stride (the space's dimension) each, with their costs in a parallel
 //! `Vec<f64>`. The crate's digest index (a map from a key's seeded 64-bit
@@ -29,7 +34,7 @@
 use crate::digest_index::DigestIndex;
 use crate::error::{HarmonyError, Result};
 use crate::history::{Evaluation, History};
-use crate::space::{Configuration, SearchSpace};
+use crate::space::{CacheKey, Configuration, SearchSpace};
 use crate::strategy::{SearchStrategy, StrategySnapshot};
 use crate::telemetry::{Counter, Telemetry, TrialStage};
 use rand::rngs::StdRng;
@@ -119,7 +124,7 @@ enum PendingKind {
 struct PendingTrial {
     coords: Vec<f64>,
     config: Configuration,
-    key: Vec<i64>,
+    key: CacheKey,
     iteration: usize,
     kind: PendingKind,
     /// `(cost, wall_time)` once reported; `Fresh` entries only.
@@ -374,7 +379,9 @@ impl TuningSession {
             self.pending.is_empty(),
             "suggest() called with a trial still outstanding; report() it first"
         );
-        self.suggest_batch(1).into_iter().next()
+        let mut trial = None;
+        self.propose_into(1, |_, _| None, |t| trial = Some(t));
+        trial
     }
 
     /// Ask for up to `max` configurations to measure in one round-trip.
@@ -407,19 +414,32 @@ impl TuningSession {
     /// tracking, strategy feedback and stop checks advance as for a
     /// measurement. Served proposals never become trials and do not count
     /// towards `max`; `None` hands the proposal out as a trial.
-    pub(crate) fn suggest_batch_with<M>(&mut self, max: usize, mut memo: M) -> Vec<Trial>
+    pub(crate) fn suggest_batch_with<M>(&mut self, max: usize, memo: M) -> Vec<Trial>
     where
         M: FnMut(usize, &[i64]) -> Option<f64>,
     {
         let mut out = Vec::new();
+        self.propose_into(max, memo, |t| out.push(t));
+        out
+    }
+
+    /// [`suggest_batch_with`](Self::suggest_batch_with), handing each trial
+    /// to `sink` (a serial [`suggest`](Self::suggest) builds no `Vec` for
+    /// its one trial).
+    fn propose_into<M, S>(&mut self, max: usize, mut memo: M, mut sink: S)
+    where
+        M: FnMut(usize, &[i64]) -> Option<f64>,
+        S: FnMut(Trial),
+    {
         if self.stopped.is_some() || max == 0 {
-            return out;
+            return;
         }
         if !self.initialized {
             self.strategy.init(&self.space, &mut self.rng);
             self.initialized = true;
         }
-        while out.len() < max && self.stopped.is_none() {
+        let mut handed = 0;
+        while handed < max && self.stopped.is_none() {
             if self.fresh_evals + self.pending_fresh >= self.opts.max_evaluations {
                 // Budget spent (counting trials already in flight). Only an
                 // idle session is *stopped*: outstanding reports may still
@@ -478,10 +498,13 @@ impl TuningSession {
                 Some(_) => self
                     .telemetry
                     .event(TrialStage::Replayed, iteration, 0, Some("store")),
-                None => out.push(Trial {
-                    config: config.clone(),
-                    iteration,
-                }),
+                None => {
+                    handed += 1;
+                    sink(Trial {
+                        config: config.clone(),
+                        iteration,
+                    });
+                }
             }
             self.pending.push_back(PendingTrial {
                 coords,
@@ -498,7 +521,6 @@ impl TuningSession {
                 self.flush_pending();
             }
         }
-        out
     }
 
     /// Report the measured cost of a trial, with the wall-clock time the
@@ -1416,7 +1438,7 @@ mod tests {
     fn a_preloaded_point_is_replayed_at_its_last_cost_whatever_the_digest() {
         let want = preloaded_campaign(Memo::new(2));
         let got = preloaded_campaign(colliding(2));
-        let rows = |r: &TuningResult| -> Vec<(Vec<i64>, u64, bool)> {
+        let rows = |r: &TuningResult| -> Vec<(CacheKey, u64, bool)> {
             let rows = r.history.evaluations().iter();
             rows.map(|e| (e.config.cache_key(), e.cost.to_bits(), e.cached))
                 .collect()
@@ -1428,7 +1450,8 @@ mod tests {
         let [replay] = replays.as_slice() else {
             panic!("{} replays", replays.len());
         };
-        assert_eq!((replay.config.cache_key(), replay.cost), (vec![4, 1], 7.0));
+        assert_eq!(replay.config.cache_key(), [4, 1][..]);
+        assert_eq!(replay.cost, 7.0);
     }
 
     #[test]
@@ -1448,5 +1471,53 @@ mod tests {
         }
         let h = s.history();
         assert_eq!(h.evaluations().last().unwrap().cumulative_time, 45.0);
+    }
+
+    /// A warm `Random` trial's `suggest` + `report` makes three allocator
+    /// calls: the strategy's coordinates, the projected configuration and
+    /// the trial's copy of it. Cache keys make none, and `suggest` hands
+    /// its one trial over without a `Vec`: the same loop counted six per
+    /// pair when a key was a `Vec<i64>` (the session's key, the loop's own
+    /// for its cost, and `suggest`'s `Vec`). A pair that grows the history
+    /// or the memo makes a few more, a handful of times over the run. The
+    /// space is the benchmark's serving space: four ints of a million
+    /// values each.
+    #[test]
+    fn a_warm_random_trial_makes_three_allocator_calls() {
+        const PER_PAIR: usize = 3;
+        let space = (0..4)
+            .fold(SearchSpace::builder(), |b, i| {
+                b.int(format!("p{i}"), 0, 999_999, 1)
+            })
+            .build()
+            .unwrap();
+        let mut s = TuningSession::new(
+            space,
+            Box::new(RandomSearch::new()),
+            SessionOptions {
+                max_evaluations: usize::MAX / 4,
+                seed: 11,
+                ..Default::default()
+            },
+        );
+        let mut pair = || {
+            let trial = s.suggest().expect("an unbounded session proposes");
+            let cost = trial.config.cache_key().iter().sum::<i64>() as f64;
+            s.report(trial, cost).unwrap();
+        };
+        for _ in 0..1_000 {
+            pair();
+        }
+        let calls: Vec<usize> = (0..2_000)
+            .map(|_| {
+                let before = crate::counting::calls();
+                pair();
+                crate::counting::calls() - before
+            })
+            .collect();
+        let growing: Vec<usize> = calls.iter().copied().filter(|&c| c > PER_PAIR).collect();
+        assert!(growing.len() <= 8, "{growing:?}");
+        let total: usize = calls.iter().sum();
+        assert!(total <= PER_PAIR * calls.len() + 32, "{total} calls");
     }
 }

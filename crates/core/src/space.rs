@@ -9,6 +9,7 @@
 
 use crate::constraint::Constraint;
 use crate::error::{HarmonyError, Result};
+use crate::key::INLINE;
 use crate::param::Param;
 use crate::space_compile::CompiledSpace;
 use crate::value::ParamValue;
@@ -17,6 +18,8 @@ use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
+
+pub use crate::key::CacheKey;
 
 /// Valid points [`SearchSpace::snap_feasible`] lets the compiled space hold
 /// before it stops looking for the nearest one (ample for the constrained
@@ -185,8 +188,15 @@ impl Configuration {
 
     /// A canonical hashable key identifying this lattice point, used for the
     /// evaluation cache (repeat visits of a projected point are free — no
-    /// application re-run is needed).
-    pub fn cache_key(&self) -> Vec<i64> {
+    /// application re-run is needed): one integer per value,
+    /// [`ParamValue::cache_key`], in declaration order.
+    ///
+    /// The key holds up to ten values in place, so taking the key of a
+    /// point of any space the benchmark tunes makes no allocator call; a
+    /// configuration of more parameters spills its key to one heap block.
+    /// It derefs to `[i64]` and compares, hashes and serializes as the
+    /// `Vec<i64>` of its values ([`CacheKey`]).
+    pub fn cache_key(&self) -> CacheKey {
         self.values.iter().map(ParamValue::cache_key).collect()
     }
 
@@ -318,6 +328,41 @@ impl SearchSpace {
         let mut repaired = coords.to_vec();
         self.repair(&mut repaired);
         self.lattice_point(&repaired)
+    }
+
+    /// The [cache key](Configuration::cache_key) of
+    /// [`project(coords)`](Self::project), without the configuration: each
+    /// dimension's `Param::project_key` on an unconstrained space, and
+    /// those of a repaired copy of `coords` on a constrained one. Up to the
+    /// key's inline capacity neither the copy nor the key takes a heap
+    /// block (a constraint's own repair may).
+    ///
+    /// What a strategy compares two candidates by — "do these land on one
+    /// lattice point?" — without building either point.
+    pub fn key_of(&self, coords: &[f64]) -> CacheKey {
+        debug_assert_eq!(coords.len(), self.dims());
+        if self.constraints.is_empty() {
+            return self.lattice_key(coords);
+        }
+        if coords.len() > INLINE {
+            let mut repaired = coords.to_vec();
+            self.repair(&mut repaired);
+            return self.lattice_key(&repaired);
+        }
+        let mut buf = [0.0; INLINE];
+        let repaired = &mut buf[..coords.len()];
+        repaired.copy_from_slice(coords);
+        self.repair(repaired);
+        self.lattice_key(repaired)
+    }
+
+    /// The key of [`lattice_point(coords)`](Self::lattice_point).
+    fn lattice_key(&self, coords: &[f64]) -> CacheKey {
+        self.params
+            .iter()
+            .zip(coords)
+            .map(|(p, &c)| p.project_key(c))
+            .collect()
     }
 
     /// The configuration at the lattice point nearest `coords`, dimension
@@ -848,7 +893,7 @@ mod tests {
 
     /// A configuration's values bit for bit: the cache key holds a real's
     /// IEEE-754 pattern, the debug form the variants and enum labels.
-    fn exactly(cfg: &Configuration) -> (Vec<i64>, String) {
+    fn exactly(cfg: &Configuration) -> (CacheKey, String) {
         (cfg.cache_key(), format!("{:?}", cfg.values()))
     }
 
@@ -885,22 +930,8 @@ mod tests {
         #[test]
         fn unconstrained_project_equals_repair_then_lattice(seed in 0u64..1_000_000) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut b = SearchSpace::builder();
-            for d in 0..rng.gen_range(1..=5) {
-                let name = format!("p{d}");
-                b = match rng.gen_range(0..3) {
-                    0 => {
-                        let min = rng.gen_range(-7..4i64);
-                        b.int(name, min, min + rng.gen_range(0..20i64), rng.gen_range(1..4))
-                    }
-                    1 => {
-                        let min = rng.gen_range(-3.0..1.0);
-                        b.real(name, min, min + rng.gen_range(0.0..5.0))
-                    }
-                    _ => b.enumeration(name, ["a", "b", "c", "d"][..rng.gen_range(1..=4)].to_vec()),
-                };
-            }
-            let s = b.build().unwrap();
+            let dims = rng.gen_range(1..=5);
+            let s = random_space(&mut rng, dims, false);
             for _ in 0..16 {
                 let coords: Vec<f64> = s.params().iter().map(|p| awkward_coord(p, &mut rng)).collect();
                 let mut repaired = coords.clone();
@@ -913,6 +944,87 @@ mod tests {
                 );
                 proptest::prop_assert!(Arc::ptr_eq(got.names_table(), s.names_table()));
             }
+        }
+    }
+
+    /// A random space of `dims` dimensions over ints (negative minima,
+    /// steps above one), reals and enums, and, when `constrained`, a chain
+    /// and a sum bound over some of its numeric dimensions.
+    fn random_space(rng: &mut StdRng, dims: usize, constrained: bool) -> SearchSpace {
+        let mut b = SearchSpace::builder();
+        let mut numeric = Vec::new();
+        for d in 0..dims {
+            let name = format!("p{d}");
+            b = match rng.gen_range(0..3) {
+                0 => {
+                    numeric.push(name.clone());
+                    let min = rng.gen_range(-7..4i64);
+                    b.int(
+                        name,
+                        min,
+                        min + rng.gen_range(0..20i64),
+                        rng.gen_range(1..4),
+                    )
+                }
+                1 => {
+                    numeric.push(name.clone());
+                    let min = rng.gen_range(-3.0..1.0);
+                    b.real(name, min, min + rng.gen_range(0.0..5.0))
+                }
+                _ => b.enumeration(name, ["a", "b", "c", "d"][..rng.gen_range(1..=4)].to_vec()),
+            };
+        }
+        if constrained && numeric.len() >= 2 {
+            let cut = rng.gen_range(2..=numeric.len());
+            b = b.constraint(MonotoneChain::new(numeric[..cut].to_vec()));
+            b = b.constraint(crate::constraint::SumBound::new(
+                numeric[cut - 2..].to_vec(),
+                -4.0,
+                rng.gen_range(0.0..30.0),
+            ));
+        }
+        b.build().unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `key_of` is the projected configuration's key, bit for bit, on
+        /// unconstrained and constrained spaces, narrower and wider than
+        /// the key's inline capacity, for the coordinates a clamp or a
+        /// rounding could treat differently.
+        #[test]
+        fn key_of_is_the_projected_configurations_key(seed in 0u64..1_000_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (dims, constrained) = (rng.gen_range(1..=INLINE + 3), rng.gen_bool(0.5));
+            let s = random_space(&mut rng, dims, constrained);
+            for _ in 0..16 {
+                let coords: Vec<f64> = s.params().iter().map(|p| awkward_coord(p, &mut rng)).collect();
+                let want = s.project(&coords).cache_key();
+                let got = s.key_of(&coords);
+                proptest::prop_assert!(got == want, "{:?}: {:?} vs {:?}", coords, got, want);
+            }
+        }
+    }
+
+    /// `cache_key()` and an unconstrained `key_of()` take no allocator
+    /// call up to the key's inline capacity, and one heap block each past
+    /// it.
+    #[test]
+    fn a_key_within_the_inline_capacity_takes_no_allocator_call() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for (dims, calls) in [(INLINE, 0), (INLINE + 1, 2)] {
+            let s = random_space(&mut rng, dims, false);
+            let coords: Vec<f64> = s
+                .params()
+                .iter()
+                .map(|p| awkward_coord(p, &mut rng))
+                .collect();
+            let cfg = s.project(&coords);
+            let before = crate::counting::calls();
+            let (key, projected) = (cfg.cache_key(), s.key_of(&coords));
+            assert_eq!(crate::counting::calls() - before, calls, "{dims} dims");
+            assert_eq!(key, projected);
         }
     }
 

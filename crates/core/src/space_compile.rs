@@ -118,7 +118,7 @@ use crate::constraint::ConstraintSpec;
 use crate::error::{HarmonyError, Result};
 use crate::lock;
 use crate::param::Param;
-use crate::space::{Configuration, SearchSpace};
+use crate::space::{CacheKey, Configuration, SearchSpace};
 use crate::telemetry::{Counter, Latency, Telemetry};
 use crate::value::ParamValue;
 use serde::{Deserialize, Serialize};
@@ -911,8 +911,9 @@ impl CompiledSpace {
     }
 
     /// [`Configuration::cache_key`] of the point at `indices`, without the
-    /// configuration.
-    pub(crate) fn cache_key(&self, indices: &[u64]) -> Vec<i64> {
+    /// configuration (and, up to the key's inline capacity, with no heap
+    /// block).
+    pub(crate) fn cache_key(&self, indices: &[u64]) -> CacheKey {
         self.dims
             .iter()
             .zip(indices)
@@ -955,7 +956,7 @@ impl CompiledSpace {
     /// says what the answer cost.
     fn snap_walk(&self, cur: &mut PointCursor, coords: &[f64], cap: u64) -> bool {
         debug_assert_eq!(coords.len(), self.dims.len());
-        if self.empty || self.valid_count(cur, cap).lower_bound() > cap {
+        if self.empty || self.valid_count(cur, cap, u64::MAX).lower_bound() > cap {
             return false;
         }
         let mut distance = Distance { cs: self, coords };
@@ -979,7 +980,7 @@ impl CompiledSpace {
         cap: u64,
         score: impl FnOnce() -> S,
     ) -> (Option<f64>, bool) {
-        let count = self.valid_count(cur, cap).lower_bound();
+        let count = self.valid_count(cur, cap, u64::MAX).lower_bound();
         if self.empty || cap == 0 {
             return (None, count >= cap);
         }
@@ -1046,13 +1047,28 @@ impl CompiledSpace {
 
     /// The number of valid points, as far as `cap` needs it: answered from
     /// the shared count when that settles `cap` (an exact count settles
-    /// every cap, a lower bound every cap below it); counted, on `cur`, and
-    /// remembered when not.
-    fn valid_count(&self, cur: &mut PointCursor, cap: u64) -> FeasibleCount {
+    /// every cap, a lower bound every cap below it); else counted on `cur`
+    /// within `node_budget` prefix checks, and remembered when exact or
+    /// above what the count knew. Every strategy on a space, and every
+    /// session over its clones, reads the one count.
+    pub(crate) fn valid_count(
+        &self,
+        cur: &mut PointCursor,
+        cap: u64,
+        node_budget: u64,
+    ) -> FeasibleCount {
         let mut learnt = lock(&self.learnt);
         match learnt.count {
             Some(c) if c.is_exact() || c.lower_bound() > cap => c,
-            _ => *learnt.count.insert(self.count_on(cur, cap, u64::MAX)),
+            known => {
+                let counted = self.count_on(cur, cap, node_budget);
+                if counted.is_exact()
+                    || known.is_none_or(|k| counted.lower_bound() > k.lower_bound())
+                {
+                    learnt.count = Some(counted);
+                }
+                counted
+            }
         }
     }
 
@@ -1542,6 +1558,41 @@ mod tests {
         let mut cloned = cs.clone().start();
         assert!(!cs.clone().snap_walk(&mut cloned, &target, cap));
         assert_eq!(cloned.checks, 0);
+    }
+
+    /// Exhaustive sessions over clones of one space count it once: the
+    /// first walks and leaves the exact count with the space, the second
+    /// reads it. A count planted in its place shows the second walked
+    /// nothing: it refuses the space, as the planted count says it must.
+    #[test]
+    fn exhaustive_sessions_over_clones_of_one_space_count_it_once() {
+        use crate::session::{SessionOptions, TuningSession};
+        use crate::strategy::Exhaustive;
+        let space = chain_space(); // 84 valid
+        let run = |space: SearchSpace| {
+            let options = SessionOptions {
+                max_evaluations: 1_000,
+                ..Default::default()
+            };
+            let mut session = TuningSession::new(space, Box::new(Exhaustive::default()), options);
+            while let Some(trial) = session.suggest() {
+                session.report(trial, 1.0).unwrap();
+            }
+            session.history().len()
+        };
+        let cs = space.compiled().unwrap();
+        assert_eq!(lock(&cs.learnt).count, None);
+        assert_eq!(run(space.clone()), 84);
+        assert_eq!(lock(&cs.learnt).count, Some(FeasibleCount::Exact(84)));
+        lock(&cs.learnt).count = Some(FeasibleCount::AtLeast(u64::MAX));
+        assert_eq!(run(space.clone()), 0);
+        // A space not counted yet is still counted under the node budget.
+        let fresh = chain_space();
+        let cs = fresh.compiled().unwrap();
+        let count = |cap, budget| cs.valid_count(&mut cs.start(), cap, budget);
+        assert!(!count(1_000, 3).is_exact());
+        assert_eq!(count(1_000, u64::MAX), FeasibleCount::Exact(84));
+        assert_eq!(count(10, 0), FeasibleCount::Exact(84));
     }
 
     #[test]

@@ -1740,6 +1740,7 @@ impl SharedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::space::CacheKey;
     use crate::strategy::StartPoint;
     use crate::value::ParamValue;
     use std::fs::OpenOptions;
@@ -2023,7 +2024,7 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(store.len(), 20);
-        let before: Vec<(Vec<i64>, u64)> = store
+        let before: Vec<(CacheKey, u64)> = store
             .live_records()
             .iter()
             .map(|r| (r.config.cache_key(), r.cost_bits))
@@ -2036,7 +2037,7 @@ mod tests {
         // Round-trip: reopen serves the identical live set.
         let store = PerfStore::open(&path).unwrap();
         assert_eq!(store.len(), 10);
-        let after: Vec<(Vec<i64>, u64)> = store
+        let after: Vec<(CacheKey, u64)> = store
             .live_records()
             .iter()
             .map(|r| (r.config.cache_key(), r.cost_bits))
@@ -2320,11 +2321,11 @@ mod tests {
     #[derive(Default)]
     struct Model {
         log: Vec<StoreRecord>,
-        served: HashMap<(String, u64, Vec<i64>), usize>,
+        served: HashMap<(String, u64, CacheKey), usize>,
     }
 
     impl Model {
-        fn key_of(r: &StoreRecord) -> (String, u64, Vec<i64>) {
+        fn key_of(r: &StoreRecord) -> (String, u64, CacheKey) {
             (r.app.clone(), r.fingerprint, r.config.cache_key())
         }
 
@@ -2462,7 +2463,7 @@ mod tests {
         // and one of neither, from every position a caller can hold: none,
         // each record (the next may be another app's, another
         // fingerprint's, a superseded duplicate), the last, past the end.
-        let mut keys: Vec<Vec<i64>> = (0..16u64)
+        let mut keys: Vec<CacheKey> = (0..16u64)
             .map(|bits| record_from(bits << 2).config.cache_key())
             .collect();
         keys.sort();

@@ -52,11 +52,13 @@ impl Exhaustive {
             return;
         };
         // Refuse unless the feasible count is provably within the limit.
-        // The node budget bounds the counting walk itself, so a hostile
-        // space (huge raw product, opaque constraints) answers quickly
-        // with `AtLeast` instead of hanging here.
+        // The count is the space's own, shared with every clone: a space
+        // already counted answers at once. Otherwise the node budget
+        // bounds the counting walk, so a hostile space (huge raw product,
+        // opaque constraints) answers quickly with `AtLeast` instead of
+        // hanging here.
         let budget = self.limit.saturating_mul(64).saturating_add(4096);
-        match cs.count_valid_bounded(self.limit, budget) {
+        match cs.valid_count(&mut cs.start(), self.limit, budget) {
             FeasibleCount::Exact(n) if n <= self.limit => {
                 self.cursor = Some(cs.start());
                 self.done = false;

@@ -14,7 +14,7 @@
 //! and the trajectory stays bit-identical to serial execution.
 
 use super::{GeneticSnapshot, SearchStrategy, StrategySnapshot};
-use crate::space::SearchSpace;
+use crate::space::{CacheKey, SearchSpace};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::HashSet;
@@ -77,9 +77,9 @@ pub struct Genetic {
     answered: usize,
     results: Vec<f64>,
     /// Every evaluated individual: `(lattice key, coords, cost)`.
-    archive: Vec<(Vec<i64>, Vec<f64>, f64)>,
+    archive: Vec<(CacheKey, Vec<f64>, f64)>,
     /// Lattice keys ever batched (dedup across generations).
-    seen: HashSet<Vec<i64>>,
+    seen: HashSet<CacheKey>,
     synergy: Vec<SynergyPair>,
     generation: usize,
     best: f64,
@@ -117,7 +117,7 @@ impl Genetic {
 
     /// The lattice point of `coords` ([`SearchSpace::snap`]) as its cache
     /// key and embedded coordinates; `None` when it violates a constraint.
-    fn snap(space: &SearchSpace, coords: &[f64]) -> Option<(Vec<i64>, Vec<f64>)> {
+    fn snap(space: &SearchSpace, coords: &[f64]) -> Option<(CacheKey, Vec<f64>)> {
         let cfg = space.snap(coords)?;
         Some((cfg.cache_key(), space.embed(&cfg).ok()?))
     }
@@ -175,7 +175,7 @@ impl Genetic {
         if self.archive.len() < 4 {
             return;
         }
-        let mut ranked: Vec<&(Vec<i64>, Vec<f64>, f64)> = self.archive.iter().collect();
+        let mut ranked: Vec<&(CacheKey, Vec<f64>, f64)> = self.archive.iter().collect();
         ranked.sort_by(|a, b| a.2.total_cmp(&b.2));
         let take = ((ranked.len() as f64 * self.opts.low_cost_frac).ceil() as usize).max(2);
         let low = &ranked[..take.min(ranked.len())];
@@ -399,6 +399,22 @@ mod tests {
         let best = drive(&mut s, &space, 120, synergy_surface);
         assert!(best < 30.0, "GA stuck at {best}");
         assert!(s.generation >= 3);
+    }
+
+    /// The dedup set holds inline keys: asking it about a key it holds
+    /// makes no allocator call.
+    #[test]
+    fn the_duplicate_check_makes_no_allocator_call() {
+        let space = space2d();
+        let mut s = Genetic::default();
+        drive(&mut s, &space, 100, synergy_surface);
+        let held: Vec<CacheKey> = s.seen.iter().cloned().collect();
+        assert!(held.len() >= 100);
+        let before = crate::counting::calls();
+        for key in held {
+            assert!(!s.seen.insert(key));
+        }
+        assert_eq!(crate::counting::calls() - before, 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! Cartesian product.
 
 use super::SearchStrategy;
-use crate::space::SearchSpace;
+use crate::space::{CacheKey, SearchSpace};
 use rand::rngs::StdRng;
 use std::collections::HashSet;
 
@@ -26,7 +26,7 @@ pub struct GridSearch {
     /// Mixed-radix counter over the levels.
     counter: Vec<usize>,
     /// Cache keys already proposed (constrained spaces only).
-    proposed: HashSet<Vec<i64>>,
+    proposed: HashSet<CacheKey>,
     done: bool,
     started: bool,
 }
@@ -230,6 +230,30 @@ mod tests {
         // The feasible half of the 10×10 grid (incl. the diagonal).
         assert_eq!(seen.len(), 55);
         assert!(g.converged());
+    }
+
+    /// The dedup set holds inline keys: checking a grid point already
+    /// proposed makes no allocator call.
+    #[test]
+    fn the_duplicate_check_makes_no_allocator_call() {
+        let s = SearchSpace::builder()
+            .int("b1", 0, 9, 1)
+            .int("b2", 0, 9, 1)
+            .constraint(crate::constraint::MonotoneChain::new(["b1", "b2"]))
+            .build()
+            .unwrap();
+        let mut g = GridSearch::new(100);
+        let mut rng = StdRng::seed_from_u64(0);
+        g.init(&s, &mut rng);
+        let proposed: Vec<_> = std::iter::from_fn(|| g.propose(&s, &mut rng))
+            .map(|p| s.snap(&p).expect("a proposal is valid"))
+            .collect();
+        assert_eq!(proposed.len(), 55);
+        let before = crate::counting::calls();
+        for cfg in &proposed {
+            assert!(!g.proposed.insert(cfg.cache_key()));
+        }
+        assert_eq!(crate::counting::calls() - before, 0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   discrete space offers no infinitesimal steps.
 
 use super::{cost_spread, SearchStrategy, SimplexSnapshot, StrategySnapshot};
-use crate::space::SearchSpace;
+use crate::space::{CacheKey, SearchSpace};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -171,7 +171,7 @@ impl NelderMead {
         // Distinct projected lattice points guarantee a usable simplex even
         // when constraint repair (e.g. the sorting of a monotone chain)
         // would fold axis-aligned offsets onto each other.
-        let mut keys: Vec<Vec<i64>> = pts.iter().map(|p| space.project(p).cache_key()).collect();
+        let mut keys: Vec<CacheKey> = pts.iter().map(|p| space.key_of(p)).collect();
         while pts.len() < k + 1 {
             let i = pts.len() - 1; // dimension perturbed first
             let mut candidate = None;
@@ -203,7 +203,7 @@ impl NelderMead {
                     space.jitter(&base, |range| (range * scale).max(1.0), rng)
                 };
                 space.repair(&mut p);
-                let key = space.project(&p).cache_key();
+                let key = space.key_of(&p);
                 if !keys.contains(&key) {
                     candidate = Some((p, key));
                     break;
@@ -218,7 +218,7 @@ impl NelderMead {
                     // Space too small for a nondegenerate simplex; accept a
                     // duplicate rather than loop forever.
                     pts.push(base.clone());
-                    keys.push(space.project(&base).cache_key());
+                    keys.push(space.key_of(&base));
                 }
             }
         }
@@ -269,10 +269,10 @@ impl NelderMead {
         if self.vertices.len() < 2 {
             return false;
         }
-        let first = space.project(&self.vertices[0].coords).cache_key();
+        let first = space.key_of(&self.vertices[0].coords);
         self.vertices[1..]
             .iter()
-            .all(|v| space.project(&v.coords).cache_key() == first)
+            .all(|v| space.key_of(&v.coords) == first)
     }
 
     fn restart_around_best(&mut self, space: &SearchSpace, rng: &mut StdRng) {

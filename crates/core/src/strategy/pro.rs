@@ -18,7 +18,7 @@
 use super::{cost_spread, SearchStrategy, SimplexSnapshot, StartPoint, StrategySnapshot};
 use crate::history::{Evaluation, History};
 use crate::session::TuningResult;
-use crate::space::SearchSpace;
+use crate::space::{CacheKey, SearchSpace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, HashSet};
@@ -157,12 +157,12 @@ impl ParallelRankOrder {
         } else {
             batch.push(base.clone());
         }
-        let mut keys: Vec<Vec<i64>> = batch
+        let mut keys: Vec<CacheKey> = batch
             .iter()
             .map(|p| {
                 let mut q = p.clone();
                 space.repair(&mut q);
-                space.project(&q).cache_key()
+                space.key_of(&q)
             })
             .collect();
         while batch.len() < n {
@@ -172,7 +172,7 @@ impl ParallelRankOrder {
                 let scale = self.opts.init_scale;
                 let mut p = space.jitter(&base, |range| (range * scale).max(1.0), rng);
                 space.repair(&mut p);
-                let key = space.project(&p).cache_key();
+                let key = space.key_of(&p);
                 if !keys.contains(&key) {
                     candidate = Some((p, key));
                     break;
@@ -321,13 +321,8 @@ impl ParallelRankOrder {
         // discrete adaptation demands). The same respread also breaks the
         // deterministic reflect→contract limit cycle that arises when no
         // contraction improves its vertex two rounds running.
-        let best_key = space
-            .project(&self.points[self.best_index()].coords)
-            .cache_key();
-        let collapsed = self
-            .batch
-            .iter()
-            .all(|p| space.project(p).cache_key() == best_key);
+        let best_key = space.key_of(&self.points[self.best_index()].coords);
+        let collapsed = self.batch.iter().all(|p| space.key_of(p) == best_key);
         if collapsed || self.stagnant >= 2 {
             self.stagnant = 0;
             self.respreads += 1;
@@ -439,7 +434,7 @@ where
     let mut rng = StdRng::seed_from_u64(seed);
     let mut pro = ParallelRankOrder::new(opts);
     pro.seed(space, &mut rng);
-    let mut cache: HashMap<Vec<i64>, f64> = HashMap::new();
+    let mut cache: HashMap<CacheKey, f64> = HashMap::new();
     let mut history = History::new();
     let mut iteration = 0;
 
@@ -569,7 +564,7 @@ mod tests {
             bowl(cfg)
         };
         let result = tune_parallel(&s, counted, ProOptions::default(), 40, 1);
-        let distinct: HashSet<Vec<i64>> = result
+        let distinct: HashSet<CacheKey> = result
             .history
             .evaluations()
             .iter()

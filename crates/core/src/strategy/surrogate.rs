@@ -38,7 +38,7 @@
 
 use super::{SearchStrategy, StrategySnapshot, SurrogateSnapshot};
 use crate::param::Param;
-use crate::space::SearchSpace;
+use crate::space::{CacheKey, SearchSpace};
 use crate::space_compile::{CompiledSpace, PointCursor, Separable};
 use crate::telemetry::{Counter, Latency, Telemetry};
 use rand::rngs::StdRng;
@@ -115,7 +115,7 @@ struct Model {
 /// best so far pays for its cache key and the `seen` lookup.
 struct Prediction<'a> {
     cs: &'a CompiledSpace,
-    seen: &'a HashSet<Vec<i64>>,
+    seen: &'a HashSet<CacheKey>,
     w0: f64,
     /// `[w_lin, w_quad]` per dimension.
     weights: Vec<[f64; 2]>,
@@ -131,7 +131,7 @@ struct Prediction<'a> {
 }
 
 impl<'a> Prediction<'a> {
-    fn new(model: &Model, cs: &'a CompiledSpace, seen: &'a HashSet<Vec<i64>>) -> Self {
+    fn new(model: &Model, cs: &'a CompiledSpace, seen: &'a HashSet<CacheKey>) -> Self {
         let dims = cs.dims();
         let w = &model.weights;
         let mut prediction = Prediction {
@@ -262,7 +262,7 @@ impl Separable for Prediction<'_> {
 }
 
 /// A scored candidate: `(prediction, cache key, coordinates)`.
-type Candidate = (f64, Vec<i64>, Vec<f64>);
+type Candidate = (f64, CacheKey, Vec<f64>);
 
 /// Which source produced the outstanding proposal.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -278,7 +278,7 @@ pub struct Surrogate {
     /// Measured `(coords, cost)` pairs the model trains on.
     samples: Vec<(Vec<f64>, f64)>,
     /// Cache keys of every configuration measured or proposed.
-    seen: HashSet<Vec<i64>>,
+    seen: HashSet<CacheKey>,
     model: Option<Model>,
     fitted_at: usize,
     last_source: Source,
@@ -491,7 +491,7 @@ impl Surrogate {
         space: &SearchSpace,
     ) -> (Option<Candidate>, u64) {
         let mut best: Option<Candidate> = None;
-        let mut consider = |key: Vec<i64>, coords: Vec<f64>| {
+        let mut consider = |key: CacheKey, coords: Vec<f64>| {
             if self.seen.contains(&key) {
                 return;
             }
@@ -512,7 +512,7 @@ impl Surrogate {
     }
 
     fn note_seen(&mut self, space: &SearchSpace, coords: &[f64]) {
-        self.seen.insert(space.project(coords).cache_key());
+        self.seen.insert(space.key_of(coords));
     }
 }
 
@@ -773,7 +773,7 @@ mod tests {
         ]
     }
 
-    fn bits(best: Option<Candidate>) -> Option<(u64, Vec<i64>, Vec<u64>)> {
+    fn bits(best: Option<Candidate>) -> Option<(u64, CacheKey, Vec<u64>)> {
         best.map(|(pred, key, coords)| {
             let coords = coords.iter().map(|c| c.to_bits()).collect();
             (pred.to_bits(), key, coords)

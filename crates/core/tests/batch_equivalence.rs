@@ -110,7 +110,7 @@ const APP: &str = "fold";
 
 /// `(iteration, configuration, cost bits)` per history row: what a store may
 /// not change (the `cached` flag and the charged wall time it may).
-type Rows = Vec<(usize, Vec<i64>, u64)>;
+type Rows = Vec<(usize, CacheKey, u64)>;
 
 fn rows(history: &History) -> Rows {
     history

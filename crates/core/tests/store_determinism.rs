@@ -70,7 +70,7 @@ fn store_server(store: &SharedStore) -> HarmonyServer {
 /// the best point. Deliberately *not* the serialized `History` — cached
 /// flags and cumulative time are supposed to differ between a measured and
 /// a served run; the search trajectory is not.
-type Trajectory = (Vec<(usize, u64)>, Vec<i64>, u64);
+type Trajectory = (Vec<(usize, u64)>, CacheKey, u64);
 
 fn trajectory(c: &HarmonyClient) -> Trajectory {
     let (h, finished) = c.history().unwrap();
@@ -632,7 +632,7 @@ const ROSTER: [(&str, Build); 9] = [
 ];
 
 /// `(iteration, cache key, cost bits)` of every history row.
-fn rows(outcome: &OfflineOutcome) -> Vec<(usize, Vec<i64>, u64)> {
+fn rows(outcome: &OfflineOutcome) -> Vec<(usize, CacheKey, u64)> {
     outcome
         .result
         .history

@@ -9,7 +9,7 @@
 //! deterministically, so replaying any merge order keeps a server's
 //! answers stable.
 
-use ah_core::space::SearchSpace;
+use ah_core::space::{CacheKey, SearchSpace};
 use ah_core::store::{PerfStore, StoreRecord};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -83,7 +83,7 @@ fn record(key: (i64, i64), cost: f64) -> StoreRecord {
 }
 
 /// The live mapping a store serves: cache key → first-recorded cost bits.
-fn live_map(store: &PerfStore) -> BTreeMap<Vec<i64>, u64> {
+fn live_map(store: &PerfStore) -> BTreeMap<CacheKey, u64> {
     store
         .live_records()
         .iter()

@@ -258,7 +258,7 @@ fn chained(cfg: &Configuration) -> bool {
 }
 
 /// `(iteration, configuration, cost bits, cached)` per evaluation.
-fn rows(h: &History) -> Vec<(usize, Vec<i64>, u64, bool)> {
+fn rows(h: &History) -> Vec<(usize, CacheKey, u64, bool)> {
     h.evaluations()
         .iter()
         .map(|e| {

@@ -18,7 +18,7 @@ use ah_core::param::Param;
 use ah_core::server::protocol::{StrategyKind, TrialReport};
 use ah_core::server::{HarmonyServer, ServerConfig};
 use ah_core::session::SessionOptions;
-use ah_core::space::Configuration;
+use ah_core::space::{CacheKey, Configuration};
 use ah_core::store::SharedStore;
 use ah_core::telemetry::{Counter, Telemetry};
 use std::path::{Path, PathBuf};
@@ -43,7 +43,7 @@ struct Campaign {
     measured: usize,
     store_hits: u64,
     evaluations: usize,
-    best_key: Vec<i64>,
+    best_key: CacheKey,
     best_cost: f64,
     trajectory: Vec<(usize, u64)>,
 }

@@ -104,7 +104,7 @@ fn abort_mid_campaign_then_reopen_serves_the_survivors() {
 
 /// Live `(cache_key, cost bits)` content of a store, for equality checks
 /// that ignore append order and torn tails.
-fn live_map(path: &Path) -> std::collections::BTreeMap<Vec<i64>, u64> {
+fn live_map(path: &Path) -> std::collections::BTreeMap<ah_core::space::CacheKey, u64> {
     let store = ah_core::store::PerfStore::open(path).expect("reopen store");
     store
         .live_records()
