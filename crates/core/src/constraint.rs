@@ -7,107 +7,21 @@
 //! in the continuous embedding so the search effectively moves in a feasible
 //! subspace. The canonical example in this paper is the PETSc matrix
 //! decomposition, where partition boundaries must form a non-decreasing chain.
+//!
+//! A constraint is data: one of two relations declared over parameter
+//! names, a [`MonotoneChain`] or a [`SumBound`]. Building the space
+//! resolves each declaration once, against that space's parameters, into
+//! one index form (`Resolved`): the member dimensions, a sum's bounds
+//! with its step-aware slack already computed, and whether a categorical
+//! member means the constraint can never hold. That form is all that is
+//! read afterwards — by the space's repair and validation, by the
+//! compiler's propagation and prefix checks ([`crate::space_compile`]) and
+//! by the store fingerprint's token — and nothing looks a name up again.
 
-use crate::error::Result;
+use crate::error::{HarmonyError, Result};
+use crate::key::INLINE;
 use crate::param::Param;
-use crate::space::{Configuration, SearchSpace};
-use std::fmt::Debug;
-
-/// Machine-readable description of a constraint, consumed by the
-/// search-space compiler ([`crate::space_compile`]).
-///
-/// A spec lets the compiler reason about the constraint *without evaluating
-/// it*: tighten per-dimension bounds, prune provably-dead subtrees during
-/// enumeration, and fold a canonical token into the space fingerprint. A
-/// constraint that cannot (or does not want to) describe itself returns
-/// [`ConstraintSpec::Opaque`]; the compiler then falls back to calling
-/// [`Constraint::is_satisfied`] on every fully-assigned lattice point, which
-/// is always correct, just slower.
-///
-/// Contract: the spec must accept *exactly* the configurations that
-/// [`Constraint::is_satisfied`] accepts (it is an alternative encoding of
-/// the same predicate, not an approximation). The equivalence is
-/// property-tested in `tests/space_compile_props.rs`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ConstraintSpec {
-    /// No machine-readable form; check full points via `is_satisfied`.
-    Opaque,
-    /// The named dimensions (by index into the space's parameter list, in
-    /// constraint order) must form a non-decreasing chain.
-    Chain(Vec<usize>),
-    /// The values of the dimensions must sum into `[min, max]` (any
-    /// acceptance slack already folded into the bounds).
-    Sum {
-        /// Participating dimensions, by index, in constraint order.
-        dims: Vec<usize>,
-        /// Lower acceptance bound (slack included).
-        min: f64,
-        /// Upper acceptance bound (slack included).
-        max: f64,
-    },
-    /// The constraint can never be satisfied on this space (e.g. a sum over
-    /// a categorical dimension, which `is_satisfied` always rejects).
-    Unsatisfiable,
-}
-
-impl ConstraintSpec {
-    /// Canonical token folded (order-insensitively) into
-    /// [`space_fingerprint`](crate::store::space_fingerprint).
-    /// `None` for [`Opaque`](Self::Opaque): opaque constraints stay outside
-    /// the fingerprint, exactly as all constraints were before the space
-    /// compiler existed.
-    pub(crate) fn fingerprint_token(&self) -> Option<String> {
-        match self {
-            ConstraintSpec::Opaque => None,
-            ConstraintSpec::Chain(dims) => {
-                let idx: Vec<String> = dims.iter().map(|d| d.to_string()).collect();
-                Some(format!("chain:{}", idx.join(",")))
-            }
-            ConstraintSpec::Sum { dims, min, max } => {
-                let idx: Vec<String> = dims.iter().map(|d| d.to_string()).collect();
-                Some(format!(
-                    "sum:{}:{:016x}:{:016x}",
-                    idx.join(","),
-                    min.to_bits(),
-                    max.to_bits()
-                ))
-            }
-            ConstraintSpec::Unsatisfiable => Some("unsat".to_string()),
-        }
-    }
-}
-
-/// A repairable relation between parameters of a [`SearchSpace`].
-pub trait Constraint: Send + Sync + Debug {
-    /// Mutate a continuous point so that it satisfies the constraint.
-    /// Called before lattice projection; must be idempotent.
-    fn repair(&self, space: &SearchSpace, coords: &mut [f64]);
-
-    /// Whether a projected configuration satisfies the constraint.
-    fn is_satisfied(&self, space: &SearchSpace, cfg: &Configuration) -> bool;
-
-    /// Validate that the constraint's parameter references exist in the
-    /// space. Called once at space construction.
-    fn check_space(&self, space: &SearchSpace) -> Result<()>;
-
-    /// Machine-readable description for the search-space compiler; must
-    /// accept exactly the configurations `is_satisfied` accepts. The
-    /// default is [`ConstraintSpec::Opaque`] (always correct).
-    fn spec(&self, _space: &SearchSpace) -> ConstraintSpec {
-        ConstraintSpec::Opaque
-    }
-}
-
-fn indices(space: &SearchSpace, names: &[String]) -> Result<Vec<usize>> {
-    names
-        .iter()
-        .map(|n| {
-            space
-                .index_of(n)
-                .ok_or_else(|| crate::error::HarmonyError::UnknownParam(n.clone()))
-        })
-        .collect()
-}
+use crate::value::ParamValue;
 
 /// Requires the named parameters to form a non-decreasing chain
 /// `p1 ≤ p2 ≤ … ≤ pk` (e.g. partition boundaries in a matrix decomposition).
@@ -130,55 +44,6 @@ impl MonotoneChain {
         MonotoneChain {
             names: names.into_iter().map(Into::into).collect(),
         }
-    }
-}
-
-impl Constraint for MonotoneChain {
-    fn repair(&self, space: &SearchSpace, coords: &mut [f64]) {
-        let idx = match indices(space, &self.names) {
-            Ok(i) => i,
-            Err(_) => return,
-        };
-        let mut vals: Vec<f64> = idx.iter().map(|&i| coords[i]).collect();
-        vals.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        for (&i, v) in idx.iter().zip(vals) {
-            coords[i] = v;
-        }
-    }
-
-    fn is_satisfied(&self, _space: &SearchSpace, cfg: &Configuration) -> bool {
-        let mut prev = f64::NEG_INFINITY;
-        for n in &self.names {
-            let v = match cfg.get(n) {
-                Some(v) => v.as_int().map(|i| i as f64).or(v.as_real()),
-                None => return false,
-            };
-            match v {
-                Some(v) if v >= prev => prev = v,
-                _ => return false,
-            }
-        }
-        true
-    }
-
-    fn check_space(&self, space: &SearchSpace) -> Result<()> {
-        indices(space, &self.names).map(|_| ())
-    }
-
-    fn spec(&self, space: &SearchSpace) -> ConstraintSpec {
-        let idx = match indices(space, &self.names) {
-            Ok(i) => i,
-            Err(_) => return ConstraintSpec::Opaque,
-        };
-        // `is_satisfied` reads members as int-or-real and rejects anything
-        // else, so a chain over a categorical dimension never holds.
-        if idx
-            .iter()
-            .any(|&i| matches!(space.params()[i], Param::Enum { .. }))
-        {
-            return ConstraintSpec::Unsatisfiable;
-        }
-        ConstraintSpec::Chain(idx)
     }
 }
 
@@ -217,104 +82,237 @@ impl SumBound {
     {
         Self::new(names, total, total)
     }
+}
 
-    /// Acceptance slack: how far lattice projection can move the sum of a
-    /// repaired (continuous, in-bounds) point.
-    ///
-    /// Each integer participant rounds to its nearest lattice point, i.e. by
-    /// up to `step/2` — or up to a full `step` when the dimension's `max` is
-    /// off-lattice and the snap-down kicks in. Real participants do not
-    /// round. The tiny constant absorbs `f64` accumulation error on
-    /// exact-sum constraints over real dimensions.
-    fn slack(&self, space: &SearchSpace) -> f64 {
-        let mut slack = 1e-9;
-        for n in &self.names {
-            let Some(i) = space.index_of(n) else { continue };
-            match &space.params()[i] {
-                Param::Int { min, max, step, .. } => {
-                    slack += if (max - min) % step == 0 {
-                        *step as f64 / 2.0
-                    } else {
-                        *step as f64
-                    };
-                }
-                Param::Real { .. } => {}
-                // Enums make the constraint unsatisfiable anyway.
-                Param::Enum { .. } => slack += 0.5,
-            }
-        }
-        slack
+/// A constraint as declared to
+/// [`SearchSpaceBuilder::constraint`](crate::space::SearchSpaceBuilder::constraint):
+/// one of the two relations, over parameter names.
+#[derive(Debug, Clone)]
+pub enum Declaration {
+    /// A [`MonotoneChain`].
+    Chain(MonotoneChain),
+    /// A [`SumBound`].
+    Sum(SumBound),
+}
+
+impl From<MonotoneChain> for Declaration {
+    fn from(chain: MonotoneChain) -> Self {
+        Declaration::Chain(chain)
     }
 }
 
-impl Constraint for SumBound {
-    fn repair(&self, space: &SearchSpace, coords: &mut [f64]) {
-        let idx = match indices(space, &self.names) {
-            Ok(i) => i,
-            Err(_) => return,
-        };
-        let sum: f64 = idx.iter().map(|&i| coords[i].max(0.0)).sum();
-        let target = if sum < self.min_sum {
-            self.min_sum
-        } else if sum > self.max_sum {
-            self.max_sum
-        } else {
-            return;
-        };
-        if sum <= f64::EPSILON {
-            // Degenerate all-zero point: distribute the target evenly.
-            let share = target / idx.len() as f64;
-            for &i in &idx {
-                coords[i] = share;
-            }
-            return;
-        }
-        let scale = target / sum;
-        for &i in &idx {
-            coords[i] = coords[i].max(0.0) * scale;
-        }
+impl From<SumBound> for Declaration {
+    fn from(sum: SumBound) -> Self {
+        Declaration::Sum(sum)
     }
+}
 
-    fn is_satisfied(&self, space: &SearchSpace, cfg: &Configuration) -> bool {
-        let mut sum = 0.0;
-        for n in &self.names {
-            match cfg.get(n).and_then(|v| v.as_int()) {
-                Some(v) => sum += v as f64,
-                None => match cfg.get(n).and_then(|v| v.as_real()) {
-                    Some(v) => sum += v,
-                    None => return false,
-                },
-            }
-        }
-        // Lattice rounding after repair perturbs the sum by up to the
-        // step-aware slack (a step-10 participant moves by up to ±5, not
-        // ±1); accept exactly that much.
-        let slack = self.slack(space);
-        sum >= self.min_sum - slack && sum <= self.max_sum + slack
-    }
-
-    fn check_space(&self, space: &SearchSpace) -> Result<()> {
-        indices(space, &self.names).map(|_| ())
-    }
-
-    fn spec(&self, space: &SearchSpace) -> ConstraintSpec {
-        let idx = match indices(space, &self.names) {
-            Ok(i) => i,
-            Err(_) => return ConstraintSpec::Opaque,
+impl Declaration {
+    /// This declaration over `params`' dimensions; refused with the first
+    /// name `params` does not declare.
+    ///
+    /// A sum's slack depends on its members' bounds, so a space whose
+    /// parameters differ from another's resolves its declarations afresh.
+    pub(crate) fn resolve(&self, params: &[Param]) -> Result<Resolved> {
+        let names = match self {
+            Declaration::Chain(c) => &c.names,
+            Declaration::Sum(s) => &s.names,
         };
-        // `is_satisfied` reads participants as int-or-real and rejects
-        // anything else: a sum over a categorical dimension never holds.
-        if idx
+        let members = names
             .iter()
-            .any(|&i| matches!(space.params()[i], Param::Enum { .. }))
-        {
-            return ConstraintSpec::Unsatisfiable;
+            .map(|n| {
+                params
+                    .iter()
+                    .position(|p| p.name() == n)
+                    .ok_or_else(|| HarmonyError::UnknownParam(n.clone()))
+            })
+            .collect::<Result<Vec<usize>>>()?;
+        let rule = match self {
+            Declaration::Chain(_) => Rule::Chain,
+            Declaration::Sum(s) => {
+                let slack = slack(params, &members);
+                Rule::Sum {
+                    min: s.min_sum,
+                    max: s.max_sum,
+                    lo: s.min_sum - slack,
+                    hi: s.max_sum + slack,
+                }
+            }
+        };
+        // A categorical member reads as neither int nor real, which no
+        // chain or sum accepts.
+        let never = members
+            .iter()
+            .any(|&m| matches!(params[m], Param::Enum { .. }));
+        Ok(Resolved {
+            members,
+            rule,
+            never,
+        })
+    }
+}
+
+/// A sum's acceptance slack: how far lattice projection can move the sum of
+/// a repaired (continuous, in-bounds) point.
+///
+/// Each integer member rounds to its nearest lattice point, i.e. by up to
+/// `step/2` — or up to a full `step` when the dimension's `max` is
+/// off-lattice and the snap-down kicks in. Real members do not round. The
+/// tiny constant absorbs `f64` accumulation error on exact-sum constraints
+/// over real dimensions.
+fn slack(params: &[Param], members: &[usize]) -> f64 {
+    let mut slack = 1e-9;
+    for &m in members {
+        match &params[m] {
+            Param::Int { min, max, step, .. } => {
+                slack += if (max - min) % step == 0 {
+                    *step as f64 / 2.0
+                } else {
+                    *step as f64
+                };
+            }
+            Param::Real { .. } => {}
+            // Enums make the constraint unsatisfiable anyway.
+            Param::Enum { .. } => slack += 0.5,
         }
-        let slack = self.slack(space);
-        ConstraintSpec::Sum {
-            dims: idx,
-            min: self.min_sum - slack,
-            max: self.max_sum + slack,
+    }
+    slack
+}
+
+/// The relation a [`Resolved`] constraint holds its members to.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Rule {
+    /// Non-decreasing in member order.
+    Chain,
+    /// Repair moves the sum into `[min, max]`, as declared; a lattice
+    /// point is accepted when its sum lies in `[lo, hi]`, the declared
+    /// bounds widened by the slack.
+    Sum {
+        min: f64,
+        max: f64,
+        lo: f64,
+        hi: f64,
+    },
+}
+
+/// A declaration resolved against one space's parameters: the one form
+/// repair, validation, the compiler and the fingerprint read.
+#[derive(Debug, Clone)]
+pub(crate) struct Resolved {
+    /// Member dimensions, by index, in declaration order.
+    pub(crate) members: Vec<usize>,
+    pub(crate) rule: Rule,
+    /// A member is categorical: no point satisfies the constraint.
+    pub(crate) never: bool,
+}
+
+impl Resolved {
+    /// The declaration this was resolved from, over the `names` of the
+    /// space it was resolved against.
+    pub(crate) fn declaration(&self, names: &[String]) -> Declaration {
+        let names = self.members.iter().map(|&m| names[m].clone());
+        match self.rule {
+            Rule::Chain => MonotoneChain::new(names).into(),
+            Rule::Sum { min, max, .. } => SumBound::new(names, min, max).into(),
+        }
+    }
+
+    /// Move a continuous point towards the constraint: a chain's members
+    /// sorted in place (on the stack up to [`INLINE`] members), a sum's
+    /// rescaled to the nearest declared bound. Idempotent.
+    pub(crate) fn repair(&self, coords: &mut [f64]) {
+        let members = &self.members;
+        match self.rule {
+            Rule::Chain => {
+                let (mut inline, mut spilled) = ([0.0; INLINE], Vec::new());
+                let vals = if members.len() <= INLINE {
+                    &mut inline[..members.len()]
+                } else {
+                    spilled.resize(members.len(), 0.0);
+                    &mut spilled[..]
+                };
+                for (v, &i) in vals.iter_mut().zip(members) {
+                    *v = coords[i];
+                }
+                vals.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+                for (&i, &v) in members.iter().zip(vals.iter()) {
+                    coords[i] = v;
+                }
+            }
+            Rule::Sum { min, max, .. } => {
+                let sum: f64 = members.iter().map(|&i| coords[i].max(0.0)).sum();
+                let target = if sum < min {
+                    min
+                } else if sum > max {
+                    max
+                } else {
+                    return;
+                };
+                if sum <= f64::EPSILON {
+                    // Degenerate all-zero point: distribute the target evenly.
+                    let share = target / members.len() as f64;
+                    for &i in members {
+                        coords[i] = share;
+                    }
+                    return;
+                }
+                let scale = target / sum;
+                for &i in members {
+                    coords[i] = coords[i].max(0.0) * scale;
+                }
+            }
+        }
+    }
+
+    /// Whether the values of a configuration of the space, read by
+    /// position, satisfy the constraint: every member an int or a real,
+    /// non-decreasing for a chain, summing into `[lo, hi]` for a sum.
+    pub(crate) fn holds(&self, values: &[ParamValue]) -> bool {
+        let number = |m: usize| {
+            let v = values.get(m)?;
+            v.as_int().map(|i| i as f64).or(v.as_real())
+        };
+        match self.rule {
+            Rule::Chain => {
+                let mut prev = f64::NEG_INFINITY;
+                for &m in &self.members {
+                    match number(m) {
+                        Some(v) if v >= prev => prev = v,
+                        _ => return false,
+                    }
+                }
+                true
+            }
+            Rule::Sum { lo, hi, .. } => {
+                let mut sum = 0.0;
+                for &m in &self.members {
+                    match number(m) {
+                        Some(v) => sum += v,
+                        None => return false,
+                    }
+                }
+                sum >= lo && sum <= hi
+            }
+        }
+    }
+
+    /// Canonical token folded (order-insensitively) into
+    /// [`space_fingerprint`](crate::store::space_fingerprint): `unsat`,
+    /// `chain:` and the member indices, or `sum:`, the indices and the
+    /// bit patterns of the accepted bounds.
+    pub(crate) fn fingerprint_token(&self) -> String {
+        if self.never {
+            return "unsat".to_string();
+        }
+        let idx: Vec<String> = self.members.iter().map(|d| d.to_string()).collect();
+        match self.rule {
+            Rule::Chain => format!("chain:{}", idx.join(",")),
+            Rule::Sum { lo, hi, .. } => format!(
+                "sum:{}:{:016x}:{:016x}",
+                idx.join(","),
+                lo.to_bits(),
+                hi.to_bits()
+            ),
         }
     }
 }
@@ -372,9 +370,19 @@ mod tests {
     fn unknown_name_fails_at_build() {
         let err = SearchSpace::builder()
             .int("a", 0, 1, 1)
-            .constraint(MonotoneChain::new(["a", "zz"]))
-            .build();
-        assert!(err.is_err());
+            .constraint(SumBound::new(["a"], 0.0, 1.0))
+            .constraint(MonotoneChain::new(["a", "zz", "yy"]))
+            .build()
+            .unwrap_err();
+        assert_eq!(err, HarmonyError::UnknownParam("zz".into()));
+        // The parameters are checked first.
+        let err = SearchSpace::builder()
+            .int("a", 0, 1, 1)
+            .int("a", 0, 1, 1)
+            .constraint(MonotoneChain::new(["zz"]))
+            .build()
+            .unwrap_err();
+        assert_eq!(err, HarmonyError::DuplicateParam("a".into()));
     }
 
     #[test]
@@ -443,26 +451,25 @@ mod tests {
     }
 
     #[test]
-    fn specs_describe_the_constraints() {
+    fn resolution_describes_the_constraints() {
         let s = chain_space();
-        assert_eq!(
-            s.constraints()[0].spec(&s),
-            ConstraintSpec::Chain(vec![0, 1, 2])
-        );
+        let c = &s.constraints()[0];
+        assert_eq!((&c.members[..], c.never), (&[0, 1, 2][..], false));
+        assert!(matches!(c.rule, Rule::Chain));
         let s = SearchSpace::builder()
             .int("r1", 0, 10, 1)
             .int("r2", 0, 10, 1)
-            .constraint(SumBound::new(["r1", "r2"], 3.0, 12.0))
+            .constraint(SumBound::new(["r2", "r1"], 3.0, 12.0))
             .build()
             .unwrap();
-        match s.constraints()[0].spec(&s) {
-            ConstraintSpec::Sum { dims, min, max } => {
-                assert_eq!(dims, vec![0, 1]);
-                assert!(min < 3.0 && min > 1.9, "slack-widened lower bound");
-                assert!(max > 12.0 && max < 13.1, "slack-widened upper bound");
-            }
-            other => panic!("expected a sum spec, got {other:?}"),
-        }
+        let c = &s.constraints()[0];
+        assert_eq!(c.members, [1, 0]);
+        let Rule::Sum { min, max, lo, hi } = c.rule else {
+            panic!("expected a sum, got {c:?}");
+        };
+        assert_eq!((min, max), (3.0, 12.0));
+        assert!(lo < 3.0 && lo > 1.9, "slack-widened lower bound");
+        assert!(hi > 12.0 && hi < 13.1, "slack-widened upper bound");
         // Constraints over categorical dimensions can never hold.
         let s = SearchSpace::builder()
             .enumeration("mode", ["a", "b"])
@@ -470,33 +477,60 @@ mod tests {
             .constraint(MonotoneChain::new(["mode", "n"]))
             .build()
             .unwrap();
-        assert_eq!(s.constraints()[0].spec(&s), ConstraintSpec::Unsatisfiable);
+        assert!(s.constraints()[0].never);
     }
 
     #[test]
     fn fingerprint_tokens_are_canonical() {
-        assert_eq!(
-            ConstraintSpec::Chain(vec![0, 2])
-                .fingerprint_token()
-                .unwrap(),
-            "chain:0,2"
-        );
-        assert_eq!(ConstraintSpec::Opaque.fingerprint_token(), None);
-        let a = ConstraintSpec::Sum {
-            dims: vec![1, 3],
-            min: 2.0,
-            max: 8.0,
+        let resolved = |decl: Declaration| {
+            let params: Vec<Param> = ["a", "b", "c", "d"]
+                .into_iter()
+                .map(|n| Param::int(n, 0, 9, 1))
+                .collect();
+            decl.resolve(&params).unwrap()
         };
-        assert_eq!(a.fingerprint_token(), a.clone().fingerprint_token());
-        assert_ne!(
-            a.fingerprint_token(),
-            ConstraintSpec::Sum {
-                dims: vec![1, 3],
-                min: 2.0,
-                max: 9.0,
-            }
-            .fingerprint_token()
+        let chain = resolved(MonotoneChain::new(["a", "c"]).into());
+        assert_eq!(chain.fingerprint_token(), "chain:0,2");
+        // Four step-1 members on their lattice: a slack of 1e-9 + 4 · 0.5.
+        let sum = resolved(SumBound::new(["b", "d", "a", "c"], 2.0, 8.0).into());
+        let slack: f64 = 1e-9 + 0.5 + 0.5 + 0.5 + 0.5;
+        assert_eq!(
+            sum.fingerprint_token(),
+            format!(
+                "sum:1,3,0,2:{:016x}:{:016x}",
+                (2.0 - slack).to_bits(),
+                (8.0 + slack).to_bits()
+            )
         );
+        let wider = resolved(SumBound::new(["b", "d", "a", "c"], 2.0, 9.0).into());
+        assert_ne!(sum.fingerprint_token(), wider.fingerprint_token());
+        let never = Declaration::from(MonotoneChain::new(["e", "a"]))
+            .resolve(&[Param::enumeration("e", ["x"]), Param::int("a", 0, 1, 1)])
+            .unwrap();
+        assert_eq!(never.fingerprint_token(), "unsat");
+    }
+
+    /// A chain sorts on the stack up to the key's inline capacity, and
+    /// on the heap past it, by the same comparator: NaN and equal values
+    /// keep their order.
+    #[test]
+    fn a_chain_sorts_its_members_in_place_past_the_inline_capacity_too() {
+        for len in [INLINE, INLINE + 3] {
+            let params: Vec<Param> = (0..len)
+                .map(|d| Param::real(format!("x{d}"), -1.0, 100.0))
+                .collect();
+            let names: Vec<String> = params.iter().rev().map(|p| p.name().to_string()).collect();
+            let chain = Declaration::from(MonotoneChain::new(names))
+                .resolve(&params)
+                .unwrap();
+            let mut coords: Vec<f64> = (0..len).map(|d| ((d * 7) % 5) as f64).collect();
+            coords[1] = f64::NAN;
+            let mut want: Vec<f64> = coords.iter().rev().copied().collect();
+            want.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            chain.repair(&mut coords);
+            let got: Vec<u64> = coords.iter().rev().map(|c| c.to_bits()).collect();
+            assert_eq!(got, want.iter().map(|c| c.to_bits()).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -82,7 +82,7 @@ fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Convenience re-exports of the types needed for typical tuning workflows.
 pub mod prelude {
-    pub use crate::constraint::{Constraint, ConstraintSpec, MonotoneChain, SumBound};
+    pub use crate::constraint::{MonotoneChain, SumBound};
     pub use crate::error::HarmonyError;
     pub use crate::history::{Evaluation, History};
     pub use crate::meta::{

@@ -1,13 +1,14 @@
 //! Search spaces and configurations.
 //!
 //! A [`SearchSpace`] is an ordered set of [`Param`] declarations plus optional
-//! [`Constraint`]s between dependent parameters (paper §II footnote 2, using
-//! the dependent-variable techniques of the authors' SC'04 work).
+//! constraints between dependent parameters ([`crate::constraint`]; paper
+//! §II footnote 2, using the dependent-variable techniques of the authors'
+//! SC'04 work).
 //! A [`Configuration`] is one valid point of the space — the thing handed to
 //! the application — and shares its parameter names with every other point
 //! of that space.
 
-use crate::constraint::Constraint;
+use crate::constraint::{Declaration, Resolved};
 use crate::error::{HarmonyError, Result};
 use crate::key::INLINE;
 use crate::param::Param;
@@ -210,11 +211,6 @@ impl Configuration {
             None => Err(HarmonyError::UnknownParam(name.to_string())),
         }
     }
-
-    /// Replace the value of the `index`-th parameter.
-    pub(crate) fn set_at(&mut self, index: usize, value: ParamValue) {
-        self.values[index] = value;
-    }
 }
 
 impl fmt::Display for Configuration {
@@ -235,7 +231,9 @@ impl fmt::Display for Configuration {
 #[derive(Clone)]
 pub struct SearchSpace {
     params: Vec<Param>,
-    constraints: Vec<Arc<dyn Constraint>>,
+    /// The declared constraints, each resolved against `params` once, in
+    /// `build()`; shared with every clone.
+    constraints: Arc<[Resolved]>,
     /// Parameter names in declaration order: the table every
     /// [`Configuration`] of this space (and of its clones) shares.
     names: Arc<[String]>,
@@ -280,8 +278,8 @@ impl SearchSpace {
         &self.params
     }
 
-    /// The attached constraints.
-    pub fn constraints(&self) -> &[Arc<dyn Constraint>] {
+    /// The constraints, resolved against this space's parameters.
+    pub(crate) fn constraints(&self) -> &Arc<[Resolved]> {
         &self.constraints
     }
 
@@ -334,8 +332,8 @@ impl SearchSpace {
     /// [`project(coords)`](Self::project), without the configuration: each
     /// dimension's `Param::project_key` on an unconstrained space, and
     /// those of a repaired copy of `coords` on a constrained one. Up to the
-    /// key's inline capacity neither the copy nor the key takes a heap
-    /// block (a constraint's own repair may).
+    /// key's inline capacity neither the copy, its repair nor the key takes
+    /// a heap block.
     ///
     /// What a strategy compares two candidates by — "do these land on one
     /// lattice point?" — without building either point.
@@ -434,17 +432,6 @@ impl SearchSpace {
             .as_deref()
     }
 
-    /// A copy of this space that will compile for itself. The compiled
-    /// form keeps one (an opaque constraint is checked against its space);
-    /// were that copy to share this space's cell, the cell would own a
-    /// reference to itself and no clone's drop would ever free it.
-    pub(crate) fn detached(&self) -> SearchSpace {
-        SearchSpace {
-            compiled: Arc::default(),
-            ..self.clone()
-        }
-    }
-
     /// `centre` with every coordinate moved by a uniform draw from
     /// `[-a, a]`, `a = amplitude(width of that dimension)`, and clamped
     /// back into the box: one draw per dimension, in declaration order.
@@ -467,8 +454,8 @@ impl SearchSpace {
 
     /// Apply every constraint's repair step to a continuous point, in order.
     pub fn repair(&self, coords: &mut [f64]) {
-        for c in &self.constraints {
-            c.repair(self, coords);
+        for c in self.constraints.iter() {
+            c.repair(coords);
         }
         // Keep coordinates inside the box after constraint repair.
         for (p, c) in self.params.iter().zip(coords.iter_mut()) {
@@ -476,10 +463,11 @@ impl SearchSpace {
         }
     }
 
-    /// True if a configuration satisfies all constraints (box bounds are
-    /// guaranteed by construction).
+    /// True if a configuration of this space satisfies all constraints
+    /// (box bounds are guaranteed by construction). Values are read by
+    /// position, in declaration order.
     pub fn is_valid(&self, cfg: &Configuration) -> bool {
-        self.constraints.iter().all(|c| c.is_satisfied(self, cfg))
+        self.constraints.iter().all(|c| c.holds(cfg.values()))
     }
 
     /// Embed a configuration back into continuous coordinates.
@@ -575,7 +563,7 @@ impl SearchSpace {
 #[derive(Clone, Default)]
 pub struct SearchSpaceBuilder {
     params: Vec<Param>,
-    constraints: Vec<Arc<dyn Constraint>>,
+    constraints: Vec<Declaration>,
 }
 
 impl SearchSpaceBuilder {
@@ -607,21 +595,17 @@ impl SearchSpaceBuilder {
         self
     }
 
-    /// Attach a dependent-variable constraint.
-    pub fn constraint(self, c: impl Constraint + 'static) -> Self {
-        self.shared_constraint(Arc::new(c))
-    }
-
-    /// Attach a constraint another space already holds (see
-    /// [`SearchSpace::constraints`]), as it is: a space derived from
-    /// another keeps its constraints' specs, and so its fingerprint and
-    /// its compiled propagation.
-    pub(crate) fn shared_constraint(mut self, c: Arc<dyn Constraint>) -> Self {
-        self.constraints.push(c);
+    /// Attach a dependent-variable constraint: a
+    /// [`MonotoneChain`](crate::constraint::MonotoneChain) or a
+    /// [`SumBound`](crate::constraint::SumBound).
+    pub fn constraint(mut self, c: impl Into<Declaration>) -> Self {
+        self.constraints.push(c.into());
         self
     }
 
-    /// Finalise, validating every parameter and name uniqueness.
+    /// Finalise, validating every parameter and name uniqueness, then
+    /// resolving every constraint against the parameters (an unknown name
+    /// is refused).
     pub fn build(self) -> Result<SearchSpace> {
         if self.params.is_empty() {
             return Err(HarmonyError::EmptySpace);
@@ -632,16 +616,17 @@ impl SearchSpaceBuilder {
                 return Err(HarmonyError::DuplicateParam(p.name().to_string()));
             }
         }
-        let space = SearchSpace {
+        let constraints = self
+            .constraints
+            .iter()
+            .map(|c| c.resolve(&self.params))
+            .collect::<Result<_>>()?;
+        Ok(SearchSpace {
             names: self.params.iter().map(|p| p.name().to_string()).collect(),
             params: self.params,
-            constraints: self.constraints,
+            constraints,
             compiled: Arc::default(),
-        };
-        for c in &space.constraints {
-            c.check_space(&space)?;
-        }
-        Ok(space)
+        })
     }
 }
 
@@ -1007,14 +992,20 @@ mod tests {
         }
     }
 
-    /// `cache_key()` and an unconstrained `key_of()` take no allocator
-    /// call up to the key's inline capacity, and one heap block each past
-    /// it.
+    /// `cache_key()` and `key_of()` take no allocator call up to the key's
+    /// inline capacity, and one heap block each past it; on a constrained
+    /// space (a chain and a sum) too, whose `key_of` repairs a copy of the
+    /// point, and whose `repair` takes none.
     #[test]
     fn a_key_within_the_inline_capacity_takes_no_allocator_call() {
         let mut rng = StdRng::seed_from_u64(5);
-        for (dims, calls) in [(INLINE, 0), (INLINE + 1, 2)] {
-            let s = random_space(&mut rng, dims, false);
+        for (dims, constrained, calls) in [
+            (INLINE, false, 0),
+            (INLINE + 1, false, 2),
+            (INLINE, true, 0),
+        ] {
+            let s = random_space(&mut rng, dims, constrained);
+            assert_eq!(s.constraints().len(), if constrained { 2 } else { 0 });
             let coords: Vec<f64> = s
                 .params()
                 .iter()
@@ -1025,6 +1016,10 @@ mod tests {
             let (key, projected) = (cfg.cache_key(), s.key_of(&coords));
             assert_eq!(crate::counting::calls() - before, calls, "{dims} dims");
             assert_eq!(key, projected);
+            let mut repaired = coords.clone();
+            let before = crate::counting::calls();
+            s.repair(&mut repaired);
+            assert_eq!(crate::counting::calls() - before, 0, "{dims} dims");
         }
     }
 

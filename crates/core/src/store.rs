@@ -373,29 +373,25 @@ pub struct CompactionStats {
 }
 
 /// Stable 64-bit fingerprint of a search space's parameter declarations
-/// and (describable) constraints.
+/// and constraints.
 ///
 /// FNV-1a over the serde_json encoding of the parameter list — hand-rolled
-/// and version-stable, unlike `DefaultHasher`. Constraints that expose a
-/// canonical `fingerprint_token`
-/// are folded in *order-insensitively* (each token hashed independently,
-/// combined with a commutative wrapping sum), so two spaces that differ
-/// only in constraint ordering fingerprint identically. Spaces with no
-/// describable constraints — including every unconstrained space — hash
-/// exactly as before this scheme existed, so records written by older
-/// stores still hit.
+/// and version-stable, unlike `DefaultHasher`. Each constraint's canonical
+/// token (its resolved member indices and bounds) is folded in
+/// *order-insensitively* (each token hashed independently, combined with a
+/// commutative wrapping sum), so two spaces that differ only in constraint
+/// ordering fingerprint identically. An unconstrained space hashes exactly
+/// as before this scheme existed, so records written by older stores still
+/// hit.
 pub fn space_fingerprint(space: &SearchSpace) -> u64 {
     let blob = serde_json::to_string(&space.params()).expect("params serialize");
     let mut h = fnv1a(blob.as_bytes());
-    let mut acc: u64 = 0;
-    let mut count: u64 = 0;
-    for c in space.constraints() {
-        if let Some(token) = c.spec(space).fingerprint_token() {
-            acc = acc.wrapping_add(fnv1a(token.as_bytes()));
-            count += 1;
-        }
-    }
-    if count > 0 {
+    let constraints = space.constraints();
+    if !constraints.is_empty() {
+        let acc = constraints.iter().fold(0u64, |acc, c| {
+            acc.wrapping_add(fnv1a(c.fingerprint_token().as_bytes()))
+        });
+        let count = constraints.len() as u64;
         h ^= fnv1a(&acc.to_le_bytes()) ^ fnv1a(&count.to_le_bytes());
     }
     h

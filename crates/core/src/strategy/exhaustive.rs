@@ -55,8 +55,8 @@ impl Exhaustive {
         // The count is the space's own, shared with every clone: a space
         // already counted answers at once. Otherwise the node budget
         // bounds the counting walk, so a hostile space (huge raw product,
-        // opaque constraints) answers quickly with `AtLeast` instead of
-        // hanging here.
+        // constraints on its deepest dimensions) answers quickly with
+        // `AtLeast` instead of hanging here.
         let budget = self.limit.saturating_mul(64).saturating_add(4096);
         match cs.valid_count(&mut cs.start(), self.limit, budget) {
             FeasibleCount::Exact(n) if n <= self.limit => {

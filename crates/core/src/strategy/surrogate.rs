@@ -115,6 +115,8 @@ struct Model {
 /// best so far pays for its cache key and the `seen` lookup.
 struct Prediction<'a> {
     cs: &'a CompiledSpace,
+    /// The compiled space's parameters, which normalize a coordinate.
+    params: &'a [Param],
     seen: &'a HashSet<CacheKey>,
     w0: f64,
     /// `[w_lin, w_quad]` per dimension.
@@ -131,11 +133,17 @@ struct Prediction<'a> {
 }
 
 impl<'a> Prediction<'a> {
-    fn new(model: &Model, cs: &'a CompiledSpace, seen: &'a HashSet<CacheKey>) -> Self {
+    fn new(
+        model: &Model,
+        cs: &'a CompiledSpace,
+        params: &'a [Param],
+        seen: &'a HashSet<CacheKey>,
+    ) -> Self {
         let dims = cs.dims();
         let w = &model.weights;
         let mut prediction = Prediction {
             cs,
+            params,
             seen,
             w0: w[0],
             weights: (0..dims).map(|d| [w[1 + d], w[1 + dims + d]]).collect(),
@@ -190,7 +198,7 @@ impl<'a> Prediction<'a> {
     }
 
     fn normalized(&self, d: usize, index: u64) -> f64 {
-        Surrogate::normalized(&self.cs.space().params()[d], self.cs.coord(d, index))
+        Surrogate::normalized(&self.params[d], self.cs.coord(d, index))
     }
 
     /// The smallest term of dimension `d` over its compiled index range, in
@@ -432,7 +440,7 @@ impl Surrogate {
         let model = self.model.as_ref()?;
         let cs = space.compiled()?;
         let start = Instant::now();
-        let (mut best, capped) = self.best_enumerated(model, cs, &mut cs.start());
+        let (mut best, capped) = self.best_enumerated(model, space, cs, &mut cs.start());
         if capped {
             // Space larger than the walk: supplement with random lattice
             // candidates so the argmin isn't confined to one corner.
@@ -464,15 +472,17 @@ impl Surrogate {
     /// Of the first `candidate_cap` compiled points, in enumeration order,
     /// the best one not yet measured (the earlier of equals); and whether
     /// the space holds at least that many. One bounded walk of the compiled
-    /// space on `cur`, with the model as its score ([`Prediction`]).
+    /// space on `cur`, with the model as its score ([`Prediction`]); `cs`
+    /// is `space` compiled.
     fn best_enumerated(
         &self,
         model: &Model,
+        space: &SearchSpace,
         cs: &CompiledSpace,
         cur: &mut PointCursor,
     ) -> (Option<Candidate>, bool) {
         let (pred, capped) = cs.argmin_of_first(cur, self.opts.candidate_cap, || {
-            Prediction::new(model, cs, &self.seen)
+            Prediction::new(model, cs, space.params(), &self.seen)
         });
         let best = pred.map(|pred| (pred, cs.cache_key(cur.indices()), cs.coords(cur.indices())));
         (best, capped)
@@ -784,14 +794,20 @@ mod tests {
     /// oracle under one model and cap, while `seen` grows to cover the
     /// model's best points one by one: the same prediction bits, key and
     /// coordinate bits, and the same "capped" decision.
-    fn assert_walk_equals_oracle(what: &str, cs: &CompiledSpace, model: &Model, cap: u64) {
+    fn assert_walk_equals_oracle(
+        what: &str,
+        space: &SearchSpace,
+        cs: &CompiledSpace,
+        model: &Model,
+        cap: u64,
+    ) {
         let mut s = Surrogate::new(SurrogateOptions {
             candidate_cap: cap,
             ..Default::default()
         });
         for taken in 0..5 {
-            let (got, capped) = s.best_enumerated(model, cs, &mut cs.start());
-            let (want, scanned) = s.scan_by_configuration(model, cs, cs.space());
+            let (got, capped) = s.best_enumerated(model, space, cs, &mut cs.start());
+            let (want, scanned) = s.scan_by_configuration(model, cs, space);
             assert_eq!(
                 (bits(got.clone()), capped),
                 (bits(want), scanned == cap),
@@ -827,34 +843,18 @@ mod tests {
                         weights,
                         rel_error: 0.0,
                     };
-                    assert_walk_equals_oracle(&format!("{name}, model {round}"), &cs, &model, cap);
+                    let what = format!("{name}, model {round}");
+                    assert_walk_equals_oracle(&what, &space, &cs, &model, cap);
                 }
             }
         }
     }
 
-    /// Even sum of the integer values: a constraint with no spec, checked
-    /// on full points only.
-    #[derive(Debug)]
-    struct EvenSum;
-
-    impl crate::constraint::Constraint for EvenSum {
-        fn repair(&self, _space: &SearchSpace, _coords: &mut [f64]) {}
-        fn is_satisfied(&self, _space: &SearchSpace, cfg: &crate::space::Configuration) -> bool {
-            let sum: i64 = cfg.values().iter().filter_map(|v| v.as_int()).sum();
-            sum % 2 == 0
-        }
-        fn check_space(&self, _space: &SearchSpace) -> crate::error::Result<()> {
-            Ok(())
-        }
-    }
-
     /// A random space for the walk's oracle: two to four dimensions —
     /// stepped ints, an enum, a one-value int — under up to two of a chain,
-    /// a sum bound, a sum that pins one dimension and an opaque
-    /// constraint; one in five also ends in a dimension of 10⁹ indices,
-    /// whose range minimum only the closed form can afford. Returns the
-    /// space and whether it has that dimension.
+    /// a sum bound and a sum that pins one dimension; one in five also ends
+    /// in a dimension of 10⁹ indices, whose range minimum only the closed
+    /// form can afford. Returns the space and whether it has that dimension.
     fn random_space(rng: &mut StdRng) -> (SearchSpace, bool) {
         use crate::constraint::{MonotoneChain, SumBound};
         use rand::Rng;
@@ -902,7 +902,7 @@ mod tests {
                     let at = min + step * rng.gen_range(0..*values);
                     b.constraint(SumBound::exact([name.as_str()], at as f64))
                 }
-                _ => b.constraint(EvenSum),
+                _ => b,
             };
         }
         (b.build().expect("generated spaces are well-formed"), wide)
@@ -959,7 +959,8 @@ mod tests {
             for round in 0..3 {
                 let model = random_model(&mut rng, space.dims());
                 for &cap in &caps {
-                    assert_walk_equals_oracle(&format!("seed {seed}, model {round}"), &cs, &model, cap);
+                    let what = format!("seed {seed}, model {round}");
+                    assert_walk_equals_oracle(&what, &space, &cs, &model, cap);
                 }
             }
         }
@@ -989,7 +990,7 @@ mod tests {
         let mut enumeration = cs.start();
         while cs.next_point(&mut enumeration) {}
         let mut walk = cs.start();
-        let (best, capped) = s.best_enumerated(model, cs, &mut walk);
+        let (best, capped) = s.best_enumerated(model, &space, cs, &mut walk);
         assert!(best.is_some() && !capped);
         assert!(
             walk.checks() * 10 < enumeration.checks(),
@@ -1030,7 +1031,7 @@ mod tests {
                 weights: vec![0.0, 0.0, lin, 0.0, quad],
                 rel_error: 0.0,
             };
-            let p = Prediction::new(&model, &cs, &seen);
+            let p = Prediction::new(&model, &cs, space.params(), &seen);
             assert_eq!(
                 p.range_min(1).to_bits(),
                 brute(&p).to_bits(),

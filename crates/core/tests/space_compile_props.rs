@@ -2,46 +2,91 @@
 //!
 //! The compiler's contract is *exact* equivalence with the naive approach:
 //! enumerate the whole raw lattice product in mixed-radix order and filter
-//! by `SearchSpace::is_valid`. On randomly generated small constrained
-//! spaces (chains, sum bounds, opaque constraints, in any mix) the
-//! compiled stream must produce the same configurations in the same order,
-//! bit-identically — pruning may only ever skip *invalid* points. The
-//! nearest-feasible snap is held to the same standard: whatever it prunes,
-//! it returns what a first-wins scan of that stream returns. The
-//! store fingerprint has its own contract: insensitive to constraint
-//! ordering, byte-stable against the historical params-only scheme for
-//! spaces without describable constraints.
+//! by the declared constraints. On randomly generated small constrained
+//! spaces (chains and sum bounds, in any mix) the compiled stream must
+//! produce the same configurations in the same order, bit-identically —
+//! pruning may only ever skip *invalid* points. The filter reads each
+//! declaration here, by parameter name, as the space read it before its
+//! constraints were resolved to indices: `is_valid` and the compiler read
+//! one resolved form, and an oracle reading it too would compare that form
+//! with itself. The nearest-feasible snap is held to the same standard:
+//! whatever it prunes, it returns what a first-wins scan of that stream
+//! returns. The store fingerprint has its own contract: insensitive to
+//! constraint ordering, byte-stable against the historical params-only
+//! scheme for unconstrained spaces.
 //!
 //! The space's own lattice operations, which every strategy calls instead
 //! of carrying a copy, are held to a brute-force reading of their docs:
 //! `snap` is the per-dimension projection exactly when that is valid,
 //! `snap_feasible` lands on a valid point no other valid point is strictly
 //! nearer than (clamp-only repair when nothing constrains the space), and
-//! `compiled` is one object per space, freed with its last clone.
+//! `compiled` is one object per space, shared by its clones.
 
-use ah_core::constraint::{Constraint, MonotoneChain, SumBound};
+use ah_core::constraint::{MonotoneChain, SumBound};
 use ah_core::param::Param;
 use ah_core::prelude::*;
 use ah_core::space_compile::{CompiledSpace, FeasibleCount, SpaceCursor};
 use ah_core::store::space_fingerprint;
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
-/// Sum of the integer parameters must be even — deliberately opaque (no
-/// `ConstraintSpec`), forcing the compiler onto its full-point fallback.
-#[derive(Debug)]
-struct EvenIntSum;
+/// A constraint as `random_case` declared it, over parameter names.
+enum Decl {
+    Chain(Vec<String>),
+    Sum(Vec<String>, f64, f64),
+}
 
-impl Constraint for EvenIntSum {
-    fn repair(&self, _space: &SearchSpace, _coords: &mut [f64]) {}
-    fn is_satisfied(&self, _space: &SearchSpace, cfg: &Configuration) -> bool {
-        let sum: i64 = cfg.values().iter().filter_map(|v| v.as_int()).sum();
-        sum % 2 == 0
+impl Decl {
+    /// Whether `cfg` satisfies the declaration, read by name: every member
+    /// an int or a real, non-decreasing for a chain; for a sum, a total
+    /// within the declared bounds widened by the lattice's rounding slack.
+    fn holds(&self, space: &SearchSpace, cfg: &Configuration) -> bool {
+        let number = |n: &String| cfg.int(n).map(|i| i as f64).or(cfg.real(n));
+        match self {
+            Decl::Chain(names) => {
+                let mut prev = f64::NEG_INFINITY;
+                for n in names {
+                    match number(n) {
+                        Some(v) if v >= prev => prev = v,
+                        _ => return false,
+                    }
+                }
+                true
+            }
+            Decl::Sum(names, min, max) => {
+                let mut sum = 0.0;
+                for n in names {
+                    match number(n) {
+                        Some(v) => sum += v,
+                        None => return false,
+                    }
+                }
+                let slack = slack(space, names);
+                sum >= min - slack && sum <= max + slack
+            }
+        }
     }
-    fn check_space(&self, _space: &SearchSpace) -> std::result::Result<(), HarmonyError> {
-        Ok(())
+}
+
+/// How far projection can move a repaired sum over `names`: half a step
+/// per int member on its lattice, a whole step when its `max` is off the
+/// lattice, nothing for a real, plus 1e-9 for accumulated rounding.
+fn slack(space: &SearchSpace, names: &[String]) -> f64 {
+    let mut slack = 1e-9;
+    for n in names {
+        let param = space.params().iter().find(|p| p.name() == n);
+        match param.expect("a declared name") {
+            Param::Int { min, max, step, .. } => {
+                slack += if (max - min) % step == 0 {
+                    *step as f64 / 2.0
+                } else {
+                    *step as f64
+                };
+            }
+            Param::Real { .. } => {}
+            Param::Enum { .. } => slack += 0.5,
+        }
     }
+    slack
 }
 
 /// Tiny deterministic generator so a single proptest `u64` seeds a whole
@@ -62,10 +107,10 @@ impl Lcg {
 }
 
 /// A random small space: 2–4 int dims (mixed mins/steps/cardinalities),
-/// sometimes an enum dim, and 0–2 constraints drawn from chain / sum /
-/// opaque. Raw products stay under ~1500 points so naive enumeration is
-/// cheap ground truth.
-fn random_space(seed: u64) -> SearchSpace {
+/// sometimes an enum dim, and 0–2 constraints drawn from chain / sum;
+/// with the constraints it declares. Raw products stay under ~1500 points
+/// so naive enumeration is cheap ground truth.
+fn random_case(seed: u64) -> (SearchSpace, Vec<Decl>) {
     let mut g = Lcg(seed.wrapping_add(0x9e37_79b9));
     let dims = 2 + g.below(3) as usize; // 2..=4 int dims
     let mut b = SearchSpace::builder();
@@ -82,32 +127,33 @@ fn random_space(seed: u64) -> SearchSpace {
     if with_enum {
         b = b.enumeration("mode", ["fast", "slow", "safe"]);
     }
+    let mut decls = Vec::new();
     for _ in 0..g.below(3) {
-        match g.below(3) {
-            0 => {
-                // Chain over a contiguous run of int dims.
-                let from = g.below(int_names.len() as u64 - 1) as usize;
-                let names: Vec<&str> = int_names[from..].iter().map(String::as_str).collect();
-                b = b.constraint(MonotoneChain::new(names));
-            }
-            1 => {
-                // Sum bound over all int dims, sometimes unsatisfiable.
-                let lo = g.below(20) as f64 - 10.0;
-                let hi = lo + g.below(15) as f64;
-                let names: Vec<&str> = int_names.iter().map(String::as_str).collect();
-                b = b.constraint(SumBound::new(names, lo, hi));
-            }
-            _ => {
-                b = b.constraint(EvenIntSum);
-            }
+        if g.below(2) == 0 {
+            // Chain over a contiguous run of int dims.
+            let from = g.below(int_names.len() as u64 - 1) as usize;
+            let names = int_names[from..].to_vec();
+            b = b.constraint(MonotoneChain::new(names.clone()));
+            decls.push(Decl::Chain(names));
+        } else {
+            // Sum bound over all int dims, sometimes unsatisfiable.
+            let lo = g.below(20) as f64 - 10.0;
+            let hi = lo + g.below(15) as f64;
+            b = b.constraint(SumBound::new(int_names.clone(), lo, hi));
+            decls.push(Decl::Sum(int_names.clone(), lo, hi));
         }
     }
-    b.build().expect("generated spaces are well-formed")
+    let space = b.build().expect("generated spaces are well-formed");
+    (space, decls)
+}
+
+fn random_space(seed: u64) -> SearchSpace {
+    random_case(seed).0
 }
 
 /// Ground truth: walk the raw product in mixed-radix order (dim 0 most
-/// significant) and keep what `is_valid` accepts.
-fn naive_filter(space: &SearchSpace) -> Vec<Configuration> {
+/// significant) and keep what every declaration accepts, read by name.
+fn naive_filter(space: &SearchSpace, decls: &[Decl]) -> Vec<Configuration> {
     let radix: Vec<u64> = space
         .params()
         .iter()
@@ -130,7 +176,7 @@ fn naive_filter(space: &SearchSpace) -> Vec<Configuration> {
             })
             .collect();
         let cfg = space.configuration(values).expect("lattice point is typed");
-        if space.is_valid(&cfg) {
+        if decls.iter().all(|d| d.holds(space, &cfg)) {
             out.push(cfg);
         }
         for d in (0..counter.len()).rev() {
@@ -147,13 +193,18 @@ fn naive_filter(space: &SearchSpace) -> Vec<Configuration> {
 /// Ground truth for `snap_feasible`: visit every valid point in stream
 /// order, keep the first of the strictly nearest; more than `cap` of them
 /// is "too large".
-fn naive_snap(cs: &CompiledSpace, coords: &[f64], cap: u64) -> Option<Vec<f64>> {
+fn naive_snap(
+    space: &SearchSpace,
+    cs: &CompiledSpace,
+    coords: &[f64],
+    cap: u64,
+) -> Option<Vec<f64>> {
     let mut best: Option<(f64, Vec<f64>)> = None;
     for (n, cfg) in cs.iter().enumerate() {
         if n as u64 >= cap {
             return None;
         }
-        let cand = cs.space().embed(&cfg).expect("a valid point embeds");
+        let cand = space.embed(&cfg).expect("a valid point embeds");
         let dist: f64 = cand
             .iter()
             .zip(coords)
@@ -222,11 +273,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Compiled enumeration == naive enumerate-and-filter: same points,
-    /// same order, bit-identical values, and the exact count agrees.
+    /// same order, bit-identical values, and the exact count agrees; and
+    /// `is_valid` keeps what the filter keeps.
     #[test]
     fn compiled_stream_equals_naive_filter(seed in 0u64..1_000_000) {
-        let space = random_space(seed);
-        let expected = naive_filter(&space);
+        let (space, decls) = random_case(seed);
+        let expected = naive_filter(&space, &decls);
+        let box_points = naive_filter(&space, &[]);
+        let valid: Vec<&Configuration> = box_points.iter().filter(|c| space.is_valid(c)).collect();
+        prop_assert_eq!(valid, expected.iter().collect::<Vec<_>>());
         let cs = CompiledSpace::compile(&space).expect("discrete space compiles");
         let compiled: Vec<Configuration> = cs.iter().collect();
         prop_assert_eq!(compiled.len(), expected.len());
@@ -289,7 +344,7 @@ proptest! {
                 let got = cs.snap_feasible(&target, cap).map(|c| {
                     c.iter().map(|x| x.to_bits()).collect::<Vec<u64>>()
                 });
-                let want = naive_snap(&cs, &target, cap).map(|c| {
+                let want = naive_snap(&space, &cs, &target, cap).map(|c| {
                     c.iter().map(|x| x.to_bits()).collect::<Vec<u64>>()
                 });
                 prop_assert!(
@@ -331,7 +386,7 @@ proptest! {
     /// `repair`, which without constraints only clamps.
     #[test]
     fn snap_feasible_is_the_nearest_valid_point_or_the_repair(seed in 0u64..1_000_000) {
-        let space = random_space(seed);
+        let (space, decls) = random_case(seed);
         let valid: Vec<Vec<f64>> = space
             .compiled()
             .expect("discrete space compiles")
@@ -342,7 +397,7 @@ proptest! {
         for _ in 0..8 {
             let target = random_target(&space, &mut g);
             let got = space.snap_feasible(target.clone());
-            if space.constraints().is_empty() || valid.is_empty() {
+            if decls.is_empty() || valid.is_empty() {
                 let mut repaired = target.clone();
                 space.repair(&mut repaired);
                 prop_assert_eq!(bits(&got), bits(&repaired));
@@ -361,7 +416,7 @@ proptest! {
     }
 
     /// The fingerprint ignores constraint ordering and never changes for
-    /// spaces without describable constraints.
+    /// unconstrained spaces.
     #[test]
     fn fingerprint_contract(seed in 0u64..1_000_000) {
         let mut g = Lcg(seed);
@@ -386,8 +441,8 @@ proptest! {
             space_fingerprint(&base(false))
         );
 
-        // Unconstrained (and opaque-only) spaces keep the legacy hash, so
-        // records written by older stores still resolve.
+        // Unconstrained spaces keep the legacy hash, so records written by
+        // older stores still resolve.
         let mut plain = SearchSpace::builder();
         for d in 0..dims {
             plain = plain.int(format!("p{d}"), 0, 9, 1);
@@ -397,12 +452,6 @@ proptest! {
             space_fingerprint(&unconstrained),
             legacy_fingerprint(&unconstrained)
         );
-        let mut opaque = SearchSpace::builder();
-        for d in 0..dims {
-            opaque = opaque.int(format!("p{d}"), 0, 9, 1);
-        }
-        let opaque = opaque.constraint(EvenIntSum).build().unwrap();
-        prop_assert_eq!(space_fingerprint(&opaque), legacy_fingerprint(&opaque));
 
         // And a random generated space agrees with itself when rebuilt.
         prop_assert_eq!(
@@ -423,10 +472,6 @@ fn a_space_and_its_clones_share_one_compiled_form() {
     }
     // A space rebuilt from the same parts is another space.
     assert!(!std::ptr::eq(cs, random_space(7).compiled().unwrap()));
-    // The compiled form's own copy of the space answers for itself too.
-    let inner = cs.space().compiled().expect("compiles again");
-    assert!(!std::ptr::eq(cs, inner));
-    assert_eq!(inner.iter().count(), cs.iter().count());
 
     // A continuous dimension has no lattice: refused, and the refusal held.
     let real = SearchSpace::builder()
@@ -444,50 +489,4 @@ fn a_space_and_its_clones_share_one_compiled_form() {
         .build()
         .unwrap();
     assert_eq!(chained.snap_feasible(vec![0.9, 0.2]), [0.2, 0.9]);
-}
-
-/// An always-satisfied opaque constraint that counts its own drops.
-#[derive(Debug)]
-struct CountsDrops(Arc<AtomicUsize>);
-
-impl Drop for CountsDrops {
-    fn drop(&mut self) {
-        self.0.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
-impl Constraint for CountsDrops {
-    fn repair(&self, _space: &SearchSpace, _coords: &mut [f64]) {}
-    fn is_satisfied(&self, _space: &SearchSpace, _cfg: &Configuration) -> bool {
-        true
-    }
-    fn check_space(&self, _space: &SearchSpace) -> std::result::Result<(), HarmonyError> {
-        Ok(())
-    }
-}
-
-/// The compiled form keeps a copy of its space. If that copy shared the
-/// cell the compiled form is stored in, the cell would hold a reference to
-/// itself and a space that was ever compiled would never be freed.
-#[test]
-fn dropping_the_last_clone_frees_the_compiled_form() {
-    let drops = Arc::new(AtomicUsize::new(0));
-    let space = SearchSpace::builder()
-        .int("a", 0, 3, 1)
-        .int("b", 0, 3, 1)
-        .constraint(CountsDrops(Arc::clone(&drops)))
-        .build()
-        .unwrap();
-    let clone = space.clone();
-    assert_eq!(space.compiled().expect("compiles").iter().count(), 16);
-    // Compiled through its inner copy as well, as an opaque check may.
-    assert!(clone.compiled().unwrap().space().compiled().is_some());
-    drop(space);
-    assert_eq!(drops.load(Ordering::SeqCst), 0, "a clone is still alive");
-    drop(clone);
-    assert_eq!(
-        drops.load(Ordering::SeqCst),
-        1,
-        "the space outlived its last clone"
-    );
 }

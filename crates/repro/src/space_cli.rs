@@ -91,7 +91,7 @@ pub fn build(name: &str) -> Option<SearchSpace> {
     Some(space.expect("synthetic spaces are well-formed"))
 }
 
-fn resolve(args: &[String]) -> (String, CompiledSpace, Telemetry) {
+fn resolve(args: &[String]) -> (String, SearchSpace, CompiledSpace, Telemetry) {
     let name = flag_value(args, "--space").unwrap_or_else(|| {
         eprintln!("repro space requires --space NAME; try `repro space list`");
         std::process::exit(2);
@@ -105,7 +105,7 @@ fn resolve(args: &[String]) -> (String, CompiledSpace, Telemetry) {
         eprintln!("cannot compile `{name}`: {e}");
         std::process::exit(2);
     });
-    (name, compiled, telemetry)
+    (name, space, compiled, telemetry)
 }
 
 fn emit(args: &[String], blob: &serde_json::Value, human: &str) -> i32 {
@@ -131,14 +131,13 @@ fn list() -> i32 {
 
 /// `repro space stats`: compile and report what propagation found.
 fn stats(args: &[String]) -> i32 {
-    let (name, cs, _) = resolve(args);
+    let (name, _, cs, _) = resolve(args);
     let s = cs.stats();
     let count = cs.count_valid_bounded(u64::MAX, 10_000_000);
     let blob = serde_json::json!({
         "space": name,
         "dims": s.dims,
         "constraints": s.constraints,
-        "compiled_constraints": s.compiled_constraints,
         "points_raw": s.points_raw,
         "log10_points_raw": s.log10_points_raw,
         "points_box": s.points_box,
@@ -151,13 +150,12 @@ fn stats(args: &[String]) -> i32 {
         "valid_points_exact": count.is_exact(),
     });
     let human = format!(
-        "space {name}\n  dims               {}\n  constraints        {} ({} compiled)\n  \
+        "space {name}\n  dims               {}\n  constraints        {}\n  \
          raw points         {} (10^{:.1})\n  after propagation  {}\n  pruned by bounds   {}\n  \
          pinned dims        {}\n  provably empty     {}\n  valid points       {}{}\n  \
          compile time       {} µs",
         s.dims,
         s.constraints,
-        s.compiled_constraints,
         s.points_raw,
         s.log10_points_raw,
         s.points_box,
@@ -173,8 +171,8 @@ fn stats(args: &[String]) -> i32 {
 
 /// `repro space fingerprint`: the store-keying fingerprint of the space.
 fn fingerprint(args: &[String]) -> i32 {
-    let (name, cs, _) = resolve(args);
-    let fp = space_fingerprint(cs.space());
+    let (name, space, _, _) = resolve(args);
+    let fp = space_fingerprint(&space);
     let blob = serde_json::json!({ "space": name, "fingerprint": format!("{fp:016x}") });
     emit(
         args,
@@ -186,7 +184,7 @@ fn fingerprint(args: &[String]) -> i32 {
 /// `repro space bench`: compile, then stream the first `--points` valid
 /// points through the chunked cursor API; exit 1 past `--max-seconds`.
 fn bench(args: &[String], quick: bool) -> i32 {
-    let (name, cs, telemetry) = resolve(args);
+    let (name, space, cs, telemetry) = resolve(args);
     let default_points = if quick { 100_000 } else { 1_000_000 };
     let target = parse_u64(args, "--points", default_points);
     let chunk = parse_u64(args, "--chunk", 65_536).max(1) as usize;
@@ -205,7 +203,7 @@ fn bench(args: &[String], quick: bool) -> i32 {
             // Sanity on the first chunk only: everything streamed must be
             // valid by the uncompiled predicate.
             for cfg in &points {
-                assert!(cs.space().is_valid(cfg), "compiled stream leaked {cfg}");
+                assert!(space.is_valid(cfg), "compiled stream leaked {cfg}");
             }
             verified = true;
         }

@@ -462,3 +462,81 @@ fn every_start_point_policy_matches_the_digests_recorded_before_the_lattice_move
     }
     assert_rows("start points", &got, GOLDEN_STARTS);
 }
+
+/// `space_fingerprint` of constrained spaces, recorded at 00a80cc. The
+/// store keys every record by it: a fingerprint that moved would make a
+/// store silently miss every record written before the move.
+const GOLDEN_FINGERPRINTS: &[(&str, u64)] = &[
+    ("chain-sum6", 0xe480893e8b23b124),
+    ("synth-1e9", 0x675b134e488586bf),
+    ("chain-1e9", 0x9b0e730d61818f80),
+    ("petsc-3-boundary", 0x71b5258909bc471a),
+    ("petsc-8-boundary", 0x6b3b02ae353573ae),
+    ("narrowed-stepped-sum", 0xbae4486bd83acc9a),
+    ("chain-over-an-enum", 0xca4109f6561defe2),
+];
+
+/// A chain and a sum over stepped ints, narrowed around a prior run: the
+/// narrowed `s0` ends off its lattice, which doubles its share of the sum's
+/// slack, so the sum's token moves with the bounds.
+fn narrowed_stepped_sum() -> SearchSpace {
+    use ah_core::priors::PriorRunDb;
+    let space = SearchSpace::builder()
+        .int("s0", 0, 30, 3)
+        .int("s1", 0, 30, 3)
+        .int("s2", -4, 20, 2)
+        .constraint(MonotoneChain::new(["s0", "s1"]))
+        .constraint(SumBound::new(["s0", "s1", "s2"], 9.0, 40.0))
+        .build()
+        .unwrap();
+    let mut db = PriorRunDb::new();
+    db.record("app", space.project(&[12.0, 15.0, 8.0]), 1.0);
+    let narrowed = db.narrowed_space("app", &space, 0.15).unwrap();
+    assert_eq!(narrowed.params()[0].embed_min(), 7.0);
+    assert_eq!(narrowed.params()[0].embed_max(), 17.0);
+    narrowed
+}
+
+#[test]
+fn constrained_fingerprints_match_the_values_recorded_before_constraints_became_data() {
+    let problems = problems();
+    let space_of = |name| {
+        let problem = problems.iter().find(|p| p.name == name);
+        problem.map(|p| p.space.clone())
+    };
+    let spaces = [
+        ("chain-sum6", space_of("chain-sum6").unwrap()),
+        (
+            "synth-1e9",
+            ah_repro::space_cli::build("synth-1e9").unwrap(),
+        ),
+        (
+            "chain-1e9",
+            ah_repro::space_cli::build("chain-1e9").unwrap(),
+        ),
+        ("petsc-3-boundary", space_of("petsc-3-boundary").unwrap()),
+        ("petsc-8-boundary", boundary_space(90_601, 8)),
+        ("narrowed-stepped-sum", narrowed_stepped_sum()),
+        (
+            "chain-over-an-enum",
+            SearchSpace::builder()
+                .enumeration("mode", ["a", "b"])
+                .int("n", 0, 5, 1)
+                .constraint(MonotoneChain::new(["mode", "n"]))
+                .build()
+                .unwrap(),
+        ),
+    ];
+    let got: Vec<(&str, u64)> = spaces
+        .iter()
+        .map(|(name, space)| (*name, ah_core::store::space_fingerprint(space)))
+        .collect();
+    let now: String = got
+        .iter()
+        .map(|(name, fp)| format!("    (\"{name}\", 0x{fp:016x}),\n"))
+        .collect();
+    assert!(
+        got == GOLDEN_FINGERPRINTS,
+        "fingerprints moved. now:\n{now}"
+    );
+}
